@@ -248,12 +248,35 @@ class Histogram:
         return min(rows / total, 1.0)
 
     def filtered(self, selectivity: float) -> "Histogram":
-        """Return this histogram scaled uniformly by a selectivity."""
+        """Return this histogram scaled uniformly by a selectivity.
+
+        The result is a lazy view: it remembers ``(self, selectivity)``
+        and scales the buckets on the first read of ``buckets``
+        (:meth:`__getattr__`).  Statistics derivation re-scales every
+        column of every derived group, and most of those columns are
+        never looked at again, so the bucket copies are made only for
+        the histograms an estimate actually reads.
+        """
         selectivity = min(max(selectivity, 0.0), 1.0)
-        return Histogram(
-            buckets=tuple(b.scaled(selectivity) for b in self.buckets),
+        view = object.__new__(Histogram)
+        vars(view).update(
+            _base=self, _factor=selectivity,
             null_rows=self.null_rows * selectivity,
         )
+        return view
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails, i.e. for ``buckets`` of
+        # a view nobody has read yet.  The same Bucket.scaled calls run
+        # in the same order as an eager copy would have made, on the same
+        # inputs (a base that is itself a view is forced first), so every
+        # float is bit-identical to eager scaling.
+        if name != "buckets" or "_base" not in vars(self):
+            raise AttributeError(name)
+        factor = self._factor
+        buckets = tuple(b.scaled(factor) for b in self._base.buckets)
+        vars(self)["buckets"] = buckets
+        return buckets
 
     def restricted_eq(self, value: Any) -> "Histogram":
         """Histogram of rows surviving ``col = value``: a single point."""
@@ -294,7 +317,26 @@ class Histogram:
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
-    def join_cardinality(self, other: "Histogram") -> float:
+    def join_slices(self, other: "Histogram") -> list[tuple[float, ...]]:
+        """Both histograms cut at their merged bucket boundaries: one
+        ``(lo, hi, rows1, ndv1, rows2, ndv2)`` per slice.
+
+        Cardinality and joined histogram of one equi-join are built from
+        the same slices; a caller that needs both computes them once and
+        hands them to :meth:`join_cardinality` and :meth:`join_histogram`.
+        """
+        bounds = sorted(
+            {b.lo for b in self.buckets} | {b.hi for b in self.buckets}
+            | {b.lo for b in other.buckets} | {b.hi for b in other.buckets}
+        )
+        return [
+            (lo, hi, *self._slice(lo, hi), *other._slice(lo, hi))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+
+    def join_cardinality(
+        self, other: "Histogram", slices: Optional[list] = None
+    ) -> float:
         """Estimated output rows of an equi-join between the two columns.
 
         Buckets are aligned on the shared axis; each aligned slice
@@ -303,14 +345,10 @@ class Histogram:
         """
         if not self.buckets or not other.buckets:
             return 0.0
-        bounds = sorted(
-            {b.lo for b in self.buckets} | {b.hi for b in self.buckets}
-            | {b.lo for b in other.buckets} | {b.hi for b in other.buckets}
-        )
+        if slices is None:
+            slices = self.join_slices(other)
         total = 0.0
-        for lo, hi in zip(bounds, bounds[1:]):
-            r1, d1 = self._slice(lo, hi)
-            r2, d2 = other._slice(lo, hi)
+        for _lo, _hi, r1, d1, r2, d2 in slices:
             d = max(d1, d2)
             if d >= 1 and r1 > 0 and r2 > 0:
                 total += r1 * r2 / d
@@ -325,18 +363,16 @@ class Histogram:
                 total += r1 * r2 / d
         return total
 
-    def join_histogram(self, other: "Histogram") -> "Histogram":
+    def join_histogram(
+        self, other: "Histogram", slices: Optional[list] = None
+    ) -> "Histogram":
         """Histogram of the join column after the equi-join."""
         if not self.buckets or not other.buckets:
             return Histogram(buckets=())
-        bounds = sorted(
-            {b.lo for b in self.buckets} | {b.hi for b in self.buckets}
-            | {b.lo for b in other.buckets} | {b.hi for b in other.buckets}
-        )
+        if slices is None:
+            slices = self.join_slices(other)
         out: list[Bucket] = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            r1, d1 = self._slice(lo, hi)
-            r2, d2 = other._slice(lo, hi)
+        for lo, hi, r1, d1, r2, d2 in slices:
             d = max(d1, d2)
             if d >= 1 and r1 > 0 and r2 > 0:
                 out.append(Bucket(lo, hi, r1 * r2 / d, min(d1, d2)))

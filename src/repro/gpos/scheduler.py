@@ -44,11 +44,19 @@ class Job:
     goal: Hashable = None
     kind = "job"
 
+    # Scalar state starts from class-level defaults, so constructing one
+    # of the tens of thousands of jobs of a search only allocates what
+    # is per-instance.
+    _step = 0
+    pending_children = 0
+    done = False
+    #: Position in the scheduler's first-seen order (-1 until seen).
+    #: Kept on the job: a side table keyed by ``id(job)`` would hand a
+    #: finished, collected job's id to whichever job reuses its address.
+    job_id = -1
+
     def __init__(self) -> None:
-        self._step = 0
         self.parents: list[Job] = []
-        self.pending_children = 0
-        self.done = False
 
     def step(self, scheduler: "JobScheduler") -> Optional[Sequence["Job"]]:
         """Run one step.  Return child jobs to wait on, or None when done."""
@@ -58,7 +66,7 @@ class Job:
         return f"{self.kind}({self.goal})"
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     """One executed job step, for the DAG makespan simulation."""
 
@@ -84,7 +92,6 @@ class JobScheduler:
         self.jobs_executed = 0
         self.steps_executed = 0
         self.job_log: list[JobRecord] = []
-        self._job_ids: dict[int, int] = {}
         self._next_job_id = 0
         self.kind_counts: dict[str, int] = {}
         self.tracer = tracer or NULL_TRACER
@@ -112,14 +119,16 @@ class JobScheduler:
 
     # ------------------------------------------------------------------
     def _run_serial(self, job_budget: Optional[int]) -> None:
-        while self._queue:
+        queue = self._queue
+        governor = self.governor
+        execute_step = self._execute_step
+        while queue:
             if job_budget is not None and self.steps_executed >= job_budget:
-                self._queue.clear()
+                queue.clear()
                 return
-            if self.governor is not None:
-                self.governor.on_job_step()
-            job = self._queue.popleft()
-            self._execute_step(job)
+            if governor is not None:
+                governor.on_job_step()
+            execute_step(queue.popleft())
 
     def _run_threaded(self, job_budget: Optional[int]) -> None:
         """Thread-pool execution.
@@ -166,58 +175,62 @@ class JobScheduler:
 
     # ------------------------------------------------------------------
     def _job_id(self, job: Job) -> int:
-        key = id(job)
-        if key not in self._job_ids:
-            self._job_ids[key] = self._next_job_id
+        """The job's id, assigned on first sight (first-seen order)."""
+        if job.job_id < 0:
+            job.job_id = self._next_job_id
             self._next_job_id += 1
-        return self._job_ids[key]
+        return job.job_id
 
     def _execute_step(self, job: Job) -> None:
-        start = time.perf_counter()
+        clock = time.perf_counter
+        start = clock()
         children = job.step(self)
-        duration = time.perf_counter() - start
+        duration = clock() - start
         self.steps_executed += 1
+        queue = self._queue
         if children:
             pending = 0
             child_ids = []
+            by_goal = self._jobs_by_goal
             for child in children:
-                existing = self._jobs_by_goal.get(child.goal)
-                if existing is None or (existing is not child and child.goal is None):
+                goal = child.goal
+                existing = by_goal.get(goal)
+                if existing is None or (existing is not child and goal is None):
                     self._enqueue_new(child)
                     child.parents.append(job)
-                    pending += 1
-                    child_ids.append(self._job_id(child))
                 elif existing.done:
                     continue
                 else:
                     # Same goal already queued/running: wait on it instead
                     # (the per-goal job queue of Section 4.2).
                     existing.parents.append(job)
-                    pending += 1
-                    child_ids.append(self._job_id(existing))
+                    child = existing
+                pending += 1
+                child_ids.append(self._job_id(child))
             self.job_log.append(
                 JobRecord(
                     self._job_id(job), job.kind, duration, tuple(child_ids)
                 )
             )
             if pending == 0:
-                self._queue.append(job)  # nothing to wait for: resume
+                queue.append(job)  # nothing to wait for: resume
             else:
                 job.pending_children += pending
         else:
             job.done = True
             self.jobs_executed += 1
-            self.kind_counts[job.kind] = self.kind_counts.get(job.kind, 0) + 1
-            self.job_log.append(JobRecord(self._job_id(job), job.kind, duration))
+            kind = job.kind
+            self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
+            self.job_log.append(JobRecord(self._job_id(job), kind, duration))
             if self.tracer.enabled:
                 self.tracer.record(
-                    "job_done", job_kind=job.kind, seconds=duration,
-                    job_id=self._job_id(job),
+                    "job_done", job_kind=kind, seconds=duration,
+                    job_id=job.job_id,
                 )
             for parent in job.parents:
                 parent.pending_children -= 1
                 if parent.pending_children == 0:
-                    self._queue.append(parent)
+                    queue.append(parent)
             job.parents = []
 
     def _enqueue_new(self, job: Job) -> None:

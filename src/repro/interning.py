@@ -2,8 +2,8 @@
 
 Operator and scalar-expression ``key()`` tuples are the currency of the
 Memo: duplicate detection hashes ``(op.key(), child_groups)`` on every
-insert, optimization contexts are looked up by ``req.key()``, and rule
-bindings compare sub-expression keys constantly.  Recomputing these
+insert, property specs are compared by key, and rule bindings compare
+sub-expression keys constantly.  Recomputing these
 nested tuples — and re-hashing them on every dict probe — dominates
 optimizer CPU once plans get deep.
 
@@ -17,14 +17,26 @@ only the constant factors change.
 The table is bounded: once full, keys are still wrapped in
 :class:`HashedKey` (hash caching keeps working) but no longer stored,
 so a pathological workload cannot grow it without limit.
+
+Optimization requests go one step further (:func:`intern_id`): every
+context, plan and scheduler-goal probe is keyed by the request, so each
+distinct request is mapped to a dense small integer whose hash and
+equality are C-level.  Ids are process-local — they are assigned in
+first-seen order and mean nothing in another interpreter — so objects
+carrying one drop it from their pickle state.
 """
 
 from __future__ import annotations
 
+from typing import Hashable
+
 #: Upper bound on distinct interned keys kept alive by the table.
 MAX_INTERNED_KEYS = 1 << 17
+#: Upper bound on distinct keys holding a dense integer id.
+MAX_INTERNED_IDS = 1 << 14
 
 _table: dict[tuple, "HashedKey"] = {}
+_ids: dict[tuple, int] = {}
 _hits = 0
 _misses = 0
 
@@ -62,6 +74,23 @@ def intern_key(key: tuple) -> HashedKey:
     if len(_table) < MAX_INTERNED_KEYS:
         _table[hashed] = hashed
     return hashed
+
+
+def intern_id(key: tuple) -> Hashable:
+    """Dense integer id of a structural key, assigned in first-seen order.
+
+    Equal keys always get equal ids and distinct keys distinct ones.  An
+    id, once handed out, is never reassigned (live objects hold them), so
+    the table is capped rather than evicted: past the cap a new key *is*
+    its own id — an interned :class:`HashedKey`, which never equals an
+    int — and lookups stay correct at the old tuple-keyed speed.
+    """
+    ident = _ids.get(key)
+    if ident is None:
+        if len(_ids) >= MAX_INTERNED_IDS:
+            return intern_key(key)
+        ident = _ids[key] = len(_ids)
+    return ident
 
 
 def intern_stats() -> dict[str, int]:

@@ -13,7 +13,7 @@ the case where a transformation proves two existing groups equivalent.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Hashable, Iterable, Optional
 
 from repro.errors import OptimizerError
 from repro.interning import intern_key
@@ -63,8 +63,8 @@ class GroupExpression:
         self.group_id: int = -1
         #: Rule names already applied to this expression (no re-firing).
         self.applied_rules: set[str] = set()
-        #: Local hash table: request key -> PlanInfo (Figure 6).
-        self.plans: dict[tuple, PlanInfo] = {}
+        #: Local hash table: request id -> PlanInfo (Figure 6).
+        self.plans: dict[Hashable, PlanInfo] = {}
         self.explored = False
         self.implemented = False
         #: Cached fingerprint + the Memo merge generation it was computed
@@ -72,8 +72,8 @@ class GroupExpression:
         #: generation (bumped in :meth:`Memo.merge`).
         self._fingerprint: Optional[tuple] = None
         self._fingerprint_gen = -1
-        #: Pure-function memos (see SearchEngine): delivered-props by
-        #: child-delivered tuple, child request alternatives by req key.
+        #: Pure-function memos (see SearchEngine): delivered-props by the
+        #: children's delivered ids, child request alternatives by request id.
         #: Both depend only on the immutable operator and their explicit
         #: inputs, so they never need merge invalidation.
         self.delivered_cache: dict = {}
@@ -91,12 +91,12 @@ class GroupExpression:
         return fp
 
     def plan_for(self, req: RequiredProps) -> Optional[PlanInfo]:
-        return self.plans.get(req.key())
+        return self.plans.get(req.id)
 
     def record_plan(self, req: RequiredProps, info: PlanInfo) -> None:
-        existing = self.plans.get(req.key())
+        existing = self.plans.get(req.id)
         if existing is None or info.cost <= existing.cost:
-            self.plans[req.key()] = info
+            self.plans[req.id] = info
         else:
             # The recomputation confirmed the old (cheaper) entry is
             # still the best this expression can do: mark it fresh.
@@ -115,20 +115,20 @@ class Group:
         self.gexprs: list[GroupExpression] = []
         self.output_cols = output_cols
         self.stats: Optional[StatsObject] = None
-        #: Group hash table: request key -> OptimizationContext (Figure 6).
-        self.contexts: dict[tuple, OptimizationContext] = {}
+        #: Group hash table: request id -> OptimizationContext (Figure 6).
+        self.contexts: dict[Hashable, OptimizationContext] = {}
         self.explored = False
         self.implemented = False
         self.tracer = tracer or NULL_TRACER
-        #: Enforcer fingerprints already added, to avoid duplicates.
-        self._enforcer_keys: set[tuple] = set()
+        #: Enforcers already added, by operator fingerprint, to avoid
+        #: duplicates.
+        self._enforcers: dict[tuple, GroupExpression] = {}
 
     def context(self, req: RequiredProps) -> OptimizationContext:
-        key = req.key()
-        ctx = self.contexts.get(key)
+        ctx = self.contexts.get(req.id)
         if ctx is None:
             ctx = OptimizationContext(req=req)
-            self.contexts[key] = ctx
+            self.contexts[req.id] = ctx
             if self.tracer.enabled:
                 self.tracer.record(
                     "property_request", group=self.id, req=repr(req)
@@ -136,7 +136,7 @@ class Group:
         return ctx
 
     def existing_context(self, req: RequiredProps) -> Optional[OptimizationContext]:
-        return self.contexts.get(req.key())
+        return self.contexts.get(req.id)
 
     def logical_gexprs(self) -> list[GroupExpression]:
         return [g for g in self.gexprs if g.op.is_logical]
@@ -178,6 +178,9 @@ class Memo:
         return root
 
     def group(self, group_id: int) -> Group:
+        # Almost every id handed in is already a representative.
+        if self._parent[group_id] == group_id:
+            return self.groups[group_id]
         return self.groups[self.find(group_id)]
 
     def live_groups(self) -> list[Group]:
@@ -237,20 +240,19 @@ class Memo:
             group.implemented = False
         return gexpr, group.id
 
-    def insert_enforcer(self, group_id: int, op: Operator) -> Optional[GroupExpression]:
+    def insert_enforcer(self, group_id: int, op: Operator) -> GroupExpression:
         """Add an enforcer gexpr whose only child is its own group.
 
-        Returns the new gexpr, or None if an identical enforcer exists.
+        Returns the new gexpr, or the identical enforcer already there.
         """
-        group = self.groups[self.find(group_id)]
+        group = self.group(group_id)
         key = op.key()
-        if key in group._enforcer_keys:
-            for gexpr in group.gexprs:
-                if gexpr.op.key() == key:
-                    return gexpr
-            return None
-        group._enforcer_keys.add(key)
-        gexpr = GroupExpression(self._next_gexpr_id, op, (group.id,))
+        existing = group._enforcers.get(key)
+        if existing is not None:
+            return existing
+        gexpr = group._enforcers[key] = GroupExpression(
+            self._next_gexpr_id, op, (group.id,)
+        )
         self._next_gexpr_id += 1
         gexpr.group_id = group.id
         gexpr.explored = True
@@ -290,7 +292,8 @@ class Memo:
         for gexpr in lgroup.gexprs:
             gexpr.group_id = winner
             wgroup.gexprs.append(gexpr)
-        wgroup._enforcer_keys |= lgroup._enforcer_keys
+        for key, gexpr in lgroup._enforcers.items():
+            wgroup._enforcers.setdefault(key, gexpr)
         # Carry optimization state across the merge: the loser's contexts
         # hold real, still-achievable incumbent costs (its expressions now
         # live in the winner), so they keep seeding branch-and-bound

@@ -369,7 +369,9 @@ class Orca:
                 stats.kind_counts[kind] = (
                     stats.kind_counts.get(kind, 0) + count
                 )
-            stats.memory_bytes += deep_sizeof(memo)
+            # The memo and its groups hold the session's tracer; its
+            # span and event lists are not optimizer state.
+            stats.memory_bytes += deep_sizeof(memo, {id(memo.tracer)})
             stats.pruned_alternatives += engine.pruned_alternatives
             stats.costed_alternatives += engine.costed_alternatives
             stats.bound_redos += engine.bound_redos

@@ -176,7 +176,11 @@ class SearchEngine:
             governor=self.governor,
         )
         if self.governor is not None:
-            self.governor.set_memory_probe(lambda: deep_sizeof(self.memo))
+            # Same footprint as SearchStats.memory_bytes: trace data the
+            # memo points at must not count against the quota.
+            self.governor.set_memory_probe(
+                lambda: deep_sizeof(self.memo, {id(self.memo.tracer)})
+            )
         try:
             scheduler.run(
                 JobGroupOptimize(self, self.memo.root, req),
@@ -233,13 +237,12 @@ class SearchEngine:
         self, gexpr: GroupExpression, req: RequiredProps
     ) -> list[tuple[RequiredProps, ...]]:
         """``op.child_request_alternatives(req)``, memoized per
-        (gexpr, request key).  Callers must treat the list as read-only."""
+        (gexpr, request id).  Callers must treat the list as read-only."""
         if not self.config.enable_derivation_cache:
             return gexpr.op.child_request_alternatives(req)
-        req_key = req.key()
-        cached = gexpr.alt_cache.get(req_key)
+        cached = gexpr.alt_cache.get(req.id)
         if cached is None:
-            cached = gexpr.alt_cache[req_key] = (
+            cached = gexpr.alt_cache[req.id] = (
                 gexpr.op.child_request_alternatives(req)
             )
         else:
@@ -253,7 +256,7 @@ class SearchEngine:
         property combination (None results included)."""
         if not self.config.enable_derivation_cache:
             return gexpr.op.derive_delivered(child_delivered)
-        key = tuple(child_delivered)
+        key = tuple([d.id for d in child_delivered])
         cached = gexpr.delivered_cache.get(key, self._NO_DELIVERED)
         if cached is not self._NO_DELIVERED:
             self.property_cache_hits += 1
@@ -275,21 +278,20 @@ class SearchEngine:
         combination is invalid, or the result does not satisfy ``req``.
         """
         memo = self.memo
+        derive = self.deriver.derive
         child_delivered = []
         child_costs = []
         child_stats = []
         for child_group_id, child_req in zip(gexpr.child_groups, alt):
-            child_group = memo.group(child_group_id)
-            ctx = child_group.existing_context(child_req)
+            ctx = memo.group(child_group_id).contexts.get(child_req.id)
             if ctx is None or not ctx.has_plan():
                 return None
-            best_gexpr = memo.gexpr(ctx.best_gexpr_id)
-            info = best_gexpr.plan_for(child_req)
+            info = memo.gexpr(ctx.best_gexpr_id).plans.get(child_req.id)
             if info is None:
                 return None
             child_delivered.append(info.delivered)
             child_costs.append(ctx.best_cost)
-            child_stats.append(self.deriver.derive(child_group_id))
+            child_stats.append(derive(child_group_id))
         delivered = self.derive_delivered(gexpr, child_delivered)
         if delivered is None or not delivered.satisfies(req):
             return None

@@ -16,7 +16,7 @@ its exploration rules).
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.gpos.scheduler import Job
 from repro.memo.context import PlanInfo
@@ -46,6 +46,9 @@ if TYPE_CHECKING:
 #: minimum over all plans of the group — a sound lower bound usable for
 #: branch-and-bound pruning before stricter requests are even issued.
 WEAKEST_REQ = RequiredProps(ANY_DIST)
+_WEAKEST_ID = WEAKEST_REQ.id
+_INF = math.inf
+_isfinite = math.isfinite
 
 
 def group_cost_floor(memo, group_id: int) -> float:
@@ -56,12 +59,14 @@ def group_cost_floor(memo, group_id: int) -> float:
     means the context finished without any bound-driven pruning
     (``done_bound`` is +inf), so its best truly is the group minimum.
     """
-    ctx = memo.group(group_id).existing_context(WEAKEST_REQ)
+    ctx = memo.group(group_id).contexts.get(_WEAKEST_ID)
+    # Called ~1.5k times per statement: has_plan() is spelled out.
     if (
         ctx is not None
         and ctx.done
-        and ctx.has_plan()
-        and ctx.done_bound == math.inf
+        and ctx.done_bound == _INF
+        and ctx.best_gexpr_id is not None
+        and _isfinite(ctx.best_cost)
     ):
         return ctx.best_cost
     return 0.0
@@ -241,7 +246,7 @@ class JobGroupOptimize(Job):
         self.group_id = engine.memo.find(group_id)
         self.req = req
         generation = engine.memo.group(self.group_id).context(req).generation
-        self.goal = ("opt-g", self.group_id, req.key(), generation)
+        self.goal = ("opt-g", self.group_id, req.id, generation)
         #: Sequential gexpr-job queue (cost-bound pruning mode only).
         self._pending: list[GroupExpression] = []
 
@@ -275,13 +280,9 @@ class JobGroupOptimize(Job):
             # Cheapest-looking expressions first (stable on ties): a good
             # incumbent early lets the expensive expressions behind it be
             # skipped outright at spawn time.
-            floors = {
-                g.id: gexpr_cost_floor(self.engine, g) for g in gexprs
-            }
-            order = {g.id: i for i, g in enumerate(gexprs)}
-            self._pending = sorted(
-                gexprs, key=lambda g: (floors[g.id], order[g.id])
-            )
+            engine = self.engine
+            floors = {g.id: gexpr_cost_floor(engine, g) for g in gexprs}
+            self._pending = sorted(gexprs, key=lambda g: floors[g.id])
         # Pruning mode: optimize the expressions one at a time, so each
         # completed expression's cost becomes the incumbent bound for the
         # next one (Section 4.1, Fig. 5 — the bound tightens as the
@@ -373,6 +374,22 @@ class JobGexprOptimize(Job):
 
     kind = "Opt(gexpr,req)"
 
+    #: Bounded-walk cursor: current alternative, its not-yet-costed
+    #: child positions, and the accumulated partial cost.
+    _alt_idx = 0
+    _remaining: Optional[list[int]] = None
+    _partial = 0.0
+    _alternatives: Sequence[tuple[RequiredProps, ...]] = ()
+    _survivors: Sequence[tuple[RequiredProps, ...]] = ()
+    #: Best fully-costed alternative so far (bounded walk only; the
+    #: exhaustive path batch-costs ``_survivors`` at the end).
+    _best: Optional[PlanInfo] = None
+    #: Tightest threshold at which this job abandoned an alternative
+    #: (None = every alternative was fully costed).
+    _abandoned_at: Optional[float] = None
+    #: Lazily computed lower bound on this operator's local cost.
+    _op_floor: Optional[float] = None
+
     def __init__(
         self, engine: "SearchEngine", gexpr: GroupExpression, req: RequiredProps
     ):
@@ -381,22 +398,7 @@ class JobGexprOptimize(Job):
         self.gexpr = gexpr
         self.req = req
         ctx = engine.memo.group(gexpr.group_id).context(req)
-        self.goal = ("opt-x", gexpr.id, req.key(), ctx.generation)
-        self._alternatives: list[tuple[RequiredProps, ...]] = []
-        #: Bounded-walk cursor: current alternative, its not-yet-costed
-        #: child positions, and the accumulated partial cost.
-        self._alt_idx = 0
-        self._remaining: Optional[list[int]] = None
-        self._partial = 0.0
-        self._survivors: list[tuple[RequiredProps, ...]] = []
-        #: Best fully-costed alternative so far (bounded walk only; the
-        #: exhaustive path batch-costs ``_survivors`` at the end).
-        self._best: Optional[PlanInfo] = None
-        #: Tightest threshold at which this job abandoned an alternative
-        #: (None = every alternative was fully costed).
-        self._abandoned_at: Optional[float] = None
-        #: Lazily computed lower bound on this operator's local cost.
-        self._op_floor: Optional[float] = None
+        self.goal = ("opt-x", gexpr.id, req.id, ctx.generation)
 
     # ------------------------------------------------------------------
     def step(self, scheduler):
@@ -440,22 +442,28 @@ class JobGexprOptimize(Job):
         child job to wait on, or None once every alternative is resolved."""
         engine = self.engine
         memo = engine.memo
-        ctx = memo.group(self.gexpr.group_id).context(self.req)
-        while self._alt_idx < len(self._alternatives):
-            alt = self._alternatives[self._alt_idx]
-            if self._remaining is None:
-                self._remaining = list(range(len(alt)))
-            if not self._remaining:
+        group_of = memo.group
+        gexpr = self.gexpr
+        req = self.req
+        child_groups = gexpr.child_groups
+        alternatives = self._alternatives
+        ctx = group_of(gexpr.group_id).context(req)
+        while self._alt_idx < len(alternatives):
+            alt = alternatives[self._alt_idx]
+            remaining = self._remaining
+            if remaining is None:
+                remaining = self._remaining = list(range(len(alt)))
+            if not remaining:
                 # Every child costed: cost the alternative immediately and
                 # publish the result as the context's incumbent, so the
                 # remaining alternatives (and sibling expressions of this
                 # goal) prune against it right away.
-                info = engine.cost_alternative(self.gexpr, self.req, alt)
+                info = engine.cost_alternative(gexpr, req, alt)
                 if info is not None:
                     engine.costed_alternatives += 1
                     if self._best is None or info.cost < self._best.cost:
                         self._best = info
-                    ctx.consider(self.gexpr.id, info.cost)
+                    ctx.consider(gexpr.id, info.cost)
                 self._advance()
                 continue
             threshold = ctx.prune_threshold()
@@ -465,10 +473,9 @@ class JobGexprOptimize(Job):
             # so a hopeless alternative is dropped before its stricter
             # child contexts are ever requested.
             if self._op_floor is None and math.isfinite(threshold):
-                self._op_floor = engine.op_floor(self.gexpr)
+                self._op_floor = engine.op_floor(gexpr)
             rem_floor = (self._op_floor or 0.0) + sum(
-                group_cost_floor(memo, self.gexpr.child_groups[pos])
-                for pos in self._remaining
+                [group_cost_floor(memo, child_groups[pos]) for pos in remaining]
             )
             if self._partial + rem_floor >= threshold:
                 self._abandon(ctx, threshold)
@@ -481,17 +488,17 @@ class JobGexprOptimize(Job):
             # only have needed had it survived.
             consumed = False
             drop = False
-            for pos in self._remaining:
-                child_group = self.gexpr.child_groups[pos]
-                child_req = alt[pos]
-                child_ctx = memo.group(child_group).existing_context(child_req)
+            for pos in remaining:
+                child_ctx = group_of(child_groups[pos]).contexts.get(
+                    alt[pos].id
+                )
                 if child_ctx is None or not child_ctx.done:
                     continue
                 if not child_ctx.valid_for(needed):
                     continue
                 if child_ctx.has_plan():
                     self._partial += child_ctx.best_cost
-                    self._remaining.remove(pos)
+                    remaining.remove(pos)
                     consumed = True
                 elif child_ctx.done_bound is not None and math.isfinite(
                     child_ctx.done_bound
@@ -509,10 +516,10 @@ class JobGexprOptimize(Job):
             if consumed or drop:
                 continue
             # No resolved child left: request the first unresolved one.
-            pos = self._remaining[0]
-            child_group = self.gexpr.child_groups[pos]
+            pos = remaining[0]
+            child_group = child_groups[pos]
             child_req = alt[pos]
-            child_ctx = memo.group(child_group).context(child_req)
+            child_ctx = group_of(child_group).context(child_req)
             # Child searches run unbounded: their own incumbents + cost
             # floors prune them internally, and the exhaustive-exact
             # result is reusable by every later requester.  Propagating

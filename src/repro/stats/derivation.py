@@ -252,8 +252,11 @@ class StatsDeriver:
     ) -> StatsObject:
         equi, residual = self._split_condition(op, left, right)
         cross = left.row_count * right.row_count
+        #: (left col, right col) -> the pair's aligned histogram slices,
+        #: cut once and shared by the cardinality and the joined histogram.
+        slices: dict[tuple[int, int], list] = {}
         if equi:
-            card = self._equi_join_card(equi, left, right)
+            card = self._equi_join_card(equi, left, right, slices)
         else:
             card = cross
         for conj in residual:
@@ -295,7 +298,9 @@ class StatsDeriver:
             lh = left.column(l_id)
             rh = right.column(r_id)
             if lh and rh and lh.histogram and rh.histogram:
-                joined = lh.histogram.join_histogram(rh.histogram)
+                joined = lh.histogram.join_histogram(
+                    rh.histogram, slices.get((l_id, r_id))
+                )
                 joined_stats = ColumnStats(
                     ndv=max(joined.ndv(), 1.0), histogram=joined, width=lh.width
                 )
@@ -325,8 +330,11 @@ class StatsDeriver:
             residual.append(conj)
         return equi, residual
 
-    def _equi_join_card(self, equi, left: StatsObject, right: StatsObject) -> float:
-        """Cardinality of the conjunction of equi-join predicates."""
+    def _equi_join_card(
+        self, equi, left: StatsObject, right: StatsObject, slices: dict
+    ) -> float:
+        """Cardinality of the conjunction of equi-join predicates; the
+        histogram alignments it computes are left in ``slices``."""
         cross = left.row_count * right.row_count
         if cross <= 0:
             return 0.0
@@ -336,7 +344,10 @@ class StatsDeriver:
             rh = right.column(r_id)
             if lh and rh and lh.histogram and rh.histogram and \
                     lh.histogram.buckets and rh.histogram.buckets:
-                card = lh.histogram.join_cardinality(rh.histogram)
+                aligned = slices[(l_id, r_id)] = lh.histogram.join_slices(
+                    rh.histogram
+                )
+                card = lh.histogram.join_cardinality(rh.histogram, aligned)
                 sel = card / cross
             else:
                 ndv_l = lh.ndv if lh else 100.0

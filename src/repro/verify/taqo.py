@@ -65,7 +65,7 @@ def count_plans(
     """Number of distinct costed plans recorded for (group, request)."""
     if _memo_table is None:
         _memo_table = {}
-    key = (memo.find(group_id), req.key())
+    key = (memo.find(group_id), req.id)
     if key in _memo_table:
         return _memo_table[key]
     _memo_table[key] = 0.0  # break cycles defensively

@@ -148,6 +148,45 @@ class TestGovernedOptimizer:
         with pytest.raises(MemoryQuotaExceeded):
             orca.optimize(JOIN_SQL)
 
+    def test_memory_bytes_excludes_the_tracer(self, tpcds_db):
+        """The memo and every group hold the session's tracer; its span
+        and event lists grow with session age and are not memo state."""
+        import sys
+
+        from repro.trace import Tracer
+
+        plain = Orca(tpcds_db, config=OptimizerConfig(segments=4))
+        # CPython sizes instance dicts adaptively, so the walked total
+        # settles over the first ~25 optimizations of a process.
+        for _ in range(30):
+            untraced = plain.optimize(JOIN_SQL).search_stats.memory_bytes
+        tracer = Tracer()
+        traced = Orca(tpcds_db, config=OptimizerConfig(segments=4), tracer=tracer)
+        sizes = [
+            traced.optimize(JOIN_SQL).search_stats.memory_bytes
+            for _ in range(50)
+        ]
+        assert len(tracer.events) > 10_000
+        assert sizes[0] == sizes[49]
+        assert abs(untraced - sizes[0]) <= sys.getsizeof(tracer)
+
+    def test_quota_does_not_trip_on_trace_data(self, tpcds_db):
+        from repro.trace import Tracer
+
+        footprint = Orca(
+            tpcds_db, config=OptimizerConfig(segments=4)
+        ).optimize(JOIN_SQL).search_stats.memory_bytes
+        orca = Orca(
+            tpcds_db,
+            config=OptimizerConfig(
+                segments=4, memory_quota_bytes=footprint * 2,
+                memory_check_stride=16,
+            ),
+            tracer=Tracer(),
+        )
+        for _ in range(20):
+            assert orca.optimize(JOIN_SQL).plan_source == "orca"
+
     def test_generous_limit_is_invisible(self, tpcds_db):
         governed = Orca(
             tpcds_db,

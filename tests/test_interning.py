@@ -133,3 +133,87 @@ class TestOptimizerMemoization:
         assert on.plan.cost == off.plan.cost
         assert on.search_stats.num_groups == off.search_stats.num_groups
         assert on.search_stats.num_gexprs == off.search_stats.num_gexprs
+
+
+class TestRequestIdTable:
+    """Request ids (``intern_id``) are capped, never evicted: live
+    requests hold them, so a full table must degrade to structural ids
+    without changing a single search decision."""
+
+    SHAPES = [
+        f"SELECT {cols}, count(*) FROM t1, t2 WHERE t1.a = t2.a "
+        f"GROUP BY {cols} ORDER BY {order}"
+        for cols, order in [
+            ("t1.a", "t1.a"), ("t1.b", "t1.b DESC"), ("t1.c", "t1.c"),
+            ("t2.b", "t2.b"), ("t1.a, t1.b", "t1.b, t1.a"),
+            ("t1.b, t2.b", "t2.b DESC, t1.b"), ("t1.c, t2.b", "t1.c"),
+            ("t1.a, t1.c", "t1.c DESC"),
+        ]
+    ]
+
+    def test_ids_past_the_cap_are_structural(self, monkeypatch):
+        from repro.props.distribution import HashedDist
+        from repro.props.required import RequiredProps
+
+        monkeypatch.setattr(
+            interning, "MAX_INTERNED_IDS", len(interning._ids)
+        )
+        before = len(interning._ids)
+        fresh = [RequiredProps(HashedDist((10_000 + n,))) for n in range(300)]
+        assert len(interning._ids) == before
+        assert len({r.id for r in fresh}) == 300
+        assert all(isinstance(r.id, HashedKey) for r in fresh)
+
+    def test_search_is_identical_once_the_table_is_full(self, db, monkeypatch):
+        # Sort orders no other test asks for, so their requests are new.
+        shapes = [
+            "SELECT t1.a, t1.b, t1.c, t2.b FROM t1, t2 WHERE t1.a = t2.a "
+            f"ORDER BY {order}"
+            for order in (
+                "t1.c DESC, t2.b, t1.b DESC, t1.a",
+                "t2.b DESC, t1.c DESC, t1.a DESC, t1.b",
+            )
+        ] + self.SHAPES
+
+        def run():
+            orca = Orca(db, config=OptimizerConfig(segments=8))
+            return [orca.optimize(sql) for sql in shapes]
+
+        before = len(interning._ids)
+        monkeypatch.setattr(interning, "MAX_INTERNED_IDS", before)
+        capped = run()
+        assert len(interning._ids) == before
+        keys = {
+            key for r in capped for g in r.memo.groups for key in g.contexts
+        }
+        assert any(isinstance(k, int) for k in keys)
+        assert any(isinstance(k, HashedKey) for k in keys)
+        monkeypatch.undo()
+        for a, b in zip(capped, run()):
+            assert a.plan.explain() == b.plan.explain()
+            assert a.plan.cost == b.plan.cost
+            for field in ("jobs_executed", "num_gexprs", "kind_counts",
+                          "pruned_alternatives", "costed_alternatives",
+                          "property_cache_hits", "derivation_cache_hits"):
+                assert getattr(a.search_stats, field) == getattr(
+                    b.search_stats, field
+                ), field
+
+    def test_table_and_rss_stay_flat_over_300_statements(self, db):
+        import resource
+
+        session_orca = Orca(db, config=OptimizerConfig(segments=8))
+
+        def peak_kb():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+        sizes = []
+        for i in range(300):
+            session_orca.optimize(self.SHAPES[i % len(self.SHAPES)])
+            if i in (99, 299):
+                sizes.append((len(interning._ids), peak_kb()))
+        (ids_100, rss_100), (ids_300, rss_300) = sizes
+        # Column ids restart with every statement, so the same requests
+        # recur: the table stops growing after the first round.
+        assert ids_300 == ids_100 <= interning.MAX_INTERNED_IDS
+        assert rss_300 - rss_100 < 4096  # KB

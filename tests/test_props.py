@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import interning
+from repro.memo.memo import Group
 from repro.props.distribution import (
     ANY_DIST,
     HashedDist,
@@ -134,6 +138,74 @@ class TestRequiredProps:
         r1 = RequiredProps(SINGLETON)
         r2 = RequiredProps(HashedDist((1,)))
         assert r1.key() != r2.key()
+
+    def test_equal_requests_share_an_id(self):
+        a = RequiredProps(HashedDist((1, 2)), OrderSpec((SortKey(3, False),)))
+        b = RequiredProps(HashedDist((1, 2)), OrderSpec((SortKey(3, False),)))
+        assert a is not b and a == b
+        assert a.id == b.id
+        assert RequiredProps().id == RequiredProps(ANY_DIST, ANY_ORDER).id
+
+    def test_distinct_requests_get_distinct_ids(self):
+        reqs = [
+            RequiredProps(dist, order)
+            for dist in REQUIREMENTS
+            for order in (ANY_ORDER, OrderSpec((SortKey(1),)),
+                          OrderSpec((SortKey(1, False),)))
+        ]
+        assert len({r.id for r in reqs}) == len(reqs)
+
+    def test_id_is_not_part_of_equality_or_repr(self):
+        req = RequiredProps(SINGLETON)
+        assert "id" not in repr(req)
+        assert req == RequiredProps(SINGLETON)
+        assert hash(req) == hash(RequiredProps(SINGLETON))
+
+    def test_derived_props_carry_ids_too(self):
+        a = DerivedProps(HashedDist((4,)), OrderSpec((SortKey(4),)))
+        assert a.id == DerivedProps(HashedDist((4,)), OrderSpec((SortKey(4),))).id
+        assert a.id != DerivedProps(HashedDist((4,))).id
+
+    def test_id_is_recomputed_on_the_receiving_side(self, monkeypatch):
+        """A request's id never travels: the unpickling process assigns
+        its own, consistent with requests it builds itself."""
+        req = RequiredProps(HashedDist((7, 8)), OrderSpec((SortKey(7),)))
+        blob = pickle.dumps(req)
+        # The "receiving process": an id table that has seen other
+        # requests first, so the sender's number means something else.
+        monkeypatch.setattr(interning, "_ids", {})
+        shifted = [RequiredProps(HashedDist((n,))) for n in range(req.id + 3)]
+        clone = pickle.loads(blob)
+        assert clone == req
+        assert clone.id != req.id
+        assert clone.id not in {r.id for r in shifted}
+        local = RequiredProps(HashedDist((7, 8)), OrderSpec((SortKey(7),)))
+        assert clone.id == local.id
+        # ...and it still finds its context.
+        group = Group(0, [])
+        ctx = group.context(local)
+        assert group.existing_context(clone) is ctx
+        derived = pickle.loads(pickle.dumps(DerivedProps(HashedDist((7, 8)))))
+        assert derived.id == DerivedProps(HashedDist((7, 8))).id
+
+    def test_full_id_table_falls_back_to_structural_ids(self, monkeypatch):
+        monkeypatch.setattr(interning, "_ids", {})
+        monkeypatch.setattr(interning, "MAX_INTERNED_IDS", 2)
+        first, second = RequiredProps(HashedDist((1,))), RequiredProps(SINGLETON)
+        overflow = RequiredProps(HashedDist((2,)))
+        again = RequiredProps(HashedDist((2,)))
+        other = RequiredProps(HashedDist((3,)))
+        assert len(interning._ids) == 2
+        assert isinstance(first.id, int) and isinstance(second.id, int)
+        # Past the cap the structural key stands in: still equal for
+        # equal requests, distinct otherwise, never equal to an int id.
+        assert overflow.id == again.id == overflow.key()
+        assert overflow.id != other.id
+        assert overflow.id not in (first.id, second.id)
+        assert RequiredProps(HashedDist((1,))).id == first.id
+        group = Group(0, [])
+        assert group.context(overflow) is group.existing_context(again)
+        assert group.existing_context(other) is None
 
     def test_derived_satisfies(self):
         d = DerivedProps(HashedDist((1,)), OrderSpec((SortKey(1), SortKey(2))))

@@ -120,6 +120,45 @@ class TestScheduler:
         assert len(sched.job_log) == 3  # spawn, leaf, resume
 
 
+class ChainJob(Job):
+    """Spawns ``count`` goal-less leaves one after another; each leaf is
+    unreferenced (and collectable) before the next one is created."""
+
+    kind = "chain"
+    goal = ("chain",)
+
+    def __init__(self, count):
+        super().__init__()
+        self.left = count
+
+    def step(self, scheduler):
+        if self.left == 0:
+            return None
+        self.left -= 1
+        return [LeafJob([], "leaf")]
+
+
+class TestJobIds:
+    def test_short_lived_goalless_jobs_get_distinct_ids(self):
+        # CPython reuses a freed job's address for the next allocation of
+        # the same size, so ids keyed by id(job) collide here.
+        scheduler = JobScheduler()
+        scheduler.run(ChainJob(200))
+        assert len({r.job_id for r in scheduler.job_log}) == 201
+        leaf_ids = [r.job_id for r in scheduler.job_log if r.kind == "leaf"]
+        assert len(set(leaf_ids)) == 200
+
+    def test_ids_follow_first_seen_order(self):
+        log = []
+        kids = [LeafJob(log, f"k{i}", goal=("k", i)) for i in range(3)]
+        scheduler = JobScheduler()
+        scheduler.run(ParentJob(log, "p", kids))
+        # Untraced: a spawning step numbers its children before itself.
+        assert [k.job_id for k in kids] == [0, 1, 2]
+        assert scheduler.job_log[0].job_id == 3
+        assert scheduler.job_log[0].depends_on == (0, 1, 2)
+
+
 class TestMakespanSimulation:
     def test_empty(self):
         assert simulate_makespan([], 4) == 0.0
@@ -198,6 +237,37 @@ class TestMemoryTracker:
         a = []
         a.append(a)
         assert deep_sizeof(a) > 0
+
+    def test_deep_sizeof_follows_slots(self):
+        class Slotted:
+            __slots__ = ("payload", "unset")
+
+            def __init__(self):
+                self.payload = list(range(1000))
+
+        class Child(Slotted):
+            __slots__ = ("extra",)
+
+            def __init__(self):
+                super().__init__()
+                self.extra = list(range(1000, 2000))
+
+        class Open(Slotted):  # inherited slot beside a __dict__
+            def __init__(self):
+                super().__init__()
+                self.more = list(range(2000, 3000))
+
+        one_list = deep_sizeof(list(range(1000)))
+        assert deep_sizeof(Slotted()) > one_list
+        assert deep_sizeof(Child()) > 2 * one_list
+        assert deep_sizeof(Open()) > 2 * one_list
+
+    def test_deep_sizeof_skips_preseeded_ids(self):
+        shared = list(range(1000))
+        holder = {"keep": ["a", "b"], "skip": shared}
+        assert deep_sizeof(holder) - deep_sizeof(holder, {id(shared)}) == (
+            deep_sizeof(shared)
+        )
 
     def test_reset(self):
         tracker = MemoryTracker()

@@ -15,6 +15,9 @@ count either.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.config import OptimizerConfig
@@ -79,3 +82,26 @@ def test_threaded_runs_are_self_consistent(det_db, pruning):
     assert r1.num_groups == r2.num_groups
     assert r1.num_gexprs == r2.num_gexprs
     assert r1.pruned_alternatives == r2.pruned_alternatives
+
+
+#: sha1 of the serial ``job_log`` as ``[(job_id, kind, depends_on), ...]``
+#: and its length, recorded at the commit before job ids moved onto the
+#: job and requests became integer ids.  A change that renumbers jobs,
+#: reorders steps or rewires a dependency edge — i.e. changes the DAG
+#: ``simulate_makespan`` sees — fails here even when plans still agree.
+JOB_LOG_PINS = {
+    "star_brand": (851, "17d13dfdded0acba5c4f679a18da453ff5907cd9"),
+    "demo_promo": (2372, "b9f96bdbaba978d0eb4cd54197fbfbe65e8efc55"),
+    "channel_union": (391, "99addfa321ab38f000f4d97e866ff16248f3e6aa"),
+}
+
+
+@pytest.mark.parametrize("query_id", sorted(JOB_LOG_PINS))
+def test_job_log_sequence_is_pinned(tpcds_db, query_id):
+    result = _optimize(tpcds_db, queries_by_id()[query_id].sql, workers=1)
+    log = [
+        (rec.job_id, rec.kind, list(rec.depends_on))
+        for rec in result.search_stats.job_log
+    ]
+    digest = hashlib.sha1(json.dumps(log).encode()).hexdigest()
+    assert (len(log), digest) == JOB_LOG_PINS[query_id]

@@ -233,6 +233,114 @@ class TestUnionAndSkew:
         assert h.skew() > 2.0
 
 
+def eager_filtered(hist: Histogram, selectivity: float) -> Histogram:
+    """Reference: the eager ``filtered`` the lazy view replaced."""
+    selectivity = min(max(selectivity, 0.0), 1.0)
+    return Histogram(
+        buckets=tuple(b.scaled(selectivity) for b in hist.buckets),
+        null_rows=hist.null_rows * selectivity,
+    )
+
+
+_VALUES = st.lists(
+    st.one_of(st.none(), st.integers(-50, 50)), min_size=0, max_size=80
+)
+_SELECTIVITIES = st.lists(
+    st.floats(-0.5, 1.5, allow_nan=False), min_size=1, max_size=4
+)
+
+
+class TestLazyFiltered:
+    """``filtered`` defers the bucket copies; nothing else may change:
+    floats are compared with ``==``, never approximately."""
+
+    @staticmethod
+    def _chains(values, sels):
+        lazy = eager = Histogram.from_values(values, num_buckets=8)
+        for sel in sels:
+            lazy, eager = lazy.filtered(sel), eager_filtered(eager, sel)
+        return lazy, eager
+
+    def test_view_copies_nothing_until_read(self):
+        base = Histogram.from_values(list(range(100)))
+        view = base.filtered(0.5).filtered(0.5)
+        assert "buckets" not in vars(view)
+        assert "buckets" not in vars(vars(view)["_base"])
+        assert view.null_rows == 0.0  # needs no buckets
+        assert len(view.buckets) == len(base.buckets)
+        assert "buckets" in vars(view)
+
+    @given(_VALUES, _SELECTIVITIES)
+    @settings(max_examples=80, deadline=None)
+    def test_buckets_and_nulls_identical(self, values, sels):
+        lazy, eager = self._chains(values, sels)
+        assert lazy.null_rows == eager.null_rows
+        assert lazy.buckets == eager.buckets
+        assert lazy == eager and hash(lazy) == hash(eager)
+
+    @given(_VALUES, _SELECTIVITIES, st.integers(-60, 60), st.integers(-60, 60))
+    @settings(max_examples=80, deadline=None)
+    def test_estimates_identical(self, values, sels, probe, other):
+        # A fresh chain per estimate: each one is the view's first read.
+        lo, hi = sorted((probe, other))
+        for estimate in (
+            lambda h: h.select_eq(probe),
+            lambda h: h.select_range(lo=lo, hi=hi),
+            lambda h: h.total_rows(),
+            lambda h: h.restricted_range(lo=lo, hi=hi),
+        ):
+            lazy, eager = self._chains(values, sels)
+            assert estimate(lazy) == estimate(eager)
+
+    @given(_VALUES, _VALUES, _SELECTIVITIES, _SELECTIVITIES)
+    @settings(max_examples=60, deadline=None)
+    def test_joins_and_unions_identical(self, left, right, sels_l, sels_r):
+        for combine in (
+            lambda a, b: a.join_cardinality(b),
+            lambda a, b: a.join_histogram(b),
+            lambda a, b: a.join_cardinality(b, a.join_slices(b)),
+            lambda a, b: a.union_all(b),
+        ):
+            lazy_l, eager_l = self._chains(left, sels_l)
+            lazy_r, eager_r = self._chains(right, sels_r)
+            assert combine(lazy_l, lazy_r) == combine(eager_l, eager_r)
+
+    @given(_VALUES, _SELECTIVITIES)
+    @settings(max_examples=25, deadline=None)
+    def test_dxl_of_a_never_read_view(self, values, sels):
+        import xml.etree.ElementTree as ET
+
+        from repro.catalog.database import Database
+        from repro.catalog.schema import Column, Table
+        from repro.catalog.statistics import TableStats
+        from repro.catalog.types import INT
+        from repro.dxl.parser import parse_metadata
+        from repro.dxl.serializer import serialize_metadata
+
+        def dump(hist):
+            db = Database()
+            db.create_table(Table("t", [Column("c", INT)]))
+            db.set_stats("t", TableStats(
+                10.0, {"c": ColumnStats(ndv=1.0, histogram=hist)}
+            ))
+            return serialize_metadata(db)
+
+        lazy, eager = self._chains(values, sels)
+        assert "buckets" not in vars(lazy)
+        lazy_dxl = dump(lazy)
+        assert ET.tostring(lazy_dxl) == ET.tostring(dump(eager))
+        restored = parse_metadata(lazy_dxl).stats("t").column("c").histogram
+        assert restored == eager
+
+    def test_view_survives_pickle_unread(self):
+        import pickle
+
+        base = Histogram.from_values(list(range(50)) + [None] * 5)
+        clone = pickle.loads(pickle.dumps(base.filtered(0.25)))
+        assert "buckets" not in vars(clone)
+        assert clone == eager_filtered(base, 0.25)
+
+
 class TestColumnStats:
     def test_from_values(self):
         cs = ColumnStats.from_values([1, 2, 2, 3, None])
