@@ -57,10 +57,10 @@ def growth(chain_db):
         )
         rows.append({
             "n": n,
-            "groups": result.num_groups,
-            "gexprs": result.num_gexprs,
+            "groups": result.search_stats.num_groups,
+            "gexprs": result.search_stats.num_gexprs,
             "plans": space,
-            "jobs": result.jobs_executed,
+            "jobs": result.search_stats.jobs_executed,
         })
     return rows
 
@@ -130,6 +130,6 @@ def test_duplicate_detection_keeps_memo_small(chain_db, benchmark):
     result = benchmark.pedantic(
         lambda: orca.optimize(chain_sql(5)), rounds=1, iterations=1
     )
-    print(f"\nxform applications: {result.xform_count}, "
-          f"group expressions: {result.num_gexprs}")
-    assert result.num_gexprs < result.xform_count * 4
+    print(f"\nxform applications: {result.search_stats.xform_count}, "
+          f"group expressions: {result.search_stats.num_gexprs}")
+    assert result.search_stats.num_gexprs < result.search_stats.xform_count * 4

@@ -28,15 +28,15 @@ def measurements(hadoop_db):
         rows.append({
             "query": query.id,
             "seconds": result.opt_time_seconds,
-            "memory_mb": result.memory_bytes / (1024 * 1024),
-            "groups": result.num_groups,
-            "gexprs": result.num_gexprs,
-            "jobs": result.jobs_executed,
-            "xforms": result.xform_count,
-            "kinds": result.kind_counts,
+            "memory_mb": result.search_stats.memory_bytes / (1024 * 1024),
+            "groups": result.search_stats.num_groups,
+            "gexprs": result.search_stats.num_gexprs,
+            "jobs": result.search_stats.jobs_executed,
+            "xforms": result.search_stats.xform_count,
+            "kinds": result.search_stats.kind_counts,
             "cost": result.plan.cost,
-            "pruned": result.pruned_alternatives,
-            "costed": result.costed_alternatives,
+            "pruned": result.search_stats.pruned_alternatives,
+            "costed": result.search_stats.costed_alternatives,
         })
     return rows
 
@@ -51,7 +51,7 @@ def exhaustive_measurements(hadoop_db):
         result = orca.optimize(query.sql)
         rows.append({
             "query": query.id,
-            "kinds": result.kind_counts,
+            "kinds": result.search_stats.kind_counts,
             "cost": result.plan.cost,
         })
     return rows

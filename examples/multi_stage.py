@@ -41,9 +41,10 @@ CHEAP_RULES = frozenset({
 
 
 def report(label, result):
+    stats = result.search_stats
     print(f"{label:42s} cost={result.plan.cost:12.1f} "
-          f"jobs={result.jobs_executed:5d} xforms={result.xform_count:4d} "
-          f"gexprs={result.num_gexprs:4d} "
+          f"jobs={stats.jobs_executed:5d} xforms={stats.xform_count:4d} "
+          f"gexprs={stats.num_gexprs:4d} "
           f"time={result.opt_time_seconds * 1e3:7.1f} ms")
     return result
 

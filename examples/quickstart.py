@@ -51,9 +51,10 @@ def main() -> None:
     print("\n=== chosen plan ===")
     print(result.explain())
 
-    print(f"\noptimization: {result.jobs_executed} jobs "
-          f"({result.xform_count} rule applications), "
-          f"{result.num_groups} groups, {result.num_gexprs} group "
+    stats = result.search_stats
+    print(f"\noptimization: {stats.jobs_executed} jobs "
+          f"({stats.xform_count} rule applications), "
+          f"{stats.num_groups} groups, {stats.num_gexprs} group "
           f"expressions, {result.opt_time_seconds * 1e3:.1f} ms")
 
     cluster = Cluster(db, segments=16)

@@ -286,9 +286,10 @@ def cmd_memo(args) -> int:
         print("(plan served from the plan cache; no Memo was built)")
     else:
         print(result.memo.dump())
-        print(f"\n{result.num_groups} groups, {result.num_gexprs} group "
-              f"expressions, {result.jobs_executed} jobs, "
-              f"{result.xform_count} rule applications")
+        stats = result.search_stats
+        print(f"\n{stats.num_groups} groups, {stats.num_gexprs} group "
+              f"expressions, {stats.jobs_executed} jobs, "
+              f"{stats.xform_count} rule applications")
     _emit_cache_stats(args, orca)
     _emit_trace(args, tracer)
     return 0

@@ -10,8 +10,7 @@ all of that plus the cluster description needed by the cost model.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -51,18 +50,6 @@ class ExecutionMode(str, Enum):
             f"invalid execution mode {value!r}; expected one of "
             f"{[m.value for m in cls]}"
         )
-
-
-def _mode_from_batch_flag(batch_execution: bool) -> ExecutionMode:
-    """Map the deprecated ``batch_execution`` bool onto the enum."""
-    warnings.warn(
-        "batch_execution= is deprecated; use "
-        "execution_mode=ExecutionMode.BATCH (True) or "
-        "execution_mode=ExecutionMode.ROW (False)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExecutionMode.BATCH if batch_execution else ExecutionMode.ROW
 
 
 @dataclass(frozen=True)
@@ -127,10 +114,6 @@ class OptimizerConfig:
     #: reference oracle.  Rows, ExecutionMetrics and EXPLAIN ANALYZE are
     #: float-identical across all three.
     execution_mode: ExecutionMode = ExecutionMode.FUSED
-    #: Deprecated alias for ``execution_mode``: ``True`` maps to
-    #: ``ExecutionMode.BATCH``, ``False`` to ``ExecutionMode.ROW``.
-    #: Warns with ``DeprecationWarning`` when passed.
-    batch_execution: InitVar[Optional[bool]] = None
     #: Morsel-driven intra-query parallelism for the fused engine's
     #: streaming phase: N >= 2 dispatches per-bucket morsels across a
     #: persistent pool of N forked worker processes (float-identical to
@@ -152,8 +135,6 @@ class OptimizerConfig:
     plan_cache_size: int = 64
     #: Cap on exhaustive join reordering; larger joins use greedy linearization.
     join_order_dp_threshold: int = 7
-    #: Number of worker threads for the job scheduler (1 = serial).
-    workers: int = 1
     #: Arbitrary named trace flags, serialized into AMPERe dumps (Listing 2).
     trace_flags: frozenset[str] = frozenset()
     #: Random seed for anything stochastic (plan sampling, data generation).
@@ -174,12 +155,8 @@ class OptimizerConfig:
     #: Memo, so checking on every step would dominate search time).
     memory_check_stride: int = 64
 
-    def __post_init__(self, batch_execution: Optional[bool]) -> None:
-        if batch_execution is not None:
-            object.__setattr__(
-                self, "execution_mode", _mode_from_batch_flag(batch_execution)
-            )
-        elif not isinstance(self.execution_mode, ExecutionMode):
+    def __post_init__(self) -> None:
+        if not isinstance(self.execution_mode, ExecutionMode):
             object.__setattr__(
                 self, "execution_mode",
                 ExecutionMode.coerce(self.execution_mode),

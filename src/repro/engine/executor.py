@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.catalog.schema import DistributionPolicy
-from repro.config import ExecutionMode, _mode_from_batch_flag
+from repro.config import ExecutionMode
 from repro.cost.model import CostParams
 from repro.engine.cluster import Cluster
 from repro.engine.columnar import DColumns
@@ -120,33 +120,24 @@ class Executor:
         materialize_output_factor: float = 0.0,
         tracer=None,
         metrics_registry=None,
-        batch_execution: Optional[bool] = None,
         execution_mode: Optional[ExecutionMode] = None,
         parallelism: int = 0,
         morsel_pool=None,
     ):
         self.cluster = cluster
         self.params = params or CostParams()
-        if batch_execution is not None:
-            if execution_mode is not None:
-                raise ValueError(
-                    "pass either execution_mode= or the deprecated "
-                    "batch_execution=, not both"
-                )
-            mode = _mode_from_batch_flag(batch_execution)
-        elif execution_mode is not None:
-            mode = ExecutionMode.coerce(execution_mode)
-        else:
-            mode = ExecutionMode.FUSED
+        mode = (
+            ExecutionMode.FUSED if execution_mode is None
+            else ExecutionMode.coerce(execution_mode)
+        )
         #: How plans execute (row / batch / fused).  Rows,
         #: ExecutionMetrics and EXPLAIN ANALYZE are float-identical
         #: across all modes; ``ROW`` is the reference path.
         self.execution_mode = mode
-        #: Legacy view of the mode (any columnar mode reads as True).
-        self.batch_execution = mode is not ExecutionMode.ROW
+        self._columnar = mode is not ExecutionMode.ROW
         self._fused = mode is ExecutionMode.FUSED
         self._fused_chains: dict[int, Any] = {}
-        if self.batch_execution:
+        if self._columnar:
             from repro.engine.batch import BATCH_HANDLERS
 
             self._handlers = {**self._HANDLERS, **BATCH_HANDLERS}
@@ -317,7 +308,7 @@ class Executor:
             result = run_chain(self, chain)
         else:
             result = handler(self, node)
-        if self.batch_execution and type(result) is DRows:
+        if self._columnar and type(result) is DRows:
             # Row-path handler (no batch form): lift the result into a
             # lazy columnar batch so downstream batch operators compose.
             result = DColumns.from_drows(result)

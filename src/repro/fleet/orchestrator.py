@@ -79,6 +79,20 @@ class FleetResult:
         return self.plan.explain()
 
 
+class _NoReply(Exception):
+    """A worker did not answer a request.
+
+    ``reason`` (the restart reason) is ``"wedged"`` for silence past the
+    timeout or ``"died"`` for a broken pipe; ``outcome`` is the suffix
+    the request and heartbeat counters use for it.
+    """
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+        self.outcome = "wedged" if reason == "wedged" else "dead"
+
+
 class _Worker:
     """Orchestrator-side handle on one worker process."""
 
@@ -310,6 +324,28 @@ class Fleet:
             remote_class=response.get("error_class", ""),
         )
 
+    def _exchange(
+        self, worker: _Worker, kind: str, payload: dict, timeout: float
+    ) -> dict:
+        """Send one request and return the reply that echoes its id.
+
+        A reply to an earlier request the caller never read (a wedge the
+        worker woke up from) is discarded, never handed to this caller.
+        Raises :class:`_NoReply` on silence or a broken pipe; restarting
+        the worker is the caller's call.
+        """
+        request = {"id": self._next_id(), "kind": kind, **payload}
+        deadline = time.monotonic() + timeout
+        try:
+            worker.conn.send(request)
+            while worker.conn.poll(max(deadline - time.monotonic(), 0.0)):
+                response = worker.conn.recv()
+                if response.get("id") == request["id"]:
+                    return response
+        except (EOFError, OSError):
+            raise _NoReply("died") from None
+        raise _NoReply("wedged")
+
     def _request(self, kind: str, payload: dict, sql: Optional[str] = None):
         """Route one request, restarting and re-routing around failures.
 
@@ -335,7 +371,6 @@ class Fleet:
                     "fleet_routing_total",
                     policy=self.policy.name, worker=str(worker_id),
                 )
-                request = {"id": self._next_id(), "kind": kind, **payload}
                 tracer = (
                     self.tracer
                     if self.tracer is not None and self.tracer.enabled
@@ -355,28 +390,21 @@ class Fleet:
                             # Trace context crosses the pipe as plain
                             # dict entries; the worker parents its spans
                             # under this request span.
-                            request["trace"] = {
+                            payload = {**payload, "trace": {
                                 "trace_id": tracer.trace_id,
                                 "parent_span_id": req_span.span_id,
-                            }
+                            }}
                             base = tracer.now()
-                        worker.conn.send(request)
-                        if not worker.conn.poll(self.request_timeout_seconds):
-                            raise TimeoutError
-                        response = worker.conn.recv()
-                except TimeoutError:
+                        response = self._exchange(
+                            worker, kind, payload,
+                            self.request_timeout_seconds,
+                        )
+                except _NoReply as exc:
                     worker.view.in_flight -= 1
                     self.telemetry.inc(
-                        "fleet_requests_total", outcome="retry_wedged"
+                        "fleet_requests_total", outcome=f"retry_{exc.outcome}"
                     )
-                    self._restart(worker, "wedged")
-                    continue
-                except (EOFError, OSError):
-                    worker.view.in_flight -= 1
-                    self.telemetry.inc(
-                        "fleet_requests_total", outcome="retry_dead"
-                    )
-                    self._restart(worker, "died")
+                    self._restart(worker, exc.reason)
                     continue
                 worker.view.in_flight -= 1
                 worker.view.completed += 1
@@ -461,18 +489,11 @@ class Fleet:
         if not worker.alive:
             self._restart(worker, "died")
             return "restarted_dead"
-        request = {"id": self._next_id(), "kind": "ping"}
         try:
-            worker.conn.send(request)
-            if not worker.conn.poll(self.heartbeat_timeout_seconds):
-                raise TimeoutError
-            worker.conn.recv()
-        except TimeoutError:
-            self._restart(worker, "wedged")
-            return "restarted_wedged"
-        except (EOFError, OSError):
-            self._restart(worker, "died")
-            return "restarted_dead"
+            self._exchange(worker, "ping", {}, self.heartbeat_timeout_seconds)
+        except _NoReply as exc:
+            self._restart(worker, exc.reason)
+            return f"restarted_{exc.outcome}"
         return "ok"
 
     def health_check(self) -> dict[int, str]:
@@ -562,18 +583,15 @@ class Fleet:
         """One direct (non-routed) request to a specific worker."""
         if not worker.alive:
             self._restart(worker, "died")
-        request = {"id": self._next_id(), "kind": kind, **payload}
         try:
-            worker.conn.send(request)
-            if not worker.conn.poll(self.request_timeout_seconds):
-                raise TimeoutError
-            response = worker.conn.recv()
-        except TimeoutError:
-            self._restart(worker, "wedged")
-            raise FleetError(f"worker {worker.worker_id} wedged on {kind}")
-        except (EOFError, OSError):
-            self._restart(worker, "died")
-            raise FleetError(f"worker {worker.worker_id} died on {kind}")
+            response = self._exchange(
+                worker, kind, payload, self.request_timeout_seconds
+            )
+        except _NoReply as exc:
+            self._restart(worker, exc.reason)
+            raise FleetError(
+                f"worker {worker.worker_id} {exc.reason} on {kind}"
+            ) from None
         if not response.get("ok", False):
             self._raise_remote(worker.worker_id, response)
         return response, worker.worker_id
@@ -616,20 +634,19 @@ class Fleet:
                 info = {"drained": False, "exitcode": None}
                 if worker.alive:
                     try:
-                        request = {"id": self._next_id(), "kind": "drain"}
-                        worker.conn.send(request)
-                        if worker.conn.poll(self.request_timeout_seconds):
-                            response = worker.conn.recv()
-                            if response.get("drained"):
-                                info["drained"] = True
-                                self._fold_worker_stats(worker, response)
-                                info["stats"] = {
-                                    k: response.get(k)
-                                    for k in ("session", "plan_cache",
-                                              "feedback")
-                                }
-                    except (BrokenPipeError, EOFError, OSError):
-                        pass
+                        response = self._exchange(
+                            worker, "drain", {},
+                            self.request_timeout_seconds,
+                        )
+                    except _NoReply:
+                        response = {}
+                    if response.get("drained"):
+                        info["drained"] = True
+                        self._fold_worker_stats(worker, response)
+                        info["stats"] = {
+                            k: response.get(k)
+                            for k in ("session", "plan_cache", "feedback")
+                        }
                     worker.process.join(timeout=10)
                 if worker.process is not None:
                     if worker.process.is_alive():

@@ -18,17 +18,16 @@ Two mechanisms from the paper are reproduced faithfully:
   to be suspended ... when all child jobs complete, the suspended parent
   job is notified to resume processing".
 
-The scheduler runs serially or on a thread pool.  CPython's GIL prevents
-true CPU parallelism, so the recorded job log (durations + dependency
-edges) feeds :func:`simulate_makespan`, a list-scheduling simulation that
-computes what k genuinely parallel workers would achieve on the same job
-graph — our substitution for the paper's multi-core speedup measurements.
+The scheduler runs serially: CPython's GIL prevents true CPU
+parallelism.  The recorded job log (durations + dependency edges) feeds
+:func:`simulate_makespan`, a list-scheduling simulation that computes
+what k genuinely parallel workers would achieve on the same job graph —
+our substitution for the paper's multi-core speedup measurements.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -84,11 +83,9 @@ class JobBudgetExceeded(Exception):
 class JobScheduler:
     """Executes a job graph with suspend/resume and per-goal deduplication."""
 
-    def __init__(self, workers: int = 1, tracer=None, governor=None):
-        self.workers = max(workers, 1)
+    def __init__(self, tracer=None, governor=None):
         self._jobs_by_goal: dict[Hashable, Job] = {}
         self._queue: deque[Job] = deque()
-        self._lock = threading.RLock()
         self.jobs_executed = 0
         self.steps_executed = 0
         self.job_log: list[JobRecord] = []
@@ -112,13 +109,6 @@ class JobScheduler:
         optimization timeout of Section 4.1).
         """
         self._enqueue_new(root)
-        if self.workers == 1:
-            self._run_serial(job_budget)
-        else:
-            self._run_threaded(job_budget)
-
-    # ------------------------------------------------------------------
-    def _run_serial(self, job_budget: Optional[int]) -> None:
         queue = self._queue
         governor = self.governor
         execute_step = self._execute_step
@@ -129,49 +119,6 @@ class JobScheduler:
             if governor is not None:
                 governor.on_job_step()
             execute_step(queue.popleft())
-
-    def _run_threaded(self, job_budget: Optional[int]) -> None:
-        """Thread-pool execution.
-
-        Job steps mutate shared optimizer state (the Memo), so each step
-        runs under the scheduler lock — correctness-preserving under the
-        GIL; see module docstring for how scalability is measured instead.
-        """
-        governor_error: list[BaseException] = []
-
-        def worker() -> None:
-            while True:
-                with self._lock:
-                    if not self._queue or governor_error:
-                        return
-                    if job_budget is not None and self.steps_executed >= job_budget:
-                        self._queue.clear()
-                        return
-                    if self.governor is not None:
-                        try:
-                            self.governor.on_job_step()
-                        except Exception as exc:
-                            governor_error.append(exc)
-                            self._queue.clear()
-                            return
-                    job = self._queue.popleft()
-                    self._execute_step(job)
-
-        threads = [
-            threading.Thread(target=worker) for _ in range(self.workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if governor_error:
-            raise governor_error[0]
-        # Drain anything re-enqueued after the last worker checked.
-        while self._queue:
-            if self.governor is not None:
-                self.governor.on_job_step()
-            job = self._queue.popleft()
-            self._execute_step(job)
 
     # ------------------------------------------------------------------
     def _job_id(self, job: Job) -> int:

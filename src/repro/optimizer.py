@@ -49,11 +49,8 @@ PLAN_SOURCES = ("orca", "orca_partial", "planner_fallback", "cache")
 
 @dataclass
 class SearchStats:
-    """Search-effort counters for one optimization.
-
-    Split out of :class:`OptimizationResult` in the session-API redesign;
-    the result keeps deprecated read-only aliases for one release.
-    """
+    """Search-effort counters for one optimization
+    (:attr:`OptimizationResult.search_stats`)."""
 
     num_groups: int = 0
     num_gexprs: int = 0
@@ -138,47 +135,6 @@ class OptimizationResult:
                 "telemetry.analyze_execution) before explain(analyze=True)"
             )
         return f"{self.analysis.render()}\n{self.analysis.summary()}"
-
-    # -- deprecated read-only aliases (pre-redesign flat counters) -------
-    @property
-    def num_groups(self) -> int:
-        return self.search_stats.num_groups
-
-    @property
-    def num_gexprs(self) -> int:
-        return self.search_stats.num_gexprs
-
-    @property
-    def jobs_executed(self) -> int:
-        return self.search_stats.jobs_executed
-
-    @property
-    def xform_count(self) -> int:
-        return self.search_stats.xform_count
-
-    @property
-    def kind_counts(self) -> dict[str, int]:
-        return self.search_stats.kind_counts
-
-    @property
-    def memory_bytes(self) -> int:
-        return self.search_stats.memory_bytes
-
-    @property
-    def job_log(self) -> list:
-        return self.search_stats.job_log
-
-    @property
-    def pruned_alternatives(self) -> int:
-        return self.search_stats.pruned_alternatives
-
-    @property
-    def costed_alternatives(self) -> int:
-        return self.search_stats.costed_alternatives
-
-    @property
-    def bound_redos(self) -> int:
-        return self.search_stats.bound_redos
 
 
 class Orca:
@@ -361,30 +317,12 @@ class Orca:
         timed_out = False
         intern_before = intern_stats()
 
-        def absorb(engine: SearchEngine, memo: Memo) -> None:
-            stats.jobs_executed += engine.jobs_executed
-            stats.xform_count += engine.xform_count
-            stats.job_log.extend(engine.job_log)
-            for kind, count in engine.kind_counts.items():
-                stats.kind_counts[kind] = (
-                    stats.kind_counts.get(kind, 0) + count
-                )
-            # The memo and its groups hold the session's tracer; its
-            # span and event lists are not optimizer state.
-            stats.memory_bytes += deep_sizeof(memo, {id(memo.tracer)})
-            stats.pruned_alternatives += engine.pruned_alternatives
-            stats.costed_alternatives += engine.costed_alternatives
-            stats.bound_redos += engine.bound_redos
-            stats.derivation_cache_hits += engine.deriver.cache_hits
-            stats.property_cache_hits += engine.property_cache_hits
-            stats.feedback_hits += engine.deriver.feedback_hits
-            stats.corrections_applied += engine.deriver.corrections_applied
-
-        # 1. Optimize shared CTE producers first, in dependency order.
-        for cte in query.cte_defs:
+        def search(tree, req: RequiredProps) -> tuple[PlanNode, Memo]:
+            """One tree through normalize, copy-in and the search."""
+            nonlocal timed_out
             with tracer.span("normalize"):
                 tree = preprocess(
-                    cte.tree, self.config, self.catalog.stats, factory
+                    tree, self.config, self.catalog.stats, factory
                 )
             memo = Memo(tracer=tracer)
             with tracer.span("copy_in"):
@@ -399,10 +337,31 @@ class Orca:
             engine.rule_ctx.cte_producer_cols = cte_producer_cols
             engine.cte_plans = cte_plans
             try:
-                plan = engine.optimize(RequiredProps(ANY_DIST))
+                plan = engine.optimize(req)
             finally:
-                absorb(engine, memo)
+                stats.jobs_executed += engine.jobs_executed
+                stats.xform_count += engine.xform_count
+                stats.job_log.extend(engine.job_log)
+                for kind, count in engine.kind_counts.items():
+                    stats.kind_counts[kind] = (
+                        stats.kind_counts.get(kind, 0) + count
+                    )
+                # The memo and its groups hold the session's tracer; its
+                # span and event lists are not optimizer state.
+                stats.memory_bytes += deep_sizeof(memo, {id(memo.tracer)})
+                stats.pruned_alternatives += engine.pruned_alternatives
+                stats.costed_alternatives += engine.costed_alternatives
+                stats.bound_redos += engine.bound_redos
+                stats.derivation_cache_hits += engine.deriver.cache_hits
+                stats.property_cache_hits += engine.property_cache_hits
+                stats.feedback_hits += engine.deriver.feedback_hits
+                stats.corrections_applied += engine.deriver.corrections_applied
             timed_out = timed_out or engine.timed_out
+            return plan, memo
+
+        # 1. Optimize shared CTE producers first, in dependency order.
+        for cte in query.cte_defs:
+            plan, memo = search(cte.tree, RequiredProps(ANY_DIST))
             producer_plan = PlanNode(
                 op=PhysicalCTEProducer(cte.cte_id, cte.output_cols),
                 children=[plan],
@@ -422,33 +381,15 @@ class Orca:
             )
 
         # 2. Optimize the main tree.
-        with tracer.span("normalize"):
-            tree = preprocess(
-                query.tree, self.config, self.catalog.stats, factory
-            )
-        memo = Memo(tracer=tracer)
-        with tracer.span("copy_in"):
-            memo.set_root(memo.insert(tree))
-        engine = SearchEngine(
-            memo, self.config, factory, self.catalog.stats,
-            cost_model, cte_stats=cte_stats, tracer=tracer,
-            governor=self.governor, faults=self.faults,
-            feedback=self.feedback,
-        )
-        engine.rule_ctx.cte_delivered = cte_delivered
-        engine.rule_ctx.cte_producer_cols = cte_producer_cols
-        engine.cte_plans = cte_plans
-        req = RequiredProps(
-            SINGLETON,
-            OrderSpec(
-                tuple(SortKey(c.id, asc) for c, asc in query.required_sort)
+        plan, memo = search(
+            query.tree,
+            RequiredProps(
+                SINGLETON,
+                OrderSpec(
+                    tuple(SortKey(c.id, asc) for c, asc in query.required_sort)
+                ),
             ),
         )
-        try:
-            plan = engine.optimize(req)
-        finally:
-            absorb(engine, memo)
-        timed_out = timed_out or engine.timed_out
 
         stats.num_groups = memo.num_groups()
         stats.num_gexprs = memo.num_gexprs()

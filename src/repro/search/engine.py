@@ -171,10 +171,7 @@ class SearchEngine:
         # The root request is unbounded: every plan is interesting until
         # an incumbent exists (the bound then tightens as children cost).
         self.memo.root_group().context(req).request_bound(math.inf)
-        scheduler = JobScheduler(
-            workers=self.config.workers, tracer=self.tracer,
-            governor=self.governor,
-        )
+        scheduler = JobScheduler(tracer=self.tracer, governor=self.governor)
         if self.governor is not None:
             # Same footprint as SearchStats.memory_bytes: trace data the
             # memo points at must not count against the quota.

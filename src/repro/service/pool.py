@@ -10,9 +10,7 @@ Sessions are recycled — a released session goes back to the free list
 with its plan cache warm and its metrics accumulating.  All sessions
 share one pool-wide :class:`repro.telemetry.MetricsRegistry` (exposed as
 :attr:`SessionPool.telemetry`, the fleet's scrape target) and one
-:class:`repro.telemetry.QueryStatsStore`; the legacy per-session dict of
-:meth:`metrics` is kept as a deprecated alias and is now *derived from*
-the registry for the pool-level counters.
+:class:`repro.telemetry.QueryStatsStore`.
 """
 
 from __future__ import annotations
@@ -181,30 +179,6 @@ class SessionPool:
         """Sessions currently admitted (created minus idle)."""
         with self._lock:
             return len(self._sessions) - len(self._idle)
-
-    def metrics(self) -> dict:
-        """Deprecated alias: the legacy per-session metrics dict.
-
-        Pool-level counters are now routed through :attr:`telemetry`
-        (the :class:`~repro.telemetry.registry.MetricsRegistry`); this
-        dict is derived from it and kept shape-stable for one release —
-        read :meth:`prometheus` / ``telemetry.snapshot()`` instead.
-        """
-        with self._lock:
-            t = self.telemetry
-            return {
-                "max_sessions": int(t.value("pool_max_sessions")),
-                "admitted": int(
-                    t.value("pool_admissions_total", outcome="admitted")
-                ),
-                "rejected": int(
-                    t.value("pool_admissions_total", outcome="rejected")
-                ),
-                "active": len(self._sessions) - len(self._idle),
-                "sessions": {
-                    s.name: s.metrics.as_dict() for s in self._sessions
-                },
-            }
 
     def prometheus(self) -> str:
         """The pool's registry in Prometheus text exposition format."""

@@ -100,7 +100,7 @@ class TestKeywordOnlyConstructors:
 
 
 class TestExecutionModeSurface:
-    """The execution_mode= enum and its deprecated batch_execution= alias."""
+    """The execution_mode= enum and its string spellings."""
 
     def test_enum_members(self):
         assert [m.value for m in repro.ExecutionMode] == [
@@ -123,57 +123,23 @@ class TestExecutionModeSurface:
         config = repro.OptimizerConfig(execution_mode="batch")
         assert config.execution_mode is repro.ExecutionMode.BATCH
 
-    def test_config_batch_execution_alias_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="batch_execution"):
-            legacy = repro.OptimizerConfig(batch_execution=True)
-        assert legacy == repro.OptimizerConfig(
-            execution_mode=repro.ExecutionMode.BATCH
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy_row = repro.OptimizerConfig(batch_execution=False)
-        assert legacy_row == repro.OptimizerConfig(
-            execution_mode=repro.ExecutionMode.ROW
-        )
-
-    def test_executor_batch_execution_alias_warns(self, small_db):
-        cluster = repro.Cluster(small_db, segments=2)
-        with pytest.warns(DeprecationWarning, match="batch_execution"):
-            ex = repro.Executor(cluster, batch_execution=True)
-        assert ex.execution_mode is repro.ExecutionMode.BATCH
-
-    def test_executor_rejects_both_spellings(self, small_db):
-        cluster = repro.Cluster(small_db, segments=2)
-        with pytest.raises(ValueError, match="not both"):
-            repro.Executor(
-                cluster,
-                execution_mode=repro.ExecutionMode.BATCH,
-                batch_execution=True,
-            )
-
     def test_alias_and_enum_runs_are_bit_identical(self, small_db):
-        import dataclasses as dc
-        import warnings
-
+        """``Executor`` takes the string spelling of a mode as well."""
         orca = repro.Orca(small_db, config=repro.OptimizerConfig(segments=2))
         result = orca.optimize(
             "SELECT c, sum(b) FROM t1 WHERE b > 10 GROUP BY c ORDER BY c"
         )
         runs = []
-        for kwargs in (
-            {"execution_mode": repro.ExecutionMode.BATCH},
-            {"batch_execution": True},
-        ):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                ex = repro.Executor(
-                    repro.Cluster(small_db, segments=2), **kwargs
-                )
+        for mode in (repro.ExecutionMode.BATCH, "batch"):
+            ex = repro.Executor(
+                repro.Cluster(small_db, segments=2), execution_mode=mode
+            )
             runs.append(
                 ex.execute(result.plan, result.output_cols, analyze=True)
             )
         enum_run, alias_run = runs
         assert alias_run.rows == enum_run.rows
-        for f in dc.fields(enum_run.metrics):
+        for f in dataclasses.fields(enum_run.metrics):
             assert (getattr(alias_run.metrics, f.name)
                     == getattr(enum_run.metrics, f.name)), f.name
         assert alias_run.analysis.render() == enum_run.analysis.render()
@@ -242,16 +208,6 @@ class TestResultShape:
         assert "plan_source" in names
         assert "search_stats" in names
         assert "fallback_reason" in names
-
-    def test_deprecated_aliases_are_read_only_delegates(self):
-        stats = repro.SearchStats(num_groups=7, jobs_executed=11)
-        result = repro.OptimizationResult(
-            plan=None, output_cols=[], output_names=[], search_stats=stats
-        )
-        assert result.num_groups == 7
-        assert result.jobs_executed == 11
-        with pytest.raises(AttributeError):
-            result.num_groups = 3  # property, no setter
 
     def test_facade_smoke(self, small_db):
         session = repro.connect(small_db, segments=2)

@@ -53,9 +53,9 @@ def test_corpus_differential_with_trace(env, seed):
 
     # 2. The trace is internally consistent for every corpus query.
     assert check_span_consistency(tracer) == [], sql
-    assert tracer.count("job_done") == orca_result.jobs_executed, sql
-    assert tracer.count("xform_applied") == orca_result.xform_count, sql
-    assert tracer.job_kind_counts == orca_result.kind_counts, sql
+    assert tracer.count("job_done") == orca_result.search_stats.jobs_executed, sql
+    assert tracer.count("xform_applied") == orca_result.search_stats.xform_count, sql
+    assert tracer.job_kind_counts == orca_result.search_stats.kind_counts, sql
     assert (
         tracer.count("group_created")
         == orca_result.memo.num_groups_created()

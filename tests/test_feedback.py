@@ -481,7 +481,7 @@ class TestSessionIntegration:
 @pytest.fixture(scope="module")
 def corpus_runs(tpcds_db):
     """Execute the full workload: once without feedback (reference rows)
-    and twice with it (the loop closing between passes)."""
+    and three times with it (the loop closing between passes)."""
     off = repro.connect(tpcds_db, segments=4)
     on = repro.connect(
         tpcds_db, segments=4, enable_cardinality_feedback=True
@@ -491,13 +491,16 @@ def corpus_runs(tpcds_db):
         reference = off.execute(query.sql)
         pass1 = on.execute(query.sql)
         pass2 = on.execute(query.sql)
+        pass3 = on.execute(query.sql)
         runs.append({
             "id": query.id,
             "reference_rows": reference.rows,
             "pass1_rows": pass1.rows,
             "pass2_rows": pass2.rows,
+            "pass3_rows": pass3.rows,
             "pass1_analysis": pass1.analysis,
             "pass2_analysis": pass2.analysis,
+            "pass3_analysis": pass3.analysis,
         })
     return runs
 
@@ -511,9 +514,19 @@ class TestCorpusDifferentialAndImprovement:
             assert rows_equal(
                 run["reference_rows"], run["pass2_rows"]
             ), run["id"]
+            assert rows_equal(
+                run["reference_rows"], run["pass3_rows"]
+            ), run["id"]
 
     def test_second_pass_geomean_qerror_strictly_lower(self, corpus_runs):
         first = workload_qerror(r["pass1_analysis"] for r in corpus_runs)
         second = workload_qerror(r["pass2_analysis"] for r in corpus_runs)
         assert first.node_count > 0 and second.node_count > 0
         assert second.geomean < first.geomean
+
+    def test_third_pass_geomean_qerror_does_not_rise(self, corpus_runs):
+        """The EWMA may ripple a hair on shapes whose actuals oscillate;
+        beyond 1% the loop is diverging."""
+        second = workload_qerror(r["pass2_analysis"] for r in corpus_runs)
+        third = workload_qerror(r["pass3_analysis"] for r in corpus_runs)
+        assert third.geomean <= second.geomean * 1.01

@@ -261,6 +261,24 @@ class TestHealthAndDrain:
                 outcome="restarted_wedged",
             ) == 1
 
+    def test_short_wedge_does_not_desynchronize_replies(self, fleet_db):
+        """A worker that wakes from a wedge nobody waited out leaves its
+        ``{"ok": True}`` in the pipe; that stale reply must be dropped,
+        not handed to the next request one reply late."""
+        import time
+
+        session = repro.connect(fleet_db)
+        with make_fleet(fleet_db, workers=1) as fleet:
+            fleet.optimize(Q1)
+            fleet.wedge_worker(0, seconds=0.05)
+            time.sleep(0.3)
+            for sql in (Q2, Q3):
+                assert fleet.optimize(sql).explain() == (
+                    session.optimize(sql).plan.explain()
+                )
+            assert fleet.restarts_total == 0
+            assert (fleet.requests_served, fleet.requests_attempted) == (3, 3)
+
     def test_drain_is_clean_and_collects_stats(self, fleet_db):
         fleet = make_fleet(fleet_db, workers=2)
         for _ in range(4):

@@ -115,16 +115,11 @@ class TestSchedulerIntegration:
     def test_serial_scheduler_polls_governor(self):
         gov = ResourceGovernor(job_limit=3)
         with pytest.raises(SearchTimeout):
-            JobScheduler(workers=1, governor=gov).run(ChainJob(10))
+            JobScheduler(governor=gov).run(ChainJob(10))
         assert gov.steps == 4
 
-    def test_threaded_scheduler_polls_governor(self):
-        gov = ResourceGovernor(job_limit=3)
-        with pytest.raises(SearchTimeout):
-            JobScheduler(workers=4, governor=gov).run(ChainJob(50))
-
     def test_ungoverned_scheduler_unaffected(self):
-        sched = JobScheduler(workers=1)
+        sched = JobScheduler()
         sched.run(ChainJob(10))
         assert sched.jobs_executed >= 10
 

@@ -95,6 +95,24 @@ class TestOptimizerMemoization:
         # Every key the second pass needs was interned by the first.
         assert warm.intern_misses == 0
         assert warm.intern_hits > 0
+        # The corpus from a cold table, at scale 0.1 / 8 segments: the
+        # counts behind the 0.8222 hit rate, exactly.  The singleton
+        # distribution specs keep their key for the life of the process;
+        # key them first so the misses do not depend on which of them an
+        # earlier test touched (a fresh process would count two more).
+        from repro.props.distribution import (
+            ANY_DIST, RANDOM, REPLICATED, SINGLETON,
+        )
+        from repro.workloads import QUERIES, build_populated_db
+
+        for spec in (ANY_DIST, RANDOM, REPLICATED, SINGLETON):
+            spec.key()
+        corpus_db = build_populated_db(scale=0.1)
+        clear_intern_table()
+        orca = Orca(corpus_db, config=OptimizerConfig(segments=8))
+        stats = [orca.optimize(q.sql).search_stats for q in QUERIES]
+        assert sum(s.intern_hits for s in stats) == 13588
+        assert sum(s.intern_misses for s in stats) == 2937
 
     def test_search_is_identical_cold_and_warm(self, db):
         """Interning must not change any search decision, only speed."""

@@ -560,7 +560,7 @@ class TestTraceDeterminism:
         result = session.optimize(sql)
         return (
             result.plan.explain(),
-            result.jobs_executed,
+            result.search_stats.jobs_executed,
             result.search_stats.num_groups,
             result.search_stats.kind_counts,
         )

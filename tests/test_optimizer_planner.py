@@ -44,13 +44,13 @@ class TestOrcaFacade:
     def test_result_metadata(self, db):
         orca = Orca(db, config=OptimizerConfig(segments=8))
         result = orca.optimize("SELECT a FROM t1 ORDER BY a")
-        assert result.num_groups > 0
-        assert result.num_gexprs >= result.num_groups
-        assert result.jobs_executed > 0
-        assert result.xform_count > 0
+        assert result.search_stats.num_groups > 0
+        assert result.search_stats.num_gexprs >= result.search_stats.num_groups
+        assert result.search_stats.jobs_executed > 0
+        assert result.search_stats.xform_count > 0
         assert result.opt_time_seconds > 0
-        assert result.memory_bytes > 0
-        assert "Opt(g,req)" in result.kind_counts
+        assert result.search_stats.memory_bytes > 0
+        assert "Opt(g,req)" in result.search_stats.kind_counts
 
     def test_explain_readable(self, db):
         orca = Orca(db, config=OptimizerConfig(segments=8))

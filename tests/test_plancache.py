@@ -87,7 +87,7 @@ def test_exact_hit_skips_search(cache_db):
     assert second.plan_cache == "hit"
     # The cached result bypassed the Memo search entirely.
     assert second.memo is None
-    assert second.jobs_executed == 0
+    assert second.search_stats.jobs_executed == 0
     assert second.plan.explain() == first.plan.explain()
     assert orca.plan_cache.stats()["hits"] == 1
     assert tracer.count("plan_cache_hit") == 1

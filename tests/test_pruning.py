@@ -12,6 +12,7 @@ events, and the off switch.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -55,23 +56,62 @@ def test_pruned_cost_equals_exhaustive_on_workload(workload_results):
 
 def test_pruning_reduces_optimization_jobs(workload_results):
     pruned_jobs = sum(
-        r.kind_counts.get("Opt(gexpr,req)", 0)
+        r.search_stats.kind_counts.get("Opt(gexpr,req)", 0)
         for _q, r, _e in workload_results
     )
     exhaustive_jobs = sum(
-        e.kind_counts.get("Opt(gexpr,req)", 0)
+        e.search_stats.kind_counts.get("Opt(gexpr,req)", 0)
         for _q, _r, e in workload_results
     )
     assert pruned_jobs < exhaustive_jobs
     # The full-scale benchmark asserts >= 15%; the smaller test database
     # still has to show a clearly material reduction.
     assert 1.0 - pruned_jobs / exhaustive_jobs >= 0.10
-    assert sum(r.pruned_alternatives for _q, r, _e in workload_results) > 0
+    assert sum(r.search_stats.pruned_alternatives for _q, r, _e in workload_results) > 0
 
 
 def test_exhaustive_mode_never_prunes(workload_results):
     for qid, _pruned, exhaustive in workload_results:
-        assert exhaustive.pruned_alternatives == 0, qid
+        assert exhaustive.search_stats.pruned_alternatives == 0, qid
+
+
+def test_corpus_counters_are_pinned():
+    """Corpus totals at scale 0.1 / 8 segments, exactly.  They are
+    deterministic, so any drift is a changed search decision: a count
+    that moves on purpose is re-pinned here in the same change."""
+    from repro.workloads import build_populated_db
+
+    db = build_populated_db(scale=0.1)
+    pruned_cfg, exhaustive_cfg = _configs()
+
+    def corpus(orca):
+        return [orca.optimize(q.sql).search_stats for q in QUERIES]
+
+    def total(stats, field):
+        return sum(getattr(s, field) for s in stats)
+
+    def opt_gexpr_jobs(stats):
+        return sum(s.kind_counts.get("Opt(gexpr,req)", 0) for s in stats)
+
+    pruned = corpus(Orca(db, config=pruned_cfg))
+    assert total(pruned, "jobs_executed") == 14900
+    assert total(pruned, "num_groups") == 320
+    assert total(pruned, "num_gexprs") == 2986
+    assert total(pruned, "derivation_cache_hits") == 23781
+    # Pruning ratio 0.3823 = 2716 / (2716 + 4389).
+    assert total(pruned, "pruned_alternatives") == 2716
+    assert total(pruned, "costed_alternatives") == 4389
+    # Job savings 0.2352 = 1 - 9008 / 11778.
+    assert opt_gexpr_jobs(pruned) == 9008
+    assert opt_gexpr_jobs(corpus(Orca(db, config=exhaustive_cfg))) == 11778
+    # A second pass over a warm plan cache hits every time: rate 0.5.
+    cached = Orca(db, config=replace(
+        pruned_cfg, enable_plan_cache=True, plan_cache_size=len(QUERIES) + 1
+    ))
+    corpus(cached)
+    assert all(cached.optimize(q.sql).plan_cache == "hit" for q in QUERIES)
+    cache = cached.plan_cache.stats()
+    assert (cache["hits"], cache["misses"]) == (32, 32)
 
 
 def test_search_pruned_trace_events(tpcds_db):
@@ -83,7 +123,7 @@ def test_search_pruned_trace_events(tpcds_db):
     query = next(q for q in QUERIES if q.id == "star_brand")
     result = orca.optimize(query.sql)
     events = tracer.events_of("search_pruned")
-    assert len(events) == result.pruned_alternatives > 0
+    assert len(events) == result.search_stats.pruned_alternatives > 0
     for event in events:
         assert event.data["reason"] in ("incumbent", "bound")
         assert event.data["partial"] >= 0.0

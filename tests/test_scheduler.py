@@ -97,16 +97,6 @@ class TestScheduler:
         sched.run(ParentJob(log, "p", children), job_budget=3)
         assert len(log) <= 3
 
-    def test_threaded_mode_equivalent(self):
-        for workers in (1, 4):
-            log = []
-            children = [LeafJob(log, f"c{i}") for i in range(20)]
-            sched = JobScheduler(workers=workers)
-            sched.run(ParentJob(log, "p", children))
-            assert set(log) == (
-                {f"c{i}" for i in range(20)} | {"p:spawn", "p:resume"}
-            )
-
     def test_kind_counts(self):
         log = []
         sched = JobScheduler()
@@ -208,7 +198,7 @@ class TestMakespanSimulation:
             "SELECT t1.a FROM t1, t2 WHERE t1.a = t2.b AND t1.b > 5 "
             "ORDER BY t1.a"
         )
-        records = result.job_log
+        records = result.search_stats.job_log
         t1 = simulate_makespan(records, 1)
         t8 = simulate_makespan(records, 8)
         assert t8 < t1

@@ -54,10 +54,9 @@ def engine_for(db, memo, f, config=None):
 
 
 class TestRunningExample:
-    def optimize(self, db, workers=1):
+    def optimize(self, db):
         memo, f, c1, c2 = running_example(db)
-        config = OptimizerConfig(segments=16, workers=workers)
-        engine = engine_for(db, memo, f, config)
+        engine = engine_for(db, memo, f)
         req = RequiredProps(SINGLETON, OrderSpec((SortKey(c1[0].id),)))
         plan = engine.optimize(req)
         return memo, engine, plan, c1, c2
@@ -111,12 +110,6 @@ class TestRunningExample:
     def test_plan_cost_is_finite_and_positive(self, db):
         _memo, _engine, plan, *_ = self.optimize(db)
         assert math.isfinite(plan.cost) and plan.cost > 0
-
-    def test_multicore_scheduler_same_plan(self, db):
-        _m1, _e1, plan1, *_ = self.optimize(db, workers=1)
-        _m2, _e2, plan2, *_ = self.optimize(db, workers=4)
-        assert plan1.op.key() == plan2.op.key()
-        assert plan1.cost == pytest.approx(plan2.cost)
 
     def test_plan_space_counts_multiple_plans(self, db):
         memo, _engine, _plan, c1, _c2 = self.optimize(db)

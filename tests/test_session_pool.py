@@ -99,18 +99,21 @@ class TestPoolUsage:
             with pool.session() as b:
                 b.optimize(SQL)
                 b.optimize(SQL)
-        snapshot = pool.metrics()
-        assert snapshot["admitted"] == 2
-        assert snapshot["rejected"] == 0
-        assert snapshot["active"] == 0
-        by_name = snapshot["sessions"]
-        assert set(by_name) == {"session-0", "session-1"}
-        counts = sorted(s["queries"] for s in by_name.values())
-        assert counts == [1, 2]
+        telemetry = pool.telemetry
+        assert telemetry.value(
+            "pool_admissions_total", outcome="admitted"
+        ) == 2
+        assert telemetry.value(
+            "pool_admissions_total", outcome="rejected"
+        ) == 0
+        assert pool.active == 0
+        assert {a.name, b.name} == {"session-0", "session-1"}
+        assert (a.metrics.queries, b.metrics.queries) == (1, 2)
         assert all(
-            s["plan_sources"].get("orca", 0) == s["queries"]
-            for s in by_name.values()
+            s.metrics.plan_sources == {"orca": s.metrics.queries}
+            for s in (a, b)
         )
+        assert telemetry.value("queries_total", plan_source="orca") == 3
 
     def test_pool_sessions_retry_transient_faults(self, tpcds_db):
         injector = FaultInjector(
@@ -120,15 +123,16 @@ class TestPoolUsage:
             tpcds_db, max_sessions=1, segments=4,
             faults=injector, max_retries=2,
         )
-        result = pool.optimize(SQL)
+        with pool.session() as session:
+            result = session.optimize(SQL)
         assert result.plan_source == "orca"
-        metrics = pool.metrics()["sessions"]["session-0"]
-        assert metrics["retries"] == 1
-        assert metrics["fallbacks"] == 0
+        assert session.metrics.retries == 1
+        assert session.metrics.fallbacks == 0
 
     def test_concurrent_one_shots_stay_bounded(self, tpcds_db):
         pool = SessionPool(tpcds_db, max_sessions=2, segments=4)
         peak = []
+        names = set()
         lock = threading.Lock()
 
         real_acquire = pool.acquire
@@ -137,6 +141,7 @@ class TestPoolUsage:
             session = real_acquire(timeout_seconds)
             with lock:
                 peak.append(pool.active)
+                names.add(session.name)
             return session
 
         pool.acquire = tracking_acquire
@@ -148,38 +153,9 @@ class TestPoolUsage:
             t.start()
         for t in threads:
             t.join(timeout=30.0)
-        assert pool.metrics()["admitted"] == 6
+        assert pool.admitted == 6
         assert max(peak) <= 2
-        assert len(pool.metrics()["sessions"]) <= 2
-
-
-class TestDeprecatedMetricsAlias:
-    """The legacy ``pool.metrics()`` dict is now derived from the
-    telemetry registry; its shape is pinned for one release."""
-
-    def test_top_level_keys_pinned(self, tpcds_db):
-        pool = SessionPool(tpcds_db, max_sessions=2, segments=4)
-        pool.optimize(SQL)
-        metrics = pool.metrics()
-        assert set(metrics) == {
-            "max_sessions", "admitted", "rejected", "active", "sessions",
-        }
-        assert set(metrics["sessions"]["session-0"]) == {
-            "queries", "plan_sources", "retries", "fallbacks",
-            "timeouts", "quota_trips", "errors", "total_opt_seconds",
-        }
-
-    def test_alias_agrees_with_registry(self, tpcds_db):
-        pool = SessionPool(tpcds_db, max_sessions=3, segments=4)
-        pool.optimize(SQL)
-        pool.optimize(SQL)
-        metrics = pool.metrics()
-        assert metrics["max_sessions"] == 3
-        assert metrics["admitted"] == 2
-        assert metrics["rejected"] == 0
-        assert metrics["admitted"] == int(
-            pool.telemetry.value("pool_admissions_total", outcome="admitted")
-        )
+        assert len(names) <= 2
 
     def test_registry_is_the_scrape_target(self, tpcds_db):
         from repro.telemetry import parse_prometheus

@@ -184,15 +184,15 @@ class TestTraceInvariants:
 
     def test_job_done_matches_jobs_executed(self, traced_runs):
         for sql, tracer, result, _out in traced_runs:
-            assert tracer.count("job_done") == result.jobs_executed, sql
+            assert tracer.count("job_done") == result.search_stats.jobs_executed, sql
 
     def test_job_kind_mix_matches_scheduler(self, traced_runs):
         for sql, tracer, result, _out in traced_runs:
-            assert tracer.job_kind_counts == result.kind_counts, sql
+            assert tracer.job_kind_counts == result.search_stats.kind_counts, sql
 
     def test_xform_events_match_xform_count(self, traced_runs):
         for sql, tracer, result, _out in traced_runs:
-            assert tracer.count("xform_applied") == result.xform_count, sql
+            assert tracer.count("xform_applied") == result.search_stats.xform_count, sql
 
     def test_memo_creation_events_match_memo(self, traced_runs):
         """group/gexpr creation events equal the Memo's own accounting
