@@ -392,15 +392,18 @@ def cmd_stats(args) -> int:
 def cmd_serve(args) -> int:
     """Serve the TPC-DS corpus from a multi-process optimizer fleet.
 
-    Spawns ``--workers`` optimizer processes behind one endpoint, routes
-    every corpus query (``--passes`` times over), health-checks between
-    passes, then drains.  With ``--chaos-rate`` / ``--kill-every`` set
-    this doubles as the chaos soak: faults kill or wedge workers, the
-    orchestrator restarts them, and the exit status asserts the
-    availability contract — 0 only if every request was served AND every
-    worker drained cleanly.
+    Spawns ``--workers`` optimizer processes behind one endpoint and as
+    many closed-loop clients, each sending the next corpus query of the
+    pass as soon as its last one is answered (``--passes`` times over);
+    health-checks between passes, then drains.  With ``--chaos-rate`` /
+    ``--kill-every`` set this doubles as the chaos soak: faults kill or
+    wedge workers, the orchestrator restarts them, and the exit status
+    asserts the availability contract — 0 only if every request was
+    served AND every worker drained cleanly.
     """
     import json
+    import threading
+    import time
 
     from repro.fleet import connect as fleet_connect
     from repro.service.faults import FaultSpec
@@ -430,26 +433,60 @@ def cmd_serve(args) -> int:
     )
     errors = 0
     served = 0
+    tally = threading.Lock()
     morsel_pools: dict = {}
+
+    def client(statements) -> None:
+        """Closed loop: send the pass's next statement once the last one
+        is answered."""
+        nonlocal errors, served
+        while True:
+            with tally:
+                query = next(statements, None)
+            if query is None:
+                return
+            try:
+                if args.execute:
+                    fleet.execute(query.sql)
+                else:
+                    fleet.optimize(query.sql)
+            except ReproError as exc:
+                with tally:
+                    errors += 1
+                print(f"-- {query.id}: error [{exc.code}]: {exc}",
+                      file=sys.stderr)
+                continue
+            with tally:
+                served += 1
+                count = served
+            # Exactly one client sees the count land on each multiple.
+            if args.kill_every and count % args.kill_every == 0:
+                fleet.kill_worker(count // args.kill_every % args.workers)
+
     try:
         for pass_no in range(args.passes):
-            for i, query in enumerate(queries):
-                if args.kill_every and served and served % args.kill_every == 0:
-                    fleet.kill_worker(served // args.kill_every % args.workers)
-                try:
-                    if args.execute:
-                        fleet.execute(query.sql)
-                    else:
-                        fleet.optimize(query.sql)
-                    served += 1
-                except ReproError as exc:
-                    errors += 1
-                    print(f"-- {query.id}: error [{exc.code}]: {exc}",
-                          file=sys.stderr)
+            before, start = served, time.perf_counter()
+            statements = iter(queries)
+            # Plain threads, not an executor: a restart forks from the
+            # client that noticed the failure, and a child forked from a
+            # ThreadPoolExecutor thread exits 1 at drain (the executor's
+            # exit hook tries to join the thread it is running on).
+            clients = [
+                threading.Thread(target=client, args=(statements,))
+                for _ in range(args.workers)
+            ]
+            for thread in clients:
+                thread.start()
+            # Every client is back before the health check, so each
+            # outcome is "ok" or a restart, never "busy".
+            for thread in clients:
+                thread.join()
+            rate = (served - before) / (time.perf_counter() - start)
             health = fleet.health_check()
             sick = {k: v for k, v in health.items() if v != "ok"}
             print(f"pass {pass_no + 1}/{args.passes}: {served} served, "
-                  f"{errors} errors, restarts={fleet.restarts_total}"
+                  f"{errors} errors, restarts={fleet.restarts_total}, "
+                  f"stmts_per_s={rate:.1f}"
                   + (f", health={sick}" if sick else ""))
         stats = fleet.worker_stats()
         for wid, s in sorted(stats.items()):
@@ -474,7 +511,13 @@ def cmd_serve(args) -> int:
         drained = fleet.close()
     clean = all(info.get("drained") and info.get("exitcode") == 0
                 for info in drained.values())
-    available = fleet.availability == 1.0 and errors == 0
+    # A client that crashed (its traceback is on stderr) leaves
+    # statements unsent, which is not availability either.
+    available = (
+        fleet.availability == 1.0
+        and errors == 0
+        and served == args.passes * len(queries)
+    )
     print(f"drained: {'clean' if clean else drained}")
 
     def _pct(q):

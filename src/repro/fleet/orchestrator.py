@@ -18,10 +18,16 @@ governed session:
   (:meth:`Fleet.health_check`) probe liveness, and a dead or wedged
   worker is killed, restarted, and its request re-routed — the
   availability contract is that chaos kills processes, never queries.
+- **Workers run at the same time**: each worker's pipe has its own lock,
+  held only across that worker's send → poll → recv, restart and
+  respawn, so N client threads keep N workers busy and a wedged or
+  restarting worker stalls nobody routed elsewhere.  Routing state and
+  counters sit behind one short leaf lock that is never held across
+  pipe I/O, a join, a fork or another lock (DESIGN §3i, "Concurrency").
 - **Telemetry** flows into one :class:`repro.telemetry.MetricsRegistry`
-  (the fleet's scrape target): per-worker up/inflight gauges, routing
-  and restart counters, request latency histograms, and per-worker
-  query counters folded in whenever worker stats are collected.
+  (the fleet's scrape target): per-worker up gauges, routing and restart
+  counters, request latency histograms, and per-worker query counters
+  folded in whenever worker stats are collected.
 
 Results are bit-identical to single-process sessions: a worker runs the
 very same governed :class:`repro.service.Session`, so the differential
@@ -33,7 +39,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -102,6 +108,9 @@ class _Worker:
         self.conn = None
         self.view = WorkerView(worker_id)
         self.incarnation = 0
+        #: Owns the pipe: held across one exchange, a restart or a drain
+        #: of this worker, and nothing that concerns another worker.
+        self.lock = threading.Lock()
         #: Cumulative per-plan-source counts already folded into the
         #: registry (delta accounting across stats collections).
         self.folded_sources: dict[str, int] = {}
@@ -115,9 +124,13 @@ class Fleet:
     """A multi-process optimizer fleet behind one session-like endpoint.
 
     Create via :func:`repro.fleet.connect` (keyword-only, mirroring
-    :func:`repro.connect` plus the fleet knobs).  Thread-safe: requests
-    are serialized through one lock, so the fleet can sit behind a
-    multi-threaded server without interleaving pipe protocols.
+    :func:`repro.connect` plus the fleet knobs).  Thread-safe, and
+    concurrent: a request holds only the lock of the worker it was
+    routed to, so client threads are served by different workers at the
+    same time while each pipe still carries one request at a time.
+    Admin calls (:meth:`bump_catalog`, :meth:`worker_stats`,
+    :meth:`kill_worker`, :meth:`health_check`, :meth:`drain`) take the
+    same per-worker locks one worker after another.
     """
 
     def __init__(
@@ -198,7 +211,10 @@ class Fleet:
             if config.enable_cardinality_feedback:
                 self.feedback_board = SharedFeedbackBoard(self._manager)
 
-        self._lock = threading.RLock()
+        #: Leaf lock over routing state, the counters below and every
+        #: telemetry write.  A worker's lock may be held while taking it,
+        #: never the other way round.
+        self._state = threading.Lock()
         self._req_counter = 0
         self.requests_attempted = 0
         self.requests_served = 0
@@ -251,6 +267,7 @@ class Fleet:
         )
 
     def _spawn(self, worker: _Worker) -> None:
+        """Fork ``worker``'s process; the caller holds its lock."""
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=worker_main,
@@ -262,14 +279,23 @@ class Fleet:
         child_conn.close()
         worker.process = process
         worker.conn = parent_conn
-        worker.view.alive = True
-        worker.view.in_flight = 0
-        self.telemetry.set_gauge(
-            "fleet_worker_up", 1, worker=str(worker.worker_id)
-        )
+        with self._state:
+            worker.view.alive = True
+            self.telemetry.set_gauge(
+                "fleet_worker_up", 1, worker=str(worker.worker_id)
+            )
 
     def _restart(self, worker: _Worker, reason: str) -> None:
-        """Kill (if needed) and respawn one worker; fleet-visible."""
+        """Kill (if needed) and respawn one worker; fleet-visible.
+
+        The caller holds ``worker.lock``.  The worker stays routable
+        throughout — a request routed to it waits on the lock and is
+        served by the new process — so a fleet whose every worker is
+        restarting still has somewhere to route.  A closed fleet never
+        respawns.
+        """
+        if self.closed:
+            raise OptimizerError(f"fleet '{self.name}' is closed")
         process = worker.process
         if process is not None:
             if process.is_alive():
@@ -277,31 +303,32 @@ class Fleet:
             process.join(timeout=10)
         if worker.conn is not None:
             worker.conn.close()
-        worker.view.alive = False
         worker.incarnation += 1
-        worker.view.restarts += 1
-        self.restarts_total += 1
-        self.telemetry.inc(
-            "fleet_restarts_total",
-            worker=str(worker.worker_id), reason=reason,
-        )
+        with self._state:
+            worker.view.restarts += 1
+            self.restarts_total += 1
+            self.telemetry.inc(
+                "fleet_restarts_total",
+                worker=str(worker.worker_id), reason=reason,
+            )
+            self.telemetry.set_gauge(
+                "fleet_worker_up", 0, worker=str(worker.worker_id)
+            )
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.record(
                 "fleet_restart",
                 worker=worker.worker_id, reason=reason,
                 incarnation=worker.incarnation,
             )
-        self.telemetry.set_gauge(
-            "fleet_worker_up", 0, worker=str(worker.worker_id)
-        )
         self._spawn(worker)
 
     # ------------------------------------------------------------------
     # Request routing
     # ------------------------------------------------------------------
     def _next_id(self) -> int:
-        self._req_counter += 1
-        return self._req_counter
+        with self._state:
+            self._req_counter += 1
+            return self._req_counter
 
     def _views(self) -> list[WorkerView]:
         return [w.view for w in self._workers]
@@ -332,7 +359,8 @@ class Fleet:
         A reply to an earlier request the caller never read (a wedge the
         worker woke up from) is discarded, never handed to this caller.
         Raises :class:`_NoReply` on silence or a broken pipe; restarting
-        the worker is the caller's call.
+        the worker is the caller's call.  The caller holds
+        ``worker.lock``.
         """
         request = {"id": self._next_id(), "kind": kind, **payload}
         deadline = time.monotonic() + timeout
@@ -346,6 +374,75 @@ class Fleet:
             raise _NoReply("died") from None
         raise _NoReply("wedged")
 
+    @contextmanager
+    def _routed(self, fingerprint: str):
+        """Choose a worker and count the request against it at once, so
+        the next ``choose`` already sees it in flight; uncount on exit."""
+        with self._state:
+            worker = self._workers[
+                self.policy.choose(fingerprint, self._views())
+            ]
+            worker.view.routed += 1
+            worker.view.in_flight += 1
+            self.telemetry.inc(
+                "fleet_routing_total",
+                policy=self.policy.name, worker=str(worker.worker_id),
+            )
+        try:
+            yield worker
+        finally:
+            with self._state:
+                worker.view.in_flight -= 1
+
+    def _attempt(self, worker: _Worker, kind: str, payload: dict, tracer):
+        """One exchange with ``worker``, holding its lock and no other.
+
+        Returns ``(response, seconds on the pipe)``.  A dead worker is
+        restarted first; one that does not answer is restarted and the
+        :class:`_NoReply` re-raised for the caller to re-route or give
+        up.  With a ``tracer`` the exchange runs under a ``fleet:<kind>``
+        span and the worker's spans are adopted beneath it.
+        """
+        with worker.lock:
+            if not worker.alive:
+                self._restart(worker, "died")
+            start = time.perf_counter()
+            try:
+                if tracer is None:
+                    response = self._exchange(
+                        worker, kind, payload, self.request_timeout_seconds
+                    )
+                else:
+                    with tracer.span(
+                        f"fleet:{kind}", worker=worker.worker_id
+                    ) as req_span:
+                        # Trace context crosses the pipe as plain dict
+                        # entries; the worker parents its spans under
+                        # this request span.
+                        traced = {**payload, "trace": {
+                            "trace_id": tracer.trace_id,
+                            "parent_span_id": req_span.span_id,
+                        }}
+                        base = tracer.now()
+                        response = self._exchange(
+                            worker, kind, traced,
+                            self.request_timeout_seconds,
+                        )
+            except _NoReply as exc:
+                self._restart(worker, exc.reason)
+                raise
+            seconds = time.perf_counter() - start
+        if tracer is not None and response.get("spans"):
+            # Worker span times are relative to its request begin;
+            # rebase them at the moment we sent it.
+            tracer.adopt_spans(
+                response["spans"],
+                base=base,
+                parent_id=req_span.span_id,
+                process=f"worker-{worker.worker_id}",
+            )
+        return response, seconds
+
     def _request(self, kind: str, payload: dict, sql: Optional[str] = None):
         """Route one request, restarting and re-routing around failures.
 
@@ -358,81 +455,45 @@ class Fleet:
         fp = ""
         if sql is not None:
             fp = fingerprint_query(sql)[0]
-        with self._lock:
+        tracer = (
+            self.tracer
+            if self.tracer is not None and self.tracer.enabled
+            else None
+        )
+        with self._state:
             self.requests_attempted += 1
-            attempts = 2 * len(self._workers) + 2
-            for _ in range(attempts):
-                worker_id = self.policy.choose(fp, self._views())
-                worker = self._workers[worker_id]
-                if not worker.alive:
-                    self._restart(worker, "died")
-                worker.view.routed += 1
-                self.telemetry.inc(
-                    "fleet_routing_total",
-                    policy=self.policy.name, worker=str(worker_id),
-                )
-                tracer = (
-                    self.tracer
-                    if self.tracer is not None and self.tracer.enabled
-                    else None
-                )
-                worker.view.in_flight += 1
-                start = time.perf_counter()
-                req_span = None
-                base = 0.0
+        attempts = 2 * len(self._workers) + 2
+        for _ in range(attempts):
+            with self._routed(fp) as worker:
                 try:
-                    span_cm = (
-                        tracer.span(f"fleet:{kind}", worker=worker_id)
-                        if tracer is not None else nullcontext()
+                    response, seconds = self._attempt(
+                        worker, kind, payload, tracer
                     )
-                    with span_cm as req_span:
-                        if tracer is not None:
-                            # Trace context crosses the pipe as plain
-                            # dict entries; the worker parents its spans
-                            # under this request span.
-                            payload = {**payload, "trace": {
-                                "trace_id": tracer.trace_id,
-                                "parent_span_id": req_span.span_id,
-                            }}
-                            base = tracer.now()
-                        response = self._exchange(
-                            worker, kind, payload,
-                            self.request_timeout_seconds,
-                        )
                 except _NoReply as exc:
-                    worker.view.in_flight -= 1
-                    self.telemetry.inc(
-                        "fleet_requests_total", outcome=f"retry_{exc.outcome}"
-                    )
-                    self._restart(worker, exc.reason)
+                    with self._state:
+                        self.telemetry.inc(
+                            "fleet_requests_total",
+                            outcome=f"retry_{exc.outcome}",
+                        )
                     continue
-                worker.view.in_flight -= 1
+            ok = response.get("ok", False)
+            with self._state:
                 worker.view.completed += 1
-                self.telemetry.observe(
-                    "fleet_request_seconds", time.perf_counter() - start
+                self.telemetry.observe("fleet_request_seconds", seconds)
+                self.telemetry.inc(
+                    "fleet_requests_total", outcome="ok" if ok else "error"
                 )
-                if tracer is not None and response.get("spans"):
-                    # Worker span times are relative to its request
-                    # begin; rebase them at the moment we sent it.
-                    tracer.adopt_spans(
-                        response["spans"],
-                        base=base,
-                        parent_id=req_span.span_id,
-                        process=f"worker-{worker_id}",
-                    )
-                if not response.get("ok", False):
-                    self.telemetry.inc(
-                        "fleet_requests_total", outcome="error"
-                    )
-                    self._raise_remote(worker_id, response)
-                self.requests_served += 1
-                self.telemetry.inc("fleet_requests_total", outcome="ok")
-                return response, worker_id
+                if ok:
+                    self.requests_served += 1
+            if not ok:
+                self._raise_remote(worker.worker_id, response)
+            return response, worker.worker_id
+        with self._state:
             self.telemetry.inc("fleet_requests_total", outcome="unroutable")
-            raise FleetError(
-                f"no worker could serve the request after {attempts} "
-                f"routing attempts ({self.restarts_total} restarts so far)"
-            )
+        raise FleetError(
+            f"no worker could serve the request after {attempts} "
+            f"routing attempts ({self.restarts_total} restarts so far)"
+        )
 
     # ------------------------------------------------------------------
     # The session-compatible surface
@@ -454,12 +515,13 @@ class Fleet:
             feedback_hits=response["feedback_hits"],
             worker=worker_id,
         )
-        self.telemetry.inc(
-            "queries_total", plan_source=result.plan_source
-        )
-        self.telemetry.observe(
-            "optimization_seconds", result.opt_time_seconds
-        )
+        with self._state:
+            self.telemetry.inc(
+                "queries_total", plan_source=result.plan_source
+            )
+            self.telemetry.observe(
+                "optimization_seconds", result.opt_time_seconds
+            )
         return result
 
     def execute(self, sql: str, analyze: bool = False):
@@ -469,9 +531,10 @@ class Fleet:
         response, worker_id = self._request(
             "execute", {"sql": sql, "analyze": analyze}, sql=sql
         )
-        self.telemetry.inc(
-            "queries_total", plan_source=response["plan_source"]
-        )
+        with self._state:
+            self.telemetry.inc(
+                "queries_total", plan_source=response["plan_source"]
+            )
         execution = response["execution"]
         execution.worker = worker_id
         return execution
@@ -485,7 +548,8 @@ class Fleet:
     # Health
     # ------------------------------------------------------------------
     def _probe(self, worker: _Worker) -> str:
-        """Ping one worker; restart on silence/death.  Returns outcome."""
+        """Ping one worker; restart on silence/death.  Returns outcome.
+        The caller holds ``worker.lock``."""
         if not worker.alive:
             self._restart(worker, "died")
             return "restarted_dead"
@@ -497,12 +561,23 @@ class Fleet:
         return "ok"
 
     def health_check(self) -> dict[int, str]:
-        """Heartbeat every worker, restarting the sick; id -> outcome."""
+        """Heartbeat every idle worker, restarting the sick; id -> outcome.
+
+        A worker whose pipe is in use is reported ``"busy"`` and left
+        alone: the request in flight on it has its own timeout, which is
+        the liveness check, and a ping would have to queue behind it.
+        """
         out: dict[int, str] = {}
-        with self._lock:
-            for worker in self._workers:
-                outcome = self._probe(worker)
-                out[worker.worker_id] = outcome
+        for worker in self._workers:
+            if worker.lock.acquire(blocking=False):
+                try:
+                    outcome = self._probe(worker)
+                finally:
+                    worker.lock.release()
+            else:
+                outcome = "busy"
+            out[worker.worker_id] = outcome
+            with self._state:
                 self.telemetry.inc(
                     "fleet_heartbeats_total",
                     worker=str(worker.worker_id), outcome=outcome,
@@ -524,8 +599,8 @@ class Fleet:
     def kill_worker(self, worker_id: int) -> None:
         """Hard-kill one worker (``os._exit`` inside the process), then
         restart it — the orchestrator-driven half of the chaos matrix."""
-        with self._lock:
-            worker = self._workers[worker_id]
+        worker = self._workers[worker_id]
+        with worker.lock:
             if worker.alive:
                 try:
                     worker.conn.send(
@@ -539,8 +614,8 @@ class Fleet:
     def wedge_worker(self, worker_id: int, seconds: float = 3600.0) -> None:
         """Wedge one worker (blocks inside the request loop); the next
         probe or routed request times out and triggers the restart."""
-        with self._lock:
-            worker = self._workers[worker_id]
+        worker = self._workers[worker_id]
+        with worker.lock:
             try:
                 worker.conn.send({
                     "id": self._next_id(), "kind": "wedge",
@@ -555,53 +630,56 @@ class Fleet:
     def _fold_worker_stats(self, worker: _Worker, stats: dict) -> None:
         """Delta-merge one worker's session counters into the registry."""
         sources = stats.get("session", {}).get("plan_sources", {})
-        for source, count in sources.items():
-            seen = worker.folded_sources.get(source, 0)
-            if count > seen:
-                self.telemetry.inc(
-                    "fleet_worker_queries_total",
-                    count - seen,
-                    worker=str(worker.worker_id), plan_source=source,
-                )
-                worker.folded_sources[source] = count
+        with self._state:
+            for source, count in sources.items():
+                seen = worker.folded_sources.get(source, 0)
+                if count > seen:
+                    self.telemetry.inc(
+                        "fleet_worker_queries_total",
+                        count - seen,
+                        worker=str(worker.worker_id), plan_source=source,
+                    )
+                    worker.folded_sources[source] = count
 
     def worker_stats(self) -> dict[int, dict]:
         """Collect per-worker session/cache/feedback stats (and fold the
-        query counters into the fleet registry)."""
+        query counters into the fleet registry), one worker at a time
+        behind whatever request is in flight on it."""
         out: dict[int, dict] = {}
-        with self._lock:
-            for worker in self._workers:
-                try:
-                    response, _ = self._request_to(worker, "stats", {})
-                except (FleetError, OptimizerError):
-                    continue
-                out[worker.worker_id] = response
-                self._fold_worker_stats(worker, response)
+        for worker in self._workers:
+            try:
+                response = self._request_to(worker, "stats", {})
+            except (FleetError, OptimizerError):
+                continue
+            out[worker.worker_id] = response
+            self._fold_worker_stats(worker, response)
         return out
 
-    def _request_to(self, worker: _Worker, kind: str, payload: dict):
-        """One direct (non-routed) request to a specific worker."""
-        if not worker.alive:
-            self._restart(worker, "died")
+    def _request_to(self, worker: _Worker, kind: str, payload: dict) -> dict:
+        """One direct (non-routed, untraced) request to a specific
+        worker, behind whatever is in flight on it."""
         try:
-            response = self._exchange(
-                worker, kind, payload, self.request_timeout_seconds
-            )
+            response, _ = self._attempt(worker, kind, payload, None)
         except _NoReply as exc:
-            self._restart(worker, exc.reason)
             raise FleetError(
                 f"worker {worker.worker_id} {exc.reason} on {kind}"
             ) from None
         if not response.get("ok", False):
             self._raise_remote(worker.worker_id, response)
-        return response, worker.worker_id
+        return response
 
     def bump_catalog(self, table: Optional[str] = None) -> None:
         """Broadcast a catalog ANALYZE (metadata version bump) to every
-        worker; their next optimizations run the fleet-wide stale sweep."""
-        with self._lock:
-            for worker in self._workers:
-                self._request_to(worker, "bump_catalog", {"table": table})
+        worker; their next optimizations run the fleet-wide stale sweep.
+
+        Workers are bumped one after another, each behind the request in
+        flight on it, while the others keep serving.  On return every
+        worker has applied the bump, so a statement *started* afterwards
+        is optimized against the new versions on whichever worker it
+        lands; one that overlaps the call may see either side.
+        """
+        for worker in self._workers:
+            self._request_to(worker, "bump_catalog", {"table": table})
 
     @property
     def availability(self) -> float:
@@ -611,7 +689,8 @@ class Fleet:
         return self.requests_served / self.requests_attempted
 
     def prometheus(self) -> str:
-        return self.telemetry.to_prometheus()
+        with self._state:
+            return self.telemetry.to_prometheus()
 
     def summary(self) -> str:
         ups = sum(1 for w in self._workers if w.alive)
@@ -627,46 +706,56 @@ class Fleet:
     # ------------------------------------------------------------------
     def drain(self) -> dict[int, dict]:
         """Gracefully drain every worker: collect final stats, wait for
-        clean exits.  Returns id -> {"drained": bool, "exitcode": int}."""
+        clean exits.  Returns id -> {"drained": bool, "exitcode": int}.
+        Each worker is drained behind the request in flight on it."""
         out: dict[int, dict] = {}
-        with self._lock:
-            for worker in self._workers:
-                info = {"drained": False, "exitcode": None}
-                if worker.alive:
-                    try:
-                        response = self._exchange(
-                            worker, "drain", {},
-                            self.request_timeout_seconds,
-                        )
-                    except _NoReply:
-                        response = {}
-                    if response.get("drained"):
-                        info["drained"] = True
-                        self._fold_worker_stats(worker, response)
-                        info["stats"] = {
-                            k: response.get(k)
-                            for k in ("session", "plan_cache", "feedback")
-                        }
-                    worker.process.join(timeout=10)
-                if worker.process is not None:
-                    if worker.process.is_alive():
-                        worker.process.kill()
-                        worker.process.join(timeout=10)
-                    info["exitcode"] = worker.process.exitcode
-                worker.view.alive = False
-                self.telemetry.set_gauge(
-                    "fleet_worker_up", 0, worker=str(worker.worker_id)
-                )
-                out[worker.worker_id] = info
+        for worker in self._workers:
+            with worker.lock:
+                out[worker.worker_id] = self._drain_one(worker)
         return out
 
+    def _drain_one(self, worker: _Worker) -> dict:
+        info = {"drained": False, "exitcode": None}
+        if worker.alive:
+            try:
+                response = self._exchange(
+                    worker, "drain", {}, self.request_timeout_seconds
+                )
+            except _NoReply:
+                response = {}
+            if response.get("drained"):
+                info["drained"] = True
+                self._fold_worker_stats(worker, response)
+                info["stats"] = {
+                    k: response.get(k)
+                    for k in ("session", "plan_cache", "feedback")
+                }
+            worker.process.join(timeout=10)
+        if worker.process is not None:
+            if worker.process.is_alive():
+                worker.process.kill()
+                worker.process.join(timeout=10)
+            info["exitcode"] = worker.process.exitcode
+        with self._state:
+            worker.view.alive = False
+            self.telemetry.set_gauge(
+                "fleet_worker_up", 0, worker=str(worker.worker_id)
+            )
+        return info
+
     def close(self) -> dict[int, dict]:
-        """Drain, stop the heartbeat, and shut shared state down."""
-        if self.closed:
-            return {}
+        """Drain, stop the heartbeat, and shut shared state down.
+
+        ``closed`` is raised first: a request already holding a worker's
+        lock finishes and is answered, one that reaches a drained worker
+        is refused instead of respawning it.
+        """
+        with self._state:
+            if self.closed:
+                return {}
+            self.closed = True
         self._hb_stop.set()
         drained = self.drain()
-        self.closed = True
         if self._hb_thread is not None:
             self._hb_thread.join(timeout=5)
         if self._manager is not None:

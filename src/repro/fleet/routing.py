@@ -3,11 +3,16 @@
 The orchestrator asks a policy which worker should serve each request.
 Policies see a read-only :class:`WorkerView` per worker (load counters,
 liveness) plus the request's query fingerprint, and answer with a worker
-id.  Three built-ins cover the classic trade-offs:
+id.  ``choose`` runs under the orchestrator's routing lock, one call at a
+time, and ``in_flight`` already counts every request routed but not yet
+answered.  Three built-ins cover the classic trade-offs:
 
-- ``round-robin`` — strict rotation; maximal spread, no state beyond a
-  cursor.  The differential tests use it because it makes the
-  fleet-vs-single-process comparison deterministic.
+- ``round-robin`` — the next *idle* worker in rotation, else the next in
+  rotation; no state beyond a cursor.  A single client finds every
+  worker idle, so it sees strict rotation — the differential tests use
+  it because that makes the fleet-vs-single-process comparison
+  deterministic — while concurrent clients do not queue behind a busy
+  worker when another one is free.
 - ``least-loaded`` — fewest in-flight requests, then fewest completed,
   then lowest id; what a load balancer does when workers are symmetric.
 - ``affinity`` — a stable hash of the query's *fingerprint* (literals
@@ -58,7 +63,12 @@ class RoutingPolicy:
 
 
 class RoundRobinPolicy(RoutingPolicy):
-    """Strict rotation over alive workers."""
+    """Rotation over alive workers that steps past busy ones.
+
+    The pick is the first idle worker at or after the cursor; when none
+    is idle it is the worker at the cursor.  The cursor moves to just
+    past the pick, so with every worker idle this is strict rotation.
+    """
 
     name = "round-robin"
 
@@ -67,8 +77,14 @@ class RoundRobinPolicy(RoutingPolicy):
 
     def choose(self, fingerprint: str, workers: list[WorkerView]) -> int:
         alive = self._alive(workers)
-        picked = alive[self._cursor % len(alive)]
-        self._cursor += 1
+        count = len(alive)
+        skip = next(
+            (k for k in range(count)
+             if alive[(self._cursor + k) % count].in_flight == 0),
+            0,
+        )
+        picked = alive[(self._cursor + skip) % count]
+        self._cursor += skip + 1
         return picked.worker_id
 
 

@@ -28,6 +28,7 @@ carrying one drop it from their pickle state.
 
 from __future__ import annotations
 
+import threading
 from typing import Hashable
 
 #: Upper bound on distinct interned keys kept alive by the table.
@@ -37,6 +38,8 @@ MAX_INTERNED_IDS = 1 << 14
 
 _table: dict[tuple, "HashedKey"] = {}
 _ids: dict[tuple, int] = {}
+#: Serializes id assignment; a hit never takes it.
+_ids_lock = threading.Lock()
 _hits = 0
 _misses = 0
 
@@ -84,12 +87,20 @@ def intern_id(key: tuple) -> Hashable:
     the table is capped rather than evicted: past the cap a new key *is*
     its own id — an interned :class:`HashedKey`, which never equals an
     int — and lookups stay correct at the old tuple-keyed speed.
+
+    Threads optimize in one process (``SessionPool``), and reading the
+    table's length and storing under it are separate steps, so a miss
+    assigns under a lock and looks again first: two threads missing at
+    once must neither share an id nor give one key two.
     """
     ident = _ids.get(key)
     if ident is None:
-        if len(_ids) >= MAX_INTERNED_IDS:
-            return intern_key(key)
-        ident = _ids[key] = len(_ids)
+        with _ids_lock:
+            ident = _ids.get(key)
+            if ident is None:
+                if len(_ids) >= MAX_INTERNED_IDS:
+                    return intern_key(key)
+                ident = _ids[key] = len(_ids)
     return ident
 
 

@@ -27,6 +27,7 @@ JSON via :meth:`~Tracer.to_json` for replay / embedding in AMPERe dumps.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -158,6 +159,11 @@ class Tracer:
     creation: immune to wall-clock adjustment (NTP steps can never
     produce negative span durations) and meaningful to ship across
     processes as offsets.
+
+    One tracer may be shared by threads (a traced fleet serves client
+    threads at the same time): the open-span stack is per thread, so a
+    span's parent is always a span of its own thread, and the aggregates
+    are updated under a lock, so their counts are exact.
     """
 
     enabled = True
@@ -173,7 +179,10 @@ class Tracer:
         self.events: list[TraceEvent] = []
         #: Completed spans, in completion order (children before parents).
         self.spans: list[Span] = []
-        self._span_stack: list[Span] = []
+        #: ``.stack`` is the calling thread's open spans, innermost last.
+        self._local = threading.local()
+        #: Guards the aggregates and lists below (read-modify-writes).
+        self._lock = threading.Lock()
         #: event kind -> number of times recorded.
         self.counters: dict[str, int] = {}
         #: stage name -> (completed span count, total seconds).
@@ -189,39 +198,53 @@ class Tracer:
         """Seconds since this tracer's timeline origin (monotonic)."""
         return time.monotonic() - self._t0
 
+    def _stack(self) -> list[Span]:
+        try:
+            return self._local.stack
+        except AttributeError:
+            stack = self._local.stack = []
+            return stack
+
     @property
     def current_span_id(self) -> Optional[str]:
-        """The innermost open span's id (trace-context propagation)."""
-        return self._span_stack[-1].span_id if self._span_stack else None
+        """The innermost span this thread has open (trace-context
+        propagation)."""
+        stack = self._stack()
+        return stack[-1].span_id if stack else None
 
     # ------------------------------------------------------------------
     def record(self, kind: str, **data: Any) -> None:
         """Record one event; aggregates are always updated, the raw event
         only when ``capture_events`` is set."""
-        self.counters[kind] = self.counters.get(kind, 0) + 1
-        if kind == "job_done":
-            jkind = data.get("job_kind", "?")
-            self.job_kind_counts[jkind] = self.job_kind_counts.get(jkind, 0) + 1
-            self.job_kind_times[jkind] = (
-                self.job_kind_times.get(jkind, 0.0) + data.get("seconds", 0.0)
-            )
-        if self.capture_events:
-            self.events.append(
-                TraceEvent(kind, time.monotonic() - self._t0, data)
-            )
+        with self._lock:
+            self.counters[kind] = self.counters.get(kind, 0) + 1
+            if kind == "job_done":
+                jkind = data.get("job_kind", "?")
+                self.job_kind_counts[jkind] = (
+                    self.job_kind_counts.get(jkind, 0) + 1
+                )
+                self.job_kind_times[jkind] = (
+                    self.job_kind_times.get(jkind, 0.0)
+                    + data.get("seconds", 0.0)
+                )
+            if self.capture_events:
+                self.events.append(
+                    TraceEvent(kind, time.monotonic() - self._t0, data)
+                )
 
     @contextmanager
     def span(self, stage: str, **data: Any) -> Iterator[Span]:
         """Time a pipeline stage, emitting ``stage_start`` / ``stage_end``
-        and recording a :class:`Span` under the current span stack."""
+        and recording a :class:`Span` under this thread's span stack."""
+        stack = self._stack()
         span = Span(
             name=stage,
             span_id=new_span_id(),
-            parent_id=self.current_span_id,
+            parent_id=stack[-1].span_id if stack else None,
             start=time.monotonic() - self._t0,
             data=data,
         )
-        self._span_stack.append(span)
+        stack.append(span)
         self.record(
             "stage_start", stage=stage,
             span_id=span.span_id, parent_id=span.parent_id,
@@ -231,13 +254,14 @@ class Tracer:
             yield span
         finally:
             elapsed = time.monotonic() - start
-            self._span_stack.pop()
+            stack.pop()
             span.end = span.start + elapsed
-            self.spans.append(span)
-            self.stage_counts[stage] = self.stage_counts.get(stage, 0) + 1
-            self.stage_times[stage] = (
-                self.stage_times.get(stage, 0.0) + elapsed
-            )
+            with self._lock:
+                self.spans.append(span)
+                self.stage_counts[stage] = self.stage_counts.get(stage, 0) + 1
+                self.stage_times[stage] = (
+                    self.stage_times.get(stage, 0.0) + elapsed
+                )
             self.record(
                 "stage_end", stage=stage, seconds=elapsed,
                 span_id=span.span_id,
@@ -258,7 +282,9 @@ class Tracer:
         *this* tracer's timeline (typically :meth:`now` captured when the
         request was sent).  Spans without a parent are attached under
         ``parent_id`` so the remote tree hangs off the local request
-        span.  Returns the adopted spans.
+        span — the caller's own, which it names explicitly: with several
+        threads sending, "the span open right now" is not one span.
+        Returns the adopted spans.
         """
         adopted = []
         for payload in span_dicts:
@@ -267,8 +293,9 @@ class Tracer:
                 span.parent_id = parent_id
             if process is not None:
                 span.data.setdefault("process", process)
-            self.spans.append(span)
             adopted.append(span)
+        with self._lock:
+            self.spans.extend(adopted)
         return adopted
 
     # ------------------------------------------------------------------

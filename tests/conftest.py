@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -104,3 +105,15 @@ def rows_equal(rows1, rows2, float_places: int = 6) -> bool:
     if len(rows1) != len(rows2):
         return False
     return sorted(map(key, rows1), key=repr) == sorted(map(key, rows2), key=repr)
+
+
+@pytest.fixture()
+def eager_thread_switching():
+    """Ask the interpreter to switch threads every microsecond for the
+    test, so a lost update between two bytecodes shows up in one run."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)

@@ -133,3 +133,34 @@ class TestGovernedCLI:
         rc = main(["explain", SQL, "--deadline-ms", "60000"] + ARGS)
         assert rc == 0
         assert "plan source" not in capsys.readouterr().out
+
+
+class TestServeCLI:
+    def test_serve_with_kills_stays_available_and_drains_clean(
+        self, tmp_path, capsys
+    ):
+        """Two workers, so two closed-loop clients; a worker is killed
+        after the 3rd and the 6th of 8 requests while the other client
+        keeps going."""
+        import json
+        import re
+
+        report_path = tmp_path / "serve.json"
+        rc = main([
+            "serve", "--workers", "2", "--queries", "4", "--passes", "2",
+            "--plan-cache", "--kill-every", "3",
+            "--report", str(report_path),
+        ] + ARGS)
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        assert report["availability"] == 1.0
+        assert report["drain_clean"] is True
+        assert (report["served"], report["errors"]) == (8, 0)
+        assert report["restarts"] == 2
+        assert len(re.findall(r"^pass \d/2: .* stmts_per_s=[\d.]+", out, re.M)) == 2
+        # ``queries`` counts the live process only: a worker killed late
+        # may not have been routed to again, the fleet as a whole has.
+        queries = dict(re.findall(r"^worker (\d): pid=\d+ queries=(\d+)", out, re.M))
+        assert set(queries) == {"0", "1"}
+        assert sum(map(int, queries.values())) > 0

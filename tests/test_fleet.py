@@ -15,9 +15,16 @@ These tests pin the contract down:
   re-routes, and availability stays 100% with restart counters pinned.
 - **Health** — heartbeats detect wedged workers; drain is clean
   (exit code 0 on every worker) after all of it.
+- **Concurrency** — client threads are served by different workers at
+  the same time; a wedged, killed or restarting worker stalls nobody
+  routed elsewhere; counters stay exact; admin calls run beside traffic.
 """
 
 from __future__ import annotations
+
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -53,6 +60,18 @@ def make_fleet(db, **kwargs) -> Fleet:
     return repro.connect_fleet(db, **kwargs)
 
 
+def wait_until(predicate, timeout=10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def slow_once(seconds: float) -> FaultSpec:
+    """The worker's first optimization takes ``seconds`` longer."""
+    return FaultSpec(site="costing", kind="delay", delay_seconds=seconds)
+
+
 # ----------------------------------------------------------------------
 # Routing policies (pure, no processes)
 # ----------------------------------------------------------------------
@@ -70,6 +89,15 @@ class TestRoutingPolicies:
         policy = RoundRobinPolicy()
         picks = {policy.choose("", self.views(dead={1})) for _ in range(4)}
         assert picks == {0, 2}
+
+    def test_round_robin_steps_past_busy_workers(self):
+        policy = RoundRobinPolicy()
+        views = self.views()
+        views[0].in_flight = 1
+        assert [policy.choose("", views) for _ in range(4)] == [1, 2, 1, 2]
+        # Nobody idle: plain rotation from the cursor, nobody starved.
+        views[1].in_flight = views[2].in_flight = 1
+        assert [policy.choose("", views) for _ in range(3)] == [0, 1, 2]
 
     def test_least_loaded_prefers_idle_then_lowest_id(self):
         policy = LeastLoadedPolicy()
@@ -332,6 +360,204 @@ class TestHealthAndDrain:
             ):
                 assert series in text, series
             assert 'outcome="ok"' in text
+
+
+# ----------------------------------------------------------------------
+# Concurrent clients: per-pipe locks, idle-aware routing, exact counters
+# ----------------------------------------------------------------------
+
+class TestConcurrentClients:
+    def test_two_clients_are_served_at_the_same_time(self, fleet_db):
+        """Each worker's first optimization takes 0.4 s longer: served
+        one after the other that is 0.8 s, side by side about 0.4 s."""
+        with make_fleet(fleet_db, fault_specs=(slow_once(0.4),)) as fleet, \
+                ThreadPoolExecutor(max_workers=2) as clients:
+            start = time.perf_counter()
+            futures = [clients.submit(fleet.optimize, Q3) for _ in range(2)]
+            workers = {f.result(timeout=30).worker for f in futures}
+            wall = time.perf_counter() - start
+        assert workers == {0, 1}
+        assert wall < 0.7
+
+    def test_a_wedged_worker_stalls_only_its_own_request(self, fleet_db):
+        with make_fleet(fleet_db, request_timeout_seconds=2.0) as fleet, \
+                ThreadPoolExecutor(max_workers=1) as clients:
+            fleet.wedge_worker(0, seconds=30.0)
+            victim = clients.submit(fleet.optimize, Q3)  # routed to worker 0
+            wait_until(lambda: fleet._workers[0].lock.locked())
+            waits = []
+            for _ in range(20):
+                start = time.perf_counter()
+                assert fleet.optimize(Q3).worker == 1
+                waits.append(time.perf_counter() - start)
+            assert max(waits) < 1.0  # nobody sat out worker 0's timeout
+            assert not victim.done()
+            assert victim.result(timeout=30).plan is not None
+            assert fleet.restarts_total == 1
+            assert fleet.telemetry.value(
+                "fleet_restarts_total", worker="0", reason="wedged"
+            ) == 1
+            assert fleet.availability == 1.0
+
+    def test_kill_leaves_the_other_workers_request_alone(self, fleet_db):
+        with make_fleet(
+            fleet_db, per_worker_faults={1: (slow_once(1.0),)},
+        ) as fleet, ThreadPoolExecutor(max_workers=1) as clients:
+            assert fleet.optimize(Q3).worker == 0
+            in_flight = clients.submit(fleet.optimize, Q3)
+            wait_until(lambda: fleet._workers[1].lock.locked())
+            fleet.kill_worker(0)
+            assert not in_flight.done()  # the kill did not wait for it
+            assert in_flight.result(timeout=30).worker == 1
+            one = fleet._views()[1]
+            assert (one.routed, one.completed, one.restarts) == (1, 1, 0)
+            assert fleet.restarts_total == 1
+            for outcome in ("retry_dead", "retry_wedged"):
+                assert fleet.telemetry.value(
+                    "fleet_requests_total", outcome=outcome
+                ) == 0
+            assert fleet.availability == 1.0
+
+    def test_bookkeeping_is_exact_under_four_clients(
+        self, fleet_db, eager_thread_switching
+    ):
+        threads, each = 4, 50
+        with make_fleet(fleet_db) as fleet, \
+                ThreadPoolExecutor(max_workers=threads) as clients:
+            issued = []
+            next_id = fleet._next_id
+
+            def recording_next_id():
+                issued.append(next_id())
+                return issued[-1]
+
+            fleet._next_id = recording_next_id
+            barrier = threading.Barrier(threads)
+
+            def client():
+                barrier.wait(timeout=10)
+                for _ in range(each):
+                    fleet.optimize(Q1)
+
+            for future in [clients.submit(client) for _ in range(threads)]:
+                future.result(timeout=120)
+            total = threads * each
+            assert fleet.requests_served == fleet.requests_attempted == total
+            assert fleet.telemetry.value(
+                "fleet_requests_total", outcome="ok"
+            ) == total
+            assert fleet.telemetry.histogram(
+                "fleet_request_seconds"
+            ).count() == total
+            views = fleet._views()
+            assert sum(v.routed for v in views) == total
+            assert sum(v.completed for v in views) == total
+            assert [v.in_flight for v in views] == [0, 0]
+            assert sorted(issued) == list(range(1, total + 1))
+            assert fleet.restarts_total == 0
+
+    @pytest.mark.parametrize("policy", ["round-robin", "least-loaded"])
+    def test_routing_goes_around_a_busy_worker(self, fleet_db, policy):
+        with make_fleet(
+            fleet_db, policy=policy,
+            per_worker_faults={0: (slow_once(1.0),)},
+        ) as fleet, ThreadPoolExecutor(max_workers=1) as clients:
+            held = clients.submit(fleet.optimize, Q3)
+            wait_until(lambda: fleet._views()[0].in_flight == 1)
+            # Twice: the second time the rotation's cursor is on worker 0.
+            assert [fleet.optimize(Q3).worker for _ in range(2)] == [1, 1]
+            assert not held.done()
+            assert held.result(timeout=30).worker == 0
+            if policy == "round-robin":
+                # Everybody idle again: strict rotation, as with one client.
+                picks = [fleet.optimize(Q3).worker for _ in range(4)]
+                assert picks in ([0, 1, 0, 1], [1, 0, 1, 0])
+
+    def test_bump_catalog_beside_traffic_reaches_every_worker(self, fleet_db):
+        """A statement started after ``bump_catalog()`` returns is never
+        served from a plan cached under the old catalog versions, on any
+        worker.  Each worker gets a shape of its own, so the shared store
+        cannot hand it a fresh plan another worker already made."""
+        probes = {0: Q1, 1: Q2}
+        with make_fleet(fleet_db, enable_plan_cache=True) as fleet, \
+                ThreadPoolExecutor(max_workers=1) as clients:
+
+            def probe(worker_id: int) -> str:
+                return fleet._request_to(
+                    fleet._workers[worker_id], "optimize",
+                    {"sql": probes[worker_id]},
+                )["plan_cache"]
+
+            for worker_id in probes:
+                assert (probe(worker_id), probe(worker_id)) == ("miss", "hit")
+            stop = threading.Event()
+
+            def stream() -> int:
+                served = 0
+                while not stop.is_set():
+                    fleet.execute(Q3)
+                    served += 1
+                return served
+
+            traffic = clients.submit(stream)
+            try:
+                wait_until(lambda: fleet.requests_served >= 4)
+                fleet.bump_catalog()
+                after_bump = [probe(worker_id) for worker_id in probes]
+                wait_until(lambda: all(
+                    v.completed >= 8 for v in fleet._views()
+                ))
+            finally:
+                stop.set()
+            assert traffic.result(timeout=30) > 0
+            assert after_bump == ["miss", "miss"]
+            for stats in fleet.worker_stats().values():
+                assert stats["plan_cache"]["stale_evictions"] >= 1
+            assert fleet.availability == 1.0
+            assert fleet.restarts_total == 0
+
+    def test_health_check_reports_a_busy_worker_and_leaves_it(self, fleet_db):
+        with make_fleet(
+            fleet_db, per_worker_faults={0: (slow_once(0.6),)},
+            heartbeat_timeout_seconds=0.2,
+        ) as fleet, ThreadPoolExecutor(max_workers=1) as clients:
+            held = clients.submit(fleet.optimize, Q3)
+            wait_until(lambda: fleet._workers[0].lock.locked())
+            assert fleet.health_check() == {0: "busy", 1: "ok"}
+            assert not held.done()
+            assert held.result(timeout=30).worker == 0
+            assert fleet.restarts_total == 0
+            assert fleet.telemetry.value(
+                "fleet_heartbeats_total", worker="0", outcome="busy"
+            ) == 1
+            assert fleet.health_check() == {0: "ok", 1: "ok"}
+
+    def test_close_racing_clients_neither_hangs_nor_leaks(self, fleet_db):
+        fleet = make_fleet(fleet_db)
+        processes = set()
+        outcomes = []
+
+        def client() -> None:
+            try:
+                while True:
+                    # Restarts (none expected) would swap the handles.
+                    processes.update(w.process for w in fleet._workers)
+                    outcomes.append(fleet.optimize(Q3).plan_source)
+            except OptimizerError as exc:
+                outcomes.append(exc)
+
+        with ThreadPoolExecutor(max_workers=2) as clients:
+            futures = [clients.submit(client) for _ in range(2)]
+            wait_until(lambda: fleet.requests_served >= 6)
+            drained = fleet.close()
+            for future in futures:
+                future.result(timeout=30)  # only OptimizerError ends a client
+        assert all(info["drained"] for info in drained.values())
+        assert sum(isinstance(o, OptimizerError) for o in outcomes) == 2
+        assert fleet.requests_served >= 6
+        for process in processes | {w.process for w in fleet._workers}:
+            process.join(timeout=10)
+            assert not process.is_alive()
 
 
 # ----------------------------------------------------------------------

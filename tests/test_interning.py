@@ -235,3 +235,49 @@ class TestRequestIdTable:
         # recur: the table stops growing after the first round.
         assert ids_300 == ids_100 <= interning.MAX_INTERNED_IDS
         assert rss_300 - rss_100 < 4096  # KB
+
+    def test_ids_stay_a_bijection_under_racing_threads(
+        self, monkeypatch, eager_thread_switching
+    ):
+        """``SessionPool`` optimizes from threads in one process: racing
+        misses must neither hand one id to two keys (a shared id makes
+        ``Group.contexts`` return another request's context) nor give
+        one key two ids."""
+        import threading
+        import time
+
+        class YieldingKey(tuple):
+            """Request keys are tuples of ``HashedKey``: hashing one runs
+            Python code, where the interpreter may switch threads.  This
+            key always does, so the race needs no luck to show."""
+
+            def __hash__(self):
+                time.sleep(0)
+                return tuple.__hash__(self)
+
+        monkeypatch.setattr(interning, "_ids", {})
+        threads, own, shared = 8, 60, 60
+        barrier = threading.Barrier(threads)
+        seen: list[dict] = [{} for _ in range(threads)]
+
+        def intern(slot: int) -> None:
+            keys = [YieldingKey(("own", slot, n)) for n in range(own)]
+            keys += [YieldingKey(("shared", n)) for n in range(shared)]
+            barrier.wait(timeout=10)
+            for key in keys:
+                seen[slot][key] = interning.intern_id(key)
+
+        pool = [threading.Thread(target=intern, args=(i,)) for i in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in pool)
+
+        merged: dict = {}
+        for mapping in seen:
+            for key, ident in mapping.items():
+                assert merged.setdefault(key, ident) == ident, key
+        assert len(merged) == threads * own + shared
+        assert sorted(merged.values()) == list(range(len(merged)))
+        assert merged == interning._ids

@@ -99,6 +99,57 @@ class TestStitchedTrace:
         parse = next(s for s in tracer.spans if s.name == "parse")
         assert by_id[parse.parent_id].name == "worker:optimize"
 
+    def test_two_clients_keep_their_span_trees_apart(self, fleet_db):
+        """Two client threads on one traced fleet, served at the same
+        time: every worker span tree hangs off the request span of the
+        thread that sent it — same kind, same worker — and no request
+        span parents another."""
+        import threading
+        from concurrent.futures import ThreadPoolExecutor
+
+        tracer = Tracer()
+        rounds = 6
+        barrier = threading.Barrier(2)
+
+        def client(call, sql):
+            barrier.wait(timeout=10)
+            for _ in range(rounds):
+                call(sql)
+
+        with make_fleet(fleet_db, tracer=tracer, workers=2) as fleet, \
+                ThreadPoolExecutor(max_workers=2) as clients:
+            futures = [
+                clients.submit(client, fleet.optimize, Q1),
+                clients.submit(client, fleet.execute, Q2),
+            ]
+            for future in futures:
+                future.result(timeout=60)
+
+        assert validate_chrome_trace(tracer_chrome_trace(tracer)) == []
+        by_id = {s.span_id: s for s in tracer.spans}
+        requests = [s for s in tracer.spans if s.name.startswith("fleet:")]
+        assert sorted(s.name for s in requests) == (
+            ["fleet:execute"] * rounds + ["fleet:optimize"] * rounds
+        )
+        assert all(s.parent_id is None for s in requests)
+        roots = [s for s in tracer.spans if s.name.startswith("worker:")]
+        assert len(roots) == 2 * rounds
+        for root in roots:
+            request = by_id[root.parent_id]
+            assert request.name == root.name.replace("worker:", "fleet:")
+            assert request.data["worker"] == root.data["worker"]
+        assert len({root.parent_id for root in roots}) == 2 * rounds
+        # The execute client's pipeline spans never sit under an
+        # optimize request, whichever worker served them.
+        executed = [s for s in tracer.spans if s.name == "execute"]
+        assert len(executed) == rounds
+        for ancestor in executed:
+            while ancestor.parent_id is not None:
+                ancestor = by_id[ancestor.parent_id]
+            assert ancestor.name == "fleet:execute"
+        assert tracer.stage_counts["fleet:optimize"] == rounds
+        assert tracer.stage_counts["fleet:execute"] == rounds
+
     def test_trace_payload_is_json_serializable(self, fleet_db):
         tracer = Tracer()
         with make_fleet(fleet_db, tracer=tracer, workers=1) as fleet:

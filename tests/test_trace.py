@@ -128,6 +128,49 @@ class TestTracer:
             "stage_end without stage_start: s"
         ]
 
+    def test_threads_keep_their_own_span_stacks_and_exact_counts(
+        self, eager_thread_switching
+    ):
+        """A traced fleet serves client threads at the same time on one
+        tracer: spans open in two threads at once must not parent (or
+        pop) each other, and the aggregates must not lose an update."""
+        import threading
+
+        tracer = Tracer()
+        threads, events = 2, 2000
+        inside = threading.Barrier(threads)
+        roots: dict[int, tuple] = {}
+
+        def client(slot: int) -> None:
+            with tracer.span("request", client=slot) as root:
+                inside.wait(timeout=10)  # both roots are open right now
+                with tracer.span("child") as child:
+                    assert tracer.current_span_id == child.span_id
+                    for _ in range(events):
+                        tracer.record("job_done", job_kind="Xform", seconds=1.0)
+                assert tracer.current_span_id == root.span_id
+                roots[slot] = (root, child)
+
+        pool = [threading.Thread(target=client, args=(i,)) for i in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in pool)
+
+        assert tracer.current_span_id is None
+        for root, child in roots.values():
+            assert root.parent_id is None
+            assert child.parent_id == root.span_id
+        assert len(tracer.spans) == 2 * threads
+        assert tracer.stage_counts == {"child": threads, "request": threads}
+        assert tracer.count("stage_start") == tracer.count("stage_end") == 2 * threads
+        assert tracer.count("job_done") == threads * events
+        assert tracer.job_kind_counts == {"Xform": threads * events}
+        assert tracer.job_kind_times["Xform"] == threads * events * 1.0
+        assert len(tracer.events) == threads * (events + 4)
+        assert check_span_consistency(tracer) == []
+
 
 class TestNullTracer:
     def test_everything_is_noop(self):
