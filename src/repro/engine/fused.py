@@ -21,10 +21,16 @@ events and budget checks.  The row path stays the reference oracle;
 ``tests/test_fused_executor.py`` pins fused == row across the TPC-DS
 corpus for rows, ExecutionMetrics and per-node NodeStats.
 
-Compiled chains are cached on the plan root (``plan._fused_cache``) so
-repeated executions of a cached plan pay compilation once;
-``PlanNode.__getstate__`` strips the cache so plans still pickle into
-the fleet's ``SharedPlanStore``.
+Compiled chains are cached on the plan root (``plan._fused_cache``).
+The plan cache hands out the tree it stored, so repeated executions of
+a cached plan pay compilation once; ``PlanNode.__getstate__`` strips the
+cache so plans still pickle into the fleet's ``SharedPlanStore`` (a
+worker that adopts an entry compiles it on its first execution and
+never again).  A re-bound plan has a new root and compiles its chains
+anew, but the generated stage source holds no literal (expression
+closures arrive through ``_B``), so the code objects come from
+``_stage_code``'s by-source memo and the closures of every untouched
+expression from the stored tree.
 
 When the executor carries a :class:`repro.engine.parallel.MorselPool`,
 the streaming phase of every stage is dispatched across the pool — one
@@ -55,6 +61,11 @@ from repro.props.order import SortKey
 from repro.search.plan import PlanNode
 
 _EMPTY: tuple = ()
+
+#: Generated stage source -> its code object.  One entry per distinct
+#: stage shape (operator sequence, join kind, key arity, column
+#: positions), never per literal, so the workload's plan shapes bound it.
+_stage_code: dict[str, Any] = {}
 
 
 def fused_chains(plan: PlanNode) -> dict[int, Pipeline]:
@@ -454,8 +465,13 @@ def _generate_stage(st: _Stage, run_meta, agg_meta) -> None:
         + ")"
     )
     src = "\n".join([header] + unpack + prologue + init + loop + body + [ret])
+    code = _stage_code.get(src)
+    if code is None:
+        code = _stage_code[src] = compile(
+            src + "\n", "<fused-pipeline>", "exec"
+        )
     namespace: dict[str, Any] = {"_E": _EMPTY}
-    exec(compile(src + "\n", "<fused-pipeline>", "exec"), namespace)  # noqa: S102
+    exec(code, namespace)  # noqa: S102
     st.fn = namespace["_stage"]
     st.bound = tuple(bound)
     st.counter_of = counters

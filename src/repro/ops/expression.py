@@ -51,6 +51,13 @@ class Operator:
     def key(self) -> tuple:
         raise NotImplementedError
 
+    def __getstate__(self) -> dict:
+        # The interned key is derived state: a copy whose fields differ
+        # must recompute it, and another process must re-intern it.
+        state = dict(self.__dict__)
+        state.pop("_cached_key", None)
+        return state
+
     def derive_output_columns(
         self, child_outputs: Sequence[Sequence[ColRef]]
     ) -> list[ColRef]:

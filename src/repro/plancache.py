@@ -13,12 +13,18 @@ versions, Section 4.1's Mdid versioning) invalidates stale entries
 implicitly — the old key simply stops being looked up and ages out of
 the LRU.
 
-A lookup with identical parameter values is an exact **hit**: the plan
-is returned (deep-copied) without translation or search.  A lookup with
-*different* parameter values **re-binds**: the cached plan is
-deep-copied and every embedded constant that corresponds to a parameter
-is substituted with the new value.  Re-binding is only attempted when
-it is provably unambiguous, which is recorded at store time:
+Extracted plans are immutable (see :class:`repro.search.plan.PlanNode`),
+so the cache stores the tree it is given and hands that same tree out:
+a lookup with identical parameter values is an exact **hit** and costs
+a dict probe.  The compiled state hanging off the tree (fused chains on
+the root, row/vector closures on its scalar expressions) therefore
+lives as long as the entry, and a repeated statement compiles nothing.
+A lookup with *different* parameter values **re-binds** by path
+copying: only the expressions, operators and plan nodes that lie above
+a changed constant are rebuilt; every other subtree of the returned
+plan is the stored object, compiled closures included.  Re-binding is
+only attempted when it is provably unambiguous, which is recorded at
+store time:
 
 - every parameter value is distinct (under ``(type, value)``), so a
   plan constant maps back to exactly one parameter;
@@ -38,13 +44,13 @@ a different plan.
 
 from __future__ import annotations
 
-import copy
 import enum
 import pickle
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Optional
 
+from repro.ops.expression import Operator
 from repro.ops.physical import PhysicalIndexScan
 from repro.ops.scalar import ColRef, InList, Literal, ScalarExpr
 from repro.search.plan import PlanNode
@@ -116,63 +122,87 @@ def _pkey(value: Any) -> tuple:
 # Plan-side constant discovery and re-binding
 # ----------------------------------------------------------------------
 
-def _visit_scalar(expr: ScalarExpr, fn) -> None:
-    """Apply ``fn`` to every node of a scalar expression tree."""
-    fn(expr)
-    for value in vars(expr).values():
-        if isinstance(value, ScalarExpr):
-            _visit_scalar(value, fn)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                if isinstance(item, ScalarExpr):
-                    _visit_scalar(item, fn)
+def _same(new, old) -> bool:
+    return all(a is b for a, b in zip(new, old))
+
+
+def _rebound(value: Any, subst, memo: dict[int, Any]) -> Any:
+    """``value`` with ``subst`` applied to every constant below it.
+
+    Constants are ``Literal.value``, each of ``InList.values`` and an
+    index scan's ``lo``/``hi``.  ``value`` is a plan node, an operator,
+    a scalar expression or a tuple/list holding them; anything else is
+    returned as is.  Nothing is written: an object is rebuilt only when
+    a constant below it changed and is otherwise returned itself, so
+    whatever it has cached (interned key, compiled closures, fused
+    chains) stays with it; a rebuilt object starts without those
+    caches.  ``memo`` (``id(old) -> new``) makes an object reachable
+    along two paths come out as one object again.
+    """
+    if isinstance(value, (tuple, list)):
+        items = [_rebound(item, subst, memo) for item in value]
+        return value if _same(items, value) else type(value)(items)
+    if not isinstance(value, (ScalarExpr, Operator, PlanNode)):
+        return value
+    done = memo.get(id(value))
+    if done is not None:
+        return done
+    if isinstance(value, Literal):
+        const = subst(value.value)
+        result = (
+            value if const is value.value else Literal(const, value.dtype)
+        )
+    elif isinstance(value, PlanNode):
+        op = _rebound(value.op, subst, memo)
+        children = _rebound(value.children, subst, memo)
+        result = (
+            value if op is value.op and children is value.children
+            else replace(value, op=op, children=children)
+        )
+    else:
+        state = value.__getstate__()  # the fields, minus derived caches
+        changed = False
+        for name, old in state.items():
+            if name == "values" and isinstance(value, InList):
+                new = tuple(subst(v) for v in old)
+                if _same(new, old):
+                    continue
+            elif name in ("lo", "hi") and isinstance(value, PhysicalIndexScan):
+                new = old if old is None else subst(old)
+            else:
+                new = _rebound(old, subst, memo)
+            if new is not old:
+                state[name] = new
+                changed = True
+        if changed:
+            result = object.__new__(type(value))
+            vars(result).update(state)
+        else:
+            result = value
+    memo[id(value)] = result
+    return result
 
 
 def _plan_constants(plan: PlanNode) -> Optional[list[tuple]]:
     """Identity keys of every constant embedded in the plan, or ``None``
     when the plan is structurally not re-bindable (static partition
-    elimination baked the old parameter values into the plan shape)."""
+    elimination baked the old parameter values into the plan shape).
+
+    Walks with :func:`_rebound` itself (an identity substitution that
+    takes notes), so what counts as a constant is defined once."""
+    if any(
+        getattr(node.op, "partitions", None) is not None
+        for node in plan.walk()
+    ):
+        return None
     keys: list[tuple] = []
 
-    def collect(expr: ScalarExpr) -> None:
-        if isinstance(expr, Literal):
-            keys.append(_pkey(expr.value))
-        elif isinstance(expr, InList):
-            keys.extend(_pkey(v) for v in expr.values)
+    def note(value: Any) -> Any:
+        keys.append(_pkey(value))
+        return value
 
-    for node in plan.walk():
-        op = node.op
-        if getattr(op, "partitions", None) is not None:
-            return None
-        if isinstance(op, PhysicalIndexScan):
-            for bound in (op.lo, op.hi):
-                if bound is not None:
-                    keys.append(_pkey(bound))
-        for expr in op.scalar_exprs():
-            _visit_scalar(expr, collect)
+    _rebound(plan, note, {})
     return keys
-
-
-def _rebind_plan(plan: PlanNode, mapping: dict[tuple, Any]) -> None:
-    """Substitute new parameter values into a (deep-copied) plan tree."""
-
-    def rewrite(expr: ScalarExpr) -> None:
-        if isinstance(expr, Literal):
-            expr.value = mapping.get(_pkey(expr.value), expr.value)
-        elif isinstance(expr, InList):
-            expr.values = tuple(
-                mapping.get(_pkey(v), v) for v in expr.values
-            )
-
-    for node in plan.walk():
-        op = node.op
-        if isinstance(op, PhysicalIndexScan):
-            if op.lo is not None:
-                op.lo = mapping.get(_pkey(op.lo), op.lo)
-            if op.hi is not None:
-                op.hi = mapping.get(_pkey(op.hi), op.hi)
-        for expr in op.scalar_exprs():
-            _visit_scalar(expr, rewrite)
 
 
 # ----------------------------------------------------------------------
@@ -203,7 +233,9 @@ class CachedPlan:
 
 @dataclass
 class CacheHit:
-    """A successful lookup: an independent copy of the cached plan."""
+    """A successful lookup.  ``plan`` is the cached tree itself on an
+    exact hit and shares every untouched subtree with it on a re-bind:
+    read it, execute it, never write to it."""
 
     plan: PlanNode
     output_cols: list[ColRef]
@@ -285,7 +317,7 @@ class PlanCache:
                     "plan_cache_hit", key=hash(key), rebound=False
                 )
             return CacheHit(
-                plan=copy.deepcopy(entry.plan),
+                plan=entry.plan,
                 output_cols=list(entry.output_cols),
                 output_names=list(entry.output_names),
                 kind="hit",
@@ -294,8 +326,9 @@ class PlanCache:
         mapping = self._rebind_mapping(entry, params)
         if mapping is None:
             return self._miss(key)
-        plan = copy.deepcopy(entry.plan)
-        _rebind_plan(plan, mapping)
+        plan = _rebound(
+            entry.plan, lambda v: mapping.get(_pkey(v), v), {}
+        )
         self._entries.move_to_end(key)
         self.hits += 1
         self.rebinds += 1
@@ -326,7 +359,7 @@ class PlanCache:
         """Cache one optimization outcome, evicting LRU entries beyond
         capacity."""
         entry = CachedPlan(
-            plan=copy.deepcopy(plan),
+            plan=plan,
             output_cols=list(output_cols),
             output_names=list(output_names),
             params=params,
@@ -472,7 +505,8 @@ class PlanCache:
     def _rebind_mapping(
         entry: CachedPlan, params: tuple
     ) -> Optional[dict[tuple, Any]]:
-        """old-value key -> new value, or None when re-binding is unsafe."""
+        """old-value key -> new value for every parameter that changed,
+        or None when re-binding is unsafe."""
         if not entry.rebindable or len(entry.params) != len(params):
             return None
         if any(
@@ -481,5 +515,7 @@ class PlanCache:
         ):
             return None
         return {
-            _pkey(old): new for old, new in zip(entry.params, params)
+            _pkey(old): new
+            for old, new in zip(entry.params, params)
+            if new != old
         }

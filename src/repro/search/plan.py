@@ -12,7 +12,21 @@ from repro.props.required import DerivedProps
 
 @dataclass
 class PlanNode:
-    """One node of an executable physical plan."""
+    """One node of an executable physical plan.
+
+    **A PlanNode tree is never mutated after extraction**: not its
+    fields, not its operators, not their scalar expressions.  The plan
+    cache stores the extracted tree and hands that same tree to every
+    later hit, in this session and (pickled once) in every fleet
+    worker, with no defensive copy; a re-bind builds new nodes along
+    the paths to the changed constants and shares the rest.  The only
+    writes allowed are derived caches that are rebuilt on demand and
+    left out of the pickle: ``_fused_cache`` here, ``_cached_key`` on
+    operators, ``_cached_key`` / ``_row_cache`` / ``_vec_cache`` on
+    scalar expressions.  ``tests/test_plan_immutability.py`` holds
+    every executor, EXPLAIN ANALYZE and the feedback ingest to this
+    (the pickle of a cached tree is byte-equal before and after).
+    """
 
     op: Operator
     children: list["PlanNode"] = field(default_factory=list)
@@ -32,9 +46,10 @@ class PlanNode:
 
     def __getstate__(self):
         # The fused executor caches compiled pipelines (generated
-        # functions + closures) on the plan root; like ScalarExpr's
-        # compiled-closure caches, they are unpicklable derived state
-        # and are rebuilt on demand after transport.
+        # functions + closures) on the plan root for as long as the
+        # tree lives; like ScalarExpr's compiled-closure caches, they
+        # are unpicklable derived state and are rebuilt on demand after
+        # transport.
         state = dict(self.__dict__)
         state.pop("_fused_cache", None)
         return state

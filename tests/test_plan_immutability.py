@@ -1,0 +1,281 @@
+"""Extracted plans are immutable, and the plan cache shares them.
+
+``PlanCache.lookup`` used to return ``copy.deepcopy(entry.plan)`` to
+protect the stored tree from one function that wrote into it
+(``_rebind_plan``).  That function is gone; the cache now hands out the
+stored tree itself on an exact hit and a path copy on a re-bind.  What
+the defensive copy used to guarantee silently is checked here instead:
+
+- nothing that runs a plan writes to it: for every corpus statement in
+  each execution mode, through EXPLAIN ANALYZE and through a feedback
+  ingest, the pickle of the cached tree is byte-equal before and after
+  (the pickle leaves out exactly the derived caches the contract on
+  :class:`~repro.search.plan.PlanNode` allows);
+- a hit returns the rows of the original miss, a re-bind the rows the
+  same text gets with the plan cache off;
+- the second execution of a cached statement compiles nothing, in a
+  session and in a fleet worker that adopted the entry from the shared
+  store;
+- a re-bound plan is the stored tree wherever no changed constant lies
+  below, object for object, compiled closures included.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+import repro
+from repro.config import ExecutionMode
+from repro.trace import Tracer
+from repro.workloads import QUERIES, queries_by_id
+
+from tests.conftest import make_small_db
+
+MODES = [ExecutionMode.ROW, ExecutionMode.BATCH, ExecutionMode.FUSED]
+
+#: corpus id -> (literal as the corpus has it, the same literal redrawn).
+REDRAWN = {
+    "star_brand": ("i.i_manufact_id = 52", "i.i_manufact_id = 7"),
+    "category_by_day": ("d.d_moy = 12", "d.d_moy = 3"),
+    "in_subquery_items": ("i2.i_color = 'red'", "i2.i_color = 'blue'"),
+    "scalar_totals": ("i.i_category = 'Music'", "i.i_category = 'Books'"),
+    "not_exists_returns": ("d.d_qoy = 3", "d.d_qoy = 1"),
+    "store_revenue_vs_avg": ("agg.revenue > 900", "agg.revenue > 700"),
+}
+
+
+def redrawn_sql(query_id: str) -> str:
+    old, new = REDRAWN[query_id]
+    sql = queries_by_id()[query_id].sql
+    assert sql.count(old) == 1
+    return sql.replace(old, new)
+
+
+def cached_session(db, **kwargs):
+    return repro.connect(db, segments=8, enable_plan_cache=True, **kwargs)
+
+
+def newest_entry(session):
+    entries = session.orca.plan_cache._entries
+    return entries[next(reversed(entries))]
+
+
+def tree_key(node) -> tuple:
+    return (node.op.key(), tuple(tree_key(child) for child in node.children))
+
+
+@pytest.fixture(scope="module")
+def uncached_rows(tpcds_db):
+    """SQL text -> rows from a session that has no plan cache."""
+    texts = [q.sql for q in QUERIES] + [redrawn_sql(qid) for qid in REDRAWN]
+    with repro.connect(tpcds_db, segments=8) as session:
+        return {sql: session.execute(sql).rows for sql in texts}
+
+
+# ----------------------------------------------------------------------
+# Nothing writes to a cached tree
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_corpus_execution_leaves_cached_trees_byte_equal(
+    tpcds_db, uncached_rows, mode
+):
+    with cached_session(tpcds_db, execution_mode=mode) as session:
+        for query in QUERIES:
+            first = session.optimize(query.sql)
+            assert first.plan_cache == "miss", query.id
+            entry = newest_entry(session)
+            assert first.plan is entry.plan, "store keeps the tree it is given"
+            before = pickle.dumps(entry.plan)
+            runs = [
+                session.execute(query.sql),
+                session.execute(query.sql),
+                session.execute(query.sql, analyze=True),
+            ]
+            assert session.last_result.plan_cache == "hit", query.id
+            assert session.last_result.plan is entry.plan, query.id
+            assert session.last_result.analysis.render()
+            assert pickle.dumps(entry.plan) == before, query.id
+            for run in runs:
+                assert run.rows == uncached_rows[query.sql], query.id
+        stats = session.orca.plan_cache.stats()
+        assert (stats["stores"], stats["rebinds"]) == (len(QUERIES), 0)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_rebound_plans_return_the_uncached_rows(tpcds_db, uncached_rows, mode):
+    with cached_session(tpcds_db, execution_mode=mode) as session:
+        for query_id in REDRAWN:
+            base = queries_by_id()[query_id].sql
+            assert session.optimize(base).plan_cache == "miss"
+            stored = newest_entry(session).plan
+            before = pickle.dumps(stored)
+            sql = redrawn_sql(query_id)
+            for _ in range(2):
+                rows = session.execute(sql).rows
+                assert session.last_result.plan_cache == "rebind", query_id
+                assert rows == uncached_rows[sql], query_id
+            # ... and the entry still serves its own literal.
+            assert session.execute(base).rows == uncached_rows[base], query_id
+            assert session.last_result.plan is stored
+            assert pickle.dumps(stored) == before, query_id
+
+
+def test_feedback_ingest_leaves_cached_trees_byte_equal(tpcds_db):
+    """The ingest reads node shapes and actuals; entries it stale-dates
+    are dropped from the cache, never patched."""
+    with cached_session(
+        tpcds_db, enable_cardinality_feedback=True
+    ) as session:
+        for query in QUERIES[:12]:
+            first = session.optimize(query.sql)
+            before = pickle.dumps(first.plan)
+            session.execute(query.sql)  # executes and ingests
+            if session.last_result.plan_cache == "hit":
+                assert session.last_result.plan is first.plan
+            assert pickle.dumps(first.plan) == before, query.id
+        assert session.feedback.stats()["ingests"] > 0
+
+
+# ----------------------------------------------------------------------
+# A cached statement compiles once
+# ----------------------------------------------------------------------
+
+def compiles(tracer) -> tuple[int, int]:
+    return (
+        tracer.count("chain_compiled"),
+        sum(1 for span in tracer.spans if span.name == "fused:compile"),
+    )
+
+
+def test_second_execution_of_a_cached_statement_compiles_nothing(tpcds_db):
+    tracer = Tracer()
+    sql = queries_by_id()["star_brand"].sql
+    with cached_session(tpcds_db, tracer=tracer) as session:
+        session.execute(sql)
+        assert session.last_result.plan_cache == "miss"
+        stored = newest_entry(session).plan
+        first = compiles(tracer)
+        assert first[0] > 0 and first[0] == first[1]
+        for _ in range(3):
+            session.execute(sql)
+            assert session.last_result.plan_cache == "hit"
+            assert session.last_result.plan is stored
+        assert compiles(tracer) == first
+
+
+def test_adopted_entry_compiles_once_in_each_fleet_worker(tpcds_db):
+    """Worker 1 adopts worker 0's entry from the shared store (a pickle
+    carries no compiled chains), compiles it on its first execution and
+    never again."""
+    tracer = Tracer()
+    sql = queries_by_id()["star_brand"].sql
+    with repro.connect_fleet(
+        tpcds_db, workers=2, segments=8, enable_plan_cache=True,
+        tracer=tracer, request_timeout_seconds=60.0,
+    ) as fleet:
+        seen = []
+        for _ in range(6):
+            before = compiles(tracer)[1]
+            execution = fleet.execute(sql)
+            seen.append((execution.worker, compiles(tracer)[1] - before))
+        stats = fleet.worker_stats()
+    assert [worker for worker, _ in seen] == [0, 1] * 3
+    assert seen[0][1] > 0 and seen[1][1] == seen[0][1]
+    assert [n for _, n in seen[2:]] == [0, 0, 0, 0]
+    assert stats[1]["plan_cache"]["shared_hits"] == 1
+    assert stats[1]["plan_cache"]["misses"] == 0
+
+
+# ----------------------------------------------------------------------
+# A re-bind shares what it did not change
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("query_id", sorted(REDRAWN))
+def test_rebind_shares_every_untouched_subtree(tpcds_db, query_id):
+    with cached_session(tpcds_db) as session:
+        base = session.optimize(queries_by_id()[query_id].sql)
+        stored = newest_entry(session).plan
+        assert base.plan is stored
+        rebound = session.optimize(redrawn_sql(query_id))
+    assert rebound.plan_cache == "rebind"
+    # "d.d_moy = 3" is rendered "(d.d_moy#9 = 3)".
+    was, now = (" ".join(text.split()[1:]) + ")" for text in REDRAWN[query_id])
+    assert now in rebound.plan.explain() and was in stored.explain()
+    assert rebound.plan.explain() != stored.explain()
+    assert rebound.plan is not stored
+    pairs = list(zip(stored.walk(), rebound.plan.walk()))
+    assert len(pairs) == len(list(stored.walk()))
+    shared = 0
+    for old, new in pairs:
+        untouched = tree_key(old) == tree_key(new)
+        assert (new is old) == untouched, (old, new)
+        # An operator is rebuilt only around a changed constant.
+        assert (new.op is old.op) == (new.op == old.op), (old, new)
+        shared += untouched
+    assert 0 < shared < len(pairs)
+
+
+def test_rebind_shares_untouched_expressions_and_their_closures():
+    db = make_small_db(t1_rows=800, t2_rows=300)
+    template = (
+        "SELECT a + 1 AS a1, b FROM t2 WHERE a > {} AND b < {} ORDER BY a1, b"
+    )
+
+    def op_named(plan, name):
+        (node,) = [n for n in plan.walk() if n.op.name == name]
+        return node.op
+
+    def closures(expr):
+        return [
+            cache for cache in map(vars(expr).get, ("_row_cache", "_vec_cache"))
+            if cache
+        ]
+
+    with cached_session(db) as session:
+        session.execute(template.format(10, 500))
+        stored = newest_entry(session).plan
+        old = op_named(stored, "Filter")
+        kept, changed = old.predicate.children
+        projection = op_named(stored, "Project").projections[0][0]
+        assert closures(old.predicate) and closures(projection)
+        compiled = closures(projection)[0]
+
+        rows = session.execute(template.format(10, 600)).rows
+        assert session.last_result.plan_cache == "rebind"
+        plan = session.last_result.plan
+        new = op_named(plan, "Filter")
+        # Rebuilt around the changed constant, with no stale caches ...
+        assert new is not old and new.key() != old.key()
+        assert new.predicate.children[1] is not changed
+        assert new.predicate.children[1].right.value == 600
+        assert new.predicate.children[1].key()[3] == ("lit", "int4", 600)
+        assert changed.right.value == 500
+        # ... the sibling conjunct, the operator above (whose node had to
+        # be rebuilt) and the node below are the stored objects, and the
+        # projection still runs the closure compiled for the first text.
+        assert new.predicate.children[0] is kept
+        assert op_named(plan, "Project") is op_named(stored, "Project")
+        assert closures(projection)[0] is compiled
+        (scan,) = [n for n in stored.walk() if n.op.name == "TableScan"]
+        assert any(n is scan for n in plan.walk())
+    with repro.connect(db, segments=8) as plain:
+        assert rows == plain.execute(template.format(10, 600)).rows
+
+
+def test_fused_stage_code_is_compiled_once_per_source(tpcds_db):
+    """A re-bound plan recompiles its chains, but the generated source
+    holds no literal, so the code objects come from the memo."""
+    from repro.engine import fused
+
+    with cached_session(tpcds_db) as session:
+        session.execute(queries_by_id()["star_brand"].sql)
+        size = len(fused._stage_code)
+        assert size > 0
+        session.execute(redrawn_sql("star_brand"))
+        assert session.last_result.plan_cache == "rebind"
+        assert len(fused._stage_code) == size
+        for source, code in fused._stage_code.items():
+            assert "def _stage(" in source and code.co_filename == "<fused-pipeline>"

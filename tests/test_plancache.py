@@ -3,19 +3,25 @@
 A normalized query fingerprint (literals replaced by parameter markers)
 keys compiled plans by (query shape, optimizer config, catalog version).
 A repeat of the same statement is an exact *hit*; the same shape with
-different literals is a *rebind* — the cached physical plan is deep
-copied and its constants swapped in place, skipping the Memo search
-entirely.  These tests pin down the keying rules, the rebind row-level
-correctness, invalidation on catalog changes, LRU eviction, and the
-conservative fall-back to a miss whenever re-binding would be unsound.
+different literals is a *rebind* — the nodes of the cached physical plan
+that hold a changed constant are rebuilt around the new value and every
+other subtree is shared, skipping the Memo search entirely.  These
+tests pin down the keying rules, the rebind row-level correctness,
+invalidation on catalog changes, LRU eviction, and the conservative
+fall-back to a miss whenever re-binding would be unsound.  What a hit
+shares with the stored tree, and that nothing ever writes to it, is
+``tests/test_plan_immutability.py``.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.config import OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.optimizer import Orca
@@ -132,6 +138,32 @@ def test_rebind_handles_in_lists_and_multiple_params(cache_db):
         reference.plan, reference.output_cols
     )
     assert rows_equal(out_cached.rows, out_fresh.rows)
+
+
+def test_rebound_operator_answers_with_its_own_key(tpcds_db):
+    """A re-bound Filter used to keep the interned key of the plan it
+    was copied from (``Operator`` pickled ``_cached_key`` along), so it
+    compared equal to, and hashed like, a filter on the old literal."""
+    template = (
+        "SELECT i_brand, count(*) AS n FROM item WHERE i_manufact_id = {} "
+        "GROUP BY i_brand ORDER BY i_brand"
+    )
+    with repro.connect(tpcds_db, segments=8, enable_plan_cache=True) as session:
+        original = session.optimize(template.format(52))
+        rebound = session.optimize(template.format(7))
+    assert (original.plan_cache, rebound.plan_cache) == ("miss", "rebind")
+
+    def the_filter(plan):
+        (node,) = [n for n in plan.walk() if n.op.name == "Filter"]
+        return node.op
+
+    old, new = the_filter(original.plan), the_filter(rebound.plan)
+    assert old.key()[1][3] == ("lit", "int4", 52)
+    assert new.key()[1][3] == ("lit", "int4", 7)
+    assert new != old
+    fresh = type(new)(new.predicate.substitute({}))
+    assert new == fresh and hash(new) == hash(fresh)
+    assert "= 7)" in rebound.plan.explain()
 
 
 def test_catalog_change_invalidates(cache_db):
@@ -324,6 +356,26 @@ def prop_env():
     )
 
 
+def _assert_rebound_rows_match(prop_env, sql, expect_ops=()):
+    """``sql`` through the cached optimizer returns the rows a fresh
+    optimization does, and serving it leaves the stored tree alone."""
+    cached_orca, fresh_orca, cluster = prop_env
+    stored = [
+        (entry.plan, pickle.dumps(entry.plan))
+        for entry in cached_orca.plan_cache._entries.values()
+    ]
+    cached = cached_orca.optimize(sql)
+    fresh = fresh_orca.optimize(sql)
+    for name in expect_ops:
+        assert cached.plan.count_ops(name), (name, cached.plan.explain())
+    out_cached = Executor(cluster).execute(cached.plan, cached.output_cols)
+    out_fresh = Executor(cluster).execute(fresh.plan, fresh.output_cols)
+    assert rows_equal(out_cached.rows, out_fresh.rows), sql
+    for plan, blob in stored:
+        assert pickle.dumps(plan) == blob
+    return cached
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     lo=st.integers(min_value=-50, max_value=500),
@@ -331,13 +383,57 @@ def prop_env():
     lim=st.integers(min_value=1, max_value=60),
 )
 def test_property_rebound_plans_return_identical_rows(prop_env, lo, span, lim):
-    cached_orca, fresh_orca, cluster = prop_env
-    sql = (
+    _assert_rebound_rows_match(
+        prop_env,
         f"SELECT a, b FROM t1 WHERE b BETWEEN {lo} AND {lo + span} "
-        f"ORDER BY a, b LIMIT {lim}"
+        f"ORDER BY a, b LIMIT {lim}",
     )
-    cached = cached_orca.optimize(sql)
-    fresh = fresh_orca.optimize(sql)
-    out_cached = Executor(cluster).execute(cached.plan, cached.output_cols)
-    out_fresh = Executor(cluster).execute(fresh.plan, fresh.output_cols)
-    assert rows_equal(out_cached.rows, out_fresh.rows), sql
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    values=st.lists(
+        st.integers(min_value=-5, max_value=110),
+        min_size=3, max_size=3, unique=True,
+    ),
+    bound=st.integers(min_value=200, max_value=1100),
+)
+def test_property_rebound_in_lists_return_identical_rows(
+    prop_env, values, bound
+):
+    x, y, z = values
+    cached = _assert_rebound_rows_match(
+        prop_env,
+        f"SELECT a, b FROM t1 WHERE b IN ({x}, {y}, {z}) AND a < {bound} "
+        "ORDER BY a, b",
+        expect_ops=("Filter",),
+    )
+    (node,) = [n for n in cached.plan.walk() if n.op.name == "Filter"]
+    in_list = node.op.predicate.children[0]
+    assert in_list.values == (x, y, z)
+    assert in_list.key()[3] == (x, y, z)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    lo=st.integers(min_value=80, max_value=105),
+    tag=st.sampled_from("xyzw"),
+    open_ended=st.booleans(),
+)
+def test_property_rebound_index_bounds_return_identical_rows(
+    prop_env, lo, tag, open_ended
+):
+    """``lo``/``hi`` of an index scan are bare values on the operator,
+    not Literals; the residual beside them is an ordinary expression."""
+    pred = f"b > {lo}" if open_ended else f"b = {lo}"
+    cached = _assert_rebound_rows_match(
+        prop_env,
+        f"SELECT b, count(*) AS n FROM t1 WHERE {pred} AND c = '{tag}' "
+        "GROUP BY b ORDER BY b",
+        expect_ops=("IndexScan",),
+    )
+    (node,) = [n for n in cached.plan.walk() if n.op.name == "IndexScan"]
+    assert node.op.lo == lo
+    assert node.op.hi == (None if open_ended else lo)
+    assert node.op.key()[4:6] == (node.op.lo, node.op.hi)
+    assert repr(tag) in repr(node.op.residual)
