@@ -95,9 +95,10 @@ def test_fused_vs_batch_exec_only(mpp_db):
             Cluster(mpp_db, segments=SEGMENTS), plans, execution_mode=mode
         )
         for mode in (ExecutionMode.BATCH, ExecutionMode.FUSED)
-    }, ExecutionMode.BATCH, ExecutionMode.FUSED, ok=lambda x: x >= 1.5)
+    }, ExecutionMode.BATCH, ExecutionMode.FUSED, ok=lambda x: x >= 2.4)
     print(f"\nfused vs batch, corpus exec-only: {speedup:.2f}x")
-    assert speedup >= 1.5
+    # Measured 2.6-2.95x on the 2-vCPU sandbox; the bar leaves ~15%.
+    assert speedup >= 2.4
 
 
 @pytest.mark.skipif(

@@ -22,8 +22,14 @@ from repro.engine.columnar import (
     REPLICATED,
     Chunk,
     DColumns,
+    Emitter,
+    Layout,
+    _layout_key,
+    _row_code,
     compiled_row,
     compiled_vector,
+    load_generated,
+    row_cached,
 )
 from repro.engine.executor import (
     _agg_add_value,
@@ -285,6 +291,46 @@ def _b_hash_join(ex, node) -> DColumns:
     )
 
 
+def _nl_loop(op, n_outer: int, index):
+    """The generated pair loop of one nested-loops join:
+    ``f(outer rows, inner rows, params, nl_factor, null pad, append,
+    bound) -> work``.  The condition is inlined and reads both rows in
+    place, so an output row is built only for a pair that passed; the
+    per-pair ``work += nl_factor`` stays, in the row path's order."""
+    em = Emitter()
+    jk = op.kind
+    inner = jk is JoinKind.INNER
+    lines = ["    _w = 0.0", "    for _row in _o:"]
+    if not inner:
+        lines.append("        _hit = False")
+    lines += ["        for _cand in _i:", "            _w += _nlf"]
+    if op.condition is not None:
+        cond = em.truth(op.condition, Layout(index, n_outer))
+        lines += [f"            if not {cond}:", "                continue"]
+    if inner:
+        lines.append("            _append(_row + _cand)")
+    elif jk is JoinKind.LEFT:
+        lines += [
+            "            _hit = True",
+            "            _append(_row + _cand)",
+            "        if not _hit:",
+            "            _append(_row + _pad)",
+        ]
+    else:  # SEMI / ANTI stop at the first match
+        lines += [
+            "            _hit = True",
+            "            break",
+            "        if _hit:" if jk is JoinKind.SEMI else "        if not _hit:",
+            "            _append(_row)",
+        ]
+    src = "\n".join(
+        ["def _nl(_o, _i, _params, _nlf, _pad, _append, _B):"]
+        + em.unpack() + lines + ["    return _w", ""]
+    )
+    fn = load_generated(src, "<nl-join>", _row_code)["_nl"]
+    return fn, tuple(em.bound)
+
+
 def _b_nl_join(ex, node) -> DColumns:
     op = node.op
     outer = ex._exec(node.children[0])
@@ -295,42 +341,25 @@ def _b_nl_join(ex, node) -> DColumns:
     )
     null_pad = (None,) * len(inner.cols)
     kind = ex._join_output_kind(outer, inner)
-    full_index = _index(list(outer.cols) + list(inner.cols))
-    cond_fn = (
-        compiled_row(op.condition, full_index)
-        if op.condition is not None
-        else None
+    n_outer = len(outer.cols)
+    index = _index(list(outer.cols) + list(inner.cols))
+    cond = op.condition
+
+    def make():
+        return _nl_loop(op, n_outer, index)
+
+    loop, bound = make() if cond is None else row_cached(
+        cond, ("nl", op.kind, n_outer) + _layout_key(cond, index), make
     )
     params = ex._param_env
-    jk = op.kind
     nl_factor = ex.params.nl_factor
     metrics = ex.metrics
     out_buckets = []
     for seg, o_rows, i_rows in ex._join_sides(outer, inner):
-        work = 0.0
         bucket = []
-        append = bucket.append
-        for o_row in o_rows:
-            hit = False
-            for i_row in i_rows:
-                work += nl_factor
-                if cond_fn is not None and cond_fn(
-                    o_row + i_row, params
-                ) is not True:
-                    continue
-                hit = True
-                if jk is JoinKind.INNER or jk is JoinKind.LEFT:
-                    append(o_row + i_row)
-                elif jk is JoinKind.SEMI:
-                    append(o_row)
-                    break
-                else:
-                    break
-            if not hit:
-                if jk is JoinKind.LEFT:
-                    append(o_row + null_pad)
-                elif jk is JoinKind.ANTI:
-                    append(o_row)
+        work = loop(
+            o_rows, i_rows, params, nl_factor, null_pad, bucket.append, bound
+        )
         if seg == -1:
             metrics.charge_master(work)
         else:

@@ -15,15 +15,22 @@ row-at-a-time with per-row ``dict`` environments.  Two pieces live here:
 
 - **Compilation**: :func:`compiled_vector` compiles a scalar expression
   once per (expression, column layout) into a reusable closure mapping
-  whole columns to a result vector; :func:`compiled_row` compiles to a
-  positional per-row closure (used where output rows are data-dependent,
-  e.g. hash-join residuals).  Both preserve SQL three-valued logic
+  whole columns to a result vector.  Where output rows are
+  data-dependent (join residuals and conditions, the fused stage loops)
+  expressions are evaluated per row, and there they are *generated*:
+  :class:`Emitter` renders a ``ScalarExpr`` as Python expression source
+  that the caller inlines into its own loop (or, :func:`compiled_row`,
+  wraps in a ``lambda``).  Both forms preserve SQL three-valued logic
   exactly as ``ScalarExpr.evaluate`` implements it, value for value —
-  this is what keeps batch results bit-identical to the row path.
+  this is what keeps batch and fused results bit-identical to the row
+  path.
 
-Compiled closures are cached on the expression instances themselves
-(keyed by the column layout), so repeated executions of the same plan
-pay compilation once.
+Whatever is compiled from an expression is cached on the expression
+instance (``_vec_cache`` / ``_row_cache``, keyed by the column layout;
+left out of its pickle), so repeated executions of the same plan pay
+compilation once.  Generated source never spells a constant other than
+SQL ``NULL`` — values are bound by name — so code objects are memoized
+by source and a re-bound literal does not reach the Python compiler.
 """
 
 from __future__ import annotations
@@ -516,128 +523,266 @@ def compiled_vector(
 
 
 # ----------------------------------------------------------------------
-# Row-closure compiler
+# Row-expression emitter
 # ----------------------------------------------------------------------
+# Per-row evaluation is compiled, not interpreted: Emitter turns a
+# ScalarExpr into the source of one Python expression, which the fused
+# stage generator inlines into its loops, the nested-loops join into its
+# pair loop, and compiled_row wraps in a lambda.  Only constants leave
+# the source: every literal value, IN list and LIKE matcher is bound to
+# a ``_f<i>`` name (SQL NULL alone is spelled ``None``), so the source —
+# and with it each compiled-code memo — has one entry per expression
+# *shape*, whatever values a re-bind draws.
 
-def _rcompile(expr: ScalarExpr, index: Mapping[int, int]):
-    """Compile to ``f(row, params) -> value`` with positional access."""
-    t = type(expr)
-    if t is ColRefExpr:
-        pos = index.get(expr.ref.id)
-        if pos is not None:
-            return lambda r, p, _pos=pos: r[_pos]
-        cid = expr.ref.id
-        return lambda r, p, _cid=cid: p[_cid]
-    if t is Literal:
-        value = expr.value
-        return lambda r, p, _v=value: _v
-    if t is Comparison or t is Arith:
-        f = _rcompile(expr.left, index)
-        g = _rcompile(expr.right, index)
-        fn = (_CMP_FUNCS if t is Comparison else _ARITH_FUNCS)[expr.op]
+_PY_CMP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
-        def binary_fn(r, p, _f=f, _g=g, _fn=fn):
-            a = _f(r, p)
-            b = _g(r, p)
-            return None if a is None or b is None else _fn(a, b)
+#: Kinds whose ``evaluate`` yields only True, False or NULL.
+_BOOLEAN = (Comparison, BoolExpr, IsNull, InList, LikeExpr)
 
-        return binary_fn
-    if t is BoolExpr:
-        fns = [_rcompile(c, index) for c in expr.children]
-        if expr.op == BoolExpr.NOT:
-            f = fns[0]
 
-            def not_fn(r, p, _f=f):
-                v = _f(r, p)
-                return None if v is None else (not v)
+class Layout:
+    """Where generated code finds the columns an expression reads: in
+    the row ``_r`` or, while a join's output row is not built, in the
+    outer row ``_row`` and the inner row ``_cand`` (``split`` is the
+    outer row's width).  A column ``index`` does not hold is a
+    correlated parameter, read from ``_params`` at call time."""
 
-            return not_fn
-        if expr.op == BoolExpr.AND:
+    __slots__ = ("index", "split")
 
-            def and_fn(r, p, _fns=fns):
-                saw_null = False
-                for f in _fns:
-                    v = f(r, p)
-                    if v is False:
-                        return False
-                    if v is None:
-                        saw_null = True
-                return None if saw_null else True
+    def __init__(self, index: Mapping[int, int], split: Optional[int] = None):
+        self.index = index
+        self.split = split
 
-            return and_fn
+    def at(self, pos: int) -> str:
+        split = self.split
+        if split is None:
+            return f"_r[{pos}]"
+        return f"_row[{pos}]" if pos < split else f"_cand[{pos - split}]"
 
-        def or_fn(r, p, _fns=fns):
-            saw_null = False
-            for f in _fns:
-                v = f(r, p)
-                if v is True:
-                    return True
-                if v is None:
-                    saw_null = True
-            return None if saw_null else False
+    @property
+    def row(self) -> str:
+        return "_r" if self.split is None else "(_row + _cand)"
 
-        return or_fn
-    if t is IsNull:
-        f = _rcompile(expr.arg, index)
-        if expr.negated:
-            return lambda r, p, _f=f: _f(r, p) is not None
-        return lambda r, p, _f=f: _f(r, p) is None
-    if t is InList:
-        f = _rcompile(expr.arg, index)
-        values = expr.values
-        if expr.negated:
-            return lambda r, p, _f=f, _vals=values: (
-                None if (v := _f(r, p)) is None else v not in _vals
-            )
-        return lambda r, p, _f=f, _vals=values: (
-            None if (v := _f(r, p)) is None else v in _vals
-        )
-    if t is LikeExpr:
-        f = _rcompile(expr.arg, index)
-        match = expr._regex.match
-        if expr.negated:
-            return lambda r, p, _f=f, _m=match: (
-                None if (v := _f(r, p)) is None else not bool(_m(str(v)))
-            )
-        return lambda r, p, _f=f, _m=match: (
-            None if (v := _f(r, p)) is None else bool(_m(str(v)))
-        )
-    if t is CaseExpr:
-        whens = [
-            (_rcompile(c, index), _rcompile(r, index)) for c, r in expr.whens
-        ]
-        els = _rcompile(expr.else_, index)
 
-        def case_fn(r, p, _whens=whens, _els=els):
-            for cond, result in _whens:
-                if cond(r, p) is True:
-                    return result(r, p)
-            return _els(r, p)
-
-        return case_fn
-
+def _evaluate_row(expr: ScalarExpr, index: Mapping[int, int]):
+    """``f(row, params)`` for an expression kind the emitter does not
+    know: ``evaluate`` over a per-row environment, like the row path."""
     items = tuple(index.items())
 
-    def fallback(r, p, _expr=expr, _items=items):
-        env = {cid: r[pos] for cid, pos in _items}
+    def fallback(r, p):
+        env = {cid: r[pos] for cid, pos in items}
         for cid, value in p.items():
             env.setdefault(cid, value)
-        return _expr.evaluate(env)
+        return expr.evaluate(env)
 
     return fallback
+
+
+class Emitter:
+    """``ScalarExpr`` -> Python expression source, in two modes.
+
+    :meth:`value` renders an expression whose value is exactly
+    ``expr.evaluate(env)``; :meth:`truth` one that is truthy exactly
+    when ``expr.evaluate(env) is True`` (what a filter, a join
+    condition and a CASE arm ask), which needs no intermediate NULL.
+    Sub-expressions are evaluated in ``evaluate``'s order but never
+    past the point that decides the result (a NULL left operand, a
+    non-true conjunct in truth mode), so the source can only skip an
+    exception ``evaluate`` would raise, never add one.
+
+    Every sub-expression is emitted in parentheses (``_t1 > _f2 is
+    True`` would be a chained comparison), temporaries are ``_t<n>``
+    walrus targets, and constants go to ``bound`` as ``_f<i>``.
+    N-ary AND / OR and CASE arms are emitted flat; what nests is
+    operand depth, which CPython's 200-parenthesis limit caps near 90
+    levels (the SQL frontend gives out around 25).
+    """
+
+    def __init__(self):
+        self.bound: list = []
+        self._temps = 0
+
+    def bind(self, obj) -> str:
+        self.bound.append(obj)
+        return f"_f{len(self.bound) - 1}"
+
+    def unpack(self) -> list[str]:
+        """Function-body lines that load every bound constant from
+        ``_B`` into the local its name promises."""
+        return [f"    _f{i} = _B[{i}]" for i in range(len(self.bound))]
+
+    def value(self, expr: ScalarExpr, layout: Layout) -> str:
+        return self._emit(expr, layout, False)
+
+    def truth(self, expr: ScalarExpr, layout: Layout) -> str:
+        return self._emit(expr, layout, True)
+
+    def _temp(self) -> str:
+        self._temps += 1
+        return f"_t{self._temps}"
+
+    def _operand(self, expr, layout) -> tuple[str, str]:
+        """(source at first use, source at later uses); the two are the
+        same name when the operand is a constant and needs no NULL test."""
+        src = self.value(expr, layout)
+        if type(expr) is Literal:
+            return src, src
+        temp = self._temp()
+        return f"({temp} := {src})", temp
+
+    @staticmethod
+    def _strict(operands, result: str, truth: bool) -> str:
+        """A node that is NULL when any operand is; ``result`` (boolean
+        in truth mode) reads the operands by their later-use names."""
+        if any(again == "None" for _first, again in operands):
+            return "False" if truth else "None"
+        tests = [first for first, again in operands if first != again]
+        if truth:
+            return "(" + " and ".join(
+                [f"{t} is not None" for t in tests] + [result]
+            ) + ")"
+        if not tests:
+            return result
+        nulls = " or ".join(f"{t} is None" for t in tests)
+        return f"(None if {nulls} else {result})"
+
+    def _emit(self, expr, layout, truth):
+        t = type(expr)
+        if t is Comparison:
+            a = self._operand(expr.left, layout)
+            b = self._operand(expr.right, layout)
+            return self._strict(
+                [a, b], f"({a[1]} {_PY_CMP[expr.op]} {b[1]})", truth
+            )
+        if t is BoolExpr:
+            return self._bool(expr, layout, truth)
+        if t is IsNull:
+            test = "is not None" if expr.negated else "is None"
+            return f"({self.value(expr.arg, layout)} {test})"
+        if t is InList:
+            a = self._operand(expr.arg, layout)
+            test = "not in" if expr.negated else "in"
+            return self._strict(
+                [a], f"({a[1]} {test} {self.bind(expr.values)})", truth
+            )
+        if t is LikeExpr:
+            a = self._operand(expr.arg, layout)
+            test = "is None" if expr.negated else "is not None"
+            match = self.bind(expr._regex.match)
+            return self._strict(
+                [a], f"({match}(str({a[1]})) {test})", truth
+            )
+        if t is CaseExpr:
+            arms = [
+                (self.truth(cond, layout), self._emit(result, layout, truth))
+                for cond, result in expr.whens
+            ]
+            return "(" + "".join(
+                f"{result} if {cond} else " for cond, result in arms
+            ) + self._emit(expr.else_, layout, truth) + ")"
+        # The remaining kinds have no cheaper truth form than their value.
+        if t is ColRefExpr:
+            pos = layout.index.get(expr.ref.id)
+            src = layout.at(pos) if pos is not None else (
+                f"_params[{expr.ref.id}]"
+            )
+        elif t is Literal:
+            src = "None" if expr.value is None else self.bind(expr.value)
+        elif t is Arith:
+            a = self._operand(expr.left, layout)
+            b = self._operand(expr.right, layout)
+            if expr.op == "/":
+                result = f"(({a[1]} / {b[1]}) if {b[1]} else None)"
+            else:
+                result = f"({a[1]} {expr.op} {b[1]})"
+            src = self._strict([a, b], result, False)
+        else:
+            fallback = self.bind(_evaluate_row(expr, layout.index))
+            src = f"{fallback}({layout.row}, _params)"
+        return f"({src} is True)" if truth else src
+
+    def _bool(self, expr, layout, truth):
+        kids = expr.children
+        if expr.op == BoolExpr.NOT:
+            a = self._operand(kids[0], layout)
+            return self._strict([a], f"(not {a[1]})", truth)
+        is_and = expr.op == BoolExpr.AND
+        if not kids:
+            return "True" if is_and else "False"
+        if truth and is_and:
+            return "(" + " and ".join(
+                self._holds(kid, layout) for kid in kids
+            ) + ")"
+        if truth:
+            return "(" + " or ".join(
+                self.truth(kid, layout) for kid in kids
+            ) + ")"
+        # evaluate(): stop at the first False (AND) / True (OR) by
+        # identity, else NULL if any child was NULL.
+        stop, done = ("False", "True") if is_and else ("True", "False")
+        temps = [self._temp() for _ in kids]
+        stops = " or ".join(
+            f"({temp} := {self.value(kid, layout)}) is {stop}"
+            for temp, kid in zip(temps, kids)
+        )
+        nulls = " or ".join(f"{temp} is None" for temp in temps)
+        return f"({stop} if {stops} else (None if {nulls} else {done}))"
+
+    def _holds(self, expr, layout) -> str:
+        """A conjunct that does not fail an AND: neither False nor NULL."""
+        if type(expr) in _BOOLEAN:
+            return self.truth(expr, layout)
+        temp = self._temp()
+        return (
+            f"(({temp} := {self.value(expr, layout)}) is not False"
+            f" and {temp} is not None)"
+        )
+
+
+def load_generated(src: str, filename: str, memo: dict, **names) -> dict:
+    """Execute generated module source with ``names`` as its globals
+    and return the namespace.  The code object is compiled once per
+    distinct source and kept in ``memo``, so only a new *shape* ever
+    reaches the Python compiler."""
+    code = memo.get(src)
+    if code is None:
+        code = memo[src] = compile(src, filename, "exec")
+    exec(code, names)  # noqa: S102
+    return names
+
+
+#: Generated row-expression and nested-loops-join source -> code object.
+_row_code: dict[str, Any] = {}
+
+
+def row_cached(expr: ScalarExpr, key: tuple, make: Callable[[], Any]):
+    """``make()``, once per (expression instance, ``key``): what is
+    compiled from an expression lives in its ``_row_cache``, which its
+    pickle leaves out."""
+    cache = expr.__dict__.get("_row_cache")
+    if cache is None:
+        cache = expr._row_cache = {}
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = make()
+    return hit
 
 
 def compiled_row(
     expr: ScalarExpr, index: Mapping[int, int]
 ) -> Callable[[tuple, Mapping[int, Any]], Any]:
-    """Compile ``expr`` into a reusable per-row closure (cached like
-    :func:`compiled_vector`)."""
-    cache = getattr(expr, "_row_cache", None)
-    if cache is None:
-        cache = {}
-        expr._row_cache = cache
-    key = _layout_key(expr, index)
-    fn = cache.get(key)
-    if fn is None:
-        fn = cache[key] = _rcompile(expr, index)
-    return fn
+    """Compile ``expr`` into a reusable ``f(row, params) -> value``
+    for the column layout ``index``."""
+
+    def make():
+        em = Emitter()
+        body = em.value(expr, Layout(index))
+        src = "\n".join(
+            ["def _make(_B):"] + em.unpack()
+            + [f"    return lambda _r, _params: {body}", ""]
+        )
+        return load_generated(
+            src, "<row-expression>", _row_code
+        )["_make"](em.bound)
+
+    return row_cached(expr, _layout_key(expr, index), make)

@@ -10,6 +10,28 @@ filters drop rows in place, projects extend the row tuple, join probes
 feed matches straight into downstream operators, and an aggregation
 sink folds rows into its group table as they arrive.
 
+The loops are compiled through, expressions included: filter
+predicates, projections, aggregate arguments and join residuals are
+rendered by :class:`repro.engine.columnar.Emitter` and inlined into the
+stage source, so a stage calls no Python function per row (an
+expression kind the emitter does not know keeps an ``evaluate()``
+closure, and a DISTINCT aggregate its ``_agg_add_value`` call).  Next
+to ``_stage`` the same source defines ``_build`` (build rows -> hash
+table) for a join stage and ``_init`` / ``_final`` (a fresh group
+state, groups -> output rows) for a sink stage, so the shapes they
+share are decided once:
+
+- *keys*: one emitter for build and probe at any arity; a one-column
+  join or group key is the bare value, two or more a tuple (a group
+  key is widened back to a tuple when its row is finalized);
+- *aggregate state*: one flat list per group with a literal
+  initializer in the source — ``count``, ``sum``, ``min`` and ``max``
+  one cell each, ``avg`` two (sum, n); sums stay ``_a + _v`` in arrival
+  order, so floats are ``==`` the row path's;
+- *rows*: a residual reads the probe row and the build row in place,
+  and the joined row is built only for a pair that passed — not at all
+  when nothing stands between the probe and the sink.
+
 The contract with the row and batch executors is strict float identity.
 Work charges depend only on per-node per-bucket row counts, so the
 fused path streams first (touching no metrics, only counting rows at
@@ -27,10 +49,11 @@ a cached plan pay compilation once; ``PlanNode.__getstate__`` strips the
 cache so plans still pickle into the fleet's ``SharedPlanStore`` (a
 worker that adopts an entry compiles it on its first execution and
 never again).  A re-bound plan has a new root and compiles its chains
-anew, but the generated stage source holds no literal (expression
-closures arrive through ``_B``), so the code objects come from
-``_stage_code``'s by-source memo and the closures of every untouched
-expression from the stored tree.
+anew, but the generated source holds no constant except SQL ``NULL``:
+literal values, ``IN`` lists, ``LIKE`` matchers, NULL pads and DISTINCT
+aggregates arrive through ``_B``.  The code objects therefore come from
+``_stage_code``'s by-source memo — one entry per stage *shape* — and a
+re-bind does not reach the Python compiler.
 
 When the executor carries a :class:`repro.engine.parallel.MorselPool`,
 the streaming phase of every stage is dispatched across the pool — one
@@ -42,10 +65,16 @@ serial fused path.  See DESIGN.md §3l.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable, Optional
 
-from repro.engine.columnar import REPLICATED, Chunk, DColumns, compiled_row
+from repro.engine.columnar import (
+    REPLICATED,
+    Chunk,
+    DColumns,
+    Emitter,
+    Layout,
+    load_generated,
+)
 from repro.engine.executor import (
     _agg_add_value,
     _agg_final,
@@ -56,7 +85,6 @@ from repro.engine.parallel import ChainSpec, next_chain_key
 from repro.engine.pipeline import Pipeline, fusable_pipelines
 from repro.ops import physical as ph
 from repro.ops.logical import JoinKind
-from repro.ops.scalar import ColRefExpr
 from repro.props.order import SortKey
 from repro.search.plan import PlanNode
 
@@ -115,35 +143,35 @@ class _Stage:
     a run of filters/projects, and an optional aggregation sink."""
 
     __slots__ = (
-        "join", "run", "agg", "fn", "bound", "ops_order", "counter_of",
-        "l_pos", "r_pos", "pad", "n_outer", "residual_fn", "source",
+        "join", "run", "agg", "fn", "build", "init", "final", "bound",
+        "ops_order", "counter_of", "source",
     )
 
     def __init__(self):
         self.join: Optional[PlanNode] = None
         self.run: list[PlanNode] = []
         self.agg: Optional[PlanNode] = None
+        #: The generated functions: the streaming loop; for a join
+        #: stage, build rows -> hash table; for a sink stage, a fresh
+        #: group state and groups -> output rows.
         self.fn: Optional[Callable] = None
+        self.build: Optional[Callable] = None
+        self.init: Optional[Callable] = None
+        self.final: Optional[Callable] = None
         self.bound: tuple = ()
         self.ops_order: list[PlanNode] = []
         #: id(node) -> index into the counter tuple the stage fn returns.
         self.counter_of: dict[int, int] = {}
-        self.l_pos: list[int] = []
-        self.r_pos: list[int] = []
-        self.pad: tuple = ()
-        self.n_outer: int = 0
-        self.residual_fn: Optional[Callable] = None
         self.source: str = ""
 
 
 class CompiledChain:
-    __slots__ = ("stages", "node_cols", "agg_node", "key", "spec")
+    __slots__ = ("stages", "node_cols", "key", "spec")
 
-    def __init__(self, stages, node_cols, agg_node):
+    def __init__(self, stages, node_cols):
         self.stages: list[_Stage] = stages
         #: id(node) -> output column layout (widths / final result).
         self.node_cols: dict[int, list] = node_cols
-        self.agg_node: Optional[PlanNode] = agg_node
         #: Process-unique id the morsel pool keys worker compile caches
         #: by, and the picklable compile recipe shipped to each worker
         #: (at most once per worker); both set by :func:`run_chain`.
@@ -173,335 +201,318 @@ def _compile_chain(chain: Pipeline, src_cols, inners) -> CompiledChain:
     cols = list(src_cols)
     node_cols: dict[int, list] = {}
     stages = _partition_stages(chain.ops)
-    agg_node = None
     for st in stages:
-        if st.join is not None:
-            op = st.join.op
-            inner_cols = inners[id(st.join)].cols
-            st.l_pos = [_index(cols)[c.id] for c in op.left_keys]
-            st.r_pos = [_index(inner_cols)[c.id] for c in op.right_keys]
-            st.pad = (None,) * len(inner_cols)
-            st.n_outer = len(cols)
-            if not op.kind.output_is_left_only():
-                cols = list(cols) + list(inner_cols)
-            # Same expression + same layout as the batch handler, so the
-            # cached closure (and its float behavior) is literally shared.
-            st.residual_fn = (
-                compiled_row(op.residual, _index(cols))
-                if op.residual is not None
-                else None
-            )
-            node_cols[id(st.join)] = cols
-        run_meta = []
-        for node in st.run:
-            if type(node.op) is ph.PhysicalFilter:
-                run_meta.append(
-                    ("filter", node,
-                     compiled_row(node.op.predicate, _index(cols)))
-                )
-            else:
-                fns = [
-                    compiled_row(e, _index(cols))
-                    for e, _c in node.op.projections
-                ]
-                cols = list(cols) + [c for _e, c in node.op.projections]
-                run_meta.append(("project", node, fns))
-            node_cols[id(node)] = cols
-        agg_meta = None
-        if st.agg is not None:
-            agg_node = st.agg
-            op = st.agg.op
-            index = _index(cols)
-            g_pos = [index[c.id] for c in op.group_cols]
-            args = []
-            for a, _c in op.aggs:
-                pos = (
-                    index.get(a.arg.ref.id)
-                    if isinstance(a.arg, ColRefExpr)
-                    else None
-                )
-                fn = (
-                    compiled_row(a.arg, index)
-                    if a.arg is not None and pos is None
-                    else None
-                )
-                args.append((a, pos, fn))
-            agg_meta = (g_pos, args)
-            cols = list(op.group_cols) + [c for _a, c in op.aggs]
-            node_cols[id(st.agg)] = cols
-        _generate_stage(st, run_meta, agg_meta)
+        inner_cols = (
+            list(inners[id(st.join)].cols) if st.join is not None else None
+        )
+        cols = _StageGen(st, node_cols).generate(cols, inner_cols)
         st.ops_order = (
             ([st.join] if st.join is not None else [])
             + st.run
             + ([st.agg] if st.agg is not None else [])
         )
-    return CompiledChain(stages, node_cols, agg_node)
+    return CompiledChain(stages, node_cols)
 
 
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
 
-def _emit_body(body, ind, run_meta, agg_meta, bound, counters, var):
-    """Emit the streaming body operating on row variable ``var``.
-
-    A generated ``continue`` must advance to the next candidate output
-    row of the enclosing loop, which every call site guarantees by
-    construction.
-    """
-    r = var
-    for kind, node, payload in run_meta:
-        if kind == "filter":
-            fi = len(bound)
-            bound.append(payload)
-            ci = counters.setdefault(id(node), len(counters))
-            body.append(f"{ind}if _f{fi}({r}, _params) is not True:")
-            body.append(f"{ind}    continue")
-            body.append(f"{ind}_c{ci} += 1")
-        else:
-            calls = []
-            for fn in payload:
-                fi = len(bound)
-                bound.append(fn)
-                calls.append(f"_f{fi}({r}, _params)")
-            body.append(f"{ind}{r} = {r} + ({', '.join(calls)},)")
-    if agg_meta is None:
-        body.append(f"{ind}_append({r})")
-        return
-    g_pos, args = agg_meta
-    _emit_agg(body, ind, g_pos, args, bound,
-              lambda p: f"{r}[{p}]", lambda fi: f"_f{fi}({r}, _params)")
+def _tuple(items) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
-def _emit_agg(body, ind, g_pos, args, bound, at, call):
-    """Emit the aggregation sink: group lookup + inlined accumulators.
+def _emit_key(out, ind, positions, row) -> tuple[str, str]:
+    """The one key path, for the build loop and the probe loop at any
+    arity: bind each key column of ``row`` to ``_k<i>`` and return (the
+    any-is-NULL test, the key).  A single-column key is the bare value;
+    two or more make a tuple."""
+    names = [f"_k{i}" for i in range(len(positions))]
+    for name, pos in zip(names, positions):
+        out.append(f"{ind}{name} = {row}[{pos}]")
+    null = " or ".join(f"{name} is None" for name in names) or "False"
+    return null, names[0] if len(names) == 1 else _tuple(names)
 
-    ``at(pos)`` renders a positional accessor and ``call(fi)`` a bound
-    closure call, parameterized so the direct probe mode can index the
-    outer/build rows without concatenating them first.
-    """
-    if not g_pos:
-        key = "()"
-    else:
-        key = (
-            "(" + ", ".join(at(p) for p in g_pos)
-            + ("," if len(g_pos) == 1 else "") + ")"
-        )
-    body.append(f"{ind}_gk = {key}")
-    body.append(f"{ind}_st = _gget(_gk)")
-    body.append(f"{ind}if _st is None:")
-    body.append(f"{ind}    _st = _groups[_gk] = _ginit()")
-    for j, (agg, pos, fn) in enumerate(args):
-        name = agg.name
-        if agg.arg is None:
-            if name == "count" and not agg.distinct:
-                # count(*): unconditional (mirrors _agg_add_value, which
-                # increments before any NULL/DISTINCT handling).
-                body.append(f"{ind}_st[{j}][0] += 1")
+
+#: Initial cells of the aggregates whose state is inlined; DISTINCT
+#: aggregates keep their ``_agg_init`` slot in one cell instead.
+_AGG_CELLS = {
+    "count": ["0"],
+    "sum": ["None"],
+    "avg": ["None", "0"],
+    "min": ["None"],
+    "max": ["None"],
+}
+
+
+class _AggState:
+    """The flat per-group state of an aggregation sink: one list per
+    group, each aggregate's cells at a fixed offset."""
+
+    def __init__(self, op, em: Emitter):
+        self.op = op
+        #: (aggregate, offset of its first cell, its index in ``_B``
+        #: when it goes through _agg_add_value / _agg_final, else None).
+        self.cells: list[tuple] = []
+        init: list[str] = []
+        for agg, _c in op.aggs:
+            offset = len(init)
+            if agg.distinct:
+                slot = len(em.bound)
+                em.bind(agg)
+                init.append(f"_agg_init(_B[{slot}])")
             else:
-                ai = len(bound)
-                bound.append(agg)
-                body.append(f"{ind}_aav(_st[{j}], _f{ai}, 1)")
-            continue
-        if pos is not None:
-            val = at(pos)
+                slot = None
+                init.extend(_AGG_CELLS[agg.name])
+            self.cells.append((agg, offset, slot))
+        #: List display that creates a new group's state.
+        self.init = "[" + ", ".join(init) + "]"
+        #: Stage prologue: a scalar aggregation has one group, found
+        #: once per call and not once per row.
+        self.head = (
+            "    _gget = _groups.get" if op.group_cols else "    _st = None"
+        )
+
+    def emit_fold(self, out, ind, em: Emitter, layout: Layout) -> None:
+        """Emit the group lookup and one row's fold into its state."""
+        g_pos = [layout.index[c.id] for c in self.op.group_cols]
+        if not g_pos:
+            out.append(f"{ind}if _st is None:")
+            out.append(f"{ind}    _st = _groups[()] = {self.init}")
         else:
-            fi = len(bound)
-            bound.append(fn)
-            val = call(fi)
-        if agg.distinct or name not in ("count", "sum", "avg", "min", "max"):
-            ai = len(bound)
-            bound.append(agg)
-            body.append(f"{ind}_aav(_st[{j}], _f{ai}, {val})")
-            continue
-        body.append(f"{ind}_v = {val}")
-        body.append(f"{ind}if _v is not None:")
-        if name == "count":
-            body.append(f"{ind}    _st[{j}][0] += 1")
-        elif name in ("sum", "avg"):
-            body.append(f"{ind}    _a = _st[{j}][0]")
-            body.append(f"{ind}    _a[0] = _v if _a[0] is None else _a[0] + _v")
-            body.append(f"{ind}    _a[1] += 1")
-        elif name == "min":
-            body.append(f"{ind}    _s = _st[{j}]")
-            body.append(f"{ind}    if _s[0] is None or _v < _s[0]:")
-            body.append(f"{ind}        _s[0] = _v")
-        else:  # max
-            body.append(f"{ind}    _s = _st[{j}]")
-            body.append(f"{ind}    if _s[0] is None or _v > _s[0]:")
-            body.append(f"{ind}        _s[0] = _v")
+            keys = [layout.at(p) for p in g_pos]
+            out.append(
+                f"{ind}_gk = {keys[0] if len(keys) == 1 else _tuple(keys)}"
+            )
+            out.append(f"{ind}_st = _gget(_gk)")
+            out.append(f"{ind}if _st is None:")
+            out.append(f"{ind}    _st = _groups[_gk] = {self.init}")
+        for agg, o, slot in self.cells:
+            # count(*) folds the constant 1 (mirrors _agg_add).
+            val = "1" if agg.arg is None else em.value(agg.arg, layout)
+            if slot is not None:
+                out.append(f"{ind}_agg_add_value(_st[{o}], _f{slot}, {val})")
+            elif agg.arg is None and agg.name == "count":
+                out.append(f"{ind}_st[{o}] += 1")
+            elif agg.name == "count":
+                out.append(f"{ind}if {val} is not None:")
+                out.append(f"{ind}    _st[{o}] += 1")
+            else:
+                out.append(f"{ind}_v = {val}")
+                out.append(f"{ind}if _v is not None:")
+                out.append(f"{ind}    _a = _st[{o}]")
+                if agg.name in ("sum", "avg"):
+                    out.append(
+                        f"{ind}    _st[{o}] = _v if _a is None else _a + _v"
+                    )
+                    if agg.name == "avg":
+                        out.append(f"{ind}    _st[{o + 1}] += 1")
+                else:
+                    cmp = "<" if agg.name == "min" else ">"
+                    out.append(f"{ind}    if _a is None or _v {cmp} _a:")
+                    out.append(f"{ind}        _st[{o}] = _v")
+
+    def emit_defs(self) -> list[str]:
+        """``_init()`` (the scalar-over-empty group) and ``_final``
+        (groups -> output rows, the key widened back to a tuple)."""
+        outs = []
+        for agg, o, slot in self.cells:
+            if slot is not None:
+                outs.append(f"_agg_final(_s[{o}], _B[{slot}])")
+            elif agg.name == "avg":
+                outs.append(
+                    f"(None if _s[{o + 1}] == 0 or _s[{o}] is None"
+                    f" else _s[{o}] / _s[{o + 1}])"
+                )
+            else:
+                outs.append(f"_s[{o}]")
+        nkeys = len(self.op.group_cols)
+        if nkeys == 1:
+            row = _tuple(["_k"] + outs)
+        elif nkeys:
+            row = f"_k + {_tuple(outs)}"
+        else:
+            row = _tuple(outs)
+        return [
+            "def _init(_B):",
+            f"    return {self.init}",
+            "def _final(_groups, _B):",
+            "    _out = []",
+            "    _append = _out.append",
+            "    for _k, _s in _groups.items():",
+            f"        _append({row})",
+            "    return _out",
+        ]
 
 
-def _key_expr(positions, row):
-    if len(positions) == 1:
-        return f"({row}[{positions[0]}],)"
-    return "(" + ", ".join(f"{row}[{p}]" for p in positions) + ")"
+class _StageGen:
+    """Generates one stage's source: the streaming loop ``_stage``,
+    plus ``_build`` for a join stage and ``_init`` / ``_final`` for a
+    sink stage."""
 
+    def __init__(self, st: _Stage, node_cols: dict[int, list]):
+        self.st = st
+        self.node_cols = node_cols
+        self.em = Emitter()
+        self.counters: dict[int, int] = {}
+        self.state = (
+            _AggState(st.agg.op, self.em) if st.agg is not None else None
+        )
 
-def _generate_stage(st: _Stage, run_meta, agg_meta) -> None:
-    bound: list = []
-    counters: dict[int, int] = {}
-    prologue: list[str] = []
-    loop: list[str] = []
-    body: list[str] = []
-    has_agg = agg_meta is not None
-    if has_agg:
-        aggs = st.agg.op.aggs
-        ii = len(bound)
-        bound.append(lambda _a=aggs: [_agg_init(a) for a, _c in _a])
-        prologue.append(f"    _ginit = _B[{ii}]")
-        prologue.append("    _gget = _groups.get")
-        ai = len(bound)
-        bound.append(_agg_add_value)
-        prologue.append(f"    _aav = _B[{ai}]")
-    if st.join is None:
-        header = "def _stage(_rows, _params, _append, _B, _groups):"
-        loop.append("    for _r in _rows:")
-        _emit_body(body, "        ", run_meta, agg_meta, bound, counters, "_r")
-    else:
+    def counter(self, node) -> str:
+        return f"_c{self.counters.setdefault(id(node), len(self.counters))}"
+
+    def emit_row(self, out, ind, cols, split=None, row=None) -> list:
+        """Emit what one candidate output row goes through: the stage's
+        filters and projects over ``_r`` (assigned from ``row``), then
+        the sink or ``_append``.  With ``split`` there is nothing
+        between probe and sink and the fold reads the ``_row`` /
+        ``_cand`` pair as it stands.  Returns the output columns.
+
+        A generated ``continue`` must advance to the next candidate
+        output row of the enclosing loop, which every call site
+        guarantees by construction.
+        """
+        em = self.em
+        if self.state is None and not self.st.run:
+            out.append(f"{ind}_append({row or '_r'})")
+            return cols
+        if row is not None:
+            out.append(f"{ind}_r = {row}")
+        layout = Layout(_index(cols))
+        for node in self.st.run:
+            op = node.op
+            if type(op) is ph.PhysicalFilter:
+                out.append(f"{ind}if not {em.truth(op.predicate, layout)}:")
+                out.append(f"{ind}    continue")
+                out.append(f"{ind}{self.counter(node)} += 1")
+            else:
+                values = [em.value(e, layout) for e, _c in op.projections]
+                out.append(f"{ind}_r = _r + {_tuple(values)}")
+                cols = cols + [c for _e, c in op.projections]
+                layout = Layout(_index(cols))
+            self.node_cols[id(node)] = cols
+        if self.state is None:
+            out.append(f"{ind}_append(_r)")
+            return cols
+        self.state.emit_fold(out, ind, em, Layout(layout.index, split))
+        op = self.st.agg.op
+        cols = list(op.group_cols) + [c for _a, c in op.aggs]
+        self.node_cols[id(self.st.agg)] = cols
+        return cols
+
+    def generate(self, cols: list, inner_cols: Optional[list]) -> list:
+        """Compile the stage over input columns ``cols`` (``inner_cols``:
+        its join's build side); returns the stage's output columns."""
+        st = self.st
+        head: list[str] = []
+        loop: list[str] = []
+        defs: list[str] = []
+        if self.state is not None:
+            head.append(self.state.head)
+            defs = self.state.emit_defs()
+        if st.join is None:
+            header = "def _stage(_rows, _params, _append, _B, _groups):"
+            loop.append("    for _r in _rows:")
+            cols = self.emit_row(loop, "        ", cols)
+        else:
+            header = "def _stage(_rows, _table, _params, _append, _B, _groups):"
+            cols = self._emit_probe(head, loop, defs, cols, inner_cols)
+        n = len(self.counters)
+        names = [f"_c{i}" for i in range(n)]
+        if n:
+            head.append("    " + " = ".join(names) + " = 0")
+        src = "\n".join(
+            [header] + self.em.unpack() + head + loop
+            + [f"    return {_tuple(names)}"] + defs
+        ) + "\n"
+        namespace = load_generated(
+            src, "<fused-pipeline>", _stage_code,
+            _E=_EMPTY, _agg_init=_agg_init, _agg_add_value=_agg_add_value,
+            _agg_final=_agg_final,
+        )
+        st.fn = namespace["_stage"]
+        st.build = namespace.get("_build")
+        st.init = namespace.get("_init")
+        st.final = namespace.get("_final")
+        st.bound = tuple(self.em.bound)
+        st.counter_of = self.counters
+        st.source = src
+        return cols
+
+    def _emit_probe(self, head, loop, defs, cols, inner_cols) -> list:
+        """Emit the probe loop of a hash-join stage (and ``_build``)."""
+        st = self.st
+        em = self.em
         op = st.join.op
         jk = op.kind
-        jc = counters.setdefault(id(st.join), len(counters))
-        header = "def _stage(_rows, _table, _params, _append, _B, _groups):"
-        prologue.append("    _get = _table.get")
-        lp = st.l_pos
-        fast = st.residual_fn is None and jk is JoinKind.INNER
-        direct = (
-            fast
-            and not run_meta
-            and has_agg
-            and all(fn is None for _a, _p, fn in agg_meta[1])
+        hits = self.counter(st.join)
+        n_outer = len(cols)
+        outer_index, inner_index = _index(cols), _index(inner_cols)
+        l_pos = [outer_index[c.id] for c in op.left_keys]
+        r_pos = [inner_index[c.id] for c in op.right_keys]
+        left_only = jk.output_is_left_only()
+        out_cols = cols if left_only else cols + inner_cols
+        self.node_cols[id(st.join)] = out_cols
+        # The residual reads both sides in place (same column layout as
+        # the row and batch handlers give it); the output row is only
+        # built for a pair that passed, and not at all when the stage
+        # folds the pair straight into its sink.
+        ind = "            "
+        passes: list[str] = []
+        if op.residual is not None:
+            test = em.truth(op.residual, Layout(_index(out_cols), n_outer))
+            passes = [f"{ind}if not {test}:", f"{ind}    continue"]
+        split = (
+            n_outer
+            if not st.run and self.state is not None and not left_only
+            else None
         )
-        n_outer = st.n_outer
-        if fast:
-            loop.append("    for _row in _rows:")
-            if len(lp) == 1:
-                loop.append(f"        _k = _row[{lp[0]}]")
-                loop.append("        if _k is None:")
-                loop.append("            continue")
-                loop.append("        _cands = _get((_k,))")
-            elif len(lp) == 2:
-                loop.append(f"        _k0 = _row[{lp[0]}]")
-                loop.append(f"        _k1 = _row[{lp[1]}]")
-                loop.append("        if _k0 is None or _k1 is None:")
-                loop.append("            continue")
-                loop.append("        _cands = _get((_k0, _k1))")
-            else:
-                loop.append(f"        _key = {_key_expr(lp, '_row')}")
-                loop.append("        if any(_v is None for _v in _key):")
-                loop.append("            continue")
-                loop.append("        _cands = _get(_key)")
-            loop.append("        if not _cands:")
+        joined = None if split is not None else "_row + _cand"
+
+        defs += [
+            "def _build(_rows):",
+            "    _table = {}",
+            "    _setd = _table.setdefault",
+            "    for _cand in _rows:",
+        ]
+        null, key = _emit_key(defs, "        ", r_pos, "_cand")
+        defs += [
+            f"        if not ({null}):",
+            f"            _setd({key}, []).append(_cand)",
+            "    return _table",
+        ]
+
+        head.append("    _get = _table.get")
+        loop.append("    for _row in _rows:")
+        null, key = _emit_key(loop, "        ", l_pos, "_row")
+        if jk is JoinKind.INNER:
+            loop.append(f"        if {null}:")
             loop.append("            continue")
-            loop.append("        for _cand in _cands:")
-            body.append(f"            _c{jc} += 1")
-            if direct:
-                g_pos, args = agg_meta
-
-                def _at(p, _n=n_outer):
-                    return f"_row[{p}]" if p < _n else f"_cand[{p - _n}]"
-
-                _emit_agg(body, "            ", g_pos, args, bound, _at, None)
-            else:
-                body.append("            _r = _row + _cand")
-                _emit_body(body, "            ", run_meta, agg_meta, bound,
-                           counters, "_r")
-        else:
-            res_fi = None
-            if st.residual_fn is not None:
-                res_fi = len(bound)
-                bound.append(st.residual_fn)
-            pi = len(bound)
-            bound.append(st.pad)
-            prologue.append(f"    _PAD = _B[{pi}]")
-            loop.append("    for _row in _rows:")
-            loop.append(f"        _key = {_key_expr(lp, '_row')}")
-            nullchk = (
-                "_key[0] is None" if len(lp) == 1
-                else "any(_v is None for _v in _key)"
-            )
-            loop.append(f"        _cands = _E if {nullchk} else _get(_key, _E)")
-            loop.append("        _hit = False")
-            loop.append("        for _cand in _cands:")
-            if res_fi is not None:
-                loop.append(
-                    f"            if _f{res_fi}(_row + _cand, _params)"
-                    " is not True:"
-                )
-                loop.append("                continue")
-            loop.append("            _hit = True")
-            if jk is JoinKind.INNER or jk is JoinKind.LEFT:
-                body.append(f"            _c{jc} += 1")
-                body.append("            _r = _row + _cand")
-                _emit_body(body, "            ", run_meta, agg_meta, bound,
-                           counters, "_r")
-            else:  # SEMI / ANTI stop at the first residual-passing match
-                loop.append("            break")
-            tails = {
-                JoinKind.LEFT: ("if not _hit:", "_row + _PAD"),
-                JoinKind.SEMI: ("if _hit:", "_row"),
-                JoinKind.ANTI: ("if not _hit:", "_row"),
-            }
-            if jk in tails:
-                cond, expr = tails[jk]
-                body.append(f"        {cond}")
-                body.append(f"            _c{jc} += 1")
-                body.append(f"            _r = {expr}")
-                _emit_body(body, "            ", run_meta, agg_meta, bound,
-                           counters, "_r")
-    used = re.compile(r"\b_f(\d+)\b")
-    referenced = {
-        int(m) for line in body + loop for m in used.findall(line)
-    }
-    unpack = [f"    _f{i} = _B[{i}]" for i in sorted(referenced)]
-    n = len(counters)
-    init = (
-        ["    " + " = ".join(f"_c{i}" for i in range(n)) + " = 0"] if n else []
-    )
-    ret = (
-        "    return ("
-        + ", ".join(f"_c{i}" for i in range(n))
-        + ("," if n == 1 else "")
-        + ")"
-    )
-    src = "\n".join([header] + unpack + prologue + init + loop + body + [ret])
-    code = _stage_code.get(src)
-    if code is None:
-        code = _stage_code[src] = compile(
-            src + "\n", "<fused-pipeline>", "exec"
-        )
-    namespace: dict[str, Any] = {"_E": _EMPTY}
-    exec(code, namespace)  # noqa: S102
-    st.fn = namespace["_stage"]
-    st.bound = tuple(bound)
-    st.counter_of = counters
-    st.source = src
-
-
-def _build_table(i_rows, r_pos) -> dict:
-    """Build a hash table over the join build side, key-arity
-    specialized and None-key skipping exactly like the batch handler."""
-    table: dict = {}
-    setd = table.setdefault
-    if len(r_pos) == 1:
-        rp0 = r_pos[0]
-        for row in i_rows:
-            v = row[rp0]
-            if v is not None:
-                setd((v,), []).append(row)
-    elif len(r_pos) == 2:
-        rp0, rp1 = r_pos
-        for row in i_rows:
-            k0 = row[rp0]
-            k1 = row[rp1]
-            if k0 is not None and k1 is not None:
-                setd((k0, k1), []).append(row)
-    else:
-        for row in i_rows:
-            key = tuple(row[p] for p in r_pos)
-            if not any(v is None for v in key):
-                setd(key, []).append(row)
-    return table
+            loop.append(f"        for _cand in _get({key}, _E):")
+            loop += passes
+            loop.append(f"{ind}{hits} += 1")
+            return self.emit_row(loop, ind, out_cols, split, joined)
+        loop.append(f"        _cands = _E if {null} else _get({key}, _E)")
+        loop.append("        _hit = False")
+        loop.append("        for _cand in _cands:")
+        loop += passes
+        loop.append(f"{ind}_hit = True")
+        if jk is JoinKind.LEFT:
+            loop.append(f"{ind}{hits} += 1")
+            self.emit_row(loop, ind, out_cols, split, joined)
+        else:  # SEMI / ANTI stop at the first residual-passing match
+            loop.append(f"{ind}break")
+        loop.append("        if _hit:" if jk is JoinKind.SEMI
+                    else "        if not _hit:")
+        loop.append(f"{ind}{hits} += 1")
+        if jk is not JoinKind.LEFT:
+            return self.emit_row(loop, ind, out_cols, row="_row")
+        pad = em.bind((None,) * len(inner_cols))
+        if split is not None:
+            loop.append(f"{ind}_cand = {pad}")
+            return self.emit_row(loop, ind, out_cols, split)
+        return self.emit_row(loop, ind, out_cols, row=f"_row + {pad}")
 
 
 # ----------------------------------------------------------------------
@@ -645,7 +656,7 @@ def run_chain(ex, chain: Pipeline) -> DColumns:
             for seg, o_rows, i_rows in pairs:
                 table = tables.get(id(i_rows))
                 if table is None:
-                    table = tables[id(i_rows)] = _build_table(i_rows, st.r_pos)
+                    table = tables[id(i_rows)] = st.build(i_rows)
                 if has_agg:
                     groups = {}
                     glist.append(groups)
@@ -707,7 +718,7 @@ def run_chain(ex, chain: Pipeline) -> DColumns:
                     m.charge_segment(seg, work)
         else:  # aggregation sink
             out_cols = compiled.node_cols[id(node)]
-            aggs = op.aggs
+            sink = compiled.stages[-1]
             is_stream = isinstance(op, ph.PhysicalStreamAgg)
             factor = p.cpu_tuple if is_stream else p.agg_factor
             sort_keys = [SortKey(c.id) for c in op.group_cols]
@@ -716,15 +727,9 @@ def run_chain(ex, chain: Pipeline) -> DColumns:
             for groups in groups_by_bucket:
                 if not op.group_cols and not groups:
                     # Scalar aggregation over empty input: one row.
-                    groups[()] = [_agg_init(a) for a, _c in aggs]
+                    groups[()] = sink.init(sink.bound)
                 ex._check_memory(list(groups), out_cols, op.name)
-                out_rows = [
-                    key + tuple(
-                        _agg_final(slot, agg)
-                        for slot, (agg, _c) in zip(state, aggs)
-                    )
-                    for key, state in groups.items()
-                ]
+                out_rows = sink.final(groups, sink.bound)
                 if is_stream and op.group_cols:
                     out_rows = _sort_rows(out_rows, out_cols, sort_keys)
                 chunks.append(Chunk.from_rows(out_rows))

@@ -197,8 +197,6 @@ def _pool_worker_main(conn) -> None:
     downgraded to an error response — the coordinator decides whether
     to poison the pool.
     """
-    from repro.engine.fused import _build_table
-
     chains: dict[int, Any] = {}
     resident: dict[int, list] = {}
     built_cache: dict[tuple, dict] = {}
@@ -234,15 +232,13 @@ def _pool_worker_main(conn) -> None:
             built = []
             for enc in tables:
                 if enc[0] == "x":
-                    built.append(_build_table(enc[1], stage.r_pos))
+                    built.append(stage.build(enc[1]))
                     continue
                 i_rows = rows_of(enc)
                 bkey = (chain_key, stage_idx, enc[1])
                 table = built_cache.get(bkey)
                 if table is None:
-                    table = built_cache[bkey] = _build_table(
-                        i_rows, stage.r_pos
-                    )
+                    table = built_cache[bkey] = stage.build(i_rows)
                 built.append(table)
             results = [
                 _run_morsel(

@@ -12,7 +12,11 @@ and its own subtrees are segmented independently:
 
 - the **build side of a hash join** (materialized into a hash table),
 - **aggregations** consumed from below (an agg may only *sink* a
-  pipeline, never stream through it),
+  pipeline, never stream through it) — a breaker that is *also a
+  source*: an aggregation feeding a streaming chain (a ``HAVING``
+  filter, a projection, a join probe) is that chain's source and the
+  sink on top of the next pipeline down, so it is compiled like any
+  other,
 - **sorts** (and the sorting gather-merge motion),
 - **motions** (rows leave the segment: gather, redistribute, broadcast),
 - and all remaining stateful operators (limits, windows, NL/merge
@@ -20,8 +24,9 @@ and its own subtrees are segmented independently:
 
 The fused executor (:mod:`repro.engine.fused`) compiles every pipeline
 containing a join probe or aggregation sink into generated Python loop
-functions; pure filter/project pipelines stay on the vectorized
-per-operator batch handlers (see :func:`fusable_pipelines`).
+functions, expressions included; pure filter/project pipelines stay on
+the vectorized per-operator batch handlers (see
+:func:`fusable_pipelines`).
 """
 
 from __future__ import annotations
@@ -89,7 +94,9 @@ def _chain_down(top: PlanNode) -> tuple[list[PlanNode], PlanNode]:
 
 
 def split_pipelines(plan: PlanNode) -> list[Pipeline]:
-    """Partition ``plan`` into pipelines; every node lands in exactly one.
+    """Partition ``plan`` into pipelines: every node is a member
+    (``top`` of its chain or inside it) of exactly one, and a sink
+    aggregation is additionally the source of the pipeline above it.
 
     Returned in discovery order from the root down: a pipeline is listed
     before the pipelines of its source's and build sides' subtrees.
@@ -101,11 +108,17 @@ def split_pipelines(plan: PlanNode) -> list[Pipeline]:
         members, source = _chain_down(node)
         out.append(Pipeline(source=source, ops=members))
         # The chain's build sides and the source's children each start
-        # fresh pipelines of their own.
+        # fresh pipelines of their own; a source that is itself a sink
+        # (an aggregation feeding a HAVING filter, a projection, a join
+        # probe) tops the next pipeline down instead of vanishing into
+        # this one as a bare source.
         for member in members:
             if isinstance(member.op, ph.PhysicalHashJoin):
                 stack.append(member.children[1])
-        stack.extend(source.children)
+        if isinstance(source.op, SINK_OPS):
+            stack.append(source)
+        else:
+            stack.extend(source.children)
     return out
 
 
@@ -115,7 +128,10 @@ def fusable_pipelines(plan: PlanNode) -> list[Pipeline]:
 
     A pure filter/project chain is *not* fused: the batch handlers run
     those as vectorized closures over packed columns, which a generated
-    per-row loop cannot beat.  Joins and aggregations are different —
+    per-row loop does not beat even with its expressions inlined
+    (``filter_project`` on the ledger's ``scan_heavy`` database: 38.9 ms
+    vectorized, 40.0 ms fused, first quartiles of 25 interleaved
+    runs).  Joins and aggregations are different —
     their batch handlers are per-row probe/fold loops already, so a
     generated loop with inlined key lookups and aggregate slots wins
     even with nothing else in the chain, and skipping the intermediate

@@ -21,6 +21,7 @@ randomly composed queries.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,8 @@ from hypothesis import strategies as st
 
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
+from repro.engine.batch import BATCH_HANDLERS
+from repro.engine.fused import fused_chains
 from repro.engine.pipeline import (
     SINK_OPS,
     STREAMING_OPS,
@@ -97,10 +100,18 @@ class TestPipelineSegmentation:
     def _pipelines(self, orca, sql):
         plan = orca.optimize(sql).plan
         pipelines = split_pipelines(plan)
-        # Partition property: every plan node lands in exactly one
-        # pipeline, exactly once.
-        seen = [id(n) for p in pipelines for n in p.nodes()]
-        assert sorted(seen) == sorted(id(n) for n in _walk(plan))
+        # Partition property: every plan node is a member of exactly
+        # one pipeline; a sink aggregation that feeds a streaming chain
+        # is additionally that chain's source, and the top of its own.
+        seen = Counter(id(n) for p in pipelines for n in p.nodes())
+        also_source = {
+            id(p.source) for p in pipelines
+            if p.ops and isinstance(p.source.op, SINK_OPS)
+        }
+        assert seen == {
+            id(n): 2 if id(n) in also_source else 1 for n in _walk(plan)
+        }
+        assert also_source <= {id(p.top) for p in pipelines if p.ops}
         # Chain members are streaming ops (or a terminating agg sink);
         # breakers only ever appear as pipeline sources.
         for p in pipelines:
@@ -151,6 +162,37 @@ class TestPipelineSegmentation:
             # is a bare source, is segmented separately.
             if p.source is agg:
                 assert p.ops == [] or p.ops[0] is not agg
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT c, count(*), sum(b) FROM t1 GROUP BY c HAVING count(*) > 10",
+        "SELECT sum(b) * 2, count(*) + 1 FROM t1 WHERE b > 5",
+        "SELECT t2.b, agg.n FROM t2, (SELECT a, count(*) AS n FROM t1 "
+        "GROUP BY a) agg WHERE agg.a = t2.a AND agg.n > 1",
+    ])
+    def test_agg_under_a_streaming_chain_is_fused(
+        self, small_db, small_orca, monkeypatch, sql
+    ):
+        """An aggregation reached from a filter, project or join probe
+        above it (every HAVING) is that chain's source *and* the sink on
+        top of the next pipeline down, so it is compiled like any other:
+        the batch aggregation handler never runs in fused mode."""
+        plan, pipelines = self._pipelines(small_orca, sql)
+        fed = [
+            p.source for p in pipelines
+            if p.ops and isinstance(p.source.op, SINK_OPS)
+        ]
+        assert fed, "plan lost its aggregation under a streaming operator"
+        chains = fused_chains(plan)
+        for agg in _walk(plan):
+            if isinstance(agg.op, SINK_OPS):
+                assert id(agg) in chains and chains[id(agg)].top is agg
+
+        def entered(ex, node):
+            raise AssertionError(f"_b_agg entered for {node.op!r}")
+
+        for op_type in SINK_OPS:
+            monkeypatch.setitem(BATCH_HANDLERS, op_type, entered)
+        assert_fused_identical(small_db, small_orca.optimize(sql))
 
     @pytest.mark.parametrize("sql, breaker", [
         ("SELECT a, b FROM t1 WHERE b > 10 ORDER BY b, a",
