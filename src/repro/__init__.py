@@ -86,7 +86,7 @@ from repro.telemetry import (
 )
 from repro.trace import NullTracer, TraceEvent, Tracer
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     # Session facade (stable public API)

@@ -129,12 +129,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "any query slower than MS milliseconds end to end",
     )
     parser.add_argument(
-        "--engine", choices=["row", "batch", "fused"], default="fused",
+        "--engine", choices=["row", "fused"], default="fused",
         help="execution engine: 'fused' (default) compiles breaker-free "
-             "operator chains into generated pipeline functions, 'batch' "
-             "interprets per-operator column batches, 'row' is the "
-             "row-at-a-time reference; all three produce identical rows "
-             "and metrics",
+             "operator chains into generated pipeline functions, 'row' "
+             "is the row-at-a-time reference; both produce identical "
+             "rows and metrics",
     )
     parser.add_argument(
         "--parallelism", type=int, default=0, metavar="N",

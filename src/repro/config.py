@@ -18,22 +18,20 @@ from typing import Iterable, Optional, Sequence
 class ExecutionMode(str, Enum):
     """How physical plans are executed on the simulated cluster.
 
-    All three modes produce float-identical rows, ExecutionMetrics and
+    Both modes produce float-identical rows, ExecutionMetrics and
     EXPLAIN ANALYZE per-node actuals; they differ only in interpretation
     overhead:
 
-    - ``ROW``: row-at-a-time reference interpreter (the oracle the other
-      modes are differentially tested against).
-    - ``BATCH``: columnar chunks with per-operator compiled vector
-      expressions.
-    - ``FUSED``: batch mode plus a pipeline compiler that fuses
-      breaker-free operator chains (scan→filter→project, probe→project,
-      join→agg) into single generated-Python loop functions, eliminating
-      intermediate chunk materialization.
+    - ``ROW``: row-at-a-time reference interpreter (the oracle the
+      compiled engine is differentially tested against).
+    - ``FUSED``: the compiled engine.  Every breaker-free operator chain
+      (scan→filter→project, probe→project, join→agg, a lone filter)
+      runs as generated-Python loop functions, expressions inlined,
+      with nothing materialized between its operators; the breakers
+      between chains run on the row interpreter's handlers.
     """
 
     ROW = "row"
-    BATCH = "batch"
     FUSED = "fused"
 
     @classmethod
@@ -108,11 +106,10 @@ class OptimizerConfig:
     #: benchmarking the memoization itself.
     enable_derivation_cache: bool = True
     #: How physical plans execute: ``ExecutionMode.FUSED`` (default)
-    #: compiles breaker-free operator chains into single generated
-    #: pipeline functions over column chunks, ``BATCH`` interprets
-    #: per-operator columnar batches, ``ROW`` is the row-at-a-time
-    #: reference oracle.  Rows, ExecutionMetrics and EXPLAIN ANALYZE are
-    #: float-identical across all three.
+    #: compiles every breaker-free operator chain into generated
+    #: pipeline functions, ``ROW`` is the row-at-a-time reference
+    #: oracle.  Rows, ExecutionMetrics and EXPLAIN ANALYZE are
+    #: float-identical in both.
     execution_mode: ExecutionMode = ExecutionMode.FUSED
     #: Morsel-driven intra-query parallelism for the fused engine's
     #: streaming phase: N >= 2 dispatches per-bucket morsels across a

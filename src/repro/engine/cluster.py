@@ -62,10 +62,9 @@ class Cluster:
     #: Fused-engine cache of base-table scan layouts, keyed by (table,
     #: partitions, columns, segments): the hash distribution of a stored
     #: table is a pure function of the key, so the fused engine computes
-    #: it once per cluster and re-serves the packed column chunks to
-    #: every later scan.  Scan *charges* stay per-execution; only the
-    #: redundant re-hash/re-pack is skipped.  Row and batch modes never
-    #: read this.
+    #: it once per cluster and re-serves the buckets to every later
+    #: scan.  Scan *charges* stay per-execution; only the redundant
+    #: re-hash is skipped.  Row mode never reads this.
     scan_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def distribute_rows(

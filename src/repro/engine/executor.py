@@ -21,7 +21,6 @@ from repro.catalog.schema import DistributionPolicy
 from repro.config import ExecutionMode
 from repro.cost.model import CostParams
 from repro.engine.cluster import Cluster
-from repro.engine.columnar import DColumns
 from repro.engine.metrics import ExecutionMetrics
 from repro.errors import ExecutionError, OutOfMemoryError
 from repro.ops import physical as ph
@@ -130,21 +129,16 @@ class Executor:
             ExecutionMode.FUSED if execution_mode is None
             else ExecutionMode.coerce(execution_mode)
         )
-        #: How plans execute (row / batch / fused).  Rows,
-        #: ExecutionMetrics and EXPLAIN ANALYZE are float-identical
-        #: across all modes; ``ROW`` is the reference path.
+        #: How plans execute (row / fused).  Rows, ExecutionMetrics and
+        #: EXPLAIN ANALYZE are float-identical in both modes; ``ROW`` is
+        #: the reference path.
         self.execution_mode = mode
-        self._columnar = mode is not ExecutionMode.ROW
         self._fused = mode is ExecutionMode.FUSED
         self._fused_chains: dict[int, Any] = {}
-        if self._columnar:
-            from repro.engine.batch import BATCH_HANDLERS
+        if self._fused:
+            from repro.engine.fused import FUSED_HANDLERS
 
-            self._handlers = {**self._HANDLERS, **BATCH_HANDLERS}
-            if self._fused:
-                from repro.engine.fused import FUSED_HANDLERS
-
-                self._handlers = {**self._handlers, **FUSED_HANDLERS}
+            self._handlers = {**self._HANDLERS, **FUSED_HANDLERS}
         else:
             self._handlers = self._HANDLERS
         self.tracer = tracer or NULL_TRACER
@@ -308,10 +302,6 @@ class Executor:
             result = run_chain(self, chain)
         else:
             result = handler(self, node)
-        if self._columnar and type(result) is DRows:
-            # Row-path handler (no batch form): lift the result into a
-            # lazy columnar batch so downstream batch operators compose.
-            result = DColumns.from_drows(result)
         self._charge_stage_overheads(result)
         self.metrics.cardinalities.append(
             (repr(op), node.rows_estimate, result.total_rows())
@@ -585,7 +575,9 @@ class Executor:
         )
         null_pad = (None,) * len(inner.cols)
         residual = op.residual
-        combined_index = self._index(out_cols)
+        # The residual sees both sides whatever the join puts out: a
+        # SEMI / ANTI join's rows have no build side, its residual may.
+        combined_index = self._index(list(outer.cols) + list(inner.cols))
         kind = self._join_output_kind(outer, inner)
         out_buckets: list[list[tuple]] = []
         for seg, o_rows, i_rows in self._join_sides(outer, inner):
@@ -628,11 +620,7 @@ class Executor:
             else:
                 self.metrics.charge_segment(seg, work)
             out_buckets.append(matched_out)
-        if kind == SINGLETON:
-            return DRows(SINGLETON, out_cols, out_buckets)
-        if kind == REPLICATED:
-            return DRows(REPLICATED, out_cols, out_buckets)
-        return DRows(SEGMENTED, out_cols, out_buckets)
+        return DRows(kind, out_cols, out_buckets)
 
     def _exec_merge_join(self, node: PlanNode) -> DRows:
         op: ph.PhysicalMergeJoin = node.op

@@ -1,14 +1,20 @@
-"""The pipeline compiler: fused execution of breaker-free operator chains.
+"""The compiled engine: every pipeline of a plan runs as generated code.
 
 :mod:`repro.engine.pipeline` splits a physical plan at pipeline breakers
 (hash-join build sides, aggregations, sorts, motions).  This module
-compiles each remaining chain — scan→filter→project, probe→project,
-join→agg, … — into generated Python loop functions (one per *stage*, a
-chain segment headed by at most one hash-join probe) that stream rows
-end-to-end without materializing intermediate ``Chunk`` batches:
+compiles every chain that is left — scan→filter→project, probe→project,
+join→agg, a lone filter — into generated Python loop functions (one per
+*stage*, a chain segment headed by at most one hash-join probe) that
+stream rows end-to-end without materializing anything in between:
 filters drop rows in place, projects extend the row tuple, join probes
 feed matches straight into downstream operators, and an aggregation
-sink folds rows into its group table as they arrive.
+sink folds rows into its group table as they arrive.  Filter, Project,
+HashJoin and both aggregations therefore never run through a handler in
+``FUSED`` mode; what does is the breakers, on the row interpreter's own
+handlers, except the three in :data:`FUSED_HANDLERS` at the bottom of
+this file (the cached table scan, the index scan with a compiled
+residual and the nested-loops join with a generated pair loop).  Every
+handler and :func:`run_chain` hand ``DRows`` to whatever is above them.
 
 The loops are compiled through, expressions included: filter
 predicates, projections, aggregate arguments and join residuals are
@@ -32,16 +38,17 @@ share are decided once:
   and the joined row is built only for a pair that passed — not at all
   when nothing stands between the probe and the sink.
 
-The contract with the row and batch executors is strict float identity.
-Work charges depend only on per-node per-bucket row counts, so the
-fused path streams first (touching no metrics, only counting rows at
+The contract with the row interpreter (``ExecutionMode.ROW``, the
+reference every differential test compares against) is strict float
+identity.  Work charges depend only on per-node per-bucket row counts,
+so a chain streams first (touching no metrics, only counting rows at
 every operator), then **replays** the exact accounting sequence of the
-batch handlers bottom-up: the same charges in the same order (including
+row handlers bottom-up: the same charges in the same order (including
 the per-probe-row ``work += probe`` float accumulation), the same
 memory checks, cardinality records, EXPLAIN ANALYZE windows, tracer
-events and budget checks.  The row path stays the reference oracle;
-``tests/test_fused_executor.py`` pins fused == row across the TPC-DS
-corpus for rows, ExecutionMetrics and per-node NodeStats.
+events and budget checks.  ``tests/test_fused_executor.py`` pins
+fused == row across the TPC-DS corpus for rows, ExecutionMetrics and
+per-node NodeStats.
 
 Compiled chains are cached on the plan root (``plan._fused_cache``).
 The plan cache hands out the tree it stored, so repeated executions of
@@ -68,14 +75,17 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.engine.columnar import (
-    REPLICATED,
-    Chunk,
-    DColumns,
     Emitter,
     Layout,
+    _layout_key,
+    _row_code,
+    compiled_row,
     load_generated,
+    row_cached,
 )
 from repro.engine.executor import (
+    REPLICATED,
+    DRows,
     _agg_add_value,
     _agg_final,
     _agg_init,
@@ -107,8 +117,8 @@ def fused_chains(plan: PlanNode) -> dict[int, Pipeline]:
 
 
 class _Sized:
-    """Duck-types the metric-facing surface of DRows/DColumns from bare
-    (kind, cols, bucket sizes, buckets) so the executor's own
+    """Duck-types the metric-facing surface of DRows from bare (kind,
+    cols, bucket sizes, buckets) so the executor's own
     ``_charge_by_kind`` / ``_charge_stage_overheads`` / ``_join_sides``
     run unchanged during streaming and replay."""
 
@@ -454,14 +464,17 @@ class _StageGen:
         left_only = jk.output_is_left_only()
         out_cols = cols if left_only else cols + inner_cols
         self.node_cols[id(st.join)] = out_cols
-        # The residual reads both sides in place (same column layout as
-        # the row and batch handlers give it); the output row is only
-        # built for a pair that passed, and not at all when the stage
-        # folds the pair straight into its sink.
+        # The residual reads both sides in place, whatever the join
+        # puts out (a SEMI / ANTI join's rows have no build side; its
+        # residual may still read one); the output row is only built
+        # for a pair that passed, and not at all when the stage folds
+        # the pair straight into its sink.
         ind = "            "
         passes: list[str] = []
         if op.residual is not None:
-            test = em.truth(op.residual, Layout(_index(out_cols), n_outer))
+            test = em.truth(
+                op.residual, Layout(_index(cols + inner_cols), n_outer)
+            )
             passes = [f"{ind}if not {test}:", f"{ind}    continue"]
         split = (
             n_outer
@@ -516,7 +529,7 @@ class _StageGen:
 
 
 # ----------------------------------------------------------------------
-# Runtime: stream, then replay the batch path's accounting
+# Runtime: stream, then replay the row path's accounting
 # ----------------------------------------------------------------------
 
 def _worth_dispatching(pool, st, cur_buckets, pairs) -> bool:
@@ -529,7 +542,7 @@ def _worth_dispatching(pool, st, cur_buckets, pairs) -> bool:
     return pairs is not None and len(pairs) > 1
 
 
-def run_chain(ex, chain: Pipeline) -> DColumns:
+def run_chain(ex, chain: Pipeline) -> DRows:
     """Execute one fused chain.  Called from ``Executor._exec`` in place
     of the top node's handler; the caller still owns the top node's own
     post-accounting (stage overheads, cardinality, stats window)."""
@@ -538,9 +551,9 @@ def run_chain(ex, chain: Pipeline) -> DColumns:
     collect = ex._collect
     m = ex.metrics
     snapshots: dict[int, tuple] = {}
-    inners: dict[int, DColumns] = {}
-    # Walk down in the batch recursion order: each interior node's stats
-    # window opens, then (for joins) its build side executes in full.
+    inners: dict[int, DRows] = {}
+    # Walk down in the row path's recursion order: each interior node's
+    # stats window opens, then (for joins) its build side executes in full.
     for node in reversed(ops):
         if collect and node is not top:
             snapshots[id(node)] = (
@@ -591,7 +604,7 @@ def run_chain(ex, chain: Pipeline) -> DColumns:
     sides: dict[int, list[tuple]] = {}
     groups_by_bucket: Optional[list[dict]] = None
     cur_kind = src.kind
-    cur_buckets = [ch.rows() for ch in src.chunks]
+    cur_buckets = src.buckets
     cur_sizes = src.bucket_sizes()
     for stage_idx, st in enumerate(compiled.stages):
         fn = st.fn
@@ -685,11 +698,11 @@ def run_chain(ex, chain: Pipeline) -> DColumns:
             cur_buckets = out_buckets
         cur_sizes = prev
 
-    # ---- Replay phase: the batch handlers' exact accounting order. ----
+    # ---- Replay phase: the row handlers' exact accounting order. ----
     p = ex.params
     prev_kind = src.kind
     prev_sizes = src.bucket_sizes()
-    result: Optional[DColumns] = None
+    result: Optional[DRows] = None
     for node in ops:
         op = node.op
         t = type(op)
@@ -722,8 +735,7 @@ def run_chain(ex, chain: Pipeline) -> DColumns:
             is_stream = isinstance(op, ph.PhysicalStreamAgg)
             factor = p.cpu_tuple if is_stream else p.agg_factor
             sort_keys = [SortKey(c.id) for c in op.group_cols]
-            chunks = []
-            sizes = []
+            agg_buckets = []
             for groups in groups_by_bucket:
                 if not op.group_cols and not groups:
                     # Scalar aggregation over empty input: one row.
@@ -732,13 +744,12 @@ def run_chain(ex, chain: Pipeline) -> DColumns:
                 out_rows = sink.final(groups, sink.bound)
                 if is_stream and op.group_cols:
                     out_rows = _sort_rows(out_rows, out_cols, sort_keys)
-                chunks.append(Chunk.from_rows(out_rows))
-                sizes.append(len(out_rows))
+                agg_buckets.append(out_rows)
             ex._charge_by_kind(
                 _Sized(prev_kind, None, prev_sizes), sum(prev_sizes) * factor
             )
-            counts[id(node)] = sizes
-            result = DColumns(kinds[id(node)], out_cols, chunks)
+            result = DRows(kinds[id(node)], out_cols, agg_buckets)
+            counts[id(node)] = result.bucket_sizes()
         cur_sizes = counts[id(node)]
         cur_kind = kinds[id(node)]
         if node is not top:
@@ -765,26 +776,24 @@ def run_chain(ex, chain: Pipeline) -> DColumns:
             m.check_budget()
         prev_kind, prev_sizes = cur_kind, cur_sizes
     if result is None:
-        result = DColumns(
-            cur_kind,
-            compiled.node_cols[id(top)],
-            [Chunk.from_rows(b) for b in cur_buckets],
-        )
+        result = DRows(cur_kind, compiled.node_cols[id(top)], cur_buckets)
     return result
 
 
 # ----------------------------------------------------------------------
-# Fused-engine scan: cluster-cached base-table distribution
+# Handlers outside a chain: the three the row interpreter's are not
+# good enough for.  Each issues its row counterpart's metric operations
+# in the same order.
 # ----------------------------------------------------------------------
 
-def _f_scan(ex, node) -> DColumns:
-    """Table scan serving packed chunks from the cluster's scan cache.
+def _f_scan(ex, node) -> DRows:
+    """Table scan served from the cluster's scan cache.
 
     Distributing a stored table is a pure function of (table,
-    partitions, columns, segments), so the fused engine hashes and
-    packs it once per cluster.  Every metric the batch scan issues —
-    partition/row counters and the per-segment scan charges — is still
-    issued per execution, in the same order, from the cached sizes.
+    partitions, columns, segments), so it is hashed once per cluster.
+    Every metric the row scan issues — partition/row counters and the
+    per-segment scan charges — is still issued per execution, in the
+    same order, from the cached sizes.
     """
     op = node.op
     parts = ex._partition_ids(op)
@@ -804,27 +813,115 @@ def _f_scan(ex, node) -> DColumns:
         )
     if hit is None:
         rows = ex.cluster.db.scan(op.table.name, parts)
-        result = ex._distribute(op, rows)
-        dtypes = [c.dtype for c in result.cols]
         hit = ex.cluster.scan_cache[key] = (
-            len(rows),
-            DColumns(
-                result.kind,
-                result.cols,
-                [Chunk.from_rows(b, dtypes) for b in result.buckets],
-            ),
+            len(rows), ex._distribute(op, rows)
         )
     n_rows, out = hit
     ex.metrics.rows_scanned += n_rows
     if out.kind == REPLICATED:
         ex.metrics.charge_all_segments(n_rows * ex.params.scan_tuple)
     else:
-        for i, ch in enumerate(out.chunks):
-            ex.metrics.charge_segment(i, ch.n * ex.params.scan_tuple)
+        for i, bucket in enumerate(out.buckets):
+            ex.metrics.charge_segment(i, len(bucket) * ex.params.scan_tuple)
     return out
 
 
+def _f_index_scan(ex, node) -> DRows:
+    op = node.op
+    result = ex._index_fetch(op)
+    if op.residual is None:
+        return result
+    keep = compiled_row(op.residual, _index(result.cols))
+    params = ex._param_env
+    return DRows(
+        result.kind,
+        result.cols,
+        [[r for r in b if keep(r, params) is True] for b in result.buckets],
+    )
+
+
+def _nl_loop(op, n_outer: int, index):
+    """The generated pair loop of one nested-loops join:
+    ``f(outer rows, inner rows, params, nl_factor, null pad, append,
+    bound) -> work``.  The condition is inlined and reads both rows in
+    place, so an output row is built only for a pair that passed; the
+    per-pair ``work += nl_factor`` stays, in the row path's order."""
+    em = Emitter()
+    jk = op.kind
+    inner = jk is JoinKind.INNER
+    lines = ["    _w = 0.0", "    for _row in _o:"]
+    if not inner:
+        lines.append("        _hit = False")
+    lines += ["        for _cand in _i:", "            _w += _nlf"]
+    if op.condition is not None:
+        cond = em.truth(op.condition, Layout(index, n_outer))
+        lines += [f"            if not {cond}:", "                continue"]
+    if inner:
+        lines.append("            _append(_row + _cand)")
+    elif jk is JoinKind.LEFT:
+        lines += [
+            "            _hit = True",
+            "            _append(_row + _cand)",
+            "        if not _hit:",
+            "            _append(_row + _pad)",
+        ]
+    else:  # SEMI / ANTI stop at the first match
+        lines += [
+            "            _hit = True",
+            "            break",
+            "        if _hit:" if jk is JoinKind.SEMI else "        if not _hit:",
+            "            _append(_row)",
+        ]
+    src = "\n".join(
+        ["def _nl(_o, _i, _params, _nlf, _pad, _append, _B):"]
+        + em.unpack() + lines + ["    return _w", ""]
+    )
+    fn = load_generated(src, "<nl-join>", _row_code)["_nl"]
+    return fn, tuple(em.bound)
+
+
+def _f_nl_join(ex, node) -> DRows:
+    op = node.op
+    outer = ex._exec(node.children[0])
+    inner = ex._exec(node.children[1])
+    left_only = op.kind.output_is_left_only()
+    out_cols = list(outer.cols) if left_only else list(outer.cols) + list(
+        inner.cols
+    )
+    null_pad = (None,) * len(inner.cols)
+    kind = ex._join_output_kind(outer, inner)
+    n_outer = len(outer.cols)
+    index = _index(list(outer.cols) + list(inner.cols))
+    cond = op.condition
+
+    def make():
+        return _nl_loop(op, n_outer, index)
+
+    loop, bound = make() if cond is None else row_cached(
+        cond, ("nl", op.kind, n_outer) + _layout_key(cond, index), make
+    )
+    params = ex._param_env
+    nl_factor = ex.params.nl_factor
+    metrics = ex.metrics
+    out_buckets = []
+    for seg, o_rows, i_rows in ex._join_sides(outer, inner):
+        bucket = []
+        work = loop(
+            o_rows, i_rows, params, nl_factor, null_pad, bucket.append, bound
+        )
+        if seg == -1:
+            metrics.charge_master(work)
+        else:
+            metrics.charge_segment(seg, work)
+        out_buckets.append(bucket)
+        metrics.check_budget()
+    return DRows(kind, out_cols, out_buckets)
+
+
+#: What FUSED mode lays over the row interpreter's handler table.
 FUSED_HANDLERS = {
     ph.PhysicalTableScan: _f_scan,
     ph.PhysicalDynamicTableScan: _f_scan,
+    ph.PhysicalIndexScan: _f_index_scan,
+    ph.PhysicalNLJoin: _f_nl_join,
 }

@@ -2,7 +2,7 @@
 
 The fused engine (:mod:`repro.engine.fused`) splits every compiled
 chain into a *streaming* phase (generated loop functions that only
-count rows) and a sequential *replay* phase that re-issues the batch
+count rows) and a sequential *replay* phase that re-issues the row
 path's exact metric arithmetic.  The streaming phase does no float
 accounting at all, which makes it embarrassingly parallel per bucket:
 one **morsel** is one (chain stage, bucket/segment) pair, and morsels
@@ -11,12 +11,12 @@ of the same stage never share state.
 This module supplies the worker pool that exploits that split.  Pure
 Python loops do not parallelize under the GIL, so the pool is real
 parallelism: persistent forked worker processes connected by pipes.
-Workers never see plans or ``Chunk`` objects — the coordinator ships a
-picklable :class:`ChainSpec` (physical operators + column layouts) once
-per (worker, chain), each worker recompiles it exactly once into the
-same generated code (codegen is deterministic), and after that every
-round trip carries only row lists in and (row lists | group tables,
-counter tuples) out.  Results are reassembled in bucket order on the
+Workers never see plans — the coordinator ships a picklable
+:class:`ChainSpec` (physical operators + column layouts) once per
+(worker, chain), each worker recompiles it exactly once into the same
+generated code (codegen is deterministic), and after that every round
+trip carries only row lists in and (row lists | group tables, counter
+tuples) out.  Results are reassembled in bucket order on the
 coordinator, so parallel execution is float-identical to the serial
 fused path regardless of worker timing; the replay phase then runs
 sequentially on the coordinator as before.
@@ -145,7 +145,7 @@ class _SpecChain:
 
 
 class _SpecCols:
-    """Duck-types the ``.cols`` attribute of a build-side DColumns."""
+    """Duck-types the ``.cols`` attribute of a build-side DRows."""
 
     __slots__ = ("cols",)
 

@@ -22,11 +22,10 @@ and its own subtrees are segmented independently:
 - and all remaining stateful operators (limits, windows, NL/merge
   joins, CTE producers/consumers, sequences, appends).
 
-The fused executor (:mod:`repro.engine.fused`) compiles every pipeline
-containing a join probe or aggregation sink into generated Python loop
-functions, expressions included; pure filter/project pipelines stay on
-the vectorized per-operator batch handlers (see
-:func:`fusable_pipelines`).
+The compiled engine (:mod:`repro.engine.fused`) turns every pipeline
+that has a streaming member or a sink into generated Python loop
+functions, expressions included (:func:`fusable_pipelines`); a breaker
+with nothing streaming above it runs on its handler.
 """
 
 from __future__ import annotations
@@ -123,22 +122,7 @@ def split_pipelines(plan: PlanNode) -> list[Pipeline]:
 
 
 def fusable_pipelines(plan: PlanNode) -> list[Pipeline]:
-    """Pipelines worth compiling: any chain containing a join probe or
-    an aggregation sink — even a chain of one.
-
-    A pure filter/project chain is *not* fused: the batch handlers run
-    those as vectorized closures over packed columns, which a generated
-    per-row loop does not beat even with its expressions inlined
-    (``filter_project`` on the ledger's ``scan_heavy`` database: 38.9 ms
-    vectorized, 40.0 ms fused, first quartiles of 25 interleaved
-    runs).  Joins and aggregations are different —
-    their batch handlers are per-row probe/fold loops already, so a
-    generated loop with inlined key lookups and aggregate slots wins
-    even with nothing else in the chain, and skipping the intermediate
-    Chunks compounds the win as the chain grows.
-    """
-    return [
-        p for p in split_pipelines(plan)
-        if any(isinstance(n.op, (ph.PhysicalHashJoin,) + SINK_OPS)
-               for n in p.ops)
-    ]
+    """The pipelines the compiler takes: every one that has ops.  What
+    is left (``ops == []``) is a breaker or leaf with no streaming
+    consumer above it, which runs on its handler."""
+    return [p for p in split_pipelines(plan) if p.ops]

@@ -96,9 +96,9 @@ class ScalarExpr:
             cls.key = key
 
     #: Per-instance caches that must never cross a process boundary:
-    #: compiled vector/row closures are unpicklable locals, and the
-    #: interned key must be re-interned in the receiving process.
-    _UNPICKLED = ("_vec_cache", "_row_cache", "_cached_key")
+    #: compiled row closures are unpicklable locals, and the interned
+    #: key must be re-interned in the receiving process.
+    _UNPICKLED = ("_row_cache", "_cached_key")
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -313,7 +313,10 @@ class Arith(ScalarExpr):
     def dtype(self) -> DataType:
         if self.op == "/":
             return FLOAT
-        return self.left.dtype if self.left.dtype.numeric else self.right.dtype
+        # One read of the left operand: two per level cost 2^depth on
+        # a left-deep chain.
+        left = self.left.dtype
+        return left if left.numeric else self.right.dtype
 
     def key(self) -> tuple:
         return ("arith", self.op, self.left.key(), self.right.key())

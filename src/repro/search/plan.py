@@ -22,8 +22,8 @@ class PlanNode:
     the paths to the changed constants and shares the rest.  The only
     writes allowed are derived caches that are rebuilt on demand and
     left out of the pickle: ``_fused_cache`` here, ``_cached_key`` on
-    operators, ``_cached_key`` / ``_row_cache`` / ``_vec_cache`` on
-    scalar expressions.  ``tests/test_plan_immutability.py`` holds
+    operators, ``_cached_key`` / ``_row_cache`` on scalar
+    expressions.  ``tests/test_plan_immutability.py`` holds
     every executor, EXPLAIN ANALYZE and the feedback ingest to this
     (the pickle of a cached tree is byte-equal before and after).
     """

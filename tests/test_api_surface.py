@@ -103,9 +103,7 @@ class TestExecutionModeSurface:
     """The execution_mode= enum and its string spellings."""
 
     def test_enum_members(self):
-        assert [m.value for m in repro.ExecutionMode] == [
-            "row", "batch", "fused"
-        ]
+        assert [m.value for m in repro.ExecutionMode] == ["row", "fused"]
 
     def test_coerce_accepts_strings_and_members(self):
         assert repro.ExecutionMode.coerce("fused") is repro.ExecutionMode.FUSED
@@ -120,8 +118,23 @@ class TestExecutionModeSurface:
         )
 
     def test_config_coerces_strings(self):
-        config = repro.OptimizerConfig(execution_mode="batch")
-        assert config.execution_mode is repro.ExecutionMode.BATCH
+        config = repro.OptimizerConfig(execution_mode="row")
+        assert config.execution_mode is repro.ExecutionMode.ROW
+
+    def test_batch_mode_is_refused(self, small_db):
+        """The batch engine is gone; its name is an error everywhere a
+        mode is accepted, and the error lists what is left."""
+        assert not hasattr(repro.ExecutionMode, "BATCH")
+        for make in (
+            lambda: repro.ExecutionMode.coerce("batch"),
+            lambda: repro.OptimizerConfig(execution_mode="batch"),
+            lambda: repro.Executor(
+                repro.Cluster(small_db, segments=2), execution_mode="batch"
+            ),
+            lambda: repro.connect(small_db, execution_mode="batch"),
+        ):
+            with pytest.raises(ValueError, match=r"\['row', 'fused'\]"):
+                make()
 
     def test_alias_and_enum_runs_are_bit_identical(self, small_db):
         """``Executor`` takes the string spelling of a mode as well."""
@@ -130,7 +143,7 @@ class TestExecutionModeSurface:
             "SELECT c, sum(b) FROM t1 WHERE b > 10 GROUP BY c ORDER BY c"
         )
         runs = []
-        for mode in (repro.ExecutionMode.BATCH, "batch"):
+        for mode in (repro.ExecutionMode.FUSED, "fused"):
             ex = repro.Executor(
                 repro.Cluster(small_db, segments=2), execution_mode=mode
             )

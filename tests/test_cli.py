@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 
 from repro.__main__ import main
 
@@ -44,10 +45,18 @@ class TestCLI:
 
     def test_engine_choices_agree(self, capsys):
         outs = []
-        for engine in ("row", "batch", "fused"):
+        for engine in ("row", "fused"):
             assert main(["run", SQL, "--engine", engine] + ARGS) == 0
             outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1]
+
+    def test_engine_batch_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", SQL, "--engine", "batch"] + ARGS)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'batch'" in err
+        assert "'row', 'fused'" in err
 
     def test_memo_dump(self, capsys):
         assert main(["memo", SQL] + ARGS) == 0

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+import sqlite3
 from collections import Counter, defaultdict
 
 import pytest
 
-from repro.config import OptimizerConfig
+from repro.catalog import Column, Database, INT, Table
+from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.errors import OutOfMemoryError, TimeoutError_
 from repro.optimizer import Orca
@@ -158,6 +161,59 @@ class TestJoins:
         t2_bs = {b for _a, b in t2_rows}
         expected = [(a,) for a, _b, _c in t1_rows if a not in t2_bs]
         assert rows_equal(out.rows, expected)
+
+    @pytest.mark.parametrize("kind, quantifier", [
+        ("SEMI", "EXISTS"), ("ANTI", "NOT EXISTS"),
+    ])
+    def test_left_only_hash_join_residual_reads_the_build_side(
+        self, kind, quantifier
+    ):
+        """A SEMI / ANTI hash join puts out outer rows only, but its
+        residual compares against a build-side column: it has to be
+        given both sides' layout, not the join's output layout.  Checked
+        against an engine nobody here wrote, on data with NULLs in the
+        key and in both residual operands."""
+        rng = random.Random(5)
+
+        def maybe(value):
+            return None if rng.random() < 0.15 else value
+
+        tables = {
+            "t1": [(maybe(rng.randint(0, 40)), maybe(rng.randint(0, 50)))
+                   for _ in range(400)],
+            "t2": [(maybe(rng.randint(0, 40)), maybe(rng.randint(0, 50)))
+                   for _ in range(120)],
+        }
+        db = Database()
+        lite = sqlite3.connect(":memory:")
+        for name, rows in tables.items():
+            db.create_table(Table(
+                name, [Column("a", INT), Column("b", INT)],
+                distribution_columns=("a",),
+            ))
+            db.insert(name, rows)
+            lite.execute(f"CREATE TABLE {name} (a INTEGER, b INTEGER)")
+            lite.executemany(f"INSERT INTO {name} VALUES (?, ?)", rows)
+        db.analyze()
+        sql = (
+            f"SELECT t1.a, t1.b FROM t1 WHERE {quantifier} "
+            "(SELECT 1 FROM t2 WHERE t2.a = t1.a AND t2.b < t1.b)"
+        )
+        result = Orca(db, config=OptimizerConfig(segments=4)).optimize(sql)
+        (join,) = [
+            n for n in result.plan.walk() if n.op.name.endswith("HashJoin")
+        ]
+        assert join.op.kind.name == kind and join.op.kind.output_is_left_only()
+        build_cols = {c.id for c in join.children[1].output_cols}
+        assert join.op.residual.used_columns() & build_cols
+
+        want = lite.execute(sql).fetchall()
+        assert 0 < len(want) < len(tables["t1"])
+        for mode in ExecutionMode:
+            out = Executor(
+                Cluster(db, segments=4), execution_mode=mode
+            ).execute(result.plan, result.output_cols)
+            assert rows_equal(out.rows, want), mode
 
 
 class TestAggregation:

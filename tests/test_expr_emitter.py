@@ -32,7 +32,7 @@ import repro
 from repro.catalog import Column, Database, FLOAT, INT, TEXT, Table
 from repro.catalog.types import BOOL
 from repro.config import ExecutionMode, OptimizerConfig
-from repro.engine import Cluster, Executor, batch, columnar, fused
+from repro.engine import Cluster, Executor, columnar, fused
 from repro.engine.columnar import Emitter, Layout, compiled_row
 from repro.engine.parallel import ChainSpec, _compile_spec
 from repro.ops import physical as ph
@@ -217,7 +217,7 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
             assert same(value(*args), v)
             assert bool(truth(*args)) is t
 
-    # compiled_row: what the batch hash join calls per candidate.
+    # compiled_row: what the index scan calls per fetched row.
     fn = compiled_row(expr, INDEX)
     assert all(same(fn(row, params), v) for row, v in zip(rows, values))
 
@@ -260,7 +260,7 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
     inners = [row[N_OUTER:] for row in rows]
     pad = (None,) * len(INNER)
     for kind in JoinKind:
-        loop, bound = batch._nl_loop(
+        loop, bound = fused._nl_loop(
             ph.PhysicalNLJoin(kind, other), N_OUTER, INDEX
         )
         out = []
@@ -472,7 +472,7 @@ def memo_sizes() -> tuple[int, int]:
 
 
 REBIND_TEMPLATES = {
-    # A join residual (batch: compiled_row), a filter and an aggregate.
+    # A join residual, a filter and an aggregate.
     "compare": (
         "SELECT t1.c, count(*), sum(t1.b) FROM t1, t2 WHERE t1.a = t2.a "
         "AND t1.b + {} < t2.b AND t1.b > 3 GROUP BY t1.c ORDER BY t1.c",
@@ -498,7 +498,7 @@ REBIND_TEMPLATES = {
 }
 
 
-@pytest.mark.parametrize("mode", [ExecutionMode.FUSED, ExecutionMode.BATCH],
+@pytest.mark.parametrize("mode", [ExecutionMode.FUSED],
                          ids=lambda m: m.value)
 @pytest.mark.parametrize("name", sorted(REBIND_TEMPLATES))
 def test_rebinding_a_literal_adds_no_code(name, mode):

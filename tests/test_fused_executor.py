@@ -2,8 +2,8 @@
 
 The fused engine compiles breaker-free pipelines (filter / project /
 hash-join-probe chains, optionally sunk into an aggregation) into
-generated Python loop functions and streams rows through them without
-intermediate Chunk materialization.  It is still a drop-in replacement
+generated Python loop functions and streams rows through them with
+nothing materialized in between.  It is still a drop-in replacement
 for the row-at-a-time reference executor: same rows in the same order,
 the same :class:`~repro.engine.metrics.ExecutionMetrics` field by field
 (including the per-segment work vector), and the same per-node
@@ -29,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
-from repro.engine.batch import BATCH_HANDLERS
 from repro.engine.fused import fused_chains
 from repro.engine.pipeline import (
     SINK_OPS,
@@ -42,13 +41,16 @@ from repro.optimizer import Orca
 from repro.workloads import QUERIES
 
 from tests.conftest import make_partitioned_db, make_small_db
-from tests.test_batch_executor import OPERATOR_QUERIES
 
 
 def _walk(node):
     yield node
     for child in node.children:
         yield from _walk(child)
+
+
+def plan_op_names(plan) -> set[str]:
+    return {node.op.name for node in _walk(plan)}
 
 
 def assert_identical(row, fused, plan):
@@ -175,7 +177,7 @@ class TestPipelineSegmentation:
         """An aggregation reached from a filter, project or join probe
         above it (every HAVING) is that chain's source *and* the sink on
         top of the next pipeline down, so it is compiled like any other:
-        the batch aggregation handler never runs in fused mode."""
+        no aggregation handler runs in fused mode."""
         plan, pipelines = self._pipelines(small_orca, sql)
         fed = [
             p.source for p in pipelines
@@ -187,12 +189,21 @@ class TestPipelineSegmentation:
             if isinstance(agg.op, SINK_OPS):
                 assert id(agg) in chains and chains[id(agg)].top is agg
 
-        def entered(ex, node):
-            raise AssertionError(f"_b_agg entered for {node.op!r}")
+        def run(mode):
+            return Executor(
+                Cluster(small_db, segments=8), execution_mode=mode
+            ).execute(plan, analyze=True)
 
+        row = run(ExecutionMode.ROW)
+
+        def entered(ex, node):
+            raise AssertionError(f"_exec_agg entered for {node.op!r}")
+
+        # The only aggregation handlers left are the row interpreter's,
+        # which a fused executor copies into its table when it is built.
         for op_type in SINK_OPS:
-            monkeypatch.setitem(BATCH_HANDLERS, op_type, entered)
-        assert_fused_identical(small_db, small_orca.optimize(sql))
+            monkeypatch.setitem(Executor._HANDLERS, op_type, entered)
+        assert_identical(row, run(ExecutionMode.FUSED), plan)
 
     @pytest.mark.parametrize("sql, breaker", [
         ("SELECT a, b FROM t1 WHERE b > 10 ORDER BY b, a",
@@ -230,17 +241,84 @@ class TestPipelineSegmentation:
         for node in motions:
             assert self._pipeline_of(pipelines, node).source is node
 
-    def test_fusable_requires_two_streaming_ops(self, small_orca):
-        plan = small_orca.optimize(
-            "SELECT t1.a FROM t1, t2 WHERE t1.a = t2.a AND t1.b > 10"
-        ).plan
-        for p in fusable_pipelines(plan):
-            assert len(p.ops) >= 2
+    @pytest.mark.parametrize("sql", ids=["join", "filter_project"], argvalues=[
+        "SELECT t1.a FROM t1, t2 WHERE t1.a = t2.a AND t1.b > 10",
+        "SELECT a, b * 2 + 1 FROM t1 WHERE b > 40 AND c <> 'x'",
+    ])
+    def test_every_pipeline_with_ops_is_fusable(self, small_orca, sql):
+        """No policy holds a chain back from the compiler: a pure
+        filter / project chain is compiled like one with a join or a
+        sink, and only op-less pipelines (a breaker or leaf on its own)
+        are left to the handlers."""
+        plan = small_orca.optimize(sql).plan
+        pipelines = split_pipelines(plan)
+        fusable = fusable_pipelines(plan)
+        assert [p.describe() for p in fusable] == [
+            p.describe() for p in pipelines if p.ops
+        ]
+        assert fusable
+        streaming = {
+            id(n) for n in _walk(plan)
+            if isinstance(n.op, STREAMING_OPS + SINK_OPS)
+        }
+        assert streaming == {id(n) for p in fusable for n in p.ops}
+        assert set(fused_chains(plan)) == {id(p.top) for p in fusable}
 
 
 # ---------------------------------------------------------------------------
 # Designed coverage: every physical operator appears in at least one plan.
 # ---------------------------------------------------------------------------
+
+OPERATOR_QUERIES = {
+    "scan_filter_project": (
+        "SELECT a, b * 2 + 1 FROM t1 WHERE b > 40 AND c <> 'x'",
+        {"Filter"},
+    ),
+    "index_scan": (
+        "SELECT a FROM t1 WHERE b = 7",
+        {"IndexScan"},
+    ),
+    "hash_join": (
+        "SELECT t1.a, t2.b FROM t1, t2 WHERE t1.a = t2.a",
+        {"HashJoin"},
+    ),
+    "left_join": (
+        "SELECT t1.a, t2.b FROM t1 LEFT JOIN t2 ON t1.a = t2.a "
+        "ORDER BY t1.a, t2.b LIMIT 50",
+        {"HashJoin"},
+    ),
+    "nl_join": (
+        "SELECT count(*) FROM t1, t2 WHERE t1.b < t2.b",
+        {"NLJoin"},
+    ),
+    "hash_agg": (
+        "SELECT c, sum(b), count(*), avg(b), min(b), max(b), "
+        "count(DISTINCT a) FROM t1 GROUP BY c",
+        {"HashAgg", "StreamAgg"},
+    ),
+    "scalar_agg": (
+        "SELECT sum(b), min(c) FROM t1 WHERE a > 900",
+        {"HashAgg", "StreamAgg"},
+    ),
+    "sort_limit": (
+        "SELECT a, b FROM t1 ORDER BY b, a LIMIT 25",
+        {"Sort", "Limit"},
+    ),
+    "semi_join": (
+        "SELECT count(*) FROM t1 WHERE a IN (SELECT a FROM t2)",
+        set(),
+    ),
+    "anti_join": (
+        "SELECT count(*) FROM t1 WHERE a NOT IN (SELECT a FROM t2)",
+        set(),
+    ),
+    "cte": (
+        "WITH base AS (SELECT a, b FROM t1 WHERE b > 50) "
+        "SELECT x.a, y.b FROM base x, base y WHERE x.a = y.a "
+        "ORDER BY x.a, y.b LIMIT 40",
+        set(),
+    ),
+}
 
 
 class TestOperatorCoverage:
@@ -248,7 +326,7 @@ class TestOperatorCoverage:
     def test_operator_identical(self, small_db, small_orca, name):
         sql, expected_ops = OPERATOR_QUERIES[name]
         result = small_orca.optimize(sql)
-        plan_ops = {node.op.name for node in _walk(result.plan)}
+        plan_ops = plan_op_names(result.plan)
         assert not expected_ops or expected_ops & plan_ops, (
             f"plan for {name!r} lost its target operator: {plan_ops}"
         )
@@ -318,9 +396,9 @@ _AGGS = (
     "count(DISTINCT t1.c)",
 )
 
-
-@settings(max_examples=25, deadline=None)
-@given(
+#: The draws of one random query (also run by tests/test_batch_executor.py
+#: on a cluster that spills).
+RANDOM_QUERY = dict(
     threshold=st.integers(min_value=0, max_value=100),
     compare=st.sampled_from(_COMPARES),
     agg=st.sampled_from(_AGGS),
@@ -328,9 +406,9 @@ _AGGS = (
     joined=st.booleans(),
     limit=st.integers(min_value=1, max_value=40),
 )
-def test_random_query_identical(
-    small_db, small_orca, threshold, compare, agg, grouped, joined, limit
-):
+
+
+def random_query_sql(threshold, compare, agg, grouped, joined, limit) -> str:
     if grouped:
         select = f"t1.c, {agg}"
         tail = "GROUP BY t1.c ORDER BY t1.c"
@@ -343,5 +421,12 @@ def test_random_query_identical(
         )
     else:
         from_where = f"FROM t1 WHERE t1.b {compare} {threshold}"
-    sql = f"SELECT {select} {from_where} {tail}"
-    assert_fused_identical(small_db, small_orca.optimize(sql))
+    return f"SELECT {select} {from_where} {tail}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(**RANDOM_QUERY)
+def test_random_query_identical(small_db, small_orca, **draw):
+    assert_fused_identical(
+        small_db, small_orca.optimize(random_query_sql(**draw))
+    )

@@ -17,7 +17,10 @@ the defensive copy used to guarantee silently is checked here instead:
   session and in a fleet worker that adopted the entry from the shared
   store;
 - a re-bound plan is the stored tree wherever no changed constant lies
-  below, object for object, compiled closures included.
+  below, object for object, and runs the code compiled for the stored
+  one: a nested-loops condition's and an index-scan residual's
+  ``_row_cache`` by being the same expression, a chain's stages
+  through ``fused._stage_code``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from repro.workloads import QUERIES, queries_by_id
 
 from tests.conftest import make_small_db
 
-MODES = [ExecutionMode.ROW, ExecutionMode.BATCH, ExecutionMode.FUSED]
+MODES = [ExecutionMode.ROW, ExecutionMode.FUSED]
 
 #: corpus id -> (literal as the corpus has it, the same literal redrawn).
 REDRAWN = {
@@ -218,30 +221,24 @@ def test_rebind_shares_every_untouched_subtree(tpcds_db, query_id):
     assert 0 < shared < len(pairs)
 
 
+def op_named(plan, name):
+    (node,) = [n for n in plan.walk() if n.op.name == name]
+    return node.op
+
+
 def test_rebind_shares_untouched_expressions_and_their_closures():
+    from repro.engine import fused
+
     db = make_small_db(t1_rows=800, t2_rows=300)
     template = (
         "SELECT a + 1 AS a1, b FROM t2 WHERE a > {} AND b < {} ORDER BY a1, b"
     )
-
-    def op_named(plan, name):
-        (node,) = [n for n in plan.walk() if n.op.name == name]
-        return node.op
-
-    def closures(expr):
-        return [
-            cache for cache in map(vars(expr).get, ("_row_cache", "_vec_cache"))
-            if cache
-        ]
-
     with cached_session(db) as session:
         session.execute(template.format(10, 500))
         stored = newest_entry(session).plan
         old = op_named(stored, "Filter")
         kept, changed = old.predicate.children
-        projection = op_named(stored, "Project").projections[0][0]
-        assert closures(old.predicate) and closures(projection)
-        compiled = closures(projection)[0]
+        compiled = len(fused._stage_code)
 
         rows = session.execute(template.format(10, 600)).rows
         assert session.last_result.plan_cache == "rebind"
@@ -255,14 +252,49 @@ def test_rebind_shares_untouched_expressions_and_their_closures():
         assert changed.right.value == 500
         # ... the sibling conjunct, the operator above (whose node had to
         # be rebuilt) and the node below are the stored objects, and the
-        # projection still runs the closure compiled for the first text.
+        # filter -> project chain, whose source spells no literal, is
+        # assembled from the code compiled for the first text.
         assert new.predicate.children[0] is kept
         assert op_named(plan, "Project") is op_named(stored, "Project")
-        assert closures(projection)[0] is compiled
+        assert len(fused._stage_code) == compiled
         (scan,) = [n for n in stored.walk() if n.op.name == "TableScan"]
         assert any(n is scan for n in plan.walk())
     with repro.connect(db, segments=8) as plain:
         assert rows == plain.execute(template.format(10, 600)).rows
+
+
+@pytest.mark.parametrize("op_name, attr, template", ids=["nl", "index"], argvalues=[
+    ("NLJoin", "condition",
+     "SELECT count(*) FROM t1, t2 WHERE t1.b < t2.b AND t2.a > {}"),
+    ("IndexScan", "residual",
+     "SELECT t1.a, t2.b FROM t1, t2 WHERE t1.a = t2.a AND t1.b = 7 "
+     "AND t1.c <> 'x' AND t2.b > {} ORDER BY t1.a, t2.b"),
+])
+def test_rebind_keeps_what_was_compiled_outside_a_chain(
+    op_name, attr, template
+):
+    """A nested-loops condition and an index-scan residual are compiled
+    on their own and kept in the expression's ``_row_cache``; a re-bind
+    that changes a constant elsewhere shares the expression, so it
+    shares the loop or closure too and compiles nothing."""
+    db = make_small_db(t1_rows=800, t2_rows=300)
+    with cached_session(db) as session:
+        session.execute(template.format(10))
+        stored = newest_entry(session).plan
+        expr = getattr(op_named(stored, op_name), attr)
+        compiled = dict(vars(expr)["_row_cache"])
+        assert compiled
+
+        rows = session.execute(template.format(40)).rows
+        assert session.last_result.plan_cache == "rebind"
+        plan = session.last_result.plan
+        assert plan is not stored
+        assert op_named(plan, op_name) is op_named(stored, op_name)
+        cache = vars(getattr(op_named(plan, op_name), attr))["_row_cache"]
+        assert cache.keys() == compiled.keys()
+        assert all(cache[key] is compiled[key] for key in compiled)
+    with repro.connect(db, segments=8) as plain:
+        assert rows == plain.execute(template.format(40)).rows
 
 
 def test_fused_stage_code_is_compiled_once_per_source(tpcds_db):

@@ -148,6 +148,43 @@ class TestArith:
     def test_division_dtype_is_float(self):
         assert Arith("/", Literal(6), Literal(3)).dtype is FLOAT
 
+    def test_dtype_of_a_long_chain_reads_each_leaf_at_most_once(self):
+        """``b + b + … + b`` is left-deep; reading ``left.dtype`` twice
+        per level made one ``.dtype`` cost 2^terms leaf reads."""
+        terms = 64
+        reads = []
+
+        class Leaf(Literal):
+            @property
+            def dtype(self):
+                reads.append(self)
+                # Counted, not timed: 2^64 reads would never finish.
+                assert len(reads) <= terms, "exponential dtype walk"
+                return self._dtype
+
+        chain = Leaf(1)
+        for _ in range(terms - 1):
+            chain = Arith("+", chain, Leaf(1))
+        assert chain.dtype is INT
+        assert reads
+        # A text operand on the left defers to the right one, once each.
+        del reads[:]
+        assert Arith("+", Leaf("x"), Leaf(2)).dtype is INT
+        assert len(reads) == 2
+
+    @pytest.mark.parametrize("mode", ["row", "fused"])
+    def test_forty_term_sum_runs_through_a_session(self, mode):
+        import repro
+        from tests.conftest import make_small_db
+
+        db = make_small_db(t1_rows=50, t2_rows=10)
+        sql = f"SELECT a, {' + '.join(['b'] * 40)} FROM t1 ORDER BY a, b"
+        with repro.connect(db, segments=2, execution_mode=mode) as session:
+            rows = session.execute(sql).rows
+        assert sorted(rows) == sorted(
+            (a, 40 * b) for a, b, _c in db.scan("t1")
+        )
+
 
 class TestPredicates:
     def test_is_null(self, cols):
