@@ -53,7 +53,6 @@ from repro.fleet import connect as connect_fleet
 from repro.gpos.governor import ResourceGovernor
 from repro.obs import (
     FlightRecorder,
-    FlightTracer,
     SlowQueryLog,
     Span,
     chrome_trace,
@@ -79,14 +78,13 @@ from repro.service import (
 )
 from repro.telemetry import (
     MetricsRegistry,
-    NullMetricsRegistry,
     PlanAnalysis,
     QueryStats,
     QueryStatsStore,
 )
-from repro.trace import NullTracer, TraceEvent, Tracer
+from repro.trace import TraceEvent, Tracer
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     # Session facade (stable public API)
@@ -132,7 +130,6 @@ __all__ = [
     "FaultSpec",
     # Tracing
     "Tracer",
-    "NullTracer",
     "TraceEvent",
     # Observability: distributed traces, flight recorder, slow-query log
     "Span",
@@ -140,12 +137,10 @@ __all__ = [
     "tracer_chrome_trace",
     "validate_chrome_trace",
     "FlightRecorder",
-    "FlightTracer",
     "load_flight_dump",
     "SlowQueryLog",
     # Telemetry (fleet observability)
     "MetricsRegistry",
-    "NullMetricsRegistry",
     "PlanAnalysis",
     "QueryStats",
     "QueryStatsStore",

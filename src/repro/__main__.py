@@ -328,7 +328,7 @@ def cmd_stats(args) -> int:
     """Run the TPC-DS corpus through a governed, telemetry-instrumented
     session pool and report per-query statistics plus the fleet metrics."""
     from repro.service import SessionPool
-    from repro.telemetry import parse_prometheus
+    from repro.telemetry import families, parse_prometheus
     from repro.workloads import QUERIES
 
     if args.q_error:
@@ -364,12 +364,12 @@ def cmd_stats(args) -> int:
     print()
     print(pool.telemetry.summary())
     if config.parallelism >= 2:
-        p95 = pool.telemetry.quantile("morsel_dispatch_seconds", 0.95)
+        p95 = pool.telemetry.quantile(families.MORSEL_DISPATCH_SECONDS, 0.95)
         print(
             "morsel pool: "
-            f"workers={int(pool.telemetry.value('morsel_pool_workers'))} "
+            f"workers={int(pool.telemetry.value(families.MORSEL_POOL_WORKERS))} "
             "morsels_dispatched="
-            f"{int(pool.telemetry.value('morsels_dispatched_total'))} "
+            f"{int(pool.telemetry.value(families.MORSELS_DISPATCHED))} "
             "dispatch_p95="
             + ("n/a" if p95 is None else f"{p95 * 1000.0:.3f}ms")
         )
@@ -406,7 +406,7 @@ def cmd_serve(args) -> int:
 
     from repro.fleet import connect as fleet_connect
     from repro.service.faults import FaultSpec
-    from repro.telemetry import parse_prometheus
+    from repro.telemetry import families, parse_prometheus
     from repro.workloads import QUERIES
 
     db = build_populated_db(scale=args.scale, seed=args.seed)
@@ -520,7 +520,7 @@ def cmd_serve(args) -> int:
     print(f"drained: {'clean' if clean else drained}")
 
     def _pct(q):
-        seconds = fleet.telemetry.quantile("fleet_request_seconds", q)
+        seconds = fleet.telemetry.quantile(families.FLEET_REQUEST_SECONDS, q)
         return None if seconds is None else round(seconds * 1000.0, 3)
 
     latency = {"p50_ms": _pct(0.50), "p95_ms": _pct(0.95),

@@ -29,7 +29,7 @@ from repro.ops.scalar import AggFunc, ColRef, WindowFunc
 from repro.props.order import SortKey
 from repro.search.plan import PlanNode
 from repro.telemetry.analyze import PlanAnalysis
-from repro.telemetry.registry import NULL_METRICS
+from repro.telemetry.families import fold_execution
 from repro.trace import NULL_TRACER
 
 SEGMENTED, SINGLETON, REPLICATED = "segmented", "singleton", "replicated"
@@ -118,7 +118,6 @@ class Executor:
         per_op_startup_units: float = 0.0,
         materialize_output_factor: float = 0.0,
         tracer=None,
-        metrics_registry=None,
         execution_mode: Optional[ExecutionMode] = None,
         parallelism: int = 0,
         morsel_pool=None,
@@ -142,7 +141,6 @@ class Executor:
         else:
             self._handlers = self._HANDLERS
         self.tracer = tracer or NULL_TRACER
-        self.telemetry = metrics_registry or NULL_METRICS
         # Morsel-driven parallelism (fused streaming phase only).  A
         # caller that owns a long-lived pool (Session) passes it via
         # morsel_pool=; otherwise parallelism>=2 makes this executor
@@ -153,9 +151,7 @@ class Executor:
         elif self._fused and parallelism:
             from repro.engine.parallel import make_pool
 
-            self._morsel_pool = make_pool(
-                parallelism, telemetry=self.telemetry
-            )
+            self._morsel_pool = make_pool(parallelism, tracer=self.tracer)
             self._owns_pool = self._morsel_pool is not None
         else:
             self._morsel_pool = None
@@ -191,8 +187,8 @@ class Executor:
             time_limit_seconds=self.time_limit_seconds,
         )
         # Per-node actuals are collected for EXPLAIN ANALYZE and whenever
-        # a telemetry registry wants per-operator work attribution.
-        self._collect = analyze or self.telemetry.enabled
+        # a metrics registry wants per-operator work attribution.
+        self._collect = analyze or self.tracer.registry is not None
         self._analysis = (
             PlanAnalysis(plan=plan, segments=self.cluster.segments)
             if self._collect
@@ -237,8 +233,9 @@ class Executor:
                 partitions_eliminated=self.metrics.partitions_eliminated,
                 subplan_executions=self.metrics.subplan_executions,
             )
-        if self.telemetry.enabled:
-            self._record_telemetry(plan, len(rows))
+        fold_execution(
+            self.tracer, plan, self.metrics, len(rows), self._analysis
+        )
         return ExecutionResult(
             rows=rows, columns=cols, metrics=self.metrics,
             analysis=self._analysis,
@@ -258,26 +255,6 @@ class Executor:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _record_telemetry(self, plan: PlanNode, rows_out: int) -> None:
-        t = self.telemetry
-        m = self.metrics
-        t.inc("executor_queries_total")
-        t.inc("executor_rows_total", rows_out, kind="returned")
-        t.inc("executor_rows_total", m.rows_scanned, kind="scanned")
-        t.inc("executor_rows_total", m.rows_moved, kind="moved")
-        t.inc("executor_rows_total", m.rows_spilled, kind="spilled")
-        t.inc("executor_net_bytes_total", m.net_bytes)
-        t.observe("execution_seconds", m.simulated_seconds())
-        if self._analysis is not None:
-            t.observe("executor_segment_skew",
-                      self._analysis.stats_for(plan).skew())
-            for node in plan.walk():
-                stats = self._analysis.stats_for(node)
-                t.inc("executor_operator_work_units_total",
-                      self._analysis.exclusive_work(node), op=node.op.name)
-                t.inc("executor_operator_rows_total", stats.rows_out,
-                      op=node.op.name)
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -58,10 +58,12 @@ import itertools
 import multiprocessing
 import os
 import time
+from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.errors import ExecutionError
-from repro.telemetry.registry import NULL_METRICS, MetricsRegistry
+from repro.telemetry import families
+from repro.trace import NULL_TRACER
 
 #: Monotonic ids for compiled chains, unique per coordinator process.
 #: Workers key their compile cache by these, so a chain is shipped and
@@ -273,16 +275,22 @@ class MorselPool:
         self,
         workers: int,
         *,
-        telemetry=None,
+        tracer=None,
         name: str = "morsels",
     ):
         self.workers = max(int(workers), 2)
         self.name = name
-        #: Fleet/metrics registry mirror (NULL_METRICS when telemetry is
-        #: off); the private registry below always records pool stats so
-        #: ``stats()`` works without a configured registry.
-        self.telemetry = telemetry if telemetry is not None else NULL_METRICS
-        self._registry = MetricsRegistry(namespace="")
+        #: The owner's instrumentation front (metrics only; spans around a
+        #: dispatch are the fused engine's).
+        self.tracer = tracer or NULL_TRACER
+        #: This pool's own counters, for ``stats()``.
+        self.morsels_dispatched = 0
+        self.batches = 0
+        self.rows_shipped = 0
+        self.rows_reused = 0
+        self.cache_flushes = 0
+        #: Seconds of the most recent dispatches (the p95 in ``stats()``).
+        self._dispatch_seconds: deque[float] = deque(maxlen=1024)
         self._procs: list = []
         self._conns: list = []
         #: Per-worker set of chain keys already shipped + compiled there.
@@ -294,10 +302,6 @@ class MorselPool:
         self._pinned_rows = 0
         self._resident: list[set[int]] = []
         self.pin_rows_max = _PIN_ROWS_MAX
-        #: Per-dispatch transport accounting (rows serialized vs served
-        #: from the resident cache), accumulated into the registries.
-        self._shipped = 0
-        self._reused = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -327,12 +331,7 @@ class MorselPool:
             self._conns.append(parent_conn)
             self._known.append(set())
             self._resident.append(set())
-        self._registry.set_gauge("morsel_pool_workers", self.workers)
-        if self.telemetry.enabled:
-            self.telemetry.set_gauge("morsel_pool_workers", self.workers)
-        self._observe = self._registry.histogram(
-            "morsel_dispatch_seconds"
-        ).observe
+        self.tracer.set_gauge(families.MORSEL_POOL_WORKERS, self.workers)
 
     # ------------------------------------------------------------------
     def _flush_resident(self) -> None:
@@ -344,25 +343,24 @@ class MorselPool:
             rids.clear()
         for conn in self._conns:
             conn.send(("flush",))
-        self._registry.inc("morsel_cache_flushes_total")
-        if self.telemetry.enabled:
-            self.telemetry.inc("morsel_cache_flushes_total")
+        self.cache_flushes += 1
+        self.tracer.inc(families.MORSEL_CACHE_FLUSHES)
 
     def _encode_rows(self, w: int, rows, cacheable: bool):
         """Encode one row list for worker ``w``: inline, install, or a
         reference to a list already resident there."""
         if not cacheable:
-            self._shipped += len(rows)
+            self.rows_shipped += len(rows)
             return ("x", rows)
         rid = id(rows)
         if rid in self._resident[w]:
-            self._reused += len(rows)
+            self.rows_reused += len(rows)
             return ("r", rid)
         if rid not in self._pinned:
             self._pinned[rid] = rows
             self._pinned_rows += len(rows)
         self._resident[w].add(rid)
-        self._shipped += len(rows)
+        self.rows_shipped += len(rows)
         return ("i", rid, rows)
 
     def run_stage(
@@ -392,7 +390,7 @@ class MorselPool:
         start = time.perf_counter()
         n = len(morsels)
         width = min(self.workers, n)
-        shipped0, reused0 = self._shipped, self._reused
+        shipped0, reused0 = self.rows_shipped, self.rows_reused
         try:
             if self._pinned_rows > self.pin_rows_max:
                 self._flush_resident()
@@ -441,43 +439,32 @@ class MorselPool:
             self._closed = False
             raise
         elapsed = time.perf_counter() - start
-        shipped = self._shipped - shipped0
-        reused = self._reused - reused0
-        self._registry.inc("morsels_dispatched_total", n)
-        self._registry.inc("morsel_batches_total")
-        self._registry.inc("morsel_rows_shipped_total", shipped)
-        self._registry.inc("morsel_rows_reused_total", reused)
-        self._observe(elapsed)
-        if self.telemetry.enabled:
-            self.telemetry.inc("morsels_dispatched_total", n)
-            self.telemetry.inc("morsel_rows_shipped_total", shipped)
-            self.telemetry.inc("morsel_rows_reused_total", reused)
-            self.telemetry.observe("morsel_dispatch_seconds", elapsed)
+        self.morsels_dispatched += n
+        self.batches += 1
+        self._dispatch_seconds.append(elapsed)
+        tracer = self.tracer
+        tracer.inc(families.MORSELS_DISPATCHED, n)
+        tracer.inc(families.MORSEL_ROWS_SHIPPED, self.rows_shipped - shipped0)
+        tracer.inc(families.MORSEL_ROWS_REUSED, self.rows_reused - reused0)
+        tracer.observe(families.MORSEL_DISPATCH_SECONDS, elapsed)
         return results
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Pool counters for reports: worker count, morsels dispatched,
-        and the p95 dispatch latency via ``Histogram.quantile``."""
-        p95 = self._registry.quantile("morsel_dispatch_seconds", 0.95)
+        and the p95 latency of the last 1024 dispatches."""
+        recent = sorted(self._dispatch_seconds)
         return {
             "workers": self.workers if self.started else 0,
             "configured_workers": self.workers,
-            "morsels_dispatched": int(
-                self._registry.value("morsels_dispatched_total")
-            ),
-            "batches": int(self._registry.value("morsel_batches_total")),
-            "rows_shipped": int(
-                self._registry.value("morsel_rows_shipped_total")
-            ),
-            "rows_reused": int(
-                self._registry.value("morsel_rows_reused_total")
-            ),
-            "cache_flushes": int(
-                self._registry.value("morsel_cache_flushes_total")
-            ),
+            "morsels_dispatched": self.morsels_dispatched,
+            "batches": self.batches,
+            "rows_shipped": self.rows_shipped,
+            "rows_reused": self.rows_reused,
+            "cache_flushes": self.cache_flushes,
             "dispatch_p95_ms": (
-                None if p95 is None else round(p95 * 1000.0, 3)
+                round(recent[int(0.95 * (len(recent) - 1))] * 1000.0, 3)
+                if recent else None
             ),
         }
 
@@ -528,7 +515,7 @@ class MorselPool:
 def make_pool(
     parallelism: int,
     *,
-    telemetry=None,
+    tracer=None,
     name: str = "morsels",
 ) -> Optional[MorselPool]:
     """A :class:`MorselPool` when ``parallelism`` resolves to >= 2 here
@@ -536,4 +523,4 @@ def make_pool(
     effective = effective_parallelism(parallelism)
     if effective < 2:
         return None
-    return MorselPool(effective, telemetry=telemetry, name=name)
+    return MorselPool(effective, tracer=tracer, name=name)

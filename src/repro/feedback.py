@@ -48,7 +48,8 @@ from repro.ops.logical import (
 )
 from repro.ops.scalar import ColRef, ColRefExpr, ScalarExpr, conjuncts
 from repro.stats.derivation import promise
-from repro.telemetry.registry import NULL_METRICS
+from repro.telemetry import families
+from repro.trace import NULL_TRACER
 
 #: Physical operators whose ``rows_out`` does not equal the logical
 #: cardinality of their group (Broadcast replicates every row to every
@@ -315,7 +316,7 @@ class FeedbackStore:
         staleness_decay: float = 0.995,
         min_confidence: float = 0.2,
         drift_threshold: float = 0.05,
-        metrics=None,
+        tracer=None,
     ):
         self.max_entries = max(int(max_entries), 1)
         self.ewma_alpha = ewma_alpha
@@ -323,7 +324,7 @@ class FeedbackStore:
         self.staleness_decay = staleness_decay
         self.min_confidence = min_confidence
         self.drift_threshold = drift_threshold
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self.tracer = tracer or NULL_TRACER
         self._entries: dict[tuple, FeedbackEntry] = {}
         #: Bumped once per ingested plan; entries age against it.
         self.generation = 0
@@ -391,16 +392,13 @@ class FeedbackStore:
         if changed:
             self.version += 1
         report.changed_shapes = frozenset(changed)
-        if self.metrics.enabled:
-            self.metrics.inc(
-                "feedback_entries_total", report.new_entries, outcome="new"
-            )
-            self.metrics.inc(
-                "feedback_entries_total",
-                report.updated_entries,
-                outcome="updated",
-            )
-            self.metrics.inc("feedback_ingests_total")
+        self.tracer.inc(
+            families.FEEDBACK_ENTRIES, report.new_entries, outcome="new"
+        )
+        self.tracer.inc(
+            families.FEEDBACK_ENTRIES, report.updated_entries, outcome="updated"
+        )
+        self.tracer.inc(families.FEEDBACK_INGESTS)
         return report
 
     def _drifted(self, before: float, after: float) -> bool:

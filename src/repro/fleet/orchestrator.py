@@ -51,8 +51,10 @@ from repro.fleet.shared import SharedFeedbackBoard, SharedPlanStore
 from repro.fleet.worker import WorkerSpec, worker_main
 from repro.ops.scalar import ColRef
 from repro.search.plan import PlanNode
+from repro.telemetry import families
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.stats_store import fingerprint_query
+from repro.trace import Tracer
 
 #: Fault-spec kinds that must not be re-armed on a restarted worker —
 #: re-arming a deterministic ``kill`` at hit 1 would murder every
@@ -183,11 +185,12 @@ class Fleet:
         self.telemetry = (
             telemetry if telemetry is not None else MetricsRegistry()
         )
-        #: Orchestrator-side tracer: when set (and enabled), every routed
-        #: request runs under a ``fleet:<kind>`` span, trace context is
-        #: injected into the request dict, and the worker's spans are
-        #: adopted back into this tracer's timeline — one stitched trace.
-        self.tracer = tracer
+        #: The orchestrator's instrumentation front: ``tracer`` writing
+        #: ``telemetry`` too.  When ``tracer`` has a trace buffer, every
+        #: routed request runs under a ``fleet:<kind>`` span, trace
+        #: context is injected into the request dict, and the worker's
+        #: spans are adopted back into its timeline — one stitched trace.
+        self.tracer = Tracer.front(tracer, registry=self.telemetry)
         #: Worker flight-recorder / slow-log knobs (shipped in the spec).
         self.flight_dir = flight_dir
         self.flight_capacity = flight_capacity
@@ -216,6 +219,12 @@ class Fleet:
         #: never the other way round.
         self._state = threading.Lock()
         self._req_counter = 0
+        #: Every ``bump_catalog()`` so far, in order.  ``self.catalog`` is
+        #: never bumped, so a respawned worker replays these first.
+        self._catalog_bumps: list[Optional[str]] = []
+        #: One ``bump_catalog()`` broadcast at a time: workers apply
+        #: bumps in the order they were recorded.
+        self._bump_lock = threading.Lock()
         self.requests_attempted = 0
         self.requests_served = 0
         self.restarts_total = 0
@@ -248,8 +257,11 @@ class Fleet:
             explicit = tuple(
                 s for s in explicit if s.kind not in _PROCESS_FAULT_KINDS
             )
+        with self._state:
+            catalog_bumps = tuple(self._catalog_bumps)
         return WorkerSpec(
             catalog=self.catalog,
+            catalog_bumps=catalog_bumps,
             config=self.config,
             fallback=self.fallback,
             max_retries=self.max_retries,
@@ -281,8 +293,8 @@ class Fleet:
         worker.conn = parent_conn
         with self._state:
             worker.view.alive = True
-            self.telemetry.set_gauge(
-                "fleet_worker_up", 1, worker=str(worker.worker_id)
+            self.tracer.set_gauge(
+                families.FLEET_WORKER_UP, 1, worker=str(worker.worker_id)
             )
 
     def _restart(self, worker: _Worker, reason: str) -> None:
@@ -304,21 +316,17 @@ class Fleet:
         if worker.conn is not None:
             worker.conn.close()
         worker.incarnation += 1
+        worker.folded_sources = {}  # the new process counts from zero
         with self._state:
             worker.view.restarts += 1
             self.restarts_total += 1
-            self.telemetry.inc(
-                "fleet_restarts_total",
-                worker=str(worker.worker_id), reason=reason,
-            )
-            self.telemetry.set_gauge(
-                "fleet_worker_up", 0, worker=str(worker.worker_id)
-            )
-        if self.tracer is not None and self.tracer.enabled:
             self.tracer.record(
                 "fleet_restart",
                 worker=worker.worker_id, reason=reason,
                 incarnation=worker.incarnation,
+            )
+            self.tracer.set_gauge(
+                families.FLEET_WORKER_UP, 0, worker=str(worker.worker_id)
             )
         self._spawn(worker)
 
@@ -384,8 +392,8 @@ class Fleet:
             ]
             worker.view.routed += 1
             worker.view.in_flight += 1
-            self.telemetry.inc(
-                "fleet_routing_total",
+            self.tracer.inc(
+                families.FLEET_ROUTING,
                 policy=self.policy.name, worker=str(worker.worker_id),
             )
         try:
@@ -455,11 +463,7 @@ class Fleet:
         fp = ""
         if sql is not None:
             fp = fingerprint_query(sql)[0]
-        tracer = (
-            self.tracer
-            if self.tracer is not None and self.tracer.enabled
-            else None
-        )
+        tracer = self.tracer if self.tracer.enabled else None
         with self._state:
             self.requests_attempted += 1
         attempts = 2 * len(self._workers) + 2
@@ -471,17 +475,17 @@ class Fleet:
                     )
                 except _NoReply as exc:
                     with self._state:
-                        self.telemetry.inc(
-                            "fleet_requests_total",
+                        self.tracer.inc(
+                            families.FLEET_REQUESTS,
                             outcome=f"retry_{exc.outcome}",
                         )
                     continue
             ok = response.get("ok", False)
             with self._state:
                 worker.view.completed += 1
-                self.telemetry.observe("fleet_request_seconds", seconds)
-                self.telemetry.inc(
-                    "fleet_requests_total", outcome="ok" if ok else "error"
+                self.tracer.observe(families.FLEET_REQUEST_SECONDS, seconds)
+                self.tracer.inc(
+                    families.FLEET_REQUESTS, outcome="ok" if ok else "error"
                 )
                 if ok:
                     self.requests_served += 1
@@ -489,7 +493,7 @@ class Fleet:
                 self._raise_remote(worker.worker_id, response)
             return response, worker.worker_id
         with self._state:
-            self.telemetry.inc("fleet_requests_total", outcome="unroutable")
+            self.tracer.inc(families.FLEET_REQUESTS, outcome="unroutable")
         raise FleetError(
             f"no worker could serve the request after {attempts} "
             f"routing attempts ({self.restarts_total} restarts so far)"
@@ -516,11 +520,9 @@ class Fleet:
             worker=worker_id,
         )
         with self._state:
-            self.telemetry.inc(
-                "queries_total", plan_source=result.plan_source
-            )
-            self.telemetry.observe(
-                "optimization_seconds", result.opt_time_seconds
+            self.tracer.inc(families.QUERIES, plan_source=result.plan_source)
+            self.tracer.observe(
+                families.OPTIMIZATION_SECONDS, result.opt_time_seconds
             )
         return result
 
@@ -532,8 +534,8 @@ class Fleet:
             "execute", {"sql": sql, "analyze": analyze}, sql=sql
         )
         with self._state:
-            self.telemetry.inc(
-                "queries_total", plan_source=response["plan_source"]
+            self.tracer.inc(
+                families.QUERIES, plan_source=response["plan_source"]
             )
         execution = response["execution"]
         execution.worker = worker_id
@@ -578,8 +580,8 @@ class Fleet:
                 outcome = "busy"
             out[worker.worker_id] = outcome
             with self._state:
-                self.telemetry.inc(
-                    "fleet_heartbeats_total",
+                self.tracer.inc(
+                    families.FLEET_HEARTBEATS,
                     worker=str(worker.worker_id), outcome=outcome,
                 )
         return out
@@ -634,8 +636,8 @@ class Fleet:
             for source, count in sources.items():
                 seen = worker.folded_sources.get(source, 0)
                 if count > seen:
-                    self.telemetry.inc(
-                        "fleet_worker_queries_total",
+                    self.tracer.inc(
+                        families.FLEET_WORKER_QUERIES,
                         count - seen,
                         worker=str(worker.worker_id), plan_source=source,
                     )
@@ -676,10 +678,22 @@ class Fleet:
         flight on it, while the others keep serving.  On return every
         worker has applied the bump, so a statement *started* afterwards
         is optimized against the new versions on whichever worker it
-        lands; one that overlaps the call may see either side.
+        lands; one that overlaps the call may see either side.  The bump
+        is recorded first: a worker respawned from now on replays it
+        before it serves anything, and acknowledges this broadcast
+        (matched by ``seq``) without applying it twice.
         """
-        for worker in self._workers:
-            self._request_to(worker, "bump_catalog", {"table": table})
+        with self._bump_lock:
+            with self._state:
+                self._catalog_bumps.append(table)
+                seq = len(self._catalog_bumps)
+            for worker in self._workers:
+                try:
+                    self._request_to(
+                        worker, "bump_catalog", {"table": table, "seq": seq}
+                    )
+                except FleetError:
+                    pass  # restarted instead: the new process replayed it
 
     @property
     def availability(self) -> float:
@@ -738,8 +752,8 @@ class Fleet:
             info["exitcode"] = worker.process.exitcode
         with self._state:
             worker.view.alive = False
-            self.telemetry.set_gauge(
-                "fleet_worker_up", 0, worker=str(worker.worker_id)
+            self.tracer.set_gauge(
+                families.FLEET_WORKER_UP, 0, worker=str(worker.worker_id)
             )
         return info
 

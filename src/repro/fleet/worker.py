@@ -42,6 +42,10 @@ class WorkerSpec:
     """Everything a worker process needs to come up (fully picklable)."""
 
     catalog: object
+    #: The fleet's ``bump_catalog()`` history (table names, None = all):
+    #: ``catalog`` is the orchestrator's never-bumped copy, so the worker
+    #: replays these before it serves its first request.
+    catalog_bumps: tuple = ()
     config: OptimizerConfig = field(default_factory=OptimizerConfig)
     fallback: bool = True
     max_retries: int = 0
@@ -100,8 +104,8 @@ def build_session(worker_id: int, spec: WorkerSpec) -> Session:
 
         feedback_store = SharedFeedbackStore(board=spec.feedback_board)
     # Always-on flight recorder: ring buffer in memory, dumps to disk
-    # only when the spec names a directory.  Its FlightTracer becomes
-    # the session tracer (near-zero overhead; spans land in the ring).
+    # only when the spec names a directory.  Its front becomes the
+    # session tracer (near-zero overhead; spans land in the ring).
     recorder = FlightRecorder(
         capacity=spec.flight_capacity,
         dump_dir=spec.flight_dir,
@@ -154,6 +158,10 @@ def _worker_stats(session: Session) -> dict:
         "plan_cache": cache.stats() if cache is not None else None,
         "feedback": feedback.stats() if feedback is not None else None,
         "morsel_pool": session.morsel_stats(),
+        "catalog_versions": {
+            table.name: session.catalog.version(table.name)
+            for table in session.catalog.tables()
+        },
         "pid": os.getpid(),
     }
 
@@ -207,6 +215,9 @@ def handle_request(session: Session, request: dict) -> dict:
 
 def worker_main(worker_id: int, conn, spec: WorkerSpec) -> None:
     """Process entry point: serve requests until drained."""
+    for table in spec.catalog_bumps:
+        spec.catalog.analyze(table)
+    bumps_applied = len(spec.catalog_bumps)
     session = build_session(worker_id, spec)
     recorder = session.flight
     while True:
@@ -221,6 +232,12 @@ def worker_main(worker_id: int, conn, spec: WorkerSpec) -> None:
                 **_worker_stats(session),
             })
             break
+        if request["kind"] == "bump_catalog":
+            if request["seq"] <= bumps_applied:
+                # Replayed at start-up: the broadcast overlapped a restart.
+                conn.send({"id": req_id, "ok": True})
+                continue
+            bumps_applied = request["seq"]
         # Adopt the orchestrator's trace context: the record (and every
         # span under it) carries the query's trace_id, and the worker's
         # root span hangs off the orchestrator's request span.

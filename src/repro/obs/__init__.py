@@ -1,6 +1,7 @@
 """repro.obs — observability: distributed traces, flight data, slow log.
 
-Three pillars, one ``trace_id``:
+Three pillars, one ``trace_id``, all fed by the one instrumentation
+front (:class:`repro.trace.Tracer`):
 
 - :mod:`repro.obs.spans` / :mod:`repro.obs.export` — span primitives and
   the Chrome-trace/Perfetto exporter for stitched fleet traces;
@@ -18,7 +19,6 @@ from repro.obs.export import (
 )
 from repro.obs.flight import (
     FlightRecorder,
-    FlightTracer,
     QueryRecord,
     load_flight_dump,
 )
@@ -34,7 +34,6 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
     "FlightRecorder",
-    "FlightTracer",
     "QueryRecord",
     "load_flight_dump",
     "JsonLogFormatter",

@@ -84,9 +84,7 @@ def chrome_trace(
 
 def tracer_chrome_trace(tracer: Any) -> dict[str, Any]:
     """Export a tracer's spans, tagging events with its ``trace_id``."""
-    return chrome_trace(
-        getattr(tracer, "spans", ()), trace_id=getattr(tracer, "trace_id", None)
-    )
+    return chrome_trace(tracer.spans, trace_id=tracer.trace_id)
 
 
 def write_chrome_trace(path: str, tracer: Any, indent: Optional[int] = None) -> None:

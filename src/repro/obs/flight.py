@@ -9,14 +9,14 @@ moment something goes wrong — a fatal injected fault, a wedge, a ``die``
 request, a governor trip, or an unexpected worker exception.  Chaos runs
 then produce postmortem artifacts instead of silence.
 
-The cost model is the NullTracer trick inverted: :class:`FlightTracer`
-reports ``enabled = False`` so every *guarded* hot-path call site
-(``if tracer.enabled: tracer.record(...)``) skips payload construction
-entirely, exactly as if tracing were off — which also keeps traced and
-untraced runs bit-identical.  Only the dozen-or-so unconditional
-:meth:`~FlightTracer.span` sites per query do real work: one
-:class:`~repro.obs.spans.Span` allocation each, appended to the current
-:class:`QueryRecord`.  Span times are stored relative to the record's
+The ring is a sink of the instrumentation front
+(:class:`repro.trace.Tracer`; :attr:`FlightRecorder.tracer` writes this
+ring and nothing else).  A front without a trace buffer reports
+``enabled = False``, so every *guarded* hot-path call site skips payload
+construction exactly as if tracing were off, and recorded and unrecorded
+runs stay bit-identical.  Only the dozen-or-so ``span`` sites per query
+do real work: one :class:`~repro.obs.spans.Span` each, appended to the
+current :class:`QueryRecord`.  Span times are relative to the record's
 begin, so a dump's spans can be rebased onto any other timeline (the
 orchestrator does this when stitching worker spans into a fleet trace).
 """
@@ -27,11 +27,10 @@ import json
 import os
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
-from repro.obs.spans import Span, new_span_id, new_trace_id
+from repro.obs.spans import Span, new_trace_id
 
 #: Structured events kept per record before the ring starts dropping
 #: them (spans are unbounded per record — there are ~10 per query).
@@ -72,90 +71,6 @@ class QueryRecord:
         }
 
 
-class FlightTracer:
-    """Tracer facade over a :class:`FlightRecorder`.
-
-    ``enabled`` is False: guarded call sites behave exactly as with the
-    NullTracer (no per-event payloads, deterministic vs. untraced runs).
-    ``span`` is real whenever a record is open and a no-op otherwise.
-    """
-
-    enabled = False
-
-    def __init__(self, recorder: "FlightRecorder"):
-        self._recorder = recorder
-        self._stack: list[Span] = []
-
-    # -- identity ------------------------------------------------------
-    @property
-    def trace_id(self) -> Optional[str]:
-        rec = self._recorder.current
-        return rec.trace_id if rec is not None else None
-
-    @property
-    def current_span_id(self) -> Optional[str]:
-        if self._stack:
-            return self._stack[-1].span_id
-        rec = self._recorder.current
-        return rec.parent_span_id if rec is not None else None
-
-    @property
-    def spans(self) -> list[Span]:
-        rec = self._recorder.current
-        return rec.spans if rec is not None else []
-
-    def now(self) -> float:
-        rec = self._recorder.current
-        return time.monotonic() - rec.started if rec is not None else 0.0
-
-    # -- tracer API ----------------------------------------------------
-    def record(self, kind: str, **data: Any) -> None:
-        # Only unguarded call sites reach this (enabled is False); they
-        # are rare, deliberate events worth keeping in the black box.
-        rec = self._recorder.current
-        if rec is not None:
-            rec.note(kind, time.monotonic() - rec.started, data)
-
-    @contextmanager
-    def span(self, stage: str, **data: Any) -> Iterator[Optional[Span]]:
-        rec = self._recorder.current
-        if rec is None:
-            yield None
-            return
-        span = Span(
-            name=stage,
-            span_id=new_span_id(),
-            parent_id=self.current_span_id,
-            start=time.monotonic() - rec.started,
-            data=data,
-        )
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            self._stack.pop()
-            span.end = time.monotonic() - rec.started
-            # The record the span started under may have been closed by
-            # a concurrent begin(); keep the span with its own record.
-            rec.spans.append(span)
-
-    # -- inert aggregate API (parity with Tracer/NullTracer) -----------
-    def count(self, kind: str) -> int:
-        return 0
-
-    def events_of(self, kind: str) -> list:
-        return []
-
-    def to_dict(self) -> dict[str, Any]:
-        return {}
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return "{}"
-
-    def summary(self) -> str:
-        return "(flight recorder: ring buffer only)"
-
-
 class FlightRecorder:
     """Bounded ring of :class:`QueryRecord` plus crash-dump machinery."""
 
@@ -170,9 +85,12 @@ class FlightRecorder:
         self.worker = worker
         self.records: deque[QueryRecord] = deque(maxlen=capacity)
         self.current: Optional[QueryRecord] = None
-        self.tracer = FlightTracer(self)
         self.dumps: list[str] = []
         self._dump_seq = 0
+        from repro.trace import Tracer  # at module level: a cycle via spans
+
+        #: The instrumentation front that writes this ring and nothing else.
+        self.tracer = Tracer.front(flight=self)
 
     # -- record lifecycle ----------------------------------------------
     def begin(

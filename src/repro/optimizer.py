@@ -39,8 +39,8 @@ from repro.sql.ast import SelectStmt
 from repro.sql.parser import parse
 from repro.sql.translator import TranslatedQuery, Translator
 from repro.telemetry.analyze import PlanAnalysis
-from repro.telemetry.registry import NULL_METRICS
-from repro.trace import NULL_TRACER, NullTracer, Tracer
+from repro.telemetry.families import fold_search
+from repro.trace import Tracer
 from repro.xforms.normalization import preprocess
 
 #: Where an optimization's plan came from (``OptimizationResult.plan_source``).
@@ -109,11 +109,10 @@ class OptimizationResult:
     #: open problem, implemented as multiplicative damping; see
     #: repro.stats.derivation).
     stats_confidence: float = 1.0
-    #: The structured trace of this session: a :class:`repro.trace.Tracer`
-    #: when the session was created with one, else the shared NullTracer.
-    #: Benchmarks and AMPERe dumps read per-stage timings and event
-    #: counts from here.
-    trace: Union[Tracer, NullTracer, None] = None
+    #: The session's instrumentation front (:class:`repro.trace.Tracer`;
+    #: the shared ``NULL_TRACER`` when nothing is attached).  Benchmarks
+    #: and AMPERe dumps read per-stage timings and event counts from here.
+    trace: Optional[Tracer] = None
     #: Error code of the optimizer failure a session recovered from
     #: (``plan_source == "planner_fallback"`` only), else None.
     fallback_reason: Optional[str] = None
@@ -159,10 +158,9 @@ class Orca:
         self.catalog = catalog
         self.config = config or OptimizerConfig()
         self.cost_params = cost_params
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: Fleet telemetry (repro.telemetry.MetricsRegistry); the shared
-        #: NULL_METRICS no-op when the session is un-instrumented.
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        #: The instrumentation front: ``tracer`` writing the ``metrics``
+        #: registry (repro.telemetry.MetricsRegistry) too, when given.
+        self.tracer = Tracer.front(tracer, registry=metrics)
         #: Cooperative resource governor.  An explicit instance is reused
         #: (and re-armed) across queries so per-session peaks accumulate;
         #: otherwise one is built from the config's limits, if any.
@@ -172,11 +170,7 @@ class Orca:
         #: Parameterized plan cache (Section 4.1 metadata versioning makes
         #: catalog-keyed invalidation safe); None when disabled.
         self.plan_cache: Optional[PlanCache] = (
-            PlanCache(
-                self.config.plan_cache_size,
-                tracer=self.tracer,
-                metrics=self.metrics,
-            )
+            PlanCache(self.config.plan_cache_size, tracer=self.tracer)
             if self.config.enable_plan_cache
             else None
         )
@@ -188,7 +182,7 @@ class Orca:
             if feedback is None:
                 from repro.feedback import FeedbackStore
 
-                feedback = FeedbackStore(metrics=self.metrics)
+                feedback = FeedbackStore(tracer=self.tracer)
             self.feedback = feedback
         else:
             self.feedback = None
@@ -266,32 +260,6 @@ class Orca:
                 )
         result.opt_time_seconds = time.perf_counter() - start
         return result
-
-    def _record_search_metrics(self, stats: SearchStats, timed_out: bool) -> None:
-        """Fold one search's effort counters into the fleet registry.
-
-        Recorded post-hoc from the already-maintained SearchStats so the
-        search itself runs the exact same instruction stream whether
-        telemetry is on or off (the determinism guarantee)."""
-        m = self.metrics
-        for kind, count in stats.kind_counts.items():
-            m.inc("scheduler_jobs_total", count, kind=kind)
-        m.inc("search_jobs_total", stats.jobs_executed)
-        m.inc("search_groups_total", stats.num_groups)
-        m.inc("search_gexprs_total", stats.num_gexprs)
-        m.inc("search_xforms_total", stats.xform_count)
-        m.inc("search_pruned_alternatives_total", stats.pruned_alternatives)
-        m.inc("search_costed_alternatives_total", stats.costed_alternatives)
-        m.inc("search_bound_redos_total", stats.bound_redos)
-        m.inc("search_derivation_cache_hits_total", stats.derivation_cache_hits)
-        m.inc("search_property_cache_hits_total", stats.property_cache_hits)
-        m.inc("optimizer_intern_events_total", stats.intern_hits, kind="hit")
-        m.inc("optimizer_intern_events_total", stats.intern_misses, kind="miss")
-        m.inc("feedback_lookup_hits_total", stats.feedback_hits)
-        m.inc("feedback_corrections_total", stats.corrections_applied)
-        m.set_gauge("search_memory_bytes", stats.memory_bytes)
-        if timed_out:
-            m.inc("governor_trips_total", kind="deadline_partial")
 
     def _catalog_versions(self) -> tuple:
         """Per-table metadata versions; any DDL/ANALYZE changes the cache
@@ -399,8 +367,9 @@ class Orca:
             intern_after["misses"] - intern_before["misses"]
         )
         root_stats = memo.root_group().stats
-        if self.metrics.enabled:
-            self._record_search_metrics(stats, timed_out)
+        # Post hoc, from counters the search keeps anyway: it runs the
+        # same instruction stream with or without a metrics registry.
+        fold_search(self.tracer, stats, timed_out)
         return OptimizationResult(
             plan=plan,
             plan_source="orca_partial" if timed_out else "orca",

@@ -55,7 +55,6 @@ from repro.ops.physical import PhysicalIndexScan
 from repro.ops.scalar import ColRef, InList, Literal, ScalarExpr
 from repro.search.plan import PlanNode
 from repro.sql.ast import EIn, ELiteral
-from repro.telemetry.registry import NULL_METRICS
 from repro.trace import NULL_TRACER
 
 #: Marker standing in for one parameterized literal in a fingerprint.
@@ -255,11 +254,9 @@ class PlanCache:
     re-binds — from every other worker.
     """
 
-    def __init__(self, capacity: int = 64, tracer=None, metrics=None,
-                 shared=None):
+    def __init__(self, capacity: int = 64, tracer=None, shared=None):
         self.capacity = max(capacity, 1)
         self.tracer = tracer or NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
         #: Cross-process backing store, or None (single-process cache).
         self.shared = shared
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
@@ -293,10 +290,7 @@ class PlanCache:
         entry: CachedPlan = _loads(blob)
         self._entries[key] = entry
         self.shared_hits += 1
-        if self.metrics.enabled:
-            self.metrics.inc("plan_cache_events_total", event="shared_hit")
-        if self.tracer.enabled:
-            self.tracer.record("plan_cache_shared_hit", key=hash(key))
+        self.tracer.record("plan_cache_shared_hit", key=hash(key))
         self._trim()
         return entry
 
@@ -310,12 +304,7 @@ class PlanCache:
         if entry.params == params:
             self._entries.move_to_end(key)
             self.hits += 1
-            if self.metrics.enabled:
-                self.metrics.inc("plan_cache_events_total", event="hit")
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "plan_cache_hit", key=hash(key), rebound=False
-                )
+            self.tracer.record("plan_cache_hit", key=hash(key), rebound=False)
             return CacheHit(
                 plan=entry.plan,
                 output_cols=list(entry.output_cols),
@@ -332,11 +321,7 @@ class PlanCache:
         self._entries.move_to_end(key)
         self.hits += 1
         self.rebinds += 1
-        if self.metrics.enabled:
-            self.metrics.inc("plan_cache_events_total", event="hit")
-            self.metrics.inc("plan_cache_events_total", event="rebind")
-        if self.tracer.enabled:
-            self.tracer.record("plan_cache_hit", key=hash(key), rebound=True)
+        self.tracer.record("plan_cache_hit", key=hash(key), rebound=True)
         return CacheHit(
             plan=plan,
             output_cols=list(entry.output_cols),
@@ -371,30 +356,22 @@ class PlanCache:
         self._entries[key] = entry
         self._entries.move_to_end(key)
         self.stores += 1
-        if self.metrics.enabled:
-            self.metrics.inc("plan_cache_events_total", event="store")
-        if self.tracer.enabled:
-            self.tracer.record("plan_cache_store", key=hash(key))
         if self.shared is not None:
             self.shared.put(
                 key, _dumps(entry),
                 shapes=shapes, catalog_versions=catalog_versions,
             )
             self.shared_stores += 1
-            if self.metrics.enabled:
-                self.metrics.inc(
-                    "plan_cache_events_total", event="shared_store"
-                )
+        self.tracer.record(
+            "plan_cache_store", key=hash(key), shared=self.shared is not None
+        )
         self._trim()
 
     def _trim(self) -> None:
         while len(self._entries) > self.capacity:
             evicted, _ = self._entries.popitem(last=False)
             self.evictions += 1
-            if self.metrics.enabled:
-                self.metrics.inc("plan_cache_events_total", event="evict")
-            if self.tracer.enabled:
-                self.tracer.record("plan_cache_evict", key=hash(evicted))
+            self.tracer.record("plan_cache_evict", key=hash(evicted))
 
     # ------------------------------------------------------------------
     def evict_stale(self, current_versions: tuple) -> int:
@@ -418,14 +395,9 @@ class PlanCache:
             del self._entries[key]
             self.evictions += 1
             self.stale_evictions += 1
-            if self.metrics.enabled:
-                self.metrics.inc("plan_cache_events_total", event="evict")
-                self.metrics.inc(
-                    "plan_cache_events_total", event="stale_evict"
-                )
-            if self.tracer.enabled:
-                self.tracer.record("plan_cache_evict", key=hash(key),
-                                   reason="stale_catalog")
+            self.tracer.record(
+                "plan_cache_evict", key=hash(key), reason="stale_catalog"
+            )
         return len(stale)
 
     def invalidate_shapes(self, changed: frozenset) -> int:
@@ -449,14 +421,9 @@ class PlanCache:
             del self._entries[key]
             self.evictions += 1
             self.feedback_invalidations += 1
-            if self.metrics.enabled:
-                self.metrics.inc("plan_cache_events_total", event="evict")
-                self.metrics.inc(
-                    "plan_cache_events_total", event="feedback_invalidate"
-                )
-            if self.tracer.enabled:
-                self.tracer.record("plan_cache_evict", key=hash(key),
-                                   reason="feedback")
+            self.tracer.record(
+                "plan_cache_evict", key=hash(key), reason="feedback"
+            )
         return len(dead)
 
     # ------------------------------------------------------------------
@@ -485,10 +452,7 @@ class PlanCache:
     # ------------------------------------------------------------------
     def _miss(self, key: tuple) -> None:
         self.misses += 1
-        if self.metrics.enabled:
-            self.metrics.inc("plan_cache_events_total", event="miss")
-        if self.tracer.enabled:
-            self.tracer.record("plan_cache_miss", key=hash(key))
+        self.tracer.record("plan_cache_miss", key=hash(key))
         return None
 
     @staticmethod

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from repro.errors import InjectedFault
+from repro.trace import NULL_TRACER
 
 #: The instrumented sites, in pipeline order.
 FAULT_SITES = ("xform_apply", "stats_derive", "costing", "extraction")
@@ -127,14 +128,14 @@ class FaultInjector:
         self.specs = tuple(specs)
         self.seed = seed
         self.rate = rate
-        self.tracer = tracer
+        #: Where fired faults are recorded.  Its flight ring, if any, is
+        #: dumped before a fatal ``kill``/``wedge`` fires — the process is
+        #: about to die with no cleanup (SIGKILL-style), so the black box
+        #: must hit disk *here*.
+        self.tracer = tracer or NULL_TRACER
         #: Resource governor charged by ``alloc`` faults (set by the
         #: session / engine when the query is armed).
         self.governor = None
-        #: Flight recorder (repro.obs.flight) dumped before a fatal
-        #: ``kill``/``wedge`` fires — the process is about to die with no
-        #: cleanup (SIGKILL-style), so the black box must hit disk *here*.
-        self.flight_recorder = None
         self.hits: dict[str, int] = {site: 0 for site in FAULT_SITES}
         self.fired: list[FiredFault] = []
 
@@ -163,14 +164,13 @@ class FaultInjector:
             else:
                 return
         self.fired.append(FiredFault(site, hit, spec.kind, dict(context)))
-        if self.tracer is not None:
-            # Unguarded on purpose: a FlightTracer (enabled=False) still
-            # wants the fault in the black box it is about to dump.
-            self.tracer.record(
-                "fault_injected", site=site, hit=hit, fault=spec.kind
-            )
-        if spec.kind in ("kill", "wedge") and self.flight_recorder is not None:
-            self.flight_recorder.dump(f"fault_{spec.kind}_{site}")
+        # Unguarded on purpose: a flight ring (no buffer, enabled=False)
+        # still wants the fault in the black box it is about to dump.
+        self.tracer.record(
+            "fault_injected", site=site, hit=hit, fault=spec.kind
+        )
+        if spec.kind in ("kill", "wedge") and self.tracer.flight is not None:
+            self.tracer.flight.dump(f"fault_{spec.kind}_{site}")
         if spec.kind == "delay":
             time.sleep(spec.delay_seconds)
         elif spec.kind == "alloc":

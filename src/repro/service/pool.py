@@ -24,8 +24,10 @@ from repro.catalog.database import Database
 from repro.config import OptimizerConfig
 from repro.errors import AdmissionError, OptimizerError
 from repro.service.session import Session
+from repro.telemetry import families
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.stats_store import QueryStatsStore
+from repro.trace import Tracer
 
 #: Session constructor keywords; everything else passed to the pool is
 #: treated as an :class:`OptimizerConfig` field (mirrors ``connect``).
@@ -83,7 +85,9 @@ class SessionPool:
             if feedback_store is None:
                 from repro.feedback import FeedbackStore
 
-                feedback_store = FeedbackStore(metrics=self.telemetry)
+                feedback_store = FeedbackStore(
+                    tracer=Tracer.front(registry=self.telemetry)
+                )
             self.feedback = feedback_store
         else:
             self.feedback = None
@@ -116,14 +120,16 @@ class SessionPool:
         if not admitted:
             with self._lock:
                 self.rejected += 1
-                self.telemetry.inc("pool_admissions_total", outcome="rejected")
+                self.telemetry.inc(
+                    families.POOL_ADMISSIONS, outcome="rejected"
+                )
             raise AdmissionError(
                 f"session pool full ({self.max_sessions} concurrent "
                 f"sessions); admission timed out"
             )
         with self._lock:
             self.admitted += 1
-            self.telemetry.inc("pool_admissions_total", outcome="admitted")
+            self.telemetry.inc(families.POOL_ADMISSIONS, outcome="admitted")
             if self._idle:
                 session = self._idle.pop()
             else:
@@ -137,7 +143,8 @@ class SessionPool:
                 )
                 self._sessions.append(session)
             self.telemetry.set_gauge(
-                "pool_active_sessions", len(self._sessions) - len(self._idle)
+                families.POOL_ACTIVE_SESSIONS,
+                len(self._sessions) - len(self._idle),
             )
             return session
 
@@ -149,7 +156,8 @@ class SessionPool:
                 )
             self._idle.append(session)
             self.telemetry.set_gauge(
-                "pool_active_sessions", len(self._sessions) - len(self._idle)
+                families.POOL_ACTIVE_SESSIONS,
+                len(self._sessions) - len(self._idle),
             )
         self._slots.release()
 

@@ -44,9 +44,9 @@ from repro.obs.slowlog import SlowQueryLog
 from repro.optimizer import OptimizationResult, Orca
 from repro.planner import LegacyPlanner
 from repro.sql.ast import SelectStmt
-from repro.telemetry.registry import NULL_METRICS
+from repro.telemetry import families
 from repro.telemetry.stats_store import QueryStatsStore, fingerprint_query
-from repro.trace import Tracer
+from repro.trace import NULL_TRACER, Tracer
 
 
 @dataclass
@@ -116,23 +116,28 @@ class Session:
         self.name = name
         self.metrics = SessionMetrics()
         #: Fleet-wide metrics registry (repro.telemetry.MetricsRegistry),
-        #: shared across sessions when pooled; NULL_METRICS when off.
-        self.telemetry = telemetry if telemetry is not None else NULL_METRICS
+        #: shared across sessions when pooled; None when off.
+        self.telemetry = telemetry
         #: pg_stat_statements-style per-query aggregates, or None.
         self.stats_store = stats_store
         #: Structured slow-query / regression log (repro.obs.slowlog).
         self.slow_log = slow_log
-        #: Always-on flight recorder (repro.obs.flight); its FlightTracer
-        #: becomes the session tracer when no explicit tracer was given,
-        #: so recent query spans land in the ring at near-zero cost.
+        #: Always-on flight recorder (repro.obs.flight): recent query
+        #: spans land in its ring at near-zero cost.
         self.flight = flight_recorder
-        if flight_recorder is not None and tracer is None:
+        if tracer is None and flight_recorder is not None:
             tracer = flight_recorder.tracer
-        if flight_recorder is not None and faults is not None:
-            faults.flight_recorder = flight_recorder
-        if faults is not None and faults.tracer is None and tracer is not None:
+        #: The one instrumentation front everything below this session
+        #: holds, assembled from the three doors above.
+        tracer = Tracer.front(
+            tracer, flight=flight_recorder, registry=telemetry
+        )
+        if faults is not None:
             # Fired faults belong in the trace / black box.
-            faults.tracer = tracer
+            faults.tracer = (
+                tracer if faults.tracer is NULL_TRACER
+                else Tracer.front(faults.tracer, flight=flight_recorder)
+            )
         #: execute() observes the slow log once for the whole query, so
         #: its internal optimize() call must not observe separately.
         self._suppress_slow = False
@@ -140,14 +145,13 @@ class Session:
         if self.config.enable_cardinality_feedback and feedback_store is None:
             from repro.feedback import FeedbackStore
 
-            feedback_store = FeedbackStore(metrics=self.telemetry)
+            feedback_store = FeedbackStore(tracer=tracer)
         self._orca = Orca(
             catalog,
             config=self.config,
             cost_params=cost_params,
             tracer=tracer,
             faults=faults,
-            metrics=self.telemetry,
             feedback=feedback_store,
         )
         self._cluster: Optional[Cluster] = None
@@ -201,7 +205,7 @@ class Session:
         try:
             result = self._optimize_governed(sql_or_stmt)
         finally:
-            trace_id = getattr(self.tracer, "trace_id", None)
+            trace_id = self.tracer.trace_id
             if owns_record:
                 self.flight.end()
         if observe:
@@ -227,8 +231,7 @@ class Session:
                 # The Planner shares the SQL frontend: fallback cannot
                 # produce a plan for a query that does not parse/bind.
                 self.metrics.errors += 1
-                if self.telemetry.enabled:
-                    self.telemetry.inc("session_errors_total", code=exc.code)
+                self.tracer.inc(families.SESSION_ERRORS, code=exc.code)
                 raise
             except ReproError as exc:
                 if (
@@ -237,14 +240,7 @@ class Session:
                 ):
                     attempt += 1
                     self.metrics.retries += 1
-                    if self.telemetry.enabled:
-                        self.telemetry.inc(
-                            "session_retries_total", code=exc.code
-                        )
-                    if self.tracer.enabled:
-                        self.tracer.record(
-                            "retry", attempt=attempt, code=exc.code
-                        )
+                    self.tracer.record("retry", attempt=attempt, code=exc.code)
                     if self.retry_backoff_seconds > 0.0:
                         time.sleep(
                             self.retry_backoff_seconds * 2 ** (attempt - 1)
@@ -252,34 +248,24 @@ class Session:
                     continue
                 if isinstance(exc, SearchTimeout):
                     self.metrics.timeouts += 1
-                    if self.telemetry.enabled:
-                        self.telemetry.inc(
-                            "governor_trips_total", kind="deadline"
-                        )
+                    self.tracer.inc(families.GOVERNOR_TRIPS, kind="deadline")
                 elif isinstance(exc, MemoryQuotaExceeded):
                     self.metrics.quota_trips += 1
-                    if self.telemetry.enabled:
-                        self.telemetry.inc(
-                            "governor_trips_total", kind="memory_quota"
-                        )
+                    self.tracer.inc(
+                        families.GOVERNOR_TRIPS, kind="memory_quota"
+                    )
                 if not self.fallback:
                     self.metrics.errors += 1
-                    if self.telemetry.enabled:
-                        self.telemetry.inc(
-                            "session_errors_total", code=exc.code
-                        )
+                    self.tracer.inc(families.SESSION_ERRORS, code=exc.code)
                     raise
                 result = self._fall_back(sql_or_stmt, exc)
             if result.plan_source == "orca_partial":
                 self.metrics.timeouts += 1
             self.metrics.record(result)
-            if self.telemetry.enabled:
-                self.telemetry.inc(
-                    "queries_total", plan_source=result.plan_source
-                )
-                self.telemetry.observe(
-                    "optimization_seconds", result.opt_time_seconds
-                )
+            self.tracer.inc(families.QUERIES, plan_source=result.plan_source)
+            self.tracer.observe(
+                families.OPTIMIZATION_SECONDS, result.opt_time_seconds
+            )
             if self.stats_store is not None:
                 self.stats_store.record_optimization(sql_or_stmt, result)
             self.last_result = result
@@ -334,8 +320,7 @@ class Session:
                 )
             executor = Executor(
                 self._cluster,
-                tracer=self._orca.tracer,
-                metrics_registry=self.telemetry,
+                tracer=self.tracer,
                 execution_mode=self.config.execution_mode,
                 morsel_pool=self._get_morsel_pool(),
             )
@@ -361,7 +346,7 @@ class Session:
                 self._ingest_feedback(sql_or_stmt, result, execution.analysis)
         finally:
             self._suppress_slow = False
-            trace_id = getattr(self.tracer, "trace_id", None)
+            trace_id = self.tracer.trace_id
             if owns_record:
                 self.flight.end()
         if observe:
@@ -401,17 +386,13 @@ class Session:
         """Stage-time aggregates before a query (slow-log phase math)."""
         if self.slow_log is None:
             return None
-        times = getattr(self.tracer, "stage_times", None)
-        return dict(times) if times is not None else None
+        return dict(self.tracer.stage_times)
 
     def _phases_since(self, before: Optional[dict]) -> Optional[dict]:
-        times = getattr(self.tracer, "stage_times", None)
-        if times is None:
-            return None
         before = before or {}
         out = {
             name: total - before.get(name, 0.0)
-            for name, total in times.items()
+            for name, total in self.tracer.stage_times.items()
             if total - before.get(name, 0.0) > 0.0
         }
         return out or None
@@ -463,12 +444,9 @@ class Session:
         self, sql_or_stmt: Union[str, SelectStmt], original: ReproError
     ) -> OptimizationResult:
         self.metrics.fallbacks += 1
-        if self.telemetry.enabled:
-            self.telemetry.inc("session_fallbacks_total", reason=original.code)
-        if self.tracer.enabled:
-            self.tracer.record(
-                "fallback", reason=original.code, error=str(original)
-            )
+        self.tracer.record(
+            "fallback", reason=original.code, error=str(original)
+        )
         start = time.perf_counter()
         try:
             planned = LegacyPlanner(self.catalog, self.config).optimize(
@@ -498,7 +476,7 @@ class Session:
 
             self._morsel_pool = make_pool(
                 self.config.parallelism,
-                telemetry=self.telemetry,
+                tracer=self.tracer,
                 name=f"{self.name}-morsels",
             )
         return self._morsel_pool

@@ -6,7 +6,9 @@ live or die by):
 
 - :class:`MetricsRegistry` — fleet-wide Counter/Gauge/Histogram families
   with label sets, exported as Prometheus text format or a JSON
-  snapshot; :data:`NULL_METRICS` is the zero-overhead disabled default.
+  snapshot; written through the instrumentation front
+  (:class:`repro.trace.Tracer`), whose event table and family names
+  live in :mod:`repro.telemetry.families`.
 - :class:`PlanAnalysis` — per-plan-node actuals (rows, work, network
   bytes) collected by the executor for EXPLAIN ANALYZE, on the same
   clock TAQO (Section 6.2) scores plans with.
@@ -21,12 +23,10 @@ from repro.telemetry.analyze import (
     taqo_from_annotations,
 )
 from repro.telemetry.registry import (
-    NULL_METRICS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullMetricsRegistry,
     parse_prometheus,
 )
 from repro.telemetry.stats_store import (
@@ -38,8 +38,6 @@ from repro.telemetry.stats_store import (
 
 __all__ = [
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
     "Counter",
     "Gauge",
     "Histogram",

@@ -14,10 +14,9 @@ collection of metric families that every layer increments, exported as
   :meth:`MetricsRegistry.from_json`) that round-trips losslessly, e.g.
   embedded in AMPERe dumps.
 
-The disabled path mirrors :class:`repro.trace.NullTracer`: the shared
-:data:`NULL_METRICS` singleton has ``enabled = False`` no-op methods, and
-hot call sites guard on ``metrics.enabled`` so an un-instrumented run
-stays within noise of the seed code.
+A registry is a sink of the instrumentation front
+(:class:`repro.trace.Tracer`), whose ``record`` / ``inc`` / ``observe``
+/ ``set_gauge`` do nothing without one: there is no disabled registry.
 
 Label values are **bounded**: a registry refuses values that are too long
 or too numerous per label key (:class:`repro.errors.TelemetryError`), so
@@ -34,6 +33,7 @@ from bisect import bisect_left
 from typing import Any, Iterable, Optional
 
 from repro.errors import TelemetryError
+from repro.telemetry.families import EVENT_METRICS
 
 #: Default latency buckets (seconds), roughly exponential like Prometheus'.
 DEFAULT_BUCKETS = (
@@ -108,6 +108,10 @@ class _Family:
                 seen.add(lvalue)
         return key
 
+    def value(self, **labels: Any) -> float:
+        """A counter's or gauge's series (0.0 when absent)."""
+        return self.series.get(_labels_key(labels), 0.0)
+
 
 class Counter(_Family):
     """A monotonically increasing count, per label set."""
@@ -121,9 +125,6 @@ class Counter(_Family):
             )
         key = self._check_labels(labels)
         self.series[key] = self.series.get(key, 0.0) + amount
-
-    def value(self, **labels: Any) -> float:
-        return self.series.get(_labels_key(labels), 0.0)
 
     def total(self) -> float:
         return sum(self.series.values())
@@ -144,9 +145,6 @@ class Gauge(_Family):
 
     def dec(self, amount: float = 1.0, **labels: Any) -> None:
         self.inc(-amount, **labels)
-
-    def value(self, **labels: Any) -> float:
-        return self.series.get(_labels_key(labels), 0.0)
 
 
 class Histogram(_Family):
@@ -215,60 +213,6 @@ class Histogram(_Family):
         return self.buckets[-1]
 
 
-class NullMetricsRegistry:
-    """The zero-overhead default: every operation is a no-op.
-
-    Mirrors :class:`repro.trace.NullTracer`; hot paths guard on
-    ``metrics.enabled`` and never build label payloads when disabled.
-    """
-
-    enabled = False
-
-    __slots__ = ()
-
-    def counter(self, name: str, help: str = "") -> "NullMetricsRegistry":
-        return self
-
-    gauge = counter
-    histogram = counter
-
-    def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
-    def dec(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
-    def set(self, name: str, value: float = 0.0, **labels: Any) -> None:
-        pass
-
-    set_gauge = set
-
-    def observe(self, name: str, value: float = 0.0, **labels: Any) -> None:
-        pass
-
-    def value(self, name: str, **labels: Any) -> float:
-        return 0.0
-
-    def quantile(self, name: str, q: float, **labels: Any) -> None:
-        return None
-
-    def snapshot(self) -> dict[str, Any]:
-        return {}
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return "{}"
-
-    def to_prometheus(self) -> str:
-        return ""
-
-    def summary(self) -> str:
-        return "(telemetry disabled)"
-
-
-#: Shared NullMetricsRegistry instance; safe because it holds no state.
-NULL_METRICS = NullMetricsRegistry()
-
-
 class MetricsRegistry:
     """A named collection of Counter / Gauge / Histogram families.
 
@@ -277,8 +221,6 @@ class MetricsRegistry:
     (:meth:`inc`, :meth:`set_gauge`, :meth:`observe`) auto-create the
     family on first use so instrumentation sites stay one-liners.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -338,6 +280,15 @@ class MetricsRegistry:
     def observe(self, name: str, value: float, **labels: Any) -> None:
         self.histogram(name).observe(value, **labels)
 
+    def count_event(self, kind: str, data: dict[str, Any]) -> None:
+        """Count one recorded trace event in the families it maps to."""
+        for family, labels, when in EVENT_METRICS.get(kind, ()):
+            if when is None or data.get(when[0]) == when[1]:
+                self.inc(family, **{
+                    name: data[value[1:]] if value[0] == "$" else value
+                    for name, value in labels.items()
+                })
+
     def value(self, name: str, **labels: Any) -> float:
         """Current value of a counter/gauge series (0.0 when absent)."""
         family = self._families.get(self._full_name(name))
@@ -351,9 +302,6 @@ class MetricsRegistry:
         if not isinstance(family, Histogram):
             return None
         return family.quantile(q, **labels)
-
-    def families(self) -> list[str]:
-        return sorted(self._families)
 
     # ------------------------------------------------------------------
     # Export: JSON snapshot
@@ -399,26 +347,25 @@ class MetricsRegistry:
             name = full_name[len(prefix):] if full_name.startswith(prefix) \
                 else full_name
             kind = entry.get("type", "counter")
+            help = entry.get("help", "")
             if kind == "histogram":
                 family = registry.histogram(
-                    name, entry.get("help", ""),
-                    buckets=entry.get("buckets", DEFAULT_BUCKETS),
+                    name, help, buckets=entry.get("buckets", DEFAULT_BUCKETS)
                 )
-                for series in entry.get("series", []):
-                    key = _labels_key(series.get("labels", {}))
-                    family._check_labels(series.get("labels", {}))
-                    family.series[key] = {
+            else:
+                family = (
+                    registry.gauge if kind == "gauge" else registry.counter
+                )(name, help)
+            for series in entry.get("series", []):
+                key = family._check_labels(series.get("labels", {}))
+                family.series[key] = (
+                    float(series["value"]) if kind != "histogram"
+                    else {
                         "bucket_counts": list(series["bucket_counts"]),
                         "sum": series["sum"],
                         "count": series["count"],
                     }
-            else:
-                maker = registry.gauge if kind == "gauge" else registry.counter
-                family = maker(name, entry.get("help", ""))
-                for series in entry.get("series", []):
-                    family._check_labels(series.get("labels", {}))
-                    key = _labels_key(series.get("labels", {}))
-                    family.series[key] = float(series["value"])
+                )
         return registry
 
     # ------------------------------------------------------------------
@@ -503,7 +450,7 @@ _SAMPLE_RE = re.compile(
     r"\s+(?P<value>[^\s]+)(?:\s+\d+)?$"
 )
 _LABEL_PAIR_RE = re.compile(
-    r'^[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\]|\\.)*"$'
+    r'\s*([a-zA-Z_][a-zA-Z0-9_]*)=("(?:[^"\\]|\\.)*")\s*(?:,|$)'
 )
 
 
@@ -541,15 +488,16 @@ def parse_prometheus(text: str) -> dict[str, list[tuple[dict, float]]]:
         if match is None:
             raise TelemetryError(f"line {lineno}: malformed sample {line!r}")
         labels: dict[str, str] = {}
-        raw = match.group("labels")
-        if raw:
-            for pair in _split_label_pairs(raw, lineno):
-                if not _LABEL_PAIR_RE.match(pair):
-                    raise TelemetryError(
-                        f"line {lineno}: malformed label pair {pair!r}"
-                    )
-                key, _, value = pair.partition("=")
-                labels[key] = json.loads(value.replace("\\n", "\\n"))
+        raw = (match.group("labels") or "").strip()
+        pos = 0
+        while pos < len(raw):
+            pair = _LABEL_PAIR_RE.match(raw, pos)
+            if pair is None:
+                raise TelemetryError(
+                    f"line {lineno}: malformed label pair {raw[pos:]!r}"
+                )
+            labels[pair.group(1)] = json.loads(pair.group(2))
+            pos = pair.end()
         raw_value = match.group("value")
         try:
             value = (
@@ -571,34 +519,3 @@ def parse_prometheus(text: str) -> dict[str, list[tuple[dict, float]]]:
                     f"histogram {name!r} is missing _bucket or _sum series"
                 )
     return out
-
-
-def _split_label_pairs(raw: str, lineno: int) -> list[str]:
-    """Split ``a="x",b="y"`` respecting escaped quotes inside values."""
-    pairs: list[str] = []
-    current: list[str] = []
-    in_quotes = False
-    escaped = False
-    for ch in raw:
-        if escaped:
-            current.append(ch)
-            escaped = False
-            continue
-        if ch == "\\":
-            current.append(ch)
-            escaped = True
-            continue
-        if ch == '"':
-            in_quotes = not in_quotes
-            current.append(ch)
-            continue
-        if ch == "," and not in_quotes:
-            pairs.append("".join(current))
-            current = []
-            continue
-        current.append(ch)
-    if in_quotes:
-        raise TelemetryError(f"line {lineno}: unterminated label value")
-    if current:
-        pairs.append("".join(current))
-    return [p for p in (p.strip() for p in pairs) if p]

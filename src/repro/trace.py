@@ -1,35 +1,36 @@
-"""Structured optimizer tracing: typed events, spans, counters, dumps.
+"""The instrumentation front: typed events, spans, counters, dumps.
 
-The paper's evaluation is entirely about *measuring* the optimizer —
-plan quality, optimization time, memory, scheduler scalability (Figures
-11-15) — so every layer of this reproduction emits structured trace
-events through a :class:`Tracer`:
+The paper's evaluation is entirely about *measuring* the optimizer
+(Figures 11-15), so every layer emits through a :class:`Tracer`, the one
+object instrumented code holds: timed ``span``s around pipeline stages,
+typed ``record`` events (:data:`EVENT_KINDS`) and metric increments.  It
+fans them out to at most three sinks:
 
-- pipeline spans (``stage_start`` / ``stage_end``) with wall-time
-  aggregation: parse, translate, normalize, copy_in, search stages,
-  extract, execute;
-- optimizer internals: ``group_created``, ``gexpr_added``,
-  ``xform_applied``, ``property_request``, ``cost_computed``,
-  ``motion_enforced``, ``rules_selected``;
-- scheduler activity: ``job_scheduled`` / ``job_done`` (with per-job-kind
-  time aggregation);
-- execution: ``operator_executed`` per plan node plus a final
-  ``execution_metrics`` snapshot of the simulated clock.
+- the **trace buffer** (events, spans, per-stage and per-job-kind
+  aggregates), which is what ``Tracer()`` has; it renders the CLI's
+  ``--trace`` table and serializes to JSON for AMPERe dumps;
+- a **flight ring** (:class:`repro.obs.flight.FlightRecorder`): recent
+  queries' spans and :data:`FLIGHT_EVENT_KINDS`;
+- a **metrics registry** (:class:`repro.telemetry.MetricsRegistry`): the
+  events :mod:`repro.telemetry.families` maps to a family, plus
+  ``inc`` / ``observe`` / ``set_gauge``.
 
-The default is a :class:`NullTracer` singleton (:data:`NULL_TRACER`)
-whose methods are no-ops; hot call sites additionally guard on
-``tracer.enabled`` so the untraced path stays within noise of the
-pre-tracing code.  A populated :class:`Tracer` renders a human-readable
-:meth:`~Tracer.summary` table (the CLI's ``--trace``) and serializes to
-JSON via :meth:`~Tracer.to_json` for replay / embedding in AMPERe dumps.
+The public doors (``connect``, ``Orca``, ``Fleet``, ...) assemble one
+with :meth:`Tracer.front` from the ``tracer=`` / ``telemetry=`` /
+``flight_recorder=`` they were given; with none it is
+:data:`NULL_TRACER`.  ``enabled`` says whether the buffer is there: the
+search, memo and executor loops guard their per-event payloads on it, so
+a run without a buffer never builds them and stays bit-identical to (and
+within noise of) an uninstrumented one.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Optional
 
@@ -62,6 +63,7 @@ EVENT_KINDS = frozenset({
     "plan_cache_miss",
     "plan_cache_store",
     "plan_cache_evict",
+    "plan_cache_shared_hit",
     # Governed sessions (repro.service): a deadline absorbed with a
     # best-so-far plan, a retried transient fault, a Planner fallback,
     # and a deterministically injected fault.
@@ -81,6 +83,13 @@ EVENT_KINDS = frozenset({
     "fleet_restart",
 })
 
+#: The events a flight ring keeps beside its spans: rare, deliberate
+#: ones worth having in a black box.
+FLIGHT_EVENT_KINDS = frozenset({"fault_injected"})
+
+#: What ``span()`` hands out when no sink wants spans.
+_NO_SPAN = nullcontext()
+
 
 @dataclass
 class TraceEvent:
@@ -94,79 +103,40 @@ class TraceEvent:
         return {"kind": self.kind, "t": self.t, "data": self.data}
 
 
-class NullTracer:
-    """The zero-overhead default: every operation is a no-op.
-
-    ``enabled`` is False so hot paths can skip building event payloads
-    entirely (``if tracer.enabled: tracer.record(...)``).
-    """
-
-    enabled = False
-    trace_id: Optional[str] = None
-    spans: tuple = ()
-
-    __slots__ = ()
-
-    def record(self, kind: str, **data: Any) -> None:
-        pass
-
-    @contextmanager
-    def span(self, stage: str, **data: Any) -> Iterator[None]:
-        yield
-
-    @property
-    def current_span_id(self) -> Optional[str]:
-        return None
-
-    def now(self) -> float:
-        return 0.0
-
-    def count(self, kind: str) -> int:
-        return 0
-
-    def events_of(self, kind: str) -> list[TraceEvent]:
-        return []
-
-    def to_dict(self) -> dict[str, Any]:
-        return {}
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return "{}"
-
-    def summary(self) -> str:
-        return "(tracing disabled)"
+def _add(counts: dict, times: dict, key: str, seconds: float) -> None:
+    counts[key] = counts.get(key, 0) + 1
+    times[key] = times.get(key, 0.0) + seconds
 
 
-#: Shared NullTracer instance; safe because it holds no state.
-NULL_TRACER = NullTracer()
+def _aggregates(counts: dict, times: dict) -> dict[str, dict]:
+    return {
+        key: {"count": counts[key], "seconds": times.get(key, 0.0)}
+        for key in counts
+    }
 
 
 class Tracer:
-    """Collects typed events and aggregates per-stage / per-kind metrics.
+    """A trace buffer, and up to two more sinks (see :meth:`front`).
 
     ``capture_events=False`` keeps only the aggregates (counters, stage
     times, job-kind times) — useful when tracing very large optimization
     sessions where the raw event list would dominate memory.
 
-    Every tracer owns a ``trace_id``, and every :meth:`span` is promoted
-    to a :class:`repro.obs.spans.Span` with a ``span_id`` / ``parent_id``
-    chain (the current span stack provides the parent), so one query's
-    spans — including spans adopted from fleet worker processes via
-    :meth:`adopt_spans` — form a single stitched trace exportable as
-    Chrome-trace JSON (:mod:`repro.obs.export`).
+    A buffered tracer owns a ``trace_id``, and every :meth:`span` is a
+    :class:`repro.obs.spans.Span` with a ``span_id`` / ``parent_id``
+    chain, so one query's spans — including spans adopted from fleet
+    worker processes via :meth:`adopt_spans` — form a single stitched
+    trace exportable as Chrome-trace JSON (:mod:`repro.obs.export`).
 
     Timestamps are ``time.monotonic()`` *deltas* from the tracer's
-    creation: immune to wall-clock adjustment (NTP steps can never
-    produce negative span durations) and meaningful to ship across
-    processes as offsets.
+    creation (from the open flight record's begin when there is no
+    buffer): immune to wall-clock adjustment and meaningful to ship
+    across processes as offsets.
 
-    One tracer may be shared by threads (a traced fleet serves client
-    threads at the same time): the open-span stack is per thread, so a
-    span's parent is always a span of its own thread, and the aggregates
-    are updated under a lock, so their counts are exact.
+    One tracer may be shared by threads: the open-span stack is per
+    thread, so a span's parent is always a span of its own thread, and
+    the aggregates are updated under a lock, so their counts are exact.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -174,8 +144,14 @@ class Tracer:
         *,
         trace_id: Optional[str] = None,
     ):
+        #: Whether the trace buffer is there
+        #: (``if tracer.enabled: tracer.record(...)`` at hot call sites).
+        self.enabled = True
+        #: The FlightRecorder and the MetricsRegistry this front also writes.
+        self.flight = None
+        self.registry = None
         self.capture_events = capture_events
-        self.trace_id = trace_id or new_trace_id()
+        self._trace_id = trace_id or new_trace_id()
         self.events: list[TraceEvent] = []
         #: Completed spans, in completion order (children before parents).
         self.spans: list[Span] = []
@@ -193,6 +169,23 @@ class Tracer:
         self.job_kind_times: dict[str, float] = {}
         self._t0 = time.monotonic()
 
+    @classmethod
+    def front(
+        cls, tracer: Optional["Tracer"] = None, *, flight=None, registry=None
+    ) -> "Tracer":
+        """``tracer`` (default: :data:`NULL_TRACER`) writing ``flight`` and
+        ``registry`` as well; ``tracer`` itself when it already does.
+        Otherwise a copy that shares its buffer, lock and per-thread span
+        stacks: what either emits shows in both, and a span opened on
+        one parents the next span opened on the other."""
+        base = tracer or NULL_TRACER
+        flight, registry = flight or base.flight, registry or base.registry
+        if flight is base.flight and registry is base.registry:
+            return base
+        front = copy.copy(base)
+        front.flight, front.registry = flight, registry
+        return front
+
     # ------------------------------------------------------------------
     def now(self) -> float:
         """Seconds since this tracer's timeline origin (monotonic)."""
@@ -205,67 +198,114 @@ class Tracer:
             stack = self._local.stack = []
             return stack
 
+    def _flight_record(self):
+        """The flight ring's open record, or None."""
+        return self.flight.current if self.flight is not None else None
+
+    @property
+    def trace_id(self) -> Optional[str]:
+        """The buffer's; without a buffer, the open flight record's."""
+        if self.enabled:
+            return self._trace_id
+        rec = self._flight_record()
+        return rec.trace_id if rec is not None else None
+
     @property
     def current_span_id(self) -> Optional[str]:
-        """The innermost span this thread has open (trace-context
-        propagation)."""
+        """The innermost span this thread has open, else the span the
+        open flight record hangs under (trace-context propagation)."""
         stack = self._stack()
-        return stack[-1].span_id if stack else None
+        if stack:
+            return stack[-1].span_id
+        rec = self._flight_record()
+        return rec.parent_span_id if rec is not None else None
 
     # ------------------------------------------------------------------
     def record(self, kind: str, **data: Any) -> None:
-        """Record one event; aggregates are always updated, the raw event
-        only when ``capture_events`` is set."""
-        with self._lock:
-            self.counters[kind] = self.counters.get(kind, 0) + 1
-            if kind == "job_done":
-                jkind = data.get("job_kind", "?")
-                self.job_kind_counts[jkind] = (
-                    self.job_kind_counts.get(jkind, 0) + 1
-                )
-                self.job_kind_times[jkind] = (
-                    self.job_kind_times.get(jkind, 0.0)
-                    + data.get("seconds", 0.0)
-                )
-            if self.capture_events:
-                self.events.append(
-                    TraceEvent(kind, time.monotonic() - self._t0, data)
-                )
+        """Record one event: the buffer updates its aggregates (and keeps
+        the raw event under ``capture_events``), the ring keeps
+        :data:`FLIGHT_EVENT_KINDS`, the registry counts what it maps."""
+        if self.enabled:
+            with self._lock:
+                self.counters[kind] = self.counters.get(kind, 0) + 1
+                if kind == "job_done":
+                    _add(
+                        self.job_kind_counts, self.job_kind_times,
+                        data.get("job_kind", "?"), data.get("seconds", 0.0),
+                    )
+                if self.capture_events:
+                    self.events.append(
+                        TraceEvent(kind, time.monotonic() - self._t0, data)
+                    )
+        if self.flight is not None and kind in FLIGHT_EVENT_KINDS:
+            rec = self.flight.current
+            if rec is not None:
+                rec.note(kind, time.monotonic() - rec.started, data)
+        if self.registry is not None:
+            self.registry.count_event(kind, data)
+
+    def span(self, stage: str, **data: Any):
+        """Time a pipeline stage: a context manager yielding the
+        :class:`Span`, parented under this thread's span stack.  The
+        buffer also gets ``stage_start`` / ``stage_end``; the ring gets
+        the span when a record is open.  With neither, one shared no-op."""
+        rec = self._flight_record()
+        if rec is None and not self.enabled:
+            return _NO_SPAN
+        return self._span(stage, data, rec)
 
     @contextmanager
-    def span(self, stage: str, **data: Any) -> Iterator[Span]:
-        """Time a pipeline stage, emitting ``stage_start`` / ``stage_end``
-        and recording a :class:`Span` under this thread's span stack."""
+    def _span(self, stage: str, data: dict[str, Any], rec) -> Iterator[Span]:
+        buffered = self.enabled
+        origin = self._t0 if buffered else rec.started
         stack = self._stack()
-        span = Span(
-            name=stage,
-            span_id=new_span_id(),
-            parent_id=stack[-1].span_id if stack else None,
-            start=time.monotonic() - self._t0,
-            data=data,
-        )
+        if stack:
+            parent_id = stack[-1].span_id
+        else:
+            parent_id = rec.parent_span_id if rec is not None else None
+        span = Span(stage, new_span_id(), parent_id, data=data)
+        if buffered:
+            self.record(
+                "stage_start", stage=stage,
+                span_id=span.span_id, parent_id=parent_id,
+            )
         stack.append(span)
-        self.record(
-            "stage_start", stage=stage,
-            span_id=span.span_id, parent_id=span.parent_id,
-        )
         start = time.monotonic()
+        span.start = start - origin
         try:
             yield span
         finally:
-            elapsed = time.monotonic() - start
+            end = time.monotonic()
             stack.pop()
-            span.end = span.start + elapsed
-            with self._lock:
-                self.spans.append(span)
-                self.stage_counts[stage] = self.stage_counts.get(stage, 0) + 1
-                self.stage_times[stage] = (
-                    self.stage_times.get(stage, 0.0) + elapsed
+            span.end = end - origin
+            if buffered:
+                elapsed = end - start
+                with self._lock:
+                    self.spans.append(span)
+                    _add(self.stage_counts, self.stage_times, stage, elapsed)
+                self.record(
+                    "stage_end", stage=stage, seconds=elapsed,
+                    span_id=span.span_id,
                 )
-            self.record(
-                "stage_end", stage=stage, seconds=elapsed,
-                span_id=span.span_id,
-            )
+            if rec is not None:
+                # The span stays with the record it started under (a later
+                # begin() may have closed it), on that record's timeline.
+                rec.spans.append(
+                    span.shifted(self._t0 - rec.started) if buffered else span
+                )
+
+    # -- metric verbs: the registry's, no-ops without one ---------------
+    def inc(self, name: str, amount: float = 1.0, **labels: Any) -> None:
+        if self.registry is not None:
+            self.registry.inc(name, amount, **labels)
+
+    def observe(self, name: str, value: float, **labels: Any) -> None:
+        if self.registry is not None:
+            self.registry.observe(name, value, **labels)
+
+    def set_gauge(self, name: str, value: float, **labels: Any) -> None:
+        if self.registry is not None:
+            self.registry.set_gauge(name, value, **labels)
 
     def adopt_spans(
         self,
@@ -311,20 +351,10 @@ class Tracer:
             "version": 1,
             "trace_id": self.trace_id,
             "counters": dict(self.counters),
-            "stages": {
-                name: {
-                    "count": self.stage_counts[name],
-                    "seconds": self.stage_times[name],
-                }
-                for name in self.stage_counts
-            },
-            "job_kinds": {
-                kind: {
-                    "count": self.job_kind_counts[kind],
-                    "seconds": self.job_kind_times.get(kind, 0.0),
-                }
-                for kind in self.job_kind_counts
-            },
+            "stages": _aggregates(self.stage_counts, self.stage_times),
+            "job_kinds": _aggregates(
+                self.job_kind_counts, self.job_kind_times
+            ),
             "events": [e.to_dict() for e in self.events],
             "spans": [s.to_dict() for s in self.spans],
         }
@@ -388,6 +418,13 @@ class Tracer:
             f"Tracer({sum(self.counters.values())} events, "
             f"{len(self.stage_counts)} stages)"
         )
+
+
+#: The front with no sinks, shared by everything uninstrumented: its
+#: ``span()`` hands out one no-op context manager, ``record()`` and the
+#: metric verbs return at once, and its buffer stays empty.
+NULL_TRACER = Tracer()
+NULL_TRACER.enabled = False
 
 
 def check_span_consistency(tracer: Tracer) -> list[str]:

@@ -190,11 +190,7 @@ def capture_dump(
         trace_json=(
             trace.to_json() if trace is not None and trace.enabled else None
         ),
-        metrics_json=(
-            metrics.to_json()
-            if metrics is not None and metrics.enabled
-            else None
-        ),
+        metrics_json=metrics.to_json() if metrics is not None else None,
     )
 
 

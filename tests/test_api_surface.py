@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -35,12 +36,12 @@ EXPECTED_ALL = frozenset({
     # fault injection
     "FaultInjector", "FaultSpec",
     # tracing
-    "Tracer", "NullTracer", "TraceEvent",
+    "Tracer", "TraceEvent",
     # observability: distributed traces, flight recorder, slow-query log
     "Span", "chrome_trace", "tracer_chrome_trace", "validate_chrome_trace",
-    "FlightRecorder", "FlightTracer", "load_flight_dump", "SlowQueryLog",
+    "FlightRecorder", "load_flight_dump", "SlowQueryLog",
     # telemetry (fleet observability)
-    "MetricsRegistry", "NullMetricsRegistry", "PlanAnalysis",
+    "MetricsRegistry", "PlanAnalysis",
     "QueryStats", "QueryStatsStore", "TelemetryError",
     # feedback-driven re-optimization
     "FeedbackStore",
@@ -58,6 +59,19 @@ class TestAllSnapshot:
 
     def test_version_is_a_string(self):
         assert isinstance(repro.__version__, str)
+
+    def test_package_metadata_takes_its_version_from_the_attribute(self):
+        """``repro.__version__`` is the single source: pyproject.toml
+        must point at it and carry no version of its own."""
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as fh:
+            meta = tomllib.load(fh)
+        assert "version" not in meta["project"]
+        assert meta["project"]["dynamic"] == ["version"]
+        assert meta["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
         assert repro.__version__.count(".") == 2
 
 

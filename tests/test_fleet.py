@@ -363,6 +363,65 @@ class TestHealthAndDrain:
 
 
 # ----------------------------------------------------------------------
+# A restart loses the process, not what the fleet knows (ROADMAP 5d)
+# ----------------------------------------------------------------------
+class TestRestartKeepsFleetState:
+    def test_restarted_worker_replays_catalog_bumps(self, fleet_db):
+        """``bump_catalog()`` then a kill: the respawned worker comes up
+        on the bumped versions, so it cannot serve (or publish) a plan
+        made under the old ones."""
+        with make_fleet(fleet_db, enable_plan_cache=True) as fleet:
+
+            def probe(worker_id: int) -> str:
+                return fleet._request_to(
+                    fleet._workers[worker_id], "optimize", {"sql": Q1}
+                )["plan_cache"]
+
+            # Worker 0 optimizes and publishes; worker 1 adopts the entry.
+            assert (probe(0), probe(1)) == ("miss", "hit")
+            before = fleet_db.version("t1")
+            fleet.bump_catalog("t1")
+            fleet.kill_worker(1)
+            versions = {
+                worker_id: stats["catalog_versions"]
+                for worker_id, stats in fleet.worker_stats().items()
+            }
+            assert versions[0]["t1"] == versions[1]["t1"] == before + 1
+            assert versions[0] == versions[1]
+            # The pre-bump entry is still in the shared store (nobody has
+            # swept it yet); the restarted worker must not reach it.
+            assert probe(1) == "miss"
+            # Worker 0 sweeps the stale entry (its own, and the shared
+            # one) and adopts the plan worker 1 just published: both are
+            # on the same versions again.
+            assert probe(0) == "hit"
+            assert fleet.shared_plans.stats()["stale_evictions"] >= 1
+            stats = fleet.worker_stats()
+            assert stats[0]["plan_cache"]["stale_evictions"] == 1
+            assert stats[0]["plan_cache"]["shared_hits"] == 1
+            # A second bump reaches the new process like any other.
+            fleet.bump_catalog()
+            assert (probe(1), probe(0)) == ("miss", "hit")
+            assert fleet.restarts_total == 1
+
+    def test_worker_query_counter_keeps_growing_after_a_restart(self, fleet_db):
+        """``fleet_worker_queries_total`` is folded from each process's
+        own running count; a new process starts from zero again."""
+        def folded(fleet) -> float:
+            fleet.worker_stats()
+            return fleet.telemetry.counter("fleet_worker_queries_total").total()
+
+        with make_fleet(fleet_db, workers=1) as fleet:
+            for sql in (Q1, Q2, Q3):
+                fleet.optimize(sql)
+            assert folded(fleet) == 3
+            fleet.kill_worker(0)
+            for sql in (Q1, Q2):
+                fleet.optimize(sql)
+            assert folded(fleet) == 3 + 2
+
+
+# ----------------------------------------------------------------------
 # Concurrent clients: per-pipe locks, idle-aware routing, exact counters
 # ----------------------------------------------------------------------
 

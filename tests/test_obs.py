@@ -40,7 +40,7 @@ from repro.service import connect
 from repro.service.faults import FAULT_SITES, FaultInjector, FaultSpec
 from repro.errors import TelemetryError
 from repro.telemetry import MetricsRegistry, QueryStatsStore
-from repro.trace import NullTracer, Tracer
+from repro.trace import NULL_TRACER, Tracer
 
 from tests.conftest import make_small_db
 
@@ -145,13 +145,12 @@ class TestTracerSpans:
         assert [s.name for s in restored.spans] == ["s"]
 
     def test_null_tracer_span_api(self):
-        tracer = NullTracer()
+        tracer = NULL_TRACER
         with tracer.span("s", anything=1):
-            pass
+            assert tracer.current_span_id is None
         assert tracer.current_span_id is None
         assert tracer.trace_id is None
-        assert tracer.spans == ()
-        assert tracer.now() == 0.0
+        assert tracer.spans == []
 
 
 # ----------------------------------------------------------------------
@@ -278,6 +277,7 @@ class TestFlightRecorder:
     def test_tracer_fast_path_is_disabled(self):
         recorder = FlightRecorder()
         tracer = recorder.tracer
+        assert isinstance(tracer, Tracer) and tracer.flight is recorder
         assert tracer.enabled is False
         # Guarded hot-path sites never fire; unguarded record() is inert
         # with no record open.
@@ -307,7 +307,7 @@ class TestFlightRecorder:
         recorder = FlightRecorder()
         record = recorder.begin("q")
         for i in range(MAX_EVENTS_PER_RECORD + 10):
-            recorder.tracer.record("e", i=i)
+            recorder.tracer.record("fault_injected", i=i)
         assert len(record.events) == MAX_EVENTS_PER_RECORD
 
     def test_dump_without_dir_is_noop(self):
@@ -371,7 +371,6 @@ class TestFaultSiteDumps:
         recorder = FlightRecorder(dump_dir=str(tmp_path), worker="w")
         injector = FaultInjector([FaultSpec(site=site, kind="kill", at=1)],
                                  tracer=recorder.tracer)
-        injector.flight_recorder = recorder
         recorder.begin("victim query")
         with pytest.raises(_Exit):
             injector.fire(site)
@@ -388,8 +387,7 @@ class TestFaultSiteDumps:
         recorder = FlightRecorder(dump_dir=str(tmp_path))
         injector = FaultInjector([
             FaultSpec(site=site, kind="wedge", at=1, delay_seconds=0.001),
-        ])
-        injector.flight_recorder = recorder
+        ], tracer=recorder.tracer)
         recorder.begin("q")
         injector.fire(site)  # "hangs" for 1ms, dump already written
         (path,) = recorder.dumps
@@ -400,7 +398,7 @@ class TestFaultSiteDumps:
         recorder = FlightRecorder(dump_dir=str(tmp_path))
         injector = FaultInjector()
         connect(db, flight_recorder=recorder, faults=injector, segments=4)
-        assert injector.flight_recorder is recorder
+        assert injector.tracer.flight is recorder
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,8 @@ import pytest
 from repro.config import OptimizerConfig
 from repro.errors import TelemetryError
 from repro.optimizer import Orca
-from repro.telemetry import (
-    MetricsRegistry,
-    NullMetricsRegistry,
-    parse_prometheus,
-)
-from repro.telemetry.registry import NULL_METRICS
+from repro.telemetry import MetricsRegistry, parse_prometheus
+from repro.trace import NULL_TRACER, Tracer
 from repro.verify.ampere import AMPEReDump, capture_dump, replay_dump
 
 
@@ -194,23 +190,34 @@ class TestJsonRoundTrip:
 
 
 class TestNullRegistry:
+    """There is no disabled registry class: a front without a registry
+    (``NULL_TRACER``, or any ``Tracer()``) drops the metric verbs."""
+
     def test_shared_singleton_is_disabled(self):
-        assert NULL_METRICS.enabled is False
-        assert isinstance(NULL_METRICS, NullMetricsRegistry)
+        assert NULL_TRACER.registry is None
+        assert Tracer().registry is None
+        assert Tracer.front() is NULL_TRACER
 
     def test_all_operations_are_noops(self):
-        n = NullMetricsRegistry()
-        n.inc("queries_total", plan_source="orca")
-        n.set_gauge("g", 4)
-        n.observe("h", 0.5)
-        assert n.value("queries_total", plan_source="orca") == 0.0
-        assert n.snapshot() == {}
-        assert n.to_json() == "{}"
-        assert n.to_prometheus() == ""
-        assert parse_prometheus(n.to_prometheus()) == {}
+        for front in (NULL_TRACER, Tracer()):
+            front.inc("queries_total", plan_source="orca")
+            front.set_gauge("g", 4)
+            front.observe("h", 0.5)
+            front.record("plan_cache_hit", key=1, rebound=True)
+            assert front.registry is None
+        assert parse_prometheus(MetricsRegistry().to_prometheus()) == {}
 
     def test_holds_no_state(self):
-        assert not hasattr(NullMetricsRegistry(), "__dict__")
+        """A front adds its registry to a copy; the tracer it was built
+        from, and the shared sinkless one, stay as they were."""
+        m = MetricsRegistry()
+        front = Tracer.front(registry=m)
+        front.inc("queries_total", plan_source="orca")
+        front.record("plan_cache_hit", key=1, rebound=True)
+        assert m.value("queries_total", plan_source="orca") == 1
+        assert m.value("plan_cache_events_total", event="rebind") == 1
+        assert front.registry is m and NULL_TRACER.registry is None
+        assert NULL_TRACER.counters == {} and NULL_TRACER.events == []
 
 
 class TestOptimizerInstrumentation:
@@ -275,7 +282,7 @@ class TestAmpereTelemetry:
         assert restored.snapshot() == m.snapshot()
 
     def test_disabled_metrics_not_embedded(self, small_db):
-        dump = capture_dump(small_db, SQL, metrics=NULL_METRICS)
+        dump = capture_dump(small_db, SQL, metrics=None)
         assert dump.metrics_json is None
 
     def test_replay_records_into_a_registry(self, small_db):

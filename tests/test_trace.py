@@ -16,8 +16,8 @@ from repro.config import OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.optimizer import Orca
 from repro.trace import (
+    EVENT_KINDS,
     NULL_TRACER,
-    NullTracer,
     Tracer,
     check_span_consistency,
 )
@@ -172,17 +172,63 @@ class TestTracer:
         assert check_span_consistency(tracer) == []
 
 
+class TestEventKinds:
+    def test_declared_kinds_are_exactly_the_recorded_ones(self):
+        """``EVENT_KINDS`` lists what the built-in instrumentation
+        produces: every string literal in the kind handed to ``record(``
+        anywhere under ``src/repro``, no more, no less."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        recorded = set()
+        for path in Path(repro.__file__).parent.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "record"
+                    and node.args
+                ):
+                    recorded.update(
+                        part.value for part in ast.walk(node.args[0])
+                        if isinstance(part, ast.Constant)
+                        and isinstance(part.value, str)
+                    )
+        assert recorded == EVENT_KINDS
+
+    def test_every_counted_event_is_a_declared_kind(self):
+        from repro.telemetry.families import EVENT_METRICS
+        from repro.trace import FLIGHT_EVENT_KINDS
+
+        assert set(EVENT_METRICS) <= EVENT_KINDS
+        assert FLIGHT_EVENT_KINDS <= EVENT_KINDS
+
+
 class TestNullTracer:
     def test_everything_is_noop(self):
-        tracer = NullTracer()
+        """The front with no sinks: every verb returns at once and the
+        buffer it never writes stays empty."""
+        tracer = NULL_TRACER
         assert not tracer.enabled
+        assert tracer.flight is None and tracer.registry is None
         tracer.record("group_created", group=0)
-        with tracer.span("parse"):
-            pass
+        with tracer.span("parse") as span:
+            assert span is None
+        assert tracer.span("a") is tracer.span("b")  # one shared no-op
+        tracer.inc("queries_total", plan_source="orca")
+        tracer.observe("optimization_seconds", 0.5)
+        tracer.set_gauge("fleet_workers", 2)
         assert tracer.count("group_created") == 0
         assert tracer.events_of("group_created") == []
-        assert tracer.to_json() == "{}"
-        assert "disabled" in tracer.summary()
+        payload = tracer.to_dict()
+        assert payload["trace_id"] is None
+        assert not (
+            payload["counters"] or payload["stages"] or payload["events"]
+            or payload["spans"] or payload["job_kinds"]
+        )
+        assert tracer.summary() == "=== optimizer trace ==="
 
     def test_untraced_optimization_carries_null_tracer(self):
         db = make_small_db(t1_rows=300, t2_rows=60)
