@@ -84,7 +84,7 @@ from repro.telemetry import (
 )
 from repro.trace import TraceEvent, Tracer
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     # Session facade (stable public API)

@@ -22,6 +22,7 @@ import sys
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine.cluster import Cluster
 from repro.engine.executor import Executor
+from repro.engine.parallel import make_pool
 from repro.errors import (
     FallbackError,
     MemoryQuotaExceeded,
@@ -299,13 +300,17 @@ def cmd_run(args) -> int:
     tracer = _tracer(args)
     result = _optimize(args, db, args.sql, tracer)
     cluster = Cluster(db, segments=args.segments)
-    with Executor(
-        cluster,
-        tracer=tracer,
-        execution_mode=ExecutionMode.coerce(args.engine),
-        parallelism=getattr(args, "parallelism", 0),
-    ) as executor:
-        out = executor.execute(result.plan, result.output_cols)
+    pool = make_pool(args.parallelism, tracer=tracer)
+    try:
+        out = Executor(
+            cluster,
+            tracer=tracer,
+            execution_mode=ExecutionMode.coerce(args.engine),
+            morsel_pool=pool,
+        ).execute(result.plan, result.output_cols)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     names = getattr(result, "output_names", None) or [
         c.name for c in result.output_cols
     ]
@@ -328,7 +333,7 @@ def cmd_stats(args) -> int:
     """Run the TPC-DS corpus through a governed, telemetry-instrumented
     session pool and report per-query statistics plus the fleet metrics."""
     from repro.service import SessionPool
-    from repro.telemetry import families, parse_prometheus
+    from repro.telemetry import parse_prometheus
     from repro.workloads import QUERIES
 
     if args.q_error:
@@ -363,16 +368,6 @@ def cmd_stats(args) -> int:
         print(pool.stats_store.render(limit=args.top))
     print()
     print(pool.telemetry.summary())
-    if config.parallelism >= 2:
-        p95 = pool.telemetry.quantile(families.MORSEL_DISPATCH_SECONDS, 0.95)
-        print(
-            "morsel pool: "
-            f"workers={int(pool.telemetry.value(families.MORSEL_POOL_WORKERS))} "
-            "morsels_dispatched="
-            f"{int(pool.telemetry.value(families.MORSELS_DISPATCHED))} "
-            "dispatch_p95="
-            + ("n/a" if p95 is None else f"{p95 * 1000.0:.3f}ms")
-        )
     exposition = pool.prometheus()
     # Validate before anyone scrapes it: a malformed exposition format is
     # an error (CI fails the build on it), not a warning.
@@ -433,7 +428,6 @@ def cmd_serve(args) -> int:
     errors = 0
     served = 0
     tally = threading.Lock()
-    morsel_pools: dict = {}
 
     def client(statements) -> None:
         """Closed loop: send the pass's next statement once the last one
@@ -466,10 +460,6 @@ def cmd_serve(args) -> int:
         for pass_no in range(args.passes):
             before, start = served, time.perf_counter()
             statements = iter(queries)
-            # Plain threads, not an executor: a restart forks from the
-            # client that noticed the failure, and a child forked from a
-            # ThreadPoolExecutor thread exits 1 at drain (the executor's
-            # exit hook tries to join the thread it is running on).
             clients = [
                 threading.Thread(target=client, args=(statements,))
                 for _ in range(args.workers)
@@ -490,19 +480,9 @@ def cmd_serve(args) -> int:
         stats = fleet.worker_stats()
         for wid, s in sorted(stats.items()):
             session = s.get("session", {})
-            mp = s.get("morsel_pool")
-            morsel_pools[wid] = mp
             print(f"worker {wid}: pid={s.get('pid')} "
                   f"queries={session.get('queries', 0)} "
-                  f"sources={session.get('plan_sources', {})}"
-                  + (f" morsels={mp.get('morsels_dispatched')}"
-                     if mp else ""))
-        total_morsels = sum(
-            (mp or {}).get("morsels_dispatched", 0)
-            for mp in morsel_pools.values()
-        )
-        print(f"morsel pools: parallelism={config.parallelism} "
-              f"dispatched={total_morsels}")
+                  f"sources={session.get('plan_sources', {})}")
         exposition = fleet.prometheus()
         parse_prometheus(exposition)
         print(fleet.summary())
@@ -550,10 +530,6 @@ def cmd_serve(args) -> int:
             "chaos": {"rate": args.chaos_rate, "seed": args.chaos_seed,
                       "kill_every": args.kill_every,
                       "wedge_site": args.wedge_site},
-            "morsel_pool": {
-                "parallelism": config.parallelism,
-                "workers": {str(k): v for k, v in morsel_pools.items()},
-            },
             "drain": {str(k): {"drained": v.get("drained"),
                                "exitcode": v.get("exitcode")}
                       for k, v in drained.items()},

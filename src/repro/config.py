@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 
 class ExecutionMode(str, Enum):
@@ -130,8 +130,6 @@ class OptimizerConfig:
     enable_cardinality_feedback: bool = False
     #: Maximum number of cached plans (LRU eviction beyond this).
     plan_cache_size: int = 64
-    #: Cap on exhaustive join reordering; larger joins use greedy linearization.
-    join_order_dp_threshold: int = 7
     #: Arbitrary named trace flags, serialized into AMPERe dumps (Listing 2).
     trace_flags: frozenset[str] = frozenset()
     #: Random seed for anything stochastic (plan sampling, data generation).
@@ -184,6 +182,25 @@ class OptimizerConfig:
     def with_flags(self, flags: Iterable[str]) -> "OptimizerConfig":
         """Return a copy with additional trace flags set."""
         return replace(self, trace_flags=self.trace_flags | frozenset(flags))
+
+
+def split_options(
+    options: dict, own: Container[str] = (), config: Optional[OptimizerConfig] = None
+) -> tuple[OptimizerConfig, dict]:
+    """Split a door's ``**options`` into its config and the rest.
+
+    The keywords named in ``own`` (the ones the door declares itself)
+    come back as they are.  Every other one is an
+    :class:`OptimizerConfig` field, merged over ``config`` — so a name
+    nobody knows gets ``OptimizerConfig``'s own ``TypeError``.
+    """
+    fields = {k: v for k, v in options.items() if k not in own}
+    rest = {k: v for k, v in options.items() if k in own}
+    if config is None:
+        config = OptimizerConfig(**fields)
+    elif fields:
+        config = replace(config, **fields)
+    return config, rest
 
 
 #: Configuration mirroring the paper's MPP experiments (Section 7.2.1).

@@ -119,7 +119,6 @@ class Executor:
         materialize_output_factor: float = 0.0,
         tracer=None,
         execution_mode: Optional[ExecutionMode] = None,
-        parallelism: int = 0,
         morsel_pool=None,
     ):
         self.cluster = cluster
@@ -141,21 +140,10 @@ class Executor:
         else:
             self._handlers = self._HANDLERS
         self.tracer = tracer or NULL_TRACER
-        # Morsel-driven parallelism (fused streaming phase only).  A
-        # caller that owns a long-lived pool (Session) passes it via
-        # morsel_pool=; otherwise parallelism>=2 makes this executor
-        # create — and own — one, drained by close().
-        if morsel_pool is not None:
-            self._morsel_pool = morsel_pool if self._fused else None
-            self._owns_pool = False
-        elif self._fused and parallelism:
-            from repro.engine.parallel import make_pool
-
-            self._morsel_pool = make_pool(parallelism, tracer=self.tracer)
-            self._owns_pool = self._morsel_pool is not None
-        else:
-            self._morsel_pool = None
-            self._owns_pool = False
+        #: Morsel-driven parallelism (fused streaming phase only): the
+        #: caller's pool (repro.engine.parallel.make_pool), which the
+        #: caller drains; None runs serial.
+        self._morsel_pool = morsel_pool if self._fused else None
         self.time_limit_seconds = time_limit_seconds
         #: When False, each re-execution of a correlated inner plan is
         #: charged in full even if its result was memoized (the legacy
@@ -240,21 +228,6 @@ class Executor:
             rows=rows, columns=cols, metrics=self.metrics,
             analysis=self._analysis,
         )
-
-    def close(self) -> None:
-        """Release executor-owned resources.  Drains the morsel pool if
-        this executor created it (a Session-owned pool is left running
-        for the session's next query).  Idempotent."""
-        if self._owns_pool and self._morsel_pool is not None:
-            self._morsel_pool.shutdown()
-            self._morsel_pool = None
-            self._owns_pool = False
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Dispatch

@@ -38,25 +38,21 @@ object is freed, and pinned objects are not freed.
 
 Lifecycle: the pool forks lazily on first dispatch, is reused across
 queries (a session keeps one for its lifetime), and is drained by
-:meth:`MorselPool.shutdown` — called from ``Session.close()`` and
-``Executor.close()``.  Workers are daemons, so even an abandoned pool
+:meth:`MorselPool.shutdown` — called by whoever made the pool
+(``Session.close()``).  Workers are daemons, so even an abandoned pool
 dies with the coordinator process.  A worker crash mid-batch poisons
 the current query (``ExecutionError``) but not the pool: the next
 dispatch respawns a fresh set of workers.
 
-Fleet interaction: fleet workers are daemonic processes and therefore
-*cannot* fork (multiprocessing forbids daemonic children), so
-:func:`effective_parallelism` degrades them to the serial path; the
-orchestrator additionally caps the requested parallelism per worker by
-``cpu_count // fleet_workers`` so that embedding the engine in a
-non-daemonic multi-process host cannot fork-bomb the box.
+Fleet interaction: none.  Fleet workers are daemonic processes, which
+multiprocessing forbids from having children, so a fleet refuses
+``parallelism >= 2`` at construction.
 """
 
 from __future__ import annotations
 
 import itertools
 import multiprocessing
-import os
 import time
 from collections import deque
 from typing import Any, Callable, Optional
@@ -80,27 +76,6 @@ _PIN_ROWS_MAX = 1 << 19
 
 def next_chain_key() -> int:
     return next(_CHAIN_KEYS)
-
-
-def effective_parallelism(requested: int) -> int:
-    """The pool size actually usable here: ``0``/``1`` mean serial, and
-    a daemonic process (e.g. a fleet worker) is always serial because
-    multiprocessing forbids daemonic processes from having children."""
-    if requested is None or requested < 2:
-        return 1
-    if multiprocessing.current_process().daemon:
-        return 1
-    return int(requested)
-
-
-def fleet_parallelism_cap(requested: int, fleet_workers: int) -> int:
-    """Cap one fleet worker's morsel parallelism so the whole fleet
-    cannot oversubscribe the machine (``cpu_count // fleet_workers``,
-    floor 1 = serial)."""
-    if requested < 2:
-        return requested
-    cap = max(1, (os.cpu_count() or 1) // max(int(fleet_workers), 1))
-    return min(int(requested), cap)
 
 
 class ChainSpec:
@@ -518,9 +493,8 @@ def make_pool(
     tracer=None,
     name: str = "morsels",
 ) -> Optional[MorselPool]:
-    """A :class:`MorselPool` when ``parallelism`` resolves to >= 2 here
-    (see :func:`effective_parallelism`), else None (serial path)."""
-    effective = effective_parallelism(parallelism)
-    if effective < 2:
+    """A :class:`MorselPool` when ``parallelism >= 2``, else None (the
+    serial path)."""
+    if parallelism < 2:
         return None
-    return MorselPool(effective, tracer=tracer, name=name)
+    return MorselPool(parallelism, tracer=tracer, name=name)

@@ -44,7 +44,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.catalog.database import Database
-from repro.config import OptimizerConfig
+from repro.config import OptimizerConfig, split_options
 from repro.errors import FleetError, OptimizerError, ReproError, WorkerError
 from repro.fleet.routing import RoutingPolicy, WorkerView, make_policy
 from repro.fleet.shared import SharedFeedbackBoard, SharedPlanStore
@@ -144,42 +144,34 @@ class Fleet:
         config: Optional[OptimizerConfig] = None,
         fallback: bool = True,
         max_retries: int = 0,
-        retry_backoff_seconds: float = 0.0,
         fault_specs: tuple = (),
         per_worker_faults: Optional[dict] = None,
         fault_seed: Optional[int] = None,
         fault_rate: float = 0.0,
         request_timeout_seconds: float = 60.0,
         heartbeat_timeout_seconds: float = 5.0,
-        heartbeat_interval_seconds: Optional[float] = None,
-        shared_cache_capacity: int = 256,
         telemetry: Optional[MetricsRegistry] = None,
         name: str = "fleet",
-        mp_start_method: Optional[str] = None,
         tracer=None,
         flight_dir: Optional[str] = None,
-        flight_capacity: int = 64,
         slow_query_ms: Optional[float] = None,
         **config_kwargs,
     ):
         if workers < 1:
             raise OptimizerError("a fleet needs at least 1 worker")
-        if config is None:
-            config = OptimizerConfig(**config_kwargs)
-        elif config_kwargs:
-            config = replace(config, **config_kwargs)
+        config, _ = split_options(config_kwargs, config=config)
+        if config.parallelism >= 2:
+            raise OptimizerError(
+                f"a fleet cannot run parallelism={config.parallelism}: its "
+                "workers are daemonic processes, which cannot fork a "
+                "morsel pool"
+            )
         self.catalog = catalog
         self.config = config
         self.name = name
         self.num_workers = workers
         self.policy: RoutingPolicy = make_policy(policy)
-        self.fallback = fallback
-        self.max_retries = max_retries
-        self.retry_backoff_seconds = retry_backoff_seconds
-        self.fault_specs = tuple(fault_specs)
         self.per_worker_faults = dict(per_worker_faults or {})
-        self.fault_seed = fault_seed
-        self.fault_rate = fault_rate
         self.request_timeout_seconds = request_timeout_seconds
         self.heartbeat_timeout_seconds = heartbeat_timeout_seconds
         self.telemetry = (
@@ -191,15 +183,12 @@ class Fleet:
         #: context is injected into the request dict, and the worker's
         #: spans are adopted back into its timeline — one stitched trace.
         self.tracer = Tracer.front(tracer, registry=self.telemetry)
-        #: Worker flight-recorder / slow-log knobs (shipped in the spec).
-        self.flight_dir = flight_dir
-        self.flight_capacity = flight_capacity
-        self.slow_query_ms = slow_query_ms
         self.closed = False
 
         methods = multiprocessing.get_all_start_methods()
-        start = mp_start_method or ("fork" if "fork" in methods else "spawn")
-        self._ctx = multiprocessing.get_context(start)
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         #: One manager process backs all cross-process state; only
         #: started when some subsystem actually shares state.
         self._manager = None
@@ -208,11 +197,24 @@ class Fleet:
         if config.enable_plan_cache or config.enable_cardinality_feedback:
             self._manager = self._ctx.Manager()
             if config.enable_plan_cache:
-                self.shared_plans = SharedPlanStore(
-                    self._manager, capacity=shared_cache_capacity
-                )
+                self.shared_plans = SharedPlanStore(self._manager)
             if config.enable_cardinality_feedback:
                 self.feedback_board = SharedFeedbackBoard(self._manager)
+        #: What every worker comes up from; ``_spec_for`` fills in what
+        #: differs per worker and per incarnation.
+        self._spec = WorkerSpec(
+            catalog=catalog,
+            config=config,
+            fallback=fallback,
+            max_retries=max_retries,
+            fault_specs=tuple(fault_specs),
+            fault_seed=fault_seed,
+            fault_rate=fault_rate,
+            shared_plans=self.shared_plans,
+            feedback_board=self.feedback_board,
+            flight_dir=flight_dir,
+            slow_query_ms=slow_query_ms,
+        )
 
         #: Leaf lock over routing state, the counters below and every
         #: telemetry write.  A worker's lock may be held while taking it,
@@ -233,21 +235,11 @@ class Fleet:
         for worker in self._workers:
             self._spawn(worker)
 
-        self._hb_stop = threading.Event()
-        self._hb_thread = None
-        if heartbeat_interval_seconds is not None:
-            self._hb_thread = threading.Thread(
-                target=self._heartbeat_loop,
-                args=(heartbeat_interval_seconds,),
-                daemon=True,
-            )
-            self._hb_thread.start()
-
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _spec_for(self, worker: _Worker) -> WorkerSpec:
-        explicit = tuple(self.fault_specs) + tuple(
+        explicit = self._spec.fault_specs + tuple(
             self.per_worker_faults.get(worker.worker_id, ())
         )
         if worker.incarnation > 0:
@@ -259,23 +251,11 @@ class Fleet:
             )
         with self._state:
             catalog_bumps = tuple(self._catalog_bumps)
-        return WorkerSpec(
-            catalog=self.catalog,
+        return replace(
+            self._spec,
             catalog_bumps=catalog_bumps,
-            config=self.config,
-            fallback=self.fallback,
-            max_retries=self.max_retries,
-            retry_backoff_seconds=self.retry_backoff_seconds,
             fault_specs=explicit,
-            fault_seed=self.fault_seed,
-            fault_rate=self.fault_rate,
-            shared_plans=self.shared_plans,
-            feedback_board=self.feedback_board,
             incarnation=worker.incarnation,
-            flight_dir=self.flight_dir,
-            flight_capacity=self.flight_capacity,
-            slow_query_ms=self.slow_query_ms,
-            fleet_workers=len(self._workers),
         )
 
     def _spawn(self, worker: _Worker) -> None:
@@ -586,15 +566,6 @@ class Fleet:
                 )
         return out
 
-    def _heartbeat_loop(self, interval: float) -> None:
-        while not self._hb_stop.wait(interval):
-            if self.closed:
-                return
-            try:
-                self.health_check()
-            except Exception:  # pragma: no cover - monitor must not die
-                pass
-
     # ------------------------------------------------------------------
     # Chaos handles (deterministic, orchestrator-driven)
     # ------------------------------------------------------------------
@@ -758,7 +729,7 @@ class Fleet:
         return info
 
     def close(self) -> dict[int, dict]:
-        """Drain, stop the heartbeat, and shut shared state down.
+        """Drain and shut shared state down.
 
         ``closed`` is raised first: a request already holding a worker's
         lock finishes and is answered, one that reaches a drained worker
@@ -768,10 +739,7 @@ class Fleet:
             if self.closed:
                 return {}
             self.closed = True
-        self._hb_stop.set()
         drained = self.drain()
-        if self._hb_thread is not None:
-            self._hb_thread.join(timeout=5)
         if self._manager is not None:
             self._manager.shutdown()
         return drained

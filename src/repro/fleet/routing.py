@@ -27,7 +27,7 @@ Register new policies in :data:`POLICIES` (name -> zero-arg factory).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import OptimizerError
 
@@ -43,8 +43,6 @@ class WorkerView:
     restarts: int = 0
     #: Cumulative requests routed here (routing accounting, not load).
     routed: int = 0
-
-    metadata: dict = field(default_factory=dict)
 
 
 class RoutingPolicy:

@@ -18,8 +18,9 @@ take a worker down.
 from __future__ import annotations
 
 import os
+import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.config import OptimizerConfig
@@ -49,7 +50,6 @@ class WorkerSpec:
     config: OptimizerConfig = field(default_factory=OptimizerConfig)
     fallback: bool = True
     max_retries: int = 0
-    retry_backoff_seconds: float = 0.0
     #: Explicit fault schedule for this incarnation ('()' = none).
     fault_specs: tuple = ()
     #: Seeded random fault injection (CRC32 schedule; see service.faults).
@@ -64,29 +64,14 @@ class WorkerSpec:
     #: site (the orchestrator also strips explicit kill/wedge specs).
     incarnation: int = 0
     #: Flight recorder: directory crash dumps are written to (None =
-    #: ring buffer only, never touches disk) and ring capacity.
+    #: ring buffer only, never touches disk).
     flight_dir: Optional[str] = None
-    flight_capacity: int = 64
     #: Slow-query log threshold in milliseconds (None = disabled).
     slow_query_ms: Optional[float] = None
-    #: How many fleet workers share this machine; build_session caps the
-    #: config's morsel ``parallelism`` to ``cpu_count // fleet_workers``
-    #: so a fleet cannot fork-bomb the box.  (Fleet workers are daemonic
-    #: processes, which cannot fork at all — the engine additionally
-    #: degrades them to the serial path at runtime — but the cap also
-    #: protects non-daemonic embeddings that reuse WorkerSpec.)
-    fleet_workers: int = 1
 
 
 def build_session(worker_id: int, spec: WorkerSpec) -> Session:
     """Construct the worker's governed session from its spec."""
-    config = spec.config
-    if config.parallelism >= 2 and spec.fleet_workers > 1:
-        from repro.engine.parallel import fleet_parallelism_cap
-
-        capped = fleet_parallelism_cap(config.parallelism, spec.fleet_workers)
-        if capped != config.parallelism:
-            config = replace(config, parallelism=capped)
     faults = None
     if spec.fault_specs or (spec.fault_seed is not None and spec.fault_rate > 0):
         seed = spec.fault_seed
@@ -107,7 +92,6 @@ def build_session(worker_id: int, spec: WorkerSpec) -> Session:
     # only when the spec names a directory.  Its front becomes the
     # session tracer (near-zero overhead; spans land in the ring).
     recorder = FlightRecorder(
-        capacity=spec.flight_capacity,
         dump_dir=spec.flight_dir,
         worker=f"worker-{worker_id}",
     )
@@ -118,10 +102,9 @@ def build_session(worker_id: int, spec: WorkerSpec) -> Session:
         stats_store = QueryStatsStore()
     session = Session(
         spec.catalog,
-        config=config,
+        config=spec.config,
         fallback=spec.fallback,
         max_retries=spec.max_retries,
-        retry_backoff_seconds=spec.retry_backoff_seconds,
         name=f"worker-{worker_id}",
         faults=faults,
         feedback_store=feedback_store,
@@ -157,7 +140,6 @@ def _worker_stats(session: Session) -> dict:
         "session": session.metrics.as_dict(),
         "plan_cache": cache.stats() if cache is not None else None,
         "feedback": feedback.stats() if feedback is not None else None,
-        "morsel_pool": session.morsel_stats(),
         "catalog_versions": {
             table.name: session.catalog.version(table.name)
             for table in session.catalog.tables()
@@ -215,6 +197,13 @@ def handle_request(session: Session, request: dict) -> dict:
 
 def worker_main(worker_id: int, conn, spec: WorkerSpec) -> None:
     """Process entry point: serve requests until drained."""
+    # Forked from a ThreadPoolExecutor thread, this process inherits the
+    # executor's thread registry with the thread it now runs on in it,
+    # and the executor's exit hook would join that thread: exit code 1
+    # after a clean drain.
+    executor_threads = sys.modules.get("concurrent.futures.thread")
+    if executor_threads is not None:
+        executor_threads._threads_queues.clear()
     for table in spec.catalog_bumps:
         spec.catalog.analyze(table)
     bumps_applied = len(spec.catalog_bumps)

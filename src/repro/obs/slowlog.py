@@ -7,10 +7,10 @@ and emits one JSON log record when either trigger fires:
 
 - **threshold** — wall time exceeded ``threshold_ms`` (CLI
   ``--slow-query-ms``);
-- **regression** — optimization time regressed ``regression_factor``×
+- **regression** — optimization time regressed ``REGRESSION_FACTOR``×
   against the query's fingerprint baseline in the
   :class:`~repro.telemetry.stats_store.QueryStatsStore` (the baseline
-  must have at least ``min_baseline_calls`` prior calls, and the query
+  must have at least ``MIN_BASELINE_CALLS`` prior calls, and the query
   must clear ``min_duration_ms``, so microsecond jitter on trivial
   queries can't page anyone).
 
@@ -30,9 +30,9 @@ import sys
 from typing import Any, Optional, TextIO
 
 #: Regression trigger: current opt time vs. fingerprint-baseline mean.
-DEFAULT_REGRESSION_FACTOR = 3.0
+REGRESSION_FACTOR = 3.0
 #: Baseline quality gate: calls required before regressions can fire.
-DEFAULT_MIN_BASELINE_CALLS = 2
+MIN_BASELINE_CALLS = 2
 #: Noise floor: queries faster than this can't be "regressions".
 DEFAULT_MIN_DURATION_MS = 1.0
 
@@ -65,15 +65,11 @@ class SlowQueryLog:
         self,
         threshold_ms: Optional[float] = None,
         *,
-        regression_factor: float = DEFAULT_REGRESSION_FACTOR,
-        min_baseline_calls: int = DEFAULT_MIN_BASELINE_CALLS,
         min_duration_ms: float = DEFAULT_MIN_DURATION_MS,
         stream: Optional[TextIO] = None,
         name: str = "repro.slowlog",
     ):
         self.threshold_ms = threshold_ms
-        self.regression_factor = regression_factor
-        self.min_baseline_calls = min_baseline_calls
         self.min_duration_ms = min_duration_ms
         # A free-standing Logger (parent None): immune to root-logger
         # config and never duplicated by repeated construction.
@@ -116,9 +112,9 @@ class SlowQueryLog:
         baseline_mean = getattr(baseline, "mean_opt_seconds", 0.0) if baseline else 0.0
         baseline_calls = getattr(baseline, "calls", 0) if baseline else 0
         if (
-            baseline_calls >= self.min_baseline_calls
+            baseline_calls >= MIN_BASELINE_CALLS
             and baseline_mean > 0.0
-            and compare >= self.regression_factor * baseline_mean
+            and compare >= REGRESSION_FACTOR * baseline_mean
             and compare * 1000.0 >= self.min_duration_ms
         ):
             reasons.append("regression")

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 from repro.catalog.database import Database
 from repro.config import OptimizerConfig
-from repro.cost.model import CostModel, CostParams
+from repro.cost.model import CostModel
 from repro.gpos.governor import ResourceGovernor
 from repro.gpos.memory import deep_sizeof
 from repro.interning import intern_stats
@@ -148,7 +148,6 @@ class Orca:
         catalog: Database,
         *,
         config: Optional[OptimizerConfig] = None,
-        cost_params: Optional[CostParams] = None,
         tracer: Optional[Tracer] = None,
         governor: Optional[ResourceGovernor] = None,
         faults=None,
@@ -157,7 +156,6 @@ class Orca:
     ):
         self.catalog = catalog
         self.config = config or OptimizerConfig()
-        self.cost_params = cost_params
         #: The instrumentation front: ``tracer`` writing the ``metrics``
         #: registry (repro.telemetry.MetricsRegistry) too, when given.
         self.tracer = Tracer.front(tracer, registry=metrics)
@@ -274,9 +272,7 @@ class Orca:
     ) -> OptimizationResult:
         """Optimize an already-translated query."""
         tracer = self.tracer
-        cost_model = CostModel(
-            self.cost_params, segments=self.config.segments, tracer=tracer
-        )
+        cost_model = CostModel(segments=self.config.segments, tracer=tracer)
         cte_delivered: dict[int, object] = {}
         cte_producer_cols: dict[int, tuple] = {}
         cte_stats: dict[int, tuple] = {}

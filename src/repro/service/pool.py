@@ -17,24 +17,20 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import replace
 from typing import Iterator, Optional
 
 from repro.catalog.database import Database
-from repro.config import OptimizerConfig
+from repro.config import split_options
 from repro.errors import AdmissionError, OptimizerError
-from repro.service.session import Session
+from repro.service.session import SESSION_KEYWORDS, Session
 from repro.telemetry import families
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.stats_store import QueryStatsStore
 from repro.trace import Tracer
 
-#: Session constructor keywords; everything else passed to the pool is
-#: treated as an :class:`OptimizerConfig` field (mirrors ``connect``).
-_SESSION_KWARGS = frozenset({
-    "config", "tracer", "cost_params", "faults", "fallback",
-    "max_retries", "retry_backoff_seconds",
-})
+#: Session keywords a pool cannot forward: it names its sessions itself,
+#: and a flight ring or a slow log has one writer, not ``max_sessions``.
+_PER_SESSION = frozenset({"name", "slow_log", "flight_recorder"})
 
 
 class SessionPool:
@@ -65,19 +61,12 @@ class SessionPool:
         self.stats_store = stats_store if stats_store is not None \
             else QueryStatsStore()
         self.telemetry.set_gauge("pool_max_sessions", max_sessions)
-        config_kwargs = {
-            k: session_kwargs.pop(k)
-            for k in list(session_kwargs)
-            if k not in _SESSION_KWARGS
-        }
-        if config_kwargs:
-            base = session_kwargs.get("config")
-            session_kwargs["config"] = (
-                replace(base, **config_kwargs)
-                if base is not None
-                else OptimizerConfig(**config_kwargs)
-            )
-        config = session_kwargs.get("config") or OptimizerConfig()
+        # Session's keywords are the sessions'; any other is an
+        # OptimizerConfig field, exactly like ``connect``.
+        base = session_kwargs.pop("config", None)
+        config, session_kwargs = split_options(
+            session_kwargs, SESSION_KEYWORDS - _PER_SESSION, base
+        )
         #: Pool-wide cardinality feedback store: every session ingests
         #: into and reads from the same store, so one session's actuals
         #: improve every session's estimates.  None when the flag is off.
@@ -91,7 +80,7 @@ class SessionPool:
             self.feedback = feedback_store
         else:
             self.feedback = None
-        self._session_kwargs = session_kwargs
+        self._session_kwargs = dict(session_kwargs, config=config)
         self._slots = threading.Semaphore(max_sessions)
         self._lock = threading.Lock()
         self._idle: list[Session] = []

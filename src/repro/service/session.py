@@ -9,7 +9,7 @@ the Wild"): *every* query gets a plan, bounded in time and memory.  A
    ``memory_quota_bytes`` limits;
 2. lets the engine degrade to the best-plan-so-far on a deadline
    (``plan_source == "orca_partial"``);
-3. retries transiently-injected faults with exponential backoff; and
+3. retries transiently-injected faults; and
 4. on any remaining optimizer error, transparently falls back to the
    legacy Planner (``plan_source == "planner_fallback"``), raising
    :class:`repro.errors.FallbackError` only when the Planner fails too.
@@ -22,13 +22,15 @@ CLI's ``--no-fallback``).
 
 from __future__ import annotations
 
+import inspect
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from repro.catalog.database import Database
-from repro.config import OptimizerConfig
+from repro.config import OptimizerConfig, split_options
 from repro.engine.cluster import Cluster
 from repro.engine.executor import ExecutionResult, Executor
 from repro.errors import (
@@ -96,11 +98,9 @@ class Session:
         *,
         config: Optional[OptimizerConfig] = None,
         tracer: Optional[Tracer] = None,
-        cost_params=None,
         faults=None,
         fallback: bool = True,
         max_retries: int = 0,
-        retry_backoff_seconds: float = 0.0,
         name: str = "session",
         telemetry=None,
         stats_store: Optional[QueryStatsStore] = None,
@@ -112,7 +112,6 @@ class Session:
         self.config = config or OptimizerConfig()
         self.fallback = fallback
         self.max_retries = max(int(max_retries), 0)
-        self.retry_backoff_seconds = retry_backoff_seconds
         self.name = name
         self.metrics = SessionMetrics()
         #: Fleet-wide metrics registry (repro.telemetry.MetricsRegistry),
@@ -138,18 +137,10 @@ class Session:
                 tracer if faults.tracer is NULL_TRACER
                 else Tracer.front(faults.tracer, flight=flight_recorder)
             )
-        #: execute() observes the slow log once for the whole query, so
-        #: its internal optimize() call must not observe separately.
-        self._suppress_slow = False
         self.closed = False
-        if self.config.enable_cardinality_feedback and feedback_store is None:
-            from repro.feedback import FeedbackStore
-
-            feedback_store = FeedbackStore(tracer=tracer)
         self._orca = Orca(
             catalog,
             config=self.config,
-            cost_params=cost_params,
             tracer=tracer,
             faults=faults,
             feedback=feedback_store,
@@ -192,33 +183,57 @@ class Session:
         """Optimize one statement; always returns a plan unless the
         frontend rejects the query or fallback is disabled/failing."""
         self._check_open()
-        observe = self.slow_log is not None and not self._suppress_slow
-        baseline = None
-        if observe and self.stats_store is not None:
-            baseline = self._baseline_snapshot(sql_or_stmt)
+        with self._observed(sql_or_stmt) as seen:
+            seen.result = self._optimize_governed(sql_or_stmt)
+        return seen.result
+
+    @contextmanager
+    def _observed(self, sql_or_stmt) -> Iterator[SimpleNamespace]:
+        """The observation scope of one public call, optimize() or
+        execute(): the flight record is begun and ended here (unless a
+        caller up the stack, a fleet worker, already holds one), and the
+        slow log observes the call once, when it returns.  The body
+        fills in ``result`` and, when it executed the plan,
+        ``exec_seconds`` and ``analysis``."""
+        seen = SimpleNamespace(result=None, exec_seconds=None, analysis=None)
+        slow = self.slow_log is not None
         owns_record = self.flight is not None and self.flight.current is None
-        if owns_record:
+        if slow or owns_record:
             fp, normalized = fingerprint_query(sql_or_stmt)
+        baseline = None
+        if slow:
+            if self.stats_store is not None:
+                baseline = self._baseline_snapshot(sql_or_stmt)
+            phases_before = dict(self.tracer.stage_times)
+        if owns_record:
             self.flight.begin(normalized, session=self.name, fingerprint=fp)
-        phases_before = self._phase_snapshot()
         start = time.monotonic()
         try:
-            result = self._optimize_governed(sql_or_stmt)
+            yield seen
         finally:
             trace_id = self.tracer.trace_id
             if owns_record:
                 self.flight.end()
-        if observe:
-            self._observe_slow(
-                sql_or_stmt,
-                result=result,
-                seconds=time.monotonic() - start,
-                opt_seconds=result.opt_time_seconds,
-                baseline=baseline,
-                trace_id=trace_id,
-                phases=self._phases_since(phases_before),
-            )
-        return result
+        if not slow:
+            return
+        q_error = None
+        if seen.analysis is not None:
+            from repro.verify.qerror import plan_qerror
+
+            q_error = plan_qerror(seen.analysis).geomean
+        self.slow_log.observe(
+            sql=normalized,
+            seconds=time.monotonic() - start,
+            opt_seconds=seen.result.opt_time_seconds,
+            exec_seconds=seen.exec_seconds,
+            phases=self._phases_since(phases_before),
+            trace_id=trace_id,
+            plan_source=seen.result.plan_source,
+            q_error=q_error,
+            fingerprint=fp,
+            baseline=baseline,
+            session=self.name,
+        )
 
     def _optimize_governed(
         self, sql_or_stmt: Union[str, SelectStmt]
@@ -241,10 +256,6 @@ class Session:
                     attempt += 1
                     self.metrics.retries += 1
                     self.tracer.record("retry", attempt=attempt, code=exc.code)
-                    if self.retry_backoff_seconds > 0.0:
-                        time.sleep(
-                            self.retry_backoff_seconds * 2 ** (attempt - 1)
-                        )
                     continue
                 if isinstance(exc, SearchTimeout):
                     self.metrics.timeouts += 1
@@ -299,21 +310,8 @@ class Session:
         ``analyze=True`` collects per-node actuals into
         ``result.analysis`` (also attached to ``session.last_result``)."""
         self._check_open()
-        observe = self.slow_log is not None
-        baseline = None
-        if observe and self.stats_store is not None:
-            baseline = self._baseline_snapshot(sql_or_stmt)
-        owns_record = self.flight is not None and self.flight.current is None
-        if owns_record:
-            fp, normalized = fingerprint_query(sql_or_stmt)
-            self.flight.begin(normalized, session=self.name, fingerprint=fp)
-        phases_before = self._phase_snapshot()
-        start = time.monotonic()
-        # One slow-log observation per execute(), covering optimize +
-        # run, instead of a second partial one from the inner optimize.
-        self._suppress_slow = True
-        try:
-            result = self.optimize(sql_or_stmt)
+        with self._observed(sql_or_stmt) as seen:
+            result = seen.result = self._optimize_governed(sql_or_stmt)
             if self._cluster is None:
                 self._cluster = Cluster(
                     self.catalog, segments=self.config.segments
@@ -338,34 +336,12 @@ class Session:
                 # morsel workers: drain now, respawn lazily next query.
                 self._drain_morsel_pool()
                 raise
-            exec_seconds = time.monotonic() - exec_start
-            result.analysis = execution.analysis
+            seen.exec_seconds = time.monotonic() - exec_start
+            result.analysis = seen.analysis = execution.analysis
             if self.stats_store is not None:
                 self.stats_store.record_execution(sql_or_stmt, execution)
             if feedback is not None and execution.analysis is not None:
                 self._ingest_feedback(sql_or_stmt, result, execution.analysis)
-        finally:
-            self._suppress_slow = False
-            trace_id = self.tracer.trace_id
-            if owns_record:
-                self.flight.end()
-        if observe:
-            q_error = None
-            if execution.analysis is not None:
-                from repro.verify.qerror import plan_qerror
-
-                q_error = plan_qerror(execution.analysis).geomean
-            self._observe_slow(
-                sql_or_stmt,
-                result=result,
-                seconds=time.monotonic() - start,
-                opt_seconds=result.opt_time_seconds,
-                exec_seconds=exec_seconds,
-                baseline=baseline,
-                trace_id=trace_id,
-                phases=self._phases_since(phases_before),
-                q_error=q_error,
-            )
         return execution
 
     # ------------------------------------------------------------------
@@ -382,48 +358,14 @@ class Session:
             calls=stats.calls, mean_opt_seconds=stats.mean_opt_seconds
         )
 
-    def _phase_snapshot(self) -> Optional[dict]:
-        """Stage-time aggregates before a query (slow-log phase math)."""
-        if self.slow_log is None:
-            return None
-        return dict(self.tracer.stage_times)
-
-    def _phases_since(self, before: Optional[dict]) -> Optional[dict]:
-        before = before or {}
+    def _phases_since(self, before: dict) -> Optional[dict]:
+        """Stage-time aggregates this query added (slow-log phase math)."""
         out = {
             name: total - before.get(name, 0.0)
             for name, total in self.tracer.stage_times.items()
             if total - before.get(name, 0.0) > 0.0
         }
         return out or None
-
-    def _observe_slow(
-        self,
-        sql_or_stmt,
-        *,
-        result: OptimizationResult,
-        seconds: float,
-        opt_seconds: Optional[float] = None,
-        exec_seconds: Optional[float] = None,
-        baseline=None,
-        trace_id: Optional[str] = None,
-        phases: Optional[dict] = None,
-        q_error: Optional[float] = None,
-    ) -> None:
-        fp, normalized = fingerprint_query(sql_or_stmt)
-        self.slow_log.observe(
-            sql=normalized,
-            seconds=seconds,
-            opt_seconds=opt_seconds,
-            exec_seconds=exec_seconds,
-            phases=phases,
-            trace_id=trace_id,
-            plan_source=result.plan_source,
-            q_error=q_error,
-            fingerprint=fp,
-            baseline=baseline,
-            session=self.name,
-        )
 
     def _ingest_feedback(self, sql_or_stmt, result, analysis) -> None:
         """Close the loop after one execution: fold actuals into the
@@ -510,48 +452,25 @@ class Session:
         )
 
 
+#: The keywords :class:`Session` declares.  A door that takes
+#: ``**options`` keeps these and hands every other one to
+#: :func:`repro.config.split_options` as an OptimizerConfig field.
+SESSION_KEYWORDS = frozenset(inspect.signature(Session).parameters)
+
+
 def connect(
     catalog: Database,
     *,
     config: Optional[OptimizerConfig] = None,
-    tracer: Optional[Tracer] = None,
-    cost_params=None,
-    faults=None,
-    fallback: bool = True,
-    max_retries: int = 0,
-    retry_backoff_seconds: float = 0.0,
-    name: str = "session",
-    telemetry=None,
-    stats_store: Optional[QueryStatsStore] = None,
-    feedback_store=None,
-    slow_log: Optional[SlowQueryLog] = None,
-    flight_recorder: Optional[FlightRecorder] = None,
-    **config_kwargs,
+    **options,
 ) -> Session:
     """Open a governed optimizer session — the stable public entry point.
 
-    Extra keyword arguments are :class:`OptimizerConfig` fields::
+    Keyword arguments are :class:`Session`'s; any other is an
+    :class:`OptimizerConfig` field, merged over ``config``::
 
         session = repro.connect(db, segments=8, search_deadline_ms=250)
         result = session.optimize("SELECT ...")   # always yields a plan
     """
-    if config is None:
-        config = OptimizerConfig(**config_kwargs)
-    elif config_kwargs:
-        config = replace(config, **config_kwargs)
-    return Session(
-        catalog,
-        config=config,
-        tracer=tracer,
-        cost_params=cost_params,
-        faults=faults,
-        fallback=fallback,
-        max_retries=max_retries,
-        retry_backoff_seconds=retry_backoff_seconds,
-        name=name,
-        telemetry=telemetry,
-        stats_store=stats_store,
-        feedback_store=feedback_store,
-        slow_log=slow_log,
-        flight_recorder=flight_recorder,
-    )
+    config, session_options = split_options(options, SESSION_KEYWORDS, config)
+    return Session(catalog, config=config, **session_options)

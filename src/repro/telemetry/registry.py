@@ -35,6 +35,9 @@ from typing import Any, Iterable, Optional
 from repro.errors import TelemetryError
 from repro.telemetry.families import EVENT_METRICS
 
+#: Prefix of every exported metric name.
+NAMESPACE = "repro"
+
 #: Default latency buckets (seconds), roughly exponential like Prometheus'.
 DEFAULT_BUCKETS = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
@@ -216,29 +219,25 @@ class Histogram(_Family):
 class MetricsRegistry:
     """A named collection of Counter / Gauge / Histogram families.
 
-    ``namespace`` prefixes every exported metric name (the fleet
-    convention: ``repro_queries_total``).  The convenience methods
+    Every exported metric name carries the :data:`NAMESPACE` prefix (the
+    fleet convention: ``repro_queries_total``).  The convenience methods
     (:meth:`inc`, :meth:`set_gauge`, :meth:`observe`) auto-create the
     family on first use so instrumentation sites stay one-liners.
     """
 
     def __init__(
         self,
-        namespace: str = "repro",
         *,
         max_label_values: int = 64,
         max_label_length: int = 128,
     ):
-        if namespace and not _NAME_RE.match(namespace):
-            raise TelemetryError(f"invalid namespace {namespace!r}")
-        self.namespace = namespace
         self.max_label_values = max(int(max_label_values), 1)
         self.max_label_length = max(int(max_label_length), 1)
         self._families: dict[str, _Family] = {}
 
     # ------------------------------------------------------------------
     def _full_name(self, name: str) -> str:
-        full = f"{self.namespace}_{name}" if self.namespace else name
+        full = f"{NAMESPACE}_{name}"
         if not _NAME_RE.match(full):
             raise TelemetryError(f"invalid metric name {full!r}")
         return full
@@ -307,7 +306,7 @@ class MetricsRegistry:
     # Export: JSON snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"version": 1, "namespace": self.namespace,
+        out: dict[str, Any] = {"version": 1, "namespace": NAMESPACE,
                                "families": {}}
         for name in sorted(self._families):
             family = self._families[name]
@@ -341,11 +340,9 @@ class MetricsRegistry:
     def from_json(cls, text: str) -> "MetricsRegistry":
         """Rebuild a registry (families + series) from a JSON snapshot."""
         payload = json.loads(text)
-        registry = cls(namespace=payload.get("namespace", "repro"))
-        prefix = registry.namespace + "_" if registry.namespace else ""
+        registry = cls()
         for full_name, entry in payload.get("families", {}).items():
-            name = full_name[len(prefix):] if full_name.startswith(prefix) \
-                else full_name
+            name = full_name.removeprefix(NAMESPACE + "_")
             kind = entry.get("type", "counter")
             help = entry.get("help", "")
             if kind == "histogram":
@@ -434,10 +431,7 @@ class MetricsRegistry:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (
-            f"MetricsRegistry({len(self._families)} families, "
-            f"namespace={self.namespace!r})"
-        )
+        return f"MetricsRegistry({len(self._families)} families)"
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,48 @@ EXPECTED_ALL = frozenset({
 })
 
 
+#: Every keyword of every door, frozen the same way: an option comes
+#: back by editing this snapshot in the PR that gives it a caller.
+EXPECTED_SIGNATURES = {
+    "connect": ("catalog", "config", "**options"),
+    "Session": (
+        "catalog", "config", "tracer", "faults", "fallback", "max_retries",
+        "name", "telemetry", "stats_store", "feedback_store", "slow_log",
+        "flight_recorder",
+    ),
+    "SessionPool": (
+        "catalog", "max_sessions", "admission_timeout_seconds", "telemetry",
+        "stats_store", "feedback_store", "**session_kwargs",
+    ),
+    "Fleet": (
+        "catalog", "workers", "policy", "config", "fallback", "max_retries",
+        "fault_specs", "per_worker_faults", "fault_seed", "fault_rate",
+        "request_timeout_seconds", "heartbeat_timeout_seconds", "telemetry",
+        "name", "tracer", "flight_dir", "slow_query_ms", "**config_kwargs",
+    ),
+    "connect_fleet": ("catalog", "**kwargs"),
+    "Executor": (
+        "cluster", "params", "time_limit_seconds", "cache_correlated_work",
+        "per_op_startup_units", "materialize_output_factor", "tracer",
+        "execution_mode", "morsel_pool",
+    ),
+    "Orca": (
+        "catalog", "config", "tracer", "governor", "faults", "metrics",
+        "feedback",
+    ),
+}
+
+EXPECTED_CONFIG_FIELDS = (
+    "segments", "disabled_rules", "stages", "enable_decorrelation",
+    "enable_partition_elimination", "enable_cte_sharing",
+    "enable_join_reordering", "enable_cost_bound_pruning",
+    "enable_derivation_cache", "execution_mode", "parallelism",
+    "enable_plan_cache", "enable_cardinality_feedback", "plan_cache_size",
+    "trace_flags", "seed", "search_deadline_ms", "search_job_limit",
+    "memory_quota_bytes", "memory_check_stride",
+)
+
+
 class TestAllSnapshot:
     def test_all_matches_snapshot(self):
         assert frozenset(repro.__all__) == EXPECTED_ALL
@@ -73,6 +115,51 @@ class TestAllSnapshot:
             "attr": "repro.__version__"
         }
         assert repro.__version__.count(".") == 2
+
+
+class TestOptionSnapshot:
+    @pytest.mark.parametrize("door", sorted(EXPECTED_SIGNATURES))
+    def test_door_keywords_match_snapshot(self, door):
+        params = inspect.signature(getattr(repro, door)).parameters.values()
+        assert tuple(
+            "**" + p.name if p.kind is p.VAR_KEYWORD else p.name
+            for p in params
+        ) == EXPECTED_SIGNATURES[door]
+
+    def test_config_fields_match_snapshot(self):
+        fields = dataclasses.fields(repro.OptimizerConfig)
+        assert tuple(f.name for f in fields) == EXPECTED_CONFIG_FIELDS
+
+    @pytest.mark.parametrize(
+        "door", [repro.connect, repro.SessionPool, repro.connect_fleet],
+        ids=lambda door: door.__name__,
+    )
+    def test_unknown_keyword_is_the_configs_type_error(self, small_db, door):
+        """A door keeps the keywords it declares; every other one is an
+        ``OptimizerConfig`` field, so a name nobody declares is refused
+        by ``OptimizerConfig`` itself, whether or not ``config=`` came
+        with it."""
+        for options in ({}, {"config": repro.OptimizerConfig(segments=2)}):
+            with pytest.raises(TypeError, match="no_such_option") as refused:
+                door(small_db, no_such_option=1, **options)
+            with pytest.raises(TypeError) as expected:
+                repro.OptimizerConfig(no_such_option=1)
+            assert str(refused.value) == str(expected.value)
+
+    def test_door_keywords_and_config_fields_mix(self, small_db):
+        session = repro.connect(
+            small_db, name="mixed", fallback=False, segments=2,
+            config=repro.OptimizerConfig(segments=4, seed=7),
+        )
+        assert (session.name, session.fallback) == ("mixed", False)
+        assert (session.config.segments, session.config.seed) == (2, 7)
+        with repro.SessionPool(small_db, max_retries=2, segments=2) as pool:
+            with pool.session() as pooled:
+                assert pooled.max_retries == 2
+                assert pooled.config.segments == 2
+        # What a pool gives each session itself is not the caller's.
+        with pytest.raises(TypeError, match="slow_log"):
+            repro.SessionPool(small_db, slow_log=repro.SlowQueryLog(1.0))
 
 
 class TestKeywordOnlyConstructors:

@@ -173,3 +173,17 @@ class TestServeCLI:
         queries = dict(re.findall(r"^worker (\d): pid=\d+ queries=(\d+)", out, re.M))
         assert set(queries) == {"0", "1"}
         assert sum(map(int, queries.values())) > 0
+
+    def test_serve_refuses_parallelism_with_the_typed_error_code(self, capsys):
+        from repro.__main__ import exit_code_for
+        from repro.errors import OptimizerError
+
+        rc = main([
+            "serve", "--workers", "2", "--queries", "2", "--passes", "1",
+            "--parallelism", "2",
+        ] + ARGS)
+        captured = capsys.readouterr()
+        assert rc == exit_code_for(OptimizerError("x")) == 2
+        assert captured.err.startswith("error [OPTIMIZER]: a fleet cannot run")
+        assert "Traceback" not in captured.err
+        assert "pass 1/1" not in captured.out

@@ -204,6 +204,19 @@ class TestFleetSurface:
         with pytest.raises(OptimizerError):
             Fleet(fleet_db, workers=0)
 
+    def test_parallelism_is_refused_at_the_door(self, fleet_db):
+        """Workers are daemonic and cannot fork a morsel pool, so the
+        combination is an error, not a serial run nobody asked for."""
+        for options in (
+            {"parallelism": 2},
+            {"config": repro.OptimizerConfig(segments=4, parallelism=4)},
+        ):
+            with pytest.raises(OptimizerError, match="daemonic") as refused:
+                repro.connect_fleet(fleet_db, workers=1, **options)
+            assert type(refused.value) is OptimizerError
+        with make_fleet(fleet_db, workers=1, parallelism=1) as fleet:
+            assert fleet.execute(Q3).rows
+
 
 # ----------------------------------------------------------------------
 # Chaos: kill/wedge at every fault site; availability stays 100%
@@ -419,6 +432,20 @@ class TestRestartKeepsFleetState:
             for sql in (Q1, Q2):
                 fleet.optimize(sql)
             assert folded(fleet) == 3 + 2
+
+    def test_worker_forked_from_a_pool_thread_drains_clean(self, fleet_db):
+        """A restart forks from the client thread that asked for it.  On
+        a ``ThreadPoolExecutor`` thread the child inherits the executor's
+        thread registry, and its exit hook must not join the thread the
+        child is now running on."""
+        with ThreadPoolExecutor(max_workers=1) as clients:
+            fleet = make_fleet(fleet_db, workers=1)
+            clients.submit(fleet.kill_worker, 0).result(timeout=60)
+            rows = clients.submit(fleet.execute, Q2).result(timeout=60).rows
+            assert len(rows) == 1
+            drained = fleet.close()
+        assert drained[0]["drained"] is True
+        assert drained[0]["exitcode"] == 0
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,6 @@ dispatch respawns a fresh pool.  No child process ever survives close.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 
 import pytest
@@ -28,12 +27,7 @@ from hypothesis import strategies as st
 
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
-from repro.engine.parallel import (
-    MorselPool,
-    effective_parallelism,
-    fleet_parallelism_cap,
-    make_pool,
-)
+from repro.engine.parallel import MorselPool, make_pool
 from repro.errors import ExecutionError, TimeoutError_
 from repro.optimizer import Orca
 from repro.service.session import connect
@@ -54,18 +48,14 @@ def _alive_children(prefix: str) -> list:
 
 
 def _execute(db, result, *, segments=8, mode=ExecutionMode.FUSED,
-             parallelism=0, pool=None, tracer=None, cluster=None):
+             pool=None, tracer=None, cluster=None):
     ex = Executor(
         cluster or Cluster(db, segments=segments),
         execution_mode=mode,
-        parallelism=parallelism,
         morsel_pool=pool,
         tracer=tracer,
     )
-    try:
-        return ex.execute(result.plan, result.output_cols, analyze=True)
-    finally:
-        ex.close()
+    return ex.execute(result.plan, result.output_cols, analyze=True)
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +119,14 @@ def test_determinism_two_runs_bit_identical(tpcds_db, tpcds_orca):
 def test_parallelism_zero_and_one_build_no_pool(tpcds_db):
     """0/1 resolve to the serial path without constructing a pool, so
     today's engine is bit-identical by construction."""
-    assert make_pool(0) is None
-    assert make_pool(1) is None
     for p in (0, 1):
+        assert make_pool(p) is None
         ex = Executor(
             Cluster(tpcds_db, segments=8),
             execution_mode=ExecutionMode.FUSED,
-            parallelism=p,
+            morsel_pool=make_pool(p),
         )
         assert ex._morsel_pool is None
-        ex.close()
 
 
 # ---------------------------------------------------------------------------
@@ -268,25 +256,26 @@ def test_governor_trip_mid_query_drains_pool(small_session, monkeypatch):
 
 
 def test_executor_owned_pool_drained_on_trip(small_session):
-    """An executor that creates its own pool drains it in close(),
-    including when execution dies mid-query on a simulated time limit."""
+    """A pool made for one executor is its maker's to drain, including
+    when execution dies mid-query on a simulated time limit."""
     session = small_session
     result = session.optimize(SQL)
+    pool = make_pool(2)
     ex = Executor(
         Cluster(session.catalog, segments=4),
         execution_mode=ExecutionMode.FUSED,
-        parallelism=2,
+        morsel_pool=pool,
         time_limit_seconds=1e-12,
     )
-    assert ex._owns_pool
-    ex._morsel_pool.ensure_started()
-    procs = list(ex._morsel_pool._procs)
+    assert ex._morsel_pool is pool
+    pool.ensure_started()
+    procs = list(pool._procs)
     assert all(p.is_alive() for p in procs)
     with pytest.raises(TimeoutError_):
         ex.execute(result.plan, result.output_cols)
-    ex.close()
+    pool.shutdown()
     assert all(not p.is_alive() for p in procs)
-    ex.close()  # idempotent
+    pool.shutdown()  # idempotent
 
 
 def test_killed_worker_poisons_query_not_pool(small_session):
@@ -301,57 +290,6 @@ def test_killed_worker_poisons_query_not_pool(small_session):
     execution = session.execute(SQL)  # fresh pool, query succeeds
     assert execution.rows
     assert session.morsel_stats()["morsels_dispatched"] > 0
-
-
-# ---------------------------------------------------------------------------
-# Fleet interaction: no fork-bombs.
-# ---------------------------------------------------------------------------
-
-
-def test_effective_parallelism_daemon_guard():
-    """A daemonic process (fleet worker) must resolve to serial — it
-    cannot legally fork children.  Checked in a real daemon."""
-    assert effective_parallelism(4) == 4
-    assert effective_parallelism(0) == 1
-    assert effective_parallelism(1) == 1
-    parent, child = multiprocessing.Pipe()
-
-    def probe(conn):
-        conn.send(effective_parallelism(4))
-        conn.close()
-
-    proc = multiprocessing.Process(target=probe, args=(child,), daemon=True)
-    proc.start()
-    child.close()
-    assert parent.recv() == 1
-    proc.join(timeout=5.0)
-
-
-def test_fleet_parallelism_cap():
-    cpus = os.cpu_count() or 1
-    # A whole fleet can never request more total workers than CPUs.
-    assert fleet_parallelism_cap(8, cpus * 8) == 1
-    assert fleet_parallelism_cap(8, 1) == min(8, max(1, cpus))
-    assert fleet_parallelism_cap(1, 4) == 1  # serial stays serial
-    assert fleet_parallelism_cap(0, 4) == 0
-
-
-def test_worker_spec_caps_parallelism():
-    from repro.fleet.worker import WorkerSpec, build_session
-
-    db = make_small_db(t1_rows=50, t2_rows=20)
-    cpus = os.cpu_count() or 1
-    spec = WorkerSpec(
-        catalog=db,
-        config=OptimizerConfig(segments=2, parallelism=8),
-        fleet_workers=cpus * 8,  # cap always lands at 1
-    )
-    session = build_session(0, spec)
-    assert session.config.parallelism == 1
-    session.close()
-    # The spec's own config object is never mutated (it is shared by
-    # every worker the orchestrator spawns).
-    assert spec.config.parallelism == 8
 
 
 # ---------------------------------------------------------------------------
