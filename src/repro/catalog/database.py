@@ -27,6 +27,9 @@ class _Stored:
     partitions: list[list[Row]] = field(default_factory=list)
     stats: Optional[TableStats] = None
     version: int = 1
+    #: ``Database.changes`` as of the last insert / truncate (or the
+    #: table's creation): moves only when the rows do.
+    data_version: int = 0
 
 
 class Database:
@@ -37,6 +40,10 @@ class Database:
         #: Database system identifier, the first component of every Mdid.
         self.system_id = system_id
         self._tables: dict[str, _Stored] = {}
+        #: Catalog-wide change counter: moves with every DDL, DML, ANALYZE
+        #: and ``set_stats``, so "has any table's version moved?" is one
+        #: integer comparison.
+        self.changes = 0
 
     # ------------------------------------------------------------------
     # DDL
@@ -45,14 +52,17 @@ class Database:
         if table.name in self._tables:
             raise CatalogError(f"table {table.name} already exists")
         nparts = table.num_partitions()
+        self.changes += 1
         self._tables[table.name] = _Stored(
-            table=table, partitions=[[] for _ in range(nparts)]
+            table=table, partitions=[[] for _ in range(nparts)],
+            data_version=self.changes,
         )
 
     def drop_table(self, name: str) -> None:
         if name not in self._tables:
             raise CatalogError(f"no table {name}")
         del self._tables[name]
+        self.changes += 1
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
@@ -66,6 +76,19 @@ class Database:
     def version(self, name: str) -> int:
         """Current metadata version of a table (bumped by DDL/ANALYZE)."""
         return self._stored(name).version
+
+    def data_version(self, name: str) -> int:
+        """Version of a table's *rows*: moved by ``insert`` / ``truncate``
+        only, never by ``analyze`` / ``set_stats``, and never repeated
+        within one database (a dropped and re-created table starts at a
+        fresh value).  What a cache of stored rows keys on."""
+        return self._stored(name).data_version
+
+    def _bump(self, stored: _Stored, rows_changed: bool = False) -> None:
+        self.changes += 1
+        stored.version += 1
+        if rows_changed:
+            stored.data_version = self.changes
 
     def _stored(self, name: str) -> _Stored:
         try:
@@ -108,14 +131,14 @@ class Database:
                     )
                 bucket.append(row)
                 count += 1
-        stored.version += 1
+        self._bump(stored, rows_changed=True)
         return count
 
     def truncate(self, name: str) -> None:
         stored = self._stored(name)
         stored.partitions = [[] for _ in range(stored.table.num_partitions())]
         stored.stats = None
-        stored.version += 1
+        self._bump(stored, rows_changed=True)
 
     # ------------------------------------------------------------------
     # Reads
@@ -154,7 +177,7 @@ class Database:
                     values, width=col.dtype.width, num_buckets=num_buckets
                 )
             stored.stats = TableStats(row_count=float(len(rows)), columns=cols)
-            stored.version += 1
+            self._bump(stored)
 
     def stats(self, name: str) -> Optional[TableStats]:
         return self._stored(name).stats
@@ -165,4 +188,4 @@ class Database:
         every row)."""
         stored = self._stored(name)
         stored.stats = stats
-        stored.version += 1
+        self._bump(stored)

@@ -74,11 +74,26 @@ class PartitionScheme:
 
     column: str
     partitions: tuple[RangePartition, ...]
+    #: Each partition's ``(axis lo, axis hi)``, computed once here so
+    #: that :meth:`route` places only the routed value on the axis.
+    bounds: tuple[tuple[float, float], ...] = field(
+        init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "bounds", tuple(
+            (axis_value(part.lo), axis_value(part.hi))
+            for part in self.partitions
+        ))
 
     def route(self, value: Any) -> Optional[int]:
-        """Index of the partition holding ``value`` (None if out of range)."""
-        for i, part in enumerate(self.partitions):
-            if part.contains(value):
+        """Index of the first partition holding ``value`` (None if out of
+        range)."""
+        if value is None:
+            return None
+        v = axis_value(value)
+        for i, (lo, hi) in enumerate(self.bounds):
+            if lo <= v < hi:
                 return i
         return None
 

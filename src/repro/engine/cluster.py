@@ -60,11 +60,14 @@ class Cluster:
     #: (Impala-like engines in Section 7.3.2 cannot).
     spill_enabled: bool = True
     #: Fused-engine cache of base-table scan layouts, keyed by (table,
-    #: partitions, columns, segments): the hash distribution of a stored
-    #: table is a pure function of the key, so the fused engine computes
-    #: it once per cluster and re-serves the buckets to every later
-    #: scan.  Scan *charges* stay per-execution; only the redundant
-    #: re-hash is skipped.  Row mode never reads this.
+    #: partitions, columns, segments) and holding ``(row-data version,
+    #: row count, layout)``: the hash distribution of a stored table is a
+    #: pure function of the key and the rows (``Database.data_version``),
+    #: so the fused engine computes it once per cluster and re-serves
+    #: the buckets to every later scan until an insert / truncate moves
+    #: the version, which replaces the entry.  Scan *charges* stay
+    #: per-execution; only the redundant re-hash is skipped.  Row mode
+    #: never reads this.
     scan_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def distribute_rows(

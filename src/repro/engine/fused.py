@@ -790,8 +790,10 @@ def _f_scan(ex, node) -> DRows:
     """Table scan served from the cluster's scan cache.
 
     Distributing a stored table is a pure function of (table,
-    partitions, columns, segments), so it is hashed once per cluster.
-    Every metric the row scan issues — partition/row counters and the
+    partitions, columns, segments) and the table's rows, so it is
+    hashed once per cluster and row-data version: a layout cached
+    before an insert / truncate is recomputed and replaced.  Every
+    metric the row scan issues — partition/row counters and the
     per-segment scan charges — is still issued per execution, in the
     same order, from the cached sizes.
     """
@@ -804,7 +806,10 @@ def _f_scan(ex, node) -> DRows:
         tuple(c.id for c in op.columns),
         ex.cluster.segments,
     )
+    version = ex.cluster.db.data_version(op.table.name)
     hit = ex.cluster.scan_cache.get(key)
+    if hit is not None and hit[0] != version:
+        hit = None
     if ex.tracer.enabled:
         ex.tracer.record(
             "scan_cache_hit" if hit is not None else "scan_cache_miss",
@@ -814,9 +819,9 @@ def _f_scan(ex, node) -> DRows:
     if hit is None:
         rows = ex.cluster.db.scan(op.table.name, parts)
         hit = ex.cluster.scan_cache[key] = (
-            len(rows), ex._distribute(op, rows)
+            version, len(rows), ex._distribute(op, rows)
         )
-    n_rows, out = hit
+    _, n_rows, out = hit
     ex.metrics.rows_scanned += n_rows
     if out.kind == REPLICATED:
         ex.metrics.charge_all_segments(n_rows * ex.params.scan_tuple)

@@ -187,6 +187,10 @@ class Orca:
         #: Catalog versions at the last optimize(); a change triggers
         #: proactive eviction of stale plan-cache entries.
         self._seen_catalog_versions: Optional[tuple] = None
+        #: :meth:`_catalog_versions`'s tuple and the catalog change
+        #: counter it was built at.
+        self._versions: tuple = ()
+        self._versions_at: Optional[int] = None
 
     # ------------------------------------------------------------------
     def optimize(self, sql_or_stmt: Union[str, SelectStmt]) -> OptimizationResult:
@@ -197,26 +201,42 @@ class Orca:
             self.governor.arm()
             if self.faults is not None:
                 self.faults.governor = self.governor
-        if isinstance(sql_or_stmt, str):
+        cache = self.plan_cache
+        is_text = isinstance(sql_or_stmt, str)
+        cache_key = cache_params = None
+        catalog_versions = None
+        # The cache's statement front: a text seen before is not lexed,
+        # parsed or fingerprinted again, so its trace has no ``parse``
+        # span.
+        seen = (
+            cache.statement(sql_or_stmt)
+            if is_text and cache is not None else None
+        )
+        if seen is not None:
+            stmt, shape, cache_params = seen
+        elif is_text:
             with tracer.span("parse"):
                 stmt = parse(sql_or_stmt)
         else:
             stmt = sql_or_stmt
-        cache_key = cache_params = None
-        catalog_versions = None
-        if self.plan_cache is not None:
+        if cache is not None:
             with tracer.span("plan_cache_lookup"):
-                shape, cache_params = fingerprint(stmt)
+                if seen is None:
+                    shape, cache_params = fingerprint(stmt)
+                    if is_text:
+                        cache.remember_statement(
+                            sql_or_stmt, stmt, shape, cache_params
+                        )
                 catalog_versions = self._catalog_versions()
                 if catalog_versions != self._seen_catalog_versions:
                     # DDL/ANALYZE since the last optimize: entries keyed
                     # by the old versions are unreachable — drop them
                     # instead of letting them squat in the LRU.
                     if self._seen_catalog_versions is not None:
-                        self.plan_cache.evict_stale(catalog_versions)
+                        cache.evict_stale(catalog_versions)
                     self._seen_catalog_versions = catalog_versions
                 cache_key = (shape, self.config, catalog_versions)
-                hit = self.plan_cache.lookup(cache_key, cache_params)
+                hit = cache.lookup(cache_key, cache_params)
             if hit is not None:
                 return OptimizationResult(
                     plan=hit.plan,
@@ -235,7 +255,7 @@ class Orca:
         with tracer.span("translate"):
             query = translator.translate(stmt)
         result = self.optimize_translated(query, factory)
-        if self.plan_cache is not None:
+        if cache is not None:
             result.plan_cache = "miss"
             if result.plan_source == "orca":
                 # Never cache degraded plans: a best-so-far plan must not
@@ -246,7 +266,7 @@ class Orca:
                     shapes = plan_shapes(result.plan)
                 else:
                     shapes = frozenset()
-                self.plan_cache.store(
+                cache.store(
                     cache_key,
                     cache_params,
                     result.plan,
@@ -261,11 +281,16 @@ class Orca:
 
     def _catalog_versions(self) -> tuple:
         """Per-table metadata versions; any DDL/ANALYZE changes the cache
-        key, implicitly invalidating stale plans."""
-        return tuple(sorted(
-            (table.name, self.catalog.version(table.name))
-            for table in self.catalog.tables()
-        ))
+        key, implicitly invalidating stale plans.  Rebuilt only when the
+        catalog's change counter has moved."""
+        changes = self.catalog.changes
+        if changes != self._versions_at:
+            self._versions = tuple(sorted(
+                (table.name, self.catalog.version(table.name))
+                for table in self.catalog.tables()
+            ))
+            self._versions_at = changes
+        return self._versions
 
     def optimize_translated(
         self, query: TranslatedQuery, factory: ColumnFactory

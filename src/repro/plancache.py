@@ -13,6 +13,19 @@ versions, Section 4.1's Mdid versioning) invalidates stale entries
 implicitly — the old key simply stops being looked up and ages out of
 the LRU.
 
+Reaching that key is three levels, each a dict probe on a warm session:
+
+    text  ->  (AST, shape, params)  ->  plan
+
+Parsing and fingerprinting are pure functions of the statement text, so
+the cache's **statement front** remembers their result per text (a
+bounded LRU, a fixed multiple of the plan capacity).  A text seen before
+is not lexed, parsed or fingerprinted again, and when its plan is gone
+(catalog bump, eviction) the stored AST is what gets re-optimized.
+Nothing in the front depends on the catalog or the config, so it is
+never invalidated; it relies on :mod:`repro.sql.ast`'s contract that an
+AST returned by ``parse`` is never mutated.
+
 Extracted plans are immutable (see :class:`repro.search.plan.PlanNode`),
 so the cache stores the tree it is given and hands that same tree out:
 a lookup with identical parameter values is an exact **hit** and costs
@@ -46,6 +59,7 @@ from __future__ import annotations
 
 import enum
 import pickle
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Optional
@@ -57,8 +71,15 @@ from repro.search.plan import PlanNode
 from repro.sql.ast import EIn, ELiteral
 from repro.trace import NULL_TRACER
 
-#: Marker standing in for one parameterized literal in a fingerprint.
+#: Marker standing in for one parameterized literal in a fingerprint; the
+#: literal's type name follows it (``?int``, ``?float``, ``?str``, ...),
+#: because ``1 == 1.0 == True`` while a plan built for one does not
+#: compute what the others would.
 _PARAM = "?"
+
+#: Statement-front entries per plan entry: the texts of one shape differ
+#: in their literals, so there are several of them per cached plan.
+_STATEMENTS_PER_PLAN = 8
 
 
 def _dumps(entry: "CachedPlan") -> bytes:
@@ -92,14 +113,14 @@ def fingerprint(stmt) -> tuple[tuple, tuple]:
 def _fp(node: Any, params: list[Any]) -> Any:
     if isinstance(node, ELiteral):
         params.append(node.value)
-        return _PARAM
+        return _PARAM + type(node.value).__name__
     if isinstance(node, EIn) and node.values is not None:
         params.extend(node.values)
         return (
             "EIn",
             node.negated,
             _fp(node.arg, params),
-            (_PARAM,) * len(node.values),
+            tuple(_PARAM + type(v).__name__ for v in node.values),
         )
     if node is None or isinstance(node, (bool, int, float, str, enum.Enum)):
         return node
@@ -256,10 +277,19 @@ class PlanCache:
 
     def __init__(self, capacity: int = 64, tracer=None, shared=None):
         self.capacity = max(capacity, 1)
+        #: Bound of the statement front.
+        self.statement_capacity = self.capacity * _STATEMENTS_PER_PLAN
         self.tracer = tracer or NULL_TRACER
         #: Cross-process backing store, or None (single-process cache).
         self.shared = shared
         self._entries: OrderedDict[tuple, CachedPlan] = OrderedDict()
+        #: The statement front: text -> (AST, shape, params), LRU.  An
+        #: entry is one tuple, written once; the lock makes probe + touch
+        #: and insert + trim one step each for threads sharing a session.
+        self._statements: OrderedDict[str, tuple] = OrderedDict()
+        self._statements_lock = threading.Lock()
+        self.statement_hits = 0
+        self.statement_misses = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -280,6 +310,30 @@ class PlanCache:
         return len(self._entries)
 
     # ------------------------------------------------------------------
+    def statement(self, text: str) -> Optional[tuple]:
+        """``(stmt, shape, params)`` of a text seen before, else None."""
+        with self._statements_lock:
+            seen = self._statements.get(text)
+            if seen is None:
+                self.statement_misses += 1
+            else:
+                self._statements.move_to_end(text)
+                self.statement_hits += 1
+        self.tracer.record(
+            "plan_cache_statement_miss" if seen is None
+            else "plan_cache_statement_hit"
+        )
+        return seen
+
+    def remember_statement(
+        self, text: str, stmt, shape: tuple, params: tuple
+    ) -> None:
+        """Keep what parsing and fingerprinting ``text`` produced."""
+        with self._statements_lock:
+            self._statements[text] = (stmt, shape, params)
+            while len(self._statements) > self.statement_capacity:
+                self._statements.popitem(last=False)
+
     def _adopt_shared(self, key: tuple) -> Optional[CachedPlan]:
         """Pull ``key`` from the shared store into the local LRU."""
         if self.shared is None:
@@ -439,6 +493,9 @@ class PlanCache:
             "shared_hits": self.shared_hits,
             "shared_stores": self.shared_stores,
             "entries": len(self._entries),
+            "statement_hits": self.statement_hits,
+            "statement_misses": self.statement_misses,
+            "statements": len(self._statements),
         }
 
     def summary(self) -> str:
@@ -473,11 +530,8 @@ class PlanCache:
         or None when re-binding is unsafe."""
         if not entry.rebindable or len(entry.params) != len(params):
             return None
-        if any(
-            type(new) is not type(old)
-            for old, new in zip(entry.params, params)
-        ):
-            return None
+        # Same key, so same shape: the parameters agree in type, position
+        # by position (the shape's markers are typed).
         return {
             _pkey(old): new
             for old, new in zip(entry.params, params)

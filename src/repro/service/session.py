@@ -390,6 +390,13 @@ class Session:
             "fallback", reason=original.code, error=str(original)
         )
         start = time.perf_counter()
+        cache = self._orca.plan_cache
+        if cache is not None and isinstance(sql_or_stmt, str):
+            # The text got as far as the search, so it parsed, and the
+            # cache's statement front has its AST.
+            seen = cache.statement(sql_or_stmt)
+            if seen is not None:
+                sql_or_stmt = seen[0]
         try:
             planned = LegacyPlanner(self.catalog, self.config).optimize(
                 sql_or_stmt

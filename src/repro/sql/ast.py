@@ -1,4 +1,15 @@
-"""SQL abstract syntax tree."""
+"""SQL abstract syntax tree.
+
+Contract: an AST returned by :func:`repro.sql.parser.parse` is never
+mutated.  The translator, the Planner, ``fingerprint`` and everything
+else that is handed one reads it and builds its own objects, so one AST
+may be translated any number of times, and the plan cache's statement
+front (:mod:`repro.plancache`) keeps the AST of a text and hands the same
+object to every later optimization of that text.
+``tests/test_statement_front.py`` checks it: the pickle of every stored
+AST is byte-equal before and after optimize, execute, EXPLAIN ANALYZE, a
+feedback ingest and a Planner fallback.
+"""
 
 from __future__ import annotations
 

@@ -52,6 +52,8 @@ _PLAN_CACHE = "plan_cache_events_total"
 #: adds one to ``family``; a label value ``"$key"`` is read from the
 #: event's payload, any other is literal.
 EVENT_METRICS: dict[str, tuple] = {
+    "plan_cache_statement_hit": (_row(_PLAN_CACHE, event="statement_hit"),),
+    "plan_cache_statement_miss": (_row(_PLAN_CACHE, event="statement_miss"),),
     "plan_cache_hit": (
         _row(_PLAN_CACHE, event="hit"),
         _row(_PLAN_CACHE, ("rebound", True), event="rebind"),

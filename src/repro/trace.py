@@ -58,7 +58,10 @@ EVENT_KINDS = frozenset({
     # req) search re-run because a later requester needed a looser bound.
     "search_pruned",
     "bound_redo",
-    # Parameterized plan cache: lookup outcomes, stores and evictions.
+    # Parameterized plan cache: whether the statement text had been seen
+    # (its front), lookup outcomes, stores and evictions.
+    "plan_cache_statement_hit",
+    "plan_cache_statement_miss",
     "plan_cache_hit",
     "plan_cache_miss",
     "plan_cache_store",

@@ -5,6 +5,8 @@ from __future__ import annotations
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.catalog import (
     Column,
@@ -97,6 +99,35 @@ class TestPartitioning:
         assert s.route(99) is None
         assert s.route(None) is None
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_route_is_the_first_partition_that_contains(self, data):
+        """``route`` reads the bounds' axis values computed once per
+        scheme; it must pick what a linear ``contains`` scan picks: the
+        first match in declaration order, over gaps, overlaps, empty
+        and unsorted ranges, NaN, ``None`` and out-of-range values."""
+        kinds = {
+            "int": st.integers(-50, 50),
+            "float": st.floats(-50, 50) | st.sampled_from(
+                [float("nan"), float("inf"), float("-inf"), -0.0]
+            ),
+            "date": st.dates(date(1999, 1, 1), date(2001, 12, 31)),
+            "str": st.text("abcXY\u00e9", max_size=10),
+        }
+        bound = kinds[data.draw(st.sampled_from(sorted(kinds)))]
+        ranges = data.draw(st.lists(st.tuples(bound, bound), max_size=8))
+        scheme = PartitionScheme("k", tuple(
+            RangePartition(f"p{i}", lo, hi) for i, (lo, hi) in enumerate(ranges)
+        ))
+        any_value = st.none() | st.booleans() | st.one_of(*kinds.values())
+        for value in data.draw(st.lists(any_value | bound, max_size=12)):
+            expected = next(
+                (i for i, part in enumerate(scheme.partitions)
+                 if part.contains(value)),
+                None,
+            )
+            assert scheme.route(value) == expected, (ranges, value)
+
     def test_select_range(self):
         s = self.scheme()
         assert s.select(5, 15) == [0, 1]
@@ -147,6 +178,30 @@ class TestDatabase:
         v0 = db.version("t")
         db.insert("t", [(1, "x")])
         assert db.version("t") > v0
+
+    def test_data_version_moves_with_the_rows_only(self):
+        db = self.make()
+        seen = [db.data_version("t")]
+
+        def moved() -> bool:
+            seen.append(db.data_version("t"))
+            return seen[-1] != seen[-2]
+
+        changes = db.changes
+        db.insert("t", [(1, "x")])
+        assert moved()
+        db.analyze()
+        db.set_stats("t", db.stats("t"))
+        assert not moved()
+        db.truncate("t")
+        assert moved()
+        # A dropped and re-created table never repeats a value.
+        db.drop_table("t")
+        db.create_table(Table("t", [Column("a", INT), Column("b", TEXT)]))
+        db.insert("t", [(1, "x")])
+        assert moved() and len(set(seen)) == len(seen) - 1
+        # Every one of those seven calls moved the catalog-wide counter.
+        assert db.changes == changes + 7
 
     def test_truncate(self):
         db = self.make()

@@ -179,6 +179,28 @@ def test_flight_dump(tpcds_db, tmp_path, request):
         assert len(record["trace_id"]) == 16
 
 
+def test_a_statement_front_hit_has_no_parse_span(tpcds_db):
+    """A text the plan cache has seen is not parsed, and the trace says
+    so by omission: the second record has no ``parse`` span at all (not
+    a zero-length one), in the buffer and in the flight ring alike."""
+    tracer, recorder = Tracer(), FlightRecorder()
+    session = repro.connect(
+        tpcds_db, tracer=tracer, flight_recorder=recorder,
+        segments=SEGMENTS, enable_plan_cache=True,
+    )
+    session.optimize(STATEMENT)
+    session.optimize(STATEMENT)
+    first, second = (
+        [span.name for span in record.spans] for record in recorder.records
+    )
+    assert first[:2] == ["parse", "plan_cache_lookup"]
+    assert second == ["plan_cache_lookup"]
+    assert tracer.stage_counts["parse"] == 1
+    assert tracer.stage_counts["plan_cache_lookup"] == 2
+    assert tracer.count("plan_cache_statement_miss") == 1
+    assert tracer.count("plan_cache_statement_hit") == 1
+
+
 def test_slow_log_record(tpcds_db, request):
     def record_keys(**doors):
         stream = io.StringIO()

@@ -38,6 +38,7 @@ from repro.engine.pipeline import (
 )
 from repro.ops import physical as ph
 from repro.optimizer import Orca
+from repro.trace import Tracer
 from repro.workloads import QUERIES
 
 from tests.conftest import make_partitioned_db, make_small_db
@@ -384,6 +385,47 @@ def test_warm_scan_cache_stays_identical(tpcds_db, tpcds_orca):
             ).execute(result.plan, result.output_cols, analyze=True)
             assert_identical(row, fused, result.plan)
     assert shared.scan_cache, "corpus should have populated the scan cache"
+
+
+@pytest.mark.parametrize("make_db, table, new_row", [
+    (make_small_db, "t2", (7, 7)),
+    (make_partitioned_db, "fact", (150, 7, 7)),
+], ids=["plain", "partitioned"])
+def test_scan_cache_follows_dml(make_db, table, new_row):
+    """A cached layout is the table's rows at one row-data version: after
+    an insert or a truncate the fused engine answers what the row engine
+    and the catalog do, the stale entry is replaced (not kept beside the
+    new one), and an ANALYZE, which moves no row, keeps the layout."""
+    db = make_db()
+    result = Orca(db, config=OptimizerConfig(segments=4)).optimize(
+        f"SELECT count(*) FROM {table}"
+    )
+    tracer = Tracer()
+    shared = Cluster(db, segments=4)
+
+    def counts():
+        fused = Executor(
+            shared, execution_mode=ExecutionMode.FUSED, tracer=tracer
+        ).execute(result.plan, result.output_cols)
+        row = Executor(
+            Cluster(db, segments=4), execution_mode=ExecutionMode.ROW
+        ).execute(result.plan, result.output_cols)
+        return fused.rows, row.rows, [(db.row_count(table),)]
+
+    before = db.row_count(table)
+    assert counts() == ([(before,)],) * 3
+    entries = len(shared.scan_cache)
+    db.insert(table, [new_row])
+    assert counts() == ([(before + 1,)],) * 3
+    db.truncate(table)
+    assert counts() == ([(0,)],) * 3
+    db.insert(table, [new_row, new_row])
+    assert counts() == ([(2,)],) * 3
+    assert len(shared.scan_cache) == entries
+    hits = tracer.count("scan_cache_hit")
+    db.analyze()
+    assert counts() == ([(2,)],) * 3
+    assert tracer.count("scan_cache_hit") == hits + 1
 
 
 # ---------------------------------------------------------------------------

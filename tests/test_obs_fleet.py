@@ -70,6 +70,7 @@ class TestStitchedTrace:
         assert "fleet:execute" in names
         assert "worker:execute" in names
         assert any(n.startswith("search") for n in names)
+        # Plan cache off (and a first sighting anyway): the text is parsed.
         assert {"parse", "execute"} <= names
 
         payload = tracer_chrome_trace(tracer)
@@ -94,10 +95,31 @@ class TestStitchedTrace:
         # inside the request window (modulo clock granularity).
         assert root.start >= req.start
         assert root.end <= req.end + 0.5
-        # The worker's pipeline spans parent under its request span.
+        # The worker's pipeline spans parent under its request span
+        # (``parse`` is there: the plan cache is off).
         by_id = {s.span_id: s for s in tracer.spans}
         parse = next(s for s in tracer.spans if s.name == "parse")
         assert by_id[parse.parent_id].name == "worker:optimize"
+
+    def test_a_repeated_text_has_no_parse_span(self, fleet_db):
+        """With the plan cache on, a worker parses a text once: its first
+        request's span tree has a ``parse`` span, every later one has
+        none (absent, not zero-length) and goes straight to the lookup."""
+        tracer = Tracer()
+        with make_fleet(
+            fleet_db, tracer=tracer, workers=1, enable_plan_cache=True
+        ) as fleet:
+            for _ in range(3):
+                fleet.optimize(Q1)
+
+        roots = [s for s in tracer.spans if s.name == "worker:optimize"]
+        assert len(roots) == 3
+        children = [
+            sorted(s.name for s in tracer.spans if s.parent_id == root.span_id)
+            for root in roots
+        ]
+        assert "parse" in children[0] and "plan_cache_lookup" in children[0]
+        assert children[1] == children[2] == ["plan_cache_lookup"]
 
     def test_two_clients_keep_their_span_trees_apart(self, fleet_db):
         """Two client threads on one traced fleet, served at the same

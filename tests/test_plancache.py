@@ -69,8 +69,19 @@ def test_fingerprint_in_list_is_parameterized_by_length():
 def test_fingerprint_literal_type_is_part_of_the_parameter():
     s1, p1 = fingerprint(parse("SELECT a FROM t1 WHERE b = 5"))
     s2, p2 = fingerprint(parse("SELECT a FROM t1 WHERE b = 5.0"))
-    assert s1 == s2  # same marker shape ...
-    assert type(p1[0]) is int and type(p2[0]) is float  # ... typed params
+    s3, p3 = fingerprint(parse("SELECT a FROM t1 WHERE b = 6"))
+    # 5 == 5.0, so the params alone could not tell the two apart: the
+    # marker carries the type, and the two statements are two shapes.
+    assert p1 == p2 and s1 != s2
+    assert type(p1[0]) is int and type(p2[0]) is float
+    assert s1 == s3 and p1 != p3
+
+
+def test_fingerprint_in_list_is_typed_per_element():
+    s1, _ = fingerprint(parse("SELECT a FROM t1 WHERE b IN (1, 2)"))
+    s2, _ = fingerprint(parse("SELECT a FROM t1 WHERE b IN (1, 2.0)"))
+    s3, _ = fingerprint(parse("SELECT a FROM t1 WHERE b IN (3, 4)"))
+    assert s1 != s2 and s1 == s3
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +110,41 @@ def test_exact_hit_skips_search(cache_db):
     assert tracer.count("plan_cache_hit") == 1
     assert tracer.count("plan_cache_miss") == 1
     assert tracer.count("plan_cache_store") == 1
+
+
+#: One text, four literals that compare equal pairwise or are NULL.
+_TYPED_LITERALS = ("1", "1.0", "TRUE", "NULL")
+
+
+@pytest.mark.parametrize(
+    "order", [_TYPED_LITERALS, _TYPED_LITERALS[::-1]], ids=["int_first", "null_first"]
+)
+def test_literal_type_is_not_lost_on_a_hit(cache_db, order):
+    """``(1,) == (1.0,) == (True,)``: whichever variant is optimized
+    first, the others are not exact hits on its plan.  Rows *and* the
+    Python types of their values are those of a cache-off session."""
+    template = (
+        "SELECT a, {lit} AS x, b + {lit} AS y FROM t1 "
+        "WHERE c = 'x' ORDER BY a, b LIMIT 5"
+    )
+
+    def typed(rows):
+        return [[(type(v).__name__, v) for v in row] for row in rows]
+
+    with repro.connect(cache_db, segments=8) as plain, repro.connect(
+        cache_db, segments=8, enable_plan_cache=True
+    ) as cached:
+        for _ in range(2):  # the second pass is all exact hits
+            for lit in order:
+                if lit in ("TRUE", "NULL"):
+                    sql = template.replace("b + {lit}", "b + 1").format(lit=lit)
+                else:
+                    sql = template.format(lit=lit)
+                assert typed(cached.execute(sql).rows) == typed(
+                    plain.execute(sql).rows
+                ), lit
+        stats = cached.orca.plan_cache.stats()
+    assert (stats["misses"], stats["hits"]) == (4, 4)
 
 
 def test_rebind_returns_identical_rows(cache_db):
@@ -223,6 +269,7 @@ def test_plancache_unit_counters():
         "stores": 0, "stale_evictions": 0, "feedback_invalidations": 0,
         "shared_hits": 0, "shared_stores": 0,
         "entries": 0,
+        "statement_hits": 0, "statement_misses": 0, "statements": 0,
     }
 
 
