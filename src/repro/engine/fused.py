@@ -532,7 +532,7 @@ class _StageGen:
 # Runtime: stream, then replay the row path's accounting
 # ----------------------------------------------------------------------
 
-def _worth_dispatching(pool, st, cur_buckets, pairs) -> bool:
+def _worth_dispatching(st, cur_buckets, pairs) -> bool:
     """A stage earns a pool round-trip only when it has more than one
     morsel; a single bucket would serialize through one worker and pay
     pickling for nothing.  Identity does not depend on this choice —
@@ -624,8 +624,7 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                 (seg, len(o_rows), i_rows) for seg, o_rows, i_rows in pairs
             ]
             cur_kind = ex._join_output_kind(outer, inner)
-        if pool is not None and _worth_dispatching(pool, st, cur_buckets,
-                                                  pairs):
+        if pool is not None and _worth_dispatching(st, cur_buckets, pairs):
             if st.join is None:
                 morsels = [(rows, None) for rows in cur_buckets]
             else:

@@ -10,16 +10,18 @@ of the same stage never share state.
 
 This module supplies the worker pool that exploits that split.  Pure
 Python loops do not parallelize under the GIL, so the pool is real
-parallelism: persistent forked worker processes connected by pipes.
-Workers never see plans — the coordinator ships a picklable
-:class:`ChainSpec` (physical operators + column layouts) once per
-(worker, chain), each worker recompiles it exactly once into the same
-generated code (codegen is deterministic), and after that every round
-trip carries only row lists in and (row lists | group tables, counter
-tuples) out.  Results are reassembled in bucket order on the
-coordinator, so parallel execution is float-identical to the serial
-fused path regardless of worker timing; the replay phase then runs
-sequentially on the coordinator as before.
+parallelism: persistent worker processes, each a
+:class:`repro.gpos.process.Supervised` child serving batches through
+:func:`repro.gpos.process.serve` (DESIGN §3m has the protocol, the
+id-echo rule and the drain).  Workers never see plans — a batch carries
+a picklable :class:`ChainSpec` (physical operators + column layouts)
+the first time a worker sees the chain, each worker recompiles it
+exactly once into the same generated code (codegen is deterministic),
+and after that every round trip carries only row lists in and (row
+lists | group tables, counter tuples) out.  Results are reassembled in
+bucket order on the coordinator, so parallel execution is
+float-identical to the serial fused path regardless of worker timing;
+the replay phase then runs sequentially on the coordinator as before.
 
 Serialization is the pool's only real overhead, and for hot repeated
 queries it is avoidable: on a warm cluster the fused scan cache serves
@@ -31,18 +33,20 @@ dispatches of the same list ship a tiny ``("r", id)`` reference
 instead of re-pickling thousands of rows.  Workers additionally reuse
 the join hash tables they build from resident build sides.  The pin
 set is bounded (:attr:`MorselPool.pin_rows_max` source rows); crossing
-the bound flushes both sides and starts over, so unstable inputs can
-never accumulate without limit.  Identity-keyed pinning makes staleness
+the bound clears the coordinator's side at once and each worker's with
+the ``flush`` flag of its next batch, so unstable inputs can never
+accumulate without limit.  Identity-keyed pinning makes staleness
 structurally impossible: an id is only reused by Python after the
 object is freed, and pinned objects are not freed.
 
 Lifecycle: the pool forks lazily on first dispatch, is reused across
 queries (a session keeps one for its lifetime), and is drained by
 :meth:`MorselPool.shutdown` — called by whoever made the pool
-(``Session.close()``).  Workers are daemons, so even an abandoned pool
-dies with the coordinator process.  A worker crash mid-batch poisons
-the current query (``ExecutionError``) but not the pool: the next
-dispatch respawns a fresh set of workers.
+(``Session.close()``).  A worker crash or an error reply mid-batch
+poisons the current query (``ExecutionError``) but not the pool: the
+next dispatch respawns a fresh set of workers.  A gather cut short (an
+interrupt) leaves its replies in the pipes, and the next dispatch drops
+them by id.
 
 Fleet interaction: none.  Fleet workers are daemonic processes, which
 multiprocessing forbids from having children, so a fleet refuses
@@ -52,12 +56,13 @@ multiprocessing forbids from having children, so a fleet refuses
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import time
 from collections import deque
+from types import SimpleNamespace
 from typing import Any, Callable, Optional
 
 from repro.errors import ExecutionError
+from repro.gpos.process import Last, NoReply, Supervised, serve
 from repro.telemetry import families
 from repro.trace import NULL_TRACER
 
@@ -72,6 +77,9 @@ _CHAIN_KEYS = itertools.count(1)
 #: *unstable* inputs (fresh lists every execution) from accumulating
 #: pinned garbage; crossing it flushes the resident cache on both sides.
 _PIN_ROWS_MAX = 1 << 19
+
+#: The farewell that ends a pool worker's serve loop.
+_SHUTDOWN = "shutdown"
 
 
 def next_chain_key() -> int:
@@ -97,50 +105,20 @@ class ChainSpec:
         #: list of (index into ops, build-side column layout).
         self.inner_cols = inner_cols
 
-    def __getstate__(self):
-        return (self.ops, self.src_cols, self.inner_cols)
-
-    def __setstate__(self, state):
-        self.ops, self.src_cols, self.inner_cols = state
-
-
-class _SpecNode:
-    """Minimal stand-in for a PlanNode on the worker side: the chain
-    compiler only reads ``.op`` and uses node identity for bookkeeping."""
-
-    __slots__ = ("op",)
-
-    def __init__(self, op):
-        self.op = op
-
-
-class _SpecChain:
-    __slots__ = ("ops",)
-
-    def __init__(self, ops):
-        self.ops = ops
-
-
-class _SpecCols:
-    """Duck-types the ``.cols`` attribute of a build-side DRows."""
-
-    __slots__ = ("cols",)
-
-    def __init__(self, cols):
-        self.cols = cols
-
 
 def _compile_spec(spec: ChainSpec):
-    """Worker-side compilation: rebuild shim nodes and delegate to the
-    fused compiler (imported lazily — workers are forked before any
-    morsel arrives, so the import usually resolves from the parent)."""
+    """Worker-side compilation: stand-ins for what the fused compiler
+    reads — a node's ``.op`` (and identity), a chain's ``.ops``, a build
+    side's ``.cols`` — then the compiler itself (imported lazily —
+    workers are forked before any morsel arrives, so the import usually
+    resolves from the parent)."""
     from repro.engine.fused import _compile_chain
 
-    nodes = [_SpecNode(op) for op in spec.ops]
+    nodes = [SimpleNamespace(op=op) for op in spec.ops]
     inners = {
-        id(nodes[i]): _SpecCols(cols) for i, cols in spec.inner_cols
+        id(nodes[i]): SimpleNamespace(cols=cols) for i, cols in spec.inner_cols
     }
-    return _compile_chain(_SpecChain(nodes), spec.src_cols, inners)
+    return _compile_chain(SimpleNamespace(ops=nodes), spec.src_cols, inners)
 
 
 def _run_morsel(stage, rows, table, params):
@@ -165,14 +143,14 @@ def _run_morsel(stage, rows, table, params):
 def _pool_worker_main(conn) -> None:
     """Worker process entry point: serve morsel batches until shutdown.
 
-    One request in, one response out; per-worker chain cache keyed by
-    the coordinator's chain ids.  Row lists arrive either inline
-    (``("x", rows)``), as an install (``("i", rid, rows)`` — kept in
-    the resident cache), or as a reference to an earlier install
-    (``("r", rid)``).  Hash tables built from resident build sides are
-    themselves cached per (chain, stage, rid).  Any exception is
-    downgraded to an error response — the coordinator decides whether
-    to poison the pool.
+    Per-worker chain cache keyed by the coordinator's chain ids; a batch
+    carries the chain's spec the first time this worker sees the chain,
+    and ``flush`` empties the resident cache before the batch is read.
+    Row lists arrive either inline (``("x", rows)``), as an install
+    (``("i", rid, rows)`` — kept in the resident cache), or as a
+    reference to an earlier install (``("r", rid)``).  Hash tables built
+    from resident build sides are themselves cached per (chain, stage,
+    rid).
     """
     chains: dict[int, Any] = {}
     resident: dict[int, list] = {}
@@ -187,51 +165,38 @@ def _pool_worker_main(conn) -> None:
             return enc[2]
         return resident[enc[1]]
 
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        kind = msg[0]
-        if kind == "shutdown":
-            break
-        try:
-            if kind == "chain":
-                _kind, key, spec = msg
-                chains[key] = _compile_spec(spec)
-                continue  # fire-and-forget: the batch follows on the pipe
-            if kind == "flush":
-                resident.clear()
-                built_cache.clear()
+    def handle(batch):
+        if batch == _SHUTDOWN:
+            return Last(None)
+        if batch["flush"]:
+            resident.clear()
+            built_cache.clear()
+        chain_key, stage_idx = batch["chain"], batch["stage"]
+        if batch["spec"] is not None:
+            chains[chain_key] = _compile_spec(batch["spec"])
+        stage = chains[chain_key].stages[stage_idx]
+        built = []
+        for enc in batch["tables"]:
+            if enc[0] == "x":
+                built.append(stage.build(enc[1]))
                 continue
-            _kind, chain_key, stage_idx, tables, morsels, params = msg
-            stage = chains[chain_key].stages[stage_idx]
-            built = []
-            for enc in tables:
-                if enc[0] == "x":
-                    built.append(stage.build(enc[1]))
-                    continue
-                i_rows = rows_of(enc)
-                bkey = (chain_key, stage_idx, enc[1])
-                table = built_cache.get(bkey)
-                if table is None:
-                    table = built_cache[bkey] = stage.build(i_rows)
-                built.append(table)
-            results = [
-                _run_morsel(
-                    stage, rows_of(o_enc),
-                    built[t_idx] if t_idx is not None else None,
-                    params,
-                )
-                for o_enc, t_idx in morsels
-            ]
-            conn.send(("ok", results))
-        except Exception as exc:  # noqa: BLE001 - downgraded to response
-            try:
-                conn.send(("error", f"{type(exc).__name__}: {exc}"))
-            except Exception:
-                break
-    conn.close()
+            i_rows = rows_of(enc)
+            bkey = (chain_key, stage_idx, enc[1])
+            table = built_cache.get(bkey)
+            if table is None:
+                table = built_cache[bkey] = stage.build(i_rows)
+            built.append(table)
+        results = [
+            _run_morsel(
+                stage, rows_of(o_enc),
+                built[t_idx] if t_idx is not None else None,
+                batch["params"],
+            )
+            for o_enc, t_idx in batch["morsels"]
+        ]
+        return {"ok": True, "results": results}
+
+    serve(conn, handle)
 
 
 class MorselPool:
@@ -239,9 +204,9 @@ class MorselPool:
 
     Created eagerly (cheap), forked lazily on the first parallel
     dispatch.  ``run_stage`` is a synchronous scatter/gather: morsels
-    are dealt round-robin, every active worker gets one batched message
-    (chain spec first if it has never seen the chain, then the build
-    tables its morsels reference, then the morsel list), and replies are
+    are dealt round-robin, every active worker gets one batch request
+    (carrying the chain spec if it has never seen the chain, the build
+    tables its morsels reference, and the morsel list), and replies are
     reassembled in morsel order — so results are deterministic and
     order-identical to the serial loop.
     """
@@ -266,58 +231,45 @@ class MorselPool:
         self.cache_flushes = 0
         #: Seconds of the most recent dispatches (the p95 in ``stats()``).
         self._dispatch_seconds: deque[float] = deque(maxlen=1024)
-        self._procs: list = []
-        self._conns: list = []
+        self._children: list[Supervised] = []
         #: Per-worker set of chain keys already shipped + compiled there.
         self._known: list[set[int]] = []
         #: Resident row-set cache: pinned rows (rid -> strong ref, so
-        #: the id stays valid), per-worker sets of resident rids, and
-        #: the pinned-row budget that triggers a flush when exceeded.
+        #: the id stays valid), per-worker sets of resident rids, the
+        #: workers whose next batch must flush theirs, and the
+        #: pinned-row budget that triggers a flush when exceeded.
         self._pinned: dict[int, list] = {}
         self._pinned_rows = 0
         self._resident: list[set[int]] = []
+        self._unflushed: set[int] = set()
         self.pin_rows_max = _PIN_ROWS_MAX
         self._closed = False
 
     # ------------------------------------------------------------------
     @property
-    def started(self) -> bool:
-        return bool(self._procs)
+    def _procs(self) -> list:
+        return [child.process for child in self._children]
 
     def ensure_started(self) -> None:
-        if self._procs or self._closed:
+        if self._children or self._closed:
             return
-        ctx = multiprocessing.get_context(
-            "fork"
-            if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn"
-        )
         for i in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_pool_worker_main,
-                args=(child_conn,),
-                name=f"{self.name}-{i}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
+            child = Supervised(_pool_worker_main, name=f"{self.name}-{i}")
+            child.start()
+            self._children.append(child)
             self._known.append(set())
             self._resident.append(set())
         self.tracer.set_gauge(families.MORSEL_POOL_WORKERS, self.workers)
 
     # ------------------------------------------------------------------
     def _flush_resident(self) -> None:
-        """Drop the resident cache on both sides (pipes are FIFO, so the
-        flush is ordered ahead of any batch sent after it)."""
+        """Drop the resident cache: here at once, on each worker with the
+        next batch it is sent."""
         self._pinned.clear()
         self._pinned_rows = 0
         for rids in self._resident:
             rids.clear()
-        for conn in self._conns:
-            conn.send(("flush",))
+        self._unflushed = set(range(len(self._children)))
         self.cache_flushes += 1
         self.tracer.inc(families.MORSEL_CACHE_FLUSHES)
 
@@ -337,6 +289,13 @@ class MorselPool:
         self._resident[w].add(rid)
         self.rows_shipped += len(rows)
         return ("i", rid, rows)
+
+    def _poisoned(self, message: str) -> ExecutionError:
+        """Drain the pool for a failed stage (the next dispatch respawns
+        it) and return the error to raise."""
+        self.shutdown()
+        self._closed = False  # poisoned query, not a closed pool
+        return ExecutionError(message)
 
     def run_stage(
         self,
@@ -366,53 +325,49 @@ class MorselPool:
         n = len(morsels)
         width = min(self.workers, n)
         shipped0, reused0 = self.rows_shipped, self.rows_reused
+        if self._pinned_rows > self.pin_rows_max:
+            self._flush_resident()
+        batches: list[list] = [[] for _ in range(width)]
+        tables: list[list] = [[] for _ in range(width)]
+        table_idx: list[dict[int, int]] = [{} for _ in range(width)]
+        for j, (rows, i_rows) in enumerate(morsels):
+            w = j % width
+            t_idx = None
+            if i_rows is not None:
+                t_idx = table_idx[w].get(id(i_rows))
+                if t_idx is None:
+                    t_idx = table_idx[w][id(i_rows)] = len(tables[w])
+                    tables[w].append(self._encode_rows(w, i_rows, True))
+            batches[w].append((
+                self._encode_rows(w, rows, cache_source), t_idx
+            ))
         try:
-            if self._pinned_rows > self.pin_rows_max:
-                self._flush_resident()
-            batches: list[list] = [[] for _ in range(width)]
-            tables: list[list] = [[] for _ in range(width)]
-            table_idx: list[dict[int, int]] = [{} for _ in range(width)]
-            for j, (rows, i_rows) in enumerate(morsels):
-                w = j % width
-                t_idx = None
-                if i_rows is not None:
-                    t_idx = table_idx[w].get(id(i_rows))
-                    if t_idx is None:
-                        t_idx = table_idx[w][id(i_rows)] = len(tables[w])
-                        tables[w].append(
-                            self._encode_rows(w, i_rows, True)
-                        )
-                batches[w].append((
-                    self._encode_rows(w, rows, cache_source), t_idx
-                ))
+            ids = []
             for w in range(width):
-                conn = self._conns[w]
+                spec = None
                 if chain_key not in self._known[w]:
-                    conn.send(("chain", chain_key, make_spec()))
+                    spec = make_spec()
                     self._known[w].add(chain_key)
-                conn.send((
-                    "batch", chain_key, stage_idx, tables[w], batches[w],
-                    params,
-                ))
+                ids.append(self._children[w].request({
+                    "chain": chain_key, "spec": spec, "stage": stage_idx,
+                    "flush": w in self._unflushed, "tables": tables[w],
+                    "morsels": batches[w], "params": params,
+                }))
+                self._unflushed.discard(w)
             results: list = [None] * n
-            for w in range(width):
-                reply = self._conns[w].recv()
-                if reply[0] != "ok":
-                    raise ExecutionError(
-                        f"morsel worker {w} failed: {reply[1]}"
+            for w, req_id in enumerate(ids):
+                reply = self._children[w].reply(req_id)
+                if not reply["ok"]:
+                    raise self._poisoned(
+                        f"morsel worker {w} failed: "
+                        f"{reply['error_class']}: {reply['message']}"
                     )
-                for k, res in enumerate(reply[1]):
+                for k, res in enumerate(reply["results"]):
                     results[w + k * width] = res
-        except (EOFError, OSError, BrokenPipeError) as exc:
-            self.shutdown()
-            self._closed = False  # poisoned query, not a closed pool
-            raise ExecutionError(
-                f"morsel pool lost a worker mid-stage: {exc}"
-            ) from exc
-        except ExecutionError:
-            self.shutdown()
-            self._closed = False
-            raise
+        except NoReply as exc:
+            raise self._poisoned(
+                f"morsel pool lost a worker mid-stage ({exc.reason})"
+            ) from None
         elapsed = time.perf_counter() - start
         self.morsels_dispatched += n
         self.batches += 1
@@ -430,7 +385,7 @@ class MorselPool:
         and the p95 latency of the last 1024 dispatches."""
         recent = sorted(self._dispatch_seconds)
         return {
-            "workers": self.workers if self.started else 0,
+            "workers": self.workers if self._children else 0,
             "configured_workers": self.workers,
             "morsels_dispatched": self.morsels_dispatched,
             "batches": self.batches,
@@ -444,32 +399,15 @@ class MorselPool:
         }
 
     def shutdown(self, timeout: float = 2.0) -> None:
-        """Drain the pool: ask workers to exit, then join (terminate on
-        a deadline).  Idempotent; no child processes survive."""
+        """Drain the pool: stop every worker (farewell, then terminate
+        on a deadline).  Idempotent; no child processes survive."""
         self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("shutdown",))
-            except (OSError, BrokenPipeError):
-                pass
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        deadline = time.monotonic() + timeout
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-            if proc.is_alive():  # pragma: no cover - last resort
-                proc.kill()
-                proc.join(timeout=1.0)
-        self._procs = []
-        self._conns = []
+        for child in self._children:
+            child.stop(farewell=_SHUTDOWN, timeout=timeout)
+        self._children = []
         self._known = []
         self._resident = []
+        self._unflushed = set()
         self._pinned = {}
         self._pinned_rows = 0
 
@@ -481,7 +419,7 @@ class MorselPool:
 
     def __del__(self):  # pragma: no cover - GC safety net
         try:
-            if self._procs:
+            if self._children:
                 self.shutdown(timeout=0.1)
         except Exception:
             pass

@@ -18,9 +18,14 @@ governed session:
   (:meth:`Fleet.health_check`) probe liveness, and a dead or wedged
   worker is killed, restarted, and its request re-routed — the
   availability contract is that chaos kills processes, never queries.
+  Each worker is a :class:`repro.gpos.process.Supervised` child: the
+  fork, the id-checked exchange, death vs wedge and the drain's
+  escalation are that substrate's (DESIGN §3m); what a restart *means*
+  — incarnations, re-armed faults, replayed catalog bumps, counters —
+  is the fleet's.
 - **Workers run at the same time**: each worker's pipe has its own lock,
-  held only across that worker's send → poll → recv, restart and
-  respawn, so N client threads keep N workers busy and a wedged or
+  held only across that worker's exchange, restart and drain, so N
+  client threads keep N workers busy and a wedged or
   restarting worker stalls nobody routed elsewhere.  Routing state and
   counters sit behind one short leaf lock that is never held across
   pipe I/O, a join, a fork or another lock (DESIGN §3i, "Concurrency").
@@ -36,7 +41,6 @@ suite pins ``Fleet`` plans against ``SessionPool`` plans text-for-text.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
 from contextlib import contextmanager
@@ -49,6 +53,7 @@ from repro.errors import FleetError, OptimizerError, ReproError, WorkerError
 from repro.fleet.routing import RoutingPolicy, WorkerView, make_policy
 from repro.fleet.shared import SharedFeedbackBoard, SharedPlanStore
 from repro.fleet.worker import WorkerSpec, worker_main
+from repro.gpos.process import CONTEXT, NoReply, Supervised
 from repro.ops.scalar import ColRef
 from repro.search.plan import PlanNode
 from repro.telemetry import families
@@ -60,6 +65,9 @@ from repro.trace import Tracer
 #: re-arming a deterministic ``kill`` at hit 1 would murder every
 #: incarnation at the same site forever.
 _PROCESS_FAULT_KINDS = frozenset({"kill", "wedge"})
+
+#: A :class:`NoReply` reason as the request and heartbeat counters spell it.
+_OUTCOME = {"died": "dead", "wedged": "wedged"}
 
 
 @dataclass
@@ -87,27 +95,12 @@ class FleetResult:
         return self.plan.explain()
 
 
-class _NoReply(Exception):
-    """A worker did not answer a request.
-
-    ``reason`` (the restart reason) is ``"wedged"`` for silence past the
-    timeout or ``"died"`` for a broken pipe; ``outcome`` is the suffix
-    the request and heartbeat counters use for it.
-    """
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-        self.outcome = "wedged" if reason == "wedged" else "dead"
-
-
 class _Worker:
     """Orchestrator-side handle on one worker process."""
 
-    def __init__(self, worker_id: int):
+    def __init__(self, worker_id: int, child: Supervised):
         self.worker_id = worker_id
-        self.process = None
-        self.conn = None
+        self.child = child
         self.view = WorkerView(worker_id)
         self.incarnation = 0
         #: Owns the pipe: held across one exchange, a restart or a drain
@@ -118,8 +111,12 @@ class _Worker:
         self.folded_sources: dict[str, int] = {}
 
     @property
+    def process(self):
+        return self.child.process
+
+    @property
     def alive(self) -> bool:
-        return self.process is not None and self.process.is_alive()
+        return self.child.alive
 
 
 class Fleet:
@@ -185,17 +182,13 @@ class Fleet:
         self.tracer = Tracer.front(tracer, registry=self.telemetry)
         self.closed = False
 
-        methods = multiprocessing.get_all_start_methods()
-        self._ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
         #: One manager process backs all cross-process state; only
         #: started when some subsystem actually shares state.
         self._manager = None
         self.shared_plans: Optional[SharedPlanStore] = None
         self.feedback_board: Optional[SharedFeedbackBoard] = None
         if config.enable_plan_cache or config.enable_cardinality_feedback:
-            self._manager = self._ctx.Manager()
+            self._manager = CONTEXT.Manager()
             if config.enable_plan_cache:
                 self.shared_plans = SharedPlanStore(self._manager)
             if config.enable_cardinality_feedback:
@@ -230,10 +223,18 @@ class Fleet:
         self.requests_attempted = 0
         self.requests_served = 0
         self.restarts_total = 0
-        self._workers = [_Worker(i) for i in range(workers)]
+        self._workers = [
+            _Worker(i, Supervised(
+                worker_main, name=f"{name}-worker-{i}",
+                # Fleet-wide request ids; ``_next_id`` looked up per call.
+                ids=lambda: self._next_id(),
+            ))
+            for i in range(workers)
+        ]
         self.telemetry.set_gauge("fleet_workers", workers)
         for worker in self._workers:
-            self._spawn(worker)
+            worker.child.start(worker.worker_id, self._spec_for(worker))
+            self._mark_up(worker, True)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -258,24 +259,21 @@ class Fleet:
             incarnation=worker.incarnation,
         )
 
-    def _spawn(self, worker: _Worker) -> None:
-        """Fork ``worker``'s process; the caller holds its lock."""
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(worker.worker_id, child_conn, self._spec_for(worker)),
-            name=f"{self.name}-worker-{worker.worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        worker.process = process
-        worker.conn = parent_conn
+    def _mark_up(self, worker: _Worker, up: bool) -> None:
         with self._state:
-            worker.view.alive = True
+            worker.view.alive = up
             self.tracer.set_gauge(
-                families.FLEET_WORKER_UP, 1, worker=str(worker.worker_id)
+                families.FLEET_WORKER_UP, int(up),
+                worker=str(worker.worker_id),
             )
+
+    def _worker(self, worker_id: int) -> _Worker:
+        if worker_id not in range(len(self._workers)):
+            raise OptimizerError(
+                f"fleet '{self.name}' has no worker {worker_id!r} "
+                f"(ids are 0..{len(self._workers) - 1})"
+            )
+        return self._workers[worker_id]
 
     def _restart(self, worker: _Worker, reason: str) -> None:
         """Kill (if needed) and respawn one worker; fleet-visible.
@@ -288,13 +286,6 @@ class Fleet:
         """
         if self.closed:
             raise OptimizerError(f"fleet '{self.name}' is closed")
-        process = worker.process
-        if process is not None:
-            if process.is_alive():
-                process.kill()
-            process.join(timeout=10)
-        if worker.conn is not None:
-            worker.conn.close()
         worker.incarnation += 1
         worker.folded_sources = {}  # the new process counts from zero
         with self._state:
@@ -305,10 +296,8 @@ class Fleet:
                 worker=worker.worker_id, reason=reason,
                 incarnation=worker.incarnation,
             )
-            self.tracer.set_gauge(
-                families.FLEET_WORKER_UP, 0, worker=str(worker.worker_id)
-            )
-        self._spawn(worker)
+        worker.child.restart(worker.worker_id, self._spec_for(worker))
+        self._mark_up(worker, True)
 
     # ------------------------------------------------------------------
     # Request routing
@@ -339,29 +328,6 @@ class Fleet:
             remote_class=response.get("error_class", ""),
         )
 
-    def _exchange(
-        self, worker: _Worker, kind: str, payload: dict, timeout: float
-    ) -> dict:
-        """Send one request and return the reply that echoes its id.
-
-        A reply to an earlier request the caller never read (a wedge the
-        worker woke up from) is discarded, never handed to this caller.
-        Raises :class:`_NoReply` on silence or a broken pipe; restarting
-        the worker is the caller's call.  The caller holds
-        ``worker.lock``.
-        """
-        request = {"id": self._next_id(), "kind": kind, **payload}
-        deadline = time.monotonic() + timeout
-        try:
-            worker.conn.send(request)
-            while worker.conn.poll(max(deadline - time.monotonic(), 0.0)):
-                response = worker.conn.recv()
-                if response.get("id") == request["id"]:
-                    return response
-        except (EOFError, OSError):
-            raise _NoReply("died") from None
-        raise _NoReply("wedged")
-
     @contextmanager
     def _routed(self, fingerprint: str):
         """Choose a worker and count the request against it at once, so
@@ -387,18 +353,19 @@ class Fleet:
 
         Returns ``(response, seconds on the pipe)``.  A dead worker is
         restarted first; one that does not answer is restarted and the
-        :class:`_NoReply` re-raised for the caller to re-route or give
+        :class:`NoReply` re-raised for the caller to re-route or give
         up.  With a ``tracer`` the exchange runs under a ``fleet:<kind>``
         span and the worker's spans are adopted beneath it.
         """
+        timeout = self.request_timeout_seconds
         with worker.lock:
             if not worker.alive:
                 self._restart(worker, "died")
             start = time.perf_counter()
             try:
                 if tracer is None:
-                    response = self._exchange(
-                        worker, kind, payload, self.request_timeout_seconds
+                    response = worker.child.exchange(
+                        {"kind": kind, **payload}, timeout
                     )
                 else:
                     with tracer.span(
@@ -407,16 +374,13 @@ class Fleet:
                         # Trace context crosses the pipe as plain dict
                         # entries; the worker parents its spans under
                         # this request span.
-                        traced = {**payload, "trace": {
+                        traced = {"kind": kind, **payload, "trace": {
                             "trace_id": tracer.trace_id,
                             "parent_span_id": req_span.span_id,
                         }}
                         base = tracer.now()
-                        response = self._exchange(
-                            worker, kind, traced,
-                            self.request_timeout_seconds,
-                        )
-            except _NoReply as exc:
+                        response = worker.child.exchange(traced, timeout)
+            except NoReply as exc:
                 self._restart(worker, exc.reason)
                 raise
             seconds = time.perf_counter() - start
@@ -453,11 +417,11 @@ class Fleet:
                     response, seconds = self._attempt(
                         worker, kind, payload, tracer
                     )
-                except _NoReply as exc:
+                except NoReply as exc:
                     with self._state:
                         self.tracer.inc(
                             families.FLEET_REQUESTS,
-                            outcome=f"retry_{exc.outcome}",
+                            outcome=f"retry_{_OUTCOME[exc.reason]}",
                         )
                     continue
             ok = response.get("ok", False)
@@ -536,10 +500,12 @@ class Fleet:
             self._restart(worker, "died")
             return "restarted_dead"
         try:
-            self._exchange(worker, "ping", {}, self.heartbeat_timeout_seconds)
-        except _NoReply as exc:
+            worker.child.exchange(
+                {"kind": "ping"}, self.heartbeat_timeout_seconds
+            )
+        except NoReply as exc:
             self._restart(worker, exc.reason)
-            return f"restarted_{exc.outcome}"
+            return f"restarted_{_OUTCOME[exc.reason]}"
         return "ok"
 
     def health_check(self) -> dict[int, str]:
@@ -572,29 +538,19 @@ class Fleet:
     def kill_worker(self, worker_id: int) -> None:
         """Hard-kill one worker (``os._exit`` inside the process), then
         restart it — the orchestrator-driven half of the chaos matrix."""
-        worker = self._workers[worker_id]
+        worker = self._worker(worker_id)
         with worker.lock:
-            if worker.alive:
-                try:
-                    worker.conn.send(
-                        {"id": self._next_id(), "kind": "die"}
-                    )
-                    worker.process.join(timeout=10)
-                except (BrokenPipeError, OSError):
-                    pass
+            worker.child.stop(farewell={"kind": "die"}, timeout=10)
             self._restart(worker, "chaos_kill")
 
     def wedge_worker(self, worker_id: int, seconds: float = 3600.0) -> None:
         """Wedge one worker (blocks inside the request loop); the next
         probe or routed request times out and triggers the restart."""
-        worker = self._workers[worker_id]
+        worker = self._worker(worker_id)
         with worker.lock:
             try:
-                worker.conn.send({
-                    "id": self._next_id(), "kind": "wedge",
-                    "seconds": seconds,
-                })
-            except (BrokenPipeError, OSError):
+                worker.child.request({"kind": "wedge", "seconds": seconds})
+            except NoReply:
                 self._restart(worker, "died")
 
     # ------------------------------------------------------------------
@@ -633,7 +589,7 @@ class Fleet:
         worker, behind whatever is in flight on it."""
         try:
             response, _ = self._attempt(worker, kind, payload, None)
-        except _NoReply as exc:
+        except NoReply as exc:
             raise FleetError(
                 f"worker {worker.worker_id} {exc.reason} on {kind}"
             ) from None
@@ -703,10 +659,10 @@ class Fleet:
         info = {"drained": False, "exitcode": None}
         if worker.alive:
             try:
-                response = self._exchange(
-                    worker, "drain", {}, self.request_timeout_seconds
+                response = worker.child.exchange(
+                    {"kind": "drain"}, self.request_timeout_seconds
                 )
-            except _NoReply:
+            except NoReply:
                 response = {}
             if response.get("drained"):
                 info["drained"] = True
@@ -715,17 +671,8 @@ class Fleet:
                     k: response.get(k)
                     for k in ("session", "plan_cache", "feedback")
                 }
-            worker.process.join(timeout=10)
-        if worker.process is not None:
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join(timeout=10)
-            info["exitcode"] = worker.process.exitcode
-        with self._state:
-            worker.view.alive = False
-            self.tracer.set_gauge(
-                families.FLEET_WORKER_UP, 0, worker=str(worker.worker_id)
-            )
+        info["exitcode"] = worker.child.stop(timeout=10)
+        self._mark_up(worker, False)
         return info
 
     def close(self) -> dict[int, dict]:

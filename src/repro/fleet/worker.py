@@ -3,16 +3,18 @@
 ``worker_main`` is the process entry point.  It builds a
 :class:`repro.service.Session` over the spec's catalog — wiring in the
 shared plan store, the shared feedback board, and (for chaos runs) a
-deterministic :class:`repro.service.FaultInjector` — then serves
-requests off its pipe until drained or killed.
+deterministic :class:`repro.service.FaultInjector` — then hands its
+request handler to :func:`repro.gpos.process.serve` until drained or
+killed.
 
-The protocol is one request dict in, one response dict out, in order
-(the orchestrator never pipelines to a single worker).  Every response
-echoes the request ``id``; ``ok`` distinguishes results from typed
-errors.  Anything that cannot be pickled back — or any unexpected
-exception — is downgraded to an error response rather than killing the
+Requests are dicts with a ``kind`` (see :func:`handle_request`); responses
+are dicts whose ``ok`` distinguishes results from typed errors.  The
+substrate echoes request ids and turns any exception, or a response
+that cannot be pickled, into an error response rather than killing the
 worker, so only *injected* process faults (kill/wedge) and real crashes
-take a worker down.
+take a worker down.  The handler adds what is the fleet's own: the
+flight record and spans of every request, and the catalog-bump ``seq``
+that keeps a respawned worker from applying a broadcast twice.
 """
 
 from __future__ import annotations
@@ -25,18 +27,12 @@ from typing import Optional
 
 from repro.config import OptimizerConfig
 from repro.errors import ReproError
+from repro.gpos.process import Last, error_reply, serve
 from repro.obs.flight import FlightRecorder
 from repro.obs.slowlog import SlowQueryLog
 from repro.service.faults import FaultInjector, FaultSpec, KILLED_EXIT_CODE
 from repro.service.session import Session
 from repro.telemetry.stats_store import QueryStatsStore
-
-#: Request kinds a worker understands.
-REQUEST_KINDS = (
-    "optimize", "execute", "explain", "ping", "stats", "bump_catalog",
-    "drain", "die", "wedge",
-)
-
 
 @dataclass
 class WorkerSpec:
@@ -195,8 +191,9 @@ def handle_request(session: Session, request: dict) -> dict:
     }
 
 
-def worker_main(worker_id: int, conn, spec: WorkerSpec) -> None:
-    """Process entry point: serve requests until drained."""
+def worker_main(conn, worker_id: int, spec: WorkerSpec) -> None:
+    """Process entry point: come up from ``spec``, then serve the pipe
+    until drained."""
     # Forked from a ThreadPoolExecutor thread, this process inherits the
     # executor's thread registry with the thread it now runs on in it,
     # and the executor's exit hook would join that thread: exit code 1
@@ -209,77 +206,44 @@ def worker_main(worker_id: int, conn, spec: WorkerSpec) -> None:
     bumps_applied = len(spec.catalog_bumps)
     session = build_session(worker_id, spec)
     recorder = session.flight
-    while True:
-        try:
-            request = conn.recv()
-        except (EOFError, OSError):
-            break  # orchestrator went away; nothing left to serve
-        req_id = request.get("id")
-        if request["kind"] == "drain":
-            conn.send({
-                "id": req_id, "ok": True, "drained": True,
-                **_worker_stats(session),
-            })
-            break
-        if request["kind"] == "bump_catalog":
+
+    def handle(request: dict):
+        nonlocal bumps_applied
+        kind = request["kind"]
+        if kind == "drain":
+            return Last({"ok": True, "drained": True, **_worker_stats(session)})
+        if kind == "bump_catalog":
             if request["seq"] <= bumps_applied:
                 # Replayed at start-up: the broadcast overlapped a restart.
-                conn.send({"id": req_id, "ok": True})
-                continue
+                return {"ok": True}
             bumps_applied = request["seq"]
         # Adopt the orchestrator's trace context: the record (and every
         # span under it) carries the query's trace_id, and the worker's
         # root span hangs off the orchestrator's request span.
         trace_ctx = request.get("trace") or {}
-        record = None
-        if recorder is not None:
-            record = recorder.begin(
-                request.get("sql") or request["kind"],
-                trace_id=trace_ctx.get("trace_id"),
-                parent_span_id=trace_ctx.get("parent_span_id"),
-                kind=request["kind"],
-                worker=worker_id,
-            )
+        record = recorder.begin(
+            request.get("sql") or kind,
+            trace_id=trace_ctx.get("trace_id"),
+            parent_span_id=trace_ctx.get("parent_span_id"),
+            kind=kind,
+            worker=worker_id,
+        )
         trips_before = session.metrics.timeouts + session.metrics.quota_trips
         try:
-            if recorder is not None:
-                with recorder.tracer.span(
-                    f"worker:{request['kind']}", worker=worker_id
-                ):
-                    response = handle_request(session, request)
-            else:
+            with recorder.tracer.span(f"worker:{kind}", worker=worker_id):
                 response = handle_request(session, request)
-        except ReproError as exc:
-            response = {
-                "ok": False,
-                "error_class": type(exc).__name__,
-                "code": exc.code,
-                "message": str(exc),
-            }
-        except Exception as exc:  # pragma: no cover - defensive
-            if recorder is not None:
-                recorder.dump("worker_exception")
-            response = {
-                "ok": False, "error_class": type(exc).__name__,
-                "code": "WORKER", "message": str(exc),
-            }
-        if record is not None:
-            trips = session.metrics.timeouts + session.metrics.quota_trips
-            if trips > trips_before:
-                # Governor trip: flush while the query is still the
-                # in-flight record, so the dump shows what tripped it.
-                recorder.dump("governor_trip")
-            recorder.end()
-            response["spans"] = [s.to_dict() for s in record.spans]
-            response["trace_id"] = record.trace_id
-        response["id"] = req_id
-        try:
-            conn.send(response)
         except Exception as exc:
-            # Unpicklable payload: degrade to an error, keep serving.
-            conn.send({
-                "id": req_id, "ok": False, "error_class": type(exc).__name__,
-                "code": "WORKER",
-                "message": f"response serialization failed: {exc}",
-            })
-    conn.close()
+            if not isinstance(exc, ReproError):
+                recorder.dump("worker_exception")
+            response = error_reply(exc)
+        trips = session.metrics.timeouts + session.metrics.quota_trips
+        if trips > trips_before:
+            # Governor trip: flush while the query is still the in-flight
+            # record, so the dump shows what tripped it.
+            recorder.dump("governor_trip")
+        recorder.end()
+        response["spans"] = [s.to_dict() for s in record.spans]
+        response["trace_id"] = record.trace_id
+        return response
+
+    serve(conn, handle)

@@ -339,6 +339,18 @@ class TestHealthAndDrain:
         )
         assert total == 4
 
+    def test_worker_ids_outside_the_fleet_are_refused(self, fleet_db):
+        """``kill_worker(-1)`` must not kill the last worker, nor
+        ``kill_worker(n)`` raise a bare ``IndexError``."""
+        with make_fleet(fleet_db, workers=2) as fleet:
+            for bad in (-1, 2):
+                for chaos in (fleet.kill_worker, fleet.wedge_worker):
+                    with pytest.raises(OptimizerError, match="no worker"):
+                        chaos(bad)
+            assert fleet.restarts_total == 0
+            assert fleet.telemetry.counter("fleet_restarts_total").total() == 0
+            assert fleet.health_check() == {0: "ok", 1: "ok"}
+
     def test_close_is_idempotent(self, fleet_db):
         fleet = make_fleet(fleet_db, workers=1)
         fleet.close()

@@ -404,3 +404,43 @@ def test_pool_shutdown_is_idempotent_and_del_safe():
     while any(p.is_alive() for p in procs) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert all(not p.is_alive() for p in procs)
+
+
+# ---------------------------------------------------------------------------
+# A gather cut short leaves replies in the pipes; they must not be read as
+# the next statement's.
+# ---------------------------------------------------------------------------
+
+#: A statement with a different shape from ``SQL``: no join, no grouping.
+OTHER_SQL = "SELECT t1.a, t1.b FROM t1 WHERE t1.b > 10 ORDER BY t1.a, t1.b"
+
+
+def test_interrupted_gather_does_not_poison_the_next_statement(monkeypatch):
+    from multiprocessing.connection import Connection
+
+    db = make_small_db(t1_rows=800, t2_rows=200)
+    orca = Orca(db, config=OptimizerConfig(segments=4))
+    first, second = orca.optimize(SQL), orca.optimize(OTHER_SQL)
+    serial = _execute(db, second, segments=4)
+    pool = make_pool(2)
+    pool.ensure_started()  # fork before patching: the children keep recv
+    try:
+        recv = Connection.recv
+        interrupted = []
+
+        def recv_interrupted_once(conn):
+            if not interrupted:
+                interrupted.append(conn)
+                raise KeyboardInterrupt
+            return recv(conn)
+
+        monkeypatch.setattr(Connection, "recv", recv_interrupted_once)
+        with pytest.raises(KeyboardInterrupt):
+            _execute(db, first, segments=4, pool=pool)
+        monkeypatch.undo()
+        assert interrupted
+        parallel = _execute(db, second, segments=4, pool=pool)
+        assert parallel.rows == serial.rows
+        assert_identical(serial, parallel, second.plan)
+    finally:
+        pool.shutdown()
