@@ -146,8 +146,8 @@ class OptimizerConfig:
     #: pool, Section 4.2); crossing it raises
     #: :class:`repro.errors.MemoryQuotaExceeded`.  ``None`` disables it.
     memory_quota_bytes: Optional[int] = None
-    #: Probe the memory footprint every N job steps (the probe walks the
-    #: Memo, so checking on every step would dominate search time).
+    #: Probe the memory footprint every N job steps (the probe reads the
+    #: Memo's allocation accountant, see :mod:`repro.gpos.memory`).
     memory_check_stride: int = 64
 
     def __post_init__(self) -> None:

@@ -9,7 +9,8 @@ cooperative analogue for this reproduction: the job scheduler calls
 - raises :class:`repro.errors.SearchTimeout` once the wall-clock deadline
   or the deterministic job-step limit is exhausted, and
 - every ``memory_check_stride`` steps probes the tracked memory footprint
-  (Memo walk + explicit :meth:`charge_memory` charges) and raises
+  (the Memo's allocation accountant + explicit :meth:`charge_memory`
+  charges) and raises
   :class:`repro.errors.MemoryQuotaExceeded` past the byte quota.
 
 Checks are cooperative by design — nothing is interrupted mid-step — so

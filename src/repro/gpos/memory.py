@@ -1,8 +1,21 @@
 """Memory accounting (the GPOS memory manager, Section 3).
 
-Tracks approximate bytes held by optimizer data structures so the
-optimization-time/memory experiment (Section 7.2.2: "average memory
-footprint is around 200 MB") has a measurable analogue.
+GPOS charges memory to a pool when it is allocated (Sections 3 and
+4.2).  Here every :class:`repro.memo.memo.Memo` owns a
+:class:`MemoryTracker`, and the memo charges it where it creates an
+object: a group, a group expression (enforcers included), an
+optimization context, a new plan entry, a statistics object (per
+column) and a new derivation-cache entry.  Each charge is one of the
+per-class constants below, so a memo's footprint is an O(1) read that
+is the same on every run of a statement.  ``SearchStats.memory_bytes``
+(the analogue of Section 7.2.2's "average memory footprint is around
+200 MB") and the governor's quota probe both read it.
+
+The constants were calibrated once against :func:`deep_sizeof`, a
+recursive walk of the memo's object graph: each is the mean number of
+walked bytes owned by one object of its class over the TPC-DS query
+corpus.  :func:`deep_sizeof` stays as the reference the accountant is
+checked against (``tests/test_memory_accounting.py``), not as a probe.
 """
 
 from __future__ import annotations
@@ -10,9 +23,22 @@ from __future__ import annotations
 import sys
 from typing import Any
 
+#: Bytes charged per object the memo allocates (see the module docstring).
+#: A group includes its share of the memo's own tables; a group
+#: expression its operator, applied-rule set and dedup entries; a context
+#: its request; a plan entry its child requests and delivered properties.
+GROUP_BYTES = 880
+GEXPR_BYTES = 1120
+CONTEXT_BYTES = 380
+PLAN_BYTES = 600
+STATS_BYTES = 210
+STATS_COLUMN_BYTES = 500
+ALT_CACHE_ENTRY_BYTES = 380
+DELIVERED_CACHE_ENTRY_BYTES = 220
+
 
 class MemoryTracker:
-    """Accumulates allocation estimates per labelled pool."""
+    """Accumulates allocation charges per labelled pool."""
 
     def __init__(self) -> None:
         self._pools: dict[str, int] = {}
@@ -54,6 +80,9 @@ def _find_slot_names(cls: type) -> tuple[str, ...]:
 
 def deep_sizeof(obj: Any, _seen: set | None = None, _depth: int = 0) -> int:
     """Approximate recursive size of an object graph in bytes.
+
+    The reference the memo's allocation charges are calibrated and
+    tested against; too slow to run per statement.
 
     Iterative depth-first traversal in the same visit order as the
     natural recursion (children pushed in reverse), so the dedup-by-id

@@ -16,6 +16,13 @@ from __future__ import annotations
 from typing import Hashable, Iterable, Optional
 
 from repro.errors import OptimizerError
+from repro.gpos.memory import (
+    CONTEXT_BYTES,
+    GEXPR_BYTES,
+    GROUP_BYTES,
+    PLAN_BYTES,
+    MemoryTracker,
+)
 from repro.interning import intern_key
 from repro.memo.context import OptimizationContext, PlanInfo, StatsObject
 from repro.ops.expression import Expression, Operator
@@ -93,9 +100,14 @@ class GroupExpression:
     def plan_for(self, req: RequiredProps) -> Optional[PlanInfo]:
         return self.plans.get(req.id)
 
-    def record_plan(self, req: RequiredProps, info: PlanInfo) -> None:
+    def record_plan(
+        self, req: RequiredProps, info: PlanInfo, tracker: MemoryTracker
+    ) -> None:
         existing = self.plans.get(req.id)
-        if existing is None or info.cost <= existing.cost:
+        if existing is None:
+            self.plans[req.id] = info
+            tracker.charge("plans", PLAN_BYTES)
+        elif info.cost <= existing.cost:
             self.plans[req.id] = info
         else:
             # The recomputation confirmed the old (cheaper) entry is
@@ -110,7 +122,13 @@ class GroupExpression:
 class Group:
     """A container of logically equivalent group expressions."""
 
-    def __init__(self, group_id: int, output_cols: list[ColRef], tracer=None):
+    def __init__(
+        self,
+        group_id: int,
+        output_cols: list[ColRef],
+        tracer=None,
+        tracker: Optional[MemoryTracker] = None,
+    ):
         self.id = group_id
         self.gexprs: list[GroupExpression] = []
         self.output_cols = output_cols
@@ -120,6 +138,8 @@ class Group:
         self.explored = False
         self.implemented = False
         self.tracer = tracer or NULL_TRACER
+        #: The memo's accountant; charged for each context created here.
+        self.tracker = tracker or MemoryTracker()
         #: Enforcers already added, by operator fingerprint, to avoid
         #: duplicates.
         self._enforcers: dict[tuple, GroupExpression] = {}
@@ -129,6 +149,7 @@ class Group:
         if ctx is None:
             ctx = OptimizationContext(req=req)
             self.contexts[req.id] = ctx
+            self.tracker.charge("contexts", CONTEXT_BYTES)
             if self.tracer.enabled:
                 self.tracer.record(
                     "property_request", group=self.id, req=repr(req)
@@ -159,6 +180,9 @@ class Memo:
         self._next_gexpr_id = 0
         self.root: Optional[int] = None
         self.tracer = tracer or NULL_TRACER
+        #: Charged where the memo allocates (repro.gpos.memory); its
+        #: total is the memo's footprint.
+        self.tracker = MemoryTracker()
         #: Bumped on every group merge; generation-stamped caches
         #: (fingerprints, cost floors) check it before trusting a hit.
         self.merge_generation = 0
@@ -229,6 +253,7 @@ class Memo:
         group.gexprs.append(gexpr)
         self._dedup[fingerprint] = gexpr
         self._gexpr_by_id[gexpr.id] = gexpr
+        self.tracker.charge("gexprs", GEXPR_BYTES)
         if self.tracer.enabled:
             self.tracer.record(
                 "gexpr_added",
@@ -259,6 +284,7 @@ class Memo:
         gexpr.implemented = True
         group.gexprs.append(gexpr)
         self._gexpr_by_id[gexpr.id] = gexpr
+        self.tracker.charge("gexprs", GEXPR_BYTES)
         if self.tracer.enabled:
             self.tracer.record(
                 "gexpr_added",
@@ -270,9 +296,12 @@ class Memo:
         return gexpr
 
     def _new_group(self, expr: Expression) -> Group:
-        group = Group(len(self.groups), expr.output_columns(), self.tracer)
+        group = Group(
+            len(self.groups), expr.output_columns(), self.tracer, self.tracker
+        )
         self.groups.append(group)
         self._parent.append(group.id)
+        self.tracker.charge("groups", GROUP_BYTES)
         if self.tracer.enabled:
             self.tracer.record("group_created", group=group.id)
         return group

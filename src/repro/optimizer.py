@@ -24,7 +24,8 @@ from repro.catalog.database import Database
 from repro.config import OptimizerConfig
 from repro.cost.model import CostModel
 from repro.gpos.governor import ResourceGovernor
-from repro.gpos.memory import deep_sizeof
+# Not called here: benchmarks/ledger/layers.py TARGETS binds it (ROADMAP item 1).
+from repro.gpos.memory import deep_sizeof  # noqa: F401
 from repro.interning import intern_stats
 from repro.memo.memo import Memo
 from repro.ops.physical import PhysicalCTEProducer
@@ -335,9 +336,7 @@ class Orca:
                     stats.kind_counts[kind] = (
                         stats.kind_counts.get(kind, 0) + count
                     )
-                # The memo and its groups hold the session's tracer; its
-                # span and event lists are not optimizer state.
-                stats.memory_bytes += deep_sizeof(memo, {id(memo.tracer)})
+                stats.memory_bytes += memo.tracker.total()
                 stats.pruned_alternatives += engine.pruned_alternatives
                 stats.costed_alternatives += engine.costed_alternatives
                 stats.bound_redos += engine.bound_redos

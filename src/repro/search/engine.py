@@ -14,7 +14,9 @@ from typing import Callable, Optional
 from repro.config import OptimizerConfig
 from repro.cost.model import CostModel
 from repro.errors import SearchTimeout
-from repro.gpos.memory import deep_sizeof
+from repro.gpos.memory import ALT_CACHE_ENTRY_BYTES, DELIVERED_CACHE_ENTRY_BYTES
+# Not called here: benchmarks/ledger/layers.py TARGETS binds it (ROADMAP item 1).
+from repro.gpos.memory import deep_sizeof  # noqa: F401
 from repro.gpos.scheduler import JobRecord, JobScheduler
 from repro.memo.context import PlanInfo
 from repro.memo.memo import GroupExpression, Memo
@@ -173,11 +175,7 @@ class SearchEngine:
         self.memo.root_group().context(req).request_bound(math.inf)
         scheduler = JobScheduler(tracer=self.tracer, governor=self.governor)
         if self.governor is not None:
-            # Same footprint as SearchStats.memory_bytes: trace data the
-            # memo points at must not count against the quota.
-            self.governor.set_memory_probe(
-                lambda: deep_sizeof(self.memo, {id(self.memo.tracer)})
-            )
+            self.governor.set_memory_probe(self.memo.tracker.total)
         try:
             scheduler.run(
                 JobGroupOptimize(self, self.memo.root, req),
@@ -242,6 +240,7 @@ class SearchEngine:
             cached = gexpr.alt_cache[req.id] = (
                 gexpr.op.child_request_alternatives(req)
             )
+            self.memo.tracker.charge("derivation_cache", ALT_CACHE_ENTRY_BYTES)
         else:
             self.property_cache_hits += 1
         return cached
@@ -260,6 +259,9 @@ class SearchEngine:
             return cached
         delivered = gexpr.op.derive_delivered(child_delivered)
         gexpr.delivered_cache[key] = delivered
+        self.memo.tracker.charge(
+            "derivation_cache", DELIVERED_CACHE_ENTRY_BYTES
+        )
         return delivered
 
     # ------------------------------------------------------------------

@@ -592,7 +592,7 @@ class JobGexprOptimize(Job):
             best.complete = (
                 self._abandoned_at is None or best.cost <= self._abandoned_at
             )
-            self.gexpr.record_plan(self.req, best)
+            self.gexpr.record_plan(self.req, best, engine.memo.tracker)
             self._record(best.cost)
         return None
 

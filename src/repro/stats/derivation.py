@@ -18,6 +18,7 @@ from repro.catalog.statistics import ColumnStats
 from repro.catalog.schema import Table
 from repro.config import OptimizerConfig
 from repro.errors import OptimizerError
+from repro.gpos.memory import STATS_BYTES, STATS_COLUMN_BYTES
 from repro.memo.context import StatsObject
 from repro.memo.memo import Group, GroupExpression, Memo
 from repro.ops.logical import (
@@ -125,6 +126,10 @@ class StatsDeriver:
             if self.feedback is not None:
                 stats = self._apply_feedback(group.id, stats)
             group.stats = stats
+            self.memo.tracker.charge(
+                "stats",
+                STATS_BYTES + STATS_COLUMN_BYTES * len(stats.col_stats),
+            )
             return stats
         finally:
             self._in_progress.discard(group.id)
