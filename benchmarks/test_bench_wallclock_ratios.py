@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.catalog.statistics import DEFAULT_BUCKETS, Histogram
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.engine.parallel import MorselPool
@@ -190,3 +191,34 @@ def test_plan_cache_hit_vs_parse_and_fingerprint():
     assert stats["statement_misses"] == warm["statement_misses"] == len(texts)
     print(f"\nplan-cache hit vs parse + fingerprint: {ratio:.2f}x")
     assert ratio <= 0.5
+
+
+def test_histogram_join_one_pass_vs_per_slice():
+    """``Histogram.join_slices`` cuts each side in one pass; the per-slice
+    ``_slice`` scan it replaced (one bisect and one bucket walk per slice
+    and side) stays as the reference in ``tests/test_statistics.py``.
+    Two overlapping 32-bucket histograms, as a join of two analysed
+    columns has (measured 3.7-4.9x on a 2-vCPU host)."""
+    from tests.test_statistics import per_slice_join_slices
+
+    left = Histogram.from_values(range(0, 6400, 2))
+    right = Histogram.from_values([(i * 37) % 5000 for i in range(4000)])
+    assert len(left.buckets) == len(right.buckets) == DEFAULT_BUCKETS
+    assert left.join_slices(right) == per_slice_join_slices(left, right)
+
+    def cut(join):
+        def run():
+            for _ in range(200):
+                join(left, right)
+
+        return run
+
+    speedup = best_ratio(
+        {
+            "per_slice": cut(per_slice_join_slices),
+            "one_pass": cut(Histogram.join_slices),
+        },
+        "per_slice", "one_pass", ok=lambda x: x >= 2.0,
+    )
+    print(f"\nhistogram join, one pass vs per slice: {speedup:.2f}x")
+    assert speedup >= 2.0

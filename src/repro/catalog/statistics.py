@@ -324,15 +324,16 @@ class Histogram:
         Cardinality and joined histogram of one equi-join are built from
         the same slices; a caller that needs both computes them once and
         hands them to :meth:`join_cardinality` and :meth:`join_histogram`.
+        Each histogram is cut in one pass (:meth:`_cut`); slice for
+        slice, the result is bit-identical to :meth:`_slice`.
         """
         bounds = sorted(
             {b.lo for b in self.buckets} | {b.hi for b in self.buckets}
             | {b.lo for b in other.buckets} | {b.hi for b in other.buckets}
         )
-        return [
-            (lo, hi, *self._slice(lo, hi), *other._slice(lo, hi))
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
+        return list(
+            zip(bounds, bounds[1:], *self._cut(bounds), *other._cut(bounds))
+        )
 
     def join_cardinality(
         self, other: "Histogram", slices: Optional[list] = None
@@ -392,10 +393,40 @@ class Histogram:
             object.__setattr__(self, "_bounds_cache", arrays)
         return arrays
 
+    def _cut(self, bounds: list[float]) -> tuple[list[float], list[float]]:
+        """(rows, ndv) of this histogram in every slice between
+        consecutive ``bounds``, which must include every bucket bound.
+
+        Each bucket therefore covers whole slices: one bisect finds its
+        first, and it adds ``rows * frac`` and ``ndv * frac`` to each.
+        A slice receives the same terms, in bucket order, that
+        :meth:`_slice` sums for it (inside the bucket, ``_slice``'s
+        intersection is exactly the slice's own width), so the sums are
+        bit-identical.
+        """
+        n = len(bounds) - 1
+        rows = [0.0] * n
+        ndv = [0.0] * n
+        for b in self.buckets:
+            bw = b.hi - b.lo
+            if bw <= 0:
+                continue
+            i = bisect_left(bounds, b.lo)
+            lo = bounds[i]
+            while lo < b.hi:
+                hi = bounds[i + 1]
+                frac = (hi - lo) / bw  # never above 1: rounding is monotone
+                rows[i] += b.rows * frac
+                ndv[i] += b.ndv * frac
+                i += 1
+                lo = hi
+        return rows, ndv
+
     def _slice(self, lo: float, hi: float) -> tuple[float, float]:
         """(rows, ndv) of this histogram restricted to [lo, hi).
 
-        Only buckets overlapping [lo, hi) can contribute; the rest add
+        The per-slice reference :meth:`_cut` is checked against.  Only
+        buckets overlapping [lo, hi) can contribute; the rest add
         exactly +0.0, so bisecting to the overlap range and summing the
         same non-zero terms in the same order is float-identical to the
         full scan.
@@ -420,10 +451,16 @@ class Histogram:
         return rows, ndv
 
     def _point(self, p: float) -> tuple[float, float]:
-        """(rows, ndv) of this histogram at the single point ``p``."""
+        """(rows, ndv) of this histogram at the single point ``p``.
+
+        Only buckets with ``lo <= p <= hi`` can contribute, and they are
+        a contiguous run of the sorted buckets: bisecting to it sums the
+        same terms in the same order as scanning every bucket.
+        """
         rows = 0.0
         ndv = 0.0
-        for b in self.buckets:
+        los, his = self._bounds_arrays()
+        for b in self.buckets[bisect_left(his, p):bisect_right(los, p)]:
             if b.width() == 0 and b.lo == p:
                 rows += b.rows
                 ndv = max(ndv, 1.0)

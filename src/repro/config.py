@@ -100,10 +100,11 @@ class OptimizerConfig:
     #: way, which is what makes pruning directly testable.
     enable_cost_bound_pruning: bool = True
     #: Memoize pure derivation sub-results inside the search (delivered
-    #: properties, child request alternatives, operator cost floors).
+    #: properties and operator cost floors, per group expression).
     #: Cached values are bit-identical to recomputation, so job counts
     #: and plan choices do not change; off exists as a reference mode for
-    #: benchmarking the memoization itself.
+    #: benchmarking the memoization itself.  (Child request alternatives
+    #: are not gated: each physical operator builds its own once.)
     enable_derivation_cache: bool = True
     #: How physical plans execute: ``ExecutionMode.FUSED`` (default)
     #: compiles every breaker-free operator chain into generated

@@ -135,14 +135,19 @@ class JobScheduler:
         duration = clock() - start
         self.steps_executed += 1
         queue = self._queue
+        # Every job but a new child (and the root, on its first step)
+        # already holds its id: read it without the call.
+        job_id = self._job_id
+        own_id = job.job_id
         if children:
             pending = 0
             child_ids = []
             by_goal = self._jobs_by_goal
             for child in children:
-                goal = child.goal
-                existing = by_goal.get(goal)
-                if existing is None or (existing is not child and goal is None):
+                # Nothing is filed under the goal None, so a goal-less
+                # child is always new.
+                existing = by_goal.get(child.goal)
+                if existing is None:
                     self._enqueue_new(child)
                     child.parents.append(job)
                 elif existing.done:
@@ -153,12 +158,12 @@ class JobScheduler:
                     existing.parents.append(job)
                     child = existing
                 pending += 1
-                child_ids.append(self._job_id(child))
-            self.job_log.append(
-                JobRecord(
-                    self._job_id(job), job.kind, duration, tuple(child_ids)
-                )
-            )
+                child_id = child.job_id
+                child_ids.append(child_id if child_id >= 0 else job_id(child))
+            self.job_log.append(JobRecord(
+                own_id if own_id >= 0 else job_id(job),
+                job.kind, duration, tuple(child_ids),
+            ))
             if pending == 0:
                 queue.append(job)  # nothing to wait for: resume
             else:
@@ -168,7 +173,9 @@ class JobScheduler:
             self.jobs_executed += 1
             kind = job.kind
             self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
-            self.job_log.append(JobRecord(self._job_id(job), kind, duration))
+            self.job_log.append(JobRecord(
+                own_id if own_id >= 0 else job_id(job), kind, duration
+            ))
             if self.tracer.enabled:
                 self.tracer.record(
                     "job_done", job_kind=kind, seconds=duration,

@@ -79,12 +79,11 @@ class GroupExpression:
         #: generation (bumped in :meth:`Memo.merge`).
         self._fingerprint: Optional[tuple] = None
         self._fingerprint_gen = -1
-        #: Pure-function memos (see SearchEngine): delivered-props by the
-        #: children's delivered ids, child request alternatives by request id.
-        #: Both depend only on the immutable operator and their explicit
-        #: inputs, so they never need merge invalidation.
+        #: Pure-function memo (see SearchEngine): delivered properties by
+        #: the children's delivered ids.  It depends only on the immutable
+        #: operator and its explicit inputs, so it never needs merge
+        #: invalidation.
         self.delivered_cache: dict = {}
-        self.alt_cache: dict = {}
 
     def fingerprint(self, memo: "Memo") -> tuple:
         cached = self._fingerprint

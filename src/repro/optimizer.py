@@ -68,9 +68,9 @@ class SearchStats:
     bound_redos: int = 0
     #: Hot-path memoization accounting (all deterministic counts):
     #: stats derivations answered from the per-group cache, pure property
-    #: derivations (delivered props / child request alternatives /
-    #: operator cost floors) answered from memo, and key-interning
-    #: hits/misses observed during this optimization.
+    #: derivations (delivered props / operator cost floors) answered from
+    #: memo, and key-interning hits/misses observed during this
+    #: optimization.
     derivation_cache_hits: int = 0
     property_cache_hits: int = 0
     intern_hits: int = 0
@@ -121,12 +121,14 @@ class OptimizationResult:
     #: (attached by ``Session.execute(..., analyze=True)``), else None.
     analysis: Optional[PlanAnalysis] = None
 
-    def explain(self, analyze: bool = False) -> str:
+    def explain(self, analyze: bool = False, search: bool = False) -> str:
         """Render the plan; with ``analyze=True``, annotate every node
-        with the actual rows / work / network bytes of an execution."""
+        with the actual rows / work / network bytes of an execution; with
+        ``search=True``, append where the search spent its job steps
+        (:func:`_search_breakdown`)."""
         if not analyze:
-            return self.plan.explain()
-        if self.analysis is None:
+            text = self.plan.explain()
+        elif self.analysis is None:
             from repro.errors import OptimizerError
 
             raise OptimizerError(
@@ -134,7 +136,39 @@ class OptimizationResult:
                 "(e.g. Session.execute(sql, analyze=True) or "
                 "telemetry.analyze_execution) before explain(analyze=True)"
             )
-        return f"{self.analysis.render()}\n{self.analysis.summary()}"
+        else:
+            text = f"{self.analysis.render()}\n{self.analysis.summary()}"
+        if search:
+            text += "\n" + _search_breakdown(self.search_stats)
+        return text
+
+
+def _search_breakdown(stats: SearchStats) -> str:
+    """Steps, finished jobs and summed step milliseconds per job kind,
+    most expensive kind first.  Steps and milliseconds are read from
+    ``stats.job_log`` (one record per step), finished jobs from
+    ``stats.kind_counts``."""
+    steps: dict[str, int] = {}
+    seconds: dict[str, float] = {}
+    for record in stats.job_log:
+        steps[record.kind] = steps.get(record.kind, 0) + 1
+        seconds[record.kind] = seconds.get(record.kind, 0.0) + record.duration
+    if not steps:
+        return "Search: no job ran"
+    total = sum(seconds.values())
+    lines = [
+        f"Search: {len(stats.job_log)} steps, {stats.jobs_executed} jobs, "
+        f"{total * 1000:.2f} ms in job steps",
+        f"  {'job kind':<16} {'steps':>7} {'done':>7} {'ms':>9} {'share':>6}",
+    ]
+    for kind in sorted(steps, key=lambda k: (-seconds[k], k)):
+        done = stats.kind_counts.get(kind, 0)
+        share = seconds[kind] / total if total else 0.0
+        lines.append(
+            f"  {kind:<16} {steps[kind]:>7} {done:>7}"
+            f" {seconds[kind] * 1000:>9.3f} {share:>6.1%}"
+        )
+    return "\n".join(lines)
 
 
 class Orca:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 from repro.config import OptimizerConfig
 from repro.cost.model import CostModel
 from repro.errors import SearchTimeout
-from repro.gpos.memory import ALT_CACHE_ENTRY_BYTES, DELIVERED_CACHE_ENTRY_BYTES
+from repro.gpos.memory import DELIVERED_CACHE_ENTRY_BYTES
 # Not called here: benchmarks/ledger/layers.py TARGETS binds it (ROADMAP item 1).
 from repro.gpos.memory import deep_sizeof  # noqa: F401
 from repro.gpos.scheduler import JobRecord, JobScheduler
@@ -88,9 +88,9 @@ class SearchEngine:
         self.costed_alternatives = 0
         self.bound_redos = 0
         #: Memoization accounting: pure derivation sub-results (delivered
-        #: properties, child request alternatives, operator cost floors)
-        #: answered from cache instead of re-derived.  Deterministic —
-        #: caching only skips recomputing values that are bit-identical.
+        #: properties, operator cost floors) answered from cache instead
+        #: of re-derived.  Deterministic — caching only skips recomputing
+        #: values that are bit-identical.
         self.property_cache_hits = 0
         #: gexpr id -> (memo merge generation, operator local-cost floor).
         #: Merges re-root child groups (changing resolved stats), so
@@ -227,23 +227,6 @@ class SearchEngine:
         stats = self.deriver.derive(gexpr.group_id)
         child_stats = [self.deriver.derive(c) for c in gexpr.child_groups]
         return self.cost_model.local_cost_floor(gexpr.op, stats, child_stats)
-
-    def child_alternatives(
-        self, gexpr: GroupExpression, req: RequiredProps
-    ) -> list[tuple[RequiredProps, ...]]:
-        """``op.child_request_alternatives(req)``, memoized per
-        (gexpr, request id).  Callers must treat the list as read-only."""
-        if not self.config.enable_derivation_cache:
-            return gexpr.op.child_request_alternatives(req)
-        cached = gexpr.alt_cache.get(req.id)
-        if cached is None:
-            cached = gexpr.alt_cache[req.id] = (
-                gexpr.op.child_request_alternatives(req)
-            )
-            self.memo.tracker.charge("derivation_cache", ALT_CACHE_ENTRY_BYTES)
-        else:
-            self.property_cache_hits += 1
-        return cached
 
     _NO_DELIVERED = object()
 

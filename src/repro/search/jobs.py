@@ -22,7 +22,6 @@ from repro.gpos.scheduler import Job
 from repro.memo.context import PlanInfo
 from repro.memo.memo import GroupExpression
 from repro.ops.physical import (
-    EnforcerOp,
     PhysicalBroadcast,
     PhysicalGather,
     PhysicalGatherMerge,
@@ -243,16 +242,26 @@ class JobGroupOptimize(Job):
     def __init__(self, engine: "SearchEngine", group_id: int, req: RequiredProps):
         super().__init__()
         self.engine = engine
-        self.group_id = engine.memo.find(group_id)
+        memo = engine.memo
+        self.group_id = memo.find(group_id)
         self.req = req
-        generation = engine.memo.group(self.group_id).context(req).generation
-        self.goal = ("opt-g", self.group_id, req.id, generation)
+        self._group = memo.group(self.group_id)
+        self._ctx = self._group.context(req)
+        self._merges = memo.merge_generation
+        self.goal = ("opt-g", self.group_id, req.id, self._ctx.generation)
         #: Sequential gexpr-job queue (cost-bound pruning mode only).
         self._pending: list[GroupExpression] = []
 
     def step(self, scheduler):
-        group = self.engine.memo.group(self.group_id)
-        ctx = group.context(self.req)
+        memo = self.engine.memo
+        if self._merges != memo.merge_generation:
+            # A merge may have moved this group's expressions and
+            # contexts into another group: look both up again.
+            self._group = memo.group(self.group_id)
+            self._ctx = self._group.context(self.req)
+            self._merges = memo.merge_generation
+        group = self._group
+        ctx = self._ctx
         if ctx.done:
             return None
         if self._step == 0:
@@ -261,13 +270,11 @@ class JobGroupOptimize(Job):
         if self._step == 1:
             self._step = 2
             self._add_enforcers(group)
+            req = self.req
             gexprs = [
                 gexpr
                 for gexpr in group.physical_gexprs()
-                if not (
-                    isinstance(gexpr.op, EnforcerOp)
-                    and not gexpr.op.serves(self.req)
-                )
+                if not (gexpr.op.is_enforcer and not gexpr.op.serves(req))
             ]
             if not self.engine.config.enable_cost_bound_pruning:
                 if gexprs:
@@ -279,10 +286,12 @@ class JobGroupOptimize(Job):
                 return None
             # Cheapest-looking expressions first (stable on ties): a good
             # incumbent early lets the expensive expressions behind it be
-            # skipped outright at spawn time.
+            # skipped outright at spawn time.  ``sorted`` takes each key
+            # once, in list order.
             engine = self.engine
-            floors = {g.id: gexpr_cost_floor(engine, g) for g in gexprs}
-            self._pending = sorted(gexprs, key=lambda g: floors[g.id])
+            self._pending = sorted(
+                gexprs, key=lambda g: gexpr_cost_floor(engine, g)
+            )
         # Pruning mode: optimize the expressions one at a time, so each
         # completed expression's cost becomes the incumbent bound for the
         # next one (Section 4.1, Fig. 5 — the bound tightens as the
@@ -397,8 +406,20 @@ class JobGexprOptimize(Job):
         self.engine = engine
         self.gexpr = gexpr
         self.req = req
-        ctx = engine.memo.group(gexpr.group_id).context(req)
-        self.goal = ("opt-x", gexpr.id, req.id, ctx.generation)
+        memo = engine.memo
+        self._ctx = memo.group(gexpr.group_id).context(req)
+        self._merges = memo.merge_generation
+        self.goal = ("opt-x", gexpr.id, req.id, self._ctx.generation)
+
+    def _context(self):
+        """The (group, request) context this job reports to, looked up
+        again only after a group merge (which can move the expression
+        into another group)."""
+        memo = self.engine.memo
+        if self._merges != memo.merge_generation:
+            self._ctx = memo.group(self.gexpr.group_id).context(self.req)
+            self._merges = memo.merge_generation
+        return self._ctx
 
     # ------------------------------------------------------------------
     def step(self, scheduler):
@@ -414,11 +435,9 @@ class JobGexprOptimize(Job):
                 self._record(cached.cost)
                 return None
             op = self.gexpr.op
-            if isinstance(op, EnforcerOp) and not op.serves(self.req):
+            if op.is_enforcer and not op.serves(self.req):
                 return None
-            self._alternatives = engine.child_alternatives(
-                self.gexpr, self.req
-            )
+            self._alternatives = op.child_request_alternatives(self.req)
             if not engine.config.enable_cost_bound_pruning:
                 jobs = []
                 for alt in self._alternatives:
@@ -447,7 +466,7 @@ class JobGexprOptimize(Job):
         req = self.req
         child_groups = gexpr.child_groups
         alternatives = self._alternatives
-        ctx = group_of(gexpr.group_id).context(req)
+        ctx = self._context()
         while self._alt_idx < len(alternatives):
             alt = alternatives[self._alt_idx]
             remaining = self._remaining
@@ -597,5 +616,4 @@ class JobGexprOptimize(Job):
         return None
 
     def _record(self, cost: float) -> None:
-        group = self.engine.memo.group(self.gexpr.group_id)
-        group.context(self.req).consider(self.gexpr.id, cost)
+        self._context().consider(self.gexpr.id, cost)

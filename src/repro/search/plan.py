@@ -21,11 +21,14 @@ class PlanNode:
     worker, with no defensive copy; a re-bind builds new nodes along
     the paths to the changed constants and shares the rest.  The only
     writes allowed are derived caches that are rebuilt on demand and
-    left out of the pickle: ``_fused_cache`` here, ``_cached_key`` on
-    operators, ``_cached_key`` / ``_row_cache`` on scalar
-    expressions.  ``tests/test_plan_immutability.py`` holds
+    left out of the pickle: ``_fused_cache`` here, ``_cached_key`` and
+    the child-request ``_alternatives`` on operators, ``_cached_key``
+    on distribution and order specs, ``_cached_key`` / ``_row_cache``
+    on scalar expressions.  ``tests/test_plan_immutability.py`` holds
     every executor, EXPLAIN ANALYZE and the feedback ingest to this
-    (the pickle of a cached tree is byte-equal before and after).
+    (the pickle of a cached tree is byte-equal before and after, and
+    byte-equal to the pickle of the same plan extracted in a fresh
+    process).
     """
 
     op: Operator

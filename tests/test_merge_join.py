@@ -45,7 +45,7 @@ class TestProperties:
     def test_rejects_foreign_order_request(self, op_and_cols):
         op, _a, b, *_ = op_and_cols
         req = RequiredProps(SINGLETON, OrderSpec((SortKey(b.id),)))
-        assert op.child_request_alternatives(req) == []
+        assert op.child_request_alternatives(req) == ()
 
     def test_delivers_outer_order(self, op_and_cols):
         op, a, _b, c, _d = op_and_cols

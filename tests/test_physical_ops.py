@@ -71,7 +71,7 @@ class TestFilterProject:
         _f, (a, *_rest) = cols
         op = ph.PhysicalFilter(Comparison("=", ColRefExpr(a), ColRefExpr(a)))
         req = RequiredProps(SINGLETON, OrderSpec((SortKey(a.id),)))
-        assert op.child_request_alternatives(req) == [(req,)]
+        assert op.child_request_alternatives(req) == ((req,),)
 
     def test_project_strips_computed_requirements(self, cols):
         f, (a, b, *_rest) = cols
@@ -101,7 +101,7 @@ class TestHashJoin:
     def test_rejects_ordered_requests(self, cols):
         op, a, *_ = self.make(cols)
         req = RequiredProps(ANY_DIST, OrderSpec((SortKey(a.id),)))
-        assert op.child_request_alternatives(req) == []
+        assert op.child_request_alternatives(req) == ()
 
     def test_alternatives_include_colocated_broadcast_gather(self, cols):
         op, a, _b, c, _d = self.make(cols)
@@ -191,7 +191,7 @@ class TestAggregation:
     def test_scalar_agg_requires_singleton(self, cols):
         op, *_ = self.make_agg(cols, grouped=False)
         alts = op.child_request_alternatives(RequiredProps())
-        assert alts == [(RequiredProps(SINGLETON),)]
+        assert alts == ((RequiredProps(SINGLETON),),)
 
     def test_grouped_agg_alternatives(self, cols):
         op, a, _b = self.make_agg(cols)
@@ -202,7 +202,7 @@ class TestAggregation:
     def test_partial_stage_accepts_any(self, cols):
         op, *_ = self.make_agg(cols, stage=AggStage.PARTIAL)
         alts = op.child_request_alternatives(RequiredProps())
-        assert alts == [(RequiredProps(ANY_DIST),)]
+        assert alts == ((RequiredProps(ANY_DIST),),)
 
     def test_global_agg_rejects_random_child(self, cols):
         op, *_ = self.make_agg(cols)
@@ -216,7 +216,7 @@ class TestAggregation:
     def test_hash_agg_rejects_order_request(self, cols):
         op, a, _b = self.make_agg(cols)
         req = RequiredProps(ANY_DIST, OrderSpec((SortKey(a.id),)))
-        assert op.child_request_alternatives(req) == []
+        assert op.child_request_alternatives(req) == ()
 
     def test_stream_agg_requires_and_delivers_order(self, cols):
         op, a, _b = self.make_agg(cols, stream=True)
@@ -344,7 +344,7 @@ class TestLimitAndWindow:
         _f, (a, b, *_rest) = cols
         op = ph.PhysicalLimit([(a, True)], 10)
         req = RequiredProps(SINGLETON, OrderSpec((SortKey(b.id),)))
-        assert op.child_request_alternatives(req) == []
+        assert op.child_request_alternatives(req) == ()
 
     def test_window_partition_requirements(self, cols):
         f, (a, b, *_rest) = cols

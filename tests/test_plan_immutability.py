@@ -11,6 +11,9 @@ the defensive copy used to guarantee silently is checked here instead:
   ingest, the pickle of the cached tree is byte-equal before and after
   (the pickle leaves out exactly the derived caches the contract on
   :class:`~repro.search.plan.PlanNode` allows);
+- the pickle carries none of the child-request alternatives the
+  search left on the operators, and is byte-equal to the pickle of the
+  same plan extracted in a fresh process;
 - a hit returns the rows of the original miss, a re-bind the rows the
   same text gets with the plan cache off;
 - the second execution of a cached statement compiles nothing, in a
@@ -25,16 +28,23 @@ the defensive copy used to guarantee silently is checked here instead:
 
 from __future__ import annotations
 
+import hashlib
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro
 from repro.config import ExecutionMode
 from repro.trace import Tracer
-from repro.workloads import QUERIES, queries_by_id
+from repro.workloads import QUERIES, build_populated_db, queries_by_id
 
 from tests.conftest import make_small_db
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MODES = [ExecutionMode.ROW, ExecutionMode.FUSED]
 
@@ -140,6 +150,50 @@ def test_feedback_ingest_leaves_cached_trees_byte_equal(tpcds_db):
                 assert session.last_result.plan is first.plan
             assert pickle.dumps(first.plan) == before, query.id
         assert session.feedback.stats()["ingests"] > 0
+
+
+#: Prints ``<query id> <sha1 of the pickled plan>`` for the corpus, from
+#: a process that has optimized nothing else.
+FRESH_PROCESS_PICKLES = """
+import hashlib, pickle
+import repro
+from repro.workloads import QUERIES, build_populated_db
+
+db = build_populated_db(scale=0.05)
+with repro.connect(db, segments=8, enable_plan_cache=True) as session:
+    for query in QUERIES:
+        plan = session.optimize(query.sql).plan
+        print(query.id, hashlib.sha1(pickle.dumps(plan)).hexdigest())
+"""
+
+
+def test_cached_plans_pickle_as_a_fresh_process_extracts_them():
+    """Physical operators keep the child-request alternatives they built
+    during the search (``_alternatives``).  The pickle leaves them out,
+    like the interned keys, so a fleet worker adopting a stored plan
+    receives byte for byte the plan it would have extracted itself."""
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS_PICKLES],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert done.returncode == 0, done.stderr
+    fresh = dict(line.split() for line in done.stdout.splitlines())
+    assert len(fresh) == len(QUERIES)
+    kept = 0
+    with cached_session(build_populated_db(scale=0.05)) as session:
+        for query in QUERIES:
+            session.optimize(query.sql)
+            plan = newest_entry(session).plan
+            kept += sum("_alternatives" in vars(n.op) for n in plan.walk())
+            blob = pickle.dumps(plan)
+            assert b"_alternatives" not in blob, query.id
+            clone = pickle.loads(blob)
+            assert not any(
+                "_alternatives" in vars(n.op) for n in clone.walk()
+            ), query.id
+            assert hashlib.sha1(blob).hexdigest() == fresh[query.id], query.id
+    assert kept > 0, "the search left no alternatives on any plan operator"
 
 
 # ----------------------------------------------------------------------

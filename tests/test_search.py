@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import pytest
 
+import repro
 from repro.config import OptimizationStage, OptimizerConfig
 from repro.memo import Memo
 from repro.ops import Expression
@@ -18,11 +20,13 @@ from repro.ops.physical import (
     PhysicalTableScan,
 )
 from repro.ops.scalar import ColRefExpr, ColumnFactory, Comparison
+from repro.optimizer import Orca
 from repro.props.distribution import SINGLETON
 from repro.props.order import OrderSpec, SortKey
 from repro.props.required import RequiredProps
 from repro.search.engine import SearchEngine
 from repro.verify.taqo import count_plans
+from repro.workloads import queries_by_id
 
 from tests.conftest import make_small_db
 
@@ -225,3 +229,52 @@ class TestRequestCaching:
         engine._run_stage(req, None, None)
         # no Opt jobs beyond cheap revisits; far fewer than the first run
         assert engine.jobs_executed - engine2_jobs_before < jobs_first
+
+
+class TestSearchBreakdown:
+    """``OptimizationResult.explain(search=True)``: the plan, then steps,
+    finished jobs and step milliseconds per job kind."""
+
+    @staticmethod
+    def table(text: str) -> dict[str, tuple[int, int, float]]:
+        lines = text.splitlines()
+        start = next(
+            i for i, line in enumerate(lines) if line.startswith("Search:")
+        )
+        rows = {}
+        for line in lines[start + 2:]:
+            kind, steps, done, ms, _share = line.split()
+            rows[kind] = (int(steps), int(done), float(ms))
+        return rows
+
+    @pytest.mark.parametrize("query_id", ["star_brand", "cte_year_totals"])
+    def test_counts_match_the_job_log_and_kind_counts(
+        self, tpcds_db, query_id
+    ):
+        result = Orca(tpcds_db, config=OptimizerConfig(segments=8)).optimize(
+            queries_by_id()[query_id].sql
+        )
+        stats = result.search_stats
+        text = result.explain(search=True)
+        assert text.startswith(result.explain())
+        rows = self.table(text)
+        steps = Counter(record.kind for record in stats.job_log)
+        assert {kind: row[0] for kind, row in rows.items()} == steps
+        done = {kind: row[1] for kind, row in rows.items()}
+        assert done == stats.kind_counts
+        assert sum(row[1] for row in rows.values()) == stats.jobs_executed
+        ms = [row[2] for row in rows.values()]
+        assert ms == sorted(ms, reverse=True)
+        total = sum(record.duration for record in stats.job_log) * 1000
+        assert sum(ms) == pytest.approx(total, abs=0.001 * len(ms))
+
+    def test_a_cache_hit_ran_no_search(self, tpcds_db):
+        sql = queries_by_id()["star_brand"].sql
+        with repro.connect(
+            tpcds_db, segments=8, enable_plan_cache=True
+        ) as session:
+            session.optimize(sql)
+            hit = session.optimize(sql)
+        assert hit.plan_source == "cache"
+        text = hit.explain(search=True)
+        assert text == hit.explain() + "\nSearch: no job ran"

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog.statistics import ColumnStats, Histogram, axis_value
+from repro.catalog.statistics import Bucket, ColumnStats, Histogram, axis_value
 
 
 class TestAxisValue:
@@ -339,6 +340,146 @@ class TestLazyFiltered:
         clone = pickle.loads(pickle.dumps(base.filtered(0.25)))
         assert "buckets" not in vars(clone)
         assert clone == eager_filtered(base, 0.25)
+
+
+def per_slice_join_slices(a: Histogram, b: Histogram) -> list[tuple]:
+    """Reference: the slices cut one ``_slice`` scan per slice and side,
+    as ``join_slices`` did before it cut each histogram in one pass."""
+    bounds = sorted(
+        {x for h in (a, b) for bk in h.buckets for x in (bk.lo, bk.hi)}
+    )
+    return [
+        (lo, hi, *a._slice(lo, hi), *b._slice(lo, hi))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def scan_point(hist: Histogram, p: float) -> tuple[float, float]:
+    """Reference: ``_point`` scanning every bucket."""
+    rows = 0.0
+    ndv = 0.0
+    for b in hist.buckets:
+        if b.width() == 0 and b.lo == p:
+            rows += b.rows
+            ndv = max(ndv, 1.0)
+        elif b.lo <= p < b.hi and b.ndv >= 1:
+            rows += b.rows / b.ndv
+            ndv = max(ndv, 1.0)
+    return rows, ndv
+
+
+def bits(value):
+    """Floats as their exact hex spelling, so ``==`` is bit-for-bit."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, Bucket):
+        return bits((value.lo, value.hi, value.rows, value.ndv))
+    return [bits(item) for item in value]
+
+
+#: A histogram recipe: built afresh for each side of a comparison, so a
+#: lazy view is read for the first time by the code under test.
+_RECIPES = st.one_of(
+    st.just(("empty",)),
+    st.tuples(
+        st.just("values"),
+        st.lists(st.integers(-40, 40), max_size=120),
+        st.integers(1, 16),
+    ),
+    # Explicit buckets over a sorted cut list: equal neighbouring cuts
+    # make point buckets, a shared cut makes two buckets touch, and a
+    # skipped pair leaves a gap.
+    st.tuples(
+        st.just("buckets"),
+        st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(-30, 30),
+                    st.floats(-30, 30, allow_nan=False, allow_infinity=False),
+                ),
+                st.booleans(),
+                st.floats(0, 500, allow_nan=False),
+                st.floats(0, 50, allow_nan=False),
+            ),
+            min_size=1, max_size=24,
+        ),
+    ),
+).flatmap(lambda recipe: st.tuples(
+    st.just(recipe), st.one_of(st.none(), st.floats(0, 1.2, allow_nan=False)),
+))
+
+
+def make_histogram(recipe) -> Histogram:
+    (kind, *args), selectivity = recipe
+    if kind == "empty":
+        hist = Histogram(buckets=())
+    elif kind == "values":
+        values, num_buckets = args
+        hist = Histogram.from_values(values, num_buckets)
+    else:
+        (cuts,) = args
+        points = sorted(float(cut) for cut, _keep, _rows, _ndv in cuts)
+        pairs = zip(points, points[1:], cuts)
+        hist = Histogram(buckets=tuple(
+            Bucket(lo, hi, rows, ndv)
+            for lo, hi, (_cut, keep, rows, ndv) in pairs
+            if keep
+        ))
+    return hist if selectivity is None else hist.filtered(selectivity)
+
+
+class TestOnePassJoin:
+    """``join_slices`` cuts each histogram in one pass and ``_point``
+    bisects to its candidate buckets; the per-slice ``_slice`` scan and
+    the full-scan point stay as the reference, and every float of every
+    join estimate must equal it bit for bit."""
+
+    @given(_RECIPES, _RECIPES)
+    @settings(max_examples=200, deadline=None)
+    def test_join_slices_match_the_per_slice_scan(self, left, right):
+        one_pass = make_histogram(left).join_slices(make_histogram(right))
+        reference = per_slice_join_slices(
+            make_histogram(left), make_histogram(right)
+        )
+        assert bits(one_pass) == bits(reference)
+
+    @given(_RECIPES, _RECIPES)
+    @settings(max_examples=200, deadline=None)
+    def test_join_estimates_match_the_reference(self, left, right):
+        a, b = make_histogram(left), make_histogram(right)
+        card, joined = a.join_cardinality(b), a.join_histogram(b)
+        a, b = make_histogram(left), make_histogram(right)
+        with mock.patch.object(Histogram, "_point", scan_point):
+            slices = per_slice_join_slices(a, b)
+            ref_card = a.join_cardinality(b, slices)
+            ref_joined = a.join_histogram(b, slices)
+        assert bits(card) == bits(ref_card)
+        assert bits(joined.buckets) == bits(ref_joined.buckets)
+        assert bits(joined.null_rows) == bits(ref_joined.null_rows)
+
+    @given(_RECIPES, st.lists(st.integers(-45, 45), max_size=8))
+    @settings(max_examples=150, deadline=None)
+    def test_point_matches_the_full_scan(self, recipe, probes):
+        hist = make_histogram(recipe)
+        edges = {x for bucket in hist.buckets for x in (bucket.lo, bucket.hi)}
+        for p in sorted(edges | {float(p) for p in probes}):
+            assert bits(hist._point(p)) == bits(scan_point(hist, p)), p
+
+    def test_point_and_touching_buckets_are_covered(self):
+        hist = Histogram(buckets=(
+            Bucket(0.0, 0.0, 5.0, 1.0),
+            Bucket(0.0, 4.0, 8.0, 4.0),
+            Bucket(4.0, 9.0, 10.0, 5.0),
+            Bucket(12.0, 12.0, 3.0, 1.0),
+        ))
+        other = Histogram.from_values([0, 0, 0, 3, 5, 7, 9, 12, 12])
+        assert bits(hist.join_slices(other)) == bits(
+            per_slice_join_slices(hist, other)
+        )
+        assert hist._point(0.0) == scan_point(hist, 0.0) == (5.0 + 2.0, 1.0)
+        assert hist._point(4.0) == scan_point(hist, 4.0) == (2.0, 1.0)
+        empty = Histogram(buckets=())
+        assert hist.join_slices(empty) == per_slice_join_slices(hist, empty)
 
 
 class TestColumnStats:
