@@ -59,6 +59,29 @@ class HashedKey(tuple):
     def __hash__(self) -> int:  # type: ignore[override]
         return self._hash
 
+    def __reduce__(self):
+        # The cached hash is salted per process: unpickling rehashes.
+        return (HashedKey, (tuple(self),))
+
+
+class KeyCached:
+    """Base for immutable objects that cache their interned key on
+    themselves (operators, scalar expressions, property specs).
+
+    A cached key is derived state: a copy whose fields differ must
+    recompute it, and another process must re-intern it.  The pickle
+    leaves out every attribute named in ``_UNPICKLED``; a subclass that
+    caches more derived state names it there too.
+    """
+
+    _UNPICKLED: tuple[str, ...] = ("_cached_key",)
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in self._UNPICKLED:
+            state.pop(name, None)
+        return state
+
 
 def intern_key(key: tuple) -> HashedKey:
     """Return the canonical :class:`HashedKey` for ``key``.

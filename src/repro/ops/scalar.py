@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.catalog.types import BOOL, DataType, FLOAT, INT, TEXT, type_of_literal
-from repro.interning import intern_key
+from repro.interning import KeyCached, intern_key
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class ColumnFactory:
         return self.next(ref.name, ref.dtype)
 
 
-class ScalarExpr:
+class ScalarExpr(KeyCached):
     """Base class for scalar expression nodes."""
 
     children: tuple["ScalarExpr", ...] = ()
@@ -95,16 +95,8 @@ class ScalarExpr:
             key.__doc__ = raw.__doc__
             cls.key = key
 
-    #: Per-instance caches that must never cross a process boundary:
-    #: compiled row closures are unpicklable locals, and the interned
-    #: key must be re-interned in the receiving process.
+    #: Compiled row closures are unpicklable locals: derived state too.
     _UNPICKLED = ("_row_cache", "_cached_key")
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        for name in self._UNPICKLED:
-            state.pop(name, None)
-        return state
 
     @property
     def dtype(self) -> DataType:
