@@ -268,7 +268,10 @@ def cmd_explain(args) -> int:
         from repro.telemetry import analyze_execution
 
         cluster = Cluster(db, segments=args.segments)
-        out = analyze_execution(result.plan, cluster, result.output_cols)
+        out = analyze_execution(
+            result.plan, cluster, result.output_cols,
+            execution_mode=ExecutionMode.coerce(args.engine), tracer=tracer,
+        )
         print(out.analysis.render())
         print(out.analysis.summary())
     else:

@@ -28,6 +28,16 @@ from repro.props.distribution import (
 from repro.props.required import DerivedProps
 from repro.trace import NULL_TRACER
 
+#: Unit rates the cost model and the executor share and no one tunes
+#: (unlike :class:`CostParams`): per merged input row of a merge join
+#: (times ``cpu_tuple``), per row a limit keeps, per appended row, per
+#: row a gather-merge orders on the master, per row a CTE consumer reads.
+MERGE_JOIN_SCAN_FACTOR = 1.1
+LIMIT_FACTOR = 0.1
+APPEND_FACTOR = 0.2
+GATHER_MERGE_FACTOR = 0.3
+CTE_CONSUMER_FACTOR = 0.5
+
 
 @dataclass(frozen=True)
 class CostParams:
@@ -144,7 +154,10 @@ class CostModel:
             return p.startup + build + probe + out_local * p.cpu_tuple * 0.5
         if isinstance(op, ph.PhysicalMergeJoin):
             # One pass over each (already sorted) input.
-            scan = (in_local(0) + in_local(1)) * p.cpu_tuple * 1.1
+            scan = (
+                (in_local(0) + in_local(1)) * p.cpu_tuple
+                * MERGE_JOIN_SCAN_FACTOR
+            )
             return p.startup + scan + out_local * p.cpu_tuple * 0.5
         if isinstance(op, ph.PhysicalNLJoin):
             pairs = in_local(0) * max(child_stats[1].row_count, 1.0)
@@ -160,17 +173,20 @@ class CostModel:
             n = in_local(0)
             return p.startup + n * math.log2(n + 2.0) * p.sort_factor
         if isinstance(op, ph.PhysicalLimit):
-            return in_local(0) * 0.1
+            return in_local(0) * LIMIT_FACTOR
         if isinstance(op, ph.PhysicalWindow):
             return p.startup + in_local(0) * p.window_factor
         if isinstance(op, ph.PhysicalAppend):
-            return sum(in_local(i) for i in range(len(child_stats))) * 0.2
+            return (
+                sum(in_local(i) for i in range(len(child_stats)))
+                * APPEND_FACTOR
+            )
         if isinstance(op, ph.PhysicalGather):
             return self._motion_cost(child_stats[0], full_fanout=False)
         if isinstance(op, ph.PhysicalGatherMerge):
             rows = max(child_stats[0].row_count, 0.0)
             return self._motion_cost(child_stats[0], full_fanout=False) + \
-                rows * p.cpu_tuple * 0.3
+                rows * p.cpu_tuple * GATHER_MERGE_FACTOR
         if isinstance(op, ph.PhysicalRedistribute):
             skew = self._skew(child_stats[0], op.columns)
             return self._motion_cost(child_stats[0], full_fanout=False) / seg * skew
@@ -179,7 +195,7 @@ class CostModel:
         if isinstance(op, ph.PhysicalCTEProducer):
             return in_local(0) * p.materialize_factor
         if isinstance(op, ph.PhysicalCTEConsumer):
-            return p.startup + out_local * 0.5
+            return p.startup + out_local * CTE_CONSUMER_FACTOR
         if isinstance(op, ph.PhysicalSequence):
             return 0.0
         # Unknown physical operator: charge per-tuple processing.
@@ -226,7 +242,8 @@ class CostModel:
             )
         if isinstance(op, ph.PhysicalMergeJoin):
             return (
-                p.startup + (cin(0) + cin(1)) * p.cpu_tuple * 1.1
+                p.startup
+                + (cin(0) + cin(1)) * p.cpu_tuple * MERGE_JOIN_SCAN_FACTOR
                 + out * p.cpu_tuple * 0.5
             )
         if isinstance(op, ph.PhysicalNLJoin):
@@ -246,11 +263,11 @@ class CostModel:
             n = cin(0)
             return p.startup + n * math.log2(n + 2.0) * p.sort_factor
         if isinstance(op, ph.PhysicalLimit):
-            return cin(0) * 0.1
+            return cin(0) * LIMIT_FACTOR
         if isinstance(op, ph.PhysicalWindow):
             return p.startup + cin(0) * p.window_factor
         if isinstance(op, ph.PhysicalAppend):
-            return sum(cin(i) for i in range(len(child_stats))) * 0.2
+            return sum(cin(i) for i in range(len(child_stats))) * APPEND_FACTOR
         if isinstance(op, (ph.PhysicalGather, ph.PhysicalGatherMerge)):
             # Motion cost is charged on full (not per-segment) rows.
             return self._motion_cost(child_stats[0], full_fanout=False)
@@ -261,7 +278,7 @@ class CostModel:
         if isinstance(op, ph.PhysicalCTEProducer):
             return cin(0) * p.materialize_factor
         if isinstance(op, ph.PhysicalCTEConsumer):
-            return p.startup + out * 0.5
+            return p.startup + out * CTE_CONSUMER_FACTOR
         if isinstance(op, ph.PhysicalSequence):
             return 0.0
         return 0.0

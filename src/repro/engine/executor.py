@@ -9,17 +9,28 @@ build sides (Section 7.2.2, Partition Elimination).
 Work is charged per segment on the :class:`ExecutionMetrics` clock using
 the same :class:`~repro.cost.model.CostParams` constants the optimizer's
 cost model uses — which is what makes the TAQO estimated-vs-actual
-correlation experiment (Section 6.2) meaningful.
+correlation experiment (Section 6.2) meaningful.  Each charge is a
+closed-form function of row counts and lands on the plan node that
+incurs it (``ExecutionMetrics.ledger``), so the compiled engine of
+:mod:`repro.engine.fused` reaches the same figures from its counts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro.catalog.schema import DistributionPolicy
 from repro.config import ExecutionMode
-from repro.cost.model import CostParams
+from repro.cost.model import (
+    APPEND_FACTOR,
+    CTE_CONSUMER_FACTOR,
+    GATHER_MERGE_FACTOR,
+    LIMIT_FACTOR,
+    MERGE_JOIN_SCAN_FACTOR,
+    CostParams,
+)
 from repro.engine.cluster import Cluster
 from repro.engine.metrics import ExecutionMetrics
 from repro.errors import ExecutionError, OutOfMemoryError
@@ -74,8 +85,9 @@ class ExecutionResult:
     rows: list[tuple]
     columns: list[ColRef]
     metrics: ExecutionMetrics
-    #: Per-node actuals, populated when executing with ``analyze=True``
-    #: (or when a telemetry registry is attached).
+    #: Per-node actuals (the execution's ledger), populated when
+    #: executing with ``analyze=True`` (or when a telemetry registry is
+    #: attached).
     analysis: Optional[PlanAnalysis] = None
 
     def simulated_seconds(self) -> float:
@@ -155,8 +167,6 @@ class Executor:
         self.per_op_startup_units = per_op_startup_units
         self.materialize_output_factor = materialize_output_factor
         self.metrics = ExecutionMetrics(segments=cluster.segments)
-        self._analysis: Optional[PlanAnalysis] = None
-        self._collect = False
         self._param_env: dict[int, Any] = {}
         self._selector_values: dict[int, set] = {}
         self._wanted_selectors: set[int] = set()
@@ -173,14 +183,6 @@ class Executor:
         self.metrics = ExecutionMetrics(
             segments=self.cluster.segments,
             time_limit_seconds=self.time_limit_seconds,
-        )
-        # Per-node actuals are collected for EXPLAIN ANALYZE and whenever
-        # a metrics registry wants per-operator work attribution.
-        self._collect = analyze or self.tracer.registry is not None
-        self._analysis = (
-            PlanAnalysis(plan=plan, segments=self.cluster.segments)
-            if self._collect
-            else None
         )
         self._selector_values = {}
         self._cte_store = {}
@@ -204,6 +206,7 @@ class Executor:
         with self.tracer.span("execute"):
             result = self._exec(plan)
             rows = result.single_copy()
+        self.metrics.close(plan)
         cols = result.cols
         if output_cols:
             positions = _positions(cols, output_cols)
@@ -221,79 +224,82 @@ class Executor:
                 partitions_eliminated=self.metrics.partitions_eliminated,
                 subplan_executions=self.metrics.subplan_executions,
             )
-        fold_execution(
-            self.tracer, plan, self.metrics, len(rows), self._analysis
+        # Per-node actuals are handed out for EXPLAIN ANALYZE and whenever
+        # a metrics registry wants per-operator work attribution.
+        analysis = (
+            PlanAnalysis(
+                plan=plan, segments=self.cluster.segments,
+                node_stats=self.metrics.ledger,
+            )
+            if analyze or self.tracer.registry is not None
+            else None
         )
+        fold_execution(self.tracer, plan, self.metrics, len(rows), analysis)
         return ExecutionResult(
-            rows=rows, columns=cols, metrics=self.metrics,
-            analysis=self._analysis,
+            rows=rows, columns=cols, metrics=self.metrics, analysis=analysis,
         )
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def _exec(self, node: PlanNode) -> DRows:
-        op = node.op
-        handler = self._handlers.get(type(op))
-        if handler is None:
-            raise ExecutionError(f"no executor for operator {op!r}")
-        collect = self._collect
-        if collect:
-            # Inclusive work window: everything charged while this node
-            # (children included) runs is attributed to it; exclusive
-            # figures are derived later by subtracting child windows.
-            seg_before = list(self.metrics.segment_work)
-            master_before = self.metrics.master_work
-            net_before = self.metrics.net_bytes
-        chain = self._fused_chains.get(id(node)) if self._fused else None
+        chain = self._fused_chains.get(id(node))
         if chain is not None:
             from repro.engine.fused import run_chain
 
             result = run_chain(self, chain)
         else:
+            handler = self._handlers.get(type(node.op))
+            if handler is None:
+                raise ExecutionError(f"no executor for operator {node.op!r}")
             result = handler(self, node)
-        self._charge_stage_overheads(result)
-        self.metrics.cardinalities.append(
-            (repr(op), node.rows_estimate, result.total_rows())
-        )
-        if collect:
-            stats = self._analysis.stats_for(node)
-            for i in range(self.metrics.segments):
-                stats.seg_work[i] += self.metrics.segment_work[i] - seg_before[i]
-            stats.master_work += self.metrics.master_work - master_before
-            stats.net_bytes += self.metrics.net_bytes - net_before
-            stats.loops += 1
-            stats.rows_out += result.total_rows()
+        self._node_done(node, result.kind, result.bucket_sizes())
+        return result
+
+    def _node_done(self, node: PlanNode, kind: str, sizes: list[int]) -> None:
+        """Close one executed node, in either engine: its stage
+        overheads, its cardinality record, its rows and loops in the
+        ledger, the ``operator_executed`` event and the budget check."""
+        metrics = self.metrics
+        if self.per_op_startup_units:
+            metrics.charge_all_segments(node, self.per_op_startup_units)
+        rows = sum(sizes)
+        if self.materialize_output_factor:
+            self._charge_by_kind(
+                node, kind, sizes, rows * self.materialize_output_factor
+            )
+        metrics.cardinalities.append((repr(node.op), node.rows_estimate, rows))
+        entry = metrics.node(node)
+        entry.loops += 1
+        entry.rows_out += rows
         if self.tracer.enabled:
             self.tracer.record(
                 "operator_executed",
-                op=op.name, rows_out=result.total_rows(),
+                op=node.op.name, rows_out=rows,
                 rows_estimated=node.rows_estimate,
             )
-        self.metrics.check_budget()
-        return result
+        metrics.check_budget()
 
-    def _charge_stage_overheads(self, result: DRows) -> None:
-        if self.per_op_startup_units:
-            self.metrics.charge_all_segments(self.per_op_startup_units)
-        if self.materialize_output_factor:
-            bytes_ = result.total_rows() * result.width()
-            self._charge_by_kind(
-                result,
-                bytes_ * self.materialize_output_factor / max(result.width(), 1),
-            )
-
-    def _charge_by_kind(self, drows: DRows, total_units: float) -> None:
-        if drows.kind == SINGLETON:
-            self.metrics.charge_master(total_units)
-        elif drows.kind == REPLICATED:
-            self.metrics.charge_all_segments(total_units)
+    def _charge_by_kind(
+        self, node: PlanNode, kind: str, sizes: list[int], units: float
+    ) -> None:
+        """Charge ``units`` of work spread over a rowset: all on the
+        master, in full on every segment, or per bucket by its rows."""
+        if kind == SINGLETON:
+            self.metrics.charge_master(node, units)
+        elif kind == REPLICATED:
+            self.metrics.charge_all_segments(node, units)
         else:
-            sizes = drows.bucket_sizes()
-            total = max(sum(sizes), 1)
+            rate = units / max(sum(sizes), 1)
             for i, size in enumerate(sizes):
-                share = size / total
-                self.metrics.charge_segment(i, total_units * share)
+                self.metrics.charge_segment(node, i, size * rate)
+
+    def _charge_at(self, node: PlanNode, seg: int, units: float) -> None:
+        """Charge one join work unit (segment ``-1`` is the master)."""
+        if seg == -1:
+            self.metrics.charge_master(node, units)
+        else:
+            self.metrics.charge_segment(node, seg, units)
 
     def _env(self, cols_index: dict[int, int], row: tuple) -> dict[int, Any]:
         env = {cid: row[pos] for cid, pos in cols_index.items()}
@@ -306,7 +312,9 @@ class Executor:
     def _index(cols: Sequence[ColRef]) -> dict[int, int]:
         return {c.id: i for i, c in enumerate(cols)}
 
-    def _check_memory(self, rows: list[tuple], cols, op_name: str) -> None:
+    def _check_memory(
+        self, node: PlanNode, rows: list[tuple], cols, op_name: str
+    ) -> None:
         width = sum(c.dtype.width for c in cols) or 8
         needed = len(rows) * width
         if needed <= self.cluster.memory_limit_bytes:
@@ -316,7 +324,7 @@ class Executor:
             # Spilling writes and re-reads the overflow.
             overflow = needed - self.cluster.memory_limit_bytes
             self.metrics.charge_all_segments(
-                2.0 * overflow / max(width, 1) * self.params.scan_tuple
+                node, 2.0 * overflow / max(width, 1) * self.params.scan_tuple
             )
         else:
             raise OutOfMemoryError(
@@ -370,19 +378,17 @@ class Executor:
         op = node.op
         rows = self._scan_rows(op)
         result = self._distribute(op, rows)
-        if result.kind == REPLICATED:
-            self.metrics.charge_all_segments(len(rows) * self.params.scan_tuple)
-        else:
-            for i, bucket in enumerate(result.buckets):
-                self.metrics.charge_segment(
-                    i, len(bucket) * self.params.scan_tuple
-                )
+        self._charge_by_kind(
+            node, result.kind, result.bucket_sizes(),
+            len(rows) * self.params.scan_tuple,
+        )
         return result
 
-    def _index_fetch(self, op) -> DRows:
+    def _index_fetch(self, node: PlanNode) -> DRows:
         """Range-fetch, distribute, order and charge an index scan —
         everything except the residual predicate (each mode applies its
         own)."""
+        op = node.op
         rows = self.cluster.db.scan(op.table.name)
         pos = op.table.column_index(op.index.column)
         fetched = []
@@ -412,13 +418,15 @@ class Executor:
                 _sort_rows(b, result.cols, [key]) for b in result.buckets
             ],
         )
-        charge = len(fetched) * self.params.index_tuple
-        self._charge_by_kind(result, charge)
+        self._charge_by_kind(
+            node, result.kind, result.bucket_sizes(),
+            len(fetched) * self.params.index_tuple,
+        )
         return result
 
     def _exec_index_scan(self, node: PlanNode) -> DRows:
         op: ph.PhysicalIndexScan = node.op
-        result = self._index_fetch(op)
+        result = self._index_fetch(node)
         if op.residual is not None:
             index = self._index(result.cols)
             result = DRows(
@@ -447,7 +455,8 @@ class Executor:
                 [r for r in b if pred.evaluate(self._env(index, r)) is True]
             )
         self._charge_by_kind(
-            child, child.total_rows() * self.params.filter_factor
+            node, child.kind, child.bucket_sizes(),
+            child.total_rows() * self.params.filter_factor,
         )
         return DRows(child.kind, child.cols, out_buckets)
 
@@ -466,7 +475,7 @@ class Executor:
                 )
             out_buckets.append(new_bucket)
         self._charge_by_kind(
-            child,
+            node, child.kind, child.bucket_sizes(),
             child.total_rows() * self.params.project_factor * len(projections),
         )
         return DRows(child.kind, out_cols, out_buckets)
@@ -474,18 +483,19 @@ class Executor:
     # ------------------------------------------------------------------
     # Joins
     # ------------------------------------------------------------------
-    def _join_sides(self, outer: DRows, inner: DRows):
-        """Yield (segment_id_or_-1, outer_rows, inner_rows) work units.
+    def _join_sides(self, kind: str, buckets: list[list[tuple]], inner: DRows):
+        """Yield (segment_id_or_-1, outer_rows, inner_rows) work units for
+        an outer side of ``kind`` with ``buckets``.
 
         segment -1 means the master.
         """
-        if outer.kind == SINGLETON:
-            return [(-1, outer.buckets[0], inner.single_copy())]
-        if outer.kind == REPLICATED and inner.kind == REPLICATED:
-            return [(0, outer.buckets[0], inner.buckets[0])]
+        if kind == SINGLETON:
+            return [(-1, buckets[0], inner.single_copy())]
+        if kind == REPLICATED and inner.kind == REPLICATED:
+            return [(0, buckets[0], inner.buckets[0])]
         pairs = []
         for seg in range(self.cluster.segments):
-            o = outer.buckets[0] if outer.kind == REPLICATED else outer.buckets[seg]
+            o = buckets[0] if kind == REPLICATED else buckets[seg]
             if inner.kind in (REPLICATED, SINGLETON):
                 i = inner.buckets[0]
             else:
@@ -493,10 +503,11 @@ class Executor:
             pairs.append((seg, o, i))
         return pairs
 
-    def _join_output_kind(self, outer: DRows, inner: DRows) -> str:
-        if outer.kind == SINGLETON:
+    @staticmethod
+    def _join_output_kind(outer_kind: str, inner_kind: str) -> str:
+        if outer_kind == SINGLETON:
             return SINGLETON
-        if outer.kind == REPLICATED and inner.kind == REPLICATED:
+        if outer_kind == REPLICATED and inner_kind == REPLICATED:
             return REPLICATED
         return SEGMENTED
 
@@ -528,24 +539,24 @@ class Executor:
         # The residual sees both sides whatever the join puts out: a
         # SEMI / ANTI join's rows have no build side, its residual may.
         combined_index = self._index(list(outer.cols) + list(inner.cols))
-        kind = self._join_output_kind(outer, inner)
+        kind = self._join_output_kind(outer.kind, inner.kind)
         out_buckets: list[list[tuple]] = []
-        for seg, o_rows, i_rows in self._join_sides(outer, inner):
-            self._check_memory(i_rows, inner.cols, "HashJoin")
+        for seg, o_rows, i_rows in self._join_sides(
+            outer.kind, outer.buckets, inner
+        ):
+            self._charge_hash_side(node, seg, len(o_rows), i_rows, inner.cols)
             table: dict[tuple, list[tuple]] = {}
             for row in i_rows:
                 key = tuple(row[p] for p in r_pos)
                 if any(v is None for v in key):
                     continue
                 table.setdefault(key, []).append(row)
-            work = len(i_rows) * self.params.hash_build
             matched_out: list[tuple] = []
             for row in o_rows:
                 key = tuple(row[p] for p in l_pos)
                 candidates = (
                     table.get(key, []) if not any(v is None for v in key) else []
                 )
-                work += self.params.hash_probe
                 hit = False
                 for cand in candidates:
                     if residual is not None:
@@ -565,12 +576,20 @@ class Executor:
                         matched_out.append(row + null_pad)
                     elif op.kind is JoinKind.ANTI:
                         matched_out.append(row)
-            if seg == -1:
-                self.metrics.charge_master(work)
-            else:
-                self.metrics.charge_segment(seg, work)
             out_buckets.append(matched_out)
         return DRows(kind, out_cols, out_buckets)
+
+    def _charge_hash_side(
+        self, node: PlanNode, seg: int, probes: int, build: list[tuple], cols
+    ) -> None:
+        """One hash-join work unit's charges, in either engine: the build
+        side's memory check, then building and probing."""
+        self._check_memory(node, build, cols, "HashJoin")
+        self._charge_at(
+            node, seg,
+            len(build) * self.params.hash_build
+            + probes * self.params.hash_probe,
+        )
 
     def _exec_merge_join(self, node: PlanNode) -> DRows:
         op: ph.PhysicalMergeJoin = node.op
@@ -586,18 +605,20 @@ class Executor:
         )
         null_pad = (None,) * len(inner.cols)
         combined_index = self._index(list(outer.cols) + list(inner.cols))
-        kind = self._join_output_kind(outer, inner)
+        kind = self._join_output_kind(outer.kind, inner.kind)
         out_buckets: list[list[tuple]] = []
-        for seg, o_rows, i_rows in self._join_sides(outer, inner):
+        for seg, o_rows, i_rows in self._join_sides(
+            outer.kind, outer.buckets, inner
+        ):
             bucket = _merge_join_segment(
                 o_rows, i_rows, l_pos, r_pos, op, null_pad,
                 combined_index, self._env,
             )
-            work = (len(o_rows) + len(i_rows)) * self.params.cpu_tuple * 1.1
-            if seg == -1:
-                self.metrics.charge_master(work)
-            else:
-                self.metrics.charge_segment(seg, work)
+            self._charge_at(
+                node, seg,
+                (len(o_rows) + len(i_rows)) * self.params.cpu_tuple
+                * MERGE_JOIN_SCAN_FACTOR,
+            )
             out_buckets.append(bucket)
         return DRows(kind, out_cols, out_buckets)
 
@@ -610,16 +631,18 @@ class Executor:
             inner.cols
         )
         null_pad = (None,) * len(inner.cols)
-        kind = self._join_output_kind(outer, inner)
+        kind = self._join_output_kind(outer.kind, inner.kind)
         out_buckets = []
         full_index = self._index(list(outer.cols) + list(inner.cols))
-        for seg, o_rows, i_rows in self._join_sides(outer, inner):
-            work = 0.0
+        for seg, o_rows, i_rows in self._join_sides(
+            outer.kind, outer.buckets, inner
+        ):
+            pairs = 0
             bucket = []
             for o_row in o_rows:
                 hit = False
                 for i_row in i_rows:
-                    work += self.params.nl_factor
+                    pairs += 1
                     ok = True
                     if op.condition is not None:
                         env = self._env(full_index, o_row + i_row)
@@ -639,10 +662,7 @@ class Executor:
                         bucket.append(o_row + null_pad)
                     elif op.kind is JoinKind.ANTI:
                         bucket.append(o_row)
-            if seg == -1:
-                self.metrics.charge_master(work)
-            else:
-                self.metrics.charge_segment(seg, work)
+            self._charge_at(node, seg, pairs * self.params.nl_factor)
             out_buckets.append(bucket)
             self.metrics.check_budget()
         return DRows(kind, out_cols, out_buckets)
@@ -671,22 +691,25 @@ class Executor:
                     rows, work, net = cache[key]
                     if not self.cache_correlated_work:
                         # Charge as if the subplan really re-ran.
-                        self.metrics.charge_master(work)
-                        self.metrics.charge_network(net)
+                        self.metrics.charge_master(node, work)
+                        self.metrics.charge_network(node, net)
                         self.metrics.subplan_executions += 1
                 else:
                     saved_env = self._param_env
                     self._param_env = {**saved_env, **{
                         cid: env.get(cid) for cid in param_ids
                     }}
-                    work_before = self.metrics.total_work()
-                    net_before = self.metrics.net_bytes
+                    before = self.metrics.work_of(inner_plan)
                     inner_result = self._exec(inner_plan)
                     self._param_env = saved_env
                     rows = inner_result.single_copy()
-                    work = self.metrics.total_work() - work_before
-                    net = self.metrics.net_bytes - net_before
-                    cache[key] = (rows, work, net)
+                    # What this binding's run added to the inner subtree.
+                    after = self.metrics.work_of(inner_plan)
+                    cache[key] = (
+                        rows,
+                        after.total_work() - before.total_work(),
+                        after.net_bytes - before.net_bytes,
+                    )
                     self.metrics.subplan_executions += 1
                 if op.kind is ApplyKind.SEMI:
                     if rows:
@@ -731,7 +754,7 @@ class Executor:
                 # (identity values), on every participating node for the
                 # partial stage.
                 groups[()] = [_agg_init(a) for a, _c in op.aggs]
-            self._check_memory(list(groups), out_cols, op.name)
+            self._check_memory(node, list(groups), out_cols, op.name)
             out_rows = []
             for key, state in groups.items():
                 out_rows.append(
@@ -745,7 +768,9 @@ class Executor:
                     out_rows, out_cols, [SortKey(c.id) for c in op.group_cols]
                 )
             out_buckets.append(out_rows)
-        self._charge_by_kind(child, child.total_rows() * factor)
+        self._charge_by_kind(
+            node, child.kind, child.bucket_sizes(), child.total_rows() * factor
+        )
         return DRows(child.kind, out_cols, out_buckets)
 
     def _exec_window(self, node: PlanNode) -> DRows:
@@ -758,7 +783,8 @@ class Executor:
             extended = _window_bucket(bucket, index, op.funcs, self._env)
             out_buckets.append(extended)
         self._charge_by_kind(
-            child, child.total_rows() * self.params.window_factor
+            node, child.kind, child.bucket_sizes(),
+            child.total_rows() * self.params.window_factor,
         )
         return DRows(child.kind, out_cols, out_buckets)
 
@@ -771,11 +797,10 @@ class Executor:
         out_buckets = [
             _sort_rows(b, child.cols, op.order.keys) for b in child.buckets
         ]
-        import math
-
         n = child.total_rows()
         self._charge_by_kind(
-            child, n * math.log2(n + 2.0) * self.params.sort_factor
+            node, child.kind, child.bucket_sizes(),
+            n * math.log2(n + 2.0) * self.params.sort_factor,
         )
         return DRows(child.kind, child.cols, out_buckets)
 
@@ -786,7 +811,7 @@ class Executor:
         lo = op.offset
         hi = None if op.limit is None else op.offset + op.limit
         rows = rows[lo:hi]
-        self.metrics.charge_master(len(rows) * 0.1)
+        self.metrics.charge_master(node, len(rows) * LIMIT_FACTOR)
         return DRows(SINGLETON, child.cols, [rows])
 
     def _exec_append(self, node: PlanNode) -> DRows:
@@ -814,7 +839,9 @@ class Executor:
                     tuple(r[p] for p in positions) for r in bucket
                 )
         total = sum(len(b) for b in out_buckets)
-        self.metrics.charge_all_segments(total * 0.2 / max(nbuckets, 1))
+        self.metrics.charge_all_segments(
+            node, total * APPEND_FACTOR / max(nbuckets, 1)
+        )
         return DRows(kind, out_cols, out_buckets)
 
     # ------------------------------------------------------------------
@@ -823,7 +850,7 @@ class Executor:
     def _exec_gather(self, node: PlanNode) -> DRows:
         child = self._exec(node.children[0])
         rows = child.single_copy()
-        self.metrics.charge_network(len(rows) * child.width())
+        self.metrics.charge_network(node, len(rows) * child.width())
         self.metrics.rows_moved += len(rows)
         return DRows(SINGLETON, child.cols, [rows])
 
@@ -832,8 +859,8 @@ class Executor:
         child = self._exec(node.children[0])
         rows = child.single_copy()
         rows = _sort_rows(rows, child.cols, op.order.keys)
-        self.metrics.charge_network(len(rows) * child.width())
-        self.metrics.charge_master(len(rows) * 0.3)
+        self.metrics.charge_network(node, len(rows) * child.width())
+        self.metrics.charge_master(node, len(rows) * GATHER_MERGE_FACTOR)
         self.metrics.rows_moved += len(rows)
         return DRows(SINGLETON, child.cols, [rows])
 
@@ -847,7 +874,7 @@ class Executor:
         # All segments send and receive concurrently: the wall-clock
         # network time is the per-segment share, not the total traffic.
         self.metrics.charge_network(
-            len(rows) * child.width() / max(self.cluster.segments, 1)
+            node, len(rows) * child.width() / max(self.cluster.segments, 1)
         )
         self.metrics.rows_moved += len(rows)
         return DRows(SEGMENTED, child.cols, buckets)
@@ -856,7 +883,7 @@ class Executor:
         child = self._exec(node.children[0])
         rows = child.single_copy()
         self.metrics.charge_network(
-            len(rows) * child.width() * self.cluster.segments
+            node, len(rows) * child.width() * self.cluster.segments
         )
         self.metrics.rows_moved += len(rows) * self.cluster.segments
         return DRows(REPLICATED, child.cols, [rows])
@@ -890,7 +917,8 @@ class Executor:
             )
         self._cte_store[op.cte_id] = stored
         self._charge_by_kind(
-            child, child.total_rows() * self.params.materialize_factor
+            node, child.kind, child.bucket_sizes(),
+            child.total_rows() * self.params.materialize_factor,
         )
         return stored
 
@@ -911,7 +939,10 @@ class Executor:
                     for b in stored.buckets
                 ],
             )
-        self._charge_by_kind(renamed, renamed.total_rows() * 0.5)
+        self._charge_by_kind(
+            node, renamed.kind, renamed.bucket_sizes(),
+            renamed.total_rows() * CTE_CONSUMER_FACTOR,
+        )
         return renamed
 
     # ------------------------------------------------------------------

@@ -40,15 +40,16 @@ share are decided once:
 
 The contract with the row interpreter (``ExecutionMode.ROW``, the
 reference every differential test compares against) is strict float
-identity.  Work charges depend only on per-node per-bucket row counts,
-so a chain streams first (touching no metrics, only counting rows at
-every operator), then **replays** the exact accounting sequence of the
-row handlers bottom-up: the same charges in the same order (including
-the per-probe-row ``work += probe`` float accumulation), the same
-memory checks, cardinality records, EXPLAIN ANALYZE windows, tracer
-events and budget checks.  ``tests/test_fused_executor.py`` pins
-fused == row across the TPC-DS corpus for rows, ExecutionMetrics and
-per-node NodeStats.
+identity, and it holds by construction: every charge is a closed-form
+function of per-node per-bucket row counts, booked on the node that
+incurs it (``ExecutionMetrics.ledger``).  A stage streams first,
+touching no metric and only counting rows at every operator; then its
+nodes are charged bottom-up from those counts through the same
+executor helpers the row handlers call (``_charge_by_kind``,
+``_charge_hash_side``, ``_check_memory``) and closed with the same
+``_node_done``.  ``tests/test_fused_executor.py`` pins fused == row
+across the TPC-DS corpus for rows, ExecutionMetrics and per-node
+NodeStats.
 
 Compiled chains are cached on the plan root (``plan._fused_cache``).
 The plan cache hands out the tree it stored, so repeated executions of
@@ -65,9 +66,9 @@ re-bind does not reach the Python compiler.
 When the executor carries a :class:`repro.engine.parallel.MorselPool`,
 the streaming phase of every stage is dispatched across the pool — one
 morsel per bucket/segment pair — and the results are gathered back in
-bucket order, so the replay phase (and with it every metric, trace
-event and NodeStats figure) is unchanged and float-identical to the
-serial fused path.  See DESIGN.md §3l.
+bucket order, so the charges (and with them every metric, trace event
+and NodeStats figure) are float-identical to the serial fused path.
+See DESIGN.md §3l.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ from repro.engine.columnar import (
     row_cached,
 )
 from repro.engine.executor import (
-    REPLICATED,
     DRows,
     _agg_add_value,
     _agg_final,
@@ -114,30 +114,6 @@ def fused_chains(plan: PlanNode) -> dict[int, Pipeline]:
         cache = {id(p.top): p for p in fusable_pipelines(plan)}
         plan._fused_cache = cache
     return cache
-
-
-class _Sized:
-    """Duck-types the metric-facing surface of DRows from bare (kind,
-    cols, bucket sizes, buckets) so the executor's own
-    ``_charge_by_kind`` / ``_charge_stage_overheads`` / ``_join_sides``
-    run unchanged during streaming and replay."""
-
-    __slots__ = ("kind", "cols", "_sizes", "buckets")
-
-    def __init__(self, kind, cols, sizes, buckets=None):
-        self.kind = kind
-        self.cols = cols
-        self._sizes = sizes
-        self.buckets = buckets
-
-    def bucket_sizes(self):
-        return self._sizes
-
-    def total_rows(self):
-        return sum(self._sizes)
-
-    def width(self):
-        return sum(c.dtype.width for c in self.cols) or 8
 
 
 def _index(cols) -> dict[int, int]:
@@ -529,7 +505,7 @@ class _StageGen:
 
 
 # ----------------------------------------------------------------------
-# Runtime: stream, then replay the row path's accounting
+# Runtime: stream each stage, then charge its nodes from their row counts
 # ----------------------------------------------------------------------
 
 def _worth_dispatching(st, cur_buckets, pairs) -> bool:
@@ -544,21 +520,13 @@ def _worth_dispatching(st, cur_buckets, pairs) -> bool:
 
 def run_chain(ex, chain: Pipeline) -> DRows:
     """Execute one fused chain.  Called from ``Executor._exec`` in place
-    of the top node's handler; the caller still owns the top node's own
-    post-accounting (stage overheads, cardinality, stats window)."""
+    of the top node's handler; the caller closes the top node
+    (``Executor._node_done``), this closes every node below it."""
     ops = chain.ops
     top = ops[-1]
-    collect = ex._collect
-    m = ex.metrics
-    snapshots: dict[int, tuple] = {}
     inners: dict[int, DRows] = {}
-    # Walk down in the row path's recursion order: each interior node's
-    # stats window opens, then (for joins) its build side executes in full.
+    # Build sides first, outermost join first: the row path's order.
     for node in reversed(ops):
-        if collect and node is not top:
-            snapshots[id(node)] = (
-                list(m.segment_work), m.master_work, m.net_bytes
-            )
         if type(node.op) is ph.PhysicalHashJoin:
             inner = ex._exec(node.children[1])
             ex._publish_selectors(inner)
@@ -592,20 +560,18 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                 chain=chain.describe(),
             )
 
-    # ---- Streaming phase: no metric operations, only row counting. ----
     # With a morsel pool attached, each stage's per-bucket loop is
     # scattered across the pool (one morsel per bucket) and gathered in
-    # bucket order; without one, the loops run inline.  Both paths feed
-    # identical per-bucket results into the sequential replay below.
+    # bucket order; without one, the loops run inline.  Both paths yield
+    # identical per-bucket rows and counters, which is all the charges
+    # below read.
     params = ex._param_env
     pool = ex._morsel_pool
-    counts: dict[int, list[int]] = {}
-    kinds: dict[int, str] = {}
-    sides: dict[int, list[tuple]] = {}
-    groups_by_bucket: Optional[list[dict]] = None
-    cur_kind = src.kind
+    p = ex.params
+    kind = src.kind
     cur_buckets = src.buckets
-    cur_sizes = src.bucket_sizes()
+    sizes = src.bucket_sizes()
+    result: Optional[DRows] = None
     for stage_idx, st in enumerate(compiled.stages):
         fn = st.fn
         bound = st.bound
@@ -614,16 +580,11 @@ def run_chain(ex, chain: Pipeline) -> DRows:
         out_buckets: list[list[tuple]] = []
         has_agg = st.agg is not None
         glist: list[dict] = []
-        prev = cur_sizes
         pairs = None
         if st.join is not None:
             inner = inners[id(st.join)]
-            outer = _Sized(cur_kind, None, cur_sizes, cur_buckets)
-            pairs = ex._join_sides(outer, inner)
-            sides[id(st.join)] = [
-                (seg, len(o_rows), i_rows) for seg, o_rows, i_rows in pairs
-            ]
-            cur_kind = ex._join_output_kind(outer, inner)
+            pairs = ex._join_sides(kind, cur_buckets, inner)
+            kind = ex._join_output_kind(kind, inner.kind)
         if pool is not None and _worth_dispatching(st, cur_buckets, pairs):
             if st.join is None:
                 morsels = [(rows, None) for rows in cur_buckets]
@@ -679,110 +640,58 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                     out_buckets.append(out)
                 for i in range(nc):
                     per_counter[i].append(cts[i])
-        for node in st.ops_order:
-            ci = st.counter_of.get(id(node))
-            if ci is not None:
-                sizes = per_counter[ci]
-            elif type(node.op) is ph.PhysicalProject:
-                sizes = prev
-            else:  # agg sink: sized during replay (scalar-empty rule)
-                sizes = None
-            counts[id(node)] = sizes
-            kinds[id(node)] = cur_kind
-            if sizes is not None:
-                prev = sizes
-        if has_agg:
-            groups_by_bucket = glist
-        else:
-            cur_buckets = out_buckets
-        cur_sizes = prev
 
-    # ---- Replay phase: the row handlers' exact accounting order. ----
-    p = ex.params
-    prev_kind = src.kind
-    prev_sizes = src.bucket_sizes()
-    result: Optional[DRows] = None
-    for node in ops:
-        op = node.op
-        t = type(op)
-        if t is ph.PhysicalFilter:
-            ex._charge_by_kind(
-                _Sized(prev_kind, None, prev_sizes),
-                sum(prev_sizes) * p.filter_factor,
-            )
-        elif t is ph.PhysicalProject:
-            ex._charge_by_kind(
-                _Sized(prev_kind, None, prev_sizes),
-                sum(prev_sizes) * p.project_factor * len(op.projections),
-            )
-        elif t is ph.PhysicalHashJoin:
-            inner = inners[id(node)]
-            hash_build = p.hash_build
-            probe = p.hash_probe
-            for seg, o_count, i_rows in sides[id(node)]:
-                ex._check_memory(i_rows, inner.cols, "HashJoin")
-                work = len(i_rows) * hash_build
-                for _ in range(o_count):
-                    work += probe
-                if seg == -1:
-                    m.charge_master(work)
-                else:
-                    m.charge_segment(seg, work)
-        else:  # aggregation sink
-            out_cols = compiled.node_cols[id(node)]
-            sink = compiled.stages[-1]
-            is_stream = isinstance(op, ph.PhysicalStreamAgg)
-            factor = p.cpu_tuple if is_stream else p.agg_factor
-            sort_keys = [SortKey(c.id) for c in op.group_cols]
-            agg_buckets = []
-            for groups in groups_by_bucket:
-                if not op.group_cols and not groups:
-                    # Scalar aggregation over empty input: one row.
-                    groups[()] = sink.init(sink.bound)
-                ex._check_memory(list(groups), out_cols, op.name)
-                out_rows = sink.final(groups, sink.bound)
-                if is_stream and op.group_cols:
-                    out_rows = _sort_rows(out_rows, out_cols, sort_keys)
-                agg_buckets.append(out_rows)
-            ex._charge_by_kind(
-                _Sized(prev_kind, None, prev_sizes), sum(prev_sizes) * factor
-            )
-            result = DRows(kinds[id(node)], out_cols, agg_buckets)
-            counts[id(node)] = result.bucket_sizes()
-        cur_sizes = counts[id(node)]
-        cur_kind = kinds[id(node)]
-        if node is not top:
-            total = sum(cur_sizes)
-            ex._charge_stage_overheads(
-                _Sized(cur_kind, compiled.node_cols[id(node)], cur_sizes)
-            )
-            m.cardinalities.append((repr(op), node.rows_estimate, total))
-            if collect:
-                snap = snapshots[id(node)]
-                stats = ex._analysis.stats_for(node)
-                for i in range(m.segments):
-                    stats.seg_work[i] += m.segment_work[i] - snap[0][i]
-                stats.master_work += m.master_work - snap[1]
-                stats.net_bytes += m.net_bytes - snap[2]
-                stats.loops += 1
-                stats.rows_out += total
-            if ex.tracer.enabled:
-                ex.tracer.record(
-                    "operator_executed",
-                    op=op.name, rows_out=total,
-                    rows_estimated=node.rows_estimate,
+        # Charge and close the stage's nodes bottom-up, each from the
+        # row counts its row handler would charge it from.
+        for node in st.ops_order:
+            op = node.op
+            t = type(op)
+            if t is ph.PhysicalHashJoin:
+                cols = inners[id(node)].cols
+                for seg, o_rows, i_rows in pairs:
+                    ex._charge_hash_side(node, seg, len(o_rows), i_rows, cols)
+                out_sizes = per_counter[st.counter_of[id(node)]]
+            elif t is ph.PhysicalFilter:
+                ex._charge_by_kind(
+                    node, kind, sizes, sum(sizes) * p.filter_factor
                 )
-            m.check_budget()
-        prev_kind, prev_sizes = cur_kind, cur_sizes
+                out_sizes = per_counter[st.counter_of[id(node)]]
+            elif t is ph.PhysicalProject:
+                ex._charge_by_kind(
+                    node, kind, sizes,
+                    sum(sizes) * p.project_factor * len(op.projections),
+                )
+                out_sizes = sizes
+            else:  # aggregation sink: group tables -> output rows
+                cols = compiled.node_cols[id(node)]
+                is_stream = isinstance(op, ph.PhysicalStreamAgg)
+                sort_keys = [SortKey(c.id) for c in op.group_cols]
+                agg_buckets = []
+                for groups in glist:
+                    if not op.group_cols and not groups:
+                        # Scalar aggregation over empty input: one row.
+                        groups[()] = st.init(bound)
+                    ex._check_memory(node, list(groups), cols, op.name)
+                    out_rows = st.final(groups, bound)
+                    if is_stream and op.group_cols:
+                        out_rows = _sort_rows(out_rows, cols, sort_keys)
+                    agg_buckets.append(out_rows)
+                factor = p.cpu_tuple if is_stream else p.agg_factor
+                ex._charge_by_kind(node, kind, sizes, sum(sizes) * factor)
+                result = DRows(kind, cols, agg_buckets)
+                out_sizes = result.bucket_sizes()
+            if node is not top:
+                ex._node_done(node, kind, out_sizes)
+            sizes = out_sizes
+        cur_buckets = out_buckets
     if result is None:
-        result = DRows(cur_kind, compiled.node_cols[id(top)], cur_buckets)
+        result = DRows(kind, compiled.node_cols[id(top)], cur_buckets)
     return result
 
 
 # ----------------------------------------------------------------------
 # Handlers outside a chain: the three the row interpreter's are not
-# good enough for.  Each issues its row counterpart's metric operations
-# in the same order.
+# good enough for.  Each issues its row counterpart's charges.
 # ----------------------------------------------------------------------
 
 def _f_scan(ex, node) -> DRows:
@@ -822,17 +731,15 @@ def _f_scan(ex, node) -> DRows:
         )
     _, n_rows, out = hit
     ex.metrics.rows_scanned += n_rows
-    if out.kind == REPLICATED:
-        ex.metrics.charge_all_segments(n_rows * ex.params.scan_tuple)
-    else:
-        for i, bucket in enumerate(out.buckets):
-            ex.metrics.charge_segment(i, len(bucket) * ex.params.scan_tuple)
+    ex._charge_by_kind(
+        node, out.kind, out.bucket_sizes(), n_rows * ex.params.scan_tuple
+    )
     return out
 
 
 def _f_index_scan(ex, node) -> DRows:
     op = node.op
-    result = ex._index_fetch(op)
+    result = ex._index_fetch(node)
     if op.residual is None:
         return result
     keep = compiled_row(op.residual, _index(result.cols))
@@ -846,17 +753,16 @@ def _f_index_scan(ex, node) -> DRows:
 
 def _nl_loop(op, n_outer: int, index):
     """The generated pair loop of one nested-loops join:
-    ``f(outer rows, inner rows, params, nl_factor, null pad, append,
-    bound) -> work``.  The condition is inlined and reads both rows in
-    place, so an output row is built only for a pair that passed; the
-    per-pair ``work += nl_factor`` stays, in the row path's order."""
+    ``f(outer rows, inner rows, params, null pad, append, bound) ->
+    pairs probed``.  The condition is inlined and reads both rows in
+    place, so an output row is built only for a pair that passed."""
     em = Emitter()
     jk = op.kind
     inner = jk is JoinKind.INNER
-    lines = ["    _w = 0.0", "    for _row in _o:"]
+    lines = ["    _n = 0", "    for _row in _o:"]
     if not inner:
         lines.append("        _hit = False")
-    lines += ["        for _cand in _i:", "            _w += _nlf"]
+    lines += ["        for _cand in _i:", "            _n += 1"]
     if op.condition is not None:
         cond = em.truth(op.condition, Layout(index, n_outer))
         lines += [f"            if not {cond}:", "                continue"]
@@ -877,8 +783,8 @@ def _nl_loop(op, n_outer: int, index):
             "            _append(_row)",
         ]
     src = "\n".join(
-        ["def _nl(_o, _i, _params, _nlf, _pad, _append, _B):"]
-        + em.unpack() + lines + ["    return _w", ""]
+        ["def _nl(_o, _i, _params, _pad, _append, _B):"]
+        + em.unpack() + lines + ["    return _n", ""]
     )
     fn = load_generated(src, "<nl-join>", _row_code)["_nl"]
     return fn, tuple(em.bound)
@@ -893,7 +799,7 @@ def _f_nl_join(ex, node) -> DRows:
         inner.cols
     )
     null_pad = (None,) * len(inner.cols)
-    kind = ex._join_output_kind(outer, inner)
+    kind = ex._join_output_kind(outer.kind, inner.kind)
     n_outer = len(outer.cols)
     index = _index(list(outer.cols) + list(inner.cols))
     cond = op.condition
@@ -906,19 +812,13 @@ def _f_nl_join(ex, node) -> DRows:
     )
     params = ex._param_env
     nl_factor = ex.params.nl_factor
-    metrics = ex.metrics
     out_buckets = []
-    for seg, o_rows, i_rows in ex._join_sides(outer, inner):
+    for seg, o_rows, i_rows in ex._join_sides(outer.kind, outer.buckets, inner):
         bucket = []
-        work = loop(
-            o_rows, i_rows, params, nl_factor, null_pad, bucket.append, bound
-        )
-        if seg == -1:
-            metrics.charge_master(work)
-        else:
-            metrics.charge_segment(seg, work)
+        pairs = loop(o_rows, i_rows, params, null_pad, bucket.append, bound)
+        ex._charge_at(node, seg, pairs * nl_factor)
         out_buckets.append(bucket)
-        metrics.check_budget()
+        ex.metrics.check_budget()
     return DRows(kind, out_cols, out_buckets)
 
 

@@ -21,7 +21,7 @@ and after that every round trip carries only row lists in and (row
 lists | group tables, counter tuples) out.  Results are reassembled in
 bucket order on the coordinator, so parallel execution is
 float-identical to the serial fused path regardless of worker timing;
-the replay phase then runs sequentially on the coordinator as before.
+the per-node charges then run sequentially on the coordinator as before.
 
 Serialization is the pool's only real overhead, and for hot repeated
 queries it is avoidable: on a warm cluster the fused scan cache serves

@@ -1,13 +1,13 @@
 """EXPLAIN ANALYZE: per-plan-node actuals next to the optimizer's estimates.
 
-The executor (when asked to collect node statistics) opens an *inclusive*
-work window around every :meth:`Executor._exec` dispatch: the per-segment
-work, master work and network bytes charged between entering and leaving
-a node — children included — are accumulated into that node's
-:class:`NodeStats`.  Exclusive figures fall out by subtracting the
-children's inclusive windows, and because the root node's window starts
-from a zeroed clock, its inclusive totals are *float-identical* to the
-final :class:`repro.engine.metrics.ExecutionMetrics` — which is what lets
+The executor charges every unit of work to the plan node that incurs it:
+one :class:`NodeStats` per node in the execution's ledger
+(:attr:`repro.engine.metrics.ExecutionMetrics.ledger`), which this
+analysis reads as it stands.  A node's entry is its exclusive work; its
+inclusive work is its subtree's entries summed in ``walk()`` order, the
+order the executor sums the whole plan in when it fills its metrics.  The
+root's inclusive totals are therefore *float-identical* to the final
+:class:`repro.engine.metrics.ExecutionMetrics` — which is what lets
 :func:`taqo_from_annotations` reproduce the TAQO correlation score
 (Section 6.2) from the plan annotations alone.
 """
@@ -15,7 +15,7 @@ final :class:`repro.engine.metrics.ExecutionMetrics` — which is what lets
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.search.plan import PlanNode
 
@@ -24,9 +24,9 @@ from repro.search.plan import PlanNode
 class NodeStats:
     """Actuals for one plan node, summed over all its executions.
 
-    ``seg_work`` / ``master_work`` / ``net_bytes`` are *inclusive* of the
-    node's subtree.  ``loops`` counts executions (a correlated inner plan
-    runs once per distinct outer binding).
+    ``seg_work`` / ``master_work`` / ``net_bytes`` are the node's own
+    charges, its children's excluded.  ``loops`` counts executions (a
+    correlated inner plan runs once per distinct outer binding).
     """
 
     loops: int = 0
@@ -38,9 +38,6 @@ class NodeStats:
     def total_work(self) -> float:
         return sum(self.seg_work) + self.master_work
 
-    def busiest_segment_work(self) -> float:
-        return max(self.seg_work) if self.seg_work else 0.0
-
     def skew(self) -> float:
         """max/mean per-segment work ratio (1.0 = perfectly balanced)."""
         if not self.seg_work:
@@ -49,6 +46,21 @@ class NodeStats:
         if mean <= 0.0:
             return 1.0
         return max(self.seg_work) / mean
+
+
+def sum_work(entries: Iterable[Optional[NodeStats]], segments: int) -> NodeStats:
+    """The work of ``entries`` added up in the order given (``None``, a
+    node that never ran, adds nothing)."""
+    total = NodeStats(seg_work=[0.0] * segments)
+    seg = total.seg_work
+    for entry in entries:
+        if entry is None:
+            continue
+        for i, units in enumerate(entry.seg_work):
+            seg[i] += units
+        total.master_work += entry.master_work
+        total.net_bytes += entry.net_bytes
+    return total
 
 
 @dataclass
@@ -69,39 +81,35 @@ class PlanAnalysis:
             self.node_stats[id(node)] = stats
         return stats
 
+    def inclusive(self, node: PlanNode) -> NodeStats:
+        """The work of ``node``'s subtree, summed in ``walk()`` order;
+        ``loops`` and ``rows_out`` are the node's own."""
+        own = self.stats_for(node)
+        total = sum_work(
+            (self.node_stats.get(id(n)) for n in node.walk()), self.segments
+        )
+        total.loops, total.rows_out = own.loops, own.rows_out
+        return total
+
     def exclusive_work(self, node: PlanNode) -> float:
-        """This node's own work: inclusive minus the children's windows."""
-        own = self.stats_for(node).total_work()
-        for child in node.children:
-            own -= self.stats_for(child).total_work()
-        return max(own, 0.0)
+        """This node's own work."""
+        return self.stats_for(node).total_work()
 
     def exclusive_net_bytes(self, node: PlanNode) -> float:
-        own = self.stats_for(node).net_bytes
-        for child in node.children:
-            own -= self.stats_for(child).net_bytes
-        return max(own, 0.0)
+        return self.stats_for(node).net_bytes
 
     # ------------------------------------------------------------------
     def simulated_seconds(self) -> float:
-        """The executed plan's simulated wall-clock, from the root window.
-
-        Float-identical to ``ExecutionMetrics.simulated_seconds()`` for
-        the same execution: the root's inclusive window starts from a
-        zeroed clock, so its deltas *are* the final totals.
-        """
+        """The executed plan's simulated wall-clock, from the root's
+        inclusive work: float-identical to
+        ``ExecutionMetrics.simulated_seconds()`` for the same execution."""
         # Imported lazily: repro.engine imports the executor, which
         # imports this module — a top-level import would be circular.
-        from repro.engine.metrics import (
-            CPU_SECONDS_PER_UNIT,
-            NET_SECONDS_PER_BYTE,
-        )
+        from repro.engine.metrics import simulated_seconds
 
-        root = self.stats_for(self.plan)
-        return (
-            (root.busiest_segment_work() + root.master_work)
-            * CPU_SECONDS_PER_UNIT
-            + root.net_bytes * NET_SECONDS_PER_BYTE
+        root = self.inclusive(self.plan)
+        return simulated_seconds(
+            root.seg_work, root.master_work, root.net_bytes
         )
 
     def total_rows(self) -> int:
@@ -129,7 +137,7 @@ class PlanAnalysis:
         return "\n".join(parts)
 
     def summary(self) -> str:
-        root = self.stats_for(self.plan)
+        root = self.inclusive(self.plan)
         return (
             f"actual total: rows={root.rows_out} work={root.total_work():.1f} "
             f"net_bytes={root.net_bytes:.0f} skew={root.skew():.2f} "
@@ -171,8 +179,8 @@ def taqo_from_annotations(
 
     Samples the same plans as :func:`repro.verify.taqo.run_taqo` (same
     seed, same sampler) but takes each plan's actual cost from its
-    :class:`PlanAnalysis` root window instead of from the executor's
-    metrics object.  Because the two are float-identical, the resulting
+    :class:`PlanAnalysis` root instead of from the executor's metrics
+    object.  Because the two are float-identical, the resulting
     correlation score must match ``run_taqo`` exactly — the acceptance
     check that EXPLAIN ANALYZE measures the same clock TAQO does.
     """

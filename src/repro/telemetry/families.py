@@ -77,7 +77,7 @@ EVENT_METRICS: dict[str, tuple] = {
 }
 
 
-# -- snapshots ---------------------------------------------------------
+# -- end-of-run folds --------------------------------------------------
 def fold_search(front, stats, timed_out: bool) -> None:
     """One search's effort counters (``repro.optimizer.SearchStats``)."""
     m = front.registry
@@ -117,7 +117,7 @@ def fold_execution(front, plan, metrics, rows_out: int, analysis) -> None:
     m.inc("executor_net_bytes_total", metrics.net_bytes)
     m.observe("execution_seconds", metrics.simulated_seconds())
     if analysis is not None:
-        m.observe("executor_segment_skew", analysis.stats_for(plan).skew())
+        m.observe("executor_segment_skew", analysis.inclusive(plan).skew())
         for node in plan.walk():
             m.inc("executor_operator_work_units_total",
                   analysis.exclusive_work(node), op=node.op.name)

@@ -9,9 +9,9 @@ comparing FUSED with ROW once more on the same cluster would test
 nothing twice.)
 
 What varies here is the cluster.  ``tests/test_fused_executor.py``
-executes on 8 roomy segments with no stage overheads, where the
-replay's ``_check_memory`` never spills and ``_charge_stage_overheads``
-charges nothing.  This file runs the same inputs the way the
+executes on 8 roomy segments with no stage overheads, where
+``_check_memory`` never spills and ``_node_done`` charges no stage
+overhead.  This file runs the same inputs the way the
 MapReduce-style profile of ``repro.systems`` does: 3 segments, 512
 bytes of operator memory with spilling on (a hash-join build side or
 group table of more than a few dozen rows overflows and charges its

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.__main__ import main
@@ -49,6 +51,29 @@ class TestCLI:
             assert main(["run", SQL, "--engine", engine] + ARGS) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+    def test_explain_analyze_runs_the_chosen_engine(self, tmp_path, capsys):
+        """``explain --analyze`` executes on ``--engine`` and records into
+        ``--trace``: only the fused engine segments pipelines, and the
+        EXPLAIN ANALYZE text is the same under both."""
+        sql = ("SELECT i.i_category, count(*) AS n FROM store_sales ss, "
+               "item i WHERE ss.ss_item_sk = i.i_item_sk "
+               "GROUP BY i.i_category ORDER BY i.i_category")
+        texts, segmented = [], []
+        for engine in ("row", "fused"):
+            trace = tmp_path / f"{engine}.json"
+            assert main([
+                "explain", sql, "--analyze", "--engine", engine,
+                "--trace-json", str(trace),
+            ] + ARGS) == 0
+            texts.append(capsys.readouterr().out.split("\n\n")[0])
+            events = json.loads(trace.read_text())["events"]
+            segmented.append(
+                sum(e["kind"] == "pipeline_segmented" for e in events)
+            )
+        assert "actual rows=" in texts[0]
+        assert texts[0] == texts[1]
+        assert segmented == [0, 1]
 
     def test_engine_batch_is_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

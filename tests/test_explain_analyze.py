@@ -7,7 +7,7 @@ import pytest
 
 import repro
 from repro.__main__ import main
-from repro.config import OptimizerConfig
+from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.errors import OptimizerError
 from repro.optimizer import Orca
@@ -16,6 +16,7 @@ from repro.props.order import OrderSpec, SortKey
 from repro.props.required import RequiredProps
 from repro.telemetry import analyze_execution, taqo_from_annotations
 from repro.verify.taqo import run_taqo
+from repro.workloads import QUERIES, build_populated_db
 
 from tests.conftest import rows_equal
 
@@ -61,12 +62,12 @@ class TestNodeActuals:
         assert execution.metrics.total_work() == plain.metrics.total_work()
 
     def test_root_window_is_float_identical_to_metrics(self, analyzed):
-        """The root's inclusive window starts from a zeroed clock, so its
-        totals must equal the executor's final metrics exactly — no
-        tolerance."""
+        """The root's inclusive work is the ledger summed in the order the
+        executor fills its metrics from, so the two are equal exactly —
+        no tolerance."""
         result, execution = analyzed
         analysis = execution.analysis
-        root = analysis.stats_for(result.plan)
+        root = analysis.inclusive(result.plan)
         metrics = execution.metrics
         assert root.seg_work == list(metrics.segment_work)
         assert root.master_work == metrics.master_work
@@ -75,12 +76,7 @@ class TestNodeActuals:
 
     def test_exclusive_work_sums_to_inclusive_root(self, analyzed):
         result, execution = analyzed
-        analysis = execution.analysis
-        total = sum(
-            analysis.exclusive_work(node) for node in result.plan.walk()
-        )
-        root = analysis.stats_for(result.plan)
-        assert total == pytest.approx(root.total_work())
+        assert_exclusive_sums_exactly(result.plan, execution)
 
     def test_root_rows_match_returned_rows(self, analyzed):
         _result, execution = analyzed
@@ -93,6 +89,44 @@ class TestNodeActuals:
         for _op, estimated, actual in errors:
             assert estimated >= 0.0
             assert actual >= 0
+
+
+def assert_exclusive_sums_exactly(plan, execution):
+    """Every node's own work and bytes are non-negative, and they add up
+    (in ``walk()`` order) to the execution's totals with no tolerance."""
+    analysis = execution.analysis
+    metrics = execution.metrics
+    work = net = 0.0
+    for node in plan.walk():
+        own, own_net = (
+            analysis.exclusive_work(node), analysis.exclusive_net_bytes(node)
+        )
+        assert own >= 0.0 and own_net >= 0.0, node.op
+        assert min(analysis.stats_for(node).seg_work) >= 0.0, node.op
+        work += own
+        net += own_net
+    assert work == metrics.total_work()
+    assert net == metrics.net_bytes
+
+
+@pytest.fixture(scope="module")
+def corpus_orca():
+    db = build_populated_db(scale=0.1)
+    return db, Orca(db, config=OptimizerConfig(segments=8))
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.id)
+def test_exclusive_work_sums_exactly_on_corpus(corpus_orca, query, mode):
+    """Per-node exclusive work is what the executor charged each node, so
+    its sum is the execution's total work exactly, on every corpus query
+    and in both engines."""
+    db, orca = corpus_orca
+    result = orca.optimize(query.sql)
+    execution = Executor(
+        Cluster(db, segments=8), execution_mode=mode
+    ).execute(result.plan, result.output_cols, analyze=True)
+    assert_exclusive_sums_exactly(result.plan, execution)
 
 
 class TestRendering:

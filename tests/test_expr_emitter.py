@@ -264,17 +264,18 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
             ph.PhysicalNLJoin(kind, other), N_OUTER, INDEX
         )
         out = []
-        work = loop(outers, inners, params, 0.25, pad, out.append, bound)
-        assert (out, work) == nested_loops(kind, other, outers, inners, params)
+        pairs = loop(outers, inners, params, pad, out.append, bound)
+        assert (out, pairs) == nested_loops(kind, other, outers, inners, params)
 
 
 def nested_loops(kind, cond, outers, inners, params):
-    """The row executor's nested-loops join, ``evaluate`` and all."""
-    out, work = [], 0.0
+    """The row executor's nested-loops join, ``evaluate`` and all: its
+    output rows and the pairs it probed."""
+    out, pairs = [], 0
     for o_row in outers:
         hit = False
         for i_row in inners:
-            work += 0.25
+            pairs += 1
             env = {**params, **{c.id: v for c, v in zip(COLS, o_row + i_row)}}
             if cond.evaluate(env) is not True:
                 continue
@@ -287,7 +288,7 @@ def nested_loops(kind, cond, outers, inners, params):
             out.append(o_row)
         elif kind is JoinKind.LEFT and not hit:
             out.append(o_row + (None,) * len(INNER))
-    return out, work
+    return out, pairs
 
 
 def test_mixed_type_comparison_raises_on_both_sides():

@@ -8,8 +8,8 @@ for the row-at-a-time reference executor: same rows in the same order,
 the same :class:`~repro.engine.metrics.ExecutionMetrics` field by field
 (including the per-segment work vector), and the same per-node
 :class:`~repro.telemetry.analyze.NodeStats` under EXPLAIN ANALYZE.  No
-tolerance anywhere — float accumulation order is part of the contract
-(see the stream-then-replay design in DESIGN.md §3j).
+tolerance anywhere — both engines charge each plan node through the same
+closed-form helpers (see the per-node ledger in DESIGN.md §3j).
 
 Covered four ways: pipeline-segmentation unit tests (every breaker kind
 starts a new pipeline), a designed query set pinning every physical
