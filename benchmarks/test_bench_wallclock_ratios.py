@@ -88,20 +88,6 @@ def executor_pass(cluster, plans, **executor_kwargs):
     return run
 
 
-def test_fused_vs_row_exec_only(mpp_db):
-    orca = Orca(mpp_db, config=OptimizerConfig(segments=SEGMENTS))
-    plans = [orca.optimize(q.sql) for q in QUERIES]
-    speedup = best_ratio({
-        mode: executor_pass(
-            Cluster(mpp_db, segments=SEGMENTS), plans, execution_mode=mode
-        )
-        for mode in (ExecutionMode.ROW, ExecutionMode.FUSED)
-    }, ExecutionMode.ROW, ExecutionMode.FUSED, ok=lambda x: x >= 7.5)
-    print(f"\nfused vs row, corpus exec-only: {speedup:.2f}x")
-    # Measured 8.8-10.3x on the 2-vCPU sandbox; the bar leaves ~15%.
-    assert speedup >= 7.5
-
-
 @pytest.mark.skipif(
     (os.cpu_count() or 1) < 4,
     reason="the coordinator needs a core beside the workers: two workers "

@@ -133,8 +133,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--engine", choices=["row", "fused"], default="fused",
         help="execution engine: 'fused' (default) compiles breaker-free "
              "operator chains into generated pipeline functions, 'row' "
-             "is the row-at-a-time reference; both produce identical "
-             "rows and metrics",
+             "compiles one operator per stage (fusion off); both produce "
+             "identical rows and metrics",
     )
     parser.add_argument(
         "--parallelism", type=int, default=0, metavar="N",

@@ -18,17 +18,18 @@ from typing import Container, Iterable, Optional, Sequence
 class ExecutionMode(str, Enum):
     """How physical plans are executed on the simulated cluster.
 
-    Both modes produce float-identical rows, ExecutionMetrics and
-    EXPLAIN ANALYZE per-node actuals; they differ only in interpretation
-    overhead:
+    Both modes run the compiled engine — filters, projects, hash-join
+    probes and aggregation sinks as generated-Python loop functions,
+    expressions inlined, everything else on one handler table — and
+    produce float-identical rows, ExecutionMetrics and EXPLAIN ANALYZE
+    per-node actuals.  They differ only in how far operators are fused:
 
-    - ``ROW``: row-at-a-time reference interpreter (the oracle the
-      compiled engine is differentially tested against).
-    - ``FUSED``: the compiled engine.  Every breaker-free operator chain
-      (scan→filter→project, probe→project, join→agg, a lone filter)
-      runs as generated-Python loop functions, expressions inlined,
-      with nothing materialized between its operators; the breakers
-      between chains run on the row interpreter's handlers.
+    - ``ROW``: fusion off.  Every streaming operator and sink is a
+      one-operator stage whose input is materialized.
+    - ``FUSED``: every breaker-free operator chain (scan→filter→project,
+      probe→project, join→agg, a lone filter) is one stage, with
+      nothing materialized between its operators.  Only this mode
+      dispatches to a morsel pool.
     """
 
     ROW = "row"
@@ -107,9 +108,9 @@ class OptimizerConfig:
     #: are not gated: each physical operator builds its own once.)
     enable_derivation_cache: bool = True
     #: How physical plans execute: ``ExecutionMode.FUSED`` (default)
-    #: compiles every breaker-free operator chain into generated
-    #: pipeline functions, ``ROW`` is the row-at-a-time reference
-    #: oracle.  Rows, ExecutionMetrics and EXPLAIN ANALYZE are
+    #: compiles every breaker-free operator chain into one generated
+    #: pipeline function, ``ROW`` every operator into a stage of its
+    #: own (fusion off).  Rows, ExecutionMetrics and EXPLAIN ANALYZE are
     #: float-identical in both.
     execution_mode: ExecutionMode = ExecutionMode.FUSED
     #: Morsel-driven intra-query parallelism for the fused engine's

@@ -1,14 +1,15 @@
 """The row-expression emitter: ``ScalarExpr`` -> Python source.
 
-The compiled engine (:mod:`repro.engine.fused`) evaluates no expression
-by walking its tree.  :class:`Emitter` renders a ``ScalarExpr`` as the
-source of one Python expression, which the caller inlines into a loop
-of its own — a fused stage, the nested-loops join's pair loop — or,
-:func:`compiled_row`, wraps in a ``lambda`` (an index scan's residual).
-:class:`Layout` says where that source finds its columns.  The source
-preserves SQL three-valued logic exactly as ``ScalarExpr.evaluate``
-implements it, value for value — this is what keeps fused results
-bit-identical to the row interpreter's.
+The compiled engine (:mod:`repro.engine.fused`, and the executor's
+scan-side handlers) evaluates no expression by walking its tree.
+:class:`Emitter` renders a ``ScalarExpr`` as the source of one Python
+expression, which the caller inlines into a loop of its own — a pipeline
+stage, the nested-loops join's pair loop — or, :func:`compiled_row`,
+wraps in a ``lambda`` (an index scan's residual).  :class:`Layout` says
+where that source finds its columns.  The source preserves SQL
+three-valued logic exactly as ``ScalarExpr.evaluate`` implements it,
+value for value, so what is compiled agrees with what still evaluates
+(the correlated NL join, merge join, window, constant folding).
 
 Whatever is compiled from an expression outside a stage is cached on
 the expression instance (``_row_cache``, keyed by the column layout;
@@ -72,7 +73,7 @@ class Layout:
 
 def _evaluate_row(expr: ScalarExpr, index: Mapping[int, int]):
     """``f(row, params)`` for an expression kind the emitter does not
-    know: ``evaluate`` over a per-row environment, like the row path."""
+    know: ``evaluate`` over a per-row environment."""
     items = tuple(index.items())
 
     def fallback(r, p):

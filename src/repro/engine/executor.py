@@ -1,4 +1,13 @@
-"""The plan interpreter: executes physical plans on the simulated cluster.
+"""The executor: runs physical plans on the simulated cluster.
+
+A plan is cut into operator chains (:mod:`repro.engine.pipeline`), and
+every chain — filters, projects, hash-join probes, an aggregation sink —
+runs as generated code through :func:`repro.engine.fused.run_chain`.
+The execution mode only sets how long a chain may be: ``FUSED`` as long
+as rows stream, ``ROW`` one operator.  Everything that is not a chain
+member (scans, sorts, limits, windows, motions, NL / merge / correlated
+joins, CTEs, sequences, appends) runs on the one handler table
+:attr:`Executor._HANDLERS`, in both modes.
 
 Rows really move: motions re-bucket or replicate them, hash joins build
 per-segment hash tables (and OOM or spill past the memory limit),
@@ -11,8 +20,9 @@ the same :class:`~repro.cost.model.CostParams` constants the optimizer's
 cost model uses — which is what makes the TAQO estimated-vs-actual
 correlation experiment (Section 6.2) meaningful.  Each charge is a
 closed-form function of row counts and lands on the plan node that
-incurs it (``ExecutionMetrics.ledger``), so the compiled engine of
-:mod:`repro.engine.fused` reaches the same figures from its counts.
+incurs it (``ExecutionMetrics.ledger``); a chain charges its nodes from
+their row counts through the helpers here (``_charge_by_kind``,
+``_charge_hash_side``, ``_check_memory``, ``_node_done``).
 """
 
 from __future__ import annotations
@@ -32,6 +42,15 @@ from repro.cost.model import (
     CostParams,
 )
 from repro.engine.cluster import Cluster
+from repro.engine.columnar import (
+    Emitter,
+    Layout,
+    _layout_key,
+    _row_code,
+    compiled_row,
+    load_generated,
+    row_cached,
+)
 from repro.engine.metrics import ExecutionMetrics
 from repro.errors import ExecutionError, OutOfMemoryError
 from repro.ops import physical as ph
@@ -139,23 +158,18 @@ class Executor:
             ExecutionMode.FUSED if execution_mode is None
             else ExecutionMode.coerce(execution_mode)
         )
-        #: How plans execute (row / fused).  Rows, ExecutionMetrics and
-        #: EXPLAIN ANALYZE are float-identical in both modes; ``ROW`` is
-        #: the reference path.
+        #: How plans execute: ``FUSED`` compiles breaker-free operator
+        #: chains into one stage each, ``ROW`` every operator into a
+        #: stage of its own.  Rows, ExecutionMetrics and EXPLAIN ANALYZE
+        #: are float-identical in both modes.
         self.execution_mode = mode
-        self._fused = mode is ExecutionMode.FUSED
-        self._fused_chains: dict[int, Any] = {}
-        if self._fused:
-            from repro.engine.fused import FUSED_HANDLERS
-
-            self._handlers = {**self._HANDLERS, **FUSED_HANDLERS}
-        else:
-            self._handlers = self._HANDLERS
+        self._fuse = mode is ExecutionMode.FUSED
+        self._chains: dict[int, Any] = {}
         self.tracer = tracer or NULL_TRACER
         #: Morsel-driven parallelism (fused streaming phase only): the
         #: caller's pool (repro.engine.parallel.make_pool), which the
         #: caller drains; None runs serial.
-        self._morsel_pool = morsel_pool if self._fused else None
+        self._morsel_pool = morsel_pool if self._fuse else None
         self.time_limit_seconds = time_limit_seconds
         #: When False, each re-execution of a correlated inner plan is
         #: charged in full even if its result was memoized (the legacy
@@ -186,18 +200,16 @@ class Executor:
         )
         self._selector_values = {}
         self._cte_store = {}
-        if self._fused:
-            from repro.engine.fused import fused_chains
+        # Looked up per call: repro.engine.fused imports this module.
+        from repro.engine.fused import fused_chains
 
-            self._fused_chains = fused_chains(plan)
-            if self.tracer.enabled:
-                self.tracer.record(
-                    "pipeline_segmented",
-                    chains=len(self._fused_chains),
-                    fused_nodes=sum(
-                        1 + len(c.ops) for c in self._fused_chains.values()
-                    ),
-                )
+        self._chains = fused_chains(plan, self._fuse)
+        if self.tracer.enabled:
+            self.tracer.record(
+                "pipeline_segmented",
+                chains=len(self._chains),
+                fused_nodes=sum(1 + len(c.ops) for c in self._chains.values()),
+            )
         self._wanted_selectors = {
             node.op.dpe.selector_col_id
             for node in plan.walk()
@@ -243,13 +255,13 @@ class Executor:
     # Dispatch
     # ------------------------------------------------------------------
     def _exec(self, node: PlanNode) -> DRows:
-        chain = self._fused_chains.get(id(node))
+        chain = self._chains.get(id(node))
         if chain is not None:
             from repro.engine.fused import run_chain
 
             result = run_chain(self, chain)
         else:
-            handler = self._handlers.get(type(node.op))
+            handler = self._HANDLERS.get(type(node.op))
             if handler is None:
                 raise ExecutionError(f"no executor for operator {node.op!r}")
             result = handler(self, node)
@@ -257,7 +269,7 @@ class Executor:
         return result
 
     def _node_done(self, node: PlanNode, kind: str, sizes: list[int]) -> None:
-        """Close one executed node, in either engine: its stage
+        """Close one executed node, chain member or not: its stage
         overheads, its cardinality record, its rows and loops in the
         ledger, the ``operator_executed`` event and the budget check."""
         metrics = self.metrics
@@ -353,13 +365,6 @@ class Executor:
                 static = [p for p in static if p in runtime]
         return static
 
-    def _scan_rows(self, op) -> list[tuple]:
-        parts = self._partition_ids(op)
-        self.metrics.partitions_scanned += len(parts)
-        rows = self.cluster.db.scan(op.table.name, parts)
-        self.metrics.rows_scanned += len(rows)
-        return rows
-
     def _distribute(self, op, rows: list[tuple]) -> DRows:
         table = op.table
         cols = list(op.columns)
@@ -375,20 +380,50 @@ class Executor:
         return DRows(SEGMENTED, cols, buckets)
 
     def _exec_scan(self, node: PlanNode) -> DRows:
-        op = node.op
-        rows = self._scan_rows(op)
-        result = self._distribute(op, rows)
-        self._charge_by_kind(
-            node, result.kind, result.bucket_sizes(),
-            len(rows) * self.params.scan_tuple,
-        )
-        return result
+        """Table scan served from the cluster's scan cache.
 
-    def _index_fetch(self, node: PlanNode) -> DRows:
-        """Range-fetch, distribute, order and charge an index scan —
-        everything except the residual predicate (each mode applies its
-        own)."""
+        Distributing a stored table is a pure function of (table,
+        partitions, columns, segments) and the table's rows, so it is
+        hashed once per cluster and row-data version: a layout cached
+        before an insert / truncate is recomputed and replaced.  The
+        partition/row counters and the per-segment scan charges are
+        still issued per execution, from the cached sizes.
+        """
         op = node.op
+        parts = self._partition_ids(op)
+        self.metrics.partitions_scanned += len(parts)
+        key = (
+            op.table.name,
+            tuple(parts),
+            tuple(c.id for c in op.columns),
+            self.cluster.segments,
+        )
+        version = self.cluster.db.data_version(op.table.name)
+        hit = self.cluster.scan_cache.get(key)
+        if hit is not None and hit[0] != version:
+            hit = None
+        if self.tracer.enabled:
+            self.tracer.record(
+                "scan_cache_hit" if hit is not None else "scan_cache_miss",
+                table=op.table.name,
+                partitions=len(parts),
+            )
+        if hit is None:
+            rows = self.cluster.db.scan(op.table.name, parts)
+            hit = self.cluster.scan_cache[key] = (
+                version, len(rows), self._distribute(op, rows)
+            )
+        _, n_rows, out = hit
+        self.metrics.rows_scanned += n_rows
+        self._charge_by_kind(
+            node, out.kind, out.bucket_sizes(), n_rows * self.params.scan_tuple
+        )
+        return out
+
+    def _exec_index_scan(self, node: PlanNode) -> DRows:
+        """Range-fetch, distribute, order and charge an index scan, then
+        apply its residual predicate, compiled."""
+        op: ph.PhysicalIndexScan = node.op
         rows = self.cluster.db.scan(op.table.name)
         pos = op.table.column_index(op.index.column)
         fetched = []
@@ -411,74 +446,18 @@ class Executor:
         result = self._distribute(op, fetched)
         # Index scans deliver rows ordered by the indexed column.
         key = SortKey(op.index_col.id)
-        result = DRows(
-            result.kind,
-            result.cols,
-            [
-                _sort_rows(b, result.cols, [key]) for b in result.buckets
-            ],
-        )
+        buckets = [_sort_rows(b, result.cols, [key]) for b in result.buckets]
         self._charge_by_kind(
             node, result.kind, result.bucket_sizes(),
             len(fetched) * self.params.index_tuple,
         )
-        return result
-
-    def _exec_index_scan(self, node: PlanNode) -> DRows:
-        op: ph.PhysicalIndexScan = node.op
-        result = self._index_fetch(node)
         if op.residual is not None:
-            index = self._index(result.cols)
-            result = DRows(
-                result.kind,
-                result.cols,
-                [
-                    [
-                        r for r in b
-                        if op.residual.evaluate(self._env(index, r)) is True
-                    ]
-                    for b in result.buckets
-                ],
-            )
-        return result
-
-    # ------------------------------------------------------------------
-    # Row-at-a-time
-    # ------------------------------------------------------------------
-    def _exec_filter(self, node: PlanNode) -> DRows:
-        child = self._exec(node.children[0])
-        index = self._index(child.cols)
-        pred = node.op.predicate
-        out_buckets = []
-        for b in child.buckets:
-            out_buckets.append(
-                [r for r in b if pred.evaluate(self._env(index, r)) is True]
-            )
-        self._charge_by_kind(
-            node, child.kind, child.bucket_sizes(),
-            child.total_rows() * self.params.filter_factor,
-        )
-        return DRows(child.kind, child.cols, out_buckets)
-
-    def _exec_project(self, node: PlanNode) -> DRows:
-        child = self._exec(node.children[0])
-        index = self._index(child.cols)
-        projections = node.op.projections
-        out_cols = list(child.cols) + [c for _e, c in projections]
-        out_buckets = []
-        for b in child.buckets:
-            new_bucket = []
-            for r in b:
-                env = self._env(index, r)
-                new_bucket.append(
-                    r + tuple(e.evaluate(env) for e, _c in projections)
-                )
-            out_buckets.append(new_bucket)
-        self._charge_by_kind(
-            node, child.kind, child.bucket_sizes(),
-            child.total_rows() * self.params.project_factor * len(projections),
-        )
-        return DRows(child.kind, out_cols, out_buckets)
+            keep = compiled_row(op.residual, self._index(result.cols))
+            params = self._param_env
+            buckets = [
+                [r for r in b if keep(r, params) is True] for b in buckets
+            ]
+        return DRows(result.kind, result.cols, buckets)
 
     # ------------------------------------------------------------------
     # Joins
@@ -521,69 +500,11 @@ class Executor:
                     if row[pos] is not None:
                         values.add(row[pos])
 
-    def _exec_hash_join(self, node: PlanNode) -> DRows:
-        op: ph.PhysicalHashJoin = node.op
-        inner = self._exec(node.children[1])
-        self._publish_selectors(inner)
-        outer = self._exec(node.children[0])
-        o_index = self._index(outer.cols)
-        i_index = self._index(inner.cols)
-        l_pos = [o_index[c.id] for c in op.left_keys]
-        r_pos = [i_index[c.id] for c in op.right_keys]
-        left_only = op.kind.output_is_left_only()
-        out_cols = list(outer.cols) if left_only else list(outer.cols) + list(
-            inner.cols
-        )
-        null_pad = (None,) * len(inner.cols)
-        residual = op.residual
-        # The residual sees both sides whatever the join puts out: a
-        # SEMI / ANTI join's rows have no build side, its residual may.
-        combined_index = self._index(list(outer.cols) + list(inner.cols))
-        kind = self._join_output_kind(outer.kind, inner.kind)
-        out_buckets: list[list[tuple]] = []
-        for seg, o_rows, i_rows in self._join_sides(
-            outer.kind, outer.buckets, inner
-        ):
-            self._charge_hash_side(node, seg, len(o_rows), i_rows, inner.cols)
-            table: dict[tuple, list[tuple]] = {}
-            for row in i_rows:
-                key = tuple(row[p] for p in r_pos)
-                if any(v is None for v in key):
-                    continue
-                table.setdefault(key, []).append(row)
-            matched_out: list[tuple] = []
-            for row in o_rows:
-                key = tuple(row[p] for p in l_pos)
-                candidates = (
-                    table.get(key, []) if not any(v is None for v in key) else []
-                )
-                hit = False
-                for cand in candidates:
-                    if residual is not None:
-                        env = self._env(combined_index, row + cand)
-                        if residual.evaluate(env) is not True:
-                            continue
-                    hit = True
-                    if op.kind is JoinKind.INNER or op.kind is JoinKind.LEFT:
-                        matched_out.append(row + cand)
-                    elif op.kind is JoinKind.SEMI:
-                        matched_out.append(row)
-                        break
-                    else:  # ANTI: presence of a match drops the row
-                        break
-                if not hit:
-                    if op.kind is JoinKind.LEFT:
-                        matched_out.append(row + null_pad)
-                    elif op.kind is JoinKind.ANTI:
-                        matched_out.append(row)
-            out_buckets.append(matched_out)
-        return DRows(kind, out_cols, out_buckets)
-
     def _charge_hash_side(
         self, node: PlanNode, seg: int, probes: int, build: list[tuple], cols
     ) -> None:
-        """One hash-join work unit's charges, in either engine: the build
-        side's memory check, then building and probing."""
+        """One hash-join work unit's charges: the build side's memory
+        check, then building and probing."""
         self._check_memory(node, build, cols, "HashJoin")
         self._charge_at(
             node, seg,
@@ -632,36 +553,23 @@ class Executor:
         )
         null_pad = (None,) * len(inner.cols)
         kind = self._join_output_kind(outer.kind, inner.kind)
+        n_outer = len(outer.cols)
+        index = self._index(list(outer.cols) + list(inner.cols))
+        cond = op.condition
+
+        def make():
+            return _nl_loop(op, n_outer, index)
+
+        loop, bound = make() if cond is None else row_cached(
+            cond, ("nl", op.kind, n_outer) + _layout_key(cond, index), make
+        )
+        params = self._param_env
         out_buckets = []
-        full_index = self._index(list(outer.cols) + list(inner.cols))
         for seg, o_rows, i_rows in self._join_sides(
             outer.kind, outer.buckets, inner
         ):
-            pairs = 0
             bucket = []
-            for o_row in o_rows:
-                hit = False
-                for i_row in i_rows:
-                    pairs += 1
-                    ok = True
-                    if op.condition is not None:
-                        env = self._env(full_index, o_row + i_row)
-                        ok = op.condition.evaluate(env) is True
-                    if not ok:
-                        continue
-                    hit = True
-                    if op.kind in (JoinKind.INNER, JoinKind.LEFT):
-                        bucket.append(o_row + i_row)
-                    elif op.kind is JoinKind.SEMI:
-                        bucket.append(o_row)
-                        break
-                    else:
-                        break
-                if not hit:
-                    if op.kind is JoinKind.LEFT:
-                        bucket.append(o_row + null_pad)
-                    elif op.kind is JoinKind.ANTI:
-                        bucket.append(o_row)
+            pairs = loop(o_rows, i_rows, params, null_pad, bucket.append, bound)
             self._charge_at(node, seg, pairs * self.params.nl_factor)
             out_buckets.append(bucket)
             self.metrics.check_budget()
@@ -727,52 +635,8 @@ class Executor:
         return DRows(outer.kind, out_cols, out_buckets)
 
     # ------------------------------------------------------------------
-    # Aggregation
+    # Windows
     # ------------------------------------------------------------------
-    def _exec_agg(self, node: PlanNode) -> DRows:
-        op = node.op
-        child = self._exec(node.children[0])
-        index = self._index(child.cols)
-        g_pos = [index[c.id] for c in op.group_cols]
-        out_cols = list(op.group_cols) + [c for _a, c in op.aggs]
-        is_stream = isinstance(op, ph.PhysicalStreamAgg)
-        factor = self.params.cpu_tuple if is_stream else self.params.agg_factor
-        out_buckets = []
-        for bucket in child.buckets:
-            groups: dict[tuple, list] = {}
-            for row in bucket:
-                key = tuple(row[p] for p in g_pos)
-                state = groups.get(key)
-                if state is None:
-                    state = [_agg_init(a) for a, _c in op.aggs]
-                    groups[key] = state
-                env = self._env(index, row)
-                for slot, (agg, _c) in zip(state, op.aggs):
-                    _agg_add(slot, agg, env)
-            if not op.group_cols and not groups:
-                # Scalar aggregation over empty input still yields one row
-                # (identity values), on every participating node for the
-                # partial stage.
-                groups[()] = [_agg_init(a) for a, _c in op.aggs]
-            self._check_memory(node, list(groups), out_cols, op.name)
-            out_rows = []
-            for key, state in groups.items():
-                out_rows.append(
-                    key + tuple(
-                        _agg_final(slot, agg)
-                        for slot, (agg, _c) in zip(state, op.aggs)
-                    )
-                )
-            if is_stream and op.group_cols:
-                out_rows = _sort_rows(
-                    out_rows, out_cols, [SortKey(c.id) for c in op.group_cols]
-                )
-            out_buckets.append(out_rows)
-        self._charge_by_kind(
-            node, child.kind, child.bucket_sizes(), child.total_rows() * factor
-        )
-        return DRows(child.kind, out_cols, out_buckets)
-
     def _exec_window(self, node: PlanNode) -> DRows:
         op: ph.PhysicalWindow = node.op
         child = self._exec(node.children[0])
@@ -1005,6 +869,45 @@ def _null_free_key(row, positions):
     return None if any(v is None for v in key) else key
 
 
+def _nl_loop(op, n_outer: int, index):
+    """The generated pair loop of one nested-loops join:
+    ``f(outer rows, inner rows, params, null pad, append, bound) ->
+    pairs probed``.  The condition is inlined and reads both rows in
+    place, so an output row is built only for a pair that passed."""
+    em = Emitter()
+    jk = op.kind
+    inner = jk is JoinKind.INNER
+    lines = ["    _n = 0", "    for _row in _o:"]
+    if not inner:
+        lines.append("        _hit = False")
+    lines += ["        for _cand in _i:", "            _n += 1"]
+    if op.condition is not None:
+        cond = em.truth(op.condition, Layout(index, n_outer))
+        lines += [f"            if not {cond}:", "                continue"]
+    if inner:
+        lines.append("            _append(_row + _cand)")
+    elif jk is JoinKind.LEFT:
+        lines += [
+            "            _hit = True",
+            "            _append(_row + _cand)",
+            "        if not _hit:",
+            "            _append(_row + _pad)",
+        ]
+    else:  # SEMI / ANTI stop at the first match
+        lines += [
+            "            _hit = True",
+            "            break",
+            "        if _hit:" if jk is JoinKind.SEMI else "        if not _hit:",
+            "            _append(_row)",
+        ]
+    src = "\n".join(
+        ["def _nl(_o, _i, _params, _pad, _append, _B):"]
+        + em.unpack() + lines + ["    return _n", ""]
+    )
+    fn = load_generated(src, "<nl-join>", _row_code)["_nl"]
+    return fn, tuple(em.bound)
+
+
 def _merge_join_segment(
     o_rows, i_rows, l_pos, r_pos, op, null_pad, combined_index, env_fn
 ):
@@ -1134,14 +1037,9 @@ Executor._HANDLERS = {
     ph.PhysicalTableScan: Executor._exec_scan,
     ph.PhysicalDynamicTableScan: Executor._exec_scan,
     ph.PhysicalIndexScan: Executor._exec_index_scan,
-    ph.PhysicalFilter: Executor._exec_filter,
-    ph.PhysicalProject: Executor._exec_project,
-    ph.PhysicalHashJoin: Executor._exec_hash_join,
     ph.PhysicalMergeJoin: Executor._exec_merge_join,
     ph.PhysicalNLJoin: Executor._exec_nl_join,
     ph.PhysicalCorrelatedNLJoin: Executor._exec_correlated,
-    ph.PhysicalHashAgg: Executor._exec_agg,
-    ph.PhysicalStreamAgg: Executor._exec_agg,
     ph.PhysicalWindow: Executor._exec_window,
     ph.PhysicalSort: Executor._exec_sort,
     ph.PhysicalLimit: Executor._exec_limit,

@@ -9,12 +9,13 @@ stream rows end-to-end without materializing anything in between:
 filters drop rows in place, projects extend the row tuple, join probes
 feed matches straight into downstream operators, and an aggregation
 sink folds rows into its group table as they arrive.  Filter, Project,
-HashJoin and both aggregations therefore never run through a handler in
-``FUSED`` mode; what does is the breakers, on the row interpreter's own
-handlers, except the three in :data:`FUSED_HANDLERS` at the bottom of
-this file (the cached table scan, the index scan with a compiled
-residual and the nested-loops join with a generated pair loop).  Every
-handler and :func:`run_chain` hand ``DRows`` to whatever is above them.
+HashJoin and both aggregations therefore never run through a handler,
+in either execution mode; the breakers do, on the executor's one
+handler table.  ``ExecutionMode.ROW`` is this engine with fusion off:
+every streaming operator and sink is a one-operator chain of its own
+(:func:`fused_chains` with ``fuse=False``), whose input is
+materialized.  Every handler and :func:`run_chain` hand ``DRows`` to
+whatever is above them.
 
 The loops are compiled through, expressions included: filter
 predicates, projections, aggregate arguments and join residuals are
@@ -33,25 +34,25 @@ share are decided once:
 - *aggregate state*: one flat list per group with a literal
   initializer in the source — ``count``, ``sum``, ``min`` and ``max``
   one cell each, ``avg`` two (sum, n); sums stay ``_a + _v`` in arrival
-  order, so floats are ``==`` the row path's;
+  order, so floats do not depend on how far a chain is fused;
 - *rows*: a residual reads the probe row and the build row in place,
   and the joined row is built only for a pair that passed — not at all
   when nothing stands between the probe and the sink.
 
-The contract with the row interpreter (``ExecutionMode.ROW``, the
-reference every differential test compares against) is strict float
-identity, and it holds by construction: every charge is a closed-form
-function of per-node per-bucket row counts, booked on the node that
-incurs it (``ExecutionMetrics.ledger``).  A stage streams first,
-touching no metric and only counting rows at every operator; then its
-nodes are charged bottom-up from those counts through the same
-executor helpers the row handlers call (``_charge_by_kind``,
-``_charge_hash_side``, ``_check_memory``) and closed with the same
-``_node_done``.  ``tests/test_fused_executor.py`` pins fused == row
-across the TPC-DS corpus for rows, ExecutionMetrics and per-node
-NodeStats.
+The contract between the two modes is strict float identity, and it
+holds by construction: every charge is a closed-form function of
+per-node per-bucket row counts, booked on the node that incurs it
+(``ExecutionMetrics.ledger``).  A stage streams first, touching no
+metric and only counting rows at every operator; then its nodes are
+charged bottom-up from those counts through the executor's helpers
+(``_charge_by_kind``, ``_charge_hash_side``, ``_check_memory``) and
+closed with ``_node_done``, whichever chain they sit in.
+``tests/test_fused_executor.py`` pins fused == row across the TPC-DS
+corpus for rows, ExecutionMetrics and per-node NodeStats, and
+``tests/test_sqlite_oracle.py`` holds the rows of both to sqlite.
 
-Compiled chains are cached on the plan root (``plan._fused_cache``).
+Compiled chains are cached on the plan root (``plan._fused_cache``, or
+``plan._unfused_cache`` with fusion off).
 The plan cache hands out the tree it stored, so repeated executions of
 a cached plan pay compilation once; ``PlanNode.__getstate__`` strips the
 cache so plans still pickle into the fleet's ``SharedPlanStore`` (a
@@ -75,15 +76,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from repro.engine.columnar import (
-    Emitter,
-    Layout,
-    _layout_key,
-    _row_code,
-    compiled_row,
-    load_generated,
-    row_cached,
-)
+from repro.engine.columnar import Emitter, Layout, load_generated
 from repro.engine.executor import (
     DRows,
     _agg_add_value,
@@ -106,13 +99,15 @@ _EMPTY: tuple = ()
 _stage_code: dict[str, Any] = {}
 
 
-def fused_chains(plan: PlanNode) -> dict[int, Pipeline]:
-    """Map ``id(top node) -> Pipeline`` for every fusable chain of
-    ``plan``, cached on the plan root (stripped on pickle)."""
-    cache = plan.__dict__.get("_fused_cache")
+def fused_chains(plan: PlanNode, fuse: bool = True) -> dict[int, Pipeline]:
+    """Map ``id(top node) -> Pipeline`` for every chain of ``plan``
+    segmented with ``fuse``, cached on the plan root under one attribute
+    per flag (stripped on pickle)."""
+    attr = "_fused_cache" if fuse else "_unfused_cache"
+    cache = plan.__dict__.get(attr)
     if cache is None:
-        cache = {id(p.top): p for p in fusable_pipelines(plan)}
-        plan._fused_cache = cache
+        cache = {id(p.top): p for p in fusable_pipelines(plan, fuse)}
+        setattr(plan, attr, cache)
     return cache
 
 
@@ -525,7 +520,8 @@ def run_chain(ex, chain: Pipeline) -> DRows:
     ops = chain.ops
     top = ops[-1]
     inners: dict[int, DRows] = {}
-    # Build sides first, outermost join first: the row path's order.
+    # Build sides first, outermost join first, then the source: the
+    # order one-operator chains take as well.
     for node in reversed(ops):
         if type(node.op) is ph.PhysicalHashJoin:
             inner = ex._exec(node.children[1])
@@ -641,8 +637,8 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                 for i in range(nc):
                     per_counter[i].append(cts[i])
 
-        # Charge and close the stage's nodes bottom-up, each from the
-        # row counts its row handler would charge it from.
+        # Charge and close the stage's nodes bottom-up, each from its
+        # own input's row counts.
         for node in st.ops_order:
             op = node.op
             t = type(op)
@@ -687,145 +683,3 @@ def run_chain(ex, chain: Pipeline) -> DRows:
     if result is None:
         result = DRows(kind, compiled.node_cols[id(top)], cur_buckets)
     return result
-
-
-# ----------------------------------------------------------------------
-# Handlers outside a chain: the three the row interpreter's are not
-# good enough for.  Each issues its row counterpart's charges.
-# ----------------------------------------------------------------------
-
-def _f_scan(ex, node) -> DRows:
-    """Table scan served from the cluster's scan cache.
-
-    Distributing a stored table is a pure function of (table,
-    partitions, columns, segments) and the table's rows, so it is
-    hashed once per cluster and row-data version: a layout cached
-    before an insert / truncate is recomputed and replaced.  Every
-    metric the row scan issues — partition/row counters and the
-    per-segment scan charges — is still issued per execution, in the
-    same order, from the cached sizes.
-    """
-    op = node.op
-    parts = ex._partition_ids(op)
-    ex.metrics.partitions_scanned += len(parts)
-    key = (
-        op.table.name,
-        tuple(parts),
-        tuple(c.id for c in op.columns),
-        ex.cluster.segments,
-    )
-    version = ex.cluster.db.data_version(op.table.name)
-    hit = ex.cluster.scan_cache.get(key)
-    if hit is not None and hit[0] != version:
-        hit = None
-    if ex.tracer.enabled:
-        ex.tracer.record(
-            "scan_cache_hit" if hit is not None else "scan_cache_miss",
-            table=op.table.name,
-            partitions=len(parts),
-        )
-    if hit is None:
-        rows = ex.cluster.db.scan(op.table.name, parts)
-        hit = ex.cluster.scan_cache[key] = (
-            version, len(rows), ex._distribute(op, rows)
-        )
-    _, n_rows, out = hit
-    ex.metrics.rows_scanned += n_rows
-    ex._charge_by_kind(
-        node, out.kind, out.bucket_sizes(), n_rows * ex.params.scan_tuple
-    )
-    return out
-
-
-def _f_index_scan(ex, node) -> DRows:
-    op = node.op
-    result = ex._index_fetch(node)
-    if op.residual is None:
-        return result
-    keep = compiled_row(op.residual, _index(result.cols))
-    params = ex._param_env
-    return DRows(
-        result.kind,
-        result.cols,
-        [[r for r in b if keep(r, params) is True] for b in result.buckets],
-    )
-
-
-def _nl_loop(op, n_outer: int, index):
-    """The generated pair loop of one nested-loops join:
-    ``f(outer rows, inner rows, params, null pad, append, bound) ->
-    pairs probed``.  The condition is inlined and reads both rows in
-    place, so an output row is built only for a pair that passed."""
-    em = Emitter()
-    jk = op.kind
-    inner = jk is JoinKind.INNER
-    lines = ["    _n = 0", "    for _row in _o:"]
-    if not inner:
-        lines.append("        _hit = False")
-    lines += ["        for _cand in _i:", "            _n += 1"]
-    if op.condition is not None:
-        cond = em.truth(op.condition, Layout(index, n_outer))
-        lines += [f"            if not {cond}:", "                continue"]
-    if inner:
-        lines.append("            _append(_row + _cand)")
-    elif jk is JoinKind.LEFT:
-        lines += [
-            "            _hit = True",
-            "            _append(_row + _cand)",
-            "        if not _hit:",
-            "            _append(_row + _pad)",
-        ]
-    else:  # SEMI / ANTI stop at the first match
-        lines += [
-            "            _hit = True",
-            "            break",
-            "        if _hit:" if jk is JoinKind.SEMI else "        if not _hit:",
-            "            _append(_row)",
-        ]
-    src = "\n".join(
-        ["def _nl(_o, _i, _params, _pad, _append, _B):"]
-        + em.unpack() + lines + ["    return _n", ""]
-    )
-    fn = load_generated(src, "<nl-join>", _row_code)["_nl"]
-    return fn, tuple(em.bound)
-
-
-def _f_nl_join(ex, node) -> DRows:
-    op = node.op
-    outer = ex._exec(node.children[0])
-    inner = ex._exec(node.children[1])
-    left_only = op.kind.output_is_left_only()
-    out_cols = list(outer.cols) if left_only else list(outer.cols) + list(
-        inner.cols
-    )
-    null_pad = (None,) * len(inner.cols)
-    kind = ex._join_output_kind(outer.kind, inner.kind)
-    n_outer = len(outer.cols)
-    index = _index(list(outer.cols) + list(inner.cols))
-    cond = op.condition
-
-    def make():
-        return _nl_loop(op, n_outer, index)
-
-    loop, bound = make() if cond is None else row_cached(
-        cond, ("nl", op.kind, n_outer) + _layout_key(cond, index), make
-    )
-    params = ex._param_env
-    nl_factor = ex.params.nl_factor
-    out_buckets = []
-    for seg, o_rows, i_rows in ex._join_sides(outer.kind, outer.buckets, inner):
-        bucket = []
-        pairs = loop(o_rows, i_rows, params, null_pad, bucket.append, bound)
-        ex._charge_at(node, seg, pairs * nl_factor)
-        out_buckets.append(bucket)
-        ex.metrics.check_budget()
-    return DRows(kind, out_cols, out_buckets)
-
-
-#: What FUSED mode lays over the row interpreter's handler table.
-FUSED_HANDLERS = {
-    ph.PhysicalTableScan: _f_scan,
-    ph.PhysicalDynamicTableScan: _f_scan,
-    ph.PhysicalIndexScan: _f_index_scan,
-    ph.PhysicalNLJoin: _f_nl_join,
-}

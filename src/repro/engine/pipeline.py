@@ -26,6 +26,11 @@ The compiled engine (:mod:`repro.engine.fused`) turns every pipeline
 that has a streaming member or a sink into generated Python loop
 functions, expressions included (:func:`fusable_pipelines`); a breaker
 with nothing streaming above it runs on its handler.
+
+Segmentation has one switch, ``fuse``.  With it (``ExecutionMode.FUSED``)
+a chain is as long as the rules above allow; without it
+(``ExecutionMode.ROW``) every streaming operator and every sink is a
+one-operator chain of its own, whose child is its source.
 """
 
 from __future__ import annotations
@@ -74,8 +79,9 @@ class Pipeline:
         return " -> ".join(names)
 
 
-def _chain_down(top: PlanNode) -> tuple[list[PlanNode], PlanNode]:
-    """Collect the streaming chain hanging below ``top`` (inclusive).
+def _chain_down(top: PlanNode, fuse: bool) -> tuple[list[PlanNode], PlanNode]:
+    """Collect the streaming chain hanging below ``top`` (inclusive):
+    as far as it streams with ``fuse``, ``top`` alone without.
 
     Returns ``(members_bottom_up, source)``.  ``top`` itself may be an
     aggregation (a sink); aggregations anywhere lower are breakers.
@@ -85,17 +91,17 @@ def _chain_down(top: PlanNode) -> tuple[list[PlanNode], PlanNode]:
     if isinstance(cur.op, SINK_OPS):
         members.append(cur)
         cur = cur.children[0]
-    while isinstance(cur.op, STREAMING_OPS):
+    while isinstance(cur.op, STREAMING_OPS) and (fuse or not members):
         members.append(cur)
         cur = cur.children[0]  # a hash join streams its outer side
     members.reverse()
     return members, cur
 
 
-def split_pipelines(plan: PlanNode) -> list[Pipeline]:
+def split_pipelines(plan: PlanNode, fuse: bool = True) -> list[Pipeline]:
     """Partition ``plan`` into pipelines: every node is a member
-    (``top`` of its chain or inside it) of exactly one, and a sink
-    aggregation is additionally the source of the pipeline above it.
+    (``top`` of its chain or inside it) of exactly one, and a chain
+    member kind that sources a pipeline is also the top of its own.
 
     Returned in discovery order from the root down: a pipeline is listed
     before the pipelines of its source's and build sides' subtrees.
@@ -104,25 +110,26 @@ def split_pipelines(plan: PlanNode) -> list[Pipeline]:
     stack = [plan]
     while stack:
         node = stack.pop()
-        members, source = _chain_down(node)
+        members, source = _chain_down(node, fuse)
         out.append(Pipeline(source=source, ops=members))
         # The chain's build sides and the source's children each start
-        # fresh pipelines of their own; a source that is itself a sink
-        # (an aggregation feeding a HAVING filter, a projection, a join
-        # probe) tops the next pipeline down instead of vanishing into
-        # this one as a bare source.
+        # fresh pipelines of their own.  A source that could have been a
+        # member — a sink (an aggregation feeding a HAVING filter, a
+        # projection, a join probe), or any streaming operator when
+        # nothing is fused — tops the next pipeline down instead of
+        # vanishing into this one as a bare source.
         for member in members:
             if isinstance(member.op, ph.PhysicalHashJoin):
                 stack.append(member.children[1])
-        if isinstance(source.op, SINK_OPS):
+        if isinstance(source.op, STREAMING_OPS + SINK_OPS):
             stack.append(source)
         else:
             stack.extend(source.children)
     return out
 
 
-def fusable_pipelines(plan: PlanNode) -> list[Pipeline]:
+def fusable_pipelines(plan: PlanNode, fuse: bool = True) -> list[Pipeline]:
     """The pipelines the compiler takes: every one that has ops.  What
     is left (``ops == []``) is a breaker or leaf with no streaming
     consumer above it, which runs on its handler."""
-    return [p for p in split_pipelines(plan) if p.ops]
+    return [p for p in split_pipelines(plan, fuse) if p.ops]

@@ -619,7 +619,13 @@ class _QueryBuilder:
         if len(inner_cols) != 1:
             raise BindError("IN subquery must return one column")
         arg = self._scalar(expr.arg, self.scope)
-        match = Comparison("=", arg, ColRefExpr(inner_cols[0]))
+        col = ColRefExpr(inner_cols[0])
+        match = Comparison("=", arg, col)
+        if negated:
+            # x NOT IN (...) is not true as soon as one comparison is
+            # NULL: a NULL on either side counts as a match for the anti
+            # apply (an empty subquery still keeps every outer row).
+            match = BoolExpr(BoolExpr.OR, [match, IsNull(col), IsNull(arg)])
         inner_tree = Expression(LogicalSelect(match), [inner_tree])
         kind = ApplyKind.ANTI if negated else ApplyKind.SEMI
         self._attach_apply(kind, inner_tree)

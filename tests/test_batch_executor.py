@@ -19,7 +19,8 @@ re-read), a per-stage startup charge and materialized stage outputs —
 and executes the fused side twice on one cluster, so the second pass
 runs chains compiled by the first over a warm scan cache.  The contract
 is the same: rows, every ``ExecutionMetrics`` field and every per-node
-``NodeStats`` field equal the row interpreter's, with no tolerance.
+``NodeStats`` field of fused chains equal those of one-operator stages
+(``ROW``, fusion off), with no tolerance.
 """
 
 from __future__ import annotations

@@ -54,12 +54,13 @@ class TestCLI:
 
     def test_explain_analyze_runs_the_chosen_engine(self, tmp_path, capsys):
         """``explain --analyze`` executes on ``--engine`` and records into
-        ``--trace``: only the fused engine segments pipelines, and the
-        EXPLAIN ANALYZE text is the same under both."""
+        ``--trace``: the row engine compiles one operator per chain, the
+        fused engine wider chains, and the EXPLAIN ANALYZE text is the
+        same under both."""
         sql = ("SELECT i.i_category, count(*) AS n FROM store_sales ss, "
                "item i WHERE ss.ss_item_sk = i.i_item_sk "
                "GROUP BY i.i_category ORDER BY i.i_category")
-        texts, segmented = [], []
+        texts, widths = [], []
         for engine in ("row", "fused"):
             trace = tmp_path / f"{engine}.json"
             assert main([
@@ -68,12 +69,14 @@ class TestCLI:
             ] + ARGS) == 0
             texts.append(capsys.readouterr().out.split("\n\n")[0])
             events = json.loads(trace.read_text())["events"]
-            segmented.append(
-                sum(e["kind"] == "pipeline_segmented" for e in events)
-            )
+            widths.append({
+                e["data"]["ops"] for e in events
+                if e["kind"] == "chain_compiled"
+            })
         assert "actual rows=" in texts[0]
         assert texts[0] == texts[1]
-        assert segmented == [0, 1]
+        assert widths[0] == {1}
+        assert max(widths[1]) > 1
 
     def test_engine_batch_is_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,8 @@ schema; each is optimized by Orca and by the legacy Planner and executed
 on the same simulated cluster.  The two independent planning paths must
 agree on results — the cheapest large-surface correctness oracle we
 have, in the spirit of the paper's emphasis on built-in verifiability.
+Both share this repository's executor, so every seed's rows are also
+held to sqlite, in each execution mode.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ import random
 
 import pytest
 
-from repro.config import OptimizerConfig
+from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.optimizer import Orca
 from repro.planner import LegacyPlanner
 from repro.props.distribution import SingletonDist
 
 from tests.conftest import make_small_db, rows_equal
+from tests.test_sqlite_oracle import load_oracle
 
 COLUMNS = {"t1": ["a", "b"], "t2": ["a", "b"]}
 TEXT_VALUES = ["x", "y", "z"]
@@ -117,6 +120,13 @@ def env():
     )
 
 
+@pytest.fixture(scope="module")
+def sqlite(env):
+    oracle = load_oracle().Oracle(env[0])
+    yield oracle
+    oracle.close()
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_random_query_differential(env, seed):
     db, orca, planner, cluster = env
@@ -149,3 +159,17 @@ def test_random_query_deterministic(env, seed):
     out1 = Executor(cluster).execute(r1.plan, r1.output_cols)
     out2 = Executor(cluster).execute(r2.plan, r2.output_cols)
     assert out1.rows == out2.rows
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("seed", range(52))
+def test_random_query_matches_sqlite(env, sqlite, seed, mode):
+    _db, orca, _planner, cluster = env
+    sql = QueryGenerator(seed).generate()
+    result = orca.optimize(sql)
+    out = Executor(cluster, execution_mode=mode).execute(
+        result.plan, result.output_cols
+    )
+    want = sqlite.expected(sql)
+    assert want.source == "sqlite", sql
+    assert load_oracle().compare(out.rows, want) == "", sql

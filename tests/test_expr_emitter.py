@@ -32,7 +32,7 @@ import repro
 from repro.catalog import Column, Database, FLOAT, INT, TEXT, Table
 from repro.catalog.types import BOOL
 from repro.config import ExecutionMode, OptimizerConfig
-from repro.engine import Cluster, Executor, columnar, fused
+from repro.engine import Cluster, Executor, columnar, executor, fused
 from repro.engine.columnar import Emitter, Layout, compiled_row
 from repro.engine.parallel import ChainSpec, _compile_spec
 from repro.ops import physical as ph
@@ -260,7 +260,7 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
     inners = [row[N_OUTER:] for row in rows]
     pad = (None,) * len(INNER)
     for kind in JoinKind:
-        loop, bound = fused._nl_loop(
+        loop, bound = executor._nl_loop(
             ph.PhysicalNLJoin(kind, other), N_OUTER, INDEX
         )
         out = []
@@ -269,8 +269,9 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
 
 
 def nested_loops(kind, cond, outers, inners, params):
-    """The row executor's nested-loops join, ``evaluate`` and all: its
-    output rows and the pairs it probed."""
+    """A nested-loops join written with ``evaluate``, the reference the
+    generated pair loop must match: its output rows and the pairs it
+    probed."""
     out, pairs = [], 0
     for o_row in outers:
         hit = False

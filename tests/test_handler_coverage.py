@@ -1,20 +1,22 @@
-"""No dead handlers: every entry of a handler table is entered.
+"""No dead handlers, and one handler table.
 
-PR 17 left ``_b_hash_join``, ``_b_agg`` and ``_fold_column`` in the
-default mode's handler table with no statement reaching them, and
-nothing noticed for two PRs.  This guard runs the TPC-DS corpus, the six
-streaming statements the ledger's ``scan_heavy`` adds (copied here as
-SQL; tier-1 does not import the ledger) and the operator-coverage cases
-through both modes with every handler-table entry wrapped in a counter,
-and checks:
+Both execution modes run the compiled engine: ``FUSED`` compiles every
+breaker-free chain into one stage, ``ROW`` every streaming operator and
+sink into a one-operator chain of its own.  What is not a chain member
+runs on ``Executor._HANDLERS``, one table for both modes.  This guard
+runs the TPC-DS corpus, the six streaming statements the ledger's
+``scan_heavy`` adds (copied here as SQL; tier-1 does not import the
+ledger) and the operator-coverage cases through both modes with every
+table entry wrapped in a counter, and checks:
 
-(a) in FUSED mode no Filter / Project / HashJoin / HashAgg / StreamAgg
-    node is dispatched through ``Executor._handlers`` — each is a member
-    of a compiled chain, so ``run_chain`` runs it;
-(b) every entry FUSED mode lays over the row interpreter's table is
-    entered in the FUSED run, and every entry of the row table in the
-    ROW run.  An operator no statement's best plan contains is reached
-    through a configuration that forces it (``EXTRA``), not skipped.
+(a) no Filter / Project / HashJoin / HashAgg / StreamAgg type has a
+    handler, so no such node is dispatched through the table — each is
+    a member of a compiled chain, and ``run_chain`` runs it;
+(b) every entry of the table is entered in each mode's run.  An
+    operator no statement's best plan contains is reached through a
+    configuration that forces it (``EXTRA``), not skipped;
+(c) in ``ROW`` every chain has exactly one operator, and every
+    streaming or sink node tops one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import pytest
 
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
-from repro.engine.fused import FUSED_HANDLERS
+from repro.engine.fused import fused_chains
 from repro.engine.pipeline import SINK_OPS, STREAMING_OPS
 from repro.optimizer import Orca
 from repro.workloads import QUERIES
@@ -81,11 +83,10 @@ def plans(tpcds_db):
     return out
 
 
-def entered_handlers(plans, mode) -> tuple[dict, set]:
-    """Run every plan in ``mode``; returns (the mode's handler table,
-    the operator types dispatched through it)."""
+def entered_handlers(plans, mode) -> set:
+    """Run every plan in ``mode``; returns the operator types dispatched
+    through the handler table."""
     entered: set = set()
-    table: dict = {}
 
     def counting(op_type, handler):
         def wrapper(ex, node):
@@ -93,12 +94,16 @@ def entered_handlers(plans, mode) -> tuple[dict, set]:
             return handler(ex, node)
         return wrapper
 
+    table = {t: counting(t, h) for t, h in Executor._HANDLERS.items()}
     for db, result in plans:
         ex = Executor(Cluster(db, segments=8), execution_mode=mode)
-        table = ex._handlers
-        ex._handlers = {t: counting(t, h) for t, h in table.items()}
+        ex._HANDLERS = table  # shadows the class table for this run
         ex.execute(result.plan, result.output_cols)
-    return table, entered
+    return entered
+
+
+def _dead(entered) -> list:
+    return sorted(t.__name__ for t in Executor._HANDLERS if t not in entered)
 
 
 @pytest.fixture(scope="module")
@@ -107,23 +112,25 @@ def fused_run(plans):
 
 
 def test_fused_mode_dispatches_no_chain_member(fused_run):
-    _table, entered = fused_run
-    members = entered & set(STREAMING_OPS + SINK_OPS)
-    assert sorted(t.__name__ for t in members) == []
+    members = set(STREAMING_OPS + SINK_OPS)
+    assert sorted(t.__name__ for t in members & set(Executor._HANDLERS)) == []
+    assert sorted(t.__name__ for t in members & fused_run) == []
 
 
-def test_fused_mode_enters_every_handler_it_lays_over_the_row_table(fused_run):
-    table, entered = fused_run
-    overlay = {
-        t: h for t, h in table.items() if Executor._HANDLERS.get(t) is not h
-    }
-    dead = sorted(h.__name__ for t, h in overlay.items() if t not in entered)
-    assert dead == []
-    assert overlay == FUSED_HANDLERS
+def test_fused_mode_enters_every_handler(fused_run):
+    assert _dead(fused_run) == []
 
 
 def test_row_mode_enters_every_row_handler(plans):
-    table, entered = entered_handlers(plans, ExecutionMode.ROW)
-    assert table is Executor._HANDLERS
-    dead = sorted(t.__name__ for t in table if t not in entered)
-    assert dead == []
+    assert _dead(entered_handlers(plans, ExecutionMode.ROW)) == []
+
+
+def test_row_mode_runs_one_operator_per_chain(plans):
+    for _db, result in plans:
+        chains = fused_chains(result.plan, fuse=False)
+        assert all(len(c.ops) == 1 for c in chains.values())
+        members = {
+            id(n) for n in result.plan.walk()
+            if isinstance(n.op, STREAMING_OPS + SINK_OPS)
+        }
+        assert set(chains) == members

@@ -605,14 +605,16 @@ class TestFusedTraceEvents:
         assert tracer.count("scan_cache_hit") >= 1
         assert tracer.count("scan_cache_miss") == misses
 
-    def test_row_mode_emits_no_fused_events(self):
+    def test_row_mode_compiles_one_operator_chains(self):
         db = make_small_db(t1_rows=400, t2_rows=80)
         tracer = Tracer()
         session = connect(db, tracer=tracer, segments=4,
                           execution_mode="row")
         session.execute(Q_AGG)
-        assert tracer.count("pipeline_segmented") == 0
-        assert tracer.count("chain_compiled") == 0
+        assert tracer.count("pipeline_segmented") == 1
+        compiled = tracer.events_of("chain_compiled")
+        assert compiled
+        assert {e.data["ops"] for e in compiled} == {1}
 
 
 # ----------------------------------------------------------------------

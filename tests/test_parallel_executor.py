@@ -5,7 +5,7 @@ dispatches the fused engine's streaming phase across forked worker
 processes, one morsel per (stage, bucket), and gathers results in
 bucket order before the sequential metric replay.  The contract is
 absolute: ``parallelism >= 2`` must be float-identical to the serial
-fused path and the row oracle — rows, every ExecutionMetrics field,
+fused path and row mode — rows, every ExecutionMetrics field,
 every per-node NodeStats field, the rendered EXPLAIN ANALYZE — and
 ``parallelism = 0/1`` must be bit-identical to today's serial engine
 (no pool is even constructed).
@@ -59,7 +59,7 @@ def _execute(db, result, *, segments=8, mode=ExecutionMode.FUSED,
 
 
 # ---------------------------------------------------------------------------
-# Full-corpus differential: parallel == serial fused == row oracle.
+# Full-corpus differential: parallel == serial fused == row mode.
 # ---------------------------------------------------------------------------
 
 
