@@ -325,7 +325,9 @@ class Histogram:
         the same slices; a caller that needs both computes them once and
         hands them to :meth:`join_cardinality` and :meth:`join_histogram`.
         Each histogram is cut in one pass (:meth:`_cut`); slice for
-        slice, the result is bit-identical to :meth:`_slice`.
+        slice, the result is bit-identical to cutting each slice with
+        its own scan of the overlapping buckets (the per-slice
+        reference in ``tests/test_statistics.py``).
         """
         bounds = sorted(
             {b.lo for b in self.buckets} | {b.hi for b in self.buckets}
@@ -399,10 +401,10 @@ class Histogram:
 
         Each bucket therefore covers whole slices: one bisect finds its
         first, and it adds ``rows * frac`` and ``ndv * frac`` to each.
-        A slice receives the same terms, in bucket order, that
-        :meth:`_slice` sums for it (inside the bucket, ``_slice``'s
-        intersection is exactly the slice's own width), so the sums are
-        bit-identical.
+        A slice receives the same terms, in bucket order, that a
+        per-slice scan of the overlapping buckets sums for it (inside
+        the bucket, that scan's intersection is exactly the slice's own
+        width), so the sums are bit-identical.
         """
         n = len(bounds) - 1
         rows = [0.0] * n
@@ -420,34 +422,6 @@ class Histogram:
                 ndv[i] += b.ndv * frac
                 i += 1
                 lo = hi
-        return rows, ndv
-
-    def _slice(self, lo: float, hi: float) -> tuple[float, float]:
-        """(rows, ndv) of this histogram restricted to [lo, hi).
-
-        The per-slice reference :meth:`_cut` is checked against.  Only
-        buckets overlapping [lo, hi) can contribute; the rest add
-        exactly +0.0, so bisecting to the overlap range and summing the
-        same non-zero terms in the same order is float-identical to the
-        full scan.
-        """
-        rows = 0.0
-        ndv = 0.0
-        los, his = self._bounds_arrays()
-        start = bisect_right(his, lo)
-        end = bisect_left(los, hi)
-        for b in self.buckets[start:end]:
-            bw = b.hi - b.lo
-            if bw <= 0:
-                continue
-            inter = (b.hi if b.hi < hi else hi) - (b.lo if b.lo > lo else lo)
-            if inter <= 0:
-                continue
-            frac = inter / bw
-            if frac > 1.0:
-                frac = 1.0
-            rows += b.rows * frac
-            ndv += b.ndv * frac
         return rows, ndv
 
     def _point(self, p: float) -> tuple[float, float]:

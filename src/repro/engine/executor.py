@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Any, Iterable, Optional, Sequence
 
 from repro.catalog.schema import DistributionPolicy
 from repro.config import ExecutionMode
@@ -80,6 +82,10 @@ class DRows:
     def bucket_sizes(self) -> list[int]:
         return [len(b) for b in self.buckets]
 
+    def copy_parts(self) -> list[list[tuple]]:
+        """The buckets that together hold one copy of the rows."""
+        return self.buckets if self.kind == SEGMENTED else self.buckets[:1]
+
     def single_copy(self) -> list[tuple]:
         if self.kind in (SINGLETON, REPLICATED):
             return self.buckets[0]
@@ -96,7 +102,12 @@ class DRows:
         return out
 
     def width(self) -> int:
-        return sum(c.dtype.width for c in self.cols) or 8
+        return _row_width(self.cols)
+
+
+def _row_width(cols: Sequence[ColRef]) -> int:
+    """Bytes per row, as the memory check and the network charge see it."""
+    return sum(c.dtype.width for c in cols) or 8
 
 
 @dataclass
@@ -123,17 +134,49 @@ def _positions(cols: Sequence[ColRef], wanted: Sequence[ColRef]) -> list[int]:
         ) from exc
 
 
+def _projected(
+    rows: Iterable[tuple], positions: list[int], width: int
+) -> Iterable[tuple]:
+    """``rows`` narrowed to ``positions`` with no Python call per row.
+    Identity positions hand ``rows`` back as they are, so a caller that
+    keeps the result copies it first."""
+    if positions == list(range(width)):
+        return rows
+    if len(positions) > 1:
+        return map(itemgetter(*positions), rows)
+    if positions:
+        p = positions[0]
+        return [(r[p],) for r in rows]
+    return [() for _ in rows]
+
+
+def _projected_buckets(
+    buckets: list[list[tuple]], positions: list[int], width: int
+) -> list[list[tuple]]:
+    """Every bucket narrowed to ``positions``; identity positions share
+    the bucket lists instead of re-tupling every row."""
+    if positions == list(range(width)):
+        return buckets
+    return [list(_projected(b, positions, width)) for b in buckets]
+
+
 def _sort_rows(
     rows: list[tuple], cols: Sequence[ColRef], keys: Sequence[SortKey]
 ) -> list[tuple]:
+    """Stable sort, least significant key first.  Per key, NULL rows go
+    last ascending and first descending, each side in input order; the
+    rest sort on ``itemgetter(pos)``."""
     index = {c.id: i for i, c in enumerate(cols)}
     out = list(rows)
-    for key in reversed(list(keys)):
+    for key in reversed(keys):
         pos = index[key.col_id]
-        out.sort(
-            key=lambda r: (r[pos] is None, r[pos]),
-            reverse=not key.ascending,
-        )
+        nulls = []
+        if None in map(itemgetter(pos), out):
+            nulls = [r for r in out if r[pos] is None]
+            out = [r for r in out if r[pos] is not None]
+        out.sort(key=itemgetter(pos), reverse=not key.ascending)
+        if nulls:
+            out = out + nulls if key.ascending else nulls + out
     return out
 
 
@@ -217,13 +260,14 @@ class Executor:
         }
         with self.tracer.span("execute"):
             result = self._exec(plan)
-            rows = result.single_copy()
         self.metrics.close(plan)
         cols = result.cols
+        # A fresh list always: the buckets may be the scan cache's.
+        rows = chain.from_iterable(result.copy_parts())
         if output_cols:
-            positions = _positions(cols, output_cols)
-            rows = [tuple(r[p] for p in positions) for r in rows]
+            rows = _projected(rows, _positions(cols, output_cols), len(cols))
             cols = list(output_cols)
+        rows = list(rows)
         if self.tracer.enabled:
             self.tracer.record(
                 "execution_metrics",
@@ -280,7 +324,12 @@ class Executor:
             self._charge_by_kind(
                 node, kind, sizes, rows * self.materialize_output_factor
             )
-        metrics.cardinalities.append((repr(node.op), node.rows_estimate, rows))
+        # The operator's rendering is derived state of an immutable
+        # node: made once, kept beside the chain caches, never pickled.
+        label = node.__dict__.get("_op_repr")
+        if label is None:
+            label = node._op_repr = repr(node.op)
+        metrics.cardinalities.append((label, node.rows_estimate, rows))
         entry = metrics.node(node)
         entry.loops += 1
         entry.rows_out += rows
@@ -325,14 +374,14 @@ class Executor:
         return {c.id: i for i, c in enumerate(cols)}
 
     def _check_memory(
-        self, node: PlanNode, rows: list[tuple], cols, op_name: str
+        self, node: PlanNode, n_rows: int, width: int, op_name: str
     ) -> None:
-        width = sum(c.dtype.width for c in cols) or 8
-        needed = len(rows) * width
+        """Charge (or refuse) holding ``n_rows`` rows of ``width`` bytes."""
+        needed = n_rows * width
         if needed <= self.cluster.memory_limit_bytes:
             return
         if self.cluster.spill_enabled:
-            self.metrics.rows_spilled += len(rows)
+            self.metrics.rows_spilled += n_rows
             # Spilling writes and re-reads the overflow.
             overflow = needed - self.cluster.memory_limit_bytes
             self.metrics.charge_all_segments(
@@ -501,15 +550,14 @@ class Executor:
                         values.add(row[pos])
 
     def _charge_hash_side(
-        self, node: PlanNode, seg: int, probes: int, build: list[tuple], cols
+        self, node: PlanNode, seg: int, probes: int, builds: int, width: int
     ) -> None:
         """One hash-join work unit's charges: the build side's memory
         check, then building and probing."""
-        self._check_memory(node, build, cols, "HashJoin")
+        self._check_memory(node, builds, width, "HashJoin")
         self._charge_at(
             node, seg,
-            len(build) * self.params.hash_build
-            + probes * self.params.hash_probe,
+            builds * self.params.hash_build + probes * self.params.hash_probe,
         )
 
     def _exec_merge_join(self, node: PlanNode) -> DRows:
@@ -692,15 +740,11 @@ class Executor:
         out_buckets: list[list[tuple]] = [[] for _ in range(nbuckets)]
         for child, in_cols in zip(children, op.input_cols):
             positions = _positions(child.cols, in_cols)
-            source = (
-                [child.single_copy()] if kind == SINGLETON else (
-                    child.buckets if child.kind == SEGMENTED
-                    else [child.single_copy()] + [[]] * (nbuckets - 1)
-                )
-            )
-            for i, bucket in enumerate(source):
+            # A segmented child keeps its buckets; one copy lands in
+            # bucket 0 (the only one when every child is a singleton).
+            for i, bucket in enumerate(child.copy_parts()):
                 out_buckets[i].extend(
-                    tuple(r[p] for p in positions) for r in bucket
+                    _projected(bucket, positions, len(child.cols))
                 )
         total = sum(len(b) for b in out_buckets)
         self.metrics.charge_all_segments(
@@ -721,8 +765,9 @@ class Executor:
     def _exec_gather_merge(self, node: PlanNode) -> DRows:
         op: ph.PhysicalGatherMerge = node.op
         child = self._exec(node.children[0])
-        rows = child.single_copy()
-        rows = _sort_rows(rows, child.cols, op.order.keys)
+        rows = _sort_rows(
+            chain.from_iterable(child.copy_parts()), child.cols, op.order.keys
+        )
         self.metrics.charge_network(node, len(rows) * child.width())
         self.metrics.charge_master(node, len(rows) * GATHER_MERGE_FACTOR)
         self.metrics.rows_moved += len(rows)
@@ -731,16 +776,18 @@ class Executor:
     def _exec_redistribute(self, node: PlanNode) -> DRows:
         op: ph.PhysicalRedistribute = node.op
         child = self._exec(node.children[0])
-        index = self._index(child.cols)
-        positions = [index[c.id] for c in op.columns]
-        rows = child.single_copy()
-        buckets = self.cluster.distribute_rows(rows, positions)
+        positions = _positions(child.cols, op.columns)
+        parts = child.copy_parts()
+        buckets = self.cluster.distribute_rows(
+            chain.from_iterable(parts), positions
+        )
+        n = sum(map(len, parts))
         # All segments send and receive concurrently: the wall-clock
         # network time is the per-segment share, not the total traffic.
         self.metrics.charge_network(
-            node, len(rows) * child.width() / max(self.cluster.segments, 1)
+            node, n * child.width() / max(self.cluster.segments, 1)
         )
-        self.metrics.rows_moved += len(rows)
+        self.metrics.rows_moved += n
         return DRows(SEGMENTED, child.cols, buckets)
 
     def _exec_broadcast(self, node: PlanNode) -> DRows:
@@ -766,19 +813,8 @@ class Executor:
         op: ph.PhysicalCTEProducer = node.op
         child = self._exec(node.children[0])
         positions = _positions(child.cols, op.columns)
-        if positions == list(range(len(child.cols))):
-            # Identity projection: share the bucket lists instead of
-            # re-tupling every row.
-            stored = DRows(child.kind, list(op.columns), child.buckets)
-        else:
-            stored = DRows(
-                child.kind,
-                list(op.columns),
-                [
-                    [tuple(r[p] for p in positions) for r in b]
-                    for b in child.buckets
-                ],
-            )
+        buckets = _projected_buckets(child.buckets, positions, len(child.cols))
+        stored = DRows(child.kind, list(op.columns), buckets)
         self._cte_store[op.cte_id] = stored
         self._charge_by_kind(
             node, child.kind, child.bucket_sizes(),
@@ -792,17 +828,8 @@ class Executor:
         if stored is None:
             raise ExecutionError(f"CTE {op.cte_id} was not produced")
         positions = _positions(stored.cols, op.producer_cols)
-        if positions == list(range(len(stored.cols))):
-            renamed = DRows(stored.kind, list(op.output_cols), stored.buckets)
-        else:
-            renamed = DRows(
-                stored.kind,
-                list(op.output_cols),
-                [
-                    [tuple(r[p] for p in positions) for r in b]
-                    for b in stored.buckets
-                ],
-            )
+        buckets = _projected_buckets(stored.buckets, positions, len(stored.cols))
+        renamed = DRows(stored.kind, list(op.output_cols), buckets)
         self._charge_by_kind(
             node, renamed.kind, renamed.bucket_sizes(),
             renamed.total_rows() * CTE_CONSUMER_FACTOR,

@@ -82,6 +82,7 @@ from repro.engine.executor import (
     _agg_add_value,
     _agg_final,
     _agg_init,
+    _row_width,
     _sort_rows,
 )
 from repro.engine.parallel import ChainSpec, next_chain_key
@@ -643,9 +644,11 @@ def run_chain(ex, chain: Pipeline) -> DRows:
             op = node.op
             t = type(op)
             if t is ph.PhysicalHashJoin:
-                cols = inners[id(node)].cols
+                width = inners[id(node)].width()
                 for seg, o_rows, i_rows in pairs:
-                    ex._charge_hash_side(node, seg, len(o_rows), i_rows, cols)
+                    ex._charge_hash_side(
+                        node, seg, len(o_rows), len(i_rows), width
+                    )
                 out_sizes = per_counter[st.counter_of[id(node)]]
             elif t is ph.PhysicalFilter:
                 ex._charge_by_kind(
@@ -660,6 +663,7 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                 out_sizes = sizes
             else:  # aggregation sink: group tables -> output rows
                 cols = compiled.node_cols[id(node)]
+                width = _row_width(cols)
                 is_stream = isinstance(op, ph.PhysicalStreamAgg)
                 sort_keys = [SortKey(c.id) for c in op.group_cols]
                 agg_buckets = []
@@ -667,7 +671,7 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                     if not op.group_cols and not groups:
                         # Scalar aggregation over empty input: one row.
                         groups[()] = st.init(bound)
-                    ex._check_memory(node, list(groups), cols, op.name)
+                    ex._check_memory(node, len(groups), width, op.name)
                     out_rows = st.final(groups, bound)
                     if is_stream and op.group_cols:
                         out_rows = _sort_rows(out_rows, cols, sort_keys)

@@ -22,7 +22,8 @@ class PlanNode:
     the paths to the changed constants and shares the rest.  The only
     writes allowed are derived caches that are rebuilt on demand and
     left out of the pickle: ``_fused_cache`` / ``_unfused_cache`` (the
-    compiled chains of each execution mode) here, ``_cached_key`` and
+    compiled chains of each execution mode) and ``_op_repr`` (the
+    operator's rendering the executor records) here, ``_cached_key`` and
     the child-request ``_alternatives`` on operators, ``_cached_key``
     on distribution and order specs, ``_cached_key`` / ``_row_cache``
     on scalar expressions.  ``tests/test_plan_immutability.py`` holds
@@ -51,12 +52,13 @@ class PlanNode:
     def __getstate__(self):
         # The executor caches compiled pipelines (generated functions +
         # closures) on the plan root for as long as the tree lives, one
-        # cache per execution mode; like ScalarExpr's compiled-closure
-        # caches, they are unpicklable derived state and are rebuilt on
-        # demand after transport.
+        # cache per execution mode, and each node's operator rendering;
+        # like ScalarExpr's compiled-closure caches, they are derived
+        # state and are rebuilt on demand after transport.
         state = dict(self.__dict__)
         state.pop("_fused_cache", None)
         state.pop("_unfused_cache", None)
+        state.pop("_op_repr", None)
         return state
 
     def operators(self) -> list[str]:

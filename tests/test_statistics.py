@@ -342,14 +342,38 @@ class TestLazyFiltered:
         assert clone == eager_filtered(base, 0.25)
 
 
+def slice_of(hist: Histogram, lo: float, hi: float) -> tuple[float, float]:
+    """(rows, ndv) of ``hist`` restricted to [lo, hi): the per-slice
+    reference ``Histogram._cut`` is checked against.  Only buckets
+    overlapping [lo, hi) can contribute; the rest add exactly +0.0, so
+    summing the overlapping buckets' terms in bucket order is
+    float-identical to the full scan."""
+    rows = 0.0
+    ndv = 0.0
+    for b in hist.buckets:
+        bw = b.hi - b.lo
+        if bw <= 0:
+            continue
+        inter = (b.hi if b.hi < hi else hi) - (b.lo if b.lo > lo else lo)
+        if inter <= 0:
+            continue
+        frac = inter / bw
+        if frac > 1.0:
+            frac = 1.0
+        rows += b.rows * frac
+        ndv += b.ndv * frac
+    return rows, ndv
+
+
 def per_slice_join_slices(a: Histogram, b: Histogram) -> list[tuple]:
-    """Reference: the slices cut one ``_slice`` scan per slice and side,
-    as ``join_slices`` did before it cut each histogram in one pass."""
+    """Reference: the slices cut one ``slice_of`` scan per slice and
+    side, as ``join_slices`` did before it cut each histogram in one
+    pass."""
     bounds = sorted(
         {x for h in (a, b) for bk in h.buckets for x in (bk.lo, bk.hi)}
     )
     return [
-        (lo, hi, *a._slice(lo, hi), *b._slice(lo, hi))
+        (lo, hi, *slice_of(a, lo, hi), *slice_of(b, lo, hi))
         for lo, hi in zip(bounds, bounds[1:])
     ]
 
