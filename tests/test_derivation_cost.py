@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.config import OptimizerConfig
 from repro.cost.model import CostModel, CostParams, local_rows
 from repro.memo import Memo
 from repro.memo.context import StatsObject
+from repro.optimizer import Orca
 from repro.ops import Expression
 from repro.ops.logical import (
     JoinKind,
@@ -31,6 +35,7 @@ from repro.props.order import ANY_ORDER
 from repro.props.required import DerivedProps
 from repro.stats.derivation import StatsDeriver, promise
 from repro.stats.selectivity import apply_predicate, estimate_selectivity
+from repro.workloads import QUERIES
 from repro.catalog.statistics import ColumnStats
 
 from tests.conftest import make_small_db
@@ -370,3 +375,121 @@ class TestCostModel:
             stats, [], [], [], d,
         )
         assert dynamic < plain * 0.2
+
+
+def _optimize_corpus(db, **config):
+    """``{query_id: root plan cost}`` over the corpus at 8 segments."""
+    orca = Orca(db, config=OptimizerConfig(segments=8, **config))
+    return {q.id: orca.optimize(q.sql).plan.cost for q in QUERIES}
+
+
+#: Per corpus query at scale 0.08 / 8 segments: the root plan's cost as
+#: ``float.hex()``, the same with cost-bound pruning on and off.  Golden
+#: plans print costs to one decimal, so these are what catches a last-bit
+#: drift in a cost formula.
+ROOT_COST_PINS = {
+    "star_brand": "0x1.e84605fc520d3p+8",
+    "demo_promo": "0x1.1f44d60e8ede1p+10",
+    "class_ratio_window": "0x1.4f1b4dbe6b493p+10",
+    "zip_group": "0x1.1c96248781151p+13",
+    "multi_fact_join": "0x1.f6b7121e6bb06p+12",
+    "category_by_day": "0x1.a12787116ce6bp+11",
+    "avg_price_corr_subquery": "0x1.0a5e0647983b8p+14",
+    "exists_customers": "0x1.d8fcb2f1bb36fp+13",
+    "not_exists_returns": "0x1.73b33d4eb774ap+13",
+    "cte_frequent_items": "0x1.ccb6504a5a0e3p+15",
+    "cte_year_totals": "0x1.61d16309ae2dbp+15",
+    "rank_profit_window": "0x1.4228991b5e6e9p+11",
+    "channel_intersect": "0x1.1aa0ad972143ep+13",
+    "channel_except": "0x1.21e7fdc8a9360p+12",
+    "channel_union": "0x1.eea4f354498bap+9",
+    "inventory_item": "0x1.12530284ee3b9p+9",
+    "returns_reason": "0x1.4cb7913d2e959p+10",
+    "nonequi_inventory": "0x1.b7bfe2e20175bp+10",
+    "store_revenue_vs_avg": "0x1.f6c95f517cb3ap+13",
+    "disjunctive_demo": "0x1.da0ba6f4ed503p+9",
+    "case_counts": "0x1.264f9c40d68e6p+11",
+    "dpe_quarter": "0x1.701615f4d8f60p+11",
+    "topn_profit": "0x1.49a5407e941b2p+13",
+    "brand_having": "0x1.0ad34e3a5e32ep+15",
+    "left_join_returns": "0x1.fbd97da91e119p+10",
+    "scalar_totals": "0x1.0bfa5a4503fabp+11",
+    "in_subquery_items": "0x1.e073ea7b95287p+11",
+    "customer_channels": "0x1.42c6b8d319a38p+12",
+    "monthly_seq_window": "0x1.ebd6f66ef8e44p+13",
+    "cross_channel_ratio": "0x1.f06e21ba2c57ap+11",
+    "category_rollup": "0x1.86a938c1c857dp+13",
+    "income_band_rollup": "0x1.031bd7f193eb2p+10",
+}
+
+#: SHA-1 over the call-ordered ``(op name, value.hex())`` of every
+#: ``local_cost`` and ``local_cost_floor`` call on the same corpus runs.
+COST_CALL_DIGESTS = {
+    True: (7068, "e45afe42c5875b6dd36f320a581720ea0d2fddc8"),
+    False: (6986, "c1ecb84c391af4a725bc0f9f094de3c336ae928a"),
+}
+
+
+@pytest.mark.parametrize("pruning", [True, False], ids=["pruned", "exhaustive"])
+def test_corpus_costs_are_bit_pinned(tpcds_db, monkeypatch, pruning):
+    calls = []
+    local_cost = CostModel.local_cost
+    local_cost_floor = CostModel.local_cost_floor
+
+    def record_cost(self, op, *args):
+        cost = local_cost(self, op, *args)
+        calls.append((op.name, cost.hex()))
+        return cost
+
+    def record_floor(self, op, *args):
+        floor = local_cost_floor(self, op, *args)
+        calls.append((op.name, floor.hex()))
+        return floor
+
+    monkeypatch.setattr(CostModel, "local_cost", record_cost)
+    monkeypatch.setattr(CostModel, "local_cost_floor", record_floor)
+    roots = _optimize_corpus(tpcds_db, enable_cost_bound_pruning=pruning)
+    assert {qid: cost.hex() for qid, cost in roots.items()} == ROOT_COST_PINS
+    digest = hashlib.sha1(json.dumps(calls).encode()).hexdigest()
+    assert (len(calls), digest) == COST_CALL_DIGESTS[pruning]
+
+
+def _concrete_physical_ops():
+    """Every ``PhysicalOp`` class in ``repro.ops.physical`` that nothing
+    there subclasses."""
+    classes = [
+        c for c in vars(ph).values()
+        if isinstance(c, type) and issubclass(c, ph.PhysicalOp)
+    ]
+    return {
+        c for c in classes
+        if not any(o is not c and issubclass(o, c) for o in classes)
+    }
+
+
+def test_floor_bounds_every_costed_alternative(tpcds_db, monkeypatch):
+    """``local_cost_floor`` is a sound lower bound on ``local_cost`` for
+    every alternative the corpus search costs, and the corpus costs every
+    physical operator the search can reach.  A CTE producer is wrapped
+    around its child's plan outside the Memo, so it is never costed;
+    decorrelation off is what reaches the correlated nested-loop join."""
+    costed = []
+    local_cost = CostModel.local_cost
+
+    def checked_cost(self, op, stats, child_stats, *rest):
+        cost = local_cost(self, op, stats, child_stats, *rest)
+        costed.append((op, self.local_cost_floor(op, stats, child_stats), cost))
+        return cost
+
+    monkeypatch.setattr(CostModel, "local_cost", checked_cost)
+    for decorrelation in (True, False):
+        before = len(costed)
+        _optimize_corpus(tpcds_db, enable_decorrelation=decorrelation)
+        assert len(costed) > before
+    violations = [
+        (op.name, floor, cost) for op, floor, cost in costed if floor > cost
+    ]
+    assert violations == []
+    kinds = {type(op) for op, _floor, _cost in costed}
+    assert kinds == _concrete_physical_ops() - {ph.PhysicalCTEProducer}
+    assert len(kinds) == 21
