@@ -7,9 +7,22 @@ cost per shipped byte — with a skew penalty for redistribution on skewed
 columns (the histogram-derived skew factor of Section 4.1).
 
 Cost of a plan rooted at a group expression = local cost + sum of the
-chosen child plans' costs; the search engine calls
-:meth:`CostModel.local_cost` with the statistics and delivered properties
-of the children.
+chosen child plans' costs.  Each physical operator's local cost is
+written once, in :meth:`CostModel._formula`, as a function of per-node
+output and input rows and at most one operator-specific input.  It is
+evaluated two ways:
+
+- :meth:`CostModel.local_cost` on the estimates, at the delivered
+  distributions;
+- :meth:`CostModel.local_cost_floor` at the **best-case layout**: every
+  stream fully partitioned (rows ÷ segments), an index scan fetching no
+  rows, a correlated inner plan costing 1, no redistribution skew (1) and
+  no rows merged on the master.  Every formula is non-decreasing in each
+  of these inputs, so no delivered layout costs less, and the floor is
+  the sound lower bound branch-and-bound pruning needs (Section 4.1,
+  Fig. 5).  The index's fetched rows and the merged rows do not depend
+  on the layout, so the floor could be tighter; the search orders
+  alternatives by floor, so tightening it changes the search.
 """
 
 from __future__ import annotations
@@ -69,9 +82,7 @@ class CostParams:
 
 def local_rows(rows: float, dist: DistributionSpec, segments: int) -> float:
     """Rows processed on the busiest node given a distribution."""
-    if isinstance(dist, SingletonDist):
-        return rows
-    if isinstance(dist, ReplicatedDist):
+    if isinstance(dist, (SingletonDist, ReplicatedDist)):
         return rows
     return rows / max(segments, 1)
 
@@ -99,9 +110,31 @@ class CostModel:
         child_costs: Sequence[float],
         delivered: DerivedProps,
     ) -> float:
-        """Local cost of one physical operator instance."""
-        cost = self._local_cost(
-            op, stats, child_stats, child_delivered, child_costs, delivered
+        """Local cost of one physical operator instance: its formula on
+        the estimates, at the delivered distributions."""
+        seg = self.segments
+        kind = type(op)
+        inputs = {}
+        if kind is ph.PhysicalIndexScan:
+            fetched = op.fetch_rows_estimate
+            if fetched is None:
+                fetched = max(stats.row_count, 0.0)
+            inputs["fetched"] = local_rows(fetched, delivered.dist, seg)
+        elif kind is ph.PhysicalCorrelatedNLJoin:
+            inputs["inner_cost"] = max(child_costs[1], 1.0)
+        elif kind is ph.PhysicalRedistribute:
+            inputs["skew"] = self._skew(child_stats[0], op.columns)
+        elif kind is ph.PhysicalGatherMerge:
+            inputs["merged"] = max(child_stats[0].row_count, 0.0)
+        cost = self._formula(
+            op,
+            local_rows(max(stats.row_count, 0.0), delivered.dist, seg),
+            [
+                local_rows(max(s.row_count, 0.0), d.dist, seg)
+                for s, d in zip(child_stats, child_delivered)
+            ],
+            child_stats,
+            **inputs,
         )
         if self.tracer.enabled:
             self.tracer.record(
@@ -110,188 +143,95 @@ class CostModel:
             )
         return cost
 
-    def _local_cost(
-        self,
-        op,
-        stats: StatsObject,
-        child_stats: Sequence[StatsObject],
-        child_delivered: Sequence[DerivedProps],
-        child_costs: Sequence[float],
-        delivered: DerivedProps,
-    ) -> float:
-        p = self.params
-        seg = self.segments
-        out_rows = max(stats.row_count, 0.0)
-        out_local = local_rows(out_rows, delivered.dist, seg)
-
-        def in_local(i: int) -> float:
-            return local_rows(
-                max(child_stats[i].row_count, 0.0), child_delivered[i].dist, seg
-            )
-
-        if isinstance(op, ph.PhysicalDynamicTableScan):
-            return p.startup + out_local * p.scan_tuple * op.dpe.fraction
-        if isinstance(op, ph.PhysicalTableScan):
-            return p.startup + out_local * p.scan_tuple
-        if isinstance(op, ph.PhysicalIndexScan):
-            fetched = op.fetch_rows_estimate
-            if fetched is None:
-                fetched = out_rows
-            fetched_local = local_rows(fetched, delivered.dist, seg)
-            return p.index_startup + fetched_local * p.index_tuple
-        if isinstance(op, ph.PhysicalFilter):
-            return in_local(0) * p.filter_factor
-        if isinstance(op, ph.PhysicalProject):
-            return in_local(0) * p.project_factor * max(len(op.projections), 1)
-        if isinstance(op, ph.PhysicalHashJoin):
-            build = in_local(1) * p.hash_build
-            probe = in_local(0) * p.hash_probe
-            if op.selector_col_id is not None:
-                # Dynamic partition elimination shrinks the probe side scan;
-                # the probe stream itself is already reduced via DynamicScan
-                # cost, so only charge the join work.
-                pass
-            return p.startup + build + probe + out_local * p.cpu_tuple * 0.5
-        if isinstance(op, ph.PhysicalMergeJoin):
-            # One pass over each (already sorted) input.
-            scan = (
-                (in_local(0) + in_local(1)) * p.cpu_tuple
-                * MERGE_JOIN_SCAN_FACTOR
-            )
-            return p.startup + scan + out_local * p.cpu_tuple * 0.5
-        if isinstance(op, ph.PhysicalNLJoin):
-            pairs = in_local(0) * max(child_stats[1].row_count, 1.0)
-            return p.startup + pairs * p.nl_factor + out_local * 0.5
-        if isinstance(op, ph.PhysicalCorrelatedNLJoin):
-            # The inner plan is re-evaluated once per outer row.
-            inner_cost = max(child_costs[1], 1.0)
-            return p.startup + in_local(0) * inner_cost
-        if isinstance(op, (ph.PhysicalHashAgg, ph.PhysicalStreamAgg)):
-            factor = p.agg_factor if isinstance(op, ph.PhysicalHashAgg) else p.cpu_tuple
-            return p.startup + in_local(0) * factor + out_local * p.cpu_tuple
-        if isinstance(op, ph.PhysicalSort):
-            n = in_local(0)
-            return p.startup + n * math.log2(n + 2.0) * p.sort_factor
-        if isinstance(op, ph.PhysicalLimit):
-            return in_local(0) * LIMIT_FACTOR
-        if isinstance(op, ph.PhysicalWindow):
-            return p.startup + in_local(0) * p.window_factor
-        if isinstance(op, ph.PhysicalAppend):
-            return (
-                sum(in_local(i) for i in range(len(child_stats)))
-                * APPEND_FACTOR
-            )
-        if isinstance(op, ph.PhysicalGather):
-            return self._motion_cost(child_stats[0], full_fanout=False)
-        if isinstance(op, ph.PhysicalGatherMerge):
-            rows = max(child_stats[0].row_count, 0.0)
-            return self._motion_cost(child_stats[0], full_fanout=False) + \
-                rows * p.cpu_tuple * GATHER_MERGE_FACTOR
-        if isinstance(op, ph.PhysicalRedistribute):
-            skew = self._skew(child_stats[0], op.columns)
-            return self._motion_cost(child_stats[0], full_fanout=False) / seg * skew
-        if isinstance(op, ph.PhysicalBroadcast):
-            return self._motion_cost(child_stats[0], full_fanout=True)
-        if isinstance(op, ph.PhysicalCTEProducer):
-            return in_local(0) * p.materialize_factor
-        if isinstance(op, ph.PhysicalCTEConsumer):
-            return p.startup + out_local * CTE_CONSUMER_FACTOR
-        if isinstance(op, ph.PhysicalSequence):
-            return 0.0
-        # Unknown physical operator: charge per-tuple processing.
-        return p.startup + out_local * p.cpu_tuple
-
-    # ------------------------------------------------------------------
     def local_cost_floor(
-        self,
-        op,
-        stats: StatsObject,
-        child_stats: Sequence[StatsObject],
+        self, op, stats: StatsObject, child_stats: Sequence[StatsObject]
     ) -> float:
         """Sound lower bound on :meth:`local_cost` over every possible
-        delivered-property combination.
-
-        Used by branch-and-bound pruning (Section 4.1, Fig. 5) to abandon
-        alternatives before their children are optimized.  Per-node row
-        counts assume the best case everywhere — fully partitioned
-        streams (``rows / segments``) — so for any actual distribution
-        the real local cost can only be larger.  Must stay consistent
-        with :meth:`_local_cost`; update both together.
-        """
-        p = self.params
+        delivered-property combination: the same formula at the best-case
+        layout (see the module docstring)."""
         seg = self.segments
-        out = max(stats.row_count, 0.0) / seg
+        return self._formula(
+            op,
+            max(stats.row_count, 0.0) / seg,
+            [max(s.row_count, 0.0) / seg for s in child_stats],
+            child_stats,
+        )
 
-        def cin(i: int) -> float:
-            return max(child_stats[i].row_count, 0.0) / seg
-
-        if isinstance(op, ph.PhysicalDynamicTableScan):
+    def _formula(
+        self,
+        op,
+        out: float,
+        ins: Sequence[float],
+        child_stats: Sequence[StatsObject],
+        fetched: float = 0.0, inner_cost: float = 1.0,
+        skew: float = 1.0, merged: float = 0.0,
+    ) -> float:
+        """Local cost of ``op`` from its output rows per node ``out``,
+        each child's input rows per node ``ins`` and the child statistics
+        (motions ship full rows).  The keyword inputs are an index scan's
+        fetched rows per node, a correlated join's inner plan cost, a
+        redistribution's skew and a gather-merge's rows merged on the
+        master; they default to the best case."""
+        p = self.params
+        kind = type(op)
+        if kind is ph.PhysicalDynamicTableScan:
             return p.startup + out * p.scan_tuple * op.dpe.fraction
-        if isinstance(op, ph.PhysicalTableScan):
+        if kind is ph.PhysicalTableScan:
             return p.startup + out * p.scan_tuple
-        if isinstance(op, ph.PhysicalIndexScan):
-            return p.index_startup
-        if isinstance(op, ph.PhysicalFilter):
-            return cin(0) * p.filter_factor
-        if isinstance(op, ph.PhysicalProject):
-            return cin(0) * p.project_factor * max(len(op.projections), 1)
-        if isinstance(op, ph.PhysicalHashJoin):
-            return (
-                p.startup + cin(1) * p.hash_build + cin(0) * p.hash_probe
-                + out * p.cpu_tuple * 0.5
-            )
-        if isinstance(op, ph.PhysicalMergeJoin):
-            return (
-                p.startup
-                + (cin(0) + cin(1)) * p.cpu_tuple * MERGE_JOIN_SCAN_FACTOR
-                + out * p.cpu_tuple * 0.5
-            )
-        if isinstance(op, ph.PhysicalNLJoin):
-            pairs = cin(0) * max(child_stats[1].row_count, 1.0)
+        if kind is ph.PhysicalIndexScan:
+            return p.index_startup + fetched * p.index_tuple
+        if kind is ph.PhysicalFilter:
+            return ins[0] * p.filter_factor
+        if kind is ph.PhysicalProject:
+            return ins[0] * p.project_factor * max(len(op.projections), 1)
+        if kind is ph.PhysicalHashJoin:
+            build = ins[1] * p.hash_build
+            probe = ins[0] * p.hash_probe
+            return p.startup + build + probe + out * p.cpu_tuple * 0.5
+        if kind is ph.PhysicalMergeJoin:
+            # One pass over each (already sorted) input.
+            scan = (ins[0] + ins[1]) * p.cpu_tuple * MERGE_JOIN_SCAN_FACTOR
+            return p.startup + scan + out * p.cpu_tuple * 0.5
+        if kind is ph.PhysicalNLJoin:
+            pairs = ins[0] * max(child_stats[1].row_count, 1.0)
             return p.startup + pairs * p.nl_factor + out * 0.5
-        if isinstance(op, ph.PhysicalCorrelatedNLJoin):
-            # The inner cost factor is clamped to >= 1.0 in local_cost.
-            return p.startup + cin(0)
-        if isinstance(op, (ph.PhysicalHashAgg, ph.PhysicalStreamAgg)):
-            factor = (
-                p.agg_factor
-                if isinstance(op, ph.PhysicalHashAgg)
-                else p.cpu_tuple
-            )
-            return p.startup + cin(0) * factor + out * p.cpu_tuple
-        if isinstance(op, ph.PhysicalSort):
-            n = cin(0)
+        if kind is ph.PhysicalCorrelatedNLJoin:
+            # The inner plan is re-evaluated once per outer row.
+            return p.startup + ins[0] * inner_cost
+        if kind is ph.PhysicalHashAgg:
+            return p.startup + ins[0] * p.agg_factor + out * p.cpu_tuple
+        if kind is ph.PhysicalStreamAgg:
+            return p.startup + ins[0] * p.cpu_tuple + out * p.cpu_tuple
+        if kind is ph.PhysicalSort:
+            n = ins[0]
             return p.startup + n * math.log2(n + 2.0) * p.sort_factor
-        if isinstance(op, ph.PhysicalLimit):
-            return cin(0) * LIMIT_FACTOR
-        if isinstance(op, ph.PhysicalWindow):
-            return p.startup + cin(0) * p.window_factor
-        if isinstance(op, ph.PhysicalAppend):
-            return sum(cin(i) for i in range(len(child_stats))) * APPEND_FACTOR
-        if isinstance(op, (ph.PhysicalGather, ph.PhysicalGatherMerge)):
-            # Motion cost is charged on full (not per-segment) rows.
+        if kind is ph.PhysicalLimit:
+            return ins[0] * LIMIT_FACTOR
+        if kind is ph.PhysicalWindow:
+            return p.startup + ins[0] * p.window_factor
+        if kind is ph.PhysicalAppend:
+            return sum(ins) * APPEND_FACTOR
+        if kind is ph.PhysicalGather:
             return self._motion_cost(child_stats[0], full_fanout=False)
-        if isinstance(op, ph.PhysicalRedistribute):
-            return self._motion_cost(child_stats[0], full_fanout=False) / seg
-        if isinstance(op, ph.PhysicalBroadcast):
+        if kind is ph.PhysicalGatherMerge:
+            return self._motion_cost(child_stats[0], full_fanout=False) + \
+                merged * p.cpu_tuple * GATHER_MERGE_FACTOR
+        if kind is ph.PhysicalRedistribute:
+            motion = self._motion_cost(child_stats[0], full_fanout=False)
+            return motion / self.segments * skew
+        if kind is ph.PhysicalBroadcast:
             return self._motion_cost(child_stats[0], full_fanout=True)
-        if isinstance(op, ph.PhysicalCTEProducer):
-            return cin(0) * p.materialize_factor
-        if isinstance(op, ph.PhysicalCTEConsumer):
+        if kind is ph.PhysicalCTEConsumer:
             return p.startup + out * CTE_CONSUMER_FACTOR
-        if isinstance(op, ph.PhysicalSequence):
+        if kind is ph.PhysicalSequence:
             return 0.0
-        return 0.0
+        raise TypeError(f"no cost formula for {kind.__name__}")
 
     # ------------------------------------------------------------------
-    def _row_width(self, stats: StatsObject) -> float:
-        if not stats.col_stats:
-            return 32.0
-        return stats.width(stats.col_stats.keys())
-
     def _motion_cost(self, stats: StatsObject, full_fanout: bool) -> float:
-        rows = max(stats.row_count, 0.0)
-        bytes_ = rows * self._row_width(stats)
+        """Startup plus the network cost of shipping every row."""
+        width = stats.width(stats.col_stats.keys()) if stats.col_stats else 32.0
+        bytes_ = max(stats.row_count, 0.0) * width
         cost = self.params.startup + bytes_ * self.params.net_byte
         if full_fanout:
             cost *= self.segments * self.params.broadcast_penalty
