@@ -16,8 +16,8 @@ evaluated two ways:
   distributions;
 - :meth:`CostModel.local_cost_floor` at the **best-case layout**: every
   stream fully partitioned (rows ÷ segments), an index scan fetching no
-  rows, a correlated inner plan costing 1, no redistribution skew (1) and
-  no rows merged on the master.  Every formula is non-decreasing in each
+  rows, a correlated inner plan costing 1, a redistribution skew of 1
+  and no rows merged on the master.  Every formula is non-decreasing in each
   of these inputs, so no delivered layout costs less, and the floor is
   the sound lower bound branch-and-bound pruning needs (Section 4.1,
   Fig. 5).  The index's fetched rows and the merged rows do not depend

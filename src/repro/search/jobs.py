@@ -73,9 +73,9 @@ def group_cost_floor(memo, group_id: int) -> float:
 
 def gexpr_cost_floor(engine: "SearchEngine", gexpr: GroupExpression) -> float:
     """Sound lower bound on the total cost of any plan rooted at
-    ``gexpr``: the child groups' cost floors plus a conservative lower
-    bound on the operator's own local cost (best-case distribution
-    everywhere; see :meth:`CostModel.local_cost_floor`).
+    ``gexpr``: the child groups' cost floors plus the operator's own
+    local cost at the best-case layout (:meth:`CostModel.local_cost_floor`;
+    the rule is stated in the :mod:`repro.cost.model` docstring).
 
     The group cost floors are live search state and are re-read every
     call; the operator-local part is pure and served from the engine's

@@ -127,13 +127,23 @@ class _Parser:
 
     def parse_compound_select(self) -> SelectStmt:
         stmt = self.parse_simple_select()
+        if (stmt.order_by or stmt.limit is not None) and self.peek().is_kw(
+            "union", "intersect", "except"
+        ):
+            # A parenthesized head keeps its own ORDER BY / LIMIT: read
+            # it as a derived table, so they do not bind to the compound.
+            stmt = SelectStmt(
+                select_items=[(EStar(), None)],
+                from_items=[SubqueryRef(stmt, "_head")],
+            )
         while self.peek().is_kw("union", "intersect", "except"):
             op_token = self.advance()
             op = SetOp(op_token.value)
             all_flag = bool(self.accept_kw("all"))
             right = self.parse_simple_select()
             stmt.set_ops.append((op, all_flag, right))
-        # Trailing ORDER BY / LIMIT of a compound select binds to the whole.
+        # A bare branch takes no ORDER BY / LIMIT: a trailing one binds
+        # to the whole compound (a parenthesized branch keeps its own).
         self._parse_order_limit(stmt)
         return stmt
 
@@ -168,7 +178,6 @@ class _Parser:
                     stmt.group_by.append(self.parse_expr())
         if self.accept_kw("having"):
             stmt.having = self.parse_expr()
-        self._parse_order_limit(stmt)
         return stmt
 
     def _parse_order_limit(self, stmt: SelectStmt) -> None:

@@ -153,3 +153,74 @@ def test_in_subquery_matches_sqlite(
     want = oracle.expected(sql)
     assert want.source == "sqlite"
     assert oracle_module.compare(rows, want) == "", (sql, rows, want.rows)
+
+
+# ---------------------------------------------------------------------------
+# A top-level compound's ORDER BY / LIMIT
+# ---------------------------------------------------------------------------
+
+#: NULL-free ``r(a, g)`` and ``s(a, g)``; ``a = 4`` is in both, so UNION
+#: and UNION ALL differ.
+COMPOUND_ROWS = {
+    "r": [(1, 1), (4, 2), (7, 1), (2, 2), (9, 1)],
+    "s": [(3, 1), (8, 2), (4, 1), (6, 2)],
+}
+
+#: Our SQL, and sqlite's spelling where it differs: sqlite takes no
+#: parenthesized compound branch, so there the branch is a derived table.
+COMPOUND_QUERIES = {
+    "union_all_order_desc": (
+        "SELECT a FROM r UNION ALL SELECT a FROM s ORDER BY a DESC", None,
+    ),
+    "union_all_order_limit": (
+        "SELECT a FROM r UNION ALL SELECT a FROM s ORDER BY a LIMIT 3", None,
+    ),
+    "union_order_desc": (
+        "SELECT a FROM r UNION SELECT a FROM s ORDER BY a DESC", None,
+    ),
+    "union_order_limit": (
+        "SELECT a FROM r UNION SELECT a FROM s ORDER BY a DESC LIMIT 3", None,
+    ),
+    "parenthesized_branch_limit": (
+        "SELECT a FROM r UNION ALL (SELECT a FROM s ORDER BY a LIMIT 3) "
+        "ORDER BY a DESC",
+        "SELECT a FROM r UNION ALL "
+        "SELECT * FROM (SELECT a FROM s ORDER BY a LIMIT 3) ORDER BY a DESC",
+    ),
+    "parenthesized_head_limit": (
+        "(SELECT a FROM r ORDER BY a DESC LIMIT 2) UNION ALL SELECT a FROM s",
+        "SELECT * FROM (SELECT a FROM r ORDER BY a DESC LIMIT 2) "
+        "UNION ALL SELECT a FROM s",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def compound_db(oracle_module):
+    db = Database()
+    for name, rows in COMPOUND_ROWS.items():
+        db.create_table(Table(
+            name, [Column("a", INT), Column("g", INT)],
+            distribution_columns=("g",),
+        ))
+        db.insert(name, rows)
+    db.analyze()
+    oracle = oracle_module.Oracle(db)
+    yield db, oracle
+    oracle.close()
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(COMPOUND_QUERIES))
+def test_compound_order_limit_matches_sqlite(
+    oracle_module, compound_db, name, mode
+):
+    """A trailing ORDER BY / LIMIT after a bare branch sorts and cuts
+    the whole compound; a parenthesized branch keeps its own."""
+    db, oracle = compound_db
+    sql, sqlite_sql = COMPOUND_QUERIES[name]
+    orca = Orca(db, config=OptimizerConfig(segments=3))
+    rows = execute(db, orca.optimize(sql), mode, segments=3)
+    want = oracle.expected(sqlite_sql or sql)
+    assert want.source == "sqlite"
+    assert oracle_module.compare(rows, want) == "", (sql, rows, want.rows)
