@@ -29,9 +29,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog import INT
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
+from repro.engine.executor import REPLICATED, SEGMENTED
 from repro.engine.fused import fused_chains
+from repro.engine.parallel import ChainSpec, _compile_spec
 from repro.engine.pipeline import (
     SINK_OPS,
     STREAMING_OPS,
@@ -39,6 +42,8 @@ from repro.engine.pipeline import (
     split_pipelines,
 )
 from repro.ops import physical as ph
+from repro.ops.logical import JoinKind
+from repro.ops.scalar import ColRef, ColRefExpr, Comparison, Literal
 from repro.optimizer import Orca
 from repro.trace import Tracer
 from repro.workloads import QUERIES
@@ -381,6 +386,66 @@ def test_warm_scan_cache_stays_identical(tpcds_db, tpcds_orca):
             ).execute(result.plan, result.output_cols, analyze=True)
             assert_identical(row, fused, result.plan)
     assert shared.scan_cache, "corpus should have populated the scan cache"
+
+
+# ---------------------------------------------------------------------------
+# Stage shapes: one loop nest per chain.
+# ---------------------------------------------------------------------------
+
+
+def _probes(nodes) -> list[int]:
+    return [id(n) for n in nodes if type(n.op) is ph.PhysicalHashJoin]
+
+
+def test_corpus_chains_compile_to_one_stage(tpcds_db, tpcds_orca):
+    """Every compiled chain of the corpus is one stage that nests all of
+    the chain's hash-join probes; no joined row is materialized between
+    two probes of one chain."""
+    widest: dict[str, int] = {}
+    for query in QUERIES:
+        result = tpcds_orca.optimize(query.sql)
+        Executor(Cluster(tpcds_db, segments=8)).execute(
+            result.plan, result.output_cols
+        )
+        for chain in fused_chains(result.plan).values():
+            if chain.compiled is None:
+                continue
+            (stage,) = chain.compiled.stages
+            assert _probes(stage.ops) == _probes(chain.ops), chain.describe()
+            widest[query.id] = max(
+                widest.get(query.id, 0), len(_probes(stage.ops))
+            )
+    assert widest["left_join_returns"] == 2
+    assert widest["monthly_seq_window"] == 2
+
+
+def test_a_fanning_probe_after_other_work_starts_a_stage():
+    """A REPLICATED outer probing a hashed build side runs once per
+    segment.  Heading its stage it fans the stage out; after a filter
+    it starts a new stage, so the filter still runs once."""
+    a, b, k = (ColRef(900 + i, name, INT) for i, name in enumerate("abk"))
+    flt = ph.PhysicalFilter(Comparison(">", ColRefExpr(b), Literal(3, INT)))
+    join = ph.PhysicalHashJoin(JoinKind.INNER, [a], [k])
+
+    def shapes(ops, src_kind, build_kind):
+        spec = ChainSpec(ops, [a, b], src_kind,
+                         [(ops.index(join), [k], build_kind)])
+        return [
+            [type(n.op).__name__ for n in st.ops]
+            for st in _compile_spec(spec).stages
+        ]
+
+    assert shapes([flt, join], REPLICATED, SEGMENTED) == [
+        ["PhysicalFilter"], ["PhysicalHashJoin"],
+    ]
+    assert shapes([join, flt], REPLICATED, SEGMENTED) == [
+        ["PhysicalHashJoin", "PhysicalFilter"],
+    ]
+    for src_kind, build_kind in ((SEGMENTED, SEGMENTED),
+                                 (REPLICATED, REPLICATED)):
+        assert shapes([flt, join], src_kind, build_kind) == [
+            ["PhysicalFilter", "PhysicalHashJoin"],
+        ]
 
 
 @pytest.mark.parametrize("make_db, table, new_row", [
