@@ -19,9 +19,6 @@ SQL ``NULL`` — every literal value, IN list and LIKE matcher is bound
 to a ``_f<i>`` name — so code objects are memoized by source
 (:func:`load_generated`), one entry per expression *shape*, and a
 re-bound literal does not reach the Python compiler.
-
-(The module is named for the column-major storage it no longer holds;
-nothing here is columnar.)
 """
 
 from __future__ import annotations
@@ -48,27 +45,33 @@ _BOOLEAN = (Comparison, BoolExpr, IsNull, InList, LikeExpr)
 
 
 class Layout:
-    """Where generated code finds the columns an expression reads: in
-    the row ``_r`` or, while a join's output row is not built, in the
-    outer row ``_row`` and the inner row ``_cand`` (``split`` is the
-    outer row's width).  A column ``index`` does not hold is a
-    correlated parameter, read from ``_params`` at call time."""
+    """Where generated code finds the columns an expression reads.
 
-    __slots__ = ("index", "split")
+    The row is the concatenation of ``parts``, ``(name, width)`` pairs
+    in column order: one row ``_r`` by default, or, while a joined row
+    is not built, the probe row and one candidate per hash join (the
+    last part's width is not read).  A column ``index`` does not hold is
+    a correlated parameter, read from ``_params`` at call time."""
 
-    def __init__(self, index: Mapping[int, int], split: Optional[int] = None):
+    __slots__ = ("index", "parts")
+
+    def __init__(self, index: Mapping[int, int], parts=(("_r", None),)):
         self.index = index
-        self.split = split
+        self.parts = parts
 
     def at(self, pos: int) -> str:
-        split = self.split
-        if split is None:
-            return f"_r[{pos}]"
-        return f"_row[{pos}]" if pos < split else f"_cand[{pos - split}]"
+        for name, width in self.parts[:-1]:
+            if pos < width:
+                return f"{name}[{pos}]"
+            pos -= width
+        return f"{self.parts[-1][0]}[{pos}]"
 
     @property
     def row(self) -> str:
-        return "_r" if self.split is None else "(_row + _cand)"
+        """The whole row as one expression (a tuple concatenation when
+        it is still in parts)."""
+        names = [name for name, _w in self.parts]
+        return names[0] if len(names) == 1 else "(" + " + ".join(names) + ")"
 
 
 def _evaluate_row(expr: ScalarExpr, index: Mapping[int, int]):

@@ -44,7 +44,7 @@ from repro.cost.model import (
     CostParams,
 )
 from repro.engine.cluster import Cluster
-from repro.engine.columnar import (
+from repro.engine.emit import (
     Emitter,
     Layout,
     _layout_key,
@@ -909,7 +909,9 @@ def _nl_loop(op, n_outer: int, index):
         lines.append("        _hit = False")
     lines += ["        for _cand in _i:", "            _n += 1"]
     if op.condition is not None:
-        cond = em.truth(op.condition, Layout(index, n_outer))
+        cond = em.truth(
+            op.condition, Layout(index, (("_row", n_outer), ("_cand", None)))
+        )
         lines += [f"            if not {cond}:", "                continue"]
     if inner:
         lines.append("            _append(_row + _cand)")

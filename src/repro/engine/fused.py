@@ -2,12 +2,12 @@
 
 :mod:`repro.engine.pipeline` splits a physical plan at pipeline breakers
 (hash-join build sides, aggregations, sorts, motions).  This module
-compiles every chain that is left — scan→filter→project, probe→project,
-join→agg, a lone filter — into generated Python loop functions (one per
-*stage*, a chain segment headed by at most one hash-join probe) that
-stream rows end-to-end without materializing anything in between:
-filters drop rows in place, projects extend the row tuple, join probes
-feed matches straight into downstream operators, and an aggregation
+compiles every chain that is left — scan→filter→project, probe→probe→
+agg, a lone filter — into one generated Python loop nest (a *stage*)
+that streams rows end-to-end without materializing anything in
+between: filters drop rows in place, projects extend the row tuple,
+every hash-join probe of the chain is a loop (or, over a unique build
+side, a lookup) nested inside the one before it, and an aggregation
 sink folds rows into its group table as they arrive.  Filter, Project,
 HashJoin and both aggregations therefore never run through a handler,
 in either execution mode; the breakers do, on the executor's one
@@ -17,36 +17,52 @@ every streaming operator and sink is a one-operator chain of its own
 materialized.  Every handler and :func:`run_chain` hand ``DRows`` to
 whatever is above them.
 
+A chain is one stage with one exception (:func:`_compile_chain`): a
+probe that fans a REPLICATED outer out over a build side that is not
+replicated (``Executor._join_sides``) starts a new stage unless it
+heads its own, so the work before it still runs once.
+
 The loops are compiled through, expressions included: filter
 predicates, projections, aggregate arguments and join residuals are
-rendered by :class:`repro.engine.columnar.Emitter` and inlined into the
+rendered by :class:`repro.engine.emit.Emitter` and inlined into the
 stage source, so a stage calls no Python function per row (an
 expression kind the emitter does not know keeps an ``evaluate()``
 closure, and a DISTINCT aggregate its ``_agg_add_value`` call).  Next
-to ``_stage`` the same source defines ``_build`` (build rows -> hash
-table) for a join stage and ``_init`` / ``_final`` (a fresh group
-state, groups -> output rows) for a sink stage, so the shapes they
-share are decided once:
+to ``_stage`` a sink stage's source defines ``_init`` / ``_final`` (a
+fresh group state, groups -> output rows), so the shapes they share
+are decided once:
 
-- *keys*: one emitter for build and probe at any arity; a one-column
-  join or group key is the bare value, two or more a tuple (a group
-  key is widened back to a tuple when its row is finalized);
+- *keys*: a one-column join or group key is the bare value, two or
+  more a tuple (a group key is widened back to a tuple when its row is
+  finalized); :func:`_build` keys the build rows the same way;
 - *aggregate state*: one flat list per group with a literal
   initializer in the source — ``count``, ``sum``, ``min`` and ``max``
-  one cell each, ``avg`` two (sum, n); sums stay ``_a + _v`` in arrival
-  order, so floats do not depend on how far a chain is fused;
-- *rows*: a residual reads the probe row and the build row in place,
-  and the joined row is built only for a pair that passed — not at all
-  when nothing stands between the probe and the sink.
+  one cell each, ``avg`` two (sum, n) — or, for a scalar aggregate,
+  one local per cell, stored once after the loop; sums stay
+  ``_a + _v`` in arrival order, so floats do not depend on how far a
+  chain is fused;
+- *rows*: a joined row is the source row plus one candidate per probe,
+  read in place (:class:`repro.engine.emit.Layout`); the tuple is built
+  only where something reads the whole row — a project, the final
+  ``_append``, an emitter fallback.
+
+Every build side is hashed per unit at run time, never from statistics
+or the catalog.  When each of its keys has exactly one row the table
+maps key -> row, and an INNER probe (or a LEFT one with no residual)
+is a lookup with no candidate loop; otherwise key -> rows.  A stage
+therefore has one generated variant per uniqueness signature (a flag
+per probe), made the first time a unit needs it (:meth:`_Stage.code`).
+A LEFT probe with no residual finds its NULL pad as the lookup's
+default, so its body is emitted once.
 
 The contract between the two modes is strict float identity, and it
 holds by construction: every charge is a closed-form function of
 per-node per-bucket row counts, booked on the node that incurs it
 (``ExecutionMetrics.ledger``).  A stage streams first, touching no
 metric and only counting rows at every operator; then its nodes are
-charged bottom-up from those counts through the executor's helpers
-(``_charge_by_kind``, ``_charge_hash_side``, ``_check_memory``) and
-closed with ``_node_done``, whichever chain they sit in.
+charged in chain order from those counts through the executor's
+helpers (``_charge_by_kind``, ``_charge_hash_side``, ``_check_memory``)
+and closed with ``_node_done``, whichever chain they sit in.
 ``tests/test_fused_executor.py`` pins fused == row across the TPC-DS
 corpus for rows, ExecutionMetrics and per-node NodeStats, and
 ``tests/test_sqlite_oracle.py`` holds the rows of both to sqlite.
@@ -61,24 +77,28 @@ never again).  A re-bound plan has a new root and compiles its chains
 anew, but the generated source holds no constant except SQL ``NULL``:
 literal values, ``IN`` lists, ``LIKE`` matchers, NULL pads and DISTINCT
 aggregates arrive through ``_B``.  The code objects therefore come from
-``_stage_code``'s by-source memo — one entry per stage *shape* — and a
-re-bind does not reach the Python compiler.
+``_stage_code``'s by-source memo — one entry per stage *shape* and
+signature — and a re-bind does not reach the Python compiler.
 
 When the executor carries a :class:`repro.engine.parallel.MorselPool`,
-the streaming phase of every stage is dispatched across the pool — one
-morsel per bucket/segment pair — and the results are gathered back in
-bucket order, so the charges (and with them every metric, trace event
-and NodeStats figure) are float-identical to the serial fused path.
-See DESIGN.md §3l.
+each stage's units (one per bucket or segment) are dispatched across
+the pool with their build rows; a worker hashes them, picks the variant
+its own tables call for, and the results are gathered back in unit
+order, so the charges (and with them every metric, trace event and
+NodeStats figure) are float-identical to the serial path.  See
+DESIGN.md §3l.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Callable, Optional
 
-from repro.engine.columnar import Emitter, Layout, load_generated
+from repro.engine.emit import Emitter, Layout, load_generated
 from repro.engine.executor import (
+    REPLICATED,
     DRows,
+    Executor,
     _agg_add_value,
     _agg_final,
     _agg_init,
@@ -96,7 +116,8 @@ _EMPTY: tuple = ()
 
 #: Generated stage source -> its code object.  One entry per distinct
 #: stage shape (operator sequence, join kind, key arity, column
-#: positions), never per literal, so the workload's plan shapes bound it.
+#: positions) and uniqueness signature, never per literal, so the
+#: workload's plan shapes bound it.
 _stage_code: dict[str, Any] = {}
 
 
@@ -116,44 +137,145 @@ def _index(cols) -> dict[int, int]:
     return {c.id: i for i, c in enumerate(cols)}
 
 
+def _tuple(items) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
 # ----------------------------------------------------------------------
-# Chain compilation
+# Chain compilation: the stage partition
 # ----------------------------------------------------------------------
+
+def _build(rows, positions: tuple, may_map: bool) -> tuple[dict, bool]:
+    """Hash one unit's build rows: ``(table, unique)``.
+
+    Rows whose key holds a NULL are left out.  A one-column key is the
+    bare value, two or more a tuple — what the probe's key expression
+    yields.  With ``may_map`` and every key on exactly one row, the
+    table maps key -> row (``unique``); otherwise key -> rows in arrival
+    order."""
+    keys = list(map(itemgetter(*positions), rows))
+    if len(positions) == 1:
+        nulls = [None] * keys.count(None)
+    else:
+        nulls = [k for k in keys if None in k]
+    if may_map:
+        table = dict(zip(keys, rows))
+        for key in nulls:
+            table.pop(key, None)
+        if len(table) + len(nulls) == len(keys):
+            return table, True
+    table = {}
+    setd = table.setdefault
+    for key, row in zip(keys, rows):
+        setd(key, []).append(row)
+    for key in nulls:
+        table.pop(key, None)
+    return table, False
+
+
+class _Probe:
+    """One hash join of a stage: its node, its build side's columns and
+    key positions, and whether a unique build side may be probed by
+    lookup (INNER, and LEFT with no residual)."""
+
+    __slots__ = ("node", "cols", "keys", "may_map")
+
+    def __init__(self, node: PlanNode, cols):
+        op = node.op
+        self.node = node
+        self.cols = list(cols)
+        index = _index(self.cols)
+        self.keys = tuple(index[c.id] for c in op.right_keys)
+        self.may_map = op.kind is JoinKind.INNER or (
+            op.kind is JoinKind.LEFT and op.residual is None
+        )
+
+    def build(self, rows) -> tuple[dict, bool]:
+        return _build(rows, self.keys, self.may_map)
+
+
+class _Code:
+    """One generated variant of a stage."""
+
+    __slots__ = ("fn", "init", "final", "bound", "source")
+
+    def __init__(self, namespace: dict, bound: tuple, source: str):
+        #: The streaming loop; for a sink stage, a fresh group state and
+        #: groups -> output rows.
+        self.fn: Callable = namespace["_stage"]
+        self.init: Optional[Callable] = namespace.get("_init")
+        self.final: Optional[Callable] = namespace.get("_final")
+        self.bound = bound
+        self.source = source
+
 
 class _Stage:
-    """One compiled chain segment: an optional leading hash-join probe,
-    a run of filters/projects, and an optional aggregation sink."""
+    """One compiled chain segment: its filters, projects and hash-join
+    probes and an optional aggregation sink, nested in chain order
+    into one generated loop."""
 
-    __slots__ = (
-        "join", "run", "agg", "fn", "build", "init", "final", "bound",
-        "ops_order", "counter_of", "source",
-    )
+    __slots__ = ("in_cols", "ops", "probes", "agg", "counter_of", "variants")
 
-    def __init__(self):
-        self.join: Optional[PlanNode] = None
-        self.run: list[PlanNode] = []
+    def __init__(self, in_cols: list):
+        self.in_cols = in_cols
+        #: Every node of the stage in chain order, the sink last.
+        self.ops: list[PlanNode] = []
+        self.probes: list[_Probe] = []
         self.agg: Optional[PlanNode] = None
-        #: The generated functions: the streaming loop; for a join
-        #: stage, build rows -> hash table; for a sink stage, a fresh
-        #: group state and groups -> output rows.
-        self.fn: Optional[Callable] = None
-        self.build: Optional[Callable] = None
-        self.init: Optional[Callable] = None
-        self.final: Optional[Callable] = None
-        self.bound: tuple = ()
-        self.ops_order: list[PlanNode] = []
-        #: id(node) -> index into the counter tuple the stage fn returns.
+        #: id(node) -> index into the counter tuple the stage returns
+        #: (filters and probes: the rows they let through).
         self.counter_of: dict[int, int] = {}
-        self.source: str = ""
+        #: Uniqueness signature -> the variant generated for it.
+        self.variants: dict[tuple, _Code] = {}
+
+    def add(self, node: PlanNode, build_cols=None) -> None:
+        self.ops.append(node)
+        t = type(node.op)
+        if t is ph.PhysicalHashJoin:
+            self.probes.append(_Probe(node, build_cols))
+        if t is ph.PhysicalHashJoin or t is ph.PhysicalFilter:
+            self.counter_of[id(node)] = len(self.counter_of)
+        elif t is not ph.PhysicalProject:
+            self.agg = node
+
+    def code(self, sig: tuple) -> _Code:
+        """The variant for ``sig`` (per probe: its table maps key ->
+        row), generated the first time a unit needs it."""
+        code = self.variants.get(sig)
+        if code is None:
+            code = self.variants[sig] = _StageGen(self, sig).generate()
+        return code
+
+    def sink(self) -> _Code:
+        """A variant to take ``_init`` / ``_final`` from: they do not
+        depend on the signature."""
+        for code in self.variants.values():
+            return code
+        return self.code((False,) * len(self.probes))
+
+    def run(self, rows, tables, params) -> tuple[tuple, Any]:
+        """Stream one unit: ``rows`` against ``tables`` (per probe, what
+        :meth:`_Probe.build` returned).  Returns ``(counters, output
+        rows)``, or the unit's group table for a sink stage."""
+        code = self.code(tuple(unique for _t, unique in tables))
+        hashed = tuple(table for table, _u in tables)
+        if self.agg is not None:
+            groups: dict = {}
+            return code.fn(rows, hashed, params, None, code.bound, groups), groups
+        out: list = []
+        return code.fn(rows, hashed, params, out.append, code.bound, None), out
 
 
 class CompiledChain:
-    __slots__ = ("stages", "node_cols", "key", "spec")
+    __slots__ = ("stages", "node_cols", "kinds", "key", "spec")
 
-    def __init__(self, stages, node_cols):
+    def __init__(self, stages, node_cols, kinds):
         self.stages: list[_Stage] = stages
         #: id(node) -> output column layout (widths / final result).
         self.node_cols: dict[int, list] = node_cols
+        #: The source's and the build sides' distribution kinds the
+        #: partition read.
+        self.kinds: tuple = kinds
         #: Process-unique id the morsel pool keys worker compile caches
         #: by, and the picklable compile recipe shipped to each worker
         #: (at most once per worker); both set by :func:`run_chain`.
@@ -161,60 +283,47 @@ class CompiledChain:
         self.spec: Optional[ChainSpec] = None
 
 
-def _partition_stages(ops: list[PlanNode]) -> list[_Stage]:
-    stages = [_Stage()]
-    for node in ops:
-        t = type(node.op)
-        if t is ph.PhysicalHashJoin:
-            st = _Stage()
-            st.join = node
-            stages.append(st)
-        elif t in (ph.PhysicalHashAgg, ph.PhysicalStreamAgg):
-            stages[-1].agg = node
-        else:
-            stages[-1].run.append(node)
-    first = stages[0]
-    if first.join is None and not first.run and first.agg is None:
-        stages.pop(0)
-    return stages
-
-
-def _compile_chain(chain: Pipeline, src_cols, inners) -> CompiledChain:
+def _compile_chain(ops, src_cols, src_kind: str, inners) -> CompiledChain:
+    """Partition ``ops`` into stages and lay out every node's columns.
+    ``inners`` maps ``id(join node)`` to its build side (``.cols``,
+    ``.kind``)."""
     cols = list(src_cols)
+    kind = src_kind
     node_cols: dict[int, list] = {}
-    stages = _partition_stages(chain.ops)
-    for st in stages:
-        inner_cols = (
-            list(inners[id(st.join)].cols) if st.join is not None else None
-        )
-        cols = _StageGen(st, node_cols).generate(cols, inner_cols)
-        st.ops_order = (
-            ([st.join] if st.join is not None else [])
-            + st.run
-            + ([st.agg] if st.agg is not None else [])
-        )
-    return CompiledChain(stages, node_cols)
+    st = _Stage(cols)
+    stages = [st]
+    for node in ops:
+        op = node.op
+        t = type(op)
+        if t is ph.PhysicalHashJoin:
+            inner = inners[id(node)]
+            # The one exception to one stage per chain: a REPLICATED
+            # outer against a build side that is not replicated runs
+            # once per segment (Executor._join_sides).  Heading its stage
+            # it fans the stage out; after other work it starts a new
+            # stage, or that work would run once per segment too.
+            if kind == REPLICATED and inner.kind != REPLICATED and st.ops:
+                st = _Stage(cols)
+                stages.append(st)
+            st.add(node, inner.cols)
+            kind = Executor._join_output_kind(kind, inner.kind)
+            if not op.kind.output_is_left_only():
+                cols = cols + list(inner.cols)
+        else:
+            st.add(node)
+            if t is ph.PhysicalProject:
+                cols = cols + [c for _e, c in op.projections]
+            elif t is not ph.PhysicalFilter:
+                cols = list(op.group_cols) + [c for _a, c in op.aggs]
+        node_cols[id(node)] = cols
+    kinds = (src_kind,) + tuple(inners[id(p.node)].kind for s in stages
+                                for p in s.probes)
+    return CompiledChain(stages, node_cols, kinds)
 
 
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
-
-def _tuple(items) -> str:
-    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
-
-
-def _emit_key(out, ind, positions, row) -> tuple[str, str]:
-    """The one key path, for the build loop and the probe loop at any
-    arity: bind each key column of ``row`` to ``_k<i>`` and return (the
-    any-is-NULL test, the key).  A single-column key is the bare value;
-    two or more make a tuple."""
-    names = [f"_k{i}" for i in range(len(positions))]
-    for name, pos in zip(names, positions):
-        out.append(f"{ind}{name} = {row}[{pos}]")
-    null = " or ".join(f"{name} is None" for name in names) or "False"
-    return null, names[0] if len(names) == 1 else _tuple(names)
-
 
 #: Initial cells of the aggregates whose state is inlined; DISTINCT
 #: aggregates keep their ``_agg_init`` slot in one cell instead.
@@ -228,11 +337,13 @@ _AGG_CELLS = {
 
 
 class _AggState:
-    """The flat per-group state of an aggregation sink: one list per
-    group, each aggregate's cells at a fixed offset."""
+    """The flat state of an aggregation sink: per group a list with
+    each aggregate's cells at a fixed offset; for a scalar aggregation,
+    one local per cell."""
 
     def __init__(self, op, em: Emitter):
         self.op = op
+        self.grouped = bool(op.group_cols)
         #: (aggregate, offset of its first cell, its index in ``_B``
         #: when it goes through _agg_add_value / _agg_final, else None).
         self.cells: list[tuple] = []
@@ -247,22 +358,32 @@ class _AggState:
                 slot = None
                 init.extend(_AGG_CELLS[agg.name])
             self.cells.append((agg, offset, slot))
+        self.init_cells = init
         #: List display that creates a new group's state.
         self.init = "[" + ", ".join(init) + "]"
-        #: Stage prologue: a scalar aggregation has one group, found
-        #: once per call and not once per row.
-        self.head = (
-            "    _gget = _groups.get" if op.group_cols else "    _st = None"
-        )
+
+    def cell(self, o: int) -> str:
+        return f"_st[{o}]" if self.grouped else f"_s{o}"
+
+    def head(self) -> list[str]:
+        """Stage prologue: the group table's lookup, or the scalar
+        state's locals."""
+        if self.grouped:
+            return ["    _gget = _groups.get"]
+        return [f"    {self.cell(o)} = {v}" for o, v in enumerate(self.init_cells)]
+
+    def tail(self, arrived: str) -> list[str]:
+        """Stage epilogue: a scalar state becomes the one group, if any
+        row arrived."""
+        if self.grouped:
+            return []
+        cells = ", ".join(self.cell(o) for o in range(len(self.init_cells)))
+        return [f"    if {arrived}:", f"        _groups[()] = [{cells}]"]
 
     def emit_fold(self, out, ind, em: Emitter, layout: Layout) -> None:
         """Emit the group lookup and one row's fold into its state."""
-        g_pos = [layout.index[c.id] for c in self.op.group_cols]
-        if not g_pos:
-            out.append(f"{ind}if _st is None:")
-            out.append(f"{ind}    _st = _groups[()] = {self.init}")
-        else:
-            keys = [layout.at(p) for p in g_pos]
+        if self.grouped:
+            keys = [layout.at(layout.index[c.id]) for c in self.op.group_cols]
             out.append(
                 f"{ind}_gk = {keys[0] if len(keys) == 1 else _tuple(keys)}"
             )
@@ -270,29 +391,30 @@ class _AggState:
             out.append(f"{ind}if _st is None:")
             out.append(f"{ind}    _st = _groups[_gk] = {self.init}")
         for agg, o, slot in self.cells:
+            cell = self.cell(o)
             # count(*) folds the constant 1 (mirrors _agg_add).
             val = "1" if agg.arg is None else em.value(agg.arg, layout)
             if slot is not None:
-                out.append(f"{ind}_agg_add_value(_st[{o}], _f{slot}, {val})")
+                out.append(f"{ind}_agg_add_value({cell}, _f{slot}, {val})")
             elif agg.arg is None and agg.name == "count":
-                out.append(f"{ind}_st[{o}] += 1")
+                out.append(f"{ind}{cell} += 1")
             elif agg.name == "count":
                 out.append(f"{ind}if {val} is not None:")
-                out.append(f"{ind}    _st[{o}] += 1")
+                out.append(f"{ind}    {cell} += 1")
             else:
                 out.append(f"{ind}_v = {val}")
                 out.append(f"{ind}if _v is not None:")
-                out.append(f"{ind}    _a = _st[{o}]")
+                out.append(f"{ind}    _a = {cell}")
                 if agg.name in ("sum", "avg"):
                     out.append(
-                        f"{ind}    _st[{o}] = _v if _a is None else _a + _v"
+                        f"{ind}    {cell} = _v if _a is None else _a + _v"
                     )
                     if agg.name == "avg":
-                        out.append(f"{ind}    _st[{o + 1}] += 1")
+                        out.append(f"{ind}    {self.cell(o + 1)} += 1")
                 else:
                     cmp = "<" if agg.name == "min" else ">"
                     out.append(f"{ind}    if _a is None or _v {cmp} _a:")
-                    out.append(f"{ind}        _st[{o}] = _v")
+                    out.append(f"{ind}        {cell} = _v")
 
     def emit_defs(self) -> list[str]:
         """``_init()`` (the scalar-over-empty group) and ``_final``
@@ -327,85 +449,55 @@ class _AggState:
         ]
 
 
-class _StageGen:
-    """Generates one stage's source: the streaming loop ``_stage``,
-    plus ``_build`` for a join stage and ``_init`` / ``_final`` for a
-    sink stage."""
+def _probes_by_membership(op) -> bool:
+    """A SEMI / ANTI probe with no residual asks only whether its key
+    is in the table."""
+    return op.kind in (JoinKind.SEMI, JoinKind.ANTI) and op.residual is None
 
-    def __init__(self, st: _Stage, node_cols: dict[int, list]):
+
+class _StageGen:
+    """Generates one variant of a stage: the loop nest ``_stage``, plus
+    ``_init`` / ``_final`` for a sink stage."""
+
+    def __init__(self, st: _Stage, sig: tuple):
         self.st = st
-        self.node_cols = node_cols
+        self.sig = sig
         self.em = Emitter()
-        self.counters: dict[int, int] = {}
         self.state = (
             _AggState(st.agg.op, self.em) if st.agg is not None else None
         )
+        self.probe_of = {id(p.node): j for j, p in enumerate(st.probes)}
 
     def counter(self, node) -> str:
-        return f"_c{self.counters.setdefault(id(node), len(self.counters))}"
+        return f"_c{self.st.counter_of[id(node)]}"
 
-    def emit_row(self, out, ind, cols, split=None, row=None) -> list:
-        """Emit what one candidate output row goes through: the stage's
-        filters and projects over ``_r`` (assigned from ``row``), then
-        the sink or ``_append``.  With ``split`` there is nothing
-        between probe and sink and the fold reads the ``_row`` /
-        ``_cand`` pair as it stands.  Returns the output columns.
-
-        A generated ``continue`` must advance to the next candidate
-        output row of the enclosing loop, which every call site
-        guarantees by construction.
-        """
-        em = self.em
-        if self.state is None and not self.st.run:
-            out.append(f"{ind}_append({row or '_r'})")
-            return cols
-        if row is not None:
-            out.append(f"{ind}_r = {row}")
-        layout = Layout(_index(cols))
-        for node in self.st.run:
-            op = node.op
-            if type(op) is ph.PhysicalFilter:
-                out.append(f"{ind}if not {em.truth(op.predicate, layout)}:")
-                out.append(f"{ind}    continue")
-                out.append(f"{ind}{self.counter(node)} += 1")
-            else:
-                values = [em.value(e, layout) for e, _c in op.projections]
-                out.append(f"{ind}_r = _r + {_tuple(values)}")
-                cols = cols + [c for _e, c in op.projections]
-                layout = Layout(_index(cols))
-            self.node_cols[id(node)] = cols
-        if self.state is None:
-            out.append(f"{ind}_append(_r)")
-            return cols
-        self.state.emit_fold(out, ind, em, Layout(layout.index, split))
-        op = self.st.agg.op
-        cols = list(op.group_cols) + [c for _a, c in op.aggs]
-        self.node_cols[id(self.st.agg)] = cols
-        return cols
-
-    def generate(self, cols: list, inner_cols: Optional[list]) -> list:
-        """Compile the stage over input columns ``cols`` (``inner_cols``:
-        its join's build side); returns the stage's output columns."""
+    def generate(self) -> _Code:
         st = self.st
         head: list[str] = []
-        loop: list[str] = []
+        for j, probe in enumerate(st.probes):
+            if _probes_by_membership(probe.node.op):
+                head.append(f"    _m{j} = _T[{j}]")
+            else:
+                head.append(f"    _get{j} = _T[{j}].get")
+        tail: list[str] = []
         defs: list[str] = []
         if self.state is not None:
-            head.append(self.state.head)
+            head += self.state.head()
+            # Rows reach the sink through the last node that drops any.
+            arrived = "_rows"
+            for node in st.ops:
+                if id(node) in st.counter_of:
+                    arrived = self.counter(node)
+            tail = self.state.tail(arrived)
             defs = self.state.emit_defs()
-        if st.join is None:
-            header = "def _stage(_rows, _params, _append, _B, _groups):"
-            loop.append("    for _r in _rows:")
-            cols = self.emit_row(loop, "        ", cols)
-        else:
-            header = "def _stage(_rows, _table, _params, _append, _B, _groups):"
-            cols = self._emit_probe(head, loop, defs, cols, inner_cols)
-        n = len(self.counters)
-        names = [f"_c{i}" for i in range(n)]
-        if n:
+        names = [f"_c{i}" for i in range(len(st.counter_of))]
+        if names:
             head.append("    " + " = ".join(names) + " = 0")
+        loop = ["    for _r in _rows:"]
+        self.emit(loop, 0, "        ", (("_r", len(st.in_cols)),), st.in_cols)
         src = "\n".join(
-            [header] + self.em.unpack() + head + loop
+            ["def _stage(_rows, _T, _params, _append, _B, _groups):"]
+            + self.em.unpack() + head + loop + tail
             + [f"    return {_tuple(names)}"] + defs
         ) + "\n"
         namespace = load_generated(
@@ -413,106 +505,131 @@ class _StageGen:
             _E=_EMPTY, _agg_init=_agg_init, _agg_add_value=_agg_add_value,
             _agg_final=_agg_final,
         )
-        st.fn = namespace["_stage"]
-        st.build = namespace.get("_build")
-        st.init = namespace.get("_init")
-        st.final = namespace.get("_final")
-        st.bound = tuple(self.em.bound)
-        st.counter_of = self.counters
-        st.source = src
-        return cols
+        return _Code(namespace, tuple(self.em.bound), src)
 
-    def _emit_probe(self, head, loop, defs, cols, inner_cols) -> list:
-        """Emit the probe loop of a hash-join stage (and ``_build``)."""
+    def emit(self, out, i, ind, parts, cols) -> None:
+        """Emit ``st.ops[i:]`` for one candidate row held in ``parts``,
+        then the sink or ``_append``.
+
+        A generated ``continue`` moves on to the next candidate of the
+        innermost enclosing loop: every operator is emitted inside the
+        loop (or after the lookup) that yields its input row.
+        """
         st = self.st
         em = self.em
-        op = st.join.op
+        for i in range(i, len(st.ops)):
+            node = st.ops[i]
+            op = node.op
+            t = type(op)
+            layout = Layout(_index(cols), parts)
+            if t is ph.PhysicalHashJoin:
+                self.emit_probe(out, i, ind, parts, cols, layout)
+                return
+            if t is ph.PhysicalFilter:
+                out.append(f"{ind}if not {em.truth(op.predicate, layout)}:")
+                out.append(f"{ind}    continue")
+                out.append(f"{ind}{self.counter(node)} += 1")
+            elif t is ph.PhysicalProject:
+                values = [em.value(e, layout) for e, _c in op.projections]
+                name = f"_p{i}"
+                out.append(f"{ind}{name} = {layout.row} + {_tuple(values)}")
+                cols = cols + [c for _e, c in op.projections]
+                parts = ((name, len(cols)),)
+            else:
+                self.state.emit_fold(out, ind, em, layout)
+                return
+        out.append(f"{ind}_append({Layout(None, parts).row})")
+
+    def emit_probe(self, out, i, ind, parts, cols, layout) -> None:
+        """Emit probe ``st.ops[i]`` and, nested in it, the rest of the
+        stage.  Its candidate ``_x<j>`` is one more part of the row; the
+        residual reads it in place whatever the join puts out (a SEMI /
+        ANTI join's rows have no build side; its residual may still
+        read one)."""
+        em = self.em
+        node = self.st.ops[i]
+        op = node.op
         jk = op.kind
-        hits = self.counter(st.join)
-        n_outer = len(cols)
-        outer_index, inner_index = _index(cols), _index(inner_cols)
-        l_pos = [outer_index[c.id] for c in op.left_keys]
-        r_pos = [inner_index[c.id] for c in op.right_keys]
-        left_only = jk.output_is_left_only()
-        out_cols = cols if left_only else cols + inner_cols
-        self.node_cols[id(st.join)] = out_cols
-        # The residual reads both sides in place, whatever the join
-        # puts out (a SEMI / ANTI join's rows have no build side; its
-        # residual may still read one); the output row is only built
-        # for a pair that passed, and not at all when the stage folds
-        # the pair straight into its sink.
-        ind = "            "
-        passes: list[str] = []
+        j = self.probe_of[id(node)]
+        probe = self.st.probes[j]
+        x = f"_x{j}"
+        keys = [layout.at(layout.index[c.id]) for c in op.left_keys]
+        key = keys[0] if len(keys) == 1 else _tuple(keys)
+        both_cols = cols + probe.cols
+        both_parts = parts + ((x, len(probe.cols)),)
+        test = None
         if op.residual is not None:
-            test = em.truth(
-                op.residual, Layout(_index(cols + inner_cols), n_outer)
-            )
-            passes = [f"{ind}if not {test}:", f"{ind}    continue"]
-        split = (
-            n_outer
-            if not st.run and self.state is not None and not left_only
-            else None
-        )
-        joined = None if split is not None else "_row + _cand"
+            test = em.truth(op.residual, Layout(_index(both_cols), both_parts))
+        hits = self.counter(node)
+        body = ind + "    "
+        pad = (None,) * len(probe.cols)
 
-        defs += [
-            "def _build(_rows):",
-            "    _table = {}",
-            "    _setd = _table.setdefault",
-            "    for _cand in _rows:",
-        ]
-        null, key = _emit_key(defs, "        ", r_pos, "_cand")
-        defs += [
-            f"        if not ({null}):",
-            f"            _setd({key}, []).append(_cand)",
-            "    return _table",
-        ]
+        if jk is JoinKind.SEMI or jk is JoinKind.ANTI:
+            if test is None:
+                member = "not in" if jk is JoinKind.SEMI else "in"
+                out.append(f"{ind}if {key} {member} _m{j}:")
+            else:
+                flag = f"_h{j}"
+                out += [
+                    f"{ind}{flag} = False",
+                    f"{ind}for {x} in _get{j}({key}, _E):",
+                    f"{body}if {test}:",
+                    f"{body}    {flag} = True",
+                    f"{body}    break",
+                    f"{ind}if {'not ' if jk is JoinKind.SEMI else ''}{flag}:",
+                ]
+            out.append(f"{ind}    continue")
+            out.append(f"{ind}{hits} += 1")
+            self.emit(out, i + 1, ind, parts, cols)
+            return
 
-        head.append("    _get = _table.get")
-        loop.append("    for _row in _rows:")
-        null, key = _emit_key(loop, "        ", l_pos, "_row")
-        if jk is JoinKind.INNER:
-            loop.append(f"        if {null}:")
-            loop.append("            continue")
-            loop.append(f"        for _cand in _get({key}, _E):")
-            loop += passes
-            loop.append(f"{ind}{hits} += 1")
-            return self.emit_row(loop, ind, out_cols, split, joined)
-        loop.append(f"        _cands = _E if {null} else _get({key}, _E)")
-        loop.append("        _hit = False")
-        loop.append("        for _cand in _cands:")
-        loop += passes
-        loop.append(f"{ind}_hit = True")
+        if jk is JoinKind.LEFT and test is not None:
+            # A miss is known only after every candidate failed, so the
+            # rest of the stage is emitted twice: per passing candidate,
+            # and once over the pad.
+            flag = f"_h{j}"
+            out += [
+                f"{ind}{flag} = False",
+                f"{ind}for {x} in _get{j}({key}, _E):",
+                f"{body}if not {test}:",
+                f"{body}    continue",
+                f"{body}{flag} = True",
+                f"{body}{hits} += 1",
+            ]
+            self.emit(out, i + 1, body, both_parts, both_cols)
+            out += [
+                f"{ind}if not {flag}:",
+                f"{body}{x} = {em.bind(pad)}",
+                f"{body}{hits} += 1",
+            ]
+            self.emit(out, i + 1, body, both_parts, both_cols)
+            return
+
+        # INNER, and LEFT with no residual, where a miss is one padded
+        # candidate: the lookup's default.
+        unique = self.sig[j]
         if jk is JoinKind.LEFT:
-            loop.append(f"{ind}{hits} += 1")
-            self.emit_row(loop, ind, out_cols, split, joined)
-        else:  # SEMI / ANTI stop at the first residual-passing match
-            loop.append(f"{ind}break")
-        loop.append("        if _hit:" if jk is JoinKind.SEMI
-                    else "        if not _hit:")
-        loop.append(f"{ind}{hits} += 1")
-        if jk is not JoinKind.LEFT:
-            return self.emit_row(loop, ind, out_cols, row="_row")
-        pad = em.bind((None,) * len(inner_cols))
-        if split is not None:
-            loop.append(f"{ind}_cand = {pad}")
-            return self.emit_row(loop, ind, out_cols, split)
-        return self.emit_row(loop, ind, out_cols, row=f"_row + {pad}")
+            miss = em.bind(pad if unique else [pad])
+        else:
+            miss = None if unique else "_E"
+        if unique:
+            out.append(
+                f"{ind}{x} = _get{j}({key}{', ' + miss if miss else ''})"
+            )
+            if miss is None:
+                out += [f"{ind}if {x} is None:", f"{ind}    continue"]
+            body = ind
+        else:
+            out.append(f"{ind}for {x} in _get{j}({key}, {miss}):")
+        if test is not None:
+            out += [f"{body}if not {test}:", f"{body}    continue"]
+        out.append(f"{body}{hits} += 1")
+        self.emit(out, i + 1, body, both_parts, both_cols)
 
 
 # ----------------------------------------------------------------------
 # Runtime: stream each stage, then charge its nodes from their row counts
 # ----------------------------------------------------------------------
-
-def _worth_dispatching(st, cur_buckets, pairs) -> bool:
-    """A stage earns a pool round-trip only when it has more than one
-    morsel; a single bucket would serialize through one worker and pay
-    pickling for nothing.  Identity does not depend on this choice —
-    the inline loop and the pool produce the same per-bucket results."""
-    if st.join is None:
-        return len(cur_buckets) > 1
-    return pairs is not None and len(pairs) > 1
-
 
 def run_chain(ex, chain: Pipeline) -> DRows:
     """Execute one fused chain.  Called from ``Executor._exec`` in place
@@ -530,10 +647,12 @@ def run_chain(ex, chain: Pipeline) -> DRows:
             inners[id(node)] = inner
     src = ex._exec(chain.source)
     compiled = chain.compiled
-    if compiled is None:
+    if compiled is None or compiled.kinds != (src.kind,) + tuple(
+        inners[id(n)].kind for n in ops if type(n.op) is ph.PhysicalHashJoin
+    ):
         with ex.tracer.span("fused:compile", ops=len(ops)):
             compiled = chain.compiled = _compile_chain(
-                chain, src.cols, inners
+                ops, src.cols, src.kind, inners
             )
         # The morsel-pool handshake: a process-unique key plus the
         # picklable recipe workers recompile from (deterministic
@@ -543,8 +662,9 @@ def run_chain(ex, chain: Pipeline) -> DRows:
         compiled.spec = ChainSpec(
             ops=[n.op for n in ops],
             src_cols=list(src.cols),
-            inner_cols=[
-                (i, list(inners[id(n)].cols))
+            src_kind=src.kind,
+            inners=[
+                (i, list(inners[id(n)].cols), inners[id(n)].kind)
                 for i, n in enumerate(ops)
                 if type(n.op) is ph.PhysicalHashJoin
             ],
@@ -557,36 +677,35 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                 chain=chain.describe(),
             )
 
-    # With a morsel pool attached, each stage's per-bucket loop is
-    # scattered across the pool (one morsel per bucket) and gathered in
-    # bucket order; without one, the loops run inline.  Both paths yield
-    # identical per-bucket rows and counters, which is all the charges
-    # below read.
+    # With a morsel pool attached, each stage's units are scattered
+    # across the pool and gathered in order; without one, they run
+    # inline.  Both paths yield identical per-unit rows and counters,
+    # which is all the charges below read.
     params = ex._param_env
     pool = ex._morsel_pool
     p = ex.params
     kind = src.kind
     cur_buckets = src.buckets
-    sizes = src.bucket_sizes()
     result: Optional[DRows] = None
     for stage_idx, st in enumerate(compiled.stages):
-        fn = st.fn
-        bound = st.bound
-        nc = len(st.counter_of)
-        per_counter: list[list[int]] = [[] for _ in range(nc)]
-        out_buckets: list[list[tuple]] = []
-        has_agg = st.agg is not None
-        glist: list[dict] = []
-        pairs = None
-        if st.join is not None:
-            inner = inners[id(st.join)]
-            pairs = ex._join_sides(kind, cur_buckets, inner)
-            kind = ex._join_output_kind(kind, inner.kind)
-        if pool is not None and _worth_dispatching(st, cur_buckets, pairs):
-            if st.join is None:
-                morsels = [(rows, None) for rows in cur_buckets]
-            else:
-                morsels = [(o_rows, i_rows) for _s, o_rows, i_rows in pairs]
+        # The stage's units: its input buckets, or the work units of a
+        # probe heading it (which may fan one bucket out per segment);
+        # and per probe, each unit's (segment, build rows).
+        units = cur_buckets
+        sides: list[list[tuple]] = []
+        at = kind
+        for probe in st.probes:
+            inner = inners[id(probe.node)]
+            pairs = ex._join_sides(at, units, inner)
+            if probe.node is st.ops[0]:
+                units = [o_rows for _seg, o_rows, _i in pairs]
+            sides.append([(seg, i_rows) for seg, _o, i_rows in pairs])
+            at = ex._join_output_kind(at, inner.kind)
+        if pool is not None and len(units) > 1:
+            morsels = [
+                (rows, [side[u][1] for side in sides])
+                for u, rows in enumerate(units)
+            ]
             with ex.tracer.span(
                 "fused:morsels",
                 stage_idx=stage_idx,
@@ -602,53 +721,36 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                     # fresh objects every pass and ship inline.
                     cache_source=stage_idx == 0,
                 )
-            for cts, payload in results:
-                if has_agg:
-                    glist.append(payload)
-                else:
-                    out_buckets.append(payload)
-                for i in range(nc):
-                    per_counter[i].append(cts[i])
-        elif st.join is None:
-            for rows in cur_buckets:
-                if has_agg:
-                    groups: dict = {}
-                    glist.append(groups)
-                    cts = fn(rows, params, None, bound, groups)
-                else:
-                    out: list[tuple] = []
-                    cts = fn(rows, params, out.append, bound, None)
-                    out_buckets.append(out)
-                for i in range(nc):
-                    per_counter[i].append(cts[i])
         else:
-            tables: dict[int, dict] = {}
-            for seg, o_rows, i_rows in pairs:
-                table = tables.get(id(i_rows))
-                if table is None:
-                    table = tables[id(i_rows)] = st.build(i_rows)
-                if has_agg:
-                    groups = {}
-                    glist.append(groups)
-                    cts = fn(o_rows, table, params, None, bound, groups)
-                else:
-                    out = []
-                    cts = fn(o_rows, table, params, out.append, bound, None)
-                    out_buckets.append(out)
-                for i in range(nc):
-                    per_counter[i].append(cts[i])
+            tables = []
+            for probe, side in zip(st.probes, sides):
+                built: dict[int, tuple] = {}
+                for _seg, i_rows in side:
+                    if id(i_rows) not in built:
+                        built[id(i_rows)] = probe.build(i_rows)
+                tables.append([built[id(i_rows)] for _seg, i_rows in side])
+            results = [
+                st.run(rows, [t[u] for t in tables], params)
+                for u, rows in enumerate(units)
+            ]
+        per_counter = [
+            [cts[i] for cts, _payload in results]
+            for i in range(len(st.counter_of))
+        ]
 
-        # Charge and close the stage's nodes bottom-up, each from its
-        # own input's row counts.
-        for node in st.ops_order:
+        # Charge and close the stage's nodes in chain order, each from
+        # its own input's row counts.
+        sizes = [len(rows) for rows in units]
+        side_of = iter(sides)
+        for node in st.ops:
             op = node.op
             t = type(op)
             if t is ph.PhysicalHashJoin:
-                width = inners[id(node)].width()
-                for seg, o_rows, i_rows in pairs:
-                    ex._charge_hash_side(
-                        node, seg, len(o_rows), len(i_rows), width
-                    )
+                inner = inners[id(node)]
+                width = inner.width()
+                for (seg, i_rows), probes in zip(next(side_of), sizes):
+                    ex._charge_hash_side(node, seg, probes, len(i_rows), width)
+                kind = ex._join_output_kind(kind, inner.kind)
                 out_sizes = per_counter[st.counter_of[id(node)]]
             elif t is ph.PhysicalFilter:
                 ex._charge_by_kind(
@@ -666,13 +768,14 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                 width = _row_width(cols)
                 is_stream = isinstance(op, ph.PhysicalStreamAgg)
                 sort_keys = [SortKey(c.id) for c in op.group_cols]
+                code = st.sink()
                 agg_buckets = []
-                for groups in glist:
+                for _cts, groups in results:
                     if not op.group_cols and not groups:
                         # Scalar aggregation over empty input: one row.
-                        groups[()] = st.init(bound)
+                        groups[()] = code.init(code.bound)
                     ex._check_memory(node, len(groups), width, op.name)
-                    out_rows = st.final(groups, bound)
+                    out_rows = code.final(groups, code.bound)
                     if is_stream and op.group_cols:
                         out_rows = _sort_rows(out_rows, cols, sort_keys)
                     agg_buckets.append(out_rows)
@@ -683,7 +786,7 @@ def run_chain(ex, chain: Pipeline) -> DRows:
             if node is not top:
                 ex._node_done(node, kind, out_sizes)
             sizes = out_sizes
-        cur_buckets = out_buckets
+        cur_buckets = [payload for _cts, payload in results]
     if result is None:
         result = DRows(kind, compiled.node_cols[id(top)], cur_buckets)
     return result

@@ -91,53 +91,37 @@ class ChainSpec:
 
     Carries exactly the inputs :func:`repro.engine.fused._compile_chain`
     consumes — the chain's physical operators in bottom-up order, the
-    source column layout, and the build-side column layout of every
-    hash join in the chain (by position in ``ops``).  Compilation is a
-    pure function of these, so coordinator and workers generate the
-    same stage functions with the same counter indices.
+    source's column layout and distribution kind, and the build side's
+    column layout and kind for every hash join in the chain (by position
+    in ``ops``).  Compilation is a pure function of these, so
+    coordinator and workers partition the chain into the same stages and
+    generate the same stage functions with the same counter indices.
     """
 
-    __slots__ = ("ops", "src_cols", "inner_cols")
+    __slots__ = ("ops", "src_cols", "src_kind", "inners")
 
-    def __init__(self, ops, src_cols, inner_cols):
+    def __init__(self, ops, src_cols, src_kind, inners):
         self.ops = ops
         self.src_cols = src_cols
-        #: list of (index into ops, build-side column layout).
-        self.inner_cols = inner_cols
+        self.src_kind = src_kind
+        #: list of (index into ops, build-side column layout, its kind).
+        self.inners = inners
 
 
 def _compile_spec(spec: ChainSpec):
     """Worker-side compilation: stand-ins for what the fused compiler
-    reads — a node's ``.op`` (and identity), a chain's ``.ops``, a build
-    side's ``.cols`` — then the compiler itself (imported lazily —
-    workers are forked before any morsel arrives, so the import usually
+    reads — a node's ``.op`` (and identity), a build side's ``.cols``
+    and ``.kind`` — then the compiler itself (imported lazily — workers
+    are forked before any morsel arrives, so the import usually
     resolves from the parent)."""
     from repro.engine.fused import _compile_chain
 
     nodes = [SimpleNamespace(op=op) for op in spec.ops]
     inners = {
-        id(nodes[i]): SimpleNamespace(cols=cols) for i, cols in spec.inner_cols
+        id(nodes[i]): SimpleNamespace(cols=cols, kind=kind)
+        for i, cols, kind in spec.inners
     }
-    return _compile_chain(SimpleNamespace(ops=nodes), spec.src_cols, inners)
-
-
-def _run_morsel(stage, rows, table, params):
-    """Execute one compiled stage function over one bucket; returns
-    ``(counters, payload)`` where payload is an output row list or, for
-    sink stages, the bucket's group table."""
-    if stage.agg is not None:
-        groups: dict = {}
-        if stage.join is None:
-            cts = stage.fn(rows, params, None, stage.bound, groups)
-        else:
-            cts = stage.fn(rows, table, params, None, stage.bound, groups)
-        return cts, groups
-    out: list = []
-    if stage.join is None:
-        cts = stage.fn(rows, params, out.append, stage.bound, None)
-    else:
-        cts = stage.fn(rows, table, params, out.append, stage.bound, None)
-    return cts, out
+    return _compile_chain(nodes, spec.src_cols, spec.src_kind, inners)
 
 
 def _pool_worker_main(conn) -> None:
@@ -150,11 +134,12 @@ def _pool_worker_main(conn) -> None:
     (``("i", rid, rows)`` — kept in the resident cache), or as a
     reference to an earlier install (``("r", rid)``).  Hash tables built
     from resident build sides are themselves cached per (chain, stage,
-    rid).
+    probe, rid).  Each morsel runs the stage variant its own tables'
+    uniqueness calls for.
     """
     chains: dict[int, Any] = {}
     resident: dict[int, list] = {}
-    built_cache: dict[tuple, dict] = {}
+    built_cache: dict[tuple, tuple] = {}
 
     def rows_of(enc):
         tag = enc[0]
@@ -176,23 +161,21 @@ def _pool_worker_main(conn) -> None:
             chains[chain_key] = _compile_spec(batch["spec"])
         stage = chains[chain_key].stages[stage_idx]
         built = []
-        for enc in batch["tables"]:
+        for j, enc in batch["tables"]:
+            probe = stage.probes[j]
             if enc[0] == "x":
-                built.append(stage.build(enc[1]))
+                built.append(probe.build(enc[1]))
                 continue
             i_rows = rows_of(enc)
-            bkey = (chain_key, stage_idx, enc[1])
+            bkey = (chain_key, stage_idx, j, enc[1])
             table = built_cache.get(bkey)
             if table is None:
-                table = built_cache[bkey] = stage.build(i_rows)
+                table = built_cache[bkey] = probe.build(i_rows)
             built.append(table)
+        params = batch["params"]
         results = [
-            _run_morsel(
-                stage, rows_of(o_enc),
-                built[t_idx] if t_idx is not None else None,
-                batch["params"],
-            )
-            for o_enc, t_idx in batch["morsels"]
+            stage.run(rows_of(o_enc), [built[t] for t in t_idxs], params)
+            for o_enc, t_idxs in batch["morsels"]
         ]
         return {"ok": True, "results": results}
 
@@ -309,10 +292,10 @@ class MorselPool:
     ) -> list:
         """Execute one stage's morsels on the pool, results in order.
 
-        ``morsels`` is a list of ``(rows, build_rows_or_None)``; build
+        ``morsels`` is a list of ``(rows, build rows per probe)``; build
         rows appearing in several morsels (replicated join sides) are
-        shipped once per worker and the hash table built once per
-        worker.  With ``cache_source`` the outer row lists enter the
+        shipped once per worker and each probe's hash table built once
+        per worker.  With ``cache_source`` the outer row lists enter the
         resident cache (the fused engine sets it for stage 0, whose
         buckets are served by the scan cache with stable identity);
         build sides are always cached.  Returns ``[(counters, payload),
@@ -329,17 +312,21 @@ class MorselPool:
             self._flush_resident()
         batches: list[list] = [[] for _ in range(width)]
         tables: list[list] = [[] for _ in range(width)]
-        table_idx: list[dict[int, int]] = [{} for _ in range(width)]
-        for j, (rows, i_rows) in enumerate(morsels):
-            w = j % width
-            t_idx = None
-            if i_rows is not None:
-                t_idx = table_idx[w].get(id(i_rows))
+        table_idx: list[dict[tuple, int]] = [{} for _ in range(width)]
+        for m, (rows, builds) in enumerate(morsels):
+            w = m % width
+            t_idxs = []
+            for j, i_rows in enumerate(builds):
+                key = (j, id(i_rows))
+                t_idx = table_idx[w].get(key)
                 if t_idx is None:
-                    t_idx = table_idx[w][id(i_rows)] = len(tables[w])
-                    tables[w].append(self._encode_rows(w, i_rows, True))
+                    t_idx = table_idx[w][key] = len(tables[w])
+                    tables[w].append(
+                        (j, self._encode_rows(w, i_rows, True))
+                    )
+                t_idxs.append(t_idx)
             batches[w].append((
-                self._encode_rows(w, rows, cache_source), t_idx
+                self._encode_rows(w, rows, cache_source), t_idxs
             ))
         try:
             ids = []

@@ -1,6 +1,6 @@
 """The expression emitter: generated source == ``ScalarExpr.evaluate``.
 
-``repro.engine.columnar.Emitter`` is the one place the compiled paths
+``repro.engine.emit.Emitter`` is the one place the compiled paths
 turn a scalar expression into Python: the fused stage loops inline its
 output, the nested-loops join inlines it into its pair loop, and
 ``compiled_row`` wraps it in a lambda.  Three things are pinned here:
@@ -32,8 +32,9 @@ import repro
 from repro.catalog import Column, Database, FLOAT, INT, TEXT, Table
 from repro.catalog.types import BOOL
 from repro.config import ExecutionMode, OptimizerConfig
-from repro.engine import Cluster, Executor, columnar, executor, fused
-from repro.engine.columnar import Emitter, Layout, compiled_row
+from repro.engine import Cluster, Executor, emit, executor, fused
+from repro.engine.emit import Emitter, Layout, compiled_row
+from repro.engine.executor import SEGMENTED
 from repro.engine.parallel import ChainSpec, _compile_spec
 from repro.ops import physical as ph
 from repro.ops.logical import AggStage, JoinKind
@@ -69,6 +70,8 @@ PARAM = ColRef(9, "p", INT)
 COLS = OUTER + INNER
 INDEX = {c.id: i for i, c in enumerate(COLS)}
 N_OUTER = len(OUTER)
+#: The same row held as a probe row and a build row, not yet joined.
+SPLIT = (("_row", N_OUTER), ("_cand", None))
 OUT = ColRef(20, "out", INT)
 
 
@@ -190,8 +193,8 @@ def load(em: Emitter, body: str):
 def stage_of(ops, inner: bool):
     """One compiled stage over the test layout, through the same door a
     morsel worker uses."""
-    spec = ChainSpec(list(ops), OUTER if inner else COLS,
-                     [(0, INNER)] if inner else [])
+    spec = ChainSpec(list(ops), OUTER if inner else COLS, SEGMENTED,
+                     [(0, INNER, SEGMENTED)] if inner else [])
     (stage,) = _compile_spec(spec).stages
     return stage
 
@@ -207,7 +210,7 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
     truths = [t for _v, t in want]
 
     # The emitter itself, joined layout and split layout, both modes.
-    for layout in (Layout(INDEX), Layout(INDEX, N_OUTER)):
+    for layout in (Layout(INDEX), Layout(INDEX, SPLIT)):
         em = Emitter()
         value = load(em, em.value(expr, layout))
         em = Emitter()
@@ -225,8 +228,7 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
     stage = stage_of(
         [ph.PhysicalProject([(expr, OUT)]), ph.PhysicalFilter(other)], False
     )
-    out: list = []
-    stage.fn(rows, params, out.append, stage.bound, None)
+    _counts, out = stage.run(rows, [], params)
     assert len(out) == sum(truths)
     kept = iter(out)
     for row, (v, t) in zip(rows, want):
@@ -235,25 +237,29 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
             assert got[:-1] == row and same(got[-1], v)
 
     # A fused join stage folding straight into its sink: the residual
-    # and the aggregate argument read ``_row`` / ``_cand`` in place.
+    # and the aggregate argument read the probe row and the candidate in
+    # place, whether the build side is unique (a lookup) or not (a loop).
     join = ph.PhysicalHashJoin(JoinKind.INNER, [OUTER[0]], [INNER[0]], other)
     agg = ph.PhysicalHashAgg(
         [], [(AggFunc("max", expr), OUT)], AggStage.GLOBAL
     )
     stage = stage_of([join, agg], True)
-    assert "_r = " not in stage.source, "the joined row is never built"
     for row, (v, t) in zip(rows, want):
-        groups: dict = {}
-        table = stage.build([row[N_OUTER:]])
-        (hits,) = stage.fn(
-            [row[:N_OUTER]], table, params, None, stage.bound, groups
-        )
-        assert hits == t
-        if t:
-            ((got,),) = stage.final(groups, stage.bound)
-            assert same(got, v)
-        else:
-            assert not groups
+        build = row[N_OUTER:]
+        for table in (stage.probes[0].build([build]), ({1: [build]}, False)):
+            (hits,), groups = stage.run([row[:N_OUTER]], [table], params)
+            assert hits == t
+            if t:
+                code = stage.sink()
+                ((got,),) = code.final(groups, code.bound)
+                assert same(got, v)
+            else:
+                assert not groups
+    sources = [code.source for code in stage.variants.values()]
+    assert len(sources) == 2
+    assert all(" = (_r + _x0)" not in src for src in sources), (
+        "the joined row is never built"
+    )
 
     # The nested-loops pair loop, every join kind, all pairs.
     outers = [row[:N_OUTER] for row in rows]
@@ -325,7 +331,7 @@ def test_source_shapes():
     assert em.bound == [10, 50.0]
     em = Emitter()
     assert em.value(Comparison("=", ColRefExpr(COLS[6]), ColRefExpr(PARAM)),
-                    Layout(INDEX, N_OUTER)) == (
+                    Layout(INDEX, SPLIT)) == (
         "(None if (_t1 := _cand[1]) is None or (_t2 := _params[9]) is None"
         " else (_t1 == _t2))"
     )
@@ -451,9 +457,10 @@ def test_generated_stage_source_inlines_every_expression():
     )
     Executor(Cluster(db, segments=4)).execute(result.plan, result.output_cols)
     sources = [
-        stage.source
+        code.source
         for chain in fused.fused_chains(result.plan).values()
         for stage in chain.compiled.stages
+        for code in stage.variants.values()
     ]
     text = "\n".join(sources)
     assert " if " in text and "!=" in text and "<" in text
@@ -462,7 +469,8 @@ def test_generated_stage_source_inlines_every_expression():
     stage = stage_of([ph.PhysicalFilter(
         Comparison(">", Coalesce(ColRefExpr(COLS[1]), Literal(0)), Literal(1))
     )], False)
-    assert re.findall(r"_f\d+\([^)]*\)", stage.source) == ["_f0(_r, _params)"]
+    source = stage.code(()).source
+    assert re.findall(r"_f\d+\([^)]*\)", source) == ["_f0(_r, _params)"]
 
 
 # ----------------------------------------------------------------------
@@ -470,7 +478,7 @@ def test_generated_stage_source_inlines_every_expression():
 # ----------------------------------------------------------------------
 
 def memo_sizes() -> tuple[int, int]:
-    return len(fused._stage_code), len(columnar._row_code)
+    return len(fused._stage_code), len(emit._row_code)
 
 
 REBIND_TEMPLATES = {
@@ -534,7 +542,7 @@ def test_null_in_place_of_a_value_is_one_more_shape():
     def stage(value):
         return stage_of([ph.PhysicalFilter(
             Comparison(">", ColRefExpr(COLS[1]), Literal(value, INT))
-        )], False)
+        )], False).code(())
 
     base = stage(5)
     size = len(fused._stage_code)
@@ -547,7 +555,7 @@ def test_null_in_place_of_a_value_is_one_more_shape():
     rows = [(1, 9, None, None, None, 1, None, None, None, None)]
     for compiled, want in ((base, rows), (null, [])):
         out: list = []
-        compiled.fn(rows, {}, out.append, compiled.bound, None)
+        compiled.fn(rows, (), {}, out.append, compiled.bound, None)
         assert out == want
 
 

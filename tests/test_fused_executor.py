@@ -29,10 +29,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.catalog import INT
+from repro.catalog import INT, Column, Database, Table
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.engine.executor import REPLICATED, SEGMENTED
+from repro.engine import fused
 from repro.engine.fused import fused_chains
 from repro.engine.parallel import ChainSpec, _compile_spec
 from repro.engine.pipeline import (
@@ -46,9 +47,10 @@ from repro.ops.logical import JoinKind
 from repro.ops.scalar import ColRef, ColRefExpr, Comparison, Literal
 from repro.optimizer import Orca
 from repro.trace import Tracer
-from repro.workloads import QUERIES
+from repro.workloads import QUERIES, build_populated_db
 
 from tests.conftest import make_partitioned_db, make_small_db
+from tests.test_sqlite_oracle import load_oracle
 
 
 def _walk(node):
@@ -487,6 +489,210 @@ def test_scan_cache_follows_dml(make_db, table, new_row):
     db.analyze()
     assert counts() == ([(2,)],) * 3
     assert tracer.count("scan_cache_hit") == hits + 1
+
+
+# ---------------------------------------------------------------------------
+# Unique build sides: decided per build table, per segment, at run time.
+# ---------------------------------------------------------------------------
+
+
+def _signatures(plan) -> set[tuple]:
+    """The uniqueness signatures the plan's probing stages ran with."""
+    return {
+        sig
+        for chain in fused_chains(plan).values() if chain.compiled
+        for stage in chain.compiled.stages
+        for sig in stage.variants if sig
+    }
+
+
+def _matches_sqlite(db, sql, rows) -> None:
+    oracle_module = load_oracle()
+    oracle = oracle_module.Oracle(db)
+    try:
+        assert oracle_module.compare(rows, oracle.expected(sql)) == ""
+    finally:
+        oracle.close()
+
+
+STORE_ITEM_SQL = (
+    "SELECT i_category, count(*) AS n, sum(ss_sales_price) AS s "
+    "FROM store_sales, item WHERE ss_item_sk = i_item_sk "
+    "GROUP BY i_category ORDER BY i_category"
+)
+
+
+def test_build_side_uniqueness_follows_dml():
+    """``item`` is unique on ``i_item_sk`` until an INSERT duplicates
+    one key; the cached plan then probes that key's segment through a
+    candidate list and every other segment by lookup, in one execution,
+    and the rows still match sqlite and the row engine."""
+    db = build_populated_db(scale=0.05)
+    result = Orca(db, config=OptimizerConfig(segments=8)).optimize(
+        STORE_ITEM_SQL
+    )
+    shared = Cluster(db, segments=8)
+
+    def check() -> set[tuple]:
+        rows = Executor(shared).execute(result.plan, result.output_cols).rows
+        _matches_sqlite(db, STORE_ITEM_SQL, rows)
+        assert_fused_identical(db, result)
+        return _signatures(result.plan)
+
+    assert check() == {(True,)}
+    size = len(fused._stage_code)
+    assert check() == {(True,)}
+    assert len(fused._stage_code) == size, "a re-execution compiled code"
+    db.insert("item", [db.scan("item")[0]])
+    assert check() == {(True,), (False,)}
+
+
+def make_keyed_db(dim_rows) -> Database:
+    """``f(k, v)`` and ``d(k, w)``, both hashed on ``k`` so the join is
+    colocated and every segment hashes its own slice of ``d``."""
+    db = Database()
+    db.create_table(Table("f", [Column("k", INT), Column("v", INT)],
+                          distribution_columns=("k",)))
+    db.create_table(Table("d", [Column("k", INT), Column("w", INT)],
+                          distribution_columns=("k",)))
+    db.insert("f", [(i % 60 if i % 17 else None, i % 7) for i in range(600)])
+    db.insert("d", dim_rows)
+    db.analyze()
+    return db
+
+
+#: SQL -> the signatures it runs with over a unique, a NULL-keyed and a
+#: once-duplicated ``d`` (None: the probe always takes the list form).
+KEYED_JOINS = {
+    # Colocated: only the duplicate's own segment loses the lookup.
+    "SELECT d.w, count(*), sum(f.v) FROM f JOIN d ON f.k = d.k GROUP BY d.w":
+        ({(True,)}, {(True,)}, {(True,), (False,)}),
+    "SELECT f.k, f.v, d.w FROM f LEFT JOIN d ON f.k = d.k":
+        ({(True,)}, {(True,)}, {(False,)}),
+    "SELECT f.k, f.v, d.w FROM f LEFT JOIN d ON f.k = d.k AND d.w > f.v":
+        None,
+    "SELECT count(*) FROM f WHERE EXISTS "
+    "(SELECT 1 FROM d WHERE d.k = f.k AND d.w > f.v)": None,
+}
+
+
+@pytest.mark.parametrize("sql", sorted(KEYED_JOINS))
+@pytest.mark.parametrize("dim", range(3),
+                         ids=["unique", "null_keys", "one_duplicate"])
+def test_null_and_duplicate_build_keys(sql, dim):
+    """NULL build keys never match and leave a side unique; one
+    duplicated key takes the lookup from its own table only."""
+    rows = [(k, k % 5) for k in range(0, 60, 2)]
+    rows += ([], [(None, 1), (None, 3)], [(4, 9)])[dim]
+    db = make_keyed_db(rows)
+    result = Orca(db, config=OptimizerConfig(segments=4)).optimize(sql)
+    got = assert_fused_identical(db, result, segments=4)
+    _matches_sqlite(db, sql, got.rows)
+    want = KEYED_JOINS[sql]
+    assert _signatures(result.plan) == (
+        want[dim] if want is not None else {(False,)}
+    )
+
+
+# ---------------------------------------------------------------------------
+# Property: multi-probe chains against sqlite.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def probe_db():
+    """A fact table, a dimension unique on its key, and a table whose key
+    has duplicates and NULLs."""
+    db = Database()
+    db.create_table(Table(
+        "fact", [Column("a", INT), Column("b", INT), Column("v", INT)],
+        distribution_columns=("a",),
+    ))
+    db.create_table(Table(
+        "dim", [Column("k", INT), Column("w", INT)],
+        distribution_columns=("k",),
+    ))
+    db.create_table(Table(
+        "dup", [Column("k", INT), Column("x", INT)],
+        distribution_columns=("x",),
+    ))
+    db.insert("fact", [
+        (i % 23, None if i % 11 == 0 else i % 13, i % 9) for i in range(400)
+    ])
+    db.insert("dim", [(k, k % 4) for k in range(20)])
+    db.insert("dup", [
+        (None if i % 7 == 0 else i % 10, i % 6) for i in range(30)
+    ])
+    db.analyze()
+    return db
+
+
+@pytest.fixture(scope="module")
+def probe_orca(probe_db):
+    return Orca(probe_db, config=OptimizerConfig(segments=4))
+
+
+@pytest.fixture(scope="module")
+def probe_oracle(probe_db):
+    oracle = load_oracle().Oracle(probe_db)
+    yield oracle
+    oracle.close()
+
+
+#: (table, key column, value column) of each build table.
+_BUILD_TABLES = {"dim": ("k", "w"), "dup": ("k", "x")}
+
+
+@st.composite
+def multi_probe_sql(draw) -> str:
+    joins, where = [], []
+    seen = ["f.v"]
+    for i in range(draw(st.integers(2, 3))):
+        table = draw(st.sampled_from(sorted(_BUILD_TABLES)))
+        key, val = _BUILD_TABLES[table]
+        alias = f"t{i}"
+        outer = draw(st.sampled_from(["f.a", "f.b"]))
+        kind = draw(st.sampled_from(["JOIN", "LEFT JOIN", "EXISTS",
+                                     "NOT EXISTS"]))
+        on = f"{alias}.{key} = {outer}"
+        if draw(st.booleans()):
+            on += f" AND {alias}.{val} {draw(st.sampled_from('<>'))} f.v"
+        if kind.endswith("JOIN"):
+            joins.append(f"{kind} {table} {alias} ON {on}")
+            seen.append(f"{alias}.{val}")
+        else:
+            where.append(f"{kind} (SELECT 1 FROM {table} {alias} WHERE {on})")
+    if draw(st.booleans()):
+        col = draw(st.sampled_from(seen[1:] or seen))
+        where.append(f"({col} IS NULL OR {col} < {draw(st.integers(0, 8))})")
+    value = draw(st.sampled_from(seen))
+    shape = draw(st.sampled_from(["rows", "project", "scalar", "grouped"]))
+    if shape == "rows":
+        select, tail = f"f.a, f.b, {value}", ""
+    elif shape == "project":
+        select, tail = f"f.a, {value} * 2 + f.v", ""
+    elif shape == "scalar":
+        select, tail = f"count(*), sum({value}), max(f.b)", ""
+    else:
+        select, tail = f"f.b, count({value}), sum(f.v)", " GROUP BY f.b"
+    sql = f"SELECT {select} FROM fact f " + " ".join(joins)
+    if where:
+        sql += " WHERE " + " AND ".join(where)
+    return sql + tail
+
+
+@settings(max_examples=200, deadline=None)
+@given(sql=multi_probe_sql())
+def test_multi_probe_chains_match_sqlite(
+    probe_db, probe_orca, probe_oracle, sql
+):
+    """Two or three INNER / LEFT / EXISTS / NOT EXISTS probes over a
+    unique and a duplicated, NULL-bearing build table, with or without
+    residuals, a filter, a projection and an aggregate: fused equals row
+    and both equal sqlite."""
+    result = probe_orca.optimize(sql)
+    got = assert_fused_identical(probe_db, result, segments=4)
+    assert load_oracle().compare(got.rows, probe_oracle.expected(sql)) == ""
 
 
 # ---------------------------------------------------------------------------
