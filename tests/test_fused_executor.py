@@ -601,8 +601,8 @@ def test_null_and_duplicate_build_keys(sql, dim):
 
 @pytest.fixture(scope="module")
 def probe_db():
-    """A fact table, a dimension unique on its key, and a table whose key
-    has duplicates and NULLs."""
+    """A fact table with NULL probe keys, a dimension unique on its key
+    (but for a NULL), and a table whose key has duplicates and NULLs."""
     db = Database()
     db.create_table(Table(
         "fact", [Column("a", INT), Column("b", INT), Column("v", INT)],
@@ -619,7 +619,7 @@ def probe_db():
     db.insert("fact", [
         (i % 23, None if i % 11 == 0 else i % 13, i % 9) for i in range(400)
     ])
-    db.insert("dim", [(k, k % 4) for k in range(20)])
+    db.insert("dim", [(k, k % 4) for k in range(20)] + [(None, 2)])
     db.insert("dup", [
         (None if i % 7 == 0 else i % 10, i % 6) for i in range(30)
     ])
