@@ -23,7 +23,7 @@ re-bound literal does not reach the Python compiler.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping
 
 from repro.ops.scalar import (
     Arith,

@@ -449,12 +449,6 @@ class _AggState:
         ]
 
 
-def _probes_by_membership(op) -> bool:
-    """A SEMI / ANTI probe with no residual asks only whether its key
-    is in the table."""
-    return op.kind in (JoinKind.SEMI, JoinKind.ANTI) and op.residual is None
-
-
 class _StageGen:
     """Generates one variant of a stage: the loop nest ``_stage``, plus
     ``_init`` / ``_final`` for a sink stage."""
@@ -475,7 +469,9 @@ class _StageGen:
         st = self.st
         head: list[str] = []
         for j, probe in enumerate(st.probes):
-            if _probes_by_membership(probe.node.op):
+            op = probe.node.op
+            if op.kind in (JoinKind.SEMI, JoinKind.ANTI) and op.residual is None:
+                # Asks only whether its key is in the table.
                 head.append(f"    _m{j} = _T[{j}]")
             else:
                 head.append(f"    _get{j} = _T[{j}].get")

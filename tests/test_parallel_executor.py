@@ -18,17 +18,23 @@ dispatch respawns a fresh pool.  No child process ever survives close.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.catalog import INT, Column, Database, DistributionPolicy, Table
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
+from repro.engine.fused import fused_chains
 from repro.engine.parallel import MorselPool, make_pool
 from repro.errors import ExecutionError, TimeoutError_
+from repro.ops import physical as ph
 from repro.optimizer import Orca
 from repro.service.session import connect
 from repro.trace import Tracer
@@ -290,6 +296,62 @@ def test_killed_worker_poisons_query_not_pool(small_session):
     execution = session.execute(SQL)  # fresh pool, query succeeds
     assert execution.rows
     assert session.morsel_stats()["morsels_dispatched"] > 0
+
+
+# ---------------------------------------------------------------------------
+# A probe that fans a REPLICATED outer out after a filter: two stages.
+# ---------------------------------------------------------------------------
+
+
+def test_fanning_probe_after_a_filter_runs_as_its_own_stage():
+    """The optimizer redistributes a REPLICATED probe side before a
+    hashed build side, so this plan is assembled by hand from its nodes:
+    scan(r) -> filter -> probe(h) -> partial agg with no motion between.
+    Its chain compiles to two stages, the filter runs once, the probe
+    once per segment; serial, pooled and row execution agree, and the
+    rows are the join's."""
+    db = Database()
+    db.create_table(Table("r", [Column("a", INT), Column("b", INT)],
+                          distribution=DistributionPolicy.REPLICATED))
+    db.create_table(Table("h", [Column("k", INT), Column("v", INT)],
+                          distribution_columns=("k",)))
+    db.insert("r", [(i % 50, i % 9) for i in range(3000)])
+    db.insert("h", [(k, k % 3) for k in range(40)] + [(7, 5)])
+    db.analyze()
+    result = Orca(db, config=OptimizerConfig(segments=4)).optimize(
+        "SELECT h.v, count(*) FROM r JOIN h ON r.a = h.k WHERE r.b > 3 "
+        "GROUP BY h.v"
+    )
+    partial = next(n for n in result.plan.walk()
+                   if type(n.op) is ph.PhysicalHashAgg
+                   and type(n.children[0].op) is ph.PhysicalHashJoin)
+    join = partial.children[0]
+    flt, build = join.children
+    scan = flt.children[0].children[0]
+    assert type(flt.op) is ph.PhysicalFilter
+    assert type(scan.op) is ph.PhysicalTableScan
+    flt = dataclasses.replace(flt, children=[scan])
+    join = dataclasses.replace(join, children=[flt, build])
+    plan = dataclasses.replace(partial, children=[join])
+    hand = SimpleNamespace(plan=plan, output_cols=plan.output_cols)
+
+    row = _execute(db, hand, segments=4, mode=ExecutionMode.ROW)
+    serial = _execute(db, hand, segments=4)
+    (chain,) = [c for c in fused_chains(plan).values() if c.compiled]
+    assert [[type(n.op) for n in st.ops] for st in chain.compiled.stages] == [
+        [ph.PhysicalFilter], [ph.PhysicalHashJoin, ph.PhysicalHashAgg],
+    ]
+    assert_identical(row, serial, plan)
+    with MorselPool(2, name="fanout") as pool:
+        pooled = _execute(db, hand, segments=4, pool=pool)
+        assert pool.stats()["morsels_dispatched"] > 0
+    assert_identical(row, pooled, plan)
+    counts = Counter()
+    for v, n in serial.rows:
+        counts[v] += n
+    h = {k: [v for k2, v in db.scan("h") if k2 == k] for k in range(50)}
+    want = Counter(v for a, b in db.scan("r") if b > 3 for v in h[a])
+    assert counts == want
 
 
 # ---------------------------------------------------------------------------
