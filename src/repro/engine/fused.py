@@ -534,7 +534,7 @@ class _StageGen:
             else:
                 self.state.emit_fold(out, ind, em, layout)
                 return
-        out.append(f"{ind}_append({Layout(None, parts).row})")
+        out.append(f"{ind}_append({Layout({}, parts).row})")
 
     def emit_probe(self, out, i, ind, parts, cols, layout) -> None:
         """Emit probe ``st.ops[i]`` and, nested in it, the rest of the
