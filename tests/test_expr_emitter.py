@@ -1,15 +1,16 @@
-"""The expression emitter: generated source == ``ScalarExpr.evaluate``.
+"""The expression emitter, judged by sqlite.
 
-``repro.engine.emit.Emitter`` is the one place the compiled paths
-turn a scalar expression into Python: the fused stage loops inline its
-output, the nested-loops join inlines it into its pair loop, and
-``compiled_row`` wraps it in a lambda.  Three things are pinned here:
+``repro.engine.emit.Emitter`` is the one place a scalar expression gets
+its value: the fused stage loops inline its output, the nested-loops
+join inlines it into its pair loop, and ``compiled_row`` wraps it in a
+lambda.  Three things are pinned here:
 
-- a differential property over random expression trees (all nine kinds
-  plus one the emitter does not know, NULL-bearing rows, int / float /
-  str / bool columns, zero divisors, a correlated parameter): value
-  mode ``==`` ``evaluate`` with the same type, truth mode ``==``
-  ``evaluate(...) is True``, through every door the engine uses;
+- a differential property over random expression trees (all nine kinds,
+  NULL-bearing rows, int / float / str / bool columns, zero divisors,
+  a correlated parameter), each rendered back to SQL and evaluated by
+  ``SELECT <expr>`` in an in-memory sqlite over the same rows: value
+  mode agrees with sqlite's value, truth mode with sqlite's ``CASE WHEN
+  <expr>``, through every door the engine uses;
 - the count the "no Python call per row" claim rests on: ``call``
   events made *from* generated code while a plan runs in fused mode,
   which must be zero whatever the table size;
@@ -22,6 +23,7 @@ from __future__ import annotations
 import gc
 import random
 import re
+import sqlite3
 import sys
 
 import pytest
@@ -55,6 +57,7 @@ from repro.ops.scalar import (
 from repro.optimizer import Orca
 
 from tests.conftest import make_small_db
+from tests.test_sqlite_oracle import load_oracle
 
 # ----------------------------------------------------------------------
 # Random expression trees
@@ -75,23 +78,6 @@ SPLIT = (("_row", N_OUTER), ("_cand", None))
 OUT = ColRef(20, "out", INT)
 
 
-class Coalesce(ScalarExpr):
-    """An expression kind the engine has never heard of."""
-
-    def __init__(self, left, right):
-        self.children = (left, right)
-
-    def key(self):
-        return ("coalesce",) + tuple(c.key() for c in self.children)
-
-    def evaluate(self, env):
-        for child in self.children:
-            value = child.evaluate(env)
-            if value is not None:
-                return value
-        return None
-
-
 _NUM_LEAVES = st.one_of(
     st.sampled_from([ColRefExpr(c) for c in COLS if c.dtype is not TEXT]
                     + [ColRefExpr(PARAM)]),
@@ -102,6 +88,10 @@ _TXT_LEAVES = st.one_of(
     st.sampled_from([ColRefExpr(c) for c in COLS if c.dtype is TEXT]),
     st.sampled_from(["", "x", "xy", "red", None]).map(Literal),
 )
+_BOOL_LEAVES = st.one_of(
+    st.sampled_from([ColRefExpr(c) for c in COLS if c.dtype is BOOL]),
+    st.sampled_from([True, False, None]).map(lambda v: Literal(v, BOOL)),
+)
 _IN_VALUES = st.lists(
     st.sampled_from([0, 1, 50, 0.5, "x", "red", True]), min_size=1, max_size=3
 ).map(tuple)
@@ -109,22 +99,24 @@ _IN_VALUES = st.lists(
 
 @st.composite
 def exprs(draw, family: str = "any", depth: int = 3):
-    """A random tree that cannot raise: ordering and arithmetic stay
-    inside one type family (``num`` includes bool, as Python does),
-    everything else mixes freely."""
+    """A random tree the SQL translator admits and that cannot raise:
+    ordering and arithmetic stay inside one type family (``num``
+    includes bool, as Python does), AND / OR / NOT operands and CASE
+    conditions are boolean, LIKE reads text, and ``=`` / ``<>`` / IN
+    mix freely."""
     if family == "any":
         family = draw(st.sampled_from(["num", "txt", "bool"]))
     if depth == 0 or (family != "bool" and draw(st.integers(0, 2)) == 0):
-        if family == "txt":
-            return draw(_TXT_LEAVES)
-        return draw(_NUM_LEAVES)
+        return draw(
+            {"num": _NUM_LEAVES, "txt": _TXT_LEAVES, "bool": _BOOL_LEAVES}[family]
+        )
 
     def sub(fam="any"):
         return draw(exprs(fam, depth - 1))
 
     if family == "bool":
         kind = draw(st.sampled_from(
-            ["cmp", "eq", "and", "or", "not", "isnull", "in", "like"]
+            ["cmp", "eq", "and", "or", "not", "isnull", "in", "like", "case"]
         ))
         if kind == "cmp":
             fam = draw(st.sampled_from(["num", "txt"]))
@@ -134,26 +126,26 @@ def exprs(draw, family: str = "any", depth: int = 3):
             return Comparison(draw(st.sampled_from(["=", "<>"])), sub(), sub())
         if kind in ("and", "or"):
             n = draw(st.integers(1, 3))
-            return BoolExpr(kind, [sub() for _ in range(n)])
+            return BoolExpr(kind, [sub("bool") for _ in range(n)])
         if kind == "not":
-            return BoolExpr("not", [sub()])
+            return BoolExpr("not", [sub("bool")])
         if kind == "isnull":
             return IsNull(sub(), draw(st.booleans()))
         if kind == "in":
             return InList(sub(), draw(_IN_VALUES), draw(st.booleans()))
-        pattern = draw(st.sampled_from(["x%", "%e_", "_", "%", "5%"]))
-        return LikeExpr(sub(), pattern, draw(st.booleans()))
-    kind = draw(st.sampled_from(
-        ["case", "coalesce"] + (["arith", "bool"] if family == "num" else [])
-    ))
-    if kind == "arith":
-        op = draw(st.sampled_from(["+", "-", "*", "/"]))
-        return Arith(op, sub("num"), sub("num"))
-    if kind == "bool":
-        return sub("bool")
-    if kind == "coalesce":
-        return Coalesce(sub(family), sub(family))
-    whens = [(sub(), sub(family)) for _ in range(draw(st.integers(1, 2)))]
+        if kind == "like":
+            pattern = draw(st.sampled_from(["x%", "%e_", "_", "%", "5%"]))
+            return LikeExpr(sub("txt"), pattern, draw(st.booleans()))
+    else:
+        kind = draw(st.sampled_from(
+            ["case"] + (["arith", "bool"] if family == "num" else [])
+        ))
+        if kind == "arith":
+            op = draw(st.sampled_from(["+", "-", "*", "/"]))
+            return Arith(op, sub("num"), sub("num"))
+        if kind == "bool":
+            return sub("bool")
+    whens = [(sub("bool"), sub(family)) for _ in range(draw(st.integers(1, 2)))]
     return CaseExpr(whens, draw(st.one_of(st.none(), exprs(family, depth - 1))))
 
 
@@ -177,8 +169,93 @@ PARAMS = st.one_of(st.none(), st.sampled_from([0, 1, 50])).map(
 )
 
 
-def same(got, want) -> bool:
-    return got == want and type(got) is type(want)
+# ----------------------------------------------------------------------
+# The judge: sqlite
+# ----------------------------------------------------------------------
+
+ORACLE = load_oracle()
+
+
+def to_sql(expr: ScalarExpr) -> str:
+    """The SQL text of ``expr`` for sqlite, column ``c<id>`` per column.
+    ``/`` is true division here (``Arith.dtype`` is FLOAT), so its
+    dividend is cast to REAL."""
+    t = type(expr)
+    if t is ColRefExpr:
+        return f"c{expr.ref.id}"
+    if t is Literal:
+        return sql_literal(expr.value)
+    if t is Comparison:
+        return f"({to_sql(expr.left)} {expr.op} {to_sql(expr.right)})"
+    if t is Arith:
+        left = to_sql(expr.left)
+        if expr.op == "/":
+            left = f"CAST({left} AS REAL)"
+        return f"({left} {expr.op} {to_sql(expr.right)})"
+    if t is BoolExpr:
+        if expr.op == "not":
+            return f"(NOT {to_sql(expr.children[0])})"
+        sep = f" {expr.op.upper()} "
+        return "(" + sep.join(to_sql(c) for c in expr.children) + ")"
+    neg = "NOT " if getattr(expr, "negated", False) else ""
+    if t is IsNull:
+        return f"({to_sql(expr.arg)} IS {neg}NULL)"
+    if t is InList:
+        values = ", ".join(sql_literal(v) for v in expr.values)
+        return f"({to_sql(expr.arg)} {neg}IN ({values}))"
+    if t is LikeExpr:
+        return f"({to_sql(expr.arg)} {neg}LIKE {sql_literal(expr.pattern)})"
+    if t is CaseExpr:
+        arms = " ".join(
+            f"WHEN {to_sql(c)} THEN {to_sql(r)}" for c, r in expr.whens
+        )
+        return f"(CASE {arms} ELSE {to_sql(expr.else_)} END)"
+    raise TypeError(f"no SQL for {t.__name__}")
+
+
+def sql_literal(value) -> str:
+    if value is None:
+        return "NULL"
+    if isinstance(value, bool):
+        return "TRUE" if value else "FALSE"
+    if isinstance(value, str):
+        return "'" + value.replace("'", "''") + "'"
+    return repr(value)
+
+
+def truth_sql(expr: ScalarExpr) -> str:
+    """1 where sqlite's WHERE would keep the row, else 0."""
+    return f"CASE WHEN {to_sql(expr)} THEN 1 ELSE 0 END"
+
+
+_JUDGE: list = []
+
+
+def judge(columns: list[str], rows, params) -> list[tuple]:
+    """``SELECT <columns>`` in sqlite, one result row per ``rows`` row,
+    with the correlated parameter as one more column.  LIKE is
+    case-sensitive, as in PostgreSQL and the engine."""
+    if not _JUDGE:
+        con = sqlite3.connect(":memory:")
+        con.execute("PRAGMA case_sensitive_like = ON")
+        con.execute(
+            "CREATE TABLE t (" + ", ".join(f"c{c.id}" for c in COLS + [PARAM]) + ")"
+        )
+        _JUDGE.append(con)
+    con = _JUDGE[0]
+    con.execute("DELETE FROM t")
+    con.executemany(
+        f"INSERT INTO t VALUES ({', '.join('?' * (len(COLS) + 1))})",
+        [tuple(row) + (params[PARAM.id],) for row in rows],
+    )
+    return con.execute(
+        f"SELECT {', '.join(columns)} FROM t ORDER BY rowid"
+    ).fetchall()
+
+
+def agrees(got, want) -> bool:
+    """The oracle's normalization: bool -> int, floats to ``REL_TOL``."""
+    return ORACLE._close(ORACLE._norm(got), want)
 
 
 def load(em: Emitter, body: str):
@@ -200,12 +277,12 @@ def stage_of(ops, inner: bool):
 
 
 @settings(max_examples=150, deadline=None)
-@given(expr=exprs(), other=exprs(), rows=ROWS, params=PARAMS)
-def test_generated_source_equals_evaluate(expr, other, rows, params):
-    want = []
-    for row in rows:
-        env = {**params, **{c.id: v for c, v in zip(COLS, row)}}
-        want.append((expr.evaluate(env), other.evaluate(env) is True))
+@given(expr=exprs(), other=exprs("bool"), rows=ROWS, params=PARAMS)
+def test_generated_source_equals_sqlite(expr, other, rows, params):
+    want = [
+        (v, t == 1)
+        for v, t in judge([to_sql(expr), truth_sql(other)], rows, params)
+    ]
     values = [v for v, _t in want]
     truths = [t for _v, t in want]
 
@@ -217,12 +294,12 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
         truth = load(em, em.truth(other, layout))
         for row, (v, t) in zip(rows, want):
             args = (row, row[:N_OUTER], row[N_OUTER:], params)
-            assert same(value(*args), v)
+            assert agrees(value(*args), v)
             assert bool(truth(*args)) is t
 
     # compiled_row: what the index scan calls per fetched row.
     fn = compiled_row(expr, INDEX)
-    assert all(same(fn(row, params), v) for row, v in zip(rows, values))
+    assert all(agrees(fn(row, params), v) for row, v in zip(rows, values))
 
     # A fused stage over the joined row ``_r``: project, then filter.
     stage = stage_of(
@@ -234,7 +311,7 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
     for row, (v, t) in zip(rows, want):
         if t:
             got = next(kept)
-            assert got[:-1] == row and same(got[-1], v)
+            assert got[:-1] == row and agrees(got[-1], v)
 
     # A fused join stage folding straight into its sink: the residual
     # and the aggregate argument read the probe row and the candidate in
@@ -252,7 +329,7 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
             if t:
                 code = stage.sink()
                 ((got,),) = code.final(groups, code.bound)
-                assert same(got, v)
+                assert agrees(got, v)
             else:
                 assert not groups
     sources = [code.source for code in stage.variants.values()]
@@ -264,27 +341,28 @@ def test_generated_source_equals_evaluate(expr, other, rows, params):
     # The nested-loops pair loop, every join kind, all pairs.
     outers = [row[:N_OUTER] for row in rows]
     inners = [row[N_OUTER:] for row in rows]
+    pairs = [o + i for o in outers for i in inners]
+    holds = [t == 1 for (t,) in judge([truth_sql(other)], pairs, params)]
     pad = (None,) * len(INNER)
     for kind in JoinKind:
         loop, bound = executor._nl_loop(
             ph.PhysicalNLJoin(kind, other), N_OUTER, INDEX
         )
         out = []
-        pairs = loop(outers, inners, params, pad, out.append, bound)
-        assert (out, pairs) == nested_loops(kind, other, outers, inners, params)
+        probed = loop(outers, inners, params, pad, out.append, bound)
+        assert (out, probed) == nested_loops(kind, holds, outers, inners)
 
 
-def nested_loops(kind, cond, outers, inners, params):
-    """A nested-loops join written with ``evaluate``, the reference the
-    generated pair loop must match: its output rows and the pairs it
-    probed."""
-    out, pairs = [], 0
-    for o_row in outers:
+def nested_loops(kind, holds, outers, inners):
+    """A nested-loops join whose condition is sqlite's verdict on each
+    (outer, inner) pair, ``holds`` in row-major order: the reference
+    the generated pair loop must match, output rows and pairs probed."""
+    out, probed = [], 0
+    for o, o_row in enumerate(outers):
         hit = False
-        for i_row in inners:
-            pairs += 1
-            env = {**params, **{c.id: v for c, v in zip(COLS, o_row + i_row)}}
-            if cond.evaluate(env) is not True:
+        for i, i_row in enumerate(inners):
+            probed += 1
+            if not holds[o * len(inners) + i]:
                 continue
             hit = True
             if kind in (JoinKind.INNER, JoinKind.LEFT):
@@ -295,7 +373,7 @@ def nested_loops(kind, cond, outers, inners, params):
             out.append(o_row)
         elif kind is JoinKind.LEFT and not hit:
             out.append(o_row + (None,) * len(INNER))
-    return out, pairs
+    return out, probed
 
 
 def test_mixed_type_comparison_raises_on_both_sides():
@@ -443,6 +521,23 @@ def test_no_python_call_per_row_in_generated_code(fact_rows):
         assert ran[0].rows == reference.rows, name
         assert ran[0].metrics.rows_scanned >= fact_rows, name
         assert calls == 0, (name, calls)
+
+
+class Coalesce(ScalarExpr):
+    """An expression kind the engine has never heard of."""
+
+    def __init__(self, left, right):
+        self.children = (left, right)
+
+    def key(self):
+        return ("coalesce",) + tuple(c.key() for c in self.children)
+
+    def evaluate(self, env):
+        for child in self.children:
+            value = child.evaluate(env)
+            if value is not None:
+                return value
+        return None
 
 
 def test_generated_stage_source_inlines_every_expression():
