@@ -8,7 +8,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
-from repro.catalog import Column, Database, INT, Table
+from repro.catalog import Column, Database, FLOAT, INT, Table
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.errors import OutOfMemoryError, TimeoutError_
@@ -16,6 +16,7 @@ from repro.optimizer import Orca
 from repro.planner import LegacyPlanner
 
 from tests.conftest import make_partitioned_db, make_small_db, rows_equal
+from tests.test_sqlite_oracle import load_oracle
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +304,62 @@ class TestSortLimitWindow:
             prev = per_partition.get(c)
             assert prev is None or s >= prev
             per_partition[c] = s
+
+
+WINDOW_ARGS = {
+    "arith": "a + b",
+    "arith_float": "a * f",
+    "case": "CASE WHEN a > 2 THEN b ELSE NULL END",
+    "case_no_else": "CASE WHEN b IS NULL THEN f END",
+}
+
+
+@pytest.fixture(scope="module")
+def window_db():
+    """``w(k, g, a, b, f)``: ``k`` unique (so a running frame has no
+    peers), NULLs in every other column, ``g`` included."""
+    rng = random.Random(3)
+    db = Database()
+    db.create_table(Table(
+        "w",
+        [Column("k", INT), Column("g", INT), Column("a", INT),
+         Column("b", INT), Column("f", FLOAT)],
+        distribution_columns=("g",),
+    ))
+
+    def cell(values):
+        return rng.choice(values + [None])
+
+    db.insert("w", [
+        (k, cell([0, 1, 2]), cell([0, 1, 3, 5]), cell([-2, 4, 7]),
+         cell([0.5, 1.25, -3.0]))
+        for k in range(40)
+    ])
+    db.analyze()
+    oracle = load_oracle().Oracle(db)
+    yield db, oracle
+    oracle.close()
+
+
+class TestWindowAggregatesAgainstSqlite:
+    """Aggregate window functions over NULL-bearing argument
+    expressions, running (ORDER BY) and whole-partition, equal sqlite's
+    rows in both execution modes."""
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("over", ["PARTITION BY g ORDER BY k", "PARTITION BY g"],
+                             ids=["running", "whole"])
+    @pytest.mark.parametrize("arg", sorted(WINDOW_ARGS))
+    @pytest.mark.parametrize("func", ["sum", "avg", "count", "min", "max"])
+    def test_matches_sqlite(self, window_db, func, arg, over, mode):
+        db, oracle = window_db
+        sql = (
+            f"SELECT k, g, {func}({WINDOW_ARGS[arg]}) OVER ({over}) AS v "
+            "FROM w ORDER BY k"
+        )
+        out, result = run(db, sql, segments=4, execution_mode=mode)
+        assert "Window" in result.plan.operators()
+        assert load_oracle().compare(out.rows, oracle.expected(sql)) == ""
 
 
 class TestSetOperations:

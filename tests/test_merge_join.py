@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from collections import defaultdict
 
 import pytest
 
+from repro.catalog import Column, Database, FLOAT, Table
 from repro.catalog.types import INT
-from repro.config import OptimizerConfig
+from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.engine.executor import _merge_join_segment
 from repro.ops.logical import JoinKind
@@ -19,6 +21,7 @@ from repro.props.order import ANY_ORDER, OrderSpec, SortKey
 from repro.props.required import DerivedProps, RequiredProps
 
 from tests.conftest import make_small_db, rows_equal
+from tests.test_sqlite_oracle import load_oracle
 
 
 @pytest.fixture()
@@ -190,3 +193,66 @@ class TestPlansAndExecution:
             hash_r.plan, hash_r.output_cols
         )
         assert rows_equal(out.rows, out_ref.rows)
+
+
+RESIDUAL_QUERIES = {
+    "inner_arith": "SELECT l.k, l.a, r.b FROM l JOIN r ON l.j = r.j AND l.a + r.b > 2",
+    "inner_where": "SELECT l.k, r.b FROM l, r WHERE l.j = r.j AND l.a <> r.b",
+    "left_or": (
+        "SELECT l.k, l.a, r.b FROM l LEFT JOIN r "
+        "ON l.j = r.j AND (l.a < r.b OR r.f IS NULL)"
+    ),
+    "left_case": (
+        "SELECT l.k, r.b FROM l LEFT JOIN r ON l.j = r.j "
+        "AND CASE WHEN l.a > 1 THEN r.b > 0 ELSE r.f > 1.0 END"
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def residual_db():
+    """``l(k, j, a)`` and ``r(j, b, f)``: NULLs in the join key and in
+    every column a residual reads; distributed off the join key, so the
+    merge join's inputs move first."""
+    rng = random.Random(5)
+    db = Database()
+    db.create_table(Table(
+        "l", [Column("k", INT), Column("j", INT), Column("a", INT)],
+        distribution_columns=("k",),
+    ))
+    db.create_table(Table(
+        "r", [Column("j", INT), Column("b", INT), Column("f", FLOAT)],
+        distribution_columns=("b",),
+    ))
+
+    def cell(values):
+        return rng.choice(values + [None])
+
+    db.insert("l", [
+        (k, cell([0, 1, 2, 3]), cell([0, 1, 3, 5])) for k in range(30)
+    ])
+    db.insert("r", [
+        (cell([0, 1, 2, 4]), cell([-2, 1, 4, 7]), cell([0.5, 2.0]))
+        for _ in range(20)
+    ])
+    db.analyze()
+    oracle = load_oracle().Oracle(db)
+    yield db, oracle
+    oracle.close()
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("name", sorted(RESIDUAL_QUERIES))
+def test_merge_join_residual_matches_sqlite(residual_db, name, mode):
+    db, oracle = residual_db
+    sql = RESIDUAL_QUERIES[name]
+    config = OptimizerConfig(segments=4).with_disabled(
+        "InnerJoin2HashJoin", "InnerJoin2NLJoin"
+    )
+    result = Orca(db, config=config).optimize(sql)
+    merges = [n.op for n in result.plan.walk() if n.op.name == "MergeJoin"]
+    assert merges and all(op.residual is not None for op in merges)
+    out = Executor(Cluster(db, segments=4), execution_mode=mode).execute(
+        result.plan, result.output_cols
+    )
+    assert load_oracle().compare(out.rows, oracle.expected(sql)) == ""
