@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.catalog.types import INT
+from repro.catalog.types import BOOL, INT
 from repro.errors import BindError, UnsupportedError
 from repro.ops.expression import Expression
 from repro.ops.logical import (
@@ -551,7 +551,7 @@ class _QueryBuilder:
             return Expression(LogicalJoin(JoinKind.INNER, None), [left, right])
         condition = None
         if item.on is not None:
-            condition = self._scalar(item.on, self.scope)
+            condition = _truth(self._scalar(item.on, self.scope), "JOIN/ON")
             self._tag_join_condition(item.on)
         kind = JoinKind.LEFT if item.kind is A.JoinType.LEFT else JoinKind.INNER
         if kind is JoinKind.LEFT:
@@ -579,10 +579,8 @@ class _QueryBuilder:
             handled = self._try_unnest(conj, post_apply)
             if handled:
                 continue
-            if self._contains_subquery(conj):
-                post_apply.append(self._scalar(conj, self.scope))
-            else:
-                plain.append(self._scalar(conj, self.scope))
+            pred = _truth(self._scalar(conj, self.scope), "WHERE")
+            (post_apply if self._contains_subquery(conj) else plain).append(pred)
         predicate = make_conj(plain)
         if predicate is not None:
             # Plain predicates go below the applies when no apply exists
@@ -768,7 +766,7 @@ class _QueryBuilder:
     def _build_having(self, stmt: A.SelectStmt, agg_ctx) -> None:
         if stmt.having is None:
             return
-        predicate = self._scalar_post_agg(stmt.having, agg_ctx)
+        predicate = _truth(self._scalar_post_agg(stmt.having, agg_ctx), "HAVING")
         self.tree = Expression(LogicalSelect(predicate), [self.tree])
 
     # ------------------------------------------------------------------
@@ -965,12 +963,15 @@ class _QueryBuilder:
             return Literal(expr.value)
         if isinstance(expr, A.EBinary):
             if expr.op in ("and", "or"):
-                return BoolExpr(expr.op, [recurse(expr.left), recurse(expr.right)])
+                return BoolExpr(expr.op, [
+                    _truth(recurse(side), expr.op.upper())
+                    for side in (expr.left, expr.right)
+                ])
             if expr.op in ("+", "-", "*", "/"):
                 return Arith(expr.op, recurse(expr.left), recurse(expr.right))
             return Comparison(expr.op, recurse(expr.left), recurse(expr.right))
         if isinstance(expr, A.ENot):
-            return BoolExpr(BoolExpr.NOT, [recurse(expr.arg)])
+            return BoolExpr(BoolExpr.NOT, [_truth(recurse(expr.arg), "NOT")])
         if isinstance(expr, A.ENegate):
             arg = recurse(expr.arg)
             if isinstance(arg, Literal) and arg.value is not None:
@@ -998,7 +999,9 @@ class _QueryBuilder:
             return InList(recurse(expr.arg), expr.values or [], expr.negated)
         if isinstance(expr, A.ECase):
             self.state.features.add("case")
-            whens = [(recurse(c), recurse(r)) for c, r in expr.whens]
+            whens = [
+                (_truth(recurse(c), "CASE/WHEN"), recurse(r)) for c, r in expr.whens
+            ]
             else_ = recurse(expr.else_) if expr.else_ is not None else None
             return CaseExpr(whens, else_)
         if isinstance(expr, A.EScalarSubquery):
@@ -1020,6 +1023,18 @@ class _QueryBuilder:
             raise BindError("scalar subquery must return one column")
         self._attach_apply(ApplyKind.SCALAR, inner_tree)
         return ColRefExpr(inner_cols[0])
+
+
+def _truth(expr: ScalarExpr, context: str) -> ScalarExpr:
+    """``expr`` where SQL needs a truth value (WHERE, HAVING, JOIN ... ON,
+    AND / OR / NOT, CASE WHEN): a BOOL expression or the NULL literal,
+    as in PostgreSQL.  Anything else is a :class:`BindError`, never a
+    number silently read as true or false."""
+    if expr.dtype is BOOL or (type(expr) is Literal and expr.value is None):
+        return expr
+    raise BindError(
+        f"argument of {context} must be type bool, not type {expr.dtype}"
+    )
 
 
 # ----------------------------------------------------------------------

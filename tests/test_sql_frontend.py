@@ -284,6 +284,31 @@ class TestTranslator:
         agg = next(n for n in q.tree.walk() if isinstance(n.op, LogicalGbAgg))
         assert len(agg.op.aggs) == 1
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t1 WHERE b AND a > 0",
+        "SELECT a FROM t1 WHERE b OR a IS NULL",
+        "SELECT CASE WHEN b THEN 'y' ELSE 'n' END FROM t1",
+        "SELECT a FROM t1 WHERE NOT b",
+        "SELECT a FROM t1 WHERE c",
+        "SELECT c FROM t1 GROUP BY c HAVING count(*)",
+        "SELECT t1.a FROM t1 JOIN t2 ON t1.a = t2.a AND t2.b",
+    ])
+    def test_non_boolean_truth_operand_rejected(self, db, sql):
+        """Where SQL needs a truth value, an INT or TEXT operand is a
+        bind error (as in PostgreSQL), not a number read as a truth."""
+        with pytest.raises(BindError, match="must be type bool"):
+            translate(db, sql)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT a FROM t1 WHERE NULL AND a > 0",
+        "SELECT a FROM t1 WHERE TRUE OR b > 0",
+        "SELECT CASE WHEN NULL THEN 1 WHEN b > 2 THEN 2 END FROM t1",
+        "SELECT a FROM t1 WHERE (b > 1) = TRUE",
+        "SELECT f FROM (SELECT b > 5 AS f FROM t1) s WHERE f AND NOT f",
+    ])
+    def test_boolean_and_null_truth_operands_accepted(self, db, sql):
+        translate(db, sql)
+
     def test_non_grouped_column_rejected(self, db):
         with pytest.raises(BindError):
             translate(db, "SELECT b FROM t1 GROUP BY c")
