@@ -1,15 +1,18 @@
 """The row-expression emitter: ``ScalarExpr`` -> Python source.
 
-The compiled engine (:mod:`repro.engine.fused`, and the executor's
-scan-side handlers) evaluates no expression by walking its tree.
-:class:`Emitter` renders a ``ScalarExpr`` as the source of one Python
-expression, which the caller inlines into a loop of its own — a pipeline
-stage, the nested-loops join's pair loop — or, :func:`compiled_row`,
-wraps in a ``lambda`` (an index scan's residual).  :class:`Layout` says
-where that source finds its columns.  The source preserves SQL
-three-valued logic exactly as ``ScalarExpr.evaluate`` implements it,
-value for value, so what is compiled agrees with what still evaluates
-(the correlated NL join, merge join, window, constant folding).
+:class:`Emitter` is the one place a ``ScalarExpr`` gets its value: no
+expression is evaluated by walking its tree.  It renders an expression
+as the source of one Python expression, which the caller inlines into a
+loop of its own — a pipeline stage (:mod:`repro.engine.fused`), the
+nested-loops join's pair loop — or, :func:`compiled_row`, wraps in a
+``lambda`` (an index scan's or a merge join's residual, a window
+aggregate's argument).  :class:`Layout` says where that source finds
+its columns.  The source implements SQL three-valued logic, and sqlite
+is its judge: ``tests/test_expr_emitter.py`` compares it with ``SELECT
+<expr>`` over NULL-bearing rows through every door above.  Two
+deviations from sqlite are deliberate: ``/`` is true division
+(``Arith.dtype`` is FLOAT; a zero divisor gives NULL), and LIKE is
+case-sensitive, as in PostgreSQL.
 
 Whatever is compiled from an expression outside a stage is cached on
 the expression instance (``_row_cache``, keyed by the column layout;
@@ -40,7 +43,7 @@ from repro.ops.scalar import (
 
 _PY_CMP = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
-#: Kinds whose ``evaluate`` yields only True, False or NULL.
+#: Kinds whose value is only True, False or NULL.
 _BOOLEAN = (Comparison, BoolExpr, IsNull, InList, LikeExpr)
 
 
@@ -74,31 +77,17 @@ class Layout:
         return names[0] if len(names) == 1 else "(" + " + ".join(names) + ")"
 
 
-def _evaluate_row(expr: ScalarExpr, index: Mapping[int, int]):
-    """``f(row, params)`` for an expression kind the emitter does not
-    know: ``evaluate`` over a per-row environment."""
-    items = tuple(index.items())
-
-    def fallback(r, p):
-        env = {cid: r[pos] for cid, pos in items}
-        for cid, value in p.items():
-            env.setdefault(cid, value)
-        return expr.evaluate(env)
-
-    return fallback
-
-
 class Emitter:
     """``ScalarExpr`` -> Python expression source, in two modes.
 
-    :meth:`value` renders an expression whose value is exactly
-    ``expr.evaluate(env)``; :meth:`truth` one that is truthy exactly
-    when ``expr.evaluate(env) is True`` (what a filter, a join
-    condition and a CASE arm ask), which needs no intermediate NULL.
-    Sub-expressions are evaluated in ``evaluate``'s order but never
-    past the point that decides the result (a NULL left operand, a
-    non-true conjunct in truth mode), so the source can only skip an
-    exception ``evaluate`` would raise, never add one.
+    :meth:`value` renders an expression's SQL value (``None`` = NULL);
+    :meth:`truth` one that is truthy exactly when that value is True
+    (what a filter, a join condition and a CASE arm ask), which needs
+    no intermediate NULL.  Operands are evaluated left to right but
+    never past the point that decides the result (a NULL left operand,
+    a non-true conjunct in truth mode).  A kind the emitter does not
+    know — an aggregate or window call among them, which has no per-row
+    value — is a ``TypeError`` when it is compiled.
 
     Every sub-expression is emitted in parentheses (``_t1 > _f2 is
     True`` would be a chained comparison), temporaries are ``_t<n>``
@@ -207,8 +196,7 @@ class Emitter:
                 result = f"({a[1]} {expr.op} {b[1]})"
             src = self._strict([a, b], result, False)
         else:
-            fallback = self.bind(_evaluate_row(expr, layout.index))
-            src = f"{fallback}({layout.row}, _params)"
+            raise TypeError(f"the emitter cannot compile {t.__name__}")
         return f"({src} is True)" if truth else src
 
     def _bool(self, expr, layout, truth):
@@ -227,7 +215,7 @@ class Emitter:
             return "(" + " or ".join(
                 self.truth(kid, layout) for kid in kids
             ) + ")"
-        # evaluate(): stop at the first False (AND) / True (OR) by
+        # Value mode: stop at the first False (AND) / True (OR) by
         # identity, else NULL if any child was NULL.
         stop, done = ("False", "True") if is_and else ("True", "False")
         temps = [self._temp() for _ in kids]

@@ -362,13 +362,6 @@ class Executor:
         else:
             self.metrics.charge_segment(node, seg, units)
 
-    def _env(self, cols_index: dict[int, int], row: tuple) -> dict[int, Any]:
-        env = {cid: row[pos] for cid, pos in cols_index.items()}
-        if self._param_env:
-            for cid, value in self._param_env.items():
-                env.setdefault(cid, value)
-        return env
-
     @staticmethod
     def _index(cols: Sequence[ColRef]) -> dict[int, int]:
         return {c.id: i for i, c in enumerate(cols)}
@@ -573,15 +566,17 @@ class Executor:
             inner.cols
         )
         null_pad = (None,) * len(inner.cols)
-        combined_index = self._index(list(outer.cols) + list(inner.cols))
+        residual = None if op.residual is None else compiled_row(
+            op.residual, self._index(list(outer.cols) + list(inner.cols))
+        )
+        params = self._param_env
         kind = self._join_output_kind(outer.kind, inner.kind)
         out_buckets: list[list[tuple]] = []
         for seg, o_rows, i_rows in self._join_sides(
             outer.kind, outer.buckets, inner
         ):
             bucket = _merge_join_segment(
-                o_rows, i_rows, l_pos, r_pos, op, null_pad,
-                combined_index, self._env,
+                o_rows, i_rows, l_pos, r_pos, op, null_pad, residual, params
             )
             self._charge_at(
                 node, seg,
@@ -638,11 +633,18 @@ class Executor:
         cache: dict[tuple, tuple[list[tuple], float, float]] = {}
         out_buckets = []
         param_ids = sorted(op.outer_refs)
+        # A parameter is read from the outer row, else from the binding
+        # this plan itself runs under (a nested correlated join).
+        sources = [
+            (o_index.get(cid), self._param_env.get(cid)) for cid in param_ids
+        ]
         for seg_rows in outer.buckets:
             bucket = []
             for o_row in seg_rows:
-                env = self._env(o_index, o_row)
-                key = tuple(env.get(cid) for cid in param_ids)
+                key = tuple(
+                    value if pos is None else o_row[pos]
+                    for pos, value in sources
+                )
                 if key in cache:
                     rows, work, net = cache[key]
                     if not self.cache_correlated_work:
@@ -652,9 +654,7 @@ class Executor:
                         self.metrics.subplan_executions += 1
                 else:
                     saved_env = self._param_env
-                    self._param_env = {**saved_env, **{
-                        cid: env.get(cid) for cid in param_ids
-                    }}
+                    self._param_env = {**saved_env, **dict(zip(param_ids, key))}
                     before = self.metrics.work_of(inner_plan)
                     inner_result = self._exec(inner_plan)
                     self._param_env = saved_env
@@ -690,10 +690,11 @@ class Executor:
         child = self._exec(node.children[0])
         index = self._index(child.cols)
         out_cols = list(child.cols) + [c for _f, c in op.funcs]
-        out_buckets = []
-        for bucket in child.buckets:
-            extended = _window_bucket(bucket, index, op.funcs, self._env)
-            out_buckets.append(extended)
+        params = self._param_env
+        out_buckets = [
+            _window_bucket(bucket, index, op.funcs, params)
+            for bucket in child.buckets
+        ]
         self._charge_by_kind(
             node, child.kind, child.bucket_sizes(),
             child.total_rows() * self.params.window_factor,
@@ -850,11 +851,6 @@ def _agg_init(agg: AggFunc):
     return [None, seen]  # min / max
 
 
-def _agg_add(slot, agg: AggFunc, env) -> None:
-    value = agg.arg.evaluate(env) if agg.arg is not None else 1
-    _agg_add_value(slot, agg, value)
-
-
 def _agg_add_value(slot, agg: AggFunc, value) -> None:
     """Fold one already-evaluated argument value into an aggregate slot."""
     if agg.name == "count" and agg.arg is None:
@@ -938,15 +934,17 @@ def _nl_loop(op, n_outer: int, index):
 
 
 def _merge_join_segment(
-    o_rows, i_rows, l_pos, r_pos, op, null_pad, combined_index, env_fn
+    o_rows, i_rows, l_pos, r_pos, op, null_pad, residual, params
 ):
     """Two-pointer merge of key-sorted inputs with duplicate grouping.
 
     Rows with NULL keys never match; for LEFT joins unmatched outer rows
-    are NULL-extended.  Inputs arrive sorted by the optimizer's order
-    requirements; this re-asserts by sorting on the keys, which is a
-    no-op on already-ordered inputs and keeps the operator safe if the
-    delivered order carries extra trailing keys.
+    are NULL-extended.  ``residual`` is ``op.residual`` compiled over
+    the joined row (:func:`compiled_row`), or ``None``.  Inputs arrive
+    sorted by the optimizer's order requirements; this re-asserts by
+    sorting on the keys, which is a no-op on already-ordered inputs and
+    keeps the operator safe if the delivered order carries extra
+    trailing keys.
     """
     from repro.ops.logical import JoinKind
 
@@ -986,19 +984,18 @@ def _merge_join_segment(
             k += 1
         matched = False
         for i_row in group:
-            if op.residual is not None:
-                env = env_fn(combined_index, o_row + i_row)
-                if op.residual.evaluate(env) is not True:
-                    continue
+            row = o_row + i_row
+            if residual is not None and residual(row, params) is not True:
+                continue
             matched = True
-            out.append(o_row + i_row)
+            out.append(row)
         if not matched and op.kind is JoinKind.LEFT:
             out.append(o_row + null_pad)
         j += 1
     return out
 
 
-def _window_bucket(rows, index, funcs, env_fn):
+def _window_bucket(rows, index, funcs, params):
     """Evaluate window functions over one (already sorted) bucket."""
     spec: WindowFunc = funcs[0][0]
     p_pos = [index[c.id] for c in spec.partition_by]
@@ -1011,25 +1008,25 @@ def _window_bucket(rows, index, funcs, env_fn):
         while j < len(rows) and tuple(rows[j][p] for p in p_pos) == key:
             j += 1
         partition = rows[i:j]
-        extended = _window_partition(partition, index, funcs, env_fn)
+        extended = _window_partition(partition, index, funcs, params)
         out.extend(extended)
         i = j
     return out
 
 
-def _window_partition(partition, index, funcs, env_fn):
+def _window_partition(partition, index, funcs, params):
     spec: WindowFunc = funcs[0][0]
     o_pos = [(index[c.id], asc) for c, asc in spec.order_by]
     results_per_func = []
     for func, _col in funcs:
-        results_per_func.append(_window_values(partition, index, func, o_pos, env_fn))
+        results_per_func.append(_window_values(partition, index, func, o_pos, params))
     out = []
     for i, row in enumerate(partition):
         out.append(row + tuple(vals[i] for vals in results_per_func))
     return out
 
 
-def _window_values(partition, index, func: WindowFunc, o_pos, env_fn):
+def _window_values(partition, index, func: WindowFunc, o_pos, params):
     n = len(partition)
     if func.name == "row_number":
         return list(range(1, n + 1))
@@ -1048,18 +1045,14 @@ def _window_values(partition, index, func: WindowFunc, o_pos, env_fn):
         return values
     # Aggregate window functions: running when ordered, total otherwise.
     agg = AggFunc(func.name, func.arg)
-    if not func.order_by:
-        slot = _agg_init(agg)
-        for row in partition:
-            _agg_add(slot, agg, env_fn(index, row))
-        total = _agg_final(slot, agg)
-        return [total] * n
-    values = []
+    arg = None if func.arg is None else compiled_row(func.arg, index)
     slot = _agg_init(agg)
+    values = []
     for row in partition:
-        _agg_add(slot, agg, env_fn(index, row))
-        values.append(_agg_final(slot, agg))
-    return values
+        _agg_add_value(slot, agg, 1 if arg is None else arg(row, params))
+        if func.order_by:
+            values.append(_agg_final(slot, agg))
+    return values if func.order_by else [_agg_final(slot, agg)] * n
 
 
 Executor._HANDLERS = {

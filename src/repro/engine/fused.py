@@ -24,10 +24,10 @@ heads its own, so the work before it still runs once.
 
 The loops are compiled through, expressions included: filter
 predicates, projections, aggregate arguments and join residuals are
-rendered by :class:`repro.engine.emit.Emitter` and inlined into the
-stage source, so a stage calls no Python function per row (an
-expression kind the emitter does not know keeps an ``evaluate()``
-closure, and a DISTINCT aggregate its ``_agg_add_value`` call).  Next
+rendered by :class:`repro.engine.emit.Emitter`, the one semantics of a
+scalar expression (sqlite is its judge), and inlined into the stage
+source, so a stage calls no Python function per row (a DISTINCT
+aggregate keeps its ``_agg_add_value`` call).  Next
 to ``_stage`` a sink stage's source defines ``_init`` / ``_final`` (a
 fresh group state, groups -> output rows), so the shapes they share
 are decided once:
@@ -43,8 +43,8 @@ are decided once:
   chain is fused;
 - *rows*: a joined row is the source row plus one candidate per probe,
   read in place (:class:`repro.engine.emit.Layout`); the tuple is built
-  only where something reads the whole row — a project, the final
-  ``_append``, an emitter fallback.
+  only where something reads the whole row — a project or the final
+  ``_append``.
 
 Every build side is hashed per unit at run time, never from statistics
 or the catalog.  When each of its keys has exactly one row the table
@@ -392,7 +392,7 @@ class _AggState:
             out.append(f"{ind}    _st = _groups[_gk] = {self.init}")
         for agg, o, slot in self.cells:
             cell = self.cell(o)
-            # count(*) folds the constant 1 (mirrors _agg_add).
+            # count(*) folds the constant 1, as a window count does.
             val = "1" if agg.arg is None else em.value(agg.arg, layout)
             if slot is not None:
                 out.append(f"{ind}_agg_add_value({cell}, _f{slot}, {val})")

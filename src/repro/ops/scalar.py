@@ -7,17 +7,22 @@ predicates, project lists).  They are immutable trees supporting:
   detection (Section 4.1, step 1);
 - ``used_columns()``: the set of referenced column ids, feeding scalar
   property derivation (Section 3, Property Enforcement);
-- ``evaluate(env)``: SQL three-valued-logic evaluation in the simulated
-  executor (``env`` maps column id -> value, ``None`` = NULL);
 - ``substitute(mapping)``: column remapping, used when inlining CTEs and
   when decorrelating subqueries.
+
+A tree has no value of its own.  :class:`repro.engine.emit.Emitter` is
+the one place an expression gets its SQL three-valued-logic value, and
+sqlite is its judge (``tests/test_expr_emitter.py``).  The engine
+deviates from sqlite on purpose twice: ``/`` is true division
+(:attr:`Arith.dtype` is FLOAT), and LIKE is case-sensitive, as in
+PostgreSQL.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from repro.catalog.types import BOOL, DataType, FLOAT, INT, TEXT, type_of_literal
 from repro.interning import KeyCached, intern_key
@@ -112,9 +117,6 @@ class ScalarExpr(KeyCached):
             out |= child.used_columns()
         return out
 
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        raise NotImplementedError
-
     def substitute(self, mapping: Mapping[int, "ScalarExpr"]) -> "ScalarExpr":
         """Replace column references per ``mapping`` (id -> expression)."""
         raise NotImplementedError
@@ -144,9 +146,6 @@ class ColRefExpr(ScalarExpr):
     def used_columns(self) -> frozenset[int]:
         return frozenset({self.ref.id})
 
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        return env[self.ref.id]
-
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         return mapping.get(self.ref.id, self)
 
@@ -168,24 +167,12 @@ class Literal(ScalarExpr):
     def key(self) -> tuple:
         return ("lit", self._dtype.name, self.value)
 
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        return self.value
-
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         return self
 
     def __repr__(self) -> str:
         return repr(self.value)
 
-
-_CMP_FUNCS: dict[str, Callable[[Any, Any], bool]] = {
-    "=": lambda a, b: a == b,
-    "<>": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
 
 _CMP_FLIP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
@@ -194,7 +181,7 @@ class Comparison(ScalarExpr):
     """Binary comparison with SQL NULL semantics (NULL operand -> NULL)."""
 
     def __init__(self, op: str, left: ScalarExpr, right: ScalarExpr):
-        if op not in _CMP_FUNCS:
+        if op not in _CMP_FLIP:
             raise ValueError(f"unknown comparison {op}")
         self.op = op
         self.left = left
@@ -207,13 +194,6 @@ class Comparison(ScalarExpr):
 
     def key(self) -> tuple:
         return ("cmp", self.op, self.left.key(), self.right.key())
-
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if a is None or b is None:
-            return None
-        return _CMP_FUNCS[self.op](a, b)
 
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         return Comparison(
@@ -251,27 +231,6 @@ class BoolExpr(ScalarExpr):
     def key(self) -> tuple:
         return ("bool", self.op, tuple(c.key() for c in self.children))
 
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        if self.op == self.NOT:
-            v = self.children[0].evaluate(env)
-            return None if v is None else (not v)
-        saw_null = False
-        if self.op == self.AND:
-            for child in self.children:
-                v = child.evaluate(env)
-                if v is False:
-                    return False
-                if v is None:
-                    saw_null = True
-            return None if saw_null else True
-        for child in self.children:
-            v = child.evaluate(env)
-            if v is True:
-                return True
-            if v is None:
-                saw_null = True
-        return None if saw_null else False
-
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         return BoolExpr(self.op, [c.substitute(mapping) for c in self.children])
 
@@ -282,19 +241,11 @@ class BoolExpr(ScalarExpr):
         return "(" + sep.join(repr(c) for c in self.children) + ")"
 
 
-_ARITH_FUNCS: dict[str, Callable[[Any, Any], Any]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": lambda a, b: (a / b) if b else None,
-}
-
-
 class Arith(ScalarExpr):
     """Binary arithmetic (+, -, *, /) with NULL propagation."""
 
     def __init__(self, op: str, left: ScalarExpr, right: ScalarExpr):
-        if op not in _ARITH_FUNCS:
+        if op not in ("+", "-", "*", "/"):
             raise ValueError(f"unknown arithmetic op {op}")
         self.op = op
         self.left = left
@@ -312,13 +263,6 @@ class Arith(ScalarExpr):
 
     def key(self) -> tuple:
         return ("arith", self.op, self.left.key(), self.right.key())
-
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if a is None or b is None:
-            return None
-        return _ARITH_FUNCS[self.op](a, b)
 
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         return Arith(
@@ -344,10 +288,6 @@ class IsNull(ScalarExpr):
     def key(self) -> tuple:
         return ("isnull", self.negated, self.arg.key())
 
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        is_null = self.arg.evaluate(env) is None
-        return (not is_null) if self.negated else is_null
-
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         return IsNull(self.arg.substitute(mapping), self.negated)
 
@@ -370,13 +310,6 @@ class InList(ScalarExpr):
 
     def key(self) -> tuple:
         return ("inlist", self.negated, self.arg.key(), self.values)
-
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        v = self.arg.evaluate(env)
-        if v is None:
-            return None
-        hit = v in self.values
-        return (not hit) if self.negated else hit
 
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         return InList(self.arg.substitute(mapping), self.values, self.negated)
@@ -403,13 +336,6 @@ class LikeExpr(ScalarExpr):
 
     def key(self) -> tuple:
         return ("like", self.negated, self.arg.key(), self.pattern)
-
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        v = self.arg.evaluate(env)
-        if v is None:
-            return None
-        hit = bool(self._regex.match(str(v)))
-        return (not hit) if self.negated else hit
 
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         return LikeExpr(self.arg.substitute(mapping), self.pattern, self.negated)
@@ -448,12 +374,6 @@ class CaseExpr(ScalarExpr):
             self.else_.key(),
         )
 
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        for cond, result in self.whens:
-            if cond.evaluate(env) is True:
-                return result.evaluate(env)
-        return self.else_.evaluate(env)
-
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         return CaseExpr(
             [(c.substitute(mapping), r.substitute(mapping)) for c, r in self.whens],
@@ -471,8 +391,9 @@ AGG_NAMES = ("count", "sum", "avg", "min", "max")
 class AggFunc(ScalarExpr):
     """An aggregate call inside a GbAgg operator's project list.
 
-    ``arg`` is ``None`` for ``count(*)``.  AggFuncs never evaluate per row;
-    the executor accumulates them over groups.
+    ``arg`` is ``None`` for ``count(*)``.  AggFuncs have no per-row
+    value (the emitter refuses them); the executor accumulates them over
+    groups.
     """
 
     def __init__(self, name: str, arg: Optional[ScalarExpr], distinct: bool = False):
@@ -499,9 +420,6 @@ class AggFunc(ScalarExpr):
             self.distinct,
             self.arg.key() if self.arg is not None else None,
         )
-
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        raise TypeError("aggregates are evaluated by the GbAgg executor")
 
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         return AggFunc(
@@ -561,9 +479,6 @@ class WindowFunc(ScalarExpr):
         if self.arg is not None:
             cols |= self.arg.used_columns()
         return frozenset(cols)
-
-    def evaluate(self, env: Mapping[int, Any]) -> Any:
-        raise TypeError("window functions are evaluated by the Window executor")
 
     def substitute(self, mapping: Mapping[int, ScalarExpr]) -> ScalarExpr:
         def remap(ref: ColRef) -> ColRef:

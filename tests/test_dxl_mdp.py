@@ -14,6 +14,7 @@ from repro.dxl.serializer import (
     serialize_scalar,
     to_string,
 )
+from repro.engine.emit import compiled_row
 from repro.errors import MetadataError
 from repro.mdp import CatalogProvider, FileProvider, MDAccessor, MDCache, MDId
 from repro.ops.scalar import (
@@ -81,8 +82,10 @@ class TestScalarDXL:
             InList(ColRefExpr(a), [7, 9]),
         ])
         back = scalar_roundtrip(expr)
+        original = compiled_row(expr, {a.id: 0})
+        roundtripped = compiled_row(back, {0: 0})
         for v in (1, 7, 8, None):
-            assert expr.evaluate({a.id: v}) is back.evaluate({0: v})
+            assert original((v,), {}) is roundtripped((v,), {})
 
 
 class TestQueryDXL:

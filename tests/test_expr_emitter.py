@@ -382,8 +382,6 @@ def test_mixed_type_comparison_raises_on_both_sides():
         Comparison("<", ColRefExpr(COLS[1]), ColRefExpr(COLS[3])),
     ])
     row = (1, 7, 0.5, "x", True, 1, 7, 0.5, "x", True)
-    with pytest.raises(TypeError):
-        expr.evaluate({c.id: v for c, v in zip(COLS, row)})
     for mode in ("value", "truth"):
         em = Emitter()
         fn = load(em, getattr(em, mode)(expr, Layout(INDEX)))
@@ -532,18 +530,12 @@ class Coalesce(ScalarExpr):
     def key(self):
         return ("coalesce",) + tuple(c.key() for c in self.children)
 
-    def evaluate(self, env):
-        for child in self.children:
-            value = child.evaluate(env)
-            if value is not None:
-                return value
-        return None
-
 
 def test_generated_stage_source_inlines_every_expression():
     """WHERE, a CASE aggregate and a join residual: no ``_f<i>(...)``
-    closure call is left in the stage source.  An unknown expression
-    kind is the one thing that still gets one."""
+    closure call is left in the stage source.  An expression kind the
+    emitter does not know gets no closure either: compiling it is a
+    ``TypeError``, through a stage or ``compiled_row``."""
     db = make_fact_db(400)
     orca = Orca(db, config=OptimizerConfig(segments=4))
     result = orca.optimize(
@@ -561,11 +553,13 @@ def test_generated_stage_source_inlines_every_expression():
     assert " if " in text and "!=" in text and "<" in text
     assert not re.search(r"_f\d+\(", text), text
 
-    stage = stage_of([ph.PhysicalFilter(
-        Comparison(">", Coalesce(ColRefExpr(COLS[1]), Literal(0)), Literal(1))
-    )], False)
-    source = stage.code(()).source
-    assert re.findall(r"_f\d+\([^)]*\)", source) == ["_f0(_r, _params)"]
+    unknown = Comparison(
+        ">", Coalesce(ColRefExpr(COLS[1]), Literal(0)), Literal(1)
+    )
+    with pytest.raises(TypeError, match="cannot compile Coalesce"):
+        stage_of([ph.PhysicalFilter(unknown)], False).code(())
+    with pytest.raises(TypeError, match="cannot compile Coalesce"):
+        compiled_row(unknown, INDEX)
 
 
 # ----------------------------------------------------------------------

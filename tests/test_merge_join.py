@@ -77,12 +77,9 @@ class TestMergeAlgorithm:
         f = ColumnFactory()
         a, c = f.next("a", INT), f.next("c", INT)
         op = PhysicalMergeJoin(kind, [a], [c])
-        index = {a.id: 0, c.id: 1}
-        def env_fn(idx, row):
-            return {cid: row[pos] for cid, pos in idx.items()}
-
+        residual = None  # op.residual, compiled over the joined row
         return _merge_join_segment(
-            left_rows, right_rows, [0], [0], op, (None,), index, env_fn
+            left_rows, right_rows, [0], [0], op, (None,), residual, {}
         )
 
     def test_basic_inner(self):

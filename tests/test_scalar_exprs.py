@@ -1,4 +1,9 @@
-"""Scalar expression semantics: three-valued logic, keys, substitution."""
+"""Scalar expression semantics: three-valued logic, keys, substitution.
+
+An expression's value is what the emitter compiles it to
+(``repro.engine.emit.compiled_row``); ``tests/test_expr_emitter.py``
+holds the emitter to sqlite over random trees.  The truth tables here
+pin the same semantics case by case."""
 
 from __future__ import annotations
 
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.types import BOOL, FLOAT, INT, TEXT
+from repro.engine.emit import compiled_row
 from repro.ops.scalar import (
     AggFunc,
     Arith,
@@ -35,6 +41,14 @@ def cols():
 
 def ref(col):
     return ColRefExpr(col)
+
+
+def value(expr, env=None):
+    """``expr``'s value through the emitter, over one row holding
+    ``env`` (column id -> value)."""
+    env = env or {}
+    index = {cid: pos for pos, cid in enumerate(env)}
+    return compiled_row(expr, index)(tuple(env.values()), {})
 
 
 class TestColRef:
@@ -66,16 +80,16 @@ class TestComparison:
     def test_basic_ops(self, cols):
         a, b, _ = cols
         env = {a.id: 3, b.id: 5}
-        assert Comparison("<", ref(a), ref(b)).evaluate(env) is True
-        assert Comparison(">", ref(a), ref(b)).evaluate(env) is False
-        assert Comparison("=", ref(a), Literal(3)).evaluate(env) is True
-        assert Comparison("<>", ref(a), Literal(3)).evaluate(env) is False
+        assert value(Comparison("<", ref(a), ref(b)), env) is True
+        assert value(Comparison(">", ref(a), ref(b)), env) is False
+        assert value(Comparison("=", ref(a), Literal(3)), env) is True
+        assert value(Comparison("<>", ref(a), Literal(3)), env) is False
 
     def test_null_propagation(self, cols):
         a, b, _ = cols
         env = {a.id: None, b.id: 5}
-        assert Comparison("=", ref(a), ref(b)).evaluate(env) is None
-        assert Comparison("=", ref(a), ref(a)).evaluate(env) is None
+        assert value(Comparison("=", ref(a), ref(b)), env) is None
+        assert value(Comparison("=", ref(a), ref(a)), env) is None
 
     def test_flipped(self, cols):
         a, b, _ = cols
@@ -83,7 +97,7 @@ class TestComparison:
         flipped = cmp.flipped()
         assert flipped.op == ">"
         env = {a.id: 1, b.id: 2}
-        assert cmp.evaluate(env) == flipped.evaluate(env)
+        assert value(cmp, env) == value(flipped, env)
 
     def test_unknown_op_rejected(self, cols):
         a, _, _ = cols
@@ -105,17 +119,17 @@ class TestBoolThreeValuedLogic:
         (T, T, True), (T, F, False), (F, N, False), (T, N, None), (N, N, None),
     ])
     def test_and_table(self, left, right, expected):
-        assert BoolExpr("and", [left, right]).evaluate({}) is expected
+        assert value(BoolExpr("and", [left, right])) is expected
 
     @pytest.mark.parametrize("left,right,expected", [
         (T, F, True), (F, F, False), (F, N, None), (T, N, True), (N, N, None),
     ])
     def test_or_table(self, left, right, expected):
-        assert BoolExpr("or", [left, right]).evaluate({}) is expected
+        assert value(BoolExpr("or", [left, right])) is expected
 
     @pytest.mark.parametrize("arg,expected", [(T, False), (F, True), (N, None)])
     def test_not_table(self, arg, expected):
-        assert BoolExpr("not", [arg]).evaluate({}) is expected
+        assert value(BoolExpr("not", [arg])) is expected
 
     def test_not_arity(self):
         with pytest.raises(ValueError):
@@ -125,25 +139,25 @@ class TestBoolThreeValuedLogic:
     @settings(max_examples=80)
     def test_demorgan_property(self, values):
         lits = [Literal(v, BOOL) for v in values]
-        lhs = BoolExpr("not", [BoolExpr("and", lits)]).evaluate({})
-        rhs = BoolExpr(
+        lhs = value(BoolExpr("not", [BoolExpr("and", lits)]))
+        rhs = value(BoolExpr(
             "or", [BoolExpr("not", [lit]) for lit in lits]
-        ).evaluate({})
+        ))
         assert lhs is rhs
 
 
 class TestArith:
     def test_ops(self):
-        assert Arith("+", Literal(2), Literal(3)).evaluate({}) == 5
-        assert Arith("-", Literal(2), Literal(3)).evaluate({}) == -1
-        assert Arith("*", Literal(2), Literal(3)).evaluate({}) == 6
-        assert Arith("/", Literal(6), Literal(3)).evaluate({}) == 2
+        assert value(Arith("+", Literal(2), Literal(3))) == 5
+        assert value(Arith("-", Literal(2), Literal(3))) == -1
+        assert value(Arith("*", Literal(2), Literal(3))) == 6
+        assert value(Arith("/", Literal(6), Literal(3))) == 2
 
     def test_division_by_zero_is_null(self):
-        assert Arith("/", Literal(6), Literal(0)).evaluate({}) is None
+        assert value(Arith("/", Literal(6), Literal(0))) is None
 
     def test_null_propagation(self):
-        assert Arith("+", Literal(None, INT), Literal(3)).evaluate({}) is None
+        assert value(Arith("+", Literal(None, INT), Literal(3))) is None
 
     def test_division_dtype_is_float(self):
         assert Arith("/", Literal(6), Literal(3)).dtype is FLOAT
@@ -189,30 +203,30 @@ class TestArith:
 class TestPredicates:
     def test_is_null(self, cols):
         a, _, _ = cols
-        assert IsNull(ref(a)).evaluate({a.id: None}) is True
-        assert IsNull(ref(a)).evaluate({a.id: 1}) is False
-        assert IsNull(ref(a), negated=True).evaluate({a.id: 1}) is True
+        assert value(IsNull(ref(a)), {a.id: None}) is True
+        assert value(IsNull(ref(a)), {a.id: 1}) is False
+        assert value(IsNull(ref(a), negated=True), {a.id: 1}) is True
 
     def test_in_list(self, cols):
         a, _, _ = cols
         p = InList(ref(a), [1, 2, 3])
-        assert p.evaluate({a.id: 2}) is True
-        assert p.evaluate({a.id: 9}) is False
-        assert p.evaluate({a.id: None}) is None
-        assert InList(ref(a), [1], negated=True).evaluate({a.id: 2}) is True
+        assert value(p, {a.id: 2}) is True
+        assert value(p, {a.id: 9}) is False
+        assert value(p, {a.id: None}) is None
+        assert value(InList(ref(a), [1], negated=True), {a.id: 2}) is True
 
     def test_like(self, cols):
         _, _, c = cols
-        assert LikeExpr(ref(c), "ab%").evaluate({c.id: "abcdef"}) is True
-        assert LikeExpr(ref(c), "ab%").evaluate({c.id: "xabc"}) is False
-        assert LikeExpr(ref(c), "a_c").evaluate({c.id: "abc"}) is True
-        assert LikeExpr(ref(c), "a%", negated=True).evaluate({c.id: "b"}) is True
-        assert LikeExpr(ref(c), "a%").evaluate({c.id: None}) is None
+        assert value(LikeExpr(ref(c), "ab%"), {c.id: "abcdef"}) is True
+        assert value(LikeExpr(ref(c), "ab%"), {c.id: "xabc"}) is False
+        assert value(LikeExpr(ref(c), "a_c"), {c.id: "abc"}) is True
+        assert value(LikeExpr(ref(c), "a%", negated=True), {c.id: "b"}) is True
+        assert value(LikeExpr(ref(c), "a%"), {c.id: None}) is None
 
     def test_like_escapes_regex_chars(self, cols):
         _, _, c = cols
-        assert LikeExpr(ref(c), "a.c").evaluate({c.id: "abc"}) is False
-        assert LikeExpr(ref(c), "a.c").evaluate({c.id: "a.c"}) is True
+        assert value(LikeExpr(ref(c), "a.c"), {c.id: "abc"}) is False
+        assert value(LikeExpr(ref(c), "a.c"), {c.id: "a.c"}) is True
 
     def test_case(self, cols):
         a, _, _ = cols
@@ -221,9 +235,9 @@ class TestPredicates:
              (Comparison("<", ref(a), Literal(100)), Literal("mid"))],
             Literal("big"),
         )
-        assert expr.evaluate({a.id: 5}) == "small"
-        assert expr.evaluate({a.id: 50}) == "mid"
-        assert expr.evaluate({a.id: 500}) == "big"
+        assert value(expr, {a.id: 5}) == "small"
+        assert value(expr, {a.id: 50}) == "mid"
+        assert value(expr, {a.id: 500}) == "big"
 
     def test_case_null_condition_skips(self, cols):
         a, _, _ = cols
@@ -231,7 +245,7 @@ class TestPredicates:
             [(Comparison("<", ref(a), Literal(10)), Literal("yes"))],
             Literal("no"),
         )
-        assert expr.evaluate({a.id: None}) == "no"
+        assert value(expr, {a.id: None}) == "no"
 
 
 class TestSubstitution:
@@ -263,10 +277,12 @@ class TestAggAndWindow:
         assert AggFunc("avg", ref(a)).dtype is FLOAT
         assert AggFunc("max", ref(a)).dtype is INT
 
-    def test_agg_cannot_evaluate(self, cols):
-        a, _, _ = cols
-        with pytest.raises(TypeError):
-            AggFunc("sum", ref(a)).evaluate({a.id: 1})
+    def test_emitter_refuses_agg_and_window(self, cols):
+        """Neither call has a per-row value: compiling one is an error."""
+        a, b, _ = cols
+        for call in (AggFunc("sum", ref(a)), WindowFunc("sum", ref(a), [b], [])):
+            with pytest.raises(TypeError, match="cannot compile"):
+                value(call, {a.id: 1, b.id: 2})
 
     def test_unknown_agg_rejected(self, cols):
         a, _, _ = cols
