@@ -25,6 +25,7 @@ import random
 import re
 import sqlite3
 import sys
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -228,29 +229,21 @@ def truth_sql(expr: ScalarExpr) -> str:
     return f"CASE WHEN {to_sql(expr)} THEN 1 ELSE 0 END"
 
 
-_JUDGE: list = []
-
-
 def judge(columns: list[str], rows, params) -> list[tuple]:
-    """``SELECT <columns>`` in sqlite, one result row per ``rows`` row,
-    with the correlated parameter as one more column.  LIKE is
-    case-sensitive, as in PostgreSQL and the engine."""
-    if not _JUDGE:
-        con = sqlite3.connect(":memory:")
+    """``SELECT <columns>`` in a fresh in-memory sqlite, one result row
+    per ``rows`` row, with the correlated parameter as one more column.
+    LIKE is case-sensitive, as in PostgreSQL and the engine."""
+    names = [f"c{c.id}" for c in COLS + [PARAM]]
+    with closing(sqlite3.connect(":memory:")) as con:
         con.execute("PRAGMA case_sensitive_like = ON")
-        con.execute(
-            "CREATE TABLE t (" + ", ".join(f"c{c.id}" for c in COLS + [PARAM]) + ")"
+        con.execute(f"CREATE TABLE t ({', '.join(names)})")
+        con.executemany(
+            f"INSERT INTO t VALUES ({', '.join('?' * len(names))})",
+            [tuple(row) + (params[PARAM.id],) for row in rows],
         )
-        _JUDGE.append(con)
-    con = _JUDGE[0]
-    con.execute("DELETE FROM t")
-    con.executemany(
-        f"INSERT INTO t VALUES ({', '.join('?' * (len(COLS) + 1))})",
-        [tuple(row) + (params[PARAM.id],) for row in rows],
-    )
-    return con.execute(
-        f"SELECT {', '.join(columns)} FROM t ORDER BY rowid"
-    ).fetchall()
+        return con.execute(
+            f"SELECT {', '.join(columns)} FROM t ORDER BY rowid"
+        ).fetchall()
 
 
 def agrees(got, want) -> bool:

@@ -77,9 +77,8 @@ class TestMergeAlgorithm:
         f = ColumnFactory()
         a, c = f.next("a", INT), f.next("c", INT)
         op = PhysicalMergeJoin(kind, [a], [c])
-        residual = None  # op.residual, compiled over the joined row
         return _merge_join_segment(
-            left_rows, right_rows, [0], [0], op, (None,), residual, {}
+            left_rows, right_rows, [0], [0], op, (None,), None, {}
         )
 
     def test_basic_inner(self):
