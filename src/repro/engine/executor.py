@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import Any, Iterable, Optional, Sequence
 
@@ -1027,32 +1027,30 @@ def _window_partition(partition, index, funcs, params):
 
 
 def _window_values(partition, index, func: WindowFunc, o_pos, params):
-    n = len(partition)
+    """One window function's value per row of a sorted partition.  Rows
+    with equal ORDER BY keys (NULL keys included) are peers: they share a
+    rank, and an aggregate's frame is SQL's default RANGE frame, which
+    ends after the last peer (the whole partition without ORDER BY)."""
     if func.name == "row_number":
-        return list(range(1, n + 1))
-    if func.name in ("rank", "dense_rank"):
-        values = []
-        rank = 0
-        dense = 0
-        prev_key = object()
-        for i, row in enumerate(partition):
-            key = tuple(row[p] for p, _asc in o_pos)
-            if key != prev_key:
-                rank = i + 1
-                dense += 1
-                prev_key = key
-            values.append(rank if func.name == "rank" else dense)
-        return values
-    # Aggregate window functions: running when ordered, total otherwise.
-    agg = AggFunc(func.name, func.arg)
-    arg = None if func.arg is None else compiled_row(func.arg, index)
-    slot = _agg_init(agg)
+        return list(range(1, len(partition) + 1))
+    if func.name not in ("rank", "dense_rank"):
+        agg = AggFunc(func.name, func.arg)
+        arg = None if func.arg is None else compiled_row(func.arg, index)
+        slot = _agg_init(agg)
     values = []
-    for row in partition:
-        _agg_add_value(slot, agg, 1 if arg is None else arg(row, params))
-        if func.order_by:
-            values.append(_agg_final(slot, agg))
-    return values if func.order_by else [_agg_final(slot, agg)] * n
+    peer_groups = groupby(partition, key=lambda row: tuple(row[p] for p, _asc in o_pos))
+    for dense, (_key, peers) in enumerate(peer_groups, 1):
+        peers = list(peers)
+        if func.name == "rank":
+            value = len(values) + 1
+        elif func.name == "dense_rank":
+            value = dense
+        else:
+            for row in peers:
+                _agg_add_value(slot, agg, 1 if arg is None else arg(row, params))
+            value = _agg_final(slot, agg)
+        values.extend([value] * len(peers))
+    return values
 
 
 Executor._HANDLERS = {

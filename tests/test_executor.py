@@ -317,7 +317,8 @@ WINDOW_ARGS = {
 @pytest.fixture(scope="module")
 def window_db():
     """``w(k, g, a, b, f)``: ``k`` unique (so a running frame has no
-    peers), NULLs in every other column, ``g`` included."""
+    peers), NULLs in every other column, ``g`` included; ``a`` repeats,
+    so ordering by it gives a running frame peers."""
     rng = random.Random(3)
     db = Database()
     db.create_table(Table(
@@ -344,11 +345,17 @@ def window_db():
 class TestWindowAggregatesAgainstSqlite:
     """Aggregate window functions over NULL-bearing argument
     expressions, running (ORDER BY) and whole-partition, equal sqlite's
-    rows in both execution modes."""
+    rows in both execution modes.  A running frame is SQL's default RANGE
+    frame: ORDER BY peers, NULL keys among them, share the value after
+    the last peer.  The engine sorts NULL keys last ascending, which
+    sqlite has to be told."""
 
     @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("over", ["PARTITION BY g ORDER BY k", "PARTITION BY g"],
-                             ids=["running", "whole"])
+    @pytest.mark.parametrize(
+        "over",
+        ["PARTITION BY g ORDER BY k", "PARTITION BY g", "PARTITION BY g ORDER BY a"],
+        ids=["running", "whole", "peers"],
+    )
     @pytest.mark.parametrize("arg", sorted(WINDOW_ARGS))
     @pytest.mark.parametrize("func", ["sum", "avg", "count", "min", "max"])
     def test_matches_sqlite(self, window_db, func, arg, over, mode):
@@ -359,7 +366,9 @@ class TestWindowAggregatesAgainstSqlite:
         )
         out, result = run(db, sql, segments=4, execution_mode=mode)
         assert "Window" in result.plan.operators()
-        assert load_oracle().compare(out.rows, oracle.expected(sql)) == ""
+        expected = oracle.expected(sql.replace(f"({over})", f"({over} NULLS LAST)")
+                                   if "ORDER BY" in over else sql)
+        assert load_oracle().compare(out.rows, expected) == ""
 
 
 class TestSetOperations:
