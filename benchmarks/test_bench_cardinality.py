@@ -2,7 +2,8 @@
 
 The paper lists "a cardinality estimation testing framework" among
 Orca's built-in quality tools.  This bench runs every executable query,
-compares per-operator row estimates against actual row counts (q-error),
+compares per-operator row estimates against actual per-loop row counts
+(``repro.verify.qerror.plan_qerror`` over the executor's per-node ledger),
 and relates estimation quality to the confidence scores (the Section 4.1
 open problem implemented in repro.stats.derivation).
 """
@@ -16,7 +17,7 @@ import pytest
 from repro.config import OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.optimizer import Orca
-from repro.verify.cardtest import check_cardinalities
+from repro.verify.qerror import plan_qerror
 from repro.workloads import QUERIES
 
 
@@ -27,12 +28,14 @@ def card_reports(hadoop_db):
     reports = []
     for query in QUERIES:
         result = orca.optimize(query.sql)
-        out = Executor(cluster).execute(result.plan, result.output_cols)
-        report = check_cardinalities(out.metrics.cardinalities)
+        out = Executor(cluster).execute(
+            result.plan, result.output_cols, analyze=True
+        )
+        report = plan_qerror(out.analysis)
         reports.append({
             "query": query.id,
-            "median_q": report.median_q_error(),
-            "max_q": report.max_q_error(),
+            "median_q": report.median,
+            "max_q": report.max_qerror,
             "confidence": result.stats_confidence,
             "worst": report.worst(1),
         })

@@ -265,13 +265,10 @@ def cmd_explain(args) -> int:
     if getattr(args, "analyze", False):
         # EXPLAIN ANALYZE: execute the plan and annotate every node with
         # the actual rows / work / network bytes next to the estimates.
-        from repro.telemetry import analyze_execution
-
-        cluster = Cluster(db, segments=args.segments)
-        out = analyze_execution(
-            result.plan, cluster, result.output_cols,
+        out = Executor(
+            Cluster(db, segments=args.segments),
             execution_mode=ExecutionMode.coerce(args.engine), tracer=tracer,
-        )
+        ).execute(result.plan, result.output_cols, analyze=True)
         print(out.analysis.render())
         print(out.analysis.summary())
     else:

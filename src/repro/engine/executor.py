@@ -314,8 +314,8 @@ class Executor:
 
     def _node_done(self, node: PlanNode, kind: str, sizes: list[int]) -> None:
         """Close one executed node, chain member or not: its stage
-        overheads, its cardinality record, its rows and loops in the
-        ledger, the ``operator_executed`` event and the budget check."""
+        overheads, its rows and loops in the ledger, the
+        ``operator_executed`` event and the budget check."""
         metrics = self.metrics
         if self.per_op_startup_units:
             metrics.charge_all_segments(node, self.per_op_startup_units)
@@ -324,12 +324,6 @@ class Executor:
             self._charge_by_kind(
                 node, kind, sizes, rows * self.materialize_output_factor
             )
-        # The operator's rendering is derived state of an immutable
-        # node: made once, kept beside the chain caches, never pickled.
-        label = node.__dict__.get("_op_repr")
-        if label is None:
-            label = node._op_repr = repr(node.op)
-        metrics.cardinalities.append((label, node.rows_estimate, rows))
         entry = metrics.node(node)
         entry.loops += 1
         entry.rows_out += rows

@@ -53,9 +53,6 @@ class ExecutionMetrics:
     partitions_scanned: int = 0
     partitions_eliminated: int = 0
     subplan_executions: int = 0
-    #: (operator repr, estimated rows, actual rows) per plan node, for the
-    #: cardinality-estimation test framework (Section 6).
-    cardinalities: list[tuple[str, float, int]] = field(default_factory=list)
     #: Optional budget on simulated seconds (the 10000 s cap of §7.2.2).
     time_limit_seconds: Optional[float] = None
 

@@ -134,7 +134,8 @@ class OptimizationResult:
             raise OptimizerError(
                 "no analysis attached: execute the plan with analyze=True "
                 "(e.g. Session.execute(sql, analyze=True) or "
-                "telemetry.analyze_execution) before explain(analyze=True)"
+                "Executor(...).execute(..., analyze=True)) before "
+                "explain(analyze=True)"
             )
         else:
             text = f"{self.analysis.render()}\n{self.analysis.summary()}"

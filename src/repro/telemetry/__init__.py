@@ -16,12 +16,7 @@ live or die by):
   aggregates of everything a session or pool has optimized/executed.
 """
 
-from repro.telemetry.analyze import (
-    NodeStats,
-    PlanAnalysis,
-    analyze_execution,
-    taqo_from_annotations,
-)
+from repro.telemetry.analyze import NodeStats, PlanAnalysis
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -44,8 +39,6 @@ __all__ = [
     "parse_prometheus",
     "NodeStats",
     "PlanAnalysis",
-    "analyze_execution",
-    "taqo_from_annotations",
     "QueryStats",
     "QueryStatsStore",
     "fingerprint_query",

@@ -7,15 +7,16 @@ analysis reads as it stands.  A node's entry is its exclusive work; its
 inclusive work is its subtree's entries summed in ``walk()`` order, the
 order the executor sums the whole plan in when it fills its metrics.  The
 root's inclusive totals are therefore *float-identical* to the final
-:class:`repro.engine.metrics.ExecutionMetrics` — which is what lets
-:func:`taqo_from_annotations` reproduce the TAQO correlation score
-(Section 6.2) from the plan annotations alone.
+:class:`repro.engine.metrics.ExecutionMetrics`: the simulated clock TAQO
+(Section 6.2) scores plans with.  The ledger is also the one
+estimated-vs-actual record; :func:`repro.verify.qerror.plan_qerror`
+scores it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.search.plan import PlanNode
 
@@ -143,57 +144,3 @@ class PlanAnalysis:
             f"net_bytes={root.net_bytes:.0f} skew={root.skew():.2f} "
             f"simulated_seconds={self.simulated_seconds():.6f}"
         )
-
-    # ------------------------------------------------------------------
-    def estimation_errors(self) -> list[tuple[str, float, int]]:
-        """(operator, estimated rows, actual rows-per-loop) per node —
-        the same estimated-vs-actual pairs TAQO consumes."""
-        out = []
-        for node in self.plan.walk():
-            stats = self.stats_for(node)
-            rows = stats.rows_out // stats.loops if stats.loops else 0
-            out.append((node.op.name, node.rows_estimate, rows))
-        return out
-
-
-def analyze_execution(plan: PlanNode, cluster, output_cols=None, **kwargs):
-    """Execute ``plan`` with node-stat collection; returns the
-    :class:`repro.engine.executor.ExecutionResult` whose ``analysis``
-    field carries the :class:`PlanAnalysis`."""
-    from repro.engine.executor import Executor
-
-    executor = Executor(cluster, **kwargs)
-    return executor.execute(plan, output_cols, analyze=True)
-
-
-def taqo_from_annotations(
-    memo,
-    req,
-    cluster,
-    output_cols: Optional[Sequence] = None,
-    n: int = 20,
-    seed: int = 42,
-    cte_plans=None,
-):
-    """The TAQO experiment, driven purely by EXPLAIN ANALYZE annotations.
-
-    Samples the same plans as :func:`repro.verify.taqo.run_taqo` (same
-    seed, same sampler) but takes each plan's actual cost from its
-    :class:`PlanAnalysis` root instead of from the executor's metrics
-    object.  Because the two are float-identical, the resulting
-    correlation score must match ``run_taqo`` exactly — the acceptance
-    check that EXPLAIN ANALYZE measures the same clock TAQO does.
-    """
-    from repro.verify import taqo as taqo_mod
-
-    samples = taqo_mod.sample_plans(memo, req, n, seed=seed,
-                                    cte_plans=cte_plans)
-    for sample in samples:
-        result = analyze_execution(sample.plan, cluster, output_cols)
-        sample.actual_seconds = result.analysis.simulated_seconds()
-    counts: dict = {}
-    return taqo_mod.TaqoReport(
-        samples=samples,
-        correlation=taqo_mod.correlation_score(samples),
-        plan_space_size=taqo_mod.count_plans(memo, memo.root, req, counts),
-    )

@@ -1,9 +1,9 @@
-"""Verifiability tooling (Section 6): AMPERe, TAQO, cardinality testing,
-and the q-error harness that gates the cardinality feedback loop."""
+"""Verifiability tooling (Section 6): AMPERe, TAQO, and the q-error
+yardstick for estimated-vs-actual cardinalities (the cardinality
+estimation test framework, which also gates the feedback loop)."""
 
 from repro.verify.ampere import AMPEReDump, capture_dump, replay_dump
 from repro.verify.taqo import TaqoReport, run_taqo, sample_plans
-from repro.verify.cardtest import CardinalityReport, check_cardinalities
 from repro.verify.qerror import (
     QErrorReport,
     WorkloadQError,
@@ -19,8 +19,6 @@ __all__ = [
     "TaqoReport",
     "run_taqo",
     "sample_plans",
-    "CardinalityReport",
-    "check_cardinalities",
     "QErrorReport",
     "WorkloadQError",
     "plan_qerror",

@@ -1,5 +1,5 @@
 """EXPLAIN ANALYZE: per-node actuals, their float-identity with the
-executor's metrics, and the TAQO score rebuilt from annotations alone."""
+executor's metrics, and TAQO's actuals read off the same annotations."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from repro.optimizer import Orca
 from repro.props.distribution import SINGLETON
 from repro.props.order import OrderSpec, SortKey
 from repro.props.required import RequiredProps
-from repro.telemetry import analyze_execution, taqo_from_annotations
+from repro.verify.qerror import plan_qerror
 from repro.verify.taqo import run_taqo
 from repro.workloads import QUERIES, build_populated_db
 
@@ -29,7 +29,9 @@ def analyzed(small_db):
     orca = Orca(small_db, config=OptimizerConfig(segments=8))
     result = orca.optimize(SQL)
     cluster = Cluster(small_db, segments=8)
-    execution = analyze_execution(result.plan, cluster, result.output_cols)
+    execution = Executor(cluster).execute(
+        result.plan, result.output_cols, analyze=True
+    )
     return result, execution
 
 
@@ -82,13 +84,21 @@ class TestNodeActuals:
         _result, execution = analyzed
         assert execution.analysis.total_rows() == len(execution.rows)
 
-    def test_estimation_errors_cover_every_operator(self, analyzed):
+    def test_plan_qerror_covers_every_executed_node(self, analyzed):
         result, execution = analyzed
-        errors = execution.analysis.estimation_errors()
-        assert len(errors) == sum(1 for _ in result.plan.walk())
-        for _op, estimated, actual in errors:
-            assert estimated >= 0.0
-            assert actual >= 0
+        analysis = execution.analysis
+        executed = [
+            node for node in result.plan.walk()
+            if analysis.stats_for(node).loops > 0
+        ]
+        report = plan_qerror(analysis)
+        assert [n.operator for n in report.nodes] == [
+            node.op.name for node in executed
+        ]
+        for entry in report.nodes:
+            assert entry.estimated_rows >= 0.0
+            assert entry.actual_rows >= 0
+            assert entry.qerror >= 1.0
 
 
 def assert_exclusive_sums_exactly(plan, execution):
@@ -119,14 +129,19 @@ def corpus_orca():
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.id)
 def test_exclusive_work_sums_exactly_on_corpus(corpus_orca, query, mode):
     """Per-node exclusive work is what the executor charged each node, so
-    its sum is the execution's total work exactly, on every corpus query
-    and in both engines."""
+    its sum is the execution's total work exactly, and the annotations'
+    simulated clock is the metrics' (the clock TAQO scores plans on), on
+    every corpus query and in both engines."""
     db, orca = corpus_orca
     result = orca.optimize(query.sql)
     execution = Executor(
         Cluster(db, segments=8), execution_mode=mode
     ).execute(result.plan, result.output_cols, analyze=True)
     assert_exclusive_sums_exactly(result.plan, execution)
+    assert (
+        execution.analysis.simulated_seconds()
+        == execution.metrics.simulated_seconds()
+    )
 
 
 class TestRendering:
@@ -169,32 +184,36 @@ class TestRendering:
         assert "actual total:" in out
 
 
+def assert_taqo_actuals_are_annotations(report, cluster, output_cols):
+    """Every sampled plan's TAQO actual is the simulated clock of its own
+    EXPLAIN ANALYZE annotations, float-identically."""
+    assert report.samples
+    for sample in report.samples:
+        analysis = Executor(cluster).execute(
+            sample.plan, output_cols, analyze=True
+        ).analysis
+        assert sample.actual_seconds == analysis.simulated_seconds()
+
+
 class TestTaqoFromAnnotations:
+    """TAQO (Section 6.2) scores sampled plans, the chosen one and the
+    rest, on the clock EXPLAIN ANALYZE annotates them with."""
+
     def test_matches_run_taqo_exactly(self, small_db):
-        """Acceptance: the TAQO correlation computed from EXPLAIN ANALYZE
-        annotations equals repro.verify.taqo's — same sampler, same seed,
-        float-identical actuals."""
         orca = Orca(small_db, config=OptimizerConfig(segments=8))
         result = orca.optimize(SQL)
-        req = required_props(result)
         cluster = Cluster(small_db, segments=8)
-        reference = run_taqo(
-            result.memo, req, cluster, output_cols=result.output_cols, n=12
+        report = run_taqo(
+            result.memo, required_props(result), cluster,
+            output_cols=result.output_cols, n=12, seed=42,
         )
-        annotated = taqo_from_annotations(
-            result.memo, req, cluster, output_cols=result.output_cols, n=12
+        assert len(report.samples) > 1
+        assert_taqo_actuals_are_annotations(
+            report, cluster, result.output_cols
         )
-        assert annotated.correlation == reference.correlation
-        assert annotated.plan_space_size == reference.plan_space_size
-        assert len(annotated.samples) == len(reference.samples)
-        for ours, theirs in zip(annotated.samples, reference.samples):
-            assert ours.estimated_cost == theirs.estimated_cost
-            assert ours.actual_seconds == theirs.actual_seconds
 
     def test_matches_on_tpcds_corpus(self, tpcds_db):
         """The same identity over real TPC-DS-style workload queries."""
-        from repro.workloads import QUERIES
-
         orca = Orca(tpcds_db, config=OptimizerConfig(segments=8))
         cluster = Cluster(tpcds_db, segments=8)
         compared = 0
@@ -204,17 +223,12 @@ class TestTaqoFromAnnotations:
             result = orca.optimize(query.sql)
             if result.query.cte_defs:
                 continue  # sampled CTE plans need producer wiring
-            req = required_props(result)
-            reference = run_taqo(
-                result.memo, req, cluster,
-                output_cols=result.output_cols, n=6,
+            report = run_taqo(
+                result.memo, required_props(result), cluster,
+                output_cols=result.output_cols, n=6, seed=42,
             )
-            annotated = taqo_from_annotations(
-                result.memo, req, cluster,
-                output_cols=result.output_cols, n=6,
+            assert_taqo_actuals_are_annotations(
+                report, cluster, result.output_cols
             )
-            assert annotated.correlation == reference.correlation, query.id
-            for ours, theirs in zip(annotated.samples, reference.samples):
-                assert ours.actual_seconds == theirs.actual_seconds, query.id
             compared += 1
         assert compared == 3

@@ -10,7 +10,8 @@ the defensive copy used to guarantee silently is checked here instead:
   each execution mode, through EXPLAIN ANALYZE and through a feedback
   ingest, the pickle of the cached tree is byte-equal before and after
   (the pickle leaves out exactly the derived caches the contract on
-  :class:`~repro.search.plan.PlanNode` allows);
+  :class:`~repro.search.plan.PlanNode` allows), and no node gains an
+  attribute but the root's compiled-chain cache of the mode that ran;
 - the pickle carries none of the child-request alternatives the
   search left on the operators, and is byte-equal to the pickle of the
   same plan extracted in a fresh process;
@@ -115,6 +116,25 @@ def test_corpus_execution_leaves_cached_trees_byte_equal(
                 assert run.rows == uncached_rows[query.sql], query.id
         stats = session.orca.plan_cache.stats()
         assert (stats["stores"], stats["rebinds"]) == (len(QUERIES), 0)
+
+
+#: The only attribute an execution may add to a cached tree, per mode,
+#: and only on its root.
+CHAIN_CACHE = {ExecutionMode.ROW: "_unfused_cache", ExecutionMode.FUSED: "_fused_cache"}
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_execution_adds_no_attribute_below_the_root(tpcds_db, mode):
+    with cached_session(tpcds_db, execution_mode=mode) as session:
+        for query in QUERIES:
+            plan = session.optimize(query.sql).plan
+            before = [set(vars(node)) for node in plan.walk()]
+            session.execute(query.sql)
+            session.execute(query.sql, analyze=True)
+            assert session.last_result.plan is plan, query.id
+            added = [set(vars(node)) - was for node, was in zip(plan.walk(), before)]
+            assert added[0] <= {CHAIN_CACHE[mode]}, query.id
+            assert not any(added[1:]), (query.id, added)
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)

@@ -17,7 +17,7 @@ from repro.verify.ampere import (
     plans_match,
     replay_dump,
 )
-from repro.verify.cardtest import check_cardinalities, q_error
+from repro.verify.qerror import plan_qerror
 from repro.verify.taqo import (
     correlation_score,
     count_plans,
@@ -192,21 +192,15 @@ class TestTAQO:
 
 
 class TestCardinalityFramework:
-    def test_q_error_basics(self):
-        assert q_error(100, 100) == pytest.approx(1.0)
-        assert q_error(10, 100) == pytest.approx(101 / 11)
-        assert q_error(100, 10) == q_error(10, 100)
-        assert q_error(0, 0) == 1.0
-
     def test_report_from_execution(self, db):
         orca = Orca(db, config=OptimizerConfig(segments=8))
         result = orca.optimize("SELECT a FROM t1 WHERE b > 50")
         out = Executor(Cluster(db, segments=8)).execute(
-            result.plan, result.output_cols
+            result.plan, result.output_cols, analyze=True
         )
-        report = check_cardinalities(out.metrics.cardinalities)
-        assert report.entries
-        assert report.median_q_error() < 1.5
+        report = plan_qerror(out.analysis)
+        assert report.nodes
+        assert report.median < 1.5
         assert report.worst(2)
 
     def test_estimates_good_on_histogrammed_filters(self, db):
@@ -215,7 +209,7 @@ class TestCardinalityFramework:
             "SELECT t1.a FROM t1, t2 WHERE t1.a = t2.b AND t1.b > 40"
         )
         out = Executor(Cluster(db, segments=8)).execute(
-            result.plan, result.output_cols
+            result.plan, result.output_cols, analyze=True
         )
-        report = check_cardinalities(out.metrics.cardinalities)
-        assert report.max_q_error() < 5.0
+        report = plan_qerror(out.analysis)
+        assert report.max_qerror < 5.0
