@@ -15,19 +15,18 @@ correlated nested loops re-evaluate their inner plan per outer row, and
 dynamic scans consult partition-selector values published by hash-join
 build sides (Section 7.2.2, Partition Elimination).
 
-Work is charged per segment on the :class:`ExecutionMetrics` clock using
-the same :class:`~repro.cost.model.CostParams` constants the optimizer's
-cost model uses — which is what makes the TAQO estimated-vs-actual
-correlation experiment (Section 6.2) meaningful.  Each charge is a
-closed-form function of row counts and lands on the plan node that
-incurs it (``ExecutionMetrics.ledger``); a chain charges its nodes from
-their row counts through the helpers here (``_charge_by_kind``,
+Work is charged per segment on the :class:`ExecutionMetrics` clock by
+calling the cost model's own terms (:func:`repro.cost.model.work_terms`)
+on the rows each node actually read — which is what makes the TAQO
+estimated-vs-actual correlation experiment (Section 6.2) meaningful.
+Each charge lands on the plan node that incurs it
+(``ExecutionMetrics.ledger``); a chain charges its nodes from their row
+counts through the helpers here (``_work``, ``_charge_by_kind``,
 ``_charge_hash_side``, ``_check_memory``, ``_node_done``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, groupby
 from operator import itemgetter
@@ -35,14 +34,7 @@ from typing import Any, Iterable, Optional, Sequence
 
 from repro.catalog.schema import DistributionPolicy
 from repro.config import ExecutionMode
-from repro.cost.model import (
-    APPEND_FACTOR,
-    CTE_CONSUMER_FACTOR,
-    GATHER_MERGE_FACTOR,
-    LIMIT_FACTOR,
-    MERGE_JOIN_SCAN_FACTOR,
-    CostParams,
-)
+from repro.cost.model import spill_work, work_terms
 from repro.engine.cluster import Cluster
 from repro.engine.emit import (
     Emitter,
@@ -108,6 +100,12 @@ class DRows:
 def _row_width(cols: Sequence[ColRef]) -> int:
     """Bytes per row, as the memory check and the network charge see it."""
     return sum(c.dtype.width for c in cols) or 8
+
+
+def _work(op, *rows) -> float:
+    """``op``'s work at the rows it actually read: the cost model's
+    :func:`~repro.cost.model.work_terms`, added left to right."""
+    return sum(work_terms(op, rows))
 
 
 @dataclass
@@ -186,7 +184,6 @@ class Executor:
     def __init__(
         self,
         cluster: Cluster,
-        params: Optional[CostParams] = None,
         time_limit_seconds: Optional[float] = None,
         cache_correlated_work: bool = False,
         per_op_startup_units: float = 0.0,
@@ -196,7 +193,6 @@ class Executor:
         morsel_pool=None,
     ):
         self.cluster = cluster
-        self.params = params or CostParams()
         mode = (
             ExecutionMode.FUSED if execution_mode is None
             else ExecutionMode.coerce(execution_mode)
@@ -372,7 +368,7 @@ class Executor:
             # Spilling writes and re-reads the overflow.
             overflow = needed - self.cluster.memory_limit_bytes
             self.metrics.charge_all_segments(
-                node, 2.0 * overflow / max(width, 1) * self.params.scan_tuple
+                node, spill_work(overflow / max(width, 1))
             )
         else:
             raise OutOfMemoryError(
@@ -452,7 +448,7 @@ class Executor:
         _, n_rows, out = hit
         self.metrics.rows_scanned += n_rows
         self._charge_by_kind(
-            node, out.kind, out.bucket_sizes(), n_rows * self.params.scan_tuple
+            node, out.kind, out.bucket_sizes(), _work(op, n_rows)
         )
         return out
 
@@ -485,7 +481,7 @@ class Executor:
         buckets = [_sort_rows(b, result.cols, [key]) for b in result.buckets]
         self._charge_by_kind(
             node, result.kind, result.bucket_sizes(),
-            len(fetched) * self.params.index_tuple,
+            _work(op, len(fetched)),
         )
         if op.residual is not None:
             keep = compiled_row(op.residual, self._index(result.cols))
@@ -542,10 +538,7 @@ class Executor:
         """One hash-join work unit's charges: the build side's memory
         check, then building and probing."""
         self._check_memory(node, builds, width, "HashJoin")
-        self._charge_at(
-            node, seg,
-            builds * self.params.hash_build + probes * self.params.hash_probe,
-        )
+        self._charge_at(node, seg, _work(node.op, probes, builds))
 
     def _exec_merge_join(self, node: PlanNode) -> DRows:
         op: ph.PhysicalMergeJoin = node.op
@@ -572,11 +565,7 @@ class Executor:
             bucket = _merge_join_segment(
                 o_rows, i_rows, l_pos, r_pos, op, null_pad, residual, params
             )
-            self._charge_at(
-                node, seg,
-                (len(o_rows) + len(i_rows)) * self.params.cpu_tuple
-                * MERGE_JOIN_SCAN_FACTOR,
-            )
+            self._charge_at(node, seg, _work(op, len(o_rows), len(i_rows)))
             out_buckets.append(bucket)
         return DRows(kind, out_cols, out_buckets)
 
@@ -607,7 +596,7 @@ class Executor:
         ):
             bucket = []
             pairs = loop(o_rows, i_rows, params, null_pad, bucket.append, bound)
-            self._charge_at(node, seg, pairs * self.params.nl_factor)
+            self._charge_at(node, seg, _work(op, pairs))
             out_buckets.append(bucket)
             self.metrics.check_budget()
         return DRows(kind, out_cols, out_buckets)
@@ -691,7 +680,7 @@ class Executor:
         ]
         self._charge_by_kind(
             node, child.kind, child.bucket_sizes(),
-            child.total_rows() * self.params.window_factor,
+            _work(op, child.total_rows()),
         )
         return DRows(child.kind, out_cols, out_buckets)
 
@@ -704,10 +693,9 @@ class Executor:
         out_buckets = [
             _sort_rows(b, child.cols, op.order.keys) for b in child.buckets
         ]
-        n = child.total_rows()
         self._charge_by_kind(
             node, child.kind, child.bucket_sizes(),
-            n * math.log2(n + 2.0) * self.params.sort_factor,
+            _work(op, child.total_rows()),
         )
         return DRows(child.kind, child.cols, out_buckets)
 
@@ -718,7 +706,7 @@ class Executor:
         lo = op.offset
         hi = None if op.limit is None else op.offset + op.limit
         rows = rows[lo:hi]
-        self.metrics.charge_master(node, len(rows) * LIMIT_FACTOR)
+        self.metrics.charge_master(node, _work(op, len(rows)))
         return DRows(SINGLETON, child.cols, [rows])
 
     def _exec_append(self, node: PlanNode) -> DRows:
@@ -743,7 +731,7 @@ class Executor:
                 )
         total = sum(len(b) for b in out_buckets)
         self.metrics.charge_all_segments(
-            node, total * APPEND_FACTOR / max(nbuckets, 1)
+            node, _work(op, total) / max(nbuckets, 1)
         )
         return DRows(kind, out_cols, out_buckets)
 
@@ -764,7 +752,7 @@ class Executor:
             chain.from_iterable(child.copy_parts()), child.cols, op.order.keys
         )
         self.metrics.charge_network(node, len(rows) * child.width())
-        self.metrics.charge_master(node, len(rows) * GATHER_MERGE_FACTOR)
+        self.metrics.charge_master(node, _work(op, len(rows)))
         self.metrics.rows_moved += len(rows)
         return DRows(SINGLETON, child.cols, [rows])
 
@@ -813,7 +801,7 @@ class Executor:
         self._cte_store[op.cte_id] = stored
         self._charge_by_kind(
             node, child.kind, child.bucket_sizes(),
-            child.total_rows() * self.params.materialize_factor,
+            _work(op, child.total_rows()),
         )
         return stored
 
@@ -827,7 +815,7 @@ class Executor:
         renamed = DRows(stored.kind, list(op.output_cols), buckets)
         self._charge_by_kind(
             node, renamed.kind, renamed.bucket_sizes(),
-            renamed.total_rows() * CTE_CONSUMER_FACTOR,
+            _work(op, renamed.total_rows()),
         )
         return renamed
 

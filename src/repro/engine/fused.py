@@ -56,13 +56,14 @@ A LEFT probe with no residual finds its NULL pad as the lookup's
 default, so its body is emitted once.
 
 The contract between the two modes is strict float identity, and it
-holds by construction: every charge is a closed-form function of
-per-node per-bucket row counts, booked on the node that incurs it
-(``ExecutionMetrics.ledger``).  A stage streams first, touching no
-metric and only counting rows at every operator; then its nodes are
-charged in chain order from those counts through the executor's
-helpers (``_charge_by_kind``, ``_charge_hash_side``, ``_check_memory``)
-and closed with ``_node_done``, whichever chain they sit in.
+holds by construction: every charge is the cost model's work terms
+(:func:`repro.cost.model.work_terms`) at per-node per-bucket row
+counts, booked on the node that incurs it (``ExecutionMetrics.ledger``).
+A stage streams first, touching no metric and only counting rows at
+every operator; then its nodes are charged in chain order from those
+counts through the executor's helpers (``_work``, ``_charge_by_kind``,
+``_charge_hash_side``, ``_check_memory``) and closed with
+``_node_done``, whichever chain they sit in.
 ``tests/test_fused_executor.py`` pins fused == row across the TPC-DS
 corpus for rows, ExecutionMetrics and per-node NodeStats, and
 ``tests/test_sqlite_oracle.py`` holds the rows of both to sqlite.
@@ -104,6 +105,7 @@ from repro.engine.executor import (
     _agg_init,
     _row_width,
     _sort_rows,
+    _work,
 )
 from repro.engine.parallel import ChainSpec, next_chain_key
 from repro.engine.pipeline import Pipeline, fusable_pipelines
@@ -679,7 +681,6 @@ def run_chain(ex, chain: Pipeline) -> DRows:
     # which is all the charges below read.
     params = ex._param_env
     pool = ex._morsel_pool
-    p = ex.params
     kind = src.kind
     cur_buckets = src.buckets
     result: Optional[DRows] = None
@@ -749,15 +750,10 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                 kind = ex._join_output_kind(kind, inner.kind)
                 out_sizes = per_counter[st.counter_of[id(node)]]
             elif t is ph.PhysicalFilter:
-                ex._charge_by_kind(
-                    node, kind, sizes, sum(sizes) * p.filter_factor
-                )
+                ex._charge_by_kind(node, kind, sizes, _work(op, sum(sizes)))
                 out_sizes = per_counter[st.counter_of[id(node)]]
             elif t is ph.PhysicalProject:
-                ex._charge_by_kind(
-                    node, kind, sizes,
-                    sum(sizes) * p.project_factor * len(op.projections),
-                )
+                ex._charge_by_kind(node, kind, sizes, _work(op, sum(sizes)))
                 out_sizes = sizes
             else:  # aggregation sink: group tables -> output rows
                 cols = compiled.node_cols[id(node)]
@@ -775,8 +771,7 @@ def run_chain(ex, chain: Pipeline) -> DRows:
                     if is_stream and op.group_cols:
                         out_rows = _sort_rows(out_rows, cols, sort_keys)
                     agg_buckets.append(out_rows)
-                factor = p.cpu_tuple if is_stream else p.agg_factor
-                ex._charge_by_kind(node, kind, sizes, sum(sizes) * factor)
+                ex._charge_by_kind(node, kind, sizes, _work(op, sum(sizes)))
                 result = DRows(kind, cols, agg_buckets)
                 out_sizes = result.bucket_sizes()
             if node is not top:

@@ -5,16 +5,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.cost.model import RATES
 from repro.errors import TimeoutError_
 from repro.telemetry.analyze import NodeStats, sum_work
 
 #: Simulated seconds per unit of per-node CPU work (1M units/second).
 CPU_SECONDS_PER_UNIT = 1e-6
-#: Simulated seconds per byte crossing the interconnect.  Kept consistent
-#: with the cost model's CostParams.net_byte (0.25 cost units/byte at
-#: 1e-6 s/unit) so that TAQO's estimated-vs-actual comparison measures
+#: Simulated seconds per byte crossing the interconnect: the cost
+#: model's rate, so TAQO's estimated-vs-actual comparison measures
 #: estimation error, not a units mismatch between the two clocks.
-NET_SECONDS_PER_BYTE = 2.5e-7
+NET_SECONDS_PER_BYTE = RATES.net_byte * CPU_SECONDS_PER_UNIT
 
 
 def simulated_seconds(

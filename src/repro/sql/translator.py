@@ -207,36 +207,14 @@ def _count_cte_uses(stmt: A.SelectStmt, names: set[str]) -> Counter:
             visit_stmt(item.subquery)
 
     def visit_expr(expr) -> None:
-        if isinstance(expr, (A.EExists,)):
-            visit_stmt(expr.subquery)
-        elif isinstance(expr, A.EIn) and expr.subquery is not None:
-            visit_stmt(expr.subquery)
-        elif isinstance(expr, A.EScalarSubquery):
-            visit_stmt(expr.subquery)
-        elif isinstance(expr, A.EBinary):
-            visit_expr(expr.left)
-            visit_expr(expr.right)
-        elif isinstance(expr, (A.ENot, A.ENegate)):
-            visit_expr(expr.arg)
-        elif isinstance(expr, A.EBetween):
-            visit_expr(expr.arg)
-            visit_expr(expr.lo)
-            visit_expr(expr.hi)
-        elif isinstance(expr, A.ECase):
-            for c, r in expr.whens:
-                visit_expr(c)
-                visit_expr(r)
-            if expr.else_ is not None:
-                visit_expr(expr.else_)
-        elif isinstance(expr, A.EFunc):
-            for a in expr.args:
-                visit_expr(a)
-        elif isinstance(expr, A.EWindow):
-            visit_expr(expr.func)
-        elif isinstance(expr, (A.EIsNull, A.ELike)):
-            visit_expr(expr.arg)
-        elif isinstance(expr, A.EIn):
-            visit_expr(expr.arg)
+        # A subquery expression's statement, else its child expressions
+        # (an IN over a subquery is not looked into further).
+        subquery = getattr(expr, "subquery", None)
+        if subquery is not None:
+            visit_stmt(subquery)
+        else:
+            for child in _expr_children(expr):
+                visit_expr(child)
 
     def visit_stmt(s: A.SelectStmt) -> None:
         for _name, sub in s.ctes:
@@ -580,7 +558,7 @@ class _QueryBuilder:
             if handled:
                 continue
             pred = _truth(self._scalar(conj, self.scope), "WHERE")
-            (post_apply if self._contains_subquery(conj) else plain).append(pred)
+            (post_apply if _contains_subquery(conj) else plain).append(pred)
         predicate = make_conj(plain)
         if predicate is not None:
             # Plain predicates go below the applies when no apply exists
@@ -644,30 +622,6 @@ class _QueryBuilder:
             LogicalApply(kind, outer_refs), [self.tree, inner_tree]
         )
 
-    def _contains_subquery(self, expr: A.ExprAST) -> bool:
-        if isinstance(expr, (A.EExists, A.EScalarSubquery)):
-            return True
-        if isinstance(expr, A.EIn):
-            return expr.subquery is not None or self._contains_subquery(expr.arg)
-        if isinstance(expr, A.EBinary):
-            return self._contains_subquery(expr.left) or self._contains_subquery(
-                expr.right
-            )
-        if isinstance(expr, (A.ENot, A.ENegate, A.EIsNull, A.ELike)):
-            return self._contains_subquery(expr.arg)
-        if isinstance(expr, A.EBetween):
-            return any(
-                self._contains_subquery(e) for e in (expr.arg, expr.lo, expr.hi)
-            )
-        if isinstance(expr, A.ECase):
-            parts = [c for c, _r in expr.whens] + [r for _c, r in expr.whens]
-            if expr.else_ is not None:
-                parts.append(expr.else_)
-            return any(self._contains_subquery(p) for p in parts)
-        if isinstance(expr, A.EFunc):
-            return any(self._contains_subquery(a) for a in expr.args)
-        return False
-
     # ------------------------------------------------------------------
     # Aggregation
     # ------------------------------------------------------------------
@@ -678,8 +632,8 @@ class _QueryBuilder:
         group-by expr -> ColRef), 'aggs' (AggFunc key -> ColRef) or None.
         """
         has_aggs = any(
-            self._contains_agg(expr) for expr, _a in select_items
-        ) or (stmt.having is not None and self._contains_agg(stmt.having))
+            _contains_agg(expr) for expr, _a in select_items
+        ) or (stmt.having is not None and _contains_agg(stmt.having))
         if not stmt.group_by and not has_aggs:
             return None
         group_cols: list[ColRef] = []
@@ -714,28 +668,6 @@ class _QueryBuilder:
             LogicalGbAgg(group_cols, agg_ctx["agg_list"]), [self.tree]
         )
         return agg_ctx
-
-    def _contains_agg(self, expr: A.ExprAST) -> bool:
-        if isinstance(expr, A.EFunc):
-            return expr.name in AGG_FUNCS or any(
-                self._contains_agg(a) for a in expr.args
-            )
-        if isinstance(expr, A.EWindow):
-            return False  # window functions are not plain aggregates
-        if isinstance(expr, A.EBinary):
-            return self._contains_agg(expr.left) or self._contains_agg(expr.right)
-        if isinstance(expr, (A.ENot, A.ENegate, A.EIsNull, A.ELike)):
-            return self._contains_agg(expr.arg)
-        if isinstance(expr, A.EBetween):
-            return any(self._contains_agg(e) for e in (expr.arg, expr.lo, expr.hi))
-        if isinstance(expr, A.ECase):
-            parts = [c for c, _r in expr.whens] + [r for _c, r in expr.whens]
-            if expr.else_ is not None:
-                parts.append(expr.else_)
-            return any(self._contains_agg(p) for p in parts)
-        if isinstance(expr, A.EIn):
-            return self._contains_agg(expr.arg)
-        return False
 
     def _collect_aggs(self, expr: A.ExprAST, agg_ctx) -> None:
         """Register every aggregate call found in ``expr``."""
@@ -1062,6 +994,24 @@ def _expr_children(expr: A.ExprAST) -> list[A.ExprAST]:
     if isinstance(expr, A.EWindow):
         return [expr.func]
     return []
+
+
+def _contains_subquery(expr: A.ExprAST) -> bool:
+    if isinstance(expr, (A.EExists, A.EScalarSubquery)) or (
+        isinstance(expr, A.EIn) and expr.subquery is not None
+    ):
+        return True
+    if isinstance(expr, A.EWindow):
+        return False  # not looked into
+    return any(_contains_subquery(c) for c in _expr_children(expr))
+
+
+def _contains_agg(expr: A.ExprAST) -> bool:
+    if isinstance(expr, A.EFunc) and expr.name in AGG_FUNCS:
+        return True
+    if isinstance(expr, A.EWindow):
+        return False  # window functions are not plain aggregates
+    return any(_contains_agg(c) for c in _expr_children(expr))
 
 
 def _find_windows(expr: A.ExprAST) -> list[A.EWindow]:

@@ -70,7 +70,7 @@ EXPECTED_SIGNATURES = {
     ),
     "connect_fleet": ("catalog", "**kwargs"),
     "Executor": (
-        "cluster", "params", "time_limit_seconds", "cache_correlated_work",
+        "cluster", "time_limit_seconds", "cache_correlated_work",
         "per_op_startup_units", "materialize_output_factor", "tracer",
         "execution_mode", "morsel_pool",
     ),
