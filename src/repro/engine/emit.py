@@ -3,10 +3,10 @@
 :class:`Emitter` is the one place a ``ScalarExpr`` gets its value: no
 expression is evaluated by walking its tree.  It renders an expression
 as the source of one Python expression, which the caller inlines into a
-loop of its own — a pipeline stage (:mod:`repro.engine.fused`), the
-nested-loops join's pair loop — or, :func:`compiled_row`, wraps in a
-``lambda`` (an index scan's or a merge join's residual, a window
-aggregate's argument).  :class:`Layout` says where that source finds
+loop of its own — a pipeline stage or a window aggregate's fold
+(:mod:`repro.engine.fused`), the nested-loops join's pair loop — or,
+:func:`compiled_row`, wraps in a ``lambda`` (an index scan's or a merge
+join's residual).  :class:`Layout` says where that source finds
 its columns.  The source implements SQL three-valued logic, and sqlite
 is its judge: ``tests/test_expr_emitter.py`` compares it with ``SELECT
 <expr>`` over NULL-bearing rows through every door above.  Two

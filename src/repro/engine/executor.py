@@ -28,7 +28,7 @@ counts through the helpers here (``_work``, ``_charge_by_kind``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import accumulate, chain, groupby
 from operator import itemgetter
 from typing import Any, Iterable, Optional, Sequence
 
@@ -49,7 +49,7 @@ from repro.engine.metrics import ExecutionMetrics
 from repro.errors import ExecutionError, OutOfMemoryError
 from repro.ops import physical as ph
 from repro.ops.logical import ApplyKind, JoinKind
-from repro.ops.scalar import AggFunc, ColRef, WindowFunc
+from repro.ops.scalar import AGG_NAMES, ColRef, WindowFunc
 from repro.props.order import SortKey
 from repro.search.plan import PlanNode
 from repro.telemetry.analyze import PlanAnalysis
@@ -674,8 +674,15 @@ class Executor:
         index = self._index(child.cols)
         out_cols = list(child.cols) + [c for _f, c in op.funcs]
         params = self._param_env
+        # Looked up per call: repro.engine.fused imports this module.
+        from repro.engine.fused import window_fold
+
+        folds = [
+            window_fold(func, index) if func.name in AGG_NAMES else None
+            for func, _c in op.funcs
+        ]
         out_buckets = [
-            _window_bucket(bucket, index, op.funcs, params)
+            _window_bucket(bucket, index, op.funcs, folds, params)
             for bucket in child.buckets
         ]
         self._charge_by_kind(
@@ -823,52 +830,6 @@ class Executor:
     _HANDLERS = {}
 
 
-def _agg_init(agg: AggFunc):
-    """[accumulator, seen-set or None] slot for one aggregate."""
-    seen = set() if agg.distinct else None
-    if agg.name == "count":
-        return [0, seen]
-    if agg.name in ("sum", "avg"):
-        return [[None, 0], seen]  # running sum, count
-    return [None, seen]  # min / max
-
-
-def _agg_add_value(slot, agg: AggFunc, value) -> None:
-    """Fold one already-evaluated argument value into an aggregate slot."""
-    if agg.name == "count" and agg.arg is None:
-        slot[0] += 1
-        return
-    if value is None:
-        return
-    if slot[1] is not None:
-        if value in slot[1]:
-            return
-        slot[1].add(value)
-    if agg.name == "count":
-        slot[0] += 1
-    elif agg.name in ("sum", "avg"):
-        acc = slot[0]
-        acc[0] = value if acc[0] is None else acc[0] + value
-        acc[1] += 1
-    elif agg.name == "min":
-        if slot[0] is None or value < slot[0]:
-            slot[0] = value
-    elif agg.name == "max":
-        if slot[0] is None or value > slot[0]:
-            slot[0] = value
-
-
-def _agg_final(slot, agg: AggFunc):
-    if agg.name == "count":
-        return slot[0]
-    if agg.name == "sum":
-        return slot[0][0]
-    if agg.name == "avg":
-        total, count = slot[0]
-        return None if count == 0 or total is None else total / count
-    return slot[0]
-
-
 def _null_free_key(row, positions):
     key = tuple(row[p] for p in positions)
     return None if any(v is None for v in key) else key
@@ -977,60 +938,44 @@ def _merge_join_segment(
     return out
 
 
-def _window_bucket(rows, index, funcs, params):
-    """Evaluate window functions over one (already sorted) bucket."""
+def _window_bucket(rows, index, funcs, folds, params):
+    """Evaluate window functions over one bucket, sorted by PARTITION BY
+    and then ORDER BY key."""
     spec: WindowFunc = funcs[0][0]
     p_pos = [index[c.id] for c in spec.partition_by]
+    o_pos = [index[c.id] for c, _asc in spec.order_by]
     out = []
-    # Group consecutive rows by partition key (input is sorted by it).
-    i = 0
-    while i < len(rows):
-        j = i
-        key = tuple(rows[i][p] for p in p_pos)
-        while j < len(rows) and tuple(rows[j][p] for p in p_pos) == key:
-            j += 1
-        partition = rows[i:j]
-        extended = _window_partition(partition, index, funcs, params)
-        out.extend(extended)
-        i = j
+    for _key, partition in groupby(rows, key=lambda r: tuple(r[p] for p in p_pos)):
+        partition = list(partition)
+        # Rows with equal ORDER BY keys (NULL keys included) are peers.
+        groups = [
+            list(peers) for _key, peers in
+            groupby(partition, key=lambda r: tuple(r[p] for p in o_pos))
+        ]
+        columns = [
+            _window_values(groups, func, fold, params)
+            for (func, _col), fold in zip(funcs, folds)
+        ]
+        out.extend(row + values for row, values in zip(partition, zip(*columns)))
     return out
 
 
-def _window_partition(partition, index, funcs, params):
-    spec: WindowFunc = funcs[0][0]
-    o_pos = [(index[c.id], asc) for c, asc in spec.order_by]
-    results_per_func = []
-    for func, _col in funcs:
-        results_per_func.append(_window_values(partition, index, func, o_pos, params))
-    out = []
-    for i, row in enumerate(partition):
-        out.append(row + tuple(vals[i] for vals in results_per_func))
-    return out
-
-
-def _window_values(partition, index, func: WindowFunc, o_pos, params):
-    """One window function's value per row of a sorted partition.  Rows
-    with equal ORDER BY keys (NULL keys included) are peers: they share a
-    rank, and an aggregate's frame is SQL's default RANGE frame, which
-    ends after the last peer (the whole partition without ORDER BY)."""
+def _window_values(groups, func: WindowFunc, fold, params):
+    """One window function's value per row of a sorted partition, split
+    into its peer groups.  Peers share a rank, and an aggregate's frame
+    is SQL's default RANGE frame, which ends after the last peer (the
+    whole partition without ORDER BY): ``fold``
+    (:func:`repro.engine.fused.window_fold`) gives its value per group."""
     if func.name == "row_number":
-        return list(range(1, len(partition) + 1))
-    if func.name not in ("rank", "dense_rank"):
-        agg = AggFunc(func.name, func.arg)
-        arg = None if func.arg is None else compiled_row(func.arg, index)
-        slot = _agg_init(agg)
+        return list(range(1, sum(map(len, groups)) + 1))
+    if func.name == "rank":
+        per_group = accumulate(map(len, groups), initial=1)
+    elif func.name == "dense_rank":
+        per_group = range(1, len(groups) + 1)
+    else:
+        per_group = fold(groups, params)
     values = []
-    peer_groups = groupby(partition, key=lambda row: tuple(row[p] for p, _asc in o_pos))
-    for dense, (_key, peers) in enumerate(peer_groups, 1):
-        peers = list(peers)
-        if func.name == "rank":
-            value = len(values) + 1
-        elif func.name == "dense_rank":
-            value = dense
-        else:
-            for row in peers:
-                _agg_add_value(slot, agg, 1 if arg is None else arg(row, params))
-            value = _agg_final(slot, agg)
+    for value, peers in zip(per_group, groups):
         values.extend([value] * len(peers))
     return values
 

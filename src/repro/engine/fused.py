@@ -26,8 +26,7 @@ The loops are compiled through, expressions included: filter
 predicates, projections, aggregate arguments and join residuals are
 rendered by :class:`repro.engine.emit.Emitter`, the one semantics of a
 scalar expression (sqlite is its judge), and inlined into the stage
-source, so a stage calls no Python function per row (a DISTINCT
-aggregate keeps its ``_agg_add_value`` call).  Next
+source, so a stage calls no Python function per row.  Next
 to ``_stage`` a sink stage's source defines ``_init`` / ``_final`` (a
 fresh group state, groups -> output rows), so the shapes they share
 are decided once:
@@ -35,9 +34,11 @@ are decided once:
 - *keys*: a one-column join or group key is the bare value, two or
   more a tuple (a group key is widened back to a tuple when its row is
   finalized); :func:`_build` keys the build rows the same way;
-- *aggregate state*: one flat list per group with a literal
+- *aggregate state* (:class:`_AggState`, also a window aggregate's,
+  :func:`window_fold`): one flat list per group with a literal
   initializer in the source — ``count``, ``sum``, ``min`` and ``max``
-  one cell each, ``avg`` two (sum, n) — or, for a scalar aggregate,
+  one cell each, ``avg`` two (sum, n), a DISTINCT aggregate one more
+  for the set of values it has folded — or, for a scalar aggregate,
   one local per cell, stored once after the loop; sums stay
   ``_a + _v`` in arrival order, so floats do not depend on how far a
   chain is fused;
@@ -76,8 +77,8 @@ cache so plans still pickle into the fleet's ``SharedPlanStore`` (a
 worker that adopts an entry compiles it on its first execution and
 never again).  A re-bound plan has a new root and compiles its chains
 anew, but the generated source holds no constant except SQL ``NULL``:
-literal values, ``IN`` lists, ``LIKE`` matchers, NULL pads and DISTINCT
-aggregates arrive through ``_B``.  The code objects therefore come from
+literal values, ``IN`` lists, ``LIKE`` matchers and NULL pads arrive
+through ``_B``.  The code objects therefore come from
 ``_stage_code``'s by-source memo — one entry per stage *shape* and
 signature — and a re-bind does not reach the Python compiler.
 
@@ -92,17 +93,15 @@ DESIGN.md §3l.
 
 from __future__ import annotations
 
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Optional
 
-from repro.engine.emit import Emitter, Layout, load_generated
+from repro.engine.emit import Emitter, Layout, _layout_key, _row_code, load_generated, row_cached
 from repro.engine.executor import (
     REPLICATED,
     DRows,
     Executor,
-    _agg_add_value,
-    _agg_final,
-    _agg_init,
     _row_width,
     _sort_rows,
     _work,
@@ -111,6 +110,7 @@ from repro.engine.parallel import ChainSpec, next_chain_key
 from repro.engine.pipeline import Pipeline, fusable_pipelines
 from repro.ops import physical as ph
 from repro.ops.logical import JoinKind
+from repro.ops.scalar import AggFunc, WindowFunc
 from repro.props.order import SortKey
 from repro.search.plan import PlanNode
 
@@ -327,8 +327,8 @@ def _compile_chain(ops, src_cols, src_kind: str, inners) -> CompiledChain:
 # Code generation
 # ----------------------------------------------------------------------
 
-#: Initial cells of the aggregates whose state is inlined; DISTINCT
-#: aggregates keep their ``_agg_init`` slot in one cell instead.
+#: Initial cells of each aggregate's state; a DISTINCT aggregate has one
+#: more, the set of argument values it has folded.
 _AGG_CELLS = {
     "count": ["0"],
     "sum": ["None"],
@@ -339,27 +339,23 @@ _AGG_CELLS = {
 
 
 class _AggState:
-    """The flat state of an aggregation sink: per group a list with
-    each aggregate's cells at a fixed offset; for a scalar aggregation,
-    one local per cell."""
+    """The flat state of a list of aggregates, and the code that lays
+    it out, initialises it, folds a row into it and reads each value:
+    with group columns, per group a list with each aggregate's cells at
+    a fixed offset; without, one local per cell (a scalar aggregation
+    sink, or a window aggregate's running frame)."""
 
-    def __init__(self, op, em: Emitter):
-        self.op = op
-        self.grouped = bool(op.group_cols)
-        #: (aggregate, offset of its first cell, its index in ``_B``
-        #: when it goes through _agg_add_value / _agg_final, else None).
+    def __init__(self, aggs, group_cols=()):
+        self.group_cols = list(group_cols)
+        self.grouped = bool(self.group_cols)
+        #: (aggregate, offset of its first cell).
         self.cells: list[tuple] = []
         init: list[str] = []
-        for agg, _c in op.aggs:
-            offset = len(init)
+        for agg in aggs:
+            self.cells.append((agg, len(init)))
+            init.extend(_AGG_CELLS[agg.name])
             if agg.distinct:
-                slot = len(em.bound)
-                em.bind(agg)
-                init.append(f"_agg_init(_B[{slot}])")
-            else:
-                slot = None
-                init.extend(_AGG_CELLS[agg.name])
-            self.cells.append((agg, offset, slot))
+                init.append("set()")
         self.init_cells = init
         #: List display that creates a new group's state.
         self.init = "[" + ", ".join(init) + "]"
@@ -368,7 +364,7 @@ class _AggState:
         return f"_st[{o}]" if self.grouped else f"_s{o}"
 
     def head(self) -> list[str]:
-        """Stage prologue: the group table's lookup, or the scalar
+        """Function prologue: the group table's lookup, or the scalar
         state's locals."""
         if self.grouped:
             return ["    _gget = _groups.get"]
@@ -383,56 +379,63 @@ class _AggState:
         return [f"    if {arrived}:", f"        _groups[()] = [{cells}]"]
 
     def emit_fold(self, out, ind, em: Emitter, layout: Layout) -> None:
-        """Emit the group lookup and one row's fold into its state."""
+        """Emit the group lookup and one row's fold into its state.  A
+        DISTINCT aggregate folds a value only the first time its set
+        sees it."""
         if self.grouped:
-            keys = [layout.at(layout.index[c.id]) for c in self.op.group_cols]
+            keys = [layout.at(layout.index[c.id]) for c in self.group_cols]
             out.append(
                 f"{ind}_gk = {keys[0] if len(keys) == 1 else _tuple(keys)}"
             )
             out.append(f"{ind}_st = _gget(_gk)")
             out.append(f"{ind}if _st is None:")
             out.append(f"{ind}    _st = _groups[_gk] = {self.init}")
-        for agg, o, slot in self.cells:
+        for agg, o in self.cells:
             cell = self.cell(o)
-            # count(*) folds the constant 1, as a window count does.
-            val = "1" if agg.arg is None else em.value(agg.arg, layout)
-            if slot is not None:
-                out.append(f"{ind}_agg_add_value({cell}, _f{slot}, {val})")
-            elif agg.arg is None and agg.name == "count":
+            if agg.arg is None:  # count(*)
                 out.append(f"{ind}{cell} += 1")
-            elif agg.name == "count":
+                continue
+            val = em.value(agg.arg, layout)
+            if agg.name == "count" and not agg.distinct:
                 out.append(f"{ind}if {val} is not None:")
-                out.append(f"{ind}    {cell} += 1")
             else:
                 out.append(f"{ind}_v = {val}")
-                out.append(f"{ind}if _v is not None:")
-                out.append(f"{ind}    _a = {cell}")
-                if agg.name in ("sum", "avg"):
-                    out.append(
-                        f"{ind}    {cell} = _v if _a is None else _a + _v"
-                    )
-                    if agg.name == "avg":
-                        out.append(f"{ind}    {self.cell(o + 1)} += 1")
+                if agg.distinct:
+                    seen = self.cell(o + len(_AGG_CELLS[agg.name]))
+                    out.append(f"{ind}if _v is not None and _v not in {seen}:")
+                    out.append(f"{ind}    {seen}.add(_v)")
                 else:
-                    cmp = "<" if agg.name == "min" else ">"
-                    out.append(f"{ind}    if _a is None or _v {cmp} _a:")
-                    out.append(f"{ind}        {cell} = _v")
+                    out.append(f"{ind}if _v is not None:")
+            if agg.name == "count":
+                out.append(f"{ind}    {cell} += 1")
+                continue
+            out.append(f"{ind}    _a = {cell}")
+            if agg.name in ("sum", "avg"):
+                out.append(f"{ind}    {cell} = _v if _a is None else _a + _v")
+                if agg.name == "avg":
+                    out.append(f"{ind}    {self.cell(o + 1)} += 1")
+            else:
+                cmp = "<" if agg.name == "min" else ">"
+                out.append(f"{ind}    if _a is None or _v {cmp} _a:")
+                out.append(f"{ind}        {cell} = _v")
+
+    @staticmethod
+    def value(agg, o: int, cell: Callable[[int], str]) -> str:
+        """One aggregate's value, its cells read through ``cell``."""
+        if agg.name == "avg":
+            return (
+                f"(None if {cell(o + 1)} == 0 or {cell(o)} is None"
+                f" else {cell(o)} / {cell(o + 1)})"
+            )
+        return cell(o)
 
     def emit_defs(self) -> list[str]:
         """``_init()`` (the scalar-over-empty group) and ``_final``
         (groups -> output rows, the key widened back to a tuple)."""
-        outs = []
-        for agg, o, slot in self.cells:
-            if slot is not None:
-                outs.append(f"_agg_final(_s[{o}], _B[{slot}])")
-            elif agg.name == "avg":
-                outs.append(
-                    f"(None if _s[{o + 1}] == 0 or _s[{o}] is None"
-                    f" else _s[{o}] / _s[{o + 1}])"
-                )
-            else:
-                outs.append(f"_s[{o}]")
-        nkeys = len(self.op.group_cols)
+        outs = [
+            self.value(agg, o, lambda i: f"_s[{i}]") for agg, o in self.cells
+        ]
+        nkeys = len(self.group_cols)
         if nkeys == 1:
             row = _tuple(["_k"] + outs)
         elif nkeys:
@@ -451,6 +454,31 @@ class _AggState:
         ]
 
 
+def window_fold(func: WindowFunc, index) -> Callable:
+    """``f(peer groups, params) -> each group's value`` for an
+    aggregate window function over rows laid out by ``index``: a scalar
+    :class:`_AggState` folds the groups in turn and is read after each,
+    so every peer shares the value after the last of them (SQL's default
+    RANGE frame).  Compiled once per expression and layout and cached on
+    the expression (:func:`repro.engine.emit.row_cached`)."""
+
+    def make():
+        em = Emitter()
+        agg = AggFunc(func.name, func.arg)
+        state = _AggState([agg])
+        fold: list[str] = []
+        state.emit_fold(fold, "            ", em, Layout(index))
+        src = "\n".join(
+            ["def _window(_B, _peers, _params):"] + em.unpack() + state.head()
+            + ["    for _rows in _peers:", "        for _r in _rows:"] + fold
+            + [f"        yield {state.value(agg, 0, state.cell)}", ""]
+        )
+        fn = load_generated(src, "<window>", _row_code)["_window"]
+        return partial(fn, tuple(em.bound))
+
+    return row_cached(func, _layout_key(func, index), make)
+
+
 class _StageGen:
     """Generates one variant of a stage: the loop nest ``_stage``, plus
     ``_init`` / ``_final`` for a sink stage."""
@@ -459,8 +487,8 @@ class _StageGen:
         self.st = st
         self.sig = sig
         self.em = Emitter()
-        self.state = (
-            _AggState(st.agg.op, self.em) if st.agg is not None else None
+        self.state = None if st.agg is None else _AggState(
+            [a for a, _c in st.agg.op.aggs], st.agg.op.group_cols
         )
         self.probe_of = {id(p.node): j for j, p in enumerate(st.probes)}
 
@@ -499,9 +527,7 @@ class _StageGen:
             + [f"    return {_tuple(names)}"] + defs
         ) + "\n"
         namespace = load_generated(
-            src, "<fused-pipeline>", _stage_code,
-            _E=_EMPTY, _agg_init=_agg_init, _agg_add_value=_agg_add_value,
-            _agg_final=_agg_final,
+            src, "<fused-pipeline>", _stage_code, _E=_EMPTY
         )
         return _Code(namespace, tuple(self.em.bound), src)
 

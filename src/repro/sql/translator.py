@@ -52,7 +52,7 @@ from repro.ops.scalar import (
     make_conj,
 )
 from repro.sql import ast as A
-from repro.sql.parser import AGG_FUNCS, parse
+from repro.sql.parser import AGG_FUNCS, WINDOW_ONLY_FUNCS, parse
 
 
 @dataclass
@@ -670,23 +670,16 @@ class _QueryBuilder:
         return agg_ctx
 
     def _collect_aggs(self, expr: A.ExprAST, agg_ctx) -> None:
-        """Register every aggregate call found in ``expr``."""
+        """Register every aggregate call found in ``expr``, a window's
+        argument, PARTITION BY and ORDER BY included."""
         if isinstance(expr, A.EFunc) and expr.name in AGG_FUNCS:
             self._register_agg(expr, agg_ctx)
-            return
-        if isinstance(expr, A.EWindow):
             return
         for child in _expr_children(expr):
             self._collect_aggs(child, agg_ctx)
 
     def _register_agg(self, expr: A.EFunc, agg_ctx) -> ColRef:
-        if expr.star:
-            func = AggFunc("count", None, distinct=expr.distinct)
-        else:
-            if len(expr.args) != 1:
-                raise BindError(f"{expr.name} takes one argument")
-            arg = self._scalar(expr.args[0], self.scope)
-            func = AggFunc(expr.name, arg, distinct=expr.distinct)
+        func = self._bind_call(expr)
         key = func.key()
         if key in agg_ctx["aggs"]:
             return agg_ctx["aggs"][key]
@@ -694,6 +687,57 @@ class _QueryBuilder:
         agg_ctx["aggs"][key] = col
         agg_ctx["agg_list"].append((func, col))
         return col
+
+    def _bind_call(self, call, agg_ctx=None) -> ScalarExpr:
+        """The one binder of an aggregate or window call: an aggregate
+        ``EFunc`` becomes its :class:`AggFunc`, its argument read below
+        the GbAgg; an ``EWindow`` its :class:`WindowFunc`, what it reads
+        translated above the GbAgg of ``agg_ctx``, if any.  SQL's call
+        rules, which sqlite applies too: a window call has no DISTINCT;
+        rank, dense_rank and row_number take no argument; an aggregate
+        takes exactly one, where ``*`` (or none) is count's alone."""
+        window = call if isinstance(call, A.EWindow) else None
+        func = call if window is None else call.func
+        name = func.name
+
+        def scalar(expr: A.ExprAST) -> ScalarExpr:
+            if window is not None and agg_ctx is not None:
+                return self._scalar_post_agg(expr, agg_ctx)
+            return self._scalar(expr, self.scope)
+
+        if name not in AGG_FUNCS and name not in WINDOW_ONLY_FUNCS:
+            raise UnsupportedError(f"function {name}")
+        if window is not None and func.distinct:
+            raise BindError(f"DISTINCT is not supported in window {name}")
+        if name in WINDOW_ONLY_FUNCS:
+            if func.args or func.star:
+                raise BindError(f"{name} takes no argument")
+            arg = None
+        elif func.star:
+            if name != "count" or func.distinct:
+                raise BindError("only count(*) takes *")
+            arg = None
+        elif name == "count" and not func.args and not func.distinct:
+            arg = None  # count() is count(*), as in sqlite
+        elif len(func.args) != 1:
+            raise BindError(f"{name} takes one argument")
+        else:
+            arg = scalar(func.args[0])
+        if window is None:
+            return AggFunc(name, arg, distinct=func.distinct)
+
+        def column(expr: A.ExprAST) -> ColRef:
+            key = scalar(expr)
+            if not isinstance(key, ColRefExpr):
+                raise UnsupportedError(
+                    "window PARTITION BY / ORDER BY must be plain columns"
+                )
+            return key.ref
+
+        return WindowFunc(
+            name, arg, [column(p) for p in window.partition_by],
+            [(column(o), asc) for o, asc in window.order_by],
+        )
 
     def _build_having(self, stmt: A.SelectStmt, agg_ctx) -> None:
         if stmt.having is None:
@@ -721,37 +765,10 @@ class _QueryBuilder:
         if not window_map:
             return window_map
         self.state.features.add("window")
-        for _spec, wins in by_spec.items():
-            funcs = []
-            for win, col in wins:
-                funcs.append((self._window_func(win, agg_ctx), col))
+        for wins in by_spec.values():
+            funcs = [(self._bind_call(win, agg_ctx), col) for win, col in wins]
             self.tree = Expression(LogicalWindow(funcs), [self.tree])
         return window_map
-
-    def _window_func(self, win: A.EWindow, agg_ctx) -> WindowFunc:
-        def to_col(expr: A.ExprAST) -> ColRef:
-            scalar = (
-                self._scalar_post_agg(expr, agg_ctx)
-                if agg_ctx is not None
-                else self._scalar(expr, self.scope)
-            )
-            if not isinstance(scalar, ColRefExpr):
-                raise UnsupportedError(
-                    "window PARTITION BY / ORDER BY must be plain columns"
-                )
-            return scalar.ref
-
-        arg = None
-        if win.func.args:
-            scalar = (
-                self._scalar_post_agg(win.func.args[0], agg_ctx)
-                if agg_ctx is not None
-                else self._scalar(win.func.args[0], self.scope)
-            )
-            arg = scalar
-        partition = [to_col(p) for p in win.partition_by]
-        order = [(to_col(o), asc) for o, asc in win.order_by]
-        return WindowFunc(win.func.name, arg, partition, order)
 
     # ------------------------------------------------------------------
     # SELECT list
@@ -863,7 +880,9 @@ class _QueryBuilder:
         if gkey in agg_ctx["group_map"]:
             return ColRefExpr(agg_ctx["group_map"][gkey])
         if isinstance(expr, A.EFunc) and expr.name in AGG_FUNCS:
-            col = self._register_agg_lookup(expr, agg_ctx)
+            col = agg_ctx["aggs"].get(self._bind_call(expr).key())
+            if col is None:
+                raise BindError(f"aggregate {expr.name} not collected")
             return ColRefExpr(col)
         if isinstance(expr, A.EColumn):
             ref = self.scope.resolve(expr.name, expr.qualifier)
@@ -876,17 +895,6 @@ class _QueryBuilder:
             expr, self.scope,
             recurse=lambda e: self._scalar_post_agg(e, agg_ctx, window_map),
         )
-
-    def _register_agg_lookup(self, expr: A.EFunc, agg_ctx) -> ColRef:
-        if expr.star:
-            func = AggFunc("count", None, distinct=expr.distinct)
-        else:
-            arg = self._scalar(expr.args[0], self.scope)
-            func = AggFunc(expr.name, arg, distinct=expr.distinct)
-        col = agg_ctx["aggs"].get(func.key())
-        if col is None:
-            raise BindError(f"aggregate {expr.name} not collected")
-        return col
 
     def _scalar_dispatch(self, expr, scope, recurse) -> ScalarExpr:
         if isinstance(expr, A.EColumn):
@@ -992,7 +1000,10 @@ def _expr_children(expr: A.ExprAST) -> list[A.ExprAST]:
     if isinstance(expr, A.EIn):
         return [expr.arg]
     if isinstance(expr, A.EWindow):
-        return [expr.func]
+        # What a window reads; its own call is bound by _bind_call.
+        return list(expr.func.args) + list(expr.partition_by) + [
+            o for o, _asc in expr.order_by
+        ]
     return []
 
 
@@ -1009,8 +1020,6 @@ def _contains_subquery(expr: A.ExprAST) -> bool:
 def _contains_agg(expr: A.ExprAST) -> bool:
     if isinstance(expr, A.EFunc) and expr.name in AGG_FUNCS:
         return True
-    if isinstance(expr, A.EWindow):
-        return False  # window functions are not plain aggregates
     return any(_contains_agg(c) for c in _expr_children(expr))
 
 

@@ -1,8 +1,10 @@
 """The translator's AST predicates and its CTE-use count walk every
 expression kind through ``_expr_children``, with the same answers on
 every kind: a subquery's statement is looked into only by the CTE count,
-an aggregate inside a subquery or a window function is no plain
-aggregate, and neither predicate looks inside a window function."""
+an aggregate inside a subquery is no plain aggregate, and the subquery
+predicate does not look inside a window function.  What a window reads
+(its argument, PARTITION BY and ORDER BY) is walked for aggregates, as
+sqlite groups ``sum(sum(b)) OVER ()``; its own call is not."""
 
 from __future__ import annotations
 
@@ -54,10 +56,12 @@ CASES = {
         lambda child: A.EFunc("coalesce", [child(), child()]),
         (True, False, 2), (False, True, 0),
     ),
-    # Neither predicate looks inside a window function; the count does.
+    # The subquery predicate does not look inside a window function.
     A.EWindow: (
-        lambda child: A.EWindow(A.EFunc("sum", [child()])),
-        (False, False, 1), (False, False, 0),
+        lambda child: A.EWindow(
+            A.EFunc("sum", [child()]), [child()], [(child(), True)]
+        ),
+        (False, False, 3), (False, True, 0),
     ),
     A.ECase: (
         lambda child: A.ECase([(child(), child())], child()),

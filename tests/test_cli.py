@@ -134,6 +134,15 @@ class TestCLI:
         assert rc == 3
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sql", [
+        "SELECT sum(*) FROM item",
+        "SELECT i_category FROM item GROUP BY i_category HAVING avg(*) > 1",
+        "SELECT i_category, count(DISTINCT i_brand) OVER () FROM item",
+    ])
+    def test_refused_call_is_a_bind_error(self, sql, capsys):
+        assert main(["explain", sql] + ARGS) == 3
+        assert "error [BIND]" in capsys.readouterr().err
+
 
 class TestGovernedCLI:
     """Governance flags and the distinct exit codes they map to."""

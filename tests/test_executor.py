@@ -11,7 +11,7 @@ import pytest
 from repro.catalog import Column, Database, FLOAT, INT, Table
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
-from repro.errors import OutOfMemoryError, TimeoutError_
+from repro.errors import BindError, OutOfMemoryError, TimeoutError_
 from repro.optimizer import Orca
 from repro.planner import LegacyPlanner
 from repro.verify.qerror import plan_qerror
@@ -370,6 +370,100 @@ class TestWindowAggregatesAgainstSqlite:
         sqlite_over = f"{over} NULLS LAST" if "ORDER BY" in over else over
         expected = oracle.expected(sql.replace(over, sqlite_over))
         assert load_oracle().compare(out.rows, expected) == ""
+
+
+DISTINCT_ARGS = {"int": "a", "float": "f", "arith": "a + b"}
+
+
+class TestDistinctAggregatesAgainstSqlite:
+    """DISTINCT aggregates over NULL-bearing arguments, grouped (the
+    NULL group of ``g`` included), scalar, and scalar over no row at
+    all, equal sqlite's rows in both execution modes."""
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "shape",
+        [("g, ", "", "GROUP BY g"), ("", "", ""), ("", "WHERE k < 0", "")],
+        ids=["grouped", "scalar", "empty"],
+    )
+    @pytest.mark.parametrize("arg", sorted(DISTINCT_ARGS))
+    @pytest.mark.parametrize("func", ["count", "sum", "avg", "min", "max"])
+    def test_matches_sqlite(self, window_db, func, arg, shape, mode):
+        db, oracle = window_db
+        keys, where, group = shape
+        sql = (
+            f"SELECT {keys}{func}(DISTINCT {DISTINCT_ARGS[arg]}) AS v "
+            f"FROM w {where} {group}"
+        )
+        out, _result = run(db, sql, segments=4, execution_mode=mode)
+        expected = oracle.expected(sql)
+        assert expected.source == "sqlite"
+        assert load_oracle().compare(out.rows, expected) == ""
+
+
+#: Aggregates that only a window reads: its argument, PARTITION BY or
+#: ORDER BY.  They are the query's aggregates all the same.
+AGGREGATES_IN_WINDOWS = (
+    "SELECT g, sum(sum(a)) OVER () AS v FROM w GROUP BY g",
+    "SELECT g, rank() OVER (ORDER BY count(*) DESC) AS v FROM w GROUP BY g",
+    "SELECT sum(sum(a)) OVER () AS v FROM w",
+    "SELECT g, avg(min(f)) OVER (PARTITION BY max(a) ORDER BY sum(b) DESC) AS v "
+    "FROM w GROUP BY g",
+)
+
+#: Calls SQL refuses, sqlite among them: ``*`` belongs to count alone,
+#: a window call has no DISTINCT, and each function takes its own
+#: number of arguments.  Each is a bind error, never a different call
+#: computed silently.
+REFUSED_CALLS = [
+    sql
+    for call in ("sum(*)", "avg(*)", "min(*)", "max(*)", "count(DISTINCT *)")
+    for sql in (
+        f"SELECT {call} FROM w",
+        f"SELECT g FROM w GROUP BY g HAVING {call} > 1",
+    )
+] + [
+    "SELECT k, count(DISTINCT a) OVER (PARTITION BY g) FROM w",
+    "SELECT k, sum() OVER (PARTITION BY g) FROM w",
+    "SELECT k, sum(a, k) OVER (PARTITION BY g) FROM w",
+    "SELECT k, rank(a) OVER (ORDER BY a) FROM w",
+    "SELECT k, row_number(a) OVER (ORDER BY k) FROM w",
+]
+
+
+class TestAggregateCallsAgainstSqlite:
+    @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("sql", AGGREGATES_IN_WINDOWS)
+    def test_aggregate_read_by_a_window_only(self, window_db, sql, mode):
+        db, oracle = window_db
+        out, result = run(db, sql, segments=4, execution_mode=mode)
+        assert "Window" in result.plan.operators()
+        expected = oracle.expected(sql)
+        assert expected.source == "sqlite"
+        assert load_oracle().compare(out.rows, expected) == ""
+
+    @pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("sql", [
+        "SELECT g, count() AS n FROM w GROUP BY g HAVING count() > 9",
+        "SELECT k, count() OVER (PARTITION BY g) AS n FROM w",
+    ])
+    def test_count_without_argument_is_count_star(self, window_db, sql, mode):
+        db, oracle = window_db
+        out, _result = run(db, sql, segments=4, execution_mode=mode)
+        expected = oracle.expected(sql)
+        assert expected.source == "sqlite"
+        assert load_oracle().compare(out.rows, expected) == ""
+
+    @pytest.mark.parametrize("sql", REFUSED_CALLS)
+    def test_refused_as_sqlite_refuses(self, window_db, sql):
+        db, _oracle = window_db
+        with pytest.raises(BindError):
+            Orca(db).optimize(sql)
+        con = sqlite3.connect(":memory:")
+        con.execute("CREATE TABLE w (k, g, a, b, f)")
+        with pytest.raises(sqlite3.Error):
+            con.execute(sql)
+        con.close()
 
 
 class TestSetOperations:

@@ -547,6 +547,30 @@ def test_build_side_uniqueness_follows_dml():
     assert check() == {(True,), (False,)}
 
 
+def test_window_aggregates_fold_once_compiled(small_db, small_orca, monkeypatch):
+    """A window aggregate folds through the code ``_AggState`` emits,
+    generated once per expression: a re-executed plan generates no
+    window source, and neither mode's rows change."""
+    sources: list[str] = []
+    real = fused.load_generated
+
+    def spy(src, *args, **names):
+        sources.append(src)
+        return real(src, *args, **names)
+
+    monkeypatch.setattr(fused, "load_generated", spy)
+    result = small_orca.optimize(
+        "SELECT c, a, sum(b) OVER (PARTITION BY c ORDER BY a) AS s, "
+        "avg(b) OVER (PARTITION BY c ORDER BY a) AS v, "
+        "rank() OVER (PARTITION BY c ORDER BY a) AS r FROM t1"
+    )
+    first = assert_fused_identical(small_db, result)
+    assert sum("def _window(" in src for src in sources) == 2
+    sources.clear()
+    assert assert_fused_identical(small_db, result).rows == first.rows
+    assert sources == []
+
+
 def make_keyed_db(dim_rows) -> Database:
     """``f(k, v)`` and ``d(k, w)``, both hashed on ``k`` so the join is
     colocated and every segment hashes its own slice of ``d``."""
@@ -702,7 +726,7 @@ def test_multi_probe_chains_match_sqlite(
 _COMPARES = (">", "<", ">=", "<=", "=", "<>")
 _AGGS = (
     "count(*)", "sum(t1.b)", "avg(t1.b)", "min(t1.b)", "max(t1.b)",
-    "count(DISTINCT t1.c)",
+    "count(DISTINCT t1.c)", "sum(DISTINCT t1.b)", "avg(DISTINCT t1.b)",
 )
 
 #: The draws of one random query (also run by tests/test_batch_executor.py
