@@ -225,22 +225,46 @@ def _slow_log(args):
     return None
 
 
-def _optimize(args, db, sql, tracer=None):
+def _optimize(args, db, sql, tracer=None, *, execute=False, analyze=False):
+    """Plan ``sql`` and, with ``execute``, run it: ``(result, execution)``.
+
+    Orca plans go through :meth:`Session.execute`, so the slow log and the
+    feedback loop see the execution.  ``--planner`` plans run on an
+    Executor of their own: the legacy Planner is the comparison baseline,
+    not a session's fallback."""
     config = _config(args)
     if args.planner:
         # The legacy Planner has no instrumented search; only the
         # execution side of the trace applies to it.
         result = LegacyPlanner(db, config).optimize(sql)
         _emit_cache_stats(args, None)
-        return result
+        if not execute:
+            return result, None
+        pool = make_pool(config.parallelism, tracer=tracer)
+        try:
+            execution = Executor(
+                Cluster(db, segments=config.segments),
+                tracer=tracer,
+                execution_mode=config.execution_mode,
+                morsel_pool=pool,
+            ).execute(result.plan, result.output_cols, analyze=analyze)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        return result, execution
     session = connect(
         db, config=config, tracer=tracer,
         fallback=not getattr(args, "no_fallback", False),
         slow_log=_slow_log(args),
     )
-    result = session.optimize(sql)
+    with session:
+        if execute:
+            execution = session.execute(sql, analyze=analyze)
+            result = session.last_result
+        else:
+            execution, result = None, session.optimize(sql)
     _emit_cache_stats(args, session.orca)
-    return result
+    return result, execution
 
 
 def _plan_source_note(result) -> str:
@@ -258,17 +282,16 @@ def _plan_source_note(result) -> str:
 def cmd_explain(args) -> int:
     db = build_populated_db(scale=args.scale, seed=args.seed)
     tracer = _tracer(args)
-    result = _optimize(args, db, args.sql, tracer)
+    # EXPLAIN ANALYZE executes the plan and annotates every node with the
+    # actual rows / work / network bytes next to the estimates.
+    analyze = getattr(args, "analyze", False)
+    result, out = _optimize(
+        args, db, args.sql, tracer, execute=analyze, analyze=analyze
+    )
     note = _plan_source_note(result)
     if note:
         print(note)
-    if getattr(args, "analyze", False):
-        # EXPLAIN ANALYZE: execute the plan and annotate every node with
-        # the actual rows / work / network bytes next to the estimates.
-        out = Executor(
-            Cluster(db, segments=args.segments),
-            execution_mode=ExecutionMode.coerce(args.engine), tracer=tracer,
-        ).execute(result.plan, result.output_cols, analyze=True)
+    if analyze:
         print(out.analysis.render())
         print(out.analysis.summary())
     else:
@@ -298,19 +321,7 @@ def cmd_memo(args) -> int:
 def cmd_run(args) -> int:
     db = build_populated_db(scale=args.scale, seed=args.seed)
     tracer = _tracer(args)
-    result = _optimize(args, db, args.sql, tracer)
-    cluster = Cluster(db, segments=args.segments)
-    pool = make_pool(args.parallelism, tracer=tracer)
-    try:
-        out = Executor(
-            cluster,
-            tracer=tracer,
-            execution_mode=ExecutionMode.coerce(args.engine),
-            morsel_pool=pool,
-        ).execute(result.plan, result.output_cols)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    result, out = _optimize(args, db, args.sql, tracer, execute=True)
     names = getattr(result, "output_names", None) or [
         c.name for c in result.output_cols
     ]
@@ -730,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--policy", default="round-robin",
-        choices=["round-robin", "least-loaded", "affinity"],
+        choices=["round-robin", "affinity"],
         help="request routing policy (default round-robin)",
     )
     p.add_argument(

@@ -151,12 +151,6 @@ class Table:
                 return i
         raise CatalogError(f"no column {name} in table {self.name}")
 
-    def column_by_name(self, name: str) -> Column:
-        return self.columns[self.column_index(name)]
-
-    def has_column(self, name: str) -> bool:
-        return any(c.name == name for c in self.columns)
-
     def row_width(self) -> int:
         return sum(c.dtype.width for c in self.columns)
 

@@ -100,13 +100,6 @@ class OptimizerConfig:
     #: Off = exhaustive costing; the chosen plan's cost is identical either
     #: way, which is what makes pruning directly testable.
     enable_cost_bound_pruning: bool = True
-    #: Memoize pure derivation sub-results inside the search (delivered
-    #: properties and operator cost floors, per group expression).
-    #: Cached values are bit-identical to recomputation, so job counts
-    #: and plan choices do not change; off exists as a reference mode for
-    #: benchmarking the memoization itself.  (Child request alternatives
-    #: are not gated: each physical operator builds its own once.)
-    enable_derivation_cache: bool = True
     #: How physical plans execute: ``ExecutionMode.FUSED`` (default)
     #: compiles every breaker-free operator chain into one generated
     #: pipeline function, ``ROW`` every operator into a stage of its
@@ -145,12 +138,11 @@ class OptimizerConfig:
     #: :class:`SearchTimeout` instead of silently abandoning work).
     search_job_limit: Optional[int] = None
     #: Per-query byte quota on tracked optimizer memory (the GPOS memory
-    #: pool, Section 4.2); crossing it raises
-    #: :class:`repro.errors.MemoryQuotaExceeded`.  ``None`` disables it.
+    #: pool, Section 4.2), probed every
+    #: :data:`repro.gpos.governor.MEMORY_CHECK_STRIDE` job steps; crossing
+    #: it raises :class:`repro.errors.MemoryQuotaExceeded`.  ``None``
+    #: disables it.
     memory_quota_bytes: Optional[int] = None
-    #: Probe the memory footprint every N job steps (the probe reads the
-    #: Memo's allocation accountant, see :mod:`repro.gpos.memory`).
-    memory_check_stride: int = 64
 
     def __post_init__(self) -> None:
         if not isinstance(self.execution_mode, ExecutionMode):

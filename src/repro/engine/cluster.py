@@ -70,7 +70,9 @@ class Cluster:
     #: the version, which replaces the entry.  Scan *charges* stay
     #: per-execution; only the redundant re-hash is skipped.  Both
     #: execution modes scan through it.
-    scan_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    scan_cache: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def distribute_rows(
         self, rows: Iterable[tuple], key_positions: Optional[Sequence[int]]

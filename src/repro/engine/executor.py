@@ -185,7 +185,6 @@ class Executor:
         self,
         cluster: Cluster,
         time_limit_seconds: Optional[float] = None,
-        cache_correlated_work: bool = False,
         per_op_startup_units: float = 0.0,
         materialize_output_factor: float = 0.0,
         tracer=None,
@@ -210,11 +209,6 @@ class Executor:
         #: caller drains; None runs serial.
         self._morsel_pool = morsel_pool if self._fuse else None
         self.time_limit_seconds = time_limit_seconds
-        #: When False, each re-execution of a correlated inner plan is
-        #: charged in full even if its result was memoized (the legacy
-        #: Planner really re-executes; we memoize for real-time sanity but
-        #: keep the clock honest).
-        self.cache_correlated_work = cache_correlated_work
         #: MapReduce-style engines (Stinger, Section 7.3) pay per-stage
         #: startup and materialize intermediate results to disk.
         self.per_op_startup_units = per_op_startup_units
@@ -630,11 +624,12 @@ class Executor:
                 )
                 if key in cache:
                     rows, work, net = cache[key]
-                    if not self.cache_correlated_work:
-                        # Charge as if the subplan really re-ran.
-                        self.metrics.charge_master(node, work)
-                        self.metrics.charge_network(node, net)
-                        self.metrics.subplan_executions += 1
+                    # The result is memoized for real-time sanity, but the
+                    # clock is charged as if the subplan really re-ran (the
+                    # legacy Planner really re-executes).
+                    self.metrics.charge_master(node, work)
+                    self.metrics.charge_network(node, net)
+                    self.metrics.subplan_executions += 1
                 else:
                     saved_env = self._param_env
                     self._param_env = {**saved_env, **dict(zip(param_ids, key))}

@@ -8,7 +8,6 @@ carries a stable error code, and can be serialized into an AMPERe dump
 
 from __future__ import annotations
 
-import traceback
 
 
 class ReproError(Exception):
@@ -20,13 +19,6 @@ class ReproError(Exception):
     def __init__(self, message: str = ""):
         super().__init__(message)
         self.message = message
-
-    def capture_stacktrace(self) -> str:
-        """Return the formatted stack of the current exception context.
-
-        Used by the AMPERe dumper to embed a ``<Stacktrace>`` element.
-        """
-        return "".join(traceback.format_stack()[:-1])
 
 
 class CatalogError(ReproError):

@@ -241,6 +241,18 @@ def plan_shapes(plan) -> frozenset:
 # The store
 # ----------------------------------------------------------------------
 
+#: Weight of a new actual in an entry's moving average of observed rows.
+EWMA_ALPHA = 0.5
+#: Confidence ramp: ``1 - OBS_GAIN ** observations``.
+OBS_GAIN = 0.5
+#: Confidence decays by this factor per ingest generation not re-observed.
+STALENESS_DECAY = 0.995
+#: Below this confidence an entry is treated as unknown.
+MIN_CONFIDENCE = 0.2
+#: Relative change of an entry's average that counts as a changed shape.
+DRIFT_THRESHOLD = 0.05
+
+
 @dataclass
 class FeedbackEntry:
     """Observed cardinality for one logical shape.
@@ -256,14 +268,12 @@ class FeedbackEntry:
     observations: int = 1
     last_generation: int = 0
 
-    def confidence(
-        self, current_generation: int, obs_gain: float, staleness_decay: float
-    ) -> float:
+    def confidence(self, current_generation: int) -> float:
         """Confidence in [0, 1): ramps up with repeated observations and
         decays multiplicatively per ingest generation not re-observed."""
-        base = 1.0 - obs_gain ** self.observations
+        base = 1.0 - OBS_GAIN ** self.observations
         age = max(current_generation - self.last_generation, 0)
-        return base * staleness_decay ** age
+        return base * STALENESS_DECAY ** age
 
 
 @dataclass(frozen=True)
@@ -294,7 +304,7 @@ class IngestReport:
     new_entries: int = 0
     updated_entries: int = 0
     #: Shapes whose observed cardinality materially changed (new entries
-    #: or drift beyond the store's ``drift_threshold``); affected plan
+    #: or drift beyond :data:`DRIFT_THRESHOLD`); affected plan
     #: cache entries must be invalidated against exactly this set.
     changed_shapes: frozenset = field(default_factory=frozenset)
 
@@ -311,19 +321,9 @@ class FeedbackStore:
         self,
         *,
         max_entries: int = 4096,
-        ewma_alpha: float = 0.5,
-        obs_gain: float = 0.5,
-        staleness_decay: float = 0.995,
-        min_confidence: float = 0.2,
-        drift_threshold: float = 0.05,
         tracer=None,
     ):
         self.max_entries = max(int(max_entries), 1)
-        self.ewma_alpha = ewma_alpha
-        self.obs_gain = obs_gain
-        self.staleness_decay = staleness_decay
-        self.min_confidence = min_confidence
-        self.drift_threshold = drift_threshold
         self.tracer = tracer or NULL_TRACER
         self._entries: dict[tuple, FeedbackEntry] = {}
         #: Bumped once per ingested plan; entries age against it.
@@ -381,8 +381,7 @@ class FeedbackStore:
             else:
                 before = entry.observed_rows
                 entry.observed_rows = (
-                    self.ewma_alpha * rows
-                    + (1.0 - self.ewma_alpha) * before
+                    EWMA_ALPHA * rows + (1.0 - EWMA_ALPHA) * before
                 )
                 entry.observations += 1
                 entry.last_generation = self.generation
@@ -403,7 +402,7 @@ class FeedbackStore:
 
     def _drifted(self, before: float, after: float) -> bool:
         scale = max(abs(before), 1.0)
-        return abs(after - before) / scale > self.drift_threshold
+        return abs(after - before) / scale > DRIFT_THRESHOLD
 
     def _admit(self, entry: FeedbackEntry) -> None:
         if len(self._entries) >= self.max_entries:
@@ -428,10 +427,8 @@ class FeedbackStore:
         if entry is None:
             self.lookup_misses += 1
             return None
-        confidence = entry.confidence(
-            self.generation, self.obs_gain, self.staleness_decay
-        )
-        if confidence < self.min_confidence:
+        confidence = entry.confidence(self.generation)
+        if confidence < MIN_CONFIDENCE:
             self.lookup_misses += 1
             return None
         self.lookup_hits += 1

@@ -13,8 +13,8 @@ Layout:
   checks, restarts, telemetry) and :func:`connect`.
 - :mod:`repro.fleet.worker` — the worker process entry point and its
   request protocol.
-- :mod:`repro.fleet.routing` — pluggable routing policies
-  (round-robin, least-loaded, fingerprint-affinity).
+- :mod:`repro.fleet.routing` — routing policies (round-robin,
+  fingerprint-affinity).
 - :mod:`repro.fleet.shared` — cross-process plan cache and cardinality
   feedback, manager-backed.
 """
@@ -23,7 +23,6 @@ from repro.fleet.orchestrator import Fleet, FleetResult, connect
 from repro.fleet.routing import (
     POLICIES,
     AffinityPolicy,
-    LeastLoadedPolicy,
     RoundRobinPolicy,
     RoutingPolicy,
     WorkerView,
@@ -43,7 +42,6 @@ __all__ = [
     "WorkerSpec",
     "RoutingPolicy",
     "RoundRobinPolicy",
-    "LeastLoadedPolicy",
     "AffinityPolicy",
     "WorkerView",
     "POLICIES",

@@ -7,9 +7,9 @@ of processes is how Python gets there past the GIL) while presenting the
 same ``optimize`` / ``execute`` / ``explain`` surface as a single
 governed session:
 
-- **Routing** is pluggable (:mod:`repro.fleet.routing`): round-robin,
-  least-loaded, or fingerprint-affinity so repeat query shapes land on
-  cache-warm workers.
+- **Routing** (:mod:`repro.fleet.routing`) is round-robin, or
+  fingerprint-affinity so repeat query shapes land on cache-warm
+  workers.
 - **The plan cache crosses processes**: with ``enable_plan_cache`` on,
   every worker's LRU is backed by one
   :class:`repro.fleet.shared.SharedPlanStore`, so a shape optimized on

@@ -1,11 +1,11 @@
-"""Pluggable request-routing policies for the optimizer fleet.
+"""Request-routing policies for the optimizer fleet.
 
 The orchestrator asks a policy which worker should serve each request.
 Policies see a read-only :class:`WorkerView` per worker (load counters,
 liveness) plus the request's query fingerprint, and answer with a worker
 id.  ``choose`` runs under the orchestrator's routing lock, one call at a
 time, and ``in_flight`` already counts every request routed but not yet
-answered.  Three built-ins cover the classic trade-offs:
+answered.  Two policies cover the classic trade-off:
 
 - ``round-robin`` — the next *idle* worker in rotation, else the next in
   rotation; no state beyond a cursor.  A single client finds every
@@ -13,15 +13,11 @@ answered.  Three built-ins cover the classic trade-offs:
   it because that makes the fleet-vs-single-process comparison
   deterministic — while concurrent clients do not queue behind a busy
   worker when another one is free.
-- ``least-loaded`` — fewest in-flight requests, then fewest completed,
-  then lowest id; what a load balancer does when workers are symmetric.
 - ``affinity`` — a stable hash of the query's *fingerprint* (literals
   parameterized away, so repeats of a shape with different constants
   hash identically) picks the worker.  Repeat shapes land on the worker
   whose local plan cache is already warm for them, trading spread for
   cache locality — the shared store still backstops cold workers.
-
-Register new policies in :data:`POLICIES` (name -> zero-arg factory).
 """
 
 from __future__ import annotations
@@ -86,19 +82,6 @@ class RoundRobinPolicy(RoutingPolicy):
         return picked.worker_id
 
 
-class LeastLoadedPolicy(RoutingPolicy):
-    """Fewest in-flight, then fewest completed, then lowest id."""
-
-    name = "least-loaded"
-
-    def choose(self, fingerprint: str, workers: list[WorkerView]) -> int:
-        alive = self._alive(workers)
-        picked = min(
-            alive, key=lambda w: (w.in_flight, w.completed, w.worker_id)
-        )
-        return picked.worker_id
-
-
 class AffinityPolicy(RoutingPolicy):
     """Fingerprint-stable placement: repeat shapes hit warm caches.
 
@@ -114,22 +97,19 @@ class AffinityPolicy(RoutingPolicy):
         return alive[slot].worker_id
 
 
-#: name -> policy factory; extend to plug in custom policies.
+#: name -> policy class.
 POLICIES = {
     RoundRobinPolicy.name: RoundRobinPolicy,
-    LeastLoadedPolicy.name: LeastLoadedPolicy,
     AffinityPolicy.name: AffinityPolicy,
 }
 
 
-def make_policy(name_or_policy) -> RoutingPolicy:
-    """Resolve a policy by name (or pass an instance through)."""
-    if isinstance(name_or_policy, RoutingPolicy):
-        return name_or_policy
-    factory = POLICIES.get(name_or_policy)
+def make_policy(name: str) -> RoutingPolicy:
+    """A fresh policy by name."""
+    factory = POLICIES.get(name)
     if factory is None:
         raise OptimizerError(
-            f"unknown routing policy {name_or_policy!r}; expected one of "
-            f"{sorted(POLICIES)} or a RoutingPolicy instance"
+            f"unknown routing policy {name!r}; expected one of "
+            f"{sorted(POLICIES)}"
         )
     return factory()

@@ -8,7 +8,7 @@ cooperative analogue for this reproduction: the job scheduler calls
 
 - raises :class:`repro.errors.SearchTimeout` once the wall-clock deadline
   or the deterministic job-step limit is exhausted, and
-- every ``memory_check_stride`` steps probes the tracked memory footprint
+- every :data:`MEMORY_CHECK_STRIDE` steps probes the tracked memory footprint
   (the Memo's allocation accountant + explicit :meth:`charge_memory`
   charges) and raises
   :class:`repro.errors.MemoryQuotaExceeded` past the byte quota.
@@ -25,6 +25,10 @@ from typing import Callable, Optional
 
 from repro.errors import MemoryQuotaExceeded, SearchTimeout
 
+#: Probe the memory footprint every this many job steps (the probe reads
+#: the Memo's allocation accountant, see :mod:`repro.gpos.memory`).
+MEMORY_CHECK_STRIDE = 64
+
 
 class ResourceGovernor:
     """Cooperative deadline + memory-quota enforcement for one session.
@@ -40,13 +44,11 @@ class ResourceGovernor:
         deadline_seconds: Optional[float] = None,
         job_limit: Optional[int] = None,
         memory_quota_bytes: Optional[int] = None,
-        memory_check_stride: int = 64,
         clock: Callable[[], float] = time.perf_counter,
     ):
         self.deadline_seconds = deadline_seconds
         self.job_limit = job_limit
         self.memory_quota_bytes = memory_quota_bytes
-        self.memory_check_stride = max(int(memory_check_stride), 1)
         self._clock = clock
         self._start = clock()
         self.steps = 0
@@ -69,7 +71,6 @@ class ResourceGovernor:
             deadline_seconds=deadline / 1000.0 if deadline is not None else None,
             job_limit=config.search_job_limit,
             memory_quota_bytes=config.memory_quota_bytes,
-            memory_check_stride=config.memory_check_stride,
         )
 
     # ------------------------------------------------------------------
@@ -112,7 +113,7 @@ class ResourceGovernor:
                 )
         if (
             self.memory_quota_bytes is not None
-            and self.steps % self.memory_check_stride == 0
+            and self.steps % MEMORY_CHECK_STRIDE == 0
         ):
             self.check_memory()
 

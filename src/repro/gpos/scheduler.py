@@ -76,10 +76,6 @@ class JobRecord:
     depends_on: tuple[int, ...] = ()
 
 
-class JobBudgetExceeded(Exception):
-    """Raised internally when a stage's job budget is exhausted."""
-
-
 class JobScheduler:
     """Executes a job graph with suspend/resume and per-goal deduplication."""
 
@@ -97,10 +93,6 @@ class JobScheduler:
         self.governor = governor
 
     # ------------------------------------------------------------------
-    def reset_goals(self) -> None:
-        """Forget all goals so a new optimization stage can re-run them."""
-        self._jobs_by_goal = {}
-
     def run(self, root: Job, job_budget: Optional[int] = None) -> None:
         """Run ``root`` and every job it spawns to completion.
 

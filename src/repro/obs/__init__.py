@@ -15,7 +15,6 @@ from repro.obs.export import (
     chrome_trace,
     tracer_chrome_trace,
     validate_chrome_trace,
-    write_chrome_trace,
 )
 from repro.obs.flight import (
     FlightRecorder,
@@ -32,7 +31,6 @@ __all__ = [
     "chrome_trace",
     "tracer_chrome_trace",
     "validate_chrome_trace",
-    "write_chrome_trace",
     "FlightRecorder",
     "QueryRecord",
     "load_flight_dump",

@@ -87,11 +87,6 @@ def tracer_chrome_trace(tracer: Any) -> dict[str, Any]:
     return chrome_trace(tracer.spans, trace_id=tracer.trace_id)
 
 
-def write_chrome_trace(path: str, tracer: Any, indent: Optional[int] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tracer_chrome_trace(tracer), fh, indent=indent)
-
-
 def validate_chrome_trace(payload: Union[str, dict]) -> list[str]:
     """Check a Chrome-trace payload; returns problem strings (empty = ok)."""
     if isinstance(payload, str):

@@ -11,7 +11,7 @@ and emits one JSON log record when either trigger fires:
   against the query's fingerprint baseline in the
   :class:`~repro.telemetry.stats_store.QueryStatsStore` (the baseline
   must have at least ``MIN_BASELINE_CALLS`` prior calls, and the query
-  must clear ``min_duration_ms``, so microsecond jitter on trivial
+  must clear ``MIN_DURATION_MS``, so microsecond jitter on trivial
   queries can't page anyone).
 
 Each record carries the query's ``trace_id``, fingerprint, plan source,
@@ -34,7 +34,7 @@ REGRESSION_FACTOR = 3.0
 #: Baseline quality gate: calls required before regressions can fire.
 MIN_BASELINE_CALLS = 2
 #: Noise floor: queries faster than this can't be "regressions".
-DEFAULT_MIN_DURATION_MS = 1.0
+MIN_DURATION_MS = 1.0
 
 
 class JsonLogFormatter(logging.Formatter):
@@ -65,12 +65,10 @@ class SlowQueryLog:
         self,
         threshold_ms: Optional[float] = None,
         *,
-        min_duration_ms: float = DEFAULT_MIN_DURATION_MS,
         stream: Optional[TextIO] = None,
         name: str = "repro.slowlog",
     ):
         self.threshold_ms = threshold_ms
-        self.min_duration_ms = min_duration_ms
         # A free-standing Logger (parent None): immune to root-logger
         # config and never duplicated by repeated construction.
         self.logger = logging.Logger(name)
@@ -115,7 +113,7 @@ class SlowQueryLog:
             baseline_calls >= MIN_BASELINE_CALLS
             and baseline_mean > 0.0
             and compare >= REGRESSION_FACTOR * baseline_mean
-            and compare * 1000.0 >= self.min_duration_ms
+            and compare * 1000.0 >= MIN_DURATION_MS
         ):
             reasons.append("regression")
         if not reasons:

@@ -268,9 +268,6 @@ class LogicalGbAgg(Operator):
             self.stage,
         )
 
-    def is_scalar_agg(self) -> bool:
-        return not self.group_cols
-
     def __repr__(self) -> str:
         groups = ", ".join(str(c) for c in self.group_cols)
         aggs = ", ".join(f"{c}={a!r}" for a, c in self.aggs)

@@ -204,11 +204,24 @@ class Comparison(ScalarExpr):
         """The same predicate with operands swapped (a < b -> b > a)."""
         return Comparison(_CMP_FLIP[self.op], self.right, self.left)
 
-    def is_equality(self) -> bool:
-        return self.op == "="
-
     def __repr__(self) -> str:
         return f"({self.left!r} {self.op} {self.right!r})"
+
+
+def literal_bound(conj: ScalarExpr, col_id: int):
+    """``(op, value)`` when ``conj`` compares column ``col_id`` with a
+    non-NULL literal (read column-first, flipping ``5 < c`` to
+    ``c > 5``); None for anything else, ``<>`` included."""
+    if not isinstance(conj, Comparison) or conj.op == "<>":
+        return None
+    lhs, rhs = conj.left, conj.right
+    if isinstance(rhs, ColRefExpr) and isinstance(lhs, Literal):
+        conj = conj.flipped()
+        lhs, rhs = conj.left, conj.right
+    if isinstance(lhs, ColRefExpr) and isinstance(rhs, Literal) \
+            and lhs.ref.id == col_id and rhs.value is not None:
+        return conj.op, rhs.value
+    return None
 
 
 class BoolExpr(ScalarExpr):

@@ -53,9 +53,6 @@ class OrderSpec(KeyCached):
             return False
         return self.keys[: len(required.keys)] == required.keys
 
-    def column_ids(self) -> tuple[int, ...]:
-        return tuple(k.col_id for k in self.keys)
-
     def key(self) -> tuple:
         cached = getattr(self, "_cached_key", None)
         if cached is None:

@@ -212,29 +212,22 @@ class SearchEngine:
     def op_floor(self, gexpr: GroupExpression) -> float:
         """Lower bound on ``gexpr``'s operator-local cost, memoized per
         (gexpr, merge generation)."""
-        if not self.config.enable_derivation_cache:
-            return self._compute_op_floor(gexpr)
         generation = self.memo.merge_generation
         cached = self._op_floor_cache.get(gexpr.id)
         if cached is not None and cached[0] == generation:
             self.property_cache_hits += 1
             return cached[1]
-        floor = self._compute_op_floor(gexpr)
-        self._op_floor_cache[gexpr.id] = (generation, floor)
-        return floor
-
-    def _compute_op_floor(self, gexpr: GroupExpression) -> float:
         stats = self.deriver.derive(gexpr.group_id)
         child_stats = [self.deriver.derive(c) for c in gexpr.child_groups]
-        return self.cost_model.local_cost_floor(gexpr.op, stats, child_stats)
+        floor = self.cost_model.local_cost_floor(gexpr.op, stats, child_stats)
+        self._op_floor_cache[gexpr.id] = (generation, floor)
+        return floor
 
     _NO_DELIVERED = object()
 
     def derive_delivered(self, gexpr: GroupExpression, child_delivered):
         """``op.derive_delivered(child_delivered)``, memoized per child
         property combination (None results included)."""
-        if not self.config.enable_derivation_cache:
-            return gexpr.op.derive_delivered(child_delivered)
         key = tuple([d.id for d in child_delivered])
         cached = gexpr.delivered_cache.get(key, self._NO_DELIVERED)
         if cached is not self._NO_DELIVERED:

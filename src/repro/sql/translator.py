@@ -262,8 +262,21 @@ class _QueryBuilder:
         """Returns (tree, output_cols, output_names, required_sort)."""
         self._register_ctes(stmt)
         if stmt.set_ops:
-            return self._build_compound(stmt)
-        return self._build_simple(stmt)
+            tree, cols, names, required_sort = self._build_compound(stmt)
+        elif stmt.rollup:
+            tree, cols, names, required_sort = self._build_rollup(stmt)
+        else:
+            tree, cols, names, required_sort = self._build_simple(stmt)
+        # A LIMIT takes the ORDER BY; above it no sort is required.
+        if stmt.limit is not None:
+            self.state.features.add("limit")
+            tree = Expression(
+                LogicalLimit(required_sort, stmt.limit, stmt.offset), [tree]
+            )
+            required_sort = []
+        elif required_sort:
+            self.state.features.add("order_by_no_limit")
+        return tree, cols, names, required_sort
 
     # ------------------------------------------------------------------
     # CTEs
@@ -336,18 +349,11 @@ class _QueryBuilder:
                     JoinKind.SEMI if op is A.SetOp.INTERSECT else JoinKind.ANTI
                 )
                 tree = Expression(LogicalJoin(kind, cond), [tree, r_tree])
-        required_sort = self._compound_sort(stmt, cols, names)
-        if stmt.limit is not None:
-            self.state.features.add("limit")
-            tree = Expression(
-                LogicalLimit(required_sort, stmt.limit, stmt.offset), [tree]
-            )
-            required_sort = []
-        elif required_sort:
-            self.state.features.add("order_by_no_limit")
-        return tree, cols, names, required_sort
+        return tree, cols, names, self._compound_sort(stmt, cols, names)
 
-    def _compound_sort(self, stmt, cols, names):
+    def _compound_sort(self, stmt, cols, names, other=None):
+        """ORDER BY keys that are output positions or names; any other
+        key is ``other(expr)``'s column, refused when there is none."""
         out = []
         for expr, asc in stmt.order_by:
             if isinstance(expr, A.ELiteral) and isinstance(expr.value, int):
@@ -355,6 +361,8 @@ class _QueryBuilder:
             elif isinstance(expr, A.EColumn) and expr.qualifier is None \
                     and expr.name in names:
                 out.append((cols[names.index(expr.name)], asc))
+            elif other is not None:
+                out.append((other(expr), asc))
             else:
                 raise BindError(
                     "compound ORDER BY must use output names or positions"
@@ -365,8 +373,6 @@ class _QueryBuilder:
     # Simple selects
     # ------------------------------------------------------------------
     def _build_simple(self, stmt: A.SelectStmt):
-        if stmt.rollup:
-            return self._build_rollup(stmt)
         self._build_from(stmt)
         self._build_where(stmt.where)
         select_items = self._expand_stars(stmt.select_items)
@@ -378,15 +384,6 @@ class _QueryBuilder:
             self.state.features.add("distinct")
             self.tree = Expression(LogicalGbAgg(cols, []), [self.tree])
         required_sort = self._resolve_order_by(stmt, select_items, cols, names, agg_ctx)
-        if stmt.limit is not None:
-            self.state.features.add("limit")
-            self.tree = Expression(
-                LogicalLimit(required_sort, stmt.limit, stmt.offset),
-                [self.tree],
-            )
-            required_sort = []
-        elif required_sort:
-            self.state.features.add("order_by_no_limit")
         return self.tree, cols, names, required_sort
 
     # ------------------------------------------------------------------
@@ -426,38 +423,17 @@ class _QueryBuilder:
             ),
             [t for t, _c, _n in level_results],
         )
-        required_sort = self._rollup_sort(stmt, out_cols, names)
-        if stmt.limit is not None:
-            self.state.features.add("limit")
-            tree = Expression(
-                LogicalLimit(required_sort, stmt.limit, stmt.offset), [tree]
-            )
-            required_sort = []
-        elif required_sort:
-            self.state.features.add("order_by_no_limit")
-        return tree, out_cols, names, required_sort
+        return tree, out_cols, names, self._rollup_sort(stmt, out_cols, names)
 
     def _rollup_sort(self, stmt, cols, names):
-        out = []
-        for expr, asc in stmt.order_by:
-            if isinstance(expr, A.ELiteral) and isinstance(expr.value, int):
-                out.append((cols[expr.value - 1], asc))
-            elif isinstance(expr, A.EColumn) and expr.qualifier is None \
-                    and expr.name in names:
-                out.append((cols[names.index(expr.name)], asc))
-            else:
-                key = _ast_key(expr)
-                matched = None
-                for (item_expr, _alias), col in zip(stmt.select_items, cols):
-                    if _ast_key(item_expr) == key:
-                        matched = col
-                        break
-                if matched is None:
-                    raise BindError(
-                        "ROLLUP ORDER BY must reference output columns"
-                    )
-                out.append((matched, asc))
-        return out
+        def select_item(expr):
+            key = _ast_key(expr)
+            for (item_expr, _alias), col in zip(stmt.select_items, cols):
+                if _ast_key(item_expr) == key:
+                    return col
+            raise BindError("ROLLUP ORDER BY must reference output columns")
+
+        return self._compound_sort(stmt, cols, names, select_item)
 
     # ------------------------------------------------------------------
     # FROM

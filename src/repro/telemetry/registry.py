@@ -44,6 +44,10 @@ DEFAULT_BUCKETS = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0,
 )
 
+#: Label bounds: distinct values per label key, characters per value.
+MAX_LABEL_VALUES = 64
+MAX_LABEL_LENGTH = 128
+
 #: Prometheus metric / label name grammar.
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -77,8 +81,7 @@ class _Family:
 
     type_name = "untyped"
 
-    def __init__(self, registry: "MetricsRegistry", name: str, help: str):
-        self.registry = registry
+    def __init__(self, name: str, help: str):
         self.name = name
         self.help = help
         #: labels key -> scalar value (counters/gauges) or histogram state.
@@ -93,19 +96,19 @@ class _Family:
                 raise TelemetryError(
                     f"invalid label name {lname!r} on metric {self.name!r}"
                 )
-            if len(lvalue) > self.registry.max_label_length:
+            if len(lvalue) > MAX_LABEL_LENGTH:
                 raise TelemetryError(
                     f"label {lname}={lvalue[:40]!r}... on metric "
-                    f"{self.name!r} exceeds {self.registry.max_label_length} "
+                    f"{self.name!r} exceeds {MAX_LABEL_LENGTH} "
                     "characters — label values must be bounded identifiers, "
                     "not payloads such as raw SQL"
                 )
             seen = self._label_values.setdefault(lname, set())
             if lvalue not in seen:
-                if len(seen) >= self.registry.max_label_values:
+                if len(seen) >= MAX_LABEL_VALUES:
                     raise TelemetryError(
                         f"label {lname!r} on metric {self.name!r} exceeded "
-                        f"{self.registry.max_label_values} distinct values — "
+                        f"{MAX_LABEL_VALUES} distinct values — "
                         "refusing unbounded label cardinality"
                     )
                 seen.add(lvalue)
@@ -156,13 +159,9 @@ class Histogram(_Family):
     type_name = "histogram"
 
     def __init__(
-        self,
-        registry: "MetricsRegistry",
-        name: str,
-        help: str,
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
+        self, name: str, help: str, buckets: Iterable[float] = DEFAULT_BUCKETS
     ):
-        super().__init__(registry, name, help)
+        super().__init__(name, help)
         self.buckets = tuple(sorted(float(b) for b in buckets))
         if not self.buckets:
             raise TelemetryError(f"histogram {name!r} needs at least 1 bucket")
@@ -225,14 +224,7 @@ class MetricsRegistry:
     family on first use so instrumentation sites stay one-liners.
     """
 
-    def __init__(
-        self,
-        *,
-        max_label_values: int = 64,
-        max_label_length: int = 128,
-    ):
-        self.max_label_values = max(int(max_label_values), 1)
-        self.max_label_length = max(int(max_label_length), 1)
+    def __init__(self):
         self._families: dict[str, _Family] = {}
 
     # ------------------------------------------------------------------
@@ -246,7 +238,7 @@ class MetricsRegistry:
         full = self._full_name(name)
         family = self._families.get(full)
         if family is None:
-            family = klass(self, full, help, **kwargs)
+            family = klass(full, help, **kwargs)
             self._families[full] = family
         elif type(family) is not klass:
             raise TelemetryError(

@@ -177,7 +177,3 @@ TPCDS_DESCRIPTORS: list[QueryDescriptor] = _build()
 def supported(descriptor: QueryDescriptor, unsupported: Iterable[str]) -> bool:
     """Can an engine with the given unsupported feature set optimize it?"""
     return not (descriptor.features & frozenset(unsupported))
-
-
-def support_counts(unsupported: Iterable[str]) -> int:
-    return sum(1 for d in TPCDS_DESCRIPTORS if supported(d, unsupported))

@@ -29,10 +29,9 @@ from repro.ops.logical import (
 )
 from repro.ops.scalar import (
     ColRefExpr,
-    Comparison,
-    Literal,
     conjuncts,
     equi_join_pairs,
+    literal_bound,
     make_conj,
 )
 from repro.xforms.rule import Rule, RuleContext
@@ -146,7 +145,7 @@ class Select2IndexScan(Rule):
         residual = []
         bounded = False
         for conj in conjuncts(gexpr.op.predicate):
-            bound = self._bound(conj, index_col.id)
+            bound = literal_bound(conj, index_col.id)
             if bound is None:
                 residual.append(conj)
                 continue
@@ -171,19 +170,6 @@ class Select2IndexScan(Rule):
                 fetch_rows_estimate=fetch,
             )
         )
-
-    @staticmethod
-    def _bound(conj, col_id: int):
-        if not isinstance(conj, Comparison) or conj.op == "<>":
-            return None
-        lhs, rhs = conj.left, conj.right
-        if isinstance(rhs, ColRefExpr) and isinstance(lhs, Literal):
-            conj = conj.flipped()
-            lhs, rhs = conj.left, conj.right
-        if isinstance(lhs, ColRefExpr) and isinstance(rhs, Literal) \
-                and lhs.ref.id == col_id and rhs.value is not None:
-            return conj.op, rhs.value
-        return None
 
     @staticmethod
     def _fetch_estimate(ctx, get, index_col, lo, hi, lo_inc, hi_inc):

@@ -40,6 +40,7 @@ from repro.ops.scalar import (
     ColumnFactory,
     Comparison,
     conjuncts,
+    literal_bound,
     make_conj,
 )
 from repro.stats.selectivity import apply_predicate
@@ -340,7 +341,7 @@ def static_partition_elimination(tree: Expression) -> Expression:
     lo = hi = None
     lo_inc = hi_inc = True
     for conj in conjuncts(tree.op.predicate):
-        bound = _literal_bound(conj, part_ref.id)
+        bound = literal_bound(conj, part_ref.id)
         if bound is None:
             continue
         op, value = bound
@@ -384,21 +385,6 @@ def _part_overlaps(part, q_lo, q_hi) -> bool:
     if q_hi is not None and p_lo >= q_hi:
         return False
     return True
-
-
-def _literal_bound(conj, col_id: int):
-    from repro.ops.scalar import Literal
-
-    if not isinstance(conj, Comparison) or conj.op == "<>":
-        return None
-    lhs, rhs = conj.left, conj.right
-    if isinstance(rhs, ColRefExpr) and isinstance(lhs, Literal):
-        conj = conj.flipped()
-        lhs, rhs = conj.left, conj.right
-    if isinstance(lhs, ColRefExpr) and isinstance(rhs, Literal) \
-            and lhs.ref.id == col_id and rhs.value is not None:
-        return conj.op, rhs.value
-    return None
 
 
 # ----------------------------------------------------------------------

@@ -70,13 +70,19 @@ EXPECTED_SIGNATURES = {
     ),
     "connect_fleet": ("catalog", "**kwargs"),
     "Executor": (
-        "cluster", "time_limit_seconds", "cache_correlated_work",
-        "per_op_startup_units", "materialize_output_factor", "tracer",
-        "execution_mode", "morsel_pool",
+        "cluster", "time_limit_seconds", "per_op_startup_units",
+        "materialize_output_factor", "tracer", "execution_mode",
+        "morsel_pool",
     ),
     "Orca": (
         "catalog", "config", "tracer", "governor", "faults", "metrics",
         "feedback",
+    ),
+    "FeedbackStore": ("max_entries", "tracer"),
+    "MetricsRegistry": (),
+    "SlowQueryLog": ("threshold_ms", "stream", "name"),
+    "ResourceGovernor": (
+        "deadline_seconds", "job_limit", "memory_quota_bytes", "clock",
     ),
 }
 
@@ -84,10 +90,10 @@ EXPECTED_CONFIG_FIELDS = (
     "segments", "disabled_rules", "stages", "enable_decorrelation",
     "enable_partition_elimination", "enable_cte_sharing",
     "enable_join_reordering", "enable_cost_bound_pruning",
-    "enable_derivation_cache", "execution_mode", "parallelism",
+    "execution_mode", "parallelism",
     "enable_plan_cache", "enable_cardinality_feedback", "plan_cache_size",
     "trace_flags", "seed", "search_deadline_ms", "search_job_limit",
-    "memory_quota_bytes", "memory_check_stride",
+    "memory_quota_bytes",
 )
 
 

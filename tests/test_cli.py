@@ -78,6 +78,19 @@ class TestCLI:
         assert widths[0] == {1}
         assert max(widths[1]) > 1
 
+    @pytest.mark.parametrize("command", [["run"], ["explain", "--analyze"]])
+    def test_slow_log_record_times_the_execution(self, command, capsys):
+        """``run`` and ``explain --analyze`` execute through the session,
+        so the slow-log record covers the execution, not only the
+        optimization."""
+        argv = [command[0], SQL, *command[1:], "--slow-query-ms", "0"]
+        assert main(argv + ARGS) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        record = json.loads(line)
+        assert record["reason"] == "threshold"
+        assert record["exec_ms"] > 0
+        assert record["duration_ms"] >= record["opt_ms"]
+
     def test_engine_batch_is_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", SQL, "--engine", "batch"] + ARGS)

@@ -22,6 +22,7 @@ from repro.feedback import (
     Correction,
     FeedbackEntry,
     FeedbackStore,
+    MIN_CONFIDENCE,
     plan_shapes,
 )
 from repro.optimizer import Orca
@@ -88,7 +89,7 @@ class TestStoreIngest:
         assert store.entry(REL_A).observed_rows == 500.0
 
     def test_ewma_blends_repeated_observations(self):
-        store = FeedbackStore(ewma_alpha=0.5)
+        store = FeedbackStore()
         for rows in (100, 200):
             plan, analysis = _fake_execution([(REL_A, "Scan", 1, rows)])
             store.ingest(plan, analysis)
@@ -129,7 +130,7 @@ class TestStoreIngest:
         assert store.entry(REL_A).observations == 1
 
     def test_drift_threshold_gates_changed_shapes(self):
-        store = FeedbackStore(drift_threshold=0.05)
+        store = FeedbackStore()
         plan, analysis = _fake_execution([(REL_A, "Scan", 1, 1000)])
         store.ingest(plan, analysis)
         version = store.version
@@ -174,25 +175,28 @@ class TestConfidence:
     def test_ramps_with_observations(self):
         entry = FeedbackEntry(shape=REL_A, observed_rows=10.0,
                               observations=1, last_generation=5)
-        one = entry.confidence(5, obs_gain=0.5, staleness_decay=0.995)
+        one = entry.confidence(5)
         entry.observations = 3
-        three = entry.confidence(5, obs_gain=0.5, staleness_decay=0.995)
+        three = entry.confidence(5)
         assert one == pytest.approx(0.5)
         assert three == pytest.approx(0.875)
 
     def test_decays_with_staleness(self):
         entry = FeedbackEntry(shape=REL_A, observed_rows=10.0,
                               observations=4, last_generation=0)
-        fresh = entry.confidence(0, 0.5, 0.995)
-        stale = entry.confidence(200, 0.5, 0.995)
+        fresh = entry.confidence(0)
+        stale = entry.confidence(200)
         assert stale < fresh
         assert stale == pytest.approx(fresh * 0.995 ** 200)
 
     def test_low_confidence_entries_return_no_correction(self):
-        store = FeedbackStore(min_confidence=0.6)
-        plan, analysis = _fake_execution([(REL_A, "Scan", 1, 100)])
-        store.ingest(plan, analysis)
-        # One observation: confidence 0.5 < 0.6 — a miss, not a weak hit.
+        store = FeedbackStore()
+        store.ingest(*_fake_execution([(REL_A, "Scan", 1, 100)]))
+        # 190 ingests of another shape age REL_A's one observation to
+        # 0.5 * 0.995**190 < MIN_CONFIDENCE: a miss, not a weak hit.
+        for _ in range(190):
+            store.ingest(*_fake_execution([(REL_B, "Scan", 1, 10)]))
+        assert store.entry(REL_A).confidence(store.generation) < MIN_CONFIDENCE
         assert store.correction(REL_A) is None
         assert store.lookup_misses == 1
         store.ingest(*_fake_execution([(REL_A, "Scan", 1, 100)]))

@@ -13,7 +13,7 @@ from repro.config import OptimizerConfig
 from repro.engine.cluster import Cluster
 from repro.engine.executor import Executor
 from repro.errors import MemoryQuotaExceeded, SearchTimeout
-from repro.gpos.governor import ResourceGovernor
+from repro.gpos.governor import MEMORY_CHECK_STRIDE, ResourceGovernor
 from repro.gpos.scheduler import Job, JobScheduler
 from repro.optimizer import Orca
 
@@ -35,13 +35,11 @@ class TestGovernorUnit:
                 search_deadline_ms=250.0,
                 search_job_limit=1000,
                 memory_quota_bytes=1 << 20,
-                memory_check_stride=8,
             )
         )
         assert gov.deadline_seconds == pytest.approx(0.25)
         assert gov.job_limit == 1000
         assert gov.memory_quota_bytes == 1 << 20
-        assert gov.memory_check_stride == 8
 
     def test_job_limit_trips_search_timeout(self):
         gov = ResourceGovernor(job_limit=5)
@@ -65,10 +63,10 @@ class TestGovernorUnit:
         assert exc_info.value.deadline_seconds == pytest.approx(1.0)
 
     def test_memory_probe_checked_on_stride(self):
-        gov = ResourceGovernor(memory_quota_bytes=100, memory_check_stride=4)
+        gov = ResourceGovernor(memory_quota_bytes=100)
         gov.set_memory_probe(lambda: 500)
-        # Steps 1-3 skip the probe; the 4th trips the quota.
-        for _ in range(3):
+        # Steps before the stride skip the probe; the stride-th trips it.
+        for _ in range(MEMORY_CHECK_STRIDE - 1):
             gov.on_job_step()
         with pytest.raises(MemoryQuotaExceeded) as exc_info:
             gov.on_job_step()
@@ -77,7 +75,7 @@ class TestGovernorUnit:
         assert gov.quota_trips == 1
 
     def test_charge_memory_checks_immediately(self):
-        gov = ResourceGovernor(memory_quota_bytes=1000, memory_check_stride=64)
+        gov = ResourceGovernor(memory_quota_bytes=1000)
         gov.charge_memory(400)
         assert gov.charged_bytes == 400
         with pytest.raises(MemoryQuotaExceeded):
@@ -137,7 +135,7 @@ class TestGovernedOptimizer:
         orca = Orca(
             tpcds_db,
             config=OptimizerConfig(
-                segments=4, memory_quota_bytes=10_000, memory_check_stride=1
+                segments=4, memory_quota_bytes=10_000
             ),
         )
         with pytest.raises(MemoryQuotaExceeded):
@@ -169,7 +167,6 @@ class TestGovernedOptimizer:
             tpcds_db,
             config=OptimizerConfig(
                 segments=4, memory_quota_bytes=footprint * 2,
-                memory_check_stride=16,
             ),
             tracer=Tracer(),
         )

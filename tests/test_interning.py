@@ -144,28 +144,6 @@ class TestOptimizerMemoization:
         assert cold.plan.explain() == warm.plan.explain()
         assert cold.plan.cost == warm.plan.cost
 
-    def test_derivation_cache_changes_counters_not_plans(self, db):
-        """``enable_derivation_cache`` gates the pure property memos
-        (op floors, delivered props).  Child request alternatives are
-        not among them: each physical operator builds its own once,
-        flag or no flag."""
-        sql = (
-            "SELECT t1.c, sum(t2.b) FROM t1, t2 "
-            "WHERE t1.a = t2.a AND t1.b > 30 GROUP BY t1.c"
-        )
-        on = Orca(db, config=OptimizerConfig(
-            segments=8, enable_derivation_cache=True,
-        )).optimize(sql)
-        off = Orca(db, config=OptimizerConfig(
-            segments=8, enable_derivation_cache=False,
-        )).optimize(sql)
-        assert on.search_stats.property_cache_hits > 0
-        assert off.search_stats.property_cache_hits == 0
-        assert on.plan.explain() == off.plan.explain()
-        assert on.plan.cost == off.plan.cost
-        assert on.search_stats.num_groups == off.search_stats.num_groups
-        assert on.search_stats.num_gexprs == off.search_stats.num_gexprs
-
 
 class TestRequestIdTable:
     """Request ids (``intern_id``) are capped, never evicted: live

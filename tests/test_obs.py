@@ -34,6 +34,7 @@ from repro.obs import (
     tracer_chrome_trace,
     validate_chrome_trace,
 )
+from repro.obs import slowlog
 from repro.obs.flight import MAX_EVENTS_PER_RECORD
 from repro.obs.spans import new_span_id, new_trace_id
 from repro.service import connect
@@ -445,10 +446,10 @@ class TestSlowQueryLog:
                            baseline=thin) is None
 
     def test_regression_respects_noise_floor(self):
-        log, _ = self.make(min_duration_ms=5.0)
-        baseline = SimpleNamespace(calls=5, mean_opt_seconds=0.0001)
-        # 10x regression, but 1ms < the 5ms floor: stay quiet.
-        assert log.observe(sql="q", seconds=0.001, opt_seconds=0.001,
+        log, _ = self.make()
+        baseline = SimpleNamespace(calls=5, mean_opt_seconds=0.00005)
+        # 10x regression, but 0.5ms < the 1ms floor: stay quiet.
+        assert log.observe(sql="q", seconds=0.0005, opt_seconds=0.0005,
                            baseline=baseline) is None
 
     def test_both_reasons_combine(self):
@@ -517,8 +518,10 @@ class TestSessionSlowLog:
         (payload,) = log.records
         assert payload["trace_id"] == recorder.records[0].trace_id
 
-    def test_regression_fires_via_stats_store(self, db):
-        log = SlowQueryLog(min_duration_ms=0.0, stream=io.StringIO())
+    def test_regression_fires_via_stats_store(self, db, monkeypatch):
+        # A fast machine may optimize this under the noise floor.
+        monkeypatch.setattr(slowlog, "MIN_DURATION_MS", 0.0)
+        log = SlowQueryLog(stream=io.StringIO())
         store = QueryStatsStore()
         session = connect(db, slow_log=log, stats_store=store, segments=4)
         sql = "SELECT a FROM t1 WHERE b > 3 ORDER BY a LIMIT 7"

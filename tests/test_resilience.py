@@ -210,7 +210,7 @@ class TestQuotaAndTimeoutFallback:
     def test_quota_falls_back_with_reason(self, tpcds_db):
         session = repro.connect(
             tpcds_db, segments=4,
-            memory_quota_bytes=10_000, memory_check_stride=1,
+            memory_quota_bytes=10_000,
         )
         result = session.optimize(QUERIES[0].sql)
         assert result.plan_source == "planner_fallback"

@@ -11,6 +11,7 @@ from repro.config import OptimizerConfig
 from repro.errors import TelemetryError
 from repro.optimizer import Orca
 from repro.telemetry import MetricsRegistry, parse_prometheus
+from repro.telemetry.registry import MAX_LABEL_LENGTH, MAX_LABEL_VALUES
 from repro.trace import NULL_TRACER, Tracer
 from repro.verify.ampere import AMPEReDump, capture_dump, replay_dump
 
@@ -74,29 +75,29 @@ class TestCardinalityBounds:
     def test_raw_sql_label_value_is_refused(self):
         """The registry refuses unbounded identifiers as label values —
         above all raw SQL text, the classic cardinality bomb."""
-        m = MetricsRegistry(max_label_length=128)
+        m = MetricsRegistry()
         raw_sql = (
             "SELECT ss.ss_item_sk, sum(ss.ss_sales_price) FROM store_sales ss "
             "JOIN date_dim d ON ss.ss_sold_date_sk = d.d_date_sk "
             "WHERE d.d_year = 2001 GROUP BY ss.ss_item_sk ORDER BY 2 DESC"
         )
-        assert len(raw_sql) > 128
+        assert len(raw_sql) > MAX_LABEL_LENGTH
         with pytest.raises(TelemetryError, match="raw SQL"):
             m.inc("queries_total", query=raw_sql)
 
     def test_distinct_value_bound_enforced(self):
-        m = MetricsRegistry(max_label_values=4)
-        for i in range(4):
+        m = MetricsRegistry()
+        for i in range(MAX_LABEL_VALUES):
             m.inc("queries_total", shard=f"s{i}")
         with pytest.raises(TelemetryError, match="cardinality"):
-            m.inc("queries_total", shard="s4")
+            m.inc("queries_total", shard="one-too-many")
 
     def test_existing_values_stay_writable_at_the_bound(self):
-        m = MetricsRegistry(max_label_values=2)
-        m.inc("x_total", k="a")
-        m.inc("x_total", k="b")
-        m.inc("x_total", k="a")  # already seen: fine
-        assert m.value("x_total", k="a") == 2
+        m = MetricsRegistry()
+        for i in range(MAX_LABEL_VALUES):
+            m.inc("x_total", k=f"v{i}")
+        m.inc("x_total", k="v0")  # already seen: fine
+        assert m.value("x_total", k="v0") == 2
 
     def test_invalid_label_name_rejected(self):
         m = MetricsRegistry()
