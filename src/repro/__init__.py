@@ -33,7 +33,6 @@ from repro.catalog.database import Database
 from repro.engine.cluster import Cluster
 from repro.engine.executor import ExecutionResult, Executor
 from repro.errors import (
-    AdmissionError,
     FallbackError,
     FleetError,
     InjectedFault,
@@ -73,7 +72,6 @@ from repro.service import (
     FaultSpec,
     Session,
     SessionMetrics,
-    SessionPool,
     connect,
 )
 from repro.telemetry import (
@@ -91,7 +89,6 @@ __all__ = [
     "connect",
     "Session",
     "SessionMetrics",
-    "SessionPool",
     # Multi-process fleet (same surface, many processes)
     "connect_fleet",
     "Fleet",
@@ -122,7 +119,6 @@ __all__ = [
     "MemoryQuotaExceeded",
     "FallbackError",
     "InjectedFault",
-    "AdmissionError",
     "FleetError",
     "WorkerError",
     # Fault injection

@@ -8,7 +8,7 @@ Usage (against the built-in TPC-DS workload)::
     python -m repro memo "SELECT ..."              # dump the Memo
     python -m repro dump-metadata catalog.dxl      # export metadata as DXL
     python -m repro explain ... --analyze          # EXPLAIN ANALYZE
-    python -m repro stats                          # fleet query statistics
+    python -m repro stats                          # corpus query statistics
     python -m repro capture dump.dxl "SELECT ..."  # AMPERe capture
     python -m repro replay dump.dxl                # AMPERe offline replay
     python -m repro support                        # Figure 15 counts
@@ -341,10 +341,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    """Run the TPC-DS corpus through a governed, telemetry-instrumented
-    session pool and report per-query statistics plus the fleet metrics."""
-    from repro.service import SessionPool
-    from repro.telemetry import parse_prometheus
+    """Run the TPC-DS corpus through one governed, telemetry-instrumented
+    session and report per-query statistics plus its metrics."""
+    from repro.telemetry import MetricsRegistry, QueryStatsStore, parse_prometheus
     from repro.workloads import QUERIES
 
     if args.q_error:
@@ -353,33 +352,33 @@ def cmd_stats(args) -> int:
         args.feedback = True
         args.execute = True
     db = build_populated_db(scale=args.scale, seed=args.seed)
-    config = _config(args)
-    pool = SessionPool(
+    session = connect(
         db,
-        max_sessions=args.max_sessions,
-        config=config,
+        config=_config(args),
         fallback=not getattr(args, "no_fallback", False),
+        telemetry=MetricsRegistry(),
+        stats_store=QueryStatsStore(),
+        slow_log=_slow_log(args),
     )
-    with pool:
+    with session:
         for query in QUERIES[: args.queries] if args.queries else QUERIES:
             try:
                 if args.execute:
-                    with pool.session() as s:
-                        s.execute(query.sql, analyze=True)
+                    session.execute(query.sql, analyze=True)
                 else:
-                    pool.optimize(query.sql)
+                    session.optimize(query.sql)
             except ReproError as exc:
                 print(f"-- {query.id}: error [{exc.code}]: {exc}",
                       file=sys.stderr)
     if args.q_error:
-        print(pool.stats_store.render_qerror(limit=args.top))
+        print(session.stats_store.render_qerror(limit=args.top))
         print()
-        print(pool.feedback.summary())
+        print(session.feedback.summary())
     else:
-        print(pool.stats_store.render(limit=args.top))
+        print(session.stats_store.render(limit=args.top))
     print()
-    print(pool.telemetry.summary())
-    exposition = pool.prometheus()
+    print(session.telemetry.summary())
+    exposition = session.telemetry.to_prometheus()
     # Validate before anyone scrapes it: a malformed exposition format is
     # an error (CI fails the build on it), not a warning.
     parse_prometheus(exposition)
@@ -389,7 +388,7 @@ def cmd_stats(args) -> int:
         print(f"\nPrometheus exposition written to {args.prometheus_out}")
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as f:
-            f.write(pool.telemetry.to_json(indent=2))
+            f.write(session.telemetry.to_json(indent=2))
         print(f"telemetry JSON snapshot written to {args.json_out}")
     return 0
 
@@ -692,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "stats",
-        help="run the TPC-DS corpus through a governed session pool and "
+        help="run the TPC-DS corpus through one governed session and "
              "print pg_stat_statements-style query statistics + telemetry",
     )
     p.add_argument(
@@ -702,10 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--top", type=int, default=None, metavar="N",
         help="show only the N most-called queries",
-    )
-    p.add_argument(
-        "--max-sessions", type=int, default=2,
-        help="pool admission bound (default 2)",
     )
     p.add_argument(
         "--execute", action="store_true",

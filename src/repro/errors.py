@@ -193,12 +193,6 @@ class FallbackError(OptimizerError):
         self.fallback_exc = fallback_exc
 
 
-class AdmissionError(OptimizerError):
-    """The session pool refused admission (all sessions busy)."""
-
-    code = "ADMISSION"
-
-
 class FleetError(OptimizerError):
     """The multi-process fleet could not serve a request at all.
 

@@ -251,6 +251,8 @@ STALENESS_DECAY = 0.995
 MIN_CONFIDENCE = 0.2
 #: Relative change of an entry's average that counts as a changed shape.
 DRIFT_THRESHOLD = 0.05
+#: Shapes a :class:`FeedbackStore` holds before it evicts the stalest.
+MAX_ENTRIES = 4096
 
 
 @dataclass
@@ -317,13 +319,7 @@ class FeedbackStore:
     store bit-for-bit (the two-pass determinism contract).
     """
 
-    def __init__(
-        self,
-        *,
-        max_entries: int = 4096,
-        tracer=None,
-    ):
-        self.max_entries = max(int(max_entries), 1)
+    def __init__(self, *, tracer=None):
         self.tracer = tracer or NULL_TRACER
         self._entries: dict[tuple, FeedbackEntry] = {}
         #: Bumped once per ingested plan; entries age against it.
@@ -405,7 +401,7 @@ class FeedbackStore:
         return abs(after - before) / scale > DRIFT_THRESHOLD
 
     def _admit(self, entry: FeedbackEntry) -> None:
-        if len(self._entries) >= self.max_entries:
+        if len(self._entries) >= MAX_ENTRIES:
             # Deterministic eviction: the stalest entry, then the least
             # observed, then insertion order (dict order is insertion
             # order, so no repr()-of-frozenset tie-breaks are needed).

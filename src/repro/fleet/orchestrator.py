@@ -1,7 +1,7 @@
 """The fleet orchestrator: many optimizer processes, one endpoint.
 
-Where :class:`repro.service.SessionPool` bounds concurrency inside one
-Python process, :class:`Fleet` shards optimization across a pool of
+The fleet is the concurrent door (a :class:`repro.service.Session` is the
+in-process one): :class:`Fleet` shards optimization across a pool of
 worker *processes* (GPOS §4.2 runs the search truly multi-core; a pool
 of processes is how Python gets there past the GIL) while presenting the
 same ``optimize`` / ``execute`` / ``explain`` surface as a single
@@ -36,7 +36,7 @@ governed session:
 
 Results are bit-identical to single-process sessions: a worker runs the
 very same governed :class:`repro.service.Session`, so the differential
-suite pins ``Fleet`` plans against ``SessionPool`` plans text-for-text.
+suite pins ``Fleet`` plans against one session's plans text-for-text.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from repro.ops.scalar import ColRef
 from repro.search.plan import PlanNode
 from repro.telemetry import families
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.stats_store import fingerprint_query
 from repro.trace import Tracer
 
 #: Fault-spec kinds that must not be re-armed on a restarted worker —
@@ -68,6 +67,10 @@ _PROCESS_FAULT_KINDS = frozenset({"kill", "wedge"})
 
 #: A :class:`NoReply` reason as the request and heartbeat counters spell it.
 _OUTCOME = {"died": "dead", "wedged": "wedged"}
+
+#: How long a heartbeat waits for a worker's reply before it restarts the
+#: worker as wedged; read at every probe.
+HEARTBEAT_TIMEOUT_SECONDS = 5.0
 
 
 @dataclass
@@ -146,7 +149,6 @@ class Fleet:
         fault_seed: Optional[int] = None,
         fault_rate: float = 0.0,
         request_timeout_seconds: float = 60.0,
-        heartbeat_timeout_seconds: float = 5.0,
         telemetry: Optional[MetricsRegistry] = None,
         name: str = "fleet",
         tracer=None,
@@ -170,7 +172,6 @@ class Fleet:
         self.policy: RoutingPolicy = make_policy(policy)
         self.per_worker_faults = dict(per_worker_faults or {})
         self.request_timeout_seconds = request_timeout_seconds
-        self.heartbeat_timeout_seconds = heartbeat_timeout_seconds
         self.telemetry = (
             telemetry if telemetry is not None else MetricsRegistry()
         )
@@ -329,13 +330,11 @@ class Fleet:
         )
 
     @contextmanager
-    def _routed(self, fingerprint: str):
+    def _routed(self, sql: str):
         """Choose a worker and count the request against it at once, so
         the next ``choose`` already sees it in flight; uncount on exit."""
         with self._state:
-            worker = self._workers[
-                self.policy.choose(fingerprint, self._views())
-            ]
+            worker = self._workers[self.policy.choose(sql, self._views())]
             worker.view.routed += 1
             worker.view.in_flight += 1
             self.tracer.inc(
@@ -395,7 +394,7 @@ class Fleet:
             )
         return response, seconds
 
-    def _request(self, kind: str, payload: dict, sql: Optional[str] = None):
+    def _request(self, kind: str, payload: dict, sql: str):
         """Route one request, restarting and re-routing around failures.
 
         Returns ``(response, worker_id)``; raises the remote error for a
@@ -404,15 +403,12 @@ class Fleet:
         """
         if self.closed:
             raise OptimizerError(f"fleet '{self.name}' is closed")
-        fp = ""
-        if sql is not None:
-            fp = fingerprint_query(sql)[0]
         tracer = self.tracer if self.tracer.enabled else None
         with self._state:
             self.requests_attempted += 1
         attempts = 2 * len(self._workers) + 2
         for _ in range(attempts):
-            with self._routed(fp) as worker:
+            with self._routed(sql) as worker:
                 try:
                     response, seconds = self._attempt(
                         worker, kind, payload, tracer
@@ -501,7 +497,7 @@ class Fleet:
             return "restarted_dead"
         try:
             worker.child.exchange(
-                {"kind": "ping"}, self.heartbeat_timeout_seconds
+                {"kind": "ping"}, HEARTBEAT_TIMEOUT_SECONDS
             )
         except NoReply as exc:
             self._restart(worker, exc.reason)

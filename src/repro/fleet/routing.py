@@ -2,8 +2,8 @@
 
 The orchestrator asks a policy which worker should serve each request.
 Policies see a read-only :class:`WorkerView` per worker (load counters,
-liveness) plus the request's query fingerprint, and answer with a worker
-id.  ``choose`` runs under the orchestrator's routing lock, one call at a
+liveness) plus the request's SQL text, and answer with a worker id.
+``choose`` runs under the orchestrator's routing lock, one call at a
 time, and ``in_flight`` already counts every request routed but not yet
 answered.  Two policies cover the classic trade-off:
 
@@ -15,9 +15,10 @@ answered.  Two policies cover the classic trade-off:
   worker when another one is free.
 - ``affinity`` — a stable hash of the query's *fingerprint* (literals
   parameterized away, so repeats of a shape with different constants
-  hash identically) picks the worker.  Repeat shapes land on the worker
-  whose local plan cache is already warm for them, trading spread for
-  cache locality — the shared store still backstops cold workers.
+  hash identically) picks the worker; it is the one policy that
+  fingerprints the text.  Repeat shapes land on the worker whose local
+  plan cache is already warm for them, trading spread for cache
+  locality — the shared store still backstops cold workers.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import zlib
 from dataclasses import dataclass
 
 from repro.errors import OptimizerError
+from repro.telemetry.stats_store import fingerprint_query
 
 
 @dataclass
@@ -46,7 +48,7 @@ class RoutingPolicy:
 
     name = "abstract"
 
-    def choose(self, fingerprint: str, workers: list[WorkerView]) -> int:
+    def choose(self, sql: str, workers: list[WorkerView]) -> int:
         raise NotImplementedError
 
     def _alive(self, workers: list[WorkerView]) -> list[WorkerView]:
@@ -69,7 +71,7 @@ class RoundRobinPolicy(RoutingPolicy):
     def __init__(self):
         self._cursor = 0
 
-    def choose(self, fingerprint: str, workers: list[WorkerView]) -> int:
+    def choose(self, sql: str, workers: list[WorkerView]) -> int:
         alive = self._alive(workers)
         count = len(alive)
         skip = next(
@@ -91,8 +93,9 @@ class AffinityPolicy(RoutingPolicy):
 
     name = "affinity"
 
-    def choose(self, fingerprint: str, workers: list[WorkerView]) -> int:
+    def choose(self, sql: str, workers: list[WorkerView]) -> int:
         alive = self._alive(workers)
+        fingerprint, _ = fingerprint_query(sql)
         slot = zlib.crc32(fingerprint.encode()) % len(alive)
         return alive[slot].worker_id
 

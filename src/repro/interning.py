@@ -111,7 +111,7 @@ def intern_id(key: tuple) -> Hashable:
     its own id — an interned :class:`HashedKey`, which never equals an
     int — and lookups stay correct at the old tuple-keyed speed.
 
-    Threads optimize in one process (``SessionPool``), and reading the
+    Sessions may be called from threads of one process, and reading the
     table's length and storing under it are separate steps, so a miss
     assigns under a lock and looks again first: two threads missing at
     once must neither share an id nor give one key two.

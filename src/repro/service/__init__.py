@@ -3,14 +3,14 @@
 What GPOS (Section 4.2) buys Orca inside a host DBMS — memory quotas,
 exception handling, clean aborts — plus what production deployments add
 around it: graceful fallback to the legacy Planner, retry of transient
-faults, bounded session concurrency, and a deterministic fault-injection
-harness to prove all of it under test.
+faults, and a deterministic fault-injection harness to prove all of it
+under test.
 
 Entry points: :func:`repro.connect` / :class:`Session` for one governed
-session, :class:`SessionPool` for admission-controlled concurrency
-(pooled sessions share one :class:`repro.telemetry.MetricsRegistry` and
-one :class:`repro.telemetry.QueryStatsStore`), and
-:mod:`repro.service.faults` for the resilience harness.
+session (sessions share a :class:`repro.telemetry.MetricsRegistry`, a
+:class:`repro.telemetry.QueryStatsStore` or a feedback store by being
+passed the same one), and :mod:`repro.service.faults` for the resilience
+harness.  Concurrency belongs to the host: :func:`repro.connect_fleet`.
 """
 
 from repro.service.faults import (
@@ -21,13 +21,11 @@ from repro.service.faults import (
     FiredFault,
     one_fault_per_site,
 )
-from repro.service.pool import SessionPool
 from repro.service.session import Session, SessionMetrics, connect
 
 __all__ = [
     "Session",
     "SessionMetrics",
-    "SessionPool",
     "connect",
     "FaultInjector",
     "FaultSpec",

@@ -115,7 +115,7 @@ class Session:
         self.name = name
         self.metrics = SessionMetrics()
         #: Fleet-wide metrics registry (repro.telemetry.MetricsRegistry),
-        #: shared across sessions when pooled; None when off.
+        #: shared by the sessions passed the same one; None when off.
         self.telemetry = telemetry
         #: pg_stat_statements-style per-query aggregates, or None.
         self.stats_store = stats_store
@@ -184,7 +184,7 @@ class Session:
         frontend rejects the query or fallback is disabled/failing."""
         self._check_open()
         with self._observed(sql_or_stmt) as seen:
-            seen.result = self._optimize_governed(sql_or_stmt)
+            seen.result = self._optimize_governed(sql_or_stmt, seen.key)
         return seen.result
 
     @contextmanager
@@ -192,18 +192,23 @@ class Session:
         """The observation scope of one public call, optimize() or
         execute(): the flight record is begun and ended here (unless a
         caller up the stack, a fleet worker, already holds one), and the
-        slow log observes the call once, when it returns.  The body
-        fills in ``result`` and, when it executed the plan,
+        slow log observes the call once, when it returns.  ``key`` is the
+        statement's ``(fingerprint, normalized)`` pair, computed once
+        here when a stats store, the slow log or the flight record needs
+        it.  The body fills in ``result`` and, when it executed the plan,
         ``exec_seconds`` and ``analysis``."""
-        seen = SimpleNamespace(result=None, exec_seconds=None, analysis=None)
+        seen = SimpleNamespace(
+            key=None, result=None, exec_seconds=None, analysis=None
+        )
         slow = self.slow_log is not None
         owns_record = self.flight is not None and self.flight.current is None
-        if slow or owns_record:
-            fp, normalized = fingerprint_query(sql_or_stmt)
+        if slow or owns_record or self.stats_store is not None:
+            seen.key = fingerprint_query(sql_or_stmt)
+            fp, normalized = seen.key
         baseline = None
         if slow:
             if self.stats_store is not None:
-                baseline = self._baseline_snapshot(sql_or_stmt)
+                baseline = self._baseline_snapshot(fp)
             phases_before = dict(self.tracer.stage_times)
         if owns_record:
             self.flight.begin(normalized, session=self.name, fingerprint=fp)
@@ -236,7 +241,9 @@ class Session:
         )
 
     def _optimize_governed(
-        self, sql_or_stmt: Union[str, SelectStmt]
+        self,
+        sql_or_stmt: Union[str, SelectStmt],
+        key: Optional[tuple[str, str]],
     ) -> OptimizationResult:
         attempt = 0
         while True:
@@ -278,7 +285,7 @@ class Session:
                 families.OPTIMIZATION_SECONDS, result.opt_time_seconds
             )
             if self.stats_store is not None:
-                self.stats_store.record_optimization(sql_or_stmt, result)
+                self.stats_store.record_optimization(key, result)
             self.last_result = result
             return result
 
@@ -311,7 +318,9 @@ class Session:
         ``result.analysis`` (also attached to ``session.last_result``)."""
         self._check_open()
         with self._observed(sql_or_stmt) as seen:
-            result = seen.result = self._optimize_governed(sql_or_stmt)
+            result = seen.result = self._optimize_governed(
+                sql_or_stmt, seen.key
+            )
             if self._cluster is None:
                 self._cluster = Cluster(
                     self.catalog, segments=self.config.segments
@@ -339,19 +348,19 @@ class Session:
             seen.exec_seconds = time.monotonic() - exec_start
             result.analysis = seen.analysis = execution.analysis
             if self.stats_store is not None:
-                self.stats_store.record_execution(sql_or_stmt, execution)
+                self.stats_store.record_execution(seen.key, execution)
             if feedback is not None and execution.analysis is not None:
-                self._ingest_feedback(sql_or_stmt, result, execution.analysis)
+                self._ingest_feedback(seen.key, result, execution.analysis)
         return execution
 
     # ------------------------------------------------------------------
-    def _baseline_snapshot(self, sql_or_stmt):
+    def _baseline_snapshot(self, fingerprint: str):
         """The query's *prior* stats, frozen before this call runs.
 
-        ``lookup`` returns the live aggregate, which the governed
-        optimize folds this very call into — comparing against it would
-        dilute every regression with the regressed sample itself."""
-        stats = self.stats_store.lookup(sql_or_stmt)
+        ``get`` returns the live aggregate, which the governed optimize
+        folds this very call into — comparing against it would dilute
+        every regression with the regressed sample itself."""
+        stats = self.stats_store.get(fingerprint)
         if stats is None:
             return None
         return SimpleNamespace(
@@ -367,7 +376,7 @@ class Session:
         }
         return out or None
 
-    def _ingest_feedback(self, sql_or_stmt, result, analysis) -> None:
+    def _ingest_feedback(self, key, result, analysis) -> None:
         """Close the loop after one execution: fold actuals into the
         feedback store, drop plan-cache entries the new observations
         stale-date, and record the plan's q-error."""
@@ -377,9 +386,7 @@ class Session:
         if self.stats_store is not None:
             from repro.verify.qerror import plan_qerror
 
-            self.stats_store.record_qerror(
-                sql_or_stmt, plan_qerror(analysis)
-            )
+            self.stats_store.record_qerror(key, plan_qerror(analysis))
 
     # ------------------------------------------------------------------
     def _fall_back(

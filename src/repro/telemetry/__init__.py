@@ -13,7 +13,8 @@ live or die by):
   bytes) collected by the executor for EXPLAIN ANALYZE, on the same
   clock TAQO (Section 6.2) scores plans with.
 - :class:`QueryStatsStore` — pg_stat_statements-style fingerprint-keyed
-  aggregates of everything a session or pool has optimized/executed.
+  aggregates of everything the sessions recording into it have
+  optimized/executed.
 """
 
 from repro.telemetry.analyze import NodeStats, PlanAnalysis

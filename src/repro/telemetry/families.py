@@ -22,8 +22,6 @@ QUERIES = "queries_total"
 OPTIMIZATION_SECONDS = "optimization_seconds"
 SESSION_ERRORS = "session_errors_total"
 GOVERNOR_TRIPS = "governor_trips_total"
-POOL_ADMISSIONS = "pool_admissions_total"
-POOL_ACTIVE_SESSIONS = "pool_active_sessions"
 FEEDBACK_ENTRIES = "feedback_entries_total"
 FEEDBACK_INGESTS = "feedback_ingests_total"
 FLEET_WORKER_UP = "fleet_worker_up"

@@ -3,9 +3,9 @@
 The paper's evaluation is measurement (Section 6, Figures 11-15), and an
 industrial optimizer additionally needs an *aggregate*, always-on view of
 itself across queries and sessions — counters of scheduler jobs per kind,
-Memo growth, plan-cache outcomes, governor trips, admission decisions —
-not just the per-query traces of :mod:`repro.trace`.  A
-:class:`MetricsRegistry` is that view: a process-wide (or pool-wide)
+Memo growth, plan-cache outcomes, governor trips, fleet routing — not
+just the per-query traces of :mod:`repro.trace`.  A
+:class:`MetricsRegistry` is that view: a process-wide (or fleet-wide)
 collection of metric families that every layer increments, exported as
 
 - Prometheus text exposition format (:meth:`MetricsRegistry.to_prometheus`,

@@ -116,23 +116,31 @@ class QueryStats:
         }
 
 
+#: Query shapes a :class:`QueryStatsStore` holds before it evicts.
+MAX_ENTRIES = 1000
+
+
 class QueryStatsStore:
     """Fingerprint-keyed query statistics with bounded entry count.
 
     When full, the least-called entry is evicted to admit a new query
-    shape (the pg_stat_statements dealloc policy, minus the sampling)."""
+    shape (the pg_stat_statements dealloc policy, minus the sampling).
 
-    def __init__(self, max_entries: int = 1000):
-        self.max_entries = max(int(max_entries), 1)
+    The ``record_*`` writers take the statement's ``key``, the
+    ``(fingerprint, normalized)`` pair :func:`fingerprint_query` returns,
+    so a caller recording one statement several times fingerprints it
+    once; :meth:`lookup` takes the statement itself."""
+
+    def __init__(self):
         self._entries: dict[str, QueryStats] = {}
         self.evictions = 0
 
     # ------------------------------------------------------------------
-    def _entry(self, sql_or_stmt: Union[str, Any]) -> QueryStats:
-        fingerprint, normalized = fingerprint_query(sql_or_stmt)
+    def _entry(self, key: tuple[str, str]) -> QueryStats:
+        fingerprint, normalized = key
         stats = self._entries.get(fingerprint)
         if stats is None:
-            if len(self._entries) >= self.max_entries:
+            if len(self._entries) >= MAX_ENTRIES:
                 victim = min(self._entries.values(), key=lambda s: s.calls)
                 del self._entries[victim.fingerprint]
                 self.evictions += 1
@@ -140,9 +148,9 @@ class QueryStatsStore:
             self._entries[fingerprint] = stats
         return stats
 
-    def record_optimization(self, sql_or_stmt, result) -> QueryStats:
+    def record_optimization(self, key: tuple[str, str], result) -> QueryStats:
         """Fold one OptimizationResult into the query's aggregate."""
-        stats = self._entry(sql_or_stmt)
+        stats = self._entry(key)
         stats.calls += 1
         source = result.plan_source
         stats.plan_sources[source] = stats.plan_sources.get(source, 0) + 1
@@ -154,9 +162,11 @@ class QueryStatsStore:
         )
         return stats
 
-    def record_execution(self, sql_or_stmt, execution_result) -> QueryStats:
+    def record_execution(
+        self, key: tuple[str, str], execution_result
+    ) -> QueryStats:
         """Fold one ExecutionResult's simulated work into the aggregate."""
-        stats = self._entry(sql_or_stmt)
+        stats = self._entry(key)
         work = execution_result.metrics.total_work()
         stats.executions += 1
         stats.total_exec_work += work
@@ -165,12 +175,12 @@ class QueryStatsStore:
         stats.rows_returned += len(execution_result.rows)
         return stats
 
-    def record_qerror(self, sql_or_stmt, report) -> QueryStats:
+    def record_qerror(self, key: tuple[str, str], report) -> QueryStats:
         """Fold one plan's :class:`repro.verify.qerror.QErrorReport` into
         the query's aggregate (geomean accumulates in log space)."""
         import math
 
-        stats = self._entry(sql_or_stmt)
+        stats = self._entry(key)
         for node in report.nodes:
             stats.qerror_samples += 1
             stats.total_log_qerror += math.log(node.qerror)

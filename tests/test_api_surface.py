@@ -19,7 +19,7 @@ import repro
 #: update this snapshot in the same PR that documents the addition.
 EXPECTED_ALL = frozenset({
     # session facade
-    "connect", "Session", "SessionMetrics", "SessionPool",
+    "connect", "Session", "SessionMetrics",
     # multi-process fleet
     "connect_fleet", "Fleet", "FleetResult",
     # core optimizer
@@ -31,7 +31,7 @@ EXPECTED_ALL = frozenset({
     # errors
     "ReproError", "OptimizerError", "ParseError", "TranslationError",
     "NoPlanError", "SearchTimeout", "MemoryQuotaExceeded",
-    "FallbackError", "InjectedFault", "AdmissionError",
+    "FallbackError", "InjectedFault",
     "FleetError", "WorkerError",
     # fault injection
     "FaultInjector", "FaultSpec",
@@ -58,15 +58,11 @@ EXPECTED_SIGNATURES = {
         "name", "telemetry", "stats_store", "feedback_store", "slow_log",
         "flight_recorder",
     ),
-    "SessionPool": (
-        "catalog", "max_sessions", "admission_timeout_seconds", "telemetry",
-        "stats_store", "feedback_store", "**session_kwargs",
-    ),
     "Fleet": (
         "catalog", "workers", "policy", "config", "fallback", "max_retries",
         "fault_specs", "per_worker_faults", "fault_seed", "fault_rate",
-        "request_timeout_seconds", "heartbeat_timeout_seconds", "telemetry",
-        "name", "tracer", "flight_dir", "slow_query_ms", "**config_kwargs",
+        "request_timeout_seconds", "telemetry", "name", "tracer",
+        "flight_dir", "slow_query_ms", "**config_kwargs",
     ),
     "connect_fleet": ("catalog", "**kwargs"),
     "Executor": (
@@ -78,7 +74,7 @@ EXPECTED_SIGNATURES = {
         "catalog", "config", "tracer", "governor", "faults", "metrics",
         "feedback",
     ),
-    "FeedbackStore": ("max_entries", "tracer"),
+    "FeedbackStore": ("tracer",),
     "MetricsRegistry": (),
     "SlowQueryLog": ("threshold_ms", "stream", "name"),
     "ResourceGovernor": (
@@ -137,7 +133,7 @@ class TestOptionSnapshot:
         assert tuple(f.name for f in fields) == EXPECTED_CONFIG_FIELDS
 
     @pytest.mark.parametrize(
-        "door", [repro.connect, repro.SessionPool, repro.connect_fleet],
+        "door", [repro.connect, repro.connect_fleet],
         ids=lambda door: door.__name__,
     )
     def test_unknown_keyword_is_the_configs_type_error(self, small_db, door):
@@ -159,13 +155,6 @@ class TestOptionSnapshot:
         )
         assert (session.name, session.fallback) == ("mixed", False)
         assert (session.config.segments, session.config.seed) == (2, 7)
-        with repro.SessionPool(small_db, max_retries=2, segments=2) as pool:
-            with pool.session() as pooled:
-                assert pooled.max_retries == 2
-                assert pooled.config.segments == 2
-        # What a pool gives each session itself is not the caller's.
-        with pytest.raises(TypeError, match="slow_log"):
-            repro.SessionPool(small_db, slow_log=repro.SlowQueryLog(1.0))
 
 
 class TestKeywordOnlyConstructors:
@@ -274,7 +263,6 @@ class TestExceptionHierarchy:
             repro.MemoryQuotaExceeded,
             repro.FallbackError,
             repro.InjectedFault,
-            repro.AdmissionError,
             repro.NoPlanError,
             repro.FleetError,
             repro.WorkerError,
@@ -295,9 +283,8 @@ class TestExceptionHierarchy:
             repro.SearchTimeout("x").code,
             repro.MemoryQuotaExceeded(used_bytes=1, quota_bytes=1).code,
             repro.InjectedFault("costing", 1).code,
-            repro.AdmissionError("x").code,
         }
-        assert len(codes) == 7
+        assert len(codes) == 6
 
     def test_legacy_sql_error_is_a_parse_error(self):
         from repro.errors import BindError, SQLError

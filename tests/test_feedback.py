@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro import feedback
 from repro.config import OptimizerConfig
 from repro.feedback import (
     Correction,
@@ -144,8 +145,9 @@ class TestStoreIngest:
         assert report.changed_shapes == frozenset({REL_A})
         assert store.version == version + 1
 
-    def test_eviction_is_deterministic_and_counts(self):
-        store = FeedbackStore(max_entries=2)
+    def test_eviction_is_deterministic_and_counts(self, monkeypatch):
+        monkeypatch.setattr(feedback, "MAX_ENTRIES", 2)
+        store = FeedbackStore()
         for shape, rows in ((REL_A, 10), (REL_B, 20), (REL_C, 30)):
             plan, analysis = _fake_execution([(shape, "Scan", 1, rows)])
             store.ingest(plan, analysis)
@@ -446,23 +448,23 @@ class TestSessionIntegration:
         session.execute(sql)
         assert cache.stats()["hits"] >= 1
 
-    def test_pool_shares_one_store_across_sessions(self, det_db):
-        pool = repro.SessionPool(
-            det_db, max_sessions=2, segments=4,
-            enable_cardinality_feedback=True,
+    def test_sessions_share_one_store(self, det_db):
+        store = FeedbackStore()
+        s1, s2 = (
+            repro.connect(
+                det_db, segments=4, enable_cardinality_feedback=True,
+                feedback_store=store,
+            )
+            for _ in range(2)
         )
-        assert isinstance(pool.feedback, FeedbackStore)
-        with pool.session() as s1:
-            s1.execute("SELECT a FROM t1 WHERE b < 15")
-            assert s1.feedback is pool.feedback
-        with pool.session() as s2:
-            # A fresh session benefits from the first one's observations:
-            # shape keys survive the ColRef-id churn between sessions.
-            s2.execute("SELECT a FROM t1 WHERE b < 15")
-            result = s2.optimize("SELECT a FROM t1 WHERE b < 15")
-            assert s2.feedback is pool.feedback
-            assert result.search_stats.feedback_hits > 0
-        pool.close()
+        s1.execute("SELECT a FROM t1 WHERE b < 15")
+        assert s1.feedback is store
+        # A fresh session benefits from the first one's observations:
+        # shape keys survive the ColRef-id churn between sessions.
+        s2.execute("SELECT a FROM t1 WHERE b < 15")
+        result = s2.optimize("SELECT a FROM t1 WHERE b < 15")
+        assert s2.feedback is store
+        assert result.search_stats.feedback_hits > 0
 
     def test_telemetry_counters(self, det_db):
         registry = repro.MetricsRegistry()

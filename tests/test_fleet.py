@@ -7,7 +7,7 @@ These tests pin the contract down:
 
 - **Identity** — a fleet-served plan is bit-identical (explain text) to
   the plan a single-process governed session produces, over the whole
-  TPC-DS corpus (the differential suite vs ``SessionPool``).
+  TPC-DS corpus (the differential suite vs one ``repro.connect`` session).
 - **Routing** — round-robin rotates and steps past busy workers,
   affinity keeps a query shape on one worker; both skip dead workers.
 - **Chaos** — a ``kill`` or ``wedge`` fault at any instrumented site
@@ -35,9 +35,9 @@ from repro.fleet import (
     RoundRobinPolicy,
     WorkerView,
     make_policy,
+    orchestrator,
 )
 from repro.errors import OptimizerError, ParseError
-from repro.service import SessionPool
 from repro.service.faults import FAULT_SITES, FaultSpec, KILLED_EXIT_CODE
 from repro.workloads import QUERIES
 
@@ -101,13 +101,16 @@ class TestRoutingPolicies:
     def test_affinity_is_stable_and_spread(self):
         policy = AffinityPolicy()
         views = self.views(n=4)
-        fingerprints = [f"fp-{i}" for i in range(32)]
-        placed = {fp: policy.choose(fp, views) for fp in fingerprints}
-        # Stable: the same fingerprint always lands on the same worker.
-        for fp, wid in placed.items():
-            assert policy.choose(fp, views) == wid
-        # Spread: 32 distinct fingerprints reach more than one worker.
+        statements = [f"SELECT a FROM t{i} WHERE b > 1" for i in range(32)]
+        placed = {sql: policy.choose(sql, views) for sql in statements}
+        # Stable: the same statement always lands on the same worker.
+        for sql, wid in placed.items():
+            assert policy.choose(sql, views) == wid
+        # Spread: 32 distinct shapes reach more than one worker.
         assert len(set(placed.values())) > 1
+        # Texts that differ only in a literal are one shape, one worker.
+        for sql, wid in placed.items():
+            assert policy.choose(sql.replace("> 1", "> 99"), views) == wid
 
     def test_no_alive_workers_raises(self):
         with pytest.raises(OptimizerError):
@@ -266,10 +269,11 @@ class TestChaosMatrix:
 # ----------------------------------------------------------------------
 
 class TestHealthAndDrain:
-    def test_heartbeat_detects_and_restarts_a_wedged_worker(self, fleet_db):
-        with make_fleet(
-            fleet_db, workers=2, heartbeat_timeout_seconds=1.0,
-        ) as fleet:
+    def test_heartbeat_detects_and_restarts_a_wedged_worker(
+        self, fleet_db, monkeypatch
+    ):
+        monkeypatch.setattr(orchestrator, "HEARTBEAT_TIMEOUT_SECONDS", 1.0)
+        with make_fleet(fleet_db, workers=2) as fleet:
             fleet.wedge_worker(1, seconds=30.0)
             health = fleet.health_check()
             assert health == {0: "ok", 1: "restarted_wedged"}
@@ -589,10 +593,12 @@ class TestConcurrentClients:
             assert fleet.availability == 1.0
             assert fleet.restarts_total == 0
 
-    def test_health_check_reports_a_busy_worker_and_leaves_it(self, fleet_db):
+    def test_health_check_reports_a_busy_worker_and_leaves_it(
+        self, fleet_db, monkeypatch
+    ):
+        monkeypatch.setattr(orchestrator, "HEARTBEAT_TIMEOUT_SECONDS", 0.2)
         with make_fleet(
             fleet_db, per_worker_faults={0: (slow_once(0.6),)},
-            heartbeat_timeout_seconds=0.2,
         ) as fleet, ThreadPoolExecutor(max_workers=1) as clients:
             held = clients.submit(fleet.optimize, Q3)
             wait_until(lambda: fleet._workers[0].lock.locked())
@@ -634,20 +640,19 @@ class TestConcurrentClients:
 
 
 # ----------------------------------------------------------------------
-# Differential: the fleet vs the single-process SessionPool, full corpus
+# Differential: the fleet vs one single-process session, full corpus
 # ----------------------------------------------------------------------
 
-class TestDifferentialAgainstSessionPool:
+class TestDifferentialAgainstSession:
     def test_corpus_plans_are_bit_identical(self, tpcds_db):
         """Every TPC-DS corpus query, fleet-optimized round-robin across
-        2 processes, must render the exact plan text the single-process
-        SessionPool produces — process sharding must not perturb the
+        2 processes, must render the exact plan text one single-process
+        session produces — process sharding must not perturb the
         search."""
-        pool = SessionPool(tpcds_db, max_sessions=1)
         expected = {}
-        with pool:
+        with repro.connect(tpcds_db) as session:
             for query in QUERIES:
-                expected[query.id] = pool.optimize(query.sql).plan.explain()
+                expected[query.id] = session.optimize(query.sql).plan.explain()
         with make_fleet(tpcds_db, workers=2) as fleet:
             for query in QUERIES:
                 got = fleet.optimize(query.sql)

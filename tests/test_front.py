@@ -5,7 +5,8 @@ Two halves.
 **Fixtures** pin every observability output a user or a scraper reads,
 once ids, pids and wall-clock values are masked: ``Tracer.to_dict()``,
 the Chrome trace of a fleet-stitched query, the Prometheus exposition of
-a ``SessionPool`` and of a ``Fleet`` after a fixed statement list, a
+a registry-backed ``Session`` and of a ``Fleet`` after a fixed statement
+list, a
 flight dump, a slow-log record, and the trace an AMPERe dump embeds.
 The snapshots live in ``tests/fixtures/front/``; regenerate them after
 an intentional change with ``--update-golden`` and review the diff.
@@ -16,7 +17,7 @@ rows and the simulated clock to be equal: observing a query never
 changes it.
 
 Everything here goes through the public doors (``connect``,
-``SessionPool``, ``connect_fleet``, ``capture_dump``), so the same file
+``connect_fleet``, ``capture_dump``), so the same file
 passes before and after the classes behind those doors are merged.
 """
 
@@ -227,20 +228,21 @@ def test_slow_log_record(tpcds_db, request):
     }, request)
 
 
-def test_session_pool_prometheus(tpcds_db, request):
+def test_session_prometheus(tpcds_db, request):
     statements = [q.sql for q in QUERIES[:4]]
-    with repro.SessionPool(
-        tpcds_db, max_sessions=2, segments=SEGMENTS, enable_plan_cache=True
-    ) as pool:
+    registry = MetricsRegistry()
+    with repro.connect(
+        tpcds_db, telemetry=registry, segments=SEGMENTS,
+        enable_plan_cache=True,
+    ) as session:
         for sql in statements + statements[:2]:
-            pool.execute(sql)
+            session.execute(sql)
         with pytest.raises(repro.ParseError):
-            pool.optimize("SELECT FROM")
-        check(
-            "session_pool_prometheus",
-            masked_exposition(pool.prometheus()),
-            request,
-        )
+            session.optimize("SELECT FROM")
+    check(
+        "session_prometheus", masked_exposition(registry.to_prometheus()),
+        request,
+    )
 
 
 # ----------------------------------------------------------------------

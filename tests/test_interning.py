@@ -231,7 +231,7 @@ class TestRequestIdTable:
     def test_ids_stay_a_bijection_under_racing_threads(
         self, monkeypatch, eager_thread_switching
     ):
-        """``SessionPool`` optimizes from threads in one process: racing
+        """Sessions may optimize from threads of one process: racing
         misses must neither hand one id to two keys (a shared id makes
         ``Group.contexts`` return another request's context) nor give
         one key two ids."""

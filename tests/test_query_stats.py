@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import io
+
 import repro
 from repro.__main__ import main
+from repro.obs import FlightRecorder, SlowQueryLog
 from repro.telemetry import (
     QueryStatsStore,
     fingerprint_query,
     normalize_sql,
 )
+from repro.telemetry import stats_store as stats_module
+from repro.workloads import QUERIES
 
 
 class TestNormalization:
@@ -42,15 +47,20 @@ class _FakeResult:
         self.opt_time_seconds = opt_time_seconds
 
 
+def _record(store, sql, **result):
+    """Record one optimization of ``sql`` the way a session keys it."""
+    return store.record_optimization(
+        fingerprint_query(sql), _FakeResult(**result)
+    )
+
+
 class TestAggregates:
     def test_optimizations_aggregate_under_one_fingerprint(self):
         store = QueryStatsStore()
-        store.record_optimization(
-            "SELECT a FROM t WHERE b > 1", _FakeResult(opt_time_seconds=0.01)
-        )
-        store.record_optimization(
-            "SELECT a FROM t WHERE b > 2",
-            _FakeResult(plan_source="cache", opt_time_seconds=0.03),
+        _record(store, "SELECT a FROM t WHERE b > 1", opt_time_seconds=0.01)
+        _record(
+            store, "SELECT a FROM t WHERE b > 2",
+            plan_source="cache", opt_time_seconds=0.03,
         )
         assert len(store) == 1
         stats = store.lookup("SELECT a FROM t WHERE b > 3")
@@ -60,12 +70,13 @@ class TestAggregates:
         assert stats.mean_opt_seconds == 0.02
         assert stats.max_opt_seconds == 0.03
 
-    def test_least_called_eviction(self):
-        store = QueryStatsStore(max_entries=2)
+    def test_least_called_eviction(self, monkeypatch):
+        monkeypatch.setattr(stats_module, "MAX_ENTRIES", 2)
+        store = QueryStatsStore()
         for _ in range(3):
-            store.record_optimization("SELECT a FROM t", _FakeResult())
-        store.record_optimization("SELECT b FROM t", _FakeResult())
-        store.record_optimization("SELECT c FROM t", _FakeResult())
+            _record(store, "SELECT a FROM t")
+        _record(store, "SELECT b FROM t")
+        _record(store, "SELECT c FROM t")
         assert len(store) == 2
         assert store.evictions == 1
         assert store.lookup("SELECT b FROM t") is None  # the least called
@@ -73,16 +84,16 @@ class TestAggregates:
 
     def test_entries_ranked_by_calls(self):
         store = QueryStatsStore()
-        store.record_optimization("SELECT a FROM t", _FakeResult())
+        _record(store, "SELECT a FROM t")
         for _ in range(2):
-            store.record_optimization("SELECT b FROM t", _FakeResult())
+            _record(store, "SELECT b FROM t")
         entries = store.entries()
         assert [e.calls for e in entries] == [2, 1]
         assert entries[0].query == "SELECT b FROM t"
 
     def test_render_table(self):
         store = QueryStatsStore()
-        store.record_optimization("SELECT a FROM t WHERE b > 7", _FakeResult())
+        _record(store, "SELECT a FROM t WHERE b > 7")
         text = store.render()
         assert "fingerprint" in text and "calls" in text
         assert "SELECT a FROM t WHERE b > ?" in text
@@ -105,13 +116,46 @@ class TestSessionIntegration:
         assert stats.rows_returned == len(execution.rows)
         assert stats.total_exec_work > 0
 
-    def test_pool_shares_one_store(self, small_db):
-        with repro.SessionPool(small_db, max_sessions=2, segments=4) as pool:
-            pool.optimize("SELECT t1.a FROM t1 WHERE t1.b > 40")
-            pool.optimize("SELECT t2.a FROM t2")
-            top = pool.query_stats()
+    def test_sessions_share_one_store(self, small_db):
+        store = QueryStatsStore()
+        first, second = (
+            repro.connect(small_db, segments=4, stats_store=store)
+            for _ in range(2)
+        )
+        first.optimize("SELECT t1.a FROM t1 WHERE t1.b > 40")
+        second.optimize("SELECT t2.a FROM t2")
+        top = store.entries()
         assert len(top) == 2
         assert all(e.calls == 1 for e in top)
+
+    def test_one_fingerprint_per_execute(self, tpcds_db, monkeypatch):
+        """A statement is fingerprinted once per call, however many
+        observers key on it: the stats store (optimization, execution and
+        q-error records, the slow log's baseline), the slow log and the
+        flight record."""
+        from repro.service import session as session_module
+
+        calls = []
+        real = stats_module.fingerprint_query
+
+        def counting(sql_or_stmt):
+            calls.append(sql_or_stmt)
+            return real(sql_or_stmt)
+
+        monkeypatch.setattr(stats_module, "fingerprint_query", counting)
+        monkeypatch.setattr(session_module, "fingerprint_query", counting)
+        session = repro.connect(
+            tpcds_db, segments=4, enable_cardinality_feedback=True,
+            stats_store=QueryStatsStore(),
+            slow_log=SlowQueryLog(threshold_ms=0.0, stream=io.StringIO()),
+            flight_recorder=FlightRecorder(),
+        )
+        for query in QUERIES[:3]:
+            calls.clear()
+            session.execute(query.sql)
+            assert calls == [query.sql], query.id
+        assert all(e.executions == 1 for e in session.stats_store.entries())
+        assert len(session.stats_store) == 3
 
 
 class TestStatsCli:

@@ -3,8 +3,8 @@
 The job scheduler is serial, so for a fixed catalog, statement and
 config the sequence of job steps is fixed.  What may still vary between
 two runs is the process around them: which thread calls the optimizer
-(``SessionPool`` users and the ledger's fleet clients call it from
-worker threads) and what earlier optimizations left in the process-wide
+(sessions may be called from threads, and the ledger's fleet clients
+call it from worker threads) and what earlier optimizations left in the process-wide
 intern tables.  Neither may change the plan, the Memo group / group
 expression counts or the abandoned alternatives.
 

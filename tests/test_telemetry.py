@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+import repro
 from repro.config import OptimizerConfig
 from repro.errors import TelemetryError
 from repro.optimizer import Orca
@@ -265,6 +266,26 @@ class TestOptimizerInstrumentation:
         assert events.value(event="miss") == 1
         assert events.value(event="store") == 1
         assert events.value(event="hit") + events.value(event="rebind") == 1
+
+    def test_sessions_passed_one_registry_keep_their_own_metrics(
+        self, small_db
+    ):
+        """Sessions share a registry by being passed the same one: it
+        sums their queries, while each keeps its own SessionMetrics."""
+        registry = MetricsRegistry()
+        a, b = (
+            repro.connect(small_db, name=name, segments=4, telemetry=registry)
+            for name in ("a", "b")
+        )
+        a.optimize(SQL)
+        b.optimize(SQL)
+        b.optimize(SQL)
+        assert (a.metrics.queries, b.metrics.queries) == (1, 2)
+        assert all(
+            s.metrics.plan_sources == {"orca": s.metrics.queries}
+            for s in (a, b)
+        )
+        assert registry.value("queries_total", plan_source="orca") == 3
 
 
 class TestAmpereTelemetry:
