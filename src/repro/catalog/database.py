@@ -58,12 +58,6 @@ class Database:
             data_version=self.changes,
         )
 
-    def drop_table(self, name: str) -> None:
-        if name not in self._tables:
-            raise CatalogError(f"no table {name}")
-        del self._tables[name]
-        self.changes += 1
-
     def has_table(self, name: str) -> bool:
         return name in self._tables
 
@@ -154,9 +148,6 @@ class Database:
         for pid in partition_ids:
             out.extend(stored.partitions[pid])
         return out
-
-    def partition_rows(self, name: str, partition_id: int) -> list[Row]:
-        return self._stored(name).partitions[partition_id]
 
     def row_count(self, name: str) -> int:
         return sum(len(p) for p in self._stored(name).partitions)

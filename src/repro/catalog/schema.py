@@ -151,14 +151,5 @@ class Table:
                 return i
         raise CatalogError(f"no column {name} in table {self.name}")
 
-    def row_width(self) -> int:
-        return sum(c.dtype.width for c in self.columns)
-
-    def index_on(self, column: str) -> Optional[Index]:
-        for index in self.indexes:
-            if index.column == column:
-                return index
-        return None
-
     def num_partitions(self) -> int:
         return len(self.partitioning.partitions) if self.partitioning else 1

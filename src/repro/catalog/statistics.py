@@ -183,12 +183,6 @@ class Histogram:
     def ndv(self) -> float:
         return sum(b.ndv for b in self.buckets)
 
-    def min_value(self) -> Optional[float]:
-        return self.buckets[0].lo if self.buckets else None
-
-    def max_value(self) -> Optional[float]:
-        return self.buckets[-1].hi if self.buckets else None
-
     def skew(self) -> float:
         """Coefficient >= 1 measuring how unevenly rows fill buckets.
 

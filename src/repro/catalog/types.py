@@ -23,12 +23,6 @@ class DataType:
     def __str__(self) -> str:
         return self.name
 
-    def is_comparable_with(self, other: "DataType") -> bool:
-        """True if values of the two types may be compared with <, =, >."""
-        if self.numeric and other.numeric:
-            return True
-        return self.name == other.name
-
 
 BOOL = DataType("bool", 1, numeric=False)
 INT = DataType("int4", 4, numeric=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Container, Iterable, Optional, Sequence
+from typing import Container, Optional, Sequence
 
 
 class ExecutionMode(str, Enum):
@@ -172,10 +172,6 @@ class OptimizerConfig:
     def rule_enabled(self, name: str) -> bool:
         """True if the named transformation rule may fire in this session."""
         return name not in self.disabled_rules
-
-    def with_flags(self, flags: Iterable[str]) -> "OptimizerConfig":
-        """Return a copy with additional trace flags set."""
-        return replace(self, trace_flags=self.trace_flags | frozenset(flags))
 
 
 def split_options(

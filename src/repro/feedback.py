@@ -27,6 +27,7 @@ rows are unaffected by construction.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -332,6 +333,9 @@ class FeedbackStore:
         self.lookup_hits = 0
         self.lookup_misses = 0
         self.evictions = 0
+        #: Sessions on several threads may share one store: an ingest's
+        #: folds and admissions, and a lookup's hit/miss count, hold it.
+        self._lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -348,8 +352,6 @@ class FeedbackStore:
         Nodes without a shape annotation (legacy Planner plans, CTE
         producer wrappers) and row-replicating operators are skipped.
         """
-        self.generation += 1
-        self.ingests += 1
         report = IngestReport()
         changed: set[tuple] = set()
         #: shape -> per-loop actual rows; the deepest node wins ties (all
@@ -363,30 +365,33 @@ class FeedbackStore:
                 continue
             report.nodes_seen += 1
             observed[node.shape] = stats.rows_out / stats.loops
-        for shape, rows in observed.items():
-            entry = self._entries.get(shape)
-            if entry is None:
-                self._admit(FeedbackEntry(
-                    shape=shape,
-                    observed_rows=rows,
-                    observations=1,
-                    last_generation=self.generation,
-                ))
-                report.new_entries += 1
-                changed.add(shape)
-            else:
-                before = entry.observed_rows
-                entry.observed_rows = (
-                    EWMA_ALPHA * rows + (1.0 - EWMA_ALPHA) * before
-                )
-                entry.observations += 1
-                entry.last_generation = self.generation
-                report.updated_entries += 1
-                if self._drifted(before, entry.observed_rows):
+        with self._lock:
+            self.generation += 1
+            self.ingests += 1
+            for shape, rows in observed.items():
+                entry = self._entries.get(shape)
+                if entry is None:
+                    self._admit(FeedbackEntry(
+                        shape=shape,
+                        observed_rows=rows,
+                        observations=1,
+                        last_generation=self.generation,
+                    ))
+                    report.new_entries += 1
                     changed.add(shape)
-        if changed:
-            self.version += 1
-        report.changed_shapes = frozenset(changed)
+                else:
+                    before = entry.observed_rows
+                    entry.observed_rows = (
+                        EWMA_ALPHA * rows + (1.0 - EWMA_ALPHA) * before
+                    )
+                    entry.observations += 1
+                    entry.last_generation = self.generation
+                    report.updated_entries += 1
+                    if self._drifted(before, entry.observed_rows):
+                        changed.add(shape)
+            if changed:
+                self.version += 1
+            report.changed_shapes = frozenset(changed)
         self.tracer.inc(
             families.FEEDBACK_ENTRIES, report.new_entries, outcome="new"
         )
@@ -419,24 +424,26 @@ class FeedbackStore:
     def correction(self, shape: tuple) -> Optional[Correction]:
         """The correction for a shape, or None when unknown / below the
         confidence floor."""
-        entry = self._entries.get(shape)
-        if entry is None:
-            self.lookup_misses += 1
-            return None
-        confidence = entry.confidence(self.generation)
-        if confidence < MIN_CONFIDENCE:
-            self.lookup_misses += 1
-            return None
-        self.lookup_hits += 1
-        return Correction(
-            observed_rows=entry.observed_rows, confidence=confidence
-        )
+        with self._lock:
+            entry = self._entries.get(shape)
+            if entry is None:
+                self.lookup_misses += 1
+                return None
+            confidence = entry.confidence(self.generation)
+            if confidence < MIN_CONFIDENCE:
+                self.lookup_misses += 1
+                return None
+            self.lookup_hits += 1
+            return Correction(
+                observed_rows=entry.observed_rows, confidence=confidence
+            )
 
     def entry(self, shape: tuple) -> Optional[FeedbackEntry]:
         return self._entries.get(shape)
 
     def entries(self) -> Iterable[FeedbackEntry]:
-        return list(self._entries.values())
+        with self._lock:
+            return list(self._entries.values())
 
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, int]:
@@ -459,7 +466,8 @@ class FeedbackStore:
         )
 
     def reset(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
         self.generation = 0
         self.version = 0
         self.ingests = 0

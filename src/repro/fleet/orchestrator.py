@@ -539,16 +539,6 @@ class Fleet:
             worker.child.stop(farewell={"kind": "die"}, timeout=10)
             self._restart(worker, "chaos_kill")
 
-    def wedge_worker(self, worker_id: int, seconds: float = 3600.0) -> None:
-        """Wedge one worker (blocks inside the request loop); the next
-        probe or routed request times out and triggers the restart."""
-        worker = self._worker(worker_id)
-        with worker.lock:
-            try:
-                worker.child.request({"kind": "wedge", "seconds": seconds})
-            except NoReply:
-                self._restart(worker, "died")
-
     # ------------------------------------------------------------------
     # Stats / maintenance
     # ------------------------------------------------------------------

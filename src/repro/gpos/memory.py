@@ -47,9 +47,6 @@ class MemoryTracker:
     def charge(self, pool: str, amount_bytes: int) -> None:
         self._pools[pool] = self._pools.get(pool, 0) + amount_bytes
 
-    def charge_object(self, pool: str, obj: Any) -> None:
-        self.charge(pool, deep_sizeof(obj))
-
     def total(self) -> int:
         return sum(self._pools.values())
 

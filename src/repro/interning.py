@@ -130,11 +130,3 @@ def intern_id(key: tuple) -> Hashable:
 def intern_stats() -> dict[str, int]:
     """Process-wide interning counters (monotonic)."""
     return {"hits": _hits, "misses": _misses, "size": len(_table)}
-
-
-def clear_intern_table() -> None:
-    """Drop all interned keys and reset counters (tests / benchmarks)."""
-    global _hits, _misses
-    _table.clear()
-    _hits = 0
-    _misses = 0

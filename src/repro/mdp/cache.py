@@ -60,12 +60,5 @@ class MDCache:
         if entry is not None and entry.pins > 0:
             entry.pins -= 1
 
-    def evict_unpinned(self) -> int:
-        """Drop every unpinned entry; returns the number evicted."""
-        victims = [k for k, e in self._entries.items() if e.pins == 0]
-        for key in victims:
-            del self._entries[key]
-        return len(victims)
-
     def __len__(self) -> int:
         return len(self._entries)

@@ -13,7 +13,7 @@ the case where a transformation proves two existing groups equivalent.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Optional
 
 from repro.errors import OptimizerError
 from repro.gpos.memory import (
@@ -393,18 +393,6 @@ class Memo:
 
     def num_gexprs(self) -> int:
         return sum(len(g.gexprs) for g in self.live_groups())
-
-    def num_groups_created(self) -> int:
-        """All groups ever created, including ones merged away since."""
-        return len(self.groups)
-
-    def num_gexprs_created(self) -> int:
-        """All group expressions ever created, including dedup victims."""
-        return self._next_gexpr_id
-
-    def all_gexprs(self) -> Iterable[GroupExpression]:
-        for group in self.live_groups():
-            yield from group.gexprs
 
     def dump(self) -> str:
         """Human-readable Memo listing, like Figure 6."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Hashable
 
 from repro.interning import intern_id
-from repro.props.distribution import ANY_DIST, AnyDist, DistributionSpec
+from repro.props.distribution import ANY_DIST, DistributionSpec
 from repro.props.order import ANY_ORDER, OrderSpec
 
 
@@ -44,28 +44,6 @@ class RequiredProps(_Interned):
     dist: DistributionSpec = ANY_DIST
     order: OrderSpec = ANY_ORDER
     id: Hashable = field(init=False, repr=False, compare=False)
-
-    def is_any(self) -> bool:
-        return isinstance(self.dist, AnyDist) and self.order.is_empty()
-
-    def strictness(self) -> int:
-        """Well-founded rank used to prove enforcer recursion terminates.
-
-        Every enforcer must pass a child request of strictly lower rank
-        than the request it serves.
-        """
-        rank = 0
-        if not isinstance(self.dist, AnyDist):
-            rank += 1
-        if not self.order.is_empty():
-            rank += 1
-        return rank
-
-    def without_order(self) -> "RequiredProps":
-        return RequiredProps(self.dist, ANY_ORDER)
-
-    def without_dist(self) -> "RequiredProps":
-        return RequiredProps(ANY_DIST, self.order)
 
     def __repr__(self) -> str:
         return f"{{{self.dist!r}, {self.order!r}}}"

@@ -63,9 +63,6 @@ class PlanNode:
     def operators(self) -> list[str]:
         return [node.op.name for node in self.walk()]
 
-    def count_ops(self, name: str) -> int:
-        return sum(1 for node in self.walk() if node.op.name == name)
-
     def explain(self, indent: int = 0) -> str:
         """Pretty tree with cost/row annotations, like EXPLAIN output."""
         pad = "  " * indent

@@ -183,11 +183,6 @@ class FaultInjector:
         else:
             raise InjectedFault(site, hit, transient=spec.transient)
 
-    # ------------------------------------------------------------------
-    def schedule_fingerprint(self) -> tuple:
-        """Hashable summary of what fired — equal across identical runs."""
-        return tuple((f.site, f.hit, f.kind) for f in self.fired)
-
 
 def one_fault_per_site(
     kind: str = "error", *, permanent: bool = True, **spec_kwargs: Any

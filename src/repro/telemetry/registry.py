@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import threading
 from bisect import bisect_left
 from typing import Any, Iterable, Optional
 
@@ -88,6 +89,9 @@ class _Family:
         self.series: dict[tuple, Any] = {}
         #: label key -> set of seen values (cardinality accounting).
         self._label_values: dict[str, set[str]] = {}
+        #: Sessions on several threads may share one registry: every
+        #: write (and its label accounting) holds the family's lock.
+        self._lock = threading.Lock()
 
     def _check_labels(self, labels: dict[str, Any]) -> tuple:
         key = _labels_key(labels)
@@ -129,8 +133,9 @@ class Counter(_Family):
             raise TelemetryError(
                 f"counter {self.name!r} cannot decrease (inc {amount})"
             )
-        key = self._check_labels(labels)
-        self.series[key] = self.series.get(key, 0.0) + amount
+        with self._lock:
+            key = self._check_labels(labels)
+            self.series[key] = self.series.get(key, 0.0) + amount
 
     def total(self) -> float:
         return sum(self.series.values())
@@ -142,15 +147,13 @@ class Gauge(_Family):
     type_name = "gauge"
 
     def set(self, value: float, **labels: Any) -> None:
-        key = self._check_labels(labels)
-        self.series[key] = float(value)
+        with self._lock:
+            self.series[self._check_labels(labels)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        key = self._check_labels(labels)
-        self.series[key] = self.series.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
+        with self._lock:
+            key = self._check_labels(labels)
+            self.series[key] = self.series.get(key, 0.0) + amount
 
 
 class Histogram(_Family):
@@ -167,20 +170,21 @@ class Histogram(_Family):
             raise TelemetryError(f"histogram {name!r} needs at least 1 bucket")
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = self._check_labels(labels)
-        state = self.series.get(key)
-        if state is None:
-            state = {
-                "bucket_counts": [0] * len(self.buckets),
-                "sum": 0.0,
-                "count": 0,
-            }
-            self.series[key] = state
         idx = bisect_left(self.buckets, value)
-        if idx < len(self.buckets):
-            state["bucket_counts"][idx] += 1
-        state["sum"] += value
-        state["count"] += 1
+        with self._lock:
+            key = self._check_labels(labels)
+            state = self.series.get(key)
+            if state is None:
+                state = {
+                    "bucket_counts": [0] * len(self.buckets),
+                    "sum": 0.0,
+                    "count": 0,
+                }
+                self.series[key] = state
+            if idx < len(self.buckets):
+                state["bucket_counts"][idx] += 1
+            state["sum"] += value
+            state["count"] += 1
 
     def count(self, **labels: Any) -> int:
         state = self.series.get(_labels_key(labels))
@@ -238,9 +242,9 @@ class MetricsRegistry:
         full = self._full_name(name)
         family = self._families.get(full)
         if family is None:
-            family = klass(full, help, **kwargs)
-            self._families[full] = family
-        elif type(family) is not klass:
+            # setdefault: two threads creating one family keep one.
+            family = self._families.setdefault(full, klass(full, help, **kwargs))
+        if type(family) is not klass:
             raise TelemetryError(
                 f"metric {full!r} already registered as "
                 f"{family.type_name}, not {klass.type_name}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional, Union
 
@@ -134,9 +135,13 @@ class QueryStatsStore:
     def __init__(self):
         self._entries: dict[str, QueryStats] = {}
         self.evictions = 0
+        #: Sessions on several threads may share one store: admitting an
+        #: entry and every fold into one hold this lock.
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def _entry(self, key: tuple[str, str]) -> QueryStats:
+        """The key's entry, admitted if new; the caller holds the lock."""
         fingerprint, normalized = key
         stats = self._entries.get(fingerprint)
         if stats is None:
@@ -150,29 +155,32 @@ class QueryStatsStore:
 
     def record_optimization(self, key: tuple[str, str], result) -> QueryStats:
         """Fold one OptimizationResult into the query's aggregate."""
-        stats = self._entry(key)
-        stats.calls += 1
         source = result.plan_source
-        stats.plan_sources[source] = stats.plan_sources.get(source, 0) + 1
-        if source == "cache":
-            stats.cache_hits += 1
-        stats.total_opt_seconds += result.opt_time_seconds
-        stats.max_opt_seconds = max(
-            stats.max_opt_seconds, result.opt_time_seconds
-        )
+        with self._lock:
+            stats = self._entry(key)
+            stats.calls += 1
+            stats.plan_sources[source] = stats.plan_sources.get(source, 0) + 1
+            if source == "cache":
+                stats.cache_hits += 1
+            stats.total_opt_seconds += result.opt_time_seconds
+            stats.max_opt_seconds = max(
+                stats.max_opt_seconds, result.opt_time_seconds
+            )
         return stats
 
     def record_execution(
         self, key: tuple[str, str], execution_result
     ) -> QueryStats:
         """Fold one ExecutionResult's simulated work into the aggregate."""
-        stats = self._entry(key)
         work = execution_result.metrics.total_work()
-        stats.executions += 1
-        stats.total_exec_work += work
-        stats.max_exec_work = max(stats.max_exec_work, work)
-        stats.total_exec_seconds += execution_result.simulated_seconds()
-        stats.rows_returned += len(execution_result.rows)
+        seconds = execution_result.simulated_seconds()
+        with self._lock:
+            stats = self._entry(key)
+            stats.executions += 1
+            stats.total_exec_work += work
+            stats.max_exec_work = max(stats.max_exec_work, work)
+            stats.total_exec_seconds += seconds
+            stats.rows_returned += len(execution_result.rows)
         return stats
 
     def record_qerror(self, key: tuple[str, str], report) -> QueryStats:
@@ -180,11 +188,12 @@ class QueryStatsStore:
         the query's aggregate (geomean accumulates in log space)."""
         import math
 
-        stats = self._entry(key)
-        for node in report.nodes:
-            stats.qerror_samples += 1
-            stats.total_log_qerror += math.log(node.qerror)
-            stats.max_qerror = max(stats.max_qerror, node.qerror)
+        with self._lock:
+            stats = self._entry(key)
+            for node in report.nodes:
+                stats.qerror_samples += 1
+                stats.total_log_qerror += math.log(node.qerror)
+                stats.max_qerror = max(stats.max_qerror, node.qerror)
         return stats
 
     # ------------------------------------------------------------------
@@ -197,16 +206,16 @@ class QueryStatsStore:
 
     def entries(self) -> list[QueryStats]:
         """All entries, most-called first (ties broken by fingerprint)."""
-        return sorted(
-            self._entries.values(),
-            key=lambda s: (-s.calls, s.fingerprint),
-        )
+        with self._lock:
+            entries = list(self._entries.values())
+        return sorted(entries, key=lambda s: (-s.calls, s.fingerprint))
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def reset(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def snapshot(self) -> list[dict[str, Any]]:
         return [stats.as_dict() for stats in self.entries()]

@@ -213,16 +213,6 @@ class Tracer:
         rec = self._flight_record()
         return rec.trace_id if rec is not None else None
 
-    @property
-    def current_span_id(self) -> Optional[str]:
-        """The innermost span this thread has open, else the span the
-        open flight record hangs under (trace-context propagation)."""
-        stack = self._stack()
-        if stack:
-            return stack[-1].span_id
-        rec = self._flight_record()
-        return rec.parent_span_id if rec is not None else None
-
     # ------------------------------------------------------------------
     def record(self, kind: str, **data: Any) -> None:
         """Record one event: the buffer updates its aggregates (and keeps
@@ -345,9 +335,6 @@ class Tracer:
     def count(self, kind: str) -> int:
         return self.counters.get(kind, 0)
 
-    def events_of(self, kind: str) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -429,26 +416,3 @@ class Tracer:
 NULL_TRACER = Tracer()
 NULL_TRACER.enabled = False
 
-
-def check_span_consistency(tracer: Tracer) -> list[str]:
-    """Verify every ``stage_start`` has a matching ``stage_end``.
-
-    Returns a list of problem descriptions (empty when consistent).
-    Spans may nest; per stage name, starts and ends must balance and
-    never go negative.
-    """
-    problems: list[str] = []
-    depth: dict[str, int] = {}
-    for event in tracer.events:
-        if event.kind == "stage_start":
-            stage = event.data.get("stage", "?")
-            depth[stage] = depth.get(stage, 0) + 1
-        elif event.kind == "stage_end":
-            stage = event.data.get("stage", "?")
-            depth[stage] = depth.get(stage, 0) - 1
-            if depth[stage] < 0:
-                problems.append(f"stage_end without stage_start: {stage}")
-    for stage, d in depth.items():
-        if d > 0:
-            problems.append(f"unclosed stage_start: {stage}")
-    return problems

@@ -11,6 +11,9 @@ from repro.catalog import Column, Database, Index, INT, TEXT, Table
 from repro.catalog.schema import PartitionScheme, RangePartition
 from repro.config import OptimizerConfig
 
+pytest.register_assert_rewrite("tests.pins")
+from tests import pins  # noqa: E402
+
 
 def make_small_db(seed: int = 0, t1_rows: int = 5000, t2_rows: int = 500) -> Database:
     """Two hash-distributed tables with analyzed statistics."""
@@ -68,9 +71,26 @@ def make_partitioned_db(seed: int = 0) -> Database:
 def pytest_addoption(parser):
     parser.addoption(
         "--update-golden", action="store_true", default=False,
-        help="rewrite the golden plan snapshots under tests/golden/ "
-             "instead of comparing against them",
+        help="rewrite the golden plans, corpus pins (tests/golden/) and "
+             "front fixtures (tests/fixtures/front/) instead of comparing "
+             "against them",
     )
+
+
+def pytest_configure(config):
+    pins.updating = config.getoption("--update-golden")
+
+
+def pytest_sessionfinish(session):
+    """Under ``--update-golden``, merge the pins the tests recorded into
+    ``tests/golden/corpus_pins.json`` and print one line per query."""
+    if not (pins.recorded or pins.plan_changes):
+        return
+    from repro.workloads import queries_by_id
+
+    print(f"\ncorpus pins regenerated ({pins.PINS_PATH.name}):")
+    for line in pins.regenerate(queries_by_id()):
+        print(line)
 
 
 @pytest.fixture(scope="session")

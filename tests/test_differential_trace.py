@@ -16,9 +16,10 @@ from repro.config import OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.optimizer import Orca
 from repro.planner import LegacyPlanner
-from repro.trace import Tracer, check_span_consistency
+from repro.trace import Tracer
 
 from tests.conftest import make_small_db, rows_equal
+from tests.helpers import check_span_consistency
 from tests.test_differential import QueryGenerator
 
 #: Seeds 200.. are disjoint from test_differential's 0..51 ranges.
@@ -58,11 +59,11 @@ def test_corpus_differential_with_trace(env, seed):
     assert tracer.job_kind_counts == orca_result.search_stats.kind_counts, sql
     assert (
         tracer.count("group_created")
-        == orca_result.memo.num_groups_created()
+        == len(orca_result.memo.groups)
     ), sql
     assert (
         tracer.count("gexpr_added")
-        == orca_result.memo.num_gexprs_created()
+        == orca_result.memo._next_gexpr_id
     ), sql
     assert tracer.count("execution_metrics") == 1, sql
 

@@ -34,6 +34,7 @@ from repro.catalog.types import INT, TEXT
 from repro.sql.translator import Translator
 
 from tests.conftest import make_partitioned_db, make_small_db
+from tests.helpers import evict_unpinned
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +158,7 @@ class TestMetadataDXL:
         t1 = back.table("t1")
         assert [c.name for c in t1.columns] == ["a", "b", "c"]
         assert t1.distribution_columns == ("a",)
-        assert t1.index_on("b") is not None
+        assert any(i.column == "b" for i in t1.indexes)
 
     def test_stats_roundtrip(self, db):
         doc = serialize_metadata(db, ["t1"])
@@ -240,10 +241,10 @@ class TestMDCacheAndAccessor:
         accessor2 = MDAccessor(cache, provider)
         accessor2.table("t2")
         accessor2.close()
-        evicted = cache.evict_unpinned()
+        evicted = evict_unpinned(cache)
         assert evicted == 1  # t2 unpinned, t1 still pinned
         accessor.close()
-        assert cache.evict_unpinned() == 1
+        assert evict_unpinned(cache) == 1
 
     def test_accessor_tracks_accessed(self, db):
         accessor = MDAccessor(MDCache(), CatalogProvider(db))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.catalog import Column, INT, Table
@@ -93,8 +95,9 @@ class TestConfig:
         assert [s.name for s in config.stages] == ["s1", "s2"]
 
     def test_with_flags(self):
-        config = OptimizerConfig().with_flags(["f1"]).with_flags(["f2"])
+        config = replace(OptimizerConfig(), trace_flags=frozenset({"f1", "f2"}))
         assert config.trace_flags == frozenset({"f1", "f2"})
+        assert OptimizerConfig().trace_flags == frozenset()
 
     def test_frozen(self):
         with pytest.raises(Exception):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import pytest
 
@@ -42,6 +43,7 @@ from repro.service.faults import FAULT_SITES, FaultSpec, KILLED_EXIT_CODE
 from repro.workloads import QUERIES
 
 from tests.conftest import make_small_db, rows_equal
+from tests.helpers import wedge_worker
 
 Q1 = "SELECT a, b FROM t1 WHERE b = 42 ORDER BY a, b LIMIT 10"
 Q2 = "SELECT count(*) AS n FROM t1 JOIN t2 ON t1.a = t2.a WHERE t2.b < 100"
@@ -274,7 +276,7 @@ class TestHealthAndDrain:
     ):
         monkeypatch.setattr(orchestrator, "HEARTBEAT_TIMEOUT_SECONDS", 1.0)
         with make_fleet(fleet_db, workers=2) as fleet:
-            fleet.wedge_worker(1, seconds=30.0)
+            wedge_worker(fleet, 1, seconds=30.0)
             health = fleet.health_check()
             assert health == {0: "ok", 1: "restarted_wedged"}
             assert fleet.health_check() == {0: "ok", 1: "ok"}
@@ -292,7 +294,7 @@ class TestHealthAndDrain:
         session = repro.connect(fleet_db)
         with make_fleet(fleet_db, workers=1) as fleet:
             fleet.optimize(Q1)
-            fleet.wedge_worker(0, seconds=0.05)
+            wedge_worker(fleet, 0, seconds=0.05)
             time.sleep(0.3)
             for sql in (Q2, Q3):
                 assert fleet.optimize(sql).explain() == (
@@ -325,7 +327,7 @@ class TestHealthAndDrain:
         ``kill_worker(n)`` raise a bare ``IndexError``."""
         with make_fleet(fleet_db, workers=2) as fleet:
             for bad in (-1, 2):
-                for chaos in (fleet.kill_worker, fleet.wedge_worker):
+                for chaos in (fleet.kill_worker, partial(wedge_worker, fleet)):
                     with pytest.raises(OptimizerError, match="no worker"):
                         chaos(bad)
             assert fleet.restarts_total == 0
@@ -461,7 +463,7 @@ class TestConcurrentClients:
     def test_a_wedged_worker_stalls_only_its_own_request(self, fleet_db):
         with make_fleet(fleet_db, request_timeout_seconds=2.0) as fleet, \
                 ThreadPoolExecutor(max_workers=1) as clients:
-            fleet.wedge_worker(0, seconds=30.0)
+            wedge_worker(fleet, 0, seconds=30.0)
             victim = clients.submit(fleet.optimize, Q3)  # routed to worker 0
             wait_until(lambda: fleet._workers[0].lock.locked())
             waits = []

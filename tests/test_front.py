@@ -9,7 +9,8 @@ a registry-backed ``Session`` and of a ``Fleet`` after a fixed statement
 list, a
 flight dump, a slow-log record, and the trace an AMPERe dump embeds.
 The snapshots live in ``tests/fixtures/front/``; regenerate them after
-an intentional change with ``--update-golden`` and review the diff.
+an intentional change with ``python -m pytest tests/ -m pins
+--update-golden`` and review the diff.
 
 **Identity** runs the corpus once per sink set (none, trace buffer,
 flight ring, metrics registry, all three) and requires plans, job logs,
@@ -128,6 +129,7 @@ def small_front_db():
 # ----------------------------------------------------------------------
 # Fixtures: single process
 # ----------------------------------------------------------------------
+@pytest.mark.pins
 def test_tracer_to_dict(tpcds_db, request):
     tracer = Tracer()
     session = repro.connect(tpcds_db, tracer=tracer, segments=SEGMENTS)
@@ -135,6 +137,7 @@ def test_tracer_to_dict(tpcds_db, request):
     check("tracer_to_dict", masked_trace(tracer.to_dict()), request)
 
 
+@pytest.mark.pins
 def test_ampere_dump_embeds_the_trace(tpcds_db, tmp_path, request):
     tracer = Tracer()
     config = repro.OptimizerConfig(segments=SEGMENTS)
@@ -150,6 +153,7 @@ def test_ampere_dump_embeds_the_trace(tpcds_db, tmp_path, request):
     assert capture_dump(tpcds_db, STATEMENT, config=config).trace_json is None
 
 
+@pytest.mark.pins
 def test_flight_dump(tpcds_db, tmp_path, request):
     recorder = FlightRecorder(dump_dir=str(tmp_path), worker="worker-0")
     session = repro.connect(tpcds_db, flight_recorder=recorder, segments=SEGMENTS)
@@ -202,6 +206,7 @@ def test_a_statement_front_hit_has_no_parse_span(tpcds_db):
     assert tracer.count("plan_cache_statement_hit") == 1
 
 
+@pytest.mark.pins
 def test_slow_log_record(tpcds_db, request):
     def record_keys(**doors):
         stream = io.StringIO()
@@ -228,6 +233,7 @@ def test_slow_log_record(tpcds_db, request):
     }, request)
 
 
+@pytest.mark.pins
 def test_session_prometheus(tpcds_db, request):
     statements = [q.sql for q in QUERIES[:4]]
     registry = MetricsRegistry()
@@ -248,6 +254,7 @@ def test_session_prometheus(tpcds_db, request):
 # ----------------------------------------------------------------------
 # Fixtures: a fleet (real worker processes)
 # ----------------------------------------------------------------------
+@pytest.mark.pins
 def test_fleet_chrome_trace(small_front_db, request):
     """What ``repro trace --fleet 2 --execute`` writes."""
     tracer = Tracer()
@@ -283,6 +290,7 @@ def test_fleet_chrome_trace(small_front_db, request):
     } == {tracer.trace_id}
 
 
+@pytest.mark.pins
 def test_fleet_prometheus(small_front_db, request):
     with repro.connect_fleet(
         small_front_db, workers=2, segments=4, enable_plan_cache=True

@@ -16,10 +16,11 @@ import pytest
 
 from repro import interning
 from repro.config import OptimizerConfig
-from repro.interning import HashedKey, clear_intern_table, intern_key, intern_stats
+from repro.interning import HashedKey, intern_key, intern_stats
 from repro.optimizer import Orca
 
 from tests.conftest import make_small_db
+from tests.helpers import clear_intern_table
 
 
 @pytest.fixture(scope="module")

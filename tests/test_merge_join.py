@@ -145,7 +145,7 @@ class TestPlansAndExecution:
             "SELECT t1.a FROM t1, t2 WHERE t1.a = t2.a ORDER BY t1.a"
         )
         merge_exprs = [
-            g for g in result.memo.all_gexprs()
+            g for group in result.memo.live_groups() for g in group.gexprs
             if g.op.name == "MergeJoin" and g.plans
         ]
         assert merge_exprs

@@ -44,6 +44,7 @@ from repro.telemetry import MetricsRegistry, QueryStatsStore
 from repro.trace import NULL_TRACER, Tracer
 
 from tests.conftest import make_small_db
+from tests.helpers import current_span_id, events_of
 
 Q_JOIN = ("SELECT t1.a, t2.b FROM t1, t2 WHERE t1.a = t2.a "
           "AND t1.b < 50 ORDER BY t1.a, t2.b LIMIT 20")
@@ -86,19 +87,19 @@ class TestTracerSpans:
     def test_nested_spans_carry_parentage(self):
         tracer = Tracer()
         with tracer.span("outer") as outer:
-            assert tracer.current_span_id == outer.span_id
+            assert current_span_id(tracer) == outer.span_id
             with tracer.span("inner") as inner:
                 assert inner.parent_id == outer.span_id
         assert outer.parent_id is None
-        assert tracer.current_span_id is None
+        assert current_span_id(tracer) is None
         assert [s.name for s in tracer.spans] == ["inner", "outer"]
 
     def test_stage_events_carry_span_ids(self):
         tracer = Tracer()
         with tracer.span("s"):
             pass
-        (start,) = tracer.events_of("stage_start")
-        (end,) = tracer.events_of("stage_end")
+        (start,) = events_of(tracer, "stage_start")
+        (end,) = events_of(tracer, "stage_end")
         assert start.data["span_id"] == end.data["span_id"]
         assert start.data["parent_id"] is None
 
@@ -148,8 +149,8 @@ class TestTracerSpans:
     def test_null_tracer_span_api(self):
         tracer = NULL_TRACER
         with tracer.span("s", anything=1):
-            assert tracer.current_span_id is None
-        assert tracer.current_span_id is None
+            assert current_span_id(tracer) is None
+        assert current_span_id(tracer) is None
         assert tracer.trace_id is None
         assert tracer.spans == []
 
@@ -292,7 +293,7 @@ class TestFlightRecorder:
         recorder = FlightRecorder()
         record = recorder.begin("q", trace_id="t" * 16, parent_span_id="p" * 8)
         assert recorder.tracer.trace_id == "t" * 16
-        assert recorder.tracer.current_span_id == "p" * 8
+        assert current_span_id(recorder.tracer) == "p" * 8
         with recorder.tracer.span("outer") as outer:
             assert outer.parent_id == "p" * 8
             with recorder.tracer.span("inner") as inner:
@@ -595,11 +596,11 @@ class TestFusedTraceEvents:
                           execution_mode="fused")
         session.execute(Q_JOIN)
         assert tracer.count("pipeline_segmented") >= 1
-        seg = tracer.events_of("pipeline_segmented")[0].data
+        seg = events_of(tracer, "pipeline_segmented")[0].data
         assert seg["chains"] >= 1
         assert seg["fused_nodes"] >= seg["chains"]
         assert tracer.count("chain_compiled") >= 1
-        compiled = tracer.events_of("chain_compiled")[0].data
+        compiled = events_of(tracer, "chain_compiled")[0].data
         assert compiled["stages"] >= 1
         assert "fused:compile" in tracer.stage_counts
         assert tracer.count("scan_cache_miss") >= 1
@@ -615,7 +616,7 @@ class TestFusedTraceEvents:
                           execution_mode="row")
         session.execute(Q_AGG)
         assert tracer.count("pipeline_segmented") == 1
-        compiled = tracer.events_of("chain_compiled")
+        compiled = events_of(tracer, "chain_compiled")
         assert compiled
         assert {e.data["ops"] for e in compiled} == {1}
 

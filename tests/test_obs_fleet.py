@@ -32,6 +32,7 @@ from repro.service.faults import FaultSpec
 from repro.trace import Tracer
 
 from tests.conftest import make_small_db
+from tests.helpers import events_of
 
 Q1 = "SELECT a, b FROM t1 WHERE b = 42 ORDER BY a, b LIMIT 10"
 Q2 = "SELECT count(*) AS n FROM t1 JOIN t2 ON t1.a = t2.a WHERE t2.b < 100"
@@ -200,7 +201,7 @@ class TestTraceAcrossRestart:
             fleet.optimize(Q3)
             assert fleet.restarts_total == 1
 
-        restarts = tracer.events_of("fleet_restart")
+        restarts = events_of(tracer, "fleet_restart")
         assert [e.data["worker"] for e in restarts] == [0]
         assert restarts[0].data["reason"] == "chaos_kill"
         assert restarts[0].data["incarnation"] == 1

@@ -22,6 +22,8 @@ from repro.props.distribution import (
 from repro.props.order import ANY_ORDER, OrderSpec, SortKey
 from repro.props.required import DerivedProps, RequiredProps
 
+from tests.helpers import strictness
+
 
 @pytest.fixture()
 def cols():
@@ -246,7 +248,7 @@ class TestEnforcers:
         sort = ph.PhysicalSort(OrderSpec((SortKey(a.id),)))
         req = RequiredProps(SINGLETON, OrderSpec((SortKey(a.id),)))
         child = sort.child_request(req)
-        assert child.strictness() < req.strictness()
+        assert strictness(child) < strictness(req)
         assert child.dist == SINGLETON
 
     def test_gather_serves_unordered_singleton_only(self):
@@ -264,7 +266,7 @@ class TestEnforcers:
         assert gm.serves(req)
         child = gm.child_request(req)
         assert child.order == order and child.dist is ANY_DIST
-        assert child.strictness() < req.strictness()
+        assert strictness(child) < strictness(req)
 
     def test_redistribute_exact_columns(self, cols):
         _f, (a, b, *_rest) = cols
@@ -301,7 +303,7 @@ class TestEnforcers:
         ]
         for req in candidates:
             if enforcer.serves(req):
-                assert enforcer.child_request(req).strictness() < req.strictness()
+                assert strictness(enforcer.child_request(req)) < strictness(req)
 
 
 class TestAppend:

@@ -18,7 +18,9 @@ from repro.props.distribution import (
     SINGLETON,
 )
 from repro.props.order import ANY_ORDER, OrderSpec, SortKey
-from repro.props.required import DerivedProps, RequiredProps
+from repro.props.required import ANY_PROPS, DerivedProps, RequiredProps
+
+from tests.helpers import strictness
 
 
 DELIVERABLE = [SINGLETON, REPLICATED, RANDOM, HashedDist((1,)), HashedDist((1, 2))]
@@ -123,16 +125,16 @@ class TestOrderSpec:
 
 class TestRequiredProps:
     def test_strictness_ranks(self):
-        assert RequiredProps().strictness() == 0
-        assert RequiredProps(SINGLETON).strictness() == 1
-        assert RequiredProps(
+        assert strictness(RequiredProps()) == 0
+        assert strictness(RequiredProps(SINGLETON)) == 1
+        assert strictness(RequiredProps(
             SINGLETON, OrderSpec((SortKey(1),))
-        ).strictness() == 2
+        )) == 2
 
     def test_weakening_helpers(self):
         req = RequiredProps(SINGLETON, OrderSpec((SortKey(1),)))
-        assert req.without_order().order.is_empty()
-        assert req.without_dist().dist is ANY_DIST
+        assert strictness(RequiredProps(req.dist)) < strictness(req)
+        assert strictness(RequiredProps(order=req.order)) < strictness(req)
 
     def test_key_distinguishes(self):
         r1 = RequiredProps(SINGLETON)
@@ -214,5 +216,5 @@ class TestRequiredProps:
         assert not d.satisfies(RequiredProps(SINGLETON))
 
     def test_is_any(self):
-        assert RequiredProps().is_any()
-        assert not RequiredProps(SINGLETON).is_any()
+        assert RequiredProps() == ANY_PROPS
+        assert RequiredProps(SINGLETON) != ANY_PROPS

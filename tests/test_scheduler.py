@@ -215,7 +215,7 @@ class TestMemoryTracker:
 
     def test_charge_object(self):
         tracker = MemoryTracker()
-        tracker.charge_object("x", {"a": [1, 2, 3]})
+        tracker.charge("x", deep_sizeof({"a": [1, 2, 3]}))
         assert tracker.total() > 0
 
     def test_deep_sizeof_grows_with_content(self):

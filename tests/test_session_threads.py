@@ -14,16 +14,31 @@ import threading
 import pytest
 
 import repro
+from repro.engine import Cluster, Executor
 from repro.errors import OptimizerError
+from repro.feedback import FeedbackStore
 from repro.service import FaultInjector, FaultSpec
 from repro.telemetry import MetricsRegistry
-from repro.telemetry.stats_store import QueryStatsStore
+from repro.telemetry.stats_store import QueryStatsStore, fingerprint_query
 from repro.workloads import QUERIES
 
 from tests.conftest import rows_equal
 
 SQL = "SELECT d.d_year, count(*) AS n FROM date_dim d GROUP BY d.d_year"
 THREADS = 4
+
+#: Counted per process, not per query: how many intern lookups hit
+#: depends on what the process interned before.
+PROCESS_COUNTERS = {"repro_optimizer_intern_events_total"}
+
+
+def counter_totals(registry: MetricsRegistry) -> dict[str, float]:
+    """Each counter family's sum over its series."""
+    return {
+        name: sum(series["value"] for series in family["series"])
+        for name, family in registry.snapshot()["families"].items()
+        if family["type"] == "counter" and name not in PROCESS_COUNTERS
+    }
 
 
 def run_threads(work, threads: int = THREADS) -> list:
@@ -77,8 +92,10 @@ class TestThreadedSessions:
     def test_plans_match_one_serial_session(self, tpcds_db, query):
         """Threads optimizing the same statement at once, each on its
         own session but sharing one registry and one stats store, all
-        render the plan one serial session renders."""
-        with repro.connect(tpcds_db) as session:
+        render the plan one serial session renders, and the shared
+        registry and store sum every thread's call."""
+        serial = MetricsRegistry()
+        with repro.connect(tpcds_db, telemetry=serial) as session:
             expected = session.optimize(query.sql).plan.explain()
         registry, store = MetricsRegistry(), QueryStatsStore()
 
@@ -90,6 +107,71 @@ class TestThreadedSessions:
                 return own.optimize(query.sql).plan.explain()
 
         assert run_threads(optimize) == [expected] * THREADS
+        assert counter_totals(registry) == {
+            name: THREADS * total
+            for name, total in counter_totals(serial).items()
+        }
+        assert registry.histogram("optimization_seconds").count() == THREADS
+        stats = store.lookup(query.sql)
+        assert (stats.calls, stats.plan_sources) == (
+            THREADS, {"orca": THREADS}
+        )
+
+    def test_shared_stores_lose_no_update(self, tpcds_db):
+        """Sessions on threads fold into the registry, stats store and
+        feedback store they were passed.  Each fold is a read-modify-write;
+        with every thread folding the same statement at once, none of
+        them may be lost."""
+        # Feedback on, so the plan's nodes carry the shapes a feedback
+        # store keys on.
+        with repro.connect(
+            tpcds_db, segments=4, enable_cardinality_feedback=True
+        ) as session:
+            result = session.optimize(SQL)
+        execution = Executor(Cluster(tpcds_db, segments=4)).execute(
+            result.plan, result.output_cols, analyze=True
+        )
+        key = fingerprint_query(SQL)
+        # Statements the threads admit into the store side by side.
+        keys = [(f"f{n}", f"q{n}") for n in range(500)]
+        registry, store, feedback = (
+            MetricsRegistry(), QueryStatsStore(), FeedbackStore()
+        )
+        folds, ingests = 20000, 2000
+
+        def count(slot: int) -> None:
+            for _ in range(folds):
+                registry.inc("queries_total", plan_source="orca")
+                registry.gauge("in_flight").inc()
+                registry.observe("optimization_seconds", 0.001)
+
+        def record(slot: int) -> None:
+            for n in range(folds):
+                store.record_optimization(keys[n % len(keys)], result)
+
+        shape = result.plan.shape
+
+        def ingest(slot: int) -> None:
+            for _ in range(ingests):
+                store.record_execution(key, execution)
+                feedback.ingest(result.plan, execution.analysis)
+                feedback.correction(shape)
+
+        for work in (count, record, ingest):
+            run_threads(work)
+        assert (
+            registry.value("queries_total", plan_source="orca"),
+            registry.value("in_flight"),
+            registry.histogram("optimization_seconds").count(),
+            sum(stats.calls for stats in store.entries()),
+        ) == (THREADS * folds,) * 4
+        assert (
+            store.get(key[0]).executions, feedback.ingests, feedback.generation,
+            feedback.lookup_hits + feedback.lookup_misses,
+        ) == (THREADS * ingests,) * 4
+        assert {e.observations for e in feedback.entries()} == {
+            THREADS * ingests
+        }
 
     def test_rows_match_one_serial_session(self, tpcds_db):
         queries = QUERIES[:3]

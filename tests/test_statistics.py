@@ -73,8 +73,8 @@ class TestHistogramConstruction:
 
     def test_min_max(self):
         h = Histogram.from_values(list(range(10, 110)))
-        assert h.min_value() == 10
-        assert h.max_value() >= 109
+        assert h.buckets[0].lo == 10
+        assert h.buckets[-1].hi >= 109
 
     def test_uniform_factory(self):
         h = Histogram.uniform(0, 100, rows=1000, ndv=100)
@@ -169,7 +169,7 @@ class TestRestriction:
         h = Histogram.from_values(list(range(100)))
         r = h.restricted_range(lo=20, hi=40)
         assert r.total_rows() < h.total_rows()
-        assert r.min_value() >= 19
+        assert r.buckets[0].lo >= 19
 
     def test_filtered_scales_rows(self):
         h = Histogram.from_values(list(range(100)))

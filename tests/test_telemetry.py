@@ -58,7 +58,7 @@ class TestGaugesAndHistograms:
         m = MetricsRegistry()
         m.set_gauge("active_sessions", 4)
         m.gauge("active_sessions").inc()
-        m.gauge("active_sessions").dec(2)
+        m.gauge("active_sessions").inc(-2)  # a gauge decrements by inc
         assert m.value("active_sessions") == 3
 
     def test_histogram_buckets_sum_count(self):

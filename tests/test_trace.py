@@ -15,14 +15,10 @@ import pytest
 from repro.config import OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.optimizer import Orca
-from repro.trace import (
-    EVENT_KINDS,
-    NULL_TRACER,
-    Tracer,
-    check_span_consistency,
-)
+from repro.trace import EVENT_KINDS, NULL_TRACER, Tracer
 
 from tests.conftest import make_small_db
+from tests.helpers import check_span_consistency, current_span_id, events_of
 
 TRACED_QUERIES = [
     "SELECT a, b FROM t1 WHERE b > 10 ORDER BY a, b LIMIT 20",
@@ -48,7 +44,7 @@ class TestTracer:
         assert tracer.count("group_created") == 2
         assert tracer.count("xform_applied") == 1
         assert tracer.count("missing") == 0
-        assert len(tracer.events_of("group_created")) == 2
+        assert len(events_of(tracer, "group_created")) == 2
 
     def test_span_aggregates_time(self):
         tracer = Tracer()
@@ -99,7 +95,7 @@ class TestTracer:
         assert [e.kind for e in restored.events] == [
             e.kind for e in tracer.events
         ]
-        assert restored.events_of("group_created")[0].data["group"] == 7
+        assert events_of(restored, "group_created")[0].data["group"] == 7
         # to_json is valid JSON with the documented top-level shape.
         payload = json.loads(text)
         assert payload["version"] == 1
@@ -145,10 +141,10 @@ class TestTracer:
             with tracer.span("request", client=slot) as root:
                 inside.wait(timeout=10)  # both roots are open right now
                 with tracer.span("child") as child:
-                    assert tracer.current_span_id == child.span_id
+                    assert current_span_id(tracer) == child.span_id
                     for _ in range(events):
                         tracer.record("job_done", job_kind="Xform", seconds=1.0)
-                assert tracer.current_span_id == root.span_id
+                assert current_span_id(tracer) == root.span_id
                 roots[slot] = (root, child)
 
         pool = [threading.Thread(target=client, args=(i,)) for i in range(threads)]
@@ -158,7 +154,7 @@ class TestTracer:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in pool)
 
-        assert tracer.current_span_id is None
+        assert current_span_id(tracer) is None
         for root, child in roots.values():
             assert root.parent_id is None
             assert child.parent_id == root.span_id
@@ -221,7 +217,7 @@ class TestNullTracer:
         tracer.observe("optimization_seconds", 0.5)
         tracer.set_gauge("fleet_workers", 2)
         assert tracer.count("group_created") == 0
-        assert tracer.events_of("group_created") == []
+        assert events_of(tracer, "group_created") == []
         payload = tracer.to_dict()
         assert payload["trace_id"] is None
         assert not (
@@ -288,8 +284,8 @@ class TestTraceInvariants:
         (these queries produce no shared-CTE side Memos)."""
         for sql, tracer, result, _out in traced_runs:
             memo = result.memo
-            assert tracer.count("group_created") == memo.num_groups_created(), sql
-            assert tracer.count("gexpr_added") == memo.num_gexprs_created(), sql
+            assert tracer.count("group_created") == len(memo.groups), sql
+            assert tracer.count("gexpr_added") == memo._next_gexpr_id, sql
 
     def test_property_requests_cover_contexts(self, traced_runs):
         """One property_request event per distinct (group, req) context."""

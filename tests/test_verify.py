@@ -101,7 +101,9 @@ class TestAMPERe:
         assert "OptimizerError" in dump.stacktrace
 
     def test_trace_flags_roundtrip(self, db):
-        cfg = OptimizerConfig(segments=8).with_flags(["gp_optimizer_hashjoin"])
+        cfg = OptimizerConfig(
+            segments=8, trace_flags=frozenset({"gp_optimizer_hashjoin"})
+        )
         dump = capture_dump(db, "SELECT a FROM t1", cfg)
         import xml.etree.ElementTree as ET
 

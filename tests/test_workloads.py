@@ -37,7 +37,9 @@ class TestSchema:
 
     def test_date_dim_has_index(self):
         db = build_schema()
-        assert db.table("date_dim").index_on("d_date_sk") is not None
+        assert any(
+            i.column == "d_date_sk" for i in db.table("date_dim").indexes
+        )
 
     def test_replicated_dimensions(self):
         from repro.catalog import DistributionPolicy
@@ -64,7 +66,7 @@ class TestData:
         table = tpcds_db.table("store_sales")
         nonempty = sum(
             1 for i in range(table.num_partitions())
-            if tpcds_db.partition_rows("store_sales", i)
+            if tpcds_db.scan("store_sales", partition_ids=[i])
         )
         assert nonempty == table.num_partitions()
 
