@@ -5,8 +5,10 @@ the legacy Planner share one executor; the two execution modes share
 one compiler).  This file holds both execution modes to sqlite over the
 same tables, through the performance ledger's oracle
 (``benchmarks/ledger/oracle.py``, loaded by path so nothing there
-changes): the TPC-DS corpus, and ``NOT IN`` over NULL-bearing tables,
-where SQL's three-valued logic is easy to get wrong.
+changes): the TPC-DS corpus, plans TAQO draws from each corpus Memo
+(any plan in the Memo must return the chosen plan's rows), and ``NOT
+IN`` over NULL-bearing tables, where SQL's three-valued logic is easy
+to get wrong.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from repro.catalog import Column, Database, INT, Table
 from repro.config import ExecutionMode, OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.optimizer import Orca
+from repro.props.distribution import SINGLETON
+from repro.props.order import OrderSpec, SortKey
+from repro.props.required import RequiredProps
+from repro.verify.taqo import sample_plans
 from repro.workloads import QUERIES
 
 ORACLE = (
@@ -88,6 +94,43 @@ def test_corpus_reference_sources(corpus):
     sources = {q.id: expected(corpus, q.sql).source for q in QUERIES}
     assert Counter(sources.values()) == {"sqlite": 31, "planner_row": 1}
     assert sources["category_rollup"] == "planner_row"
+
+
+# ---------------------------------------------------------------------------
+# The plan space
+# ---------------------------------------------------------------------------
+
+#: Plans TAQO's uniform sampler draws from each query's Memo.
+PLAN_SAMPLES = 6
+
+#: Queries the plan-space check leaves out: the two whose CTE producers
+#: are optimized in Memos of their own (the sampler would need their
+#: plans), and the ROLLUP one, which sqlite does not judge.
+NOT_SAMPLED = {"cte_frequent_items", "cte_year_totals", "category_rollup"}
+
+
+@pytest.mark.parametrize(
+    "query", [q for q in QUERIES if q.id not in NOT_SAMPLED],
+    ids=lambda q: q.id,
+)
+def test_sampled_plans_match_sqlite(oracle_module, tpcds_db, corpus, query):
+    """Every sampled plan, chosen or not, returns sqlite's rows in both
+    execution modes: each xform and enforcer preserves semantics."""
+    result = corpus[0].optimize(query.sql)
+    want = expected(corpus, query.sql)
+    assert want.source == "sqlite" and not result.query.cte_defs
+    req = RequiredProps(SINGLETON, OrderSpec(tuple(
+        SortKey(c.id, asc) for c, asc in result.query.required_sort
+    )))
+    samples = sample_plans(result.memo, req, PLAN_SAMPLES)
+    assert samples
+    for sample in samples:
+        for mode in MODES:
+            ex = Executor(Cluster(tpcds_db, segments=8), execution_mode=mode)
+            rows = ex.execute(sample.plan, result.output_cols).rows
+            assert oracle_module.compare(rows, want) == "", (
+                mode, sample.plan.explain(),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -224,3 +267,4 @@ def test_compound_order_limit_matches_sqlite(
     want = oracle.expected(sqlite_sql or sql)
     assert want.source == "sqlite"
     assert oracle_module.compare(rows, want) == "", (sql, rows, want.rows)
+
