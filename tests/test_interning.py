@@ -19,6 +19,7 @@ from repro.config import OptimizerConfig
 from repro.interning import HashedKey, intern_key, intern_stats
 from repro.optimizer import Orca
 
+from tests import pins
 from tests.conftest import make_small_db
 from tests.helpers import clear_intern_table
 
@@ -98,6 +99,7 @@ class TestOptimizerMemoization:
         assert stats.derivation_cache_hits > 0
         assert stats.property_cache_hits > 0
 
+    @pytest.mark.pins
     def test_warm_table_turns_misses_into_hits(self, db):
         clear_intern_table()
         orca = Orca(db, config=OptimizerConfig(segments=8))
@@ -109,7 +111,8 @@ class TestOptimizerMemoization:
         assert warm.intern_misses == 0
         assert warm.intern_hits > 0
         # The corpus from a cold table, at scale 0.1 / 8 segments: the
-        # counts behind the 0.7623 hit rate, exactly.  The singleton
+        # counts behind the corpus hit rate, exactly (pinned in
+        # tests/golden/corpus_pins.json).  The singleton
         # distribution specs keep their key for the life of the process;
         # key them first so the misses do not depend on which of them an
         # earlier test touched (a fresh process would count two more).
@@ -124,8 +127,10 @@ class TestOptimizerMemoization:
         clear_intern_table()
         orca = Orca(corpus_db, config=OptimizerConfig(segments=8))
         stats = [orca.optimize(q.sql).search_stats for q in QUERIES]
-        assert sum(s.intern_hits for s in stats) == 9420
-        assert sum(s.intern_misses for s in stats) == 2937
+        pins.check({"corpus": {"totals_scale_0.1": {
+            "intern_hits": sum(s.intern_hits for s in stats),
+            "intern_misses": sum(s.intern_misses for s in stats),
+        }}})
 
     def test_search_is_identical_cold_and_warm(self, db):
         """Interning must not change any search decision, only speed."""

@@ -24,7 +24,6 @@ from types import SimpleNamespace
 import pytest
 
 import repro
-from repro.config import OptimizerConfig
 from repro.obs import (
     FlightRecorder,
     SlowQueryLog,
