@@ -13,6 +13,7 @@ from repro.config import OptimizerConfig
 from repro.xforms.exploration import (
     JoinAssociativity,
     JoinCommutativity,
+    SplitDQA,
     SplitGbAgg,
 )
 from repro.xforms.implementation import (
@@ -42,6 +43,7 @@ def all_rules() -> list[Rule]:
         JoinCommutativity(),
         JoinAssociativity(),
         SplitGbAgg(),
+        SplitDQA(),
         Get2TableScan(),
         Get2IndexScan(),
         Select2Filter(),
