@@ -7,9 +7,9 @@ These are the rules triggered in step 1 of the optimization workflow
 
 from __future__ import annotations
 
+from repro.catalog.types import INT
 from repro.memo.memo import GroupExpression, group_ref
 from repro.ops.expression import Expression
-from repro.catalog.types import INT
 from repro.ops.logical import (
     AggStage,
     JoinKind,
