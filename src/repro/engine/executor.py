@@ -637,6 +637,13 @@ class Executor:
                     inner_result = self._exec(inner_plan)
                     self._param_env = saved_env
                     rows = inner_result.single_copy()
+                    if op.kind is ApplyKind.SCALAR:
+                        # Attach the inner columns by id: the inner plan
+                        # may carry more (a split avg's sum and count).
+                        rows = list(_projected(
+                            rows, _positions(inner_result.cols, inner_cols),
+                            len(inner_result.cols),
+                        ))
                     # What this binding's run added to the inner subtree.
                     after = self.metrics.work_of(inner_plan)
                     cache[key] = (

@@ -390,6 +390,23 @@ def test_split_rules_shape_the_plan(split_db, name):
     assert ":partial" not in plan and ":final" not in plan
 
 
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_correlated_split_avg_matches_sqlite(
+    oracle_module, tpcds_db, corpus, mode
+):
+    """With decorrelation off the subquery's split ``avg`` runs once per
+    outer binding, and the join attaches its value by column: the inner
+    plan also carries the partial sum and count."""
+    (query,) = [q for q in QUERIES if q.id == "avg_price_corr_subquery"]
+    orca = Orca(tpcds_db, config=OptimizerConfig(
+        segments=8, enable_decorrelation=False,
+    ))
+    result = orca.optimize(query.sql)
+    assert "HashAgg:partial" in result.plan.explain()
+    rows = execute(tpcds_db, result, mode)
+    assert oracle_module.compare(rows, expected(corpus, query.sql)) == ""
+
+
 def test_brand_having_aggregates_before_the_motion(corpus):
     """The corpus's GROUP BY with ``avg`` pre-aggregates on each
     segment, so the Redistribute carries partials, not joined rows."""
