@@ -93,10 +93,10 @@ class OptimizerConfig:
     enable_cte_sharing: bool = True
     #: Enable cost-based join-order exploration (commutativity/associativity).
     enable_join_reordering: bool = True
-    #: Branch-and-bound search pruning (Section 4.1, Fig. 5): optimization
-    #: requests carry a cost upper bound, and candidates whose partially
-    #: accumulated cost already reaches the incumbent (or the requester's
-    #: bound) are abandoned without costing the rest of their children.
+    #: Branch-and-bound search pruning (Section 4.1, Fig. 5): candidates
+    #: whose partially accumulated cost already reaches the incumbent of
+    #: their (group, request) context are abandoned without costing the
+    #: rest of their children.
     #: Off = exhaustive costing; the chosen plan's cost is identical either
     #: way, which is what makes pruning directly testable.
     enable_cost_bound_pruning: bool = True
@@ -123,8 +123,6 @@ class OptimizerConfig:
     #: of a matching sub-expression.  Off (the default) keeps the search
     #: bit-identical to a build without the feedback subsystem.
     enable_cardinality_feedback: bool = False
-    #: Maximum number of cached plans (LRU eviction beyond this).
-    plan_cache_size: int = 64
     #: Arbitrary named trace flags, serialized into AMPERe dumps (Listing 2).
     trace_flags: frozenset[str] = frozenset()
     #: Random seed for anything stochastic (plan sampling, data generation).

@@ -37,7 +37,7 @@ class PlanInfo:
     local_cost: float = 0.0
     epoch: int = 0
     #: True when every alternative was fully costed (or the recorded best
-    #: provably beats all abandoned ones).  Bounded searches may record
+    #: provably beats all abandoned ones).  Pruned searches may record
     #: incomplete entries — achievable, so safe for extraction, but a
     #: possible overestimate of this expression's true best, so they are
     #: never reused as a same-epoch cache hit.
@@ -48,40 +48,23 @@ class PlanInfo:
 class OptimizationContext:
     """Best known plan for (group, required properties).
 
-    Branch-and-bound state (Section 4.1, Fig. 5: optimization requests
-    carry a cost upper bound):
+    Branch-and-bound state (Section 4.1, Fig. 5):
 
     - ``best_cost`` is the incumbent: the cheapest fully-costed plan seen
-      so far.  Candidates whose partial cost already reaches it can never
-      become the context's best and are pruned.
-    - ``req_bound`` is the loosest upper bound any requester has asked
-      for: only plans strictly cheaper than it are interesting to any
-      parent.  Requesters widen it monotonically via
-      :meth:`request_bound`; jobs re-read it at every step, so a bound
-      loosened by a late requester is honored by in-flight searches.
-    - ``done_bound`` qualifies a finished search: the context's result is
-      exact for any request bound ``b <= done_bound``.  A search that
-      never abandoned a candidate because of ``req_bound`` is exact for
-      every bound (``done_bound = inf``); one that did is only proven for
-      bounds up to the tightest such abandonment threshold, and a later,
-      looser request must re-run it (see :meth:`reset_for_redo`).
-    - ``generation`` is bumped on every redo so rescheduled jobs get
-      fresh scheduler goals instead of deduplicating against the
-      completed bounded run.
+      so far, and the one prune threshold.  Candidates whose partial cost
+      already reaches it can never become the context's best and are
+      pruned.  Every request runs unbounded, so a finished context holds
+      the exact best for every requester.
+    - ``generation`` is bumped whenever a context is reopened (a stage
+      reset or a group merge), so rescheduled jobs get fresh scheduler
+      goals instead of deduplicating against the completed run.
     """
 
     req: RequiredProps
     best_gexpr_id: Optional[int] = None
     best_cost: float = math.inf
     done: bool = False
-    #: Loosest bound any requester asked for (-inf until first request).
-    req_bound: float = -math.inf
-    #: Tightest threshold at which a candidate was abandoned because of
-    #: ``req_bound`` during the current search (None = no such pruning).
-    bound_pruned_at: Optional[float] = None
-    #: Validity limit of the finished search (None until done).
-    done_bound: Optional[float] = None
-    #: Redo generation, part of rescheduled jobs' goals.
+    #: Reopen generation, part of rescheduled jobs' goals.
     generation: int = 0
 
     def consider(self, gexpr_id: int, cost: float) -> bool:
@@ -95,55 +78,19 @@ class OptimizationContext:
     def has_plan(self) -> bool:
         return self.best_gexpr_id is not None and math.isfinite(self.best_cost)
 
-    # ------------------------------------------------------------------
-    # Branch-and-bound bookkeeping
-    # ------------------------------------------------------------------
-    def request_bound(self, bound: float) -> None:
-        """Widen the upper bound to cover one more requester."""
-        if bound > self.req_bound:
-            self.req_bound = bound
-
-    def prune_threshold(self) -> float:
-        """Costs at or above this can neither improve the incumbent nor
-        interest any requester."""
-        return min(self.best_cost, self.req_bound)
-
-    def note_bound_prune(self, threshold: float) -> None:
-        """Record that a candidate was dropped due to ``req_bound``."""
-        if self.bound_pruned_at is None or threshold < self.bound_pruned_at:
-            self.bound_pruned_at = threshold
-
     def finish(self) -> None:
-        """Mark the search complete and freeze its validity limit."""
+        """Mark the search complete."""
         self.done = True
-        self.done_bound = (
-            math.inf if self.bound_pruned_at is None else self.bound_pruned_at
-        )
-
-    def valid_for(self, bound: float) -> bool:
-        """Is the finished result trustworthy for a request bound?
-
-        Exact results (no bound-driven pruning, or a best plan cheaper
-        than every pruning threshold) hold for any bound; inexact ones
-        only prove "no plan cheaper than ``done_bound`` exists" and so
-        satisfy only requesters at or below it.
-        """
-        if not self.done:
-            return False
-        if self.done_bound is None or bound <= self.done_bound:
-            return True
-        return self.has_plan() and self.best_cost <= self.done_bound
 
     def reset_for_redo(self) -> None:
-        """Restart the search for a looser bound.
+        """Reopen the search (a new stage, or a merge brought in new
+        expressions).
 
         The incumbent survives (it is a real, achievable plan cost and
         seeds pruning in the redo); the generation bump gives redo jobs
         fresh scheduler goals.
         """
         self.done = False
-        self.bound_pruned_at = None
-        self.done_bound = None
         self.generation += 1
 
 

@@ -331,13 +331,11 @@ class Memo:
             if wctx is None:
                 lctx.reset_for_redo()
                 wgroup.contexts[key] = lctx
-            else:
-                wctx.request_bound(lctx.req_bound)
-                if lctx.best_gexpr_id is not None and (
-                    lctx.best_cost < wctx.best_cost
-                ):
-                    wctx.best_cost = lctx.best_cost
-                    wctx.best_gexpr_id = lctx.best_gexpr_id
+            elif lctx.best_gexpr_id is not None and (
+                lctx.best_cost < wctx.best_cost
+            ):
+                wctx.best_cost = lctx.best_cost
+                wctx.best_gexpr_id = lctx.best_gexpr_id
         lgroup.contexts = {}
         lgroup.gexprs = []
         wgroup.explored = False

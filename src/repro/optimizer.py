@@ -61,11 +61,9 @@ class SearchStats:
     memory_bytes: int = 0
     job_log: list = field(default_factory=list)
     #: Branch-and-bound accounting (see repro.search.jobs): alternatives
-    #: abandoned early, alternatives fully costed, and bounded searches
-    #: re-run for a looser requester bound.
+    #: abandoned early, and alternatives fully costed.
     pruned_alternatives: int = 0
     costed_alternatives: int = 0
-    bound_redos: int = 0
     #: Hot-path memoization accounting (all deterministic counts):
     #: stats derivations answered from the per-group cache, pure property
     #: derivations (delivered props / operator cost floors) answered from
@@ -204,7 +202,7 @@ class Orca:
         #: Parameterized plan cache (Section 4.1 metadata versioning makes
         #: catalog-keyed invalidation safe); None when disabled.
         self.plan_cache: Optional[PlanCache] = (
-            PlanCache(self.config.plan_cache_size, tracer=self.tracer)
+            PlanCache(tracer=self.tracer)
             if self.config.enable_plan_cache
             else None
         )
@@ -374,7 +372,6 @@ class Orca:
                 stats.memory_bytes += memo.tracker.total()
                 stats.pruned_alternatives += engine.pruned_alternatives
                 stats.costed_alternatives += engine.costed_alternatives
-                stats.bound_redos += engine.bound_redos
                 stats.derivation_cache_hits += engine.deriver.cache_hits
                 stats.property_cache_hits += engine.property_cache_hits
                 stats.feedback_hits += engine.deriver.feedback_hits

@@ -77,6 +77,9 @@ from repro.trace import NULL_TRACER
 #: compute what the others would.
 _PARAM = "?"
 
+#: Plans an optimizer's cache keeps (LRU eviction beyond this).
+PLAN_CACHE_CAPACITY = 64
+
 #: Statement-front entries per plan entry: the texts of one shape differ
 #: in their literals, so there are several of them per cached plan.
 _STATEMENTS_PER_PLAN = 8
@@ -275,7 +278,9 @@ class PlanCache:
     re-binds — from every other worker.
     """
 
-    def __init__(self, capacity: int = 64, tracer=None, shared=None):
+    def __init__(
+        self, capacity: int = PLAN_CACHE_CAPACITY, tracer=None, shared=None
+    ):
         self.capacity = max(capacity, 1)
         #: Bound of the statement front.
         self.statement_capacity = self.capacity * _STATEMENTS_PER_PLAN

@@ -82,11 +82,9 @@ class SearchEngine:
         self.jobs_executed = 0
         self.kind_counts: dict[str, int] = {}
         #: Branch-and-bound accounting: alternatives abandoned before
-        #: full costing, alternatives fully costed, and bounded searches
-        #: re-run because a later requester needed a looser bound.
+        #: full costing, and alternatives fully costed.
         self.pruned_alternatives = 0
         self.costed_alternatives = 0
-        self.bound_redos = 0
         #: Memoization accounting: pure derivation sub-results (delivered
         #: properties, operator cost floors) answered from cache instead
         #: of re-derived.  Deterministic — caching only skips recomputing
@@ -170,9 +168,6 @@ class SearchEngine:
         self.implementation_rules = [r for r in rules if r.is_implementation]
         self.epoch += 1
         self._reset_fixpoints()
-        # The root request is unbounded: every plan is interesting until
-        # an incumbent exists (the bound then tightens as children cost).
-        self.memo.root_group().context(req).request_bound(math.inf)
         scheduler = JobScheduler(tracer=self.tracer, governor=self.governor)
         if self.governor is not None:
             self.governor.set_memory_probe(self.memo.tracker.total)

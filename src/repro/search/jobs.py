@@ -46,7 +46,6 @@ if TYPE_CHECKING:
 #: branch-and-bound pruning before stricter requests are even issued.
 WEAKEST_REQ = RequiredProps(ANY_DIST)
 _WEAKEST_ID = WEAKEST_REQ.id
-_INF = math.inf
 _isfinite = math.isfinite
 
 
@@ -54,16 +53,15 @@ def group_cost_floor(memo, group_id: int) -> float:
     """Sound lower bound on the cost of any plan rooted in ``group_id``.
 
     Returns the best cost of the group's completed exhaustive
-    (ANY-dist, no-order) context when one exists, else 0.0.  Exhaustive
-    means the context finished without any bound-driven pruning
-    (``done_bound`` is +inf), so its best truly is the group minimum.
+    (ANY-dist, no-order) context when one exists, else 0.0.  Every
+    request runs unbounded, so a finished context's best truly is the
+    group minimum.
     """
     ctx = memo.group(group_id).contexts.get(_WEAKEST_ID)
     # Called ~1.5k times per statement: has_plan() is spelled out.
     if (
         ctx is not None
         and ctx.done
-        and ctx.done_bound == _INF
         and ctx.best_gexpr_id is not None
         and _isfinite(ctx.best_cost)
     ):
@@ -230,11 +228,10 @@ class JobXform(Job):
 class JobGroupOptimize(Job):
     """Opt(g, req): least-cost plan rooted in group g satisfying req.
 
-    The goal includes the context's redo generation: a context completed
-    under a tight cost bound and later requested with a looser one is
-    reset (see ``OptimizationContext.reset_for_redo``), and the bumped
-    generation keeps the redo from deduplicating against the finished
-    bounded run.
+    The goal includes the context's redo generation: a stage reset or a
+    group merge reopens a finished context (see
+    ``OptimizationContext.reset_for_redo``), and the bumped generation
+    keeps the redo from deduplicating against the finished run.
     """
 
     kind = "Opt(g,req)"
@@ -296,8 +293,8 @@ class JobGroupOptimize(Job):
         # completed expression's cost becomes the incumbent bound for the
         # next one (Section 4.1, Fig. 5 — the bound tightens as the
         # search for this goal progresses).  An expression whose child
-        # groups' cost floors already add up to the incumbent (or the
-        # requester bound) is skipped without spawning its job at all.
+        # groups' cost floors already add up to the incumbent is skipped
+        # without spawning its job at all.
         engine = self.engine
         while self._pending:
             nxt = self._pending.pop(0)
@@ -308,17 +305,14 @@ class JobGroupOptimize(Job):
                 and cached.complete
             ):
                 # Already costed exactly this epoch (typically by an
-                # earlier bounded generation of this goal): consume the
+                # earlier generation of this goal): consume the
                 # cached result without spawning a job.
                 ctx.consider(nxt.id, cached.cost)
                 continue
-            threshold = ctx.prune_threshold()
+            threshold = ctx.best_cost
             if math.isfinite(threshold):
                 floor = gexpr_cost_floor(engine, nxt)
                 if floor >= threshold:
-                    bound_driven = ctx.req_bound < ctx.best_cost
-                    if bound_driven:
-                        ctx.note_bound_prune(threshold)
                     engine.pruned_alternatives += 1
                     if engine.tracer.enabled:
                         engine.tracer.record(
@@ -330,9 +324,6 @@ class JobGroupOptimize(Job):
                             children_costed=0,
                             partial=floor,
                             threshold=threshold,
-                            reason=(
-                                "bound" if bound_driven else "incumbent"
-                            ),
                         )
                     continue
             return [JobGexprOptimize(engine, nxt, self.req)]
@@ -374,8 +365,7 @@ class JobGexprOptimize(Job):
     walked child by child, carrying an upper bound that tightens as child
     costs accumulate (Section 4.1, Fig. 5): a partially-costed
     alternative whose children already cost as much as the incumbent best
-    of the (group, req) context — or as much as the loosest requester
-    bound — is abandoned without optimizing its remaining children, and
+    of the (group, req) context is abandoned without optimizing its remaining children, and
     the decision is recorded as a ``search_pruned`` trace event.  With
     pruning disabled every alternative's children are optimized up front
     and costed exhaustively.
@@ -485,7 +475,7 @@ class JobGexprOptimize(Job):
                     ctx.consider(gexpr.id, info.cost)
                 self._advance()
                 continue
-            threshold = ctx.prune_threshold()
+            threshold = ctx.best_cost
             # Cost floors count against the bound: the operator's own
             # minimum local cost plus, for each not-yet-costed child, the
             # child group's known global minimum (see group_cost_floor) —
@@ -497,66 +487,34 @@ class JobGexprOptimize(Job):
                 [group_cost_floor(memo, child_groups[pos]) for pos in remaining]
             )
             if self._partial + rem_floor >= threshold:
-                self._abandon(ctx, threshold)
+                self._abandon(threshold)
                 continue
-            needed = threshold - self._partial
             # Consume already-resolved children first (in any order the
             # sum is the same): the partial cost rises as far as possible
             # before a *new* optimization request has to be issued, so an
             # abandoned alternative never creates the contexts it would
             # only have needed had it survived.
-            consumed = False
-            drop = False
             for pos in remaining:
                 child_ctx = group_of(child_groups[pos]).contexts.get(
                     alt[pos].id
                 )
                 if child_ctx is None or not child_ctx.done:
                     continue
-                if not child_ctx.valid_for(needed):
-                    continue
                 if child_ctx.has_plan():
                     self._partial += child_ctx.best_cost
                     remaining.remove(pos)
-                    consumed = True
-                elif child_ctx.done_bound is not None and math.isfinite(
-                    child_ctx.done_bound
-                ):
-                    # The child only proved "no plan cheaper than its
-                    # bound"; the alternative's total is at least ours.
-                    self._abandon(ctx, threshold)
-                    drop = True
                 else:
-                    # Exhaustively unsatisfiable: drop the alternative,
-                    # exactly as exhaustive search would.
+                    # Unsatisfiable: drop the alternative, exactly as
+                    # exhaustive search would.
                     self._advance()
-                    drop = True
                 break
-            if consumed or drop:
-                continue
-            # No resolved child left: request the first unresolved one.
-            pos = remaining[0]
-            child_group = child_groups[pos]
-            child_req = alt[pos]
-            child_ctx = group_of(child_group).context(child_req)
-            # Child searches run unbounded: their own incumbents + cost
-            # floors prune them internally, and the exhaustive-exact
-            # result is reusable by every later requester.  Propagating
-            # the tight ``needed`` margin instead was measured to lose
-            # more jobs to bound-redo re-optimization than it saves.
-            child_ctx.request_bound(math.inf)
-            if child_ctx.done and not child_ctx.valid_for(needed):
-                # Completed under a tighter bound than we now need
-                # (possible when a stage reset left a bounded result).
-                child_ctx.reset_for_redo()
-                engine.bound_redos += 1
-                if engine.tracer.enabled:
-                    engine.tracer.record(
-                        "bound_redo",
-                        group=memo.find(child_group), req=repr(child_req),
-                        needed=needed, done_bound=child_ctx.done_bound,
-                    )
-            return [JobGroupOptimize(engine, child_group, child_req)]
+            else:
+                # No resolved child left: request the first unresolved
+                # one.  Child searches run unbounded: their own
+                # incumbents + cost floors prune them internally, and the
+                # exact result is reusable by every later requester.
+                pos = remaining[0]
+                return [JobGroupOptimize(engine, child_groups[pos], alt[pos])]
         return self._combine()
 
     def _advance(self) -> None:
@@ -564,13 +522,9 @@ class JobGexprOptimize(Job):
         self._remaining = None
         self._partial = 0.0
 
-    def _abandon(self, ctx, threshold: float) -> None:
-        """Drop the current alternative: it cannot beat the incumbent /
-        satisfy any requester bound."""
+    def _abandon(self, threshold: float) -> None:
+        """Drop the current alternative: it cannot beat the incumbent."""
         engine = self.engine
-        bound_driven = ctx.req_bound < ctx.best_cost
-        if bound_driven:
-            ctx.note_bound_prune(threshold)
         if self._abandoned_at is None or threshold < self._abandoned_at:
             self._abandoned_at = threshold
         engine.pruned_alternatives += 1
@@ -587,7 +541,6 @@ class JobGexprOptimize(Job):
                 ),
                 partial=self._partial,
                 threshold=threshold,
-                reason="bound" if bound_driven else "incumbent",
             )
         self._advance()
 

@@ -89,7 +89,6 @@ def fold_search(front, stats, timed_out: bool) -> None:
     m.inc("search_xforms_total", stats.xform_count)
     m.inc("search_pruned_alternatives_total", stats.pruned_alternatives)
     m.inc("search_costed_alternatives_total", stats.costed_alternatives)
-    m.inc("search_bound_redos_total", stats.bound_redos)
     m.inc("search_derivation_cache_hits_total", stats.derivation_cache_hits)
     m.inc("search_property_cache_hits_total", stats.property_cache_hits)
     m.inc("optimizer_intern_events_total", stats.intern_hits, kind="hit")

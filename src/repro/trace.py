@@ -54,10 +54,9 @@ EVENT_KINDS = frozenset({
     "operator_executed",
     "execution_metrics",
     # Branch-and-bound search pruning (Section 4.1, Fig. 5): an
-    # alternative abandoned before full costing, and a bounded (group,
-    # req) search re-run because a later requester needed a looser bound.
+    # alternative abandoned before full costing because it cannot beat
+    # the (group, req) context's incumbent.
     "search_pruned",
-    "bound_redo",
     # Parameterized plan cache: whether the statement text had been seen
     # (its front), lookup outcomes, stores and evictions.
     "plan_cache_statement_hit",

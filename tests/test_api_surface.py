@@ -87,7 +87,7 @@ EXPECTED_CONFIG_FIELDS = (
     "enable_partition_elimination", "enable_cte_sharing",
     "enable_join_reordering", "enable_cost_bound_pruning",
     "execution_mode", "parallelism",
-    "enable_plan_cache", "enable_cardinality_feedback", "plan_cache_size",
+    "enable_plan_cache", "enable_cardinality_feedback",
     "trace_flags", "seed", "search_deadline_ms", "search_job_limit",
     "memory_quota_bytes",
 )
@@ -304,7 +304,7 @@ class TestResultShape:
         assert names == {
             "num_groups", "num_gexprs", "jobs_executed", "xform_count",
             "kind_counts", "memory_bytes", "job_log",
-            "pruned_alternatives", "costed_alternatives", "bound_redos",
+            "pruned_alternatives", "costed_alternatives",
             "derivation_cache_hits", "property_cache_hits",
             "intern_hits", "intern_misses",
             "feedback_hits", "corrections_applied",

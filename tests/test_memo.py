@@ -10,7 +10,9 @@ from repro.ops import Expression
 from repro.ops.logical import JoinKind, LogicalGet, LogicalJoin, LogicalSelect
 from repro.ops.physical import PhysicalGather, PhysicalSort
 from repro.ops.scalar import ColRefExpr, ColumnFactory, Comparison, Literal
+from repro.props.distribution import ANY_DIST, SINGLETON
 from repro.props.order import OrderSpec, SortKey
+from repro.props.required import RequiredProps
 
 
 @pytest.fixture()
@@ -147,6 +149,39 @@ class TestGroupMerging:
         memo.set_root(g2)
         memo.merge(g1, g2)
         assert memo.root == memo.find(g1)
+
+    def test_context_only_the_loser_has_moves_reopened(self, setup):
+        _f, t1, t2, c1, c2 = setup
+        memo = Memo()
+        g1 = memo.insert(Expression(LogicalGet(t1, c1)))
+        g2 = memo.insert(Expression(LogicalGet(t2, c2)))
+        req = RequiredProps(SINGLETON)
+        lctx = memo.group(g2).context(req)
+        lctx.consider(7, 5.0)
+        lctx.finish()
+        winner = memo.merge(g1, g2)
+        assert winner == g1
+        ctx = memo.group(winner).existing_context(req)
+        # Reopened, so the winner's expressions get searched too; the
+        # incumbent is a real plan cost and keeps seeding pruning.
+        assert not ctx.done
+        assert ctx.generation == 1
+        assert (ctx.best_cost, ctx.best_gexpr_id) == (5.0, 7)
+
+    @pytest.mark.parametrize("cheaper", ["winner", "loser"])
+    def test_merged_context_keeps_the_cheaper_incumbent(self, setup, cheaper):
+        _f, t1, t2, c1, c2 = setup
+        memo = Memo()
+        g1 = memo.insert(Expression(LogicalGet(t1, c1)))
+        g2 = memo.insert(Expression(LogicalGet(t2, c2)))
+        req = RequiredProps(ANY_DIST)
+        costs = {"winner": (3.0, 30.0), "loser": (30.0, 3.0)}[cheaper]
+        for (gid, gexpr_id), cost in zip(((g1, 1), (g2, 2)), costs):
+            memo.group(gid).context(req).consider(gexpr_id, cost)
+        winner = memo.merge(g1, g2)
+        ctx = memo.group(winner).existing_context(req)
+        expected = (3.0, 1) if cheaper == "winner" else (3.0, 2)
+        assert (ctx.best_cost, ctx.best_gexpr_id) == expected
 
 
 class TestEnforcers:

@@ -33,10 +33,11 @@ from tests.conftest import make_small_db, rows_equal
 
 
 def _cached_orca(db, size=8, tracer=None, **kw):
-    config = OptimizerConfig(
-        segments=8, enable_plan_cache=True, plan_cache_size=size, **kw
-    )
-    return Orca(db, config=config, tracer=tracer) if tracer else Orca(db, config=config)
+    config = OptimizerConfig(segments=8, enable_plan_cache=True, **kw)
+    orca = Orca(db, config=config, tracer=tracer) if tracer else Orca(db, config=config)
+    # A cache of ``size`` plans in place of the default-capacity one.
+    orca.plan_cache = PlanCache(size, tracer=orca.tracer)
+    return orca
 
 
 # ----------------------------------------------------------------------

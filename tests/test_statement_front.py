@@ -172,8 +172,10 @@ def test_analyze_is_a_front_hit_and_a_plan_miss(front_calls):
 # ----------------------------------------------------------------------
 def test_front_is_bounded_by_a_multiple_of_the_plan_capacity(front_calls):
     db = make_small_db(t1_rows=50, t2_rows=50)
-    with cached(db, plan_cache_size=4) as session:
-        cache = session.orca.plan_cache
+    with cached(db) as session:
+        cache = session.orca.plan_cache = repro.plancache.PlanCache(
+            4, tracer=session.orca.tracer
+        )
         bound = cache.statement_capacity
         assert bound == 4 * (repro.plancache.PlanCache(1).statement_capacity)
         for i in range(10_000):
@@ -240,10 +242,10 @@ def test_two_threads_never_see_a_torn_entry(eager_thread_switching):
     with repro.connect(db, segments=4) as plain:
         expected = {sql: plain.execute(sql).rows for sql in texts}
     assert len({len(rows) for rows in expected.values()}) > 10
-    with repro.connect(
-        db, segments=4, enable_plan_cache=True, plan_cache_size=1
-    ) as session:
-        cache = session.orca.plan_cache
+    with repro.connect(db, segments=4, enable_plan_cache=True) as session:
+        cache = session.orca.plan_cache = repro.plancache.PlanCache(
+            1, tracer=session.orca.tracer
+        )
         assert cache.statement_capacity < len(texts)
 
         def client(offset: int, step: int) -> int:
