@@ -3,8 +3,8 @@
 Demonstrates the stand-alone-optimizer architecture end to end:
 
 1. serialize the catalog's metadata to a DXL file;
-2. point Orca at a file-based metadata provider (through the MD cache and
-   an MD accessor) — no live database involved;
+2. parse that file back into a schema-and-statistics-only catalog and
+   optimize against it — no live database involved;
 3. capture an AMPERe dump for a query (input query + config + the minimal
    metadata it touched) and replay it offline, asserting the replayed
    plan matches the captured one.
@@ -16,8 +16,7 @@ import tempfile
 from pathlib import Path
 
 from repro import Orca, OptimizerConfig
-from repro.dxl import serialize_metadata, to_string
-from repro.mdp import CatalogProvider, FileProvider, MDAccessor, MDCache
+from repro.dxl import parse_document, parse_metadata, serialize_metadata, to_string
 from repro.verify.ampere import AMPEReDump, capture_dump, plans_match, replay_dump
 from repro.workloads import build_populated_db
 
@@ -43,13 +42,13 @@ def main() -> None:
           f"({metadata_path.stat().st_size} bytes)")
 
     # 2. Optimize against the file — the backend is 'offline'.
-    cache = MDCache()
-    accessor = MDAccessor(cache, FileProvider(metadata_path))
-    offline_orca = Orca(accessor, config=OptimizerConfig(segments=8))
+    offline_db = parse_metadata(
+        parse_document(metadata_path.read_text(encoding="utf-8"))
+    )
+    offline_orca = Orca(offline_db, config=OptimizerConfig(segments=8))
     offline_result = offline_orca.optimize(SQL)
-    print(f"\noptimized offline via file provider; relations accessed: "
-          f"{accessor.accessed}")
-    print(f"metadata cache: {cache.hits} hits, {cache.misses} misses")
+    print(f"\noptimized offline over {len(offline_db.tables())} relations "
+          f"read back from the file (no rows behind them)")
     print(offline_result.explain())
 
     # 3. AMPERe: capture a minimal repro and replay it.

@@ -1,8 +1,10 @@
 """Catalog substrate: types, schema, statistics, storage and data generation.
 
 This package plays the role of the backend database system's catalog in
-Figure 2 of the paper: it is what the registered metadata provider
-(:mod:`repro.mdp`) serializes into DXL on Orca's demand.
+Figure 2 of the paper.  Orca reads a :class:`Database` directly; its
+metadata also travels as DXL (:func:`repro.dxl.serialize_metadata`), and
+:func:`repro.dxl.parse_metadata` reads it back as a rowless
+:class:`Database` for offline optimization and AMPERe replay (Figure 9).
 """
 
 from repro.catalog.types import (

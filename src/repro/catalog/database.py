@@ -2,7 +2,7 @@
 
 This is the "database system" box of Figure 2.  It owns schema objects,
 stores rows (per range partition for partitioned tables), computes
-histogram statistics, and bumps per-object versions so that Orca's metadata
+histogram statistics, and bumps per-object versions so that Orca's plan
 cache can invalidate stale entries (Section 4.1, Mdid versioning).
 """
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 from datetime import date
-from typing import Optional
+from typing import Optional, Union
 
 from repro.catalog.database import Database
 from repro.catalog.schema import (
@@ -37,8 +37,20 @@ from repro.ops.scalar import (
 )
 
 
-def parse_document(text: str) -> ET.Element:
-    return ET.fromstring(text)
+def parse_document(text: Union[str, bytes]) -> ET.Element:
+    """Parse DXL text; input that is not well-formed XML is a DXLError."""
+    try:
+        return ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise DXLError(f"not a DXL document: {exc}") from None
+
+
+def _child(elem: ET.Element, tag: str) -> ET.Element:
+    """``elem``'s required ``tag`` child; a missing one is a DXLError."""
+    child = elem.find(tag)
+    if child is None:
+        raise DXLError(f"<{elem.tag}> has no <{tag}> element")
+    return child
 
 
 # ----------------------------------------------------------------------
@@ -102,7 +114,7 @@ def parse_metadata(elem: ET.Element) -> Database:
                 _dtype(c.get("TypeName")),
                 c.get("Nullable", "true") == "true",
             )
-            for c in rel.find("Columns").findall("Column")
+            for c in _child(rel, "Columns").findall("Column")
         ]
         indexes = [
             Index(i.get("Name"), i.get("Column"))
@@ -114,8 +126,8 @@ def parse_metadata(elem: ET.Element) -> Database:
             partitions = tuple(
                 RangePartition(
                     p.get("Name"),
-                    decode_value(p.find("Lo")),
-                    decode_value(p.find("Hi")),
+                    decode_value(_child(p, "Lo")),
+                    decode_value(_child(p, "Hi")),
                 )
                 for p in parts_elem.findall("Partition")
             )
@@ -229,11 +241,11 @@ def parse_scalar(elem: ET.Element, factory: ColumnFactory):
     if tag == "WindowFunc":
         partition = [
             _parse_colref(c, factory)
-            for c in elem.find("PartitionBy").findall("Ident")
+            for c in _child(elem, "PartitionBy").findall("Ident")
         ]
         order = [
             (_parse_colref(c, factory), c.get("Ascending") != "false")
-            for c in elem.find("OrderBy").findall("SortKey")
+            for c in _child(elem, "OrderBy").findall("SortKey")
         ]
         arg_elem = elem.find("Arg")
         arg = (
@@ -269,11 +281,11 @@ def parse_logical(
 ) -> Expression:
     tag = elem.tag
     if tag == "LogicalGet":
-        desc = elem.find("TableDescriptor")
+        desc = _child(elem, "TableDescriptor")
         table = db.table(desc.get("Name"))
         columns = [
             _parse_colref(c, factory)
-            for c in desc.find("Columns").findall("Ident")
+            for c in _child(desc, "Columns").findall("Ident")
         ]
         partitions = None
         if desc.get("Partitions") is not None:
@@ -283,7 +295,7 @@ def parse_logical(
             lg.LogicalGet(table, columns, desc.get("Alias"), partitions)
         )
     if tag == "LogicalSelect":
-        pred = parse_scalar(list(elem.find("Predicate"))[0], factory)
+        pred = parse_scalar(list(_child(elem, "Predicate"))[0], factory)
         children = _logical_children(elem, db, factory)
         return Expression(lg.LogicalSelect(pred), children)
     if tag == "LogicalProject":
@@ -314,7 +326,7 @@ def parse_logical(
         stage = lg.AggStage(elem.get("Stage", "global"))
         groups = [
             _parse_colref(c, factory)
-            for c in elem.find("GroupingColumns").findall("Ident")
+            for c in _child(elem, "GroupingColumns").findall("Ident")
         ]
         aggs = []
         for agg_elem in elem.findall("AggElem"):
@@ -327,7 +339,7 @@ def parse_logical(
         count = elem.get("Count")
         sort_keys = [
             (_parse_colref(c, factory), c.get("Ascending") != "false")
-            for c in elem.find("SortingColumnList").findall("SortingColumn")
+            for c in _child(elem, "SortingColumnList").findall("SortingColumn")
         ]
         children = _logical_children(elem, db, factory)
         return Expression(
@@ -341,7 +353,7 @@ def parse_logical(
     if tag == "LogicalUnionAll":
         output = [
             _parse_colref(c, factory)
-            for c in elem.find("OutputColumns").findall("Ident")
+            for c in _child(elem, "OutputColumns").findall("Ident")
         ]
         inputs = [
             [_parse_colref(c, factory) for c in inp.findall("Ident")]
@@ -365,11 +377,11 @@ def parse_logical(
     if tag == "LogicalCTEConsumer":
         output = [
             _parse_colref(c, factory)
-            for c in elem.find("OutputColumns").findall("Ident")
+            for c in _child(elem, "OutputColumns").findall("Ident")
         ]
         producer = [
             _parse_colref(c, factory)
-            for c in elem.find("ProducerColumns").findall("Ident")
+            for c in _child(elem, "ProducerColumns").findall("Ident")
         ]
         return Expression(
             lg.LogicalCTEConsumer(int(elem.get("CTEId")), output, producer)
@@ -383,22 +395,20 @@ def parse_query(root: ET.Element, db: Database, factory: ColumnFactory):
     Returns (tree, output_cols, required_sort, cte_producers) where
     ``cte_producers`` is a list of (cte_id, tree, output_cols).
     """
-    query = root.find("Query")
-    if query is None:
-        raise DXLError("DXLMessage has no Query element")
+    query = _child(root, "Query")
     output = [
         _parse_colref(c, factory)
-        for c in query.find("OutputColumns").findall("Ident")
+        for c in _child(query, "OutputColumns").findall("Ident")
     ]
     required_sort = [
         (_parse_colref(c, factory), c.get("Ascending") != "false")
-        for c in query.find("SortingColumnList").findall("SortingColumn")
+        for c in _child(query, "SortingColumnList").findall("SortingColumn")
     ]
     cte_producers = []
     for producer in query.findall("CTEProducerDef"):
         cols = [
             _parse_colref(c, factory)
-            for c in producer.find("OutputColumns").findall("Ident")
+            for c in _child(producer, "OutputColumns").findall("Ident")
         ]
         tree_elem = next(c for c in producer if c.tag in _LOGICAL_TAGS)
         cte_producers.append(

@@ -305,8 +305,9 @@ def serialize_metadata(
 ) -> ET.Element:
     """Serialize catalog metadata (relations + statistics) into DXL.
 
-    This is what the file-based MD Provider consumes and what AMPERe
-    harvests into a minimal dump (Sections 5-6).
+    :func:`repro.dxl.parse_metadata` reads it back as a rowless catalog
+    for offline optimization, and AMPERe harvests it into a minimal dump
+    (Sections 5-6).
     """
     root = ET.Element("Metadata")
     root.set("SystemIds", f"0.{db.system_id}")

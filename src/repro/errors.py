@@ -27,12 +27,6 @@ class CatalogError(ReproError):
     code = "CATALOG"
 
 
-class MetadataError(ReproError):
-    """Metadata object missing from cache and provider, or version mismatch."""
-
-    code = "METADATA"
-
-
 class DXLError(ReproError):
     """Malformed DXL document or unsupported DXL construct."""
 

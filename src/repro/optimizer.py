@@ -41,7 +41,7 @@ from repro.sql.parser import parse
 from repro.sql.translator import TranslatedQuery, Translator
 from repro.telemetry.analyze import PlanAnalysis
 from repro.telemetry.families import fold_search
-from repro.trace import Tracer
+from repro.trace import NULL_TRACER, Tracer
 from repro.xforms.normalization import preprocess
 
 #: Where an optimization's plan came from (``OptimizationResult.plan_source``).
@@ -183,20 +183,18 @@ class Orca:
         *,
         config: Optional[OptimizerConfig] = None,
         tracer: Optional[Tracer] = None,
-        governor: Optional[ResourceGovernor] = None,
         faults=None,
-        metrics=None,
         feedback=None,
     ):
         self.catalog = catalog
         self.config = config or OptimizerConfig()
-        #: The instrumentation front: ``tracer`` writing the ``metrics``
-        #: registry (repro.telemetry.MetricsRegistry) too, when given.
-        self.tracer = Tracer.front(tracer, registry=metrics)
-        #: Cooperative resource governor.  An explicit instance is reused
-        #: (and re-armed) across queries so per-session peaks accumulate;
-        #: otherwise one is built from the config's limits, if any.
-        self.governor = governor or ResourceGovernor.from_config(self.config)
+        #: The instrumentation front: the caller's tracer with whatever
+        #: sinks (flight ring, metrics registry) it already carries.
+        self.tracer = tracer or NULL_TRACER
+        #: Cooperative resource governor built from the config's limits,
+        #: or None without any; re-armed per query, so per-session peaks
+        #: accumulate.
+        self.governor = ResourceGovernor.from_config(self.config)
         #: Fault-injection harness (repro.service.faults), or None.
         self.faults = faults
         #: Parameterized plan cache (Section 4.1 metadata versioning makes

@@ -10,9 +10,8 @@ collection of metric families that every layer increments, exported as
 
 - Prometheus text exposition format (:meth:`MetricsRegistry.to_prometheus`,
   validated by :func:`parse_prometheus`), and
-- a JSON snapshot (:meth:`MetricsRegistry.to_json` /
-  :meth:`MetricsRegistry.from_json`) that round-trips losslessly, e.g.
-  embedded in AMPERe dumps.
+- a JSON snapshot (:meth:`MetricsRegistry.to_json`), which the
+  ``stats --json-out`` CLI writes beside the Prometheus text.
 
 A registry is a sink of the instrumentation front
 (:class:`repro.trace.Tracer`), whose ``record`` / ``inc`` / ``observe``
@@ -331,35 +330,6 @@ class MetricsRegistry:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.snapshot(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsRegistry":
-        """Rebuild a registry (families + series) from a JSON snapshot."""
-        payload = json.loads(text)
-        registry = cls()
-        for full_name, entry in payload.get("families", {}).items():
-            name = full_name.removeprefix(NAMESPACE + "_")
-            kind = entry.get("type", "counter")
-            help = entry.get("help", "")
-            if kind == "histogram":
-                family = registry.histogram(
-                    name, help, buckets=entry.get("buckets", DEFAULT_BUCKETS)
-                )
-            else:
-                family = (
-                    registry.gauge if kind == "gauge" else registry.counter
-                )(name, help)
-            for series in entry.get("series", []):
-                key = family._check_labels(series.get("labels", {}))
-                family.series[key] = (
-                    float(series["value"]) if kind != "histogram"
-                    else {
-                        "bucket_counts": list(series["bucket_counts"]),
-                        "sum": series["sum"],
-                        "count": series["count"],
-                    }
-                )
-        return registry
 
     # ------------------------------------------------------------------
     # Export: Prometheus text exposition format

@@ -4,9 +4,11 @@ Section 6.1 / Listing 2 / Figure 10.  A dump captures the minimal data
 needed to reproduce a problem — the input query, optimizer configuration
 (trace flags) and the metadata accessed during optimization, serialized
 in DXL — plus a stack trace when the dump was triggered by an exception.
-Replaying the dump rebuilds a file-based metadata provider and re-runs an
-identical optimization session with the backend offline; a dump can also
-act as a self-contained test case by embedding the expected plan.
+Replaying the dump parses that metadata into a rowless
+:class:`~repro.catalog.database.Database` (:func:`repro.dxl.parse_metadata`),
+hands it to :class:`~repro.optimizer.Orca` and re-runs an identical
+optimization session with the backend offline; a dump can also act as a
+self-contained test case by embedding the expected plan.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Union
 
 from repro.catalog.database import Database
 from repro.config import OptimizerConfig
-from repro.dxl.parser import parse_metadata, parse_query
+from repro.dxl.parser import parse_document, parse_metadata, parse_query
 from repro.dxl.serializer import (
     serialize_metadata,
     serialize_plan,
@@ -48,9 +50,6 @@ class AMPEReDump:
     #: JSON dump of the capturing session's structured trace
     #: (:meth:`repro.trace.Tracer.to_json`), when one was collected.
     trace_json: Optional[str] = None
-    #: JSON snapshot of the capturing session's telemetry registry
-    #: (:meth:`repro.telemetry.MetricsRegistry.to_json`), when attached.
-    metrics_json: Optional[str] = None
 
     # ------------------------------------------------------------------
     def to_xml(self) -> ET.Element:
@@ -77,9 +76,6 @@ class AMPEReDump:
         if self.trace_json:
             trace = ET.SubElement(thread, "OptimizerTrace")
             trace.text = self.trace_json
-        if self.metrics_json:
-            snapshot = ET.SubElement(thread, "TelemetrySnapshot")
-            snapshot.text = self.metrics_json
         return root
 
     def to_string(self) -> str:
@@ -115,7 +111,6 @@ class AMPEReDump:
             plan_wrapper = ET.Element("DXLMessage")
             plan_wrapper.append(plan)
         trace_elem = thread.find("OptimizerTrace")
-        metrics_elem = thread.find("TelemetrySnapshot")
         return cls(
             query_xml=wrapper,
             metadata_xml=metadata,
@@ -124,16 +119,11 @@ class AMPEReDump:
             stacktrace=st.text if st is not None else None,
             expected_plan_xml=plan_wrapper,
             trace_json=trace_elem.text if trace_elem is not None else None,
-            metrics_json=(
-                metrics_elem.text if metrics_elem is not None else None
-            ),
         )
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "AMPEReDump":
-        return cls.from_xml(
-            ET.fromstring(Path(path).read_text(encoding="utf-8"))
-        )
+        return cls.from_xml(parse_document(Path(path).read_bytes()))
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +134,6 @@ def capture_dump(
     exception: Optional[BaseException] = None,
     expected_plan: Optional[PlanNode] = None,
     trace=None,
-    metrics=None,
 ) -> AMPEReDump:
     """Capture a minimal repro for a query.
 
@@ -190,19 +179,17 @@ def capture_dump(
         trace_json=(
             trace.to_json() if trace is not None and trace.enabled else None
         ),
-        metrics_json=metrics.to_json() if metrics is not None else None,
     )
 
 
 def replay_dump(
     dump: AMPEReDump,
     config: Optional[OptimizerConfig] = None,
-    metrics=None,
 ) -> OptimizationResult:
     """Replay a dump offline: rebuild metadata, re-run the optimization.
 
-    This is Figure 10: the dump supplies the query, a file-based metadata
-    provider and the configuration; no backend system is involved.
+    This is Figure 10: the dump supplies the query, the metadata it
+    touched and the configuration; no backend system is involved.
     """
     db = parse_metadata(dump.metadata_xml)
     factory = ColumnFactory()
@@ -231,7 +218,7 @@ def replay_dump(
         required_sort=required_sort,
         cte_defs=cte_defs,
     )
-    orca = Orca(db, config=config, metrics=metrics)
+    orca = Orca(db, config=config)
     return orca.optimize_translated(query, factory)
 
 

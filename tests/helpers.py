@@ -80,10 +80,3 @@ def wedge_worker(fleet, worker_id: int, seconds: float = 3600.0) -> None:
         except NoReply:
             fleet._restart(worker, "died")
 
-
-def evict_unpinned(cache) -> int:
-    """Drop every unpinned metadata-cache entry; returns how many."""
-    victims = [k for k, e in cache._entries.items() if e.pins == 0]
-    for key in victims:
-        del cache._entries[key]
-    return len(victims)

@@ -71,8 +71,7 @@ EXPECTED_SIGNATURES = {
         "morsel_pool",
     ),
     "Orca": (
-        "catalog", "config", "tracer", "governor", "faults", "metrics",
-        "feedback",
+        "catalog", "config", "tracer", "faults", "feedback",
     ),
     "FeedbackStore": ("tracer",),
     "MetricsRegistry": (),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -140,6 +141,27 @@ class TestCLI:
         assert main(["replay", str(dump)]) == 0
         out = capsys.readouterr().out
         assert "plan matches the dump's expected plan: True" in out
+
+    def test_replay_of_a_non_xml_file_is_a_dxl_error(self, tmp_path, capsys):
+        path = tmp_path / "notes.txt"
+        path.write_text("SELECT 1; -- not a dump\n", encoding="utf-8")
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [DXL]: ") and err.count("\n") == 1
+
+    def test_replay_of_a_relation_without_columns_is_a_dxl_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "dump.dxl"
+        assert main(["capture", str(path), SQL] + ARGS) == 0
+        root = ET.parse(path).getroot()
+        relation = root.find("Thread/Metadata/Relation")
+        relation.remove(relation.find("Columns"))
+        ET.ElementTree(root).write(path, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error [DXL]: <Relation> has no <Columns> element\n"
 
     def test_sql_error_is_reported(self, capsys):
         # Parse/bind errors map to the dedicated ParseError exit code.

@@ -1,4 +1,5 @@
-"""DXL serialization round trips and the metadata provider framework."""
+"""DXL serialization round trips, and optimization over metadata read
+back from DXL with the backend offline (Figure 9)."""
 
 from __future__ import annotations
 
@@ -6,7 +7,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.dxl.parser import parse_metadata, parse_query
+from repro.config import OptimizerConfig
+from repro.dxl.parser import parse_document, parse_metadata, parse_query
 from repro.dxl.serializer import (
     serialize_metadata,
     serialize_plan,
@@ -15,8 +17,6 @@ from repro.dxl.serializer import (
     to_string,
 )
 from repro.engine.emit import compiled_row
-from repro.errors import MetadataError
-from repro.mdp import CatalogProvider, FileProvider, MDAccessor, MDCache, MDId
 from repro.ops.scalar import (
     AggFunc,
     Arith,
@@ -31,10 +31,11 @@ from repro.ops.scalar import (
     Literal,
 )
 from repro.catalog.types import INT, TEXT
+from repro.optimizer import Orca
 from repro.sql.translator import Translator
+from repro.workloads import QUERIES
 
 from tests.conftest import make_partitioned_db, make_small_db
-from tests.helpers import evict_unpinned
 
 
 @pytest.fixture(scope="module")
@@ -189,104 +190,26 @@ class TestMetadataDXL:
 
 class TestPlanDXL:
     def test_plan_serialization_contains_costs(self, db):
-        from repro.config import OptimizerConfig
-        from repro.optimizer import Orca
-
         orca = Orca(db, config=OptimizerConfig(segments=8))
         result = orca.optimize("SELECT a FROM t1 ORDER BY a")
         text = to_string(serialize_plan(result.plan))
         assert "Cost=" in text and "GatherMerge" in text
 
 
-class TestMDId:
-    def test_string_roundtrip(self):
-        mdid = MDId("GPDB", "t1", 3, kind=MDId.RELATION)
-        assert MDId.parse(str(mdid)) == mdid
+class TestOfflineMetadata:
+    """Orca over the catalog's metadata exported to DXL text and parsed
+    back, with no rows behind it, gives the live catalog's plan."""
 
-    def test_malformed_rejected(self):
-        with pytest.raises(MetadataError):
-            MDId.parse("garbage")
-
-    def test_base_key_ignores_version(self):
-        a = MDId("GPDB", "t1", 1)
-        b = MDId("GPDB", "t1", 2)
-        assert a.base_key() == b.base_key()
-
-
-class TestMDCacheAndAccessor:
-    def test_cache_hit_after_store(self, db):
-        cache = MDCache()
-        provider = CatalogProvider(db)
-        accessor = MDAccessor(cache, provider)
-        accessor.table("t1")
-        assert cache.misses == 1
-        accessor2 = MDAccessor(cache, provider)
-        accessor2.table("t1")
-        assert cache.hits == 1
-
-    def test_version_bump_invalidates(self, db):
-        local_db = make_small_db(t1_rows=10, t2_rows=10)
-        cache = MDCache()
-        provider = CatalogProvider(local_db)
-        MDAccessor(cache, provider).table("t1")
-        local_db.insert("t1", [(1, 2, "x")])  # bumps version
-        MDAccessor(cache, provider).table("t1")
-        assert cache.invalidations == 1
-
-    def test_pinned_entries_survive_eviction(self, db):
-        cache = MDCache()
-        provider = CatalogProvider(db)
-        accessor = MDAccessor(cache, provider)
-        accessor.table("t1")
-        accessor2 = MDAccessor(cache, provider)
-        accessor2.table("t2")
-        accessor2.close()
-        evicted = evict_unpinned(cache)
-        assert evicted == 1  # t2 unpinned, t1 still pinned
-        accessor.close()
-        assert evict_unpinned(cache) == 1
-
-    def test_accessor_tracks_accessed(self, db):
-        accessor = MDAccessor(MDCache(), CatalogProvider(db))
-        accessor.table("t1")
-        accessor.stats("t2")
-        assert accessor.accessed == ["t1", "t2"]
-
-    def test_accessor_closed_rejects_use(self, db):
-        accessor = MDAccessor(MDCache(), CatalogProvider(db))
-        accessor.close()
-        with pytest.raises(MetadataError):
-            accessor.table("t1")
-
-    def test_unknown_object(self, db):
-        accessor = MDAccessor(MDCache(), CatalogProvider(db))
-        with pytest.raises(MetadataError):
-            accessor.table("nope")
-        assert accessor.stats("nope") is None
-
-
-class TestFileProvider:
-    def test_provider_from_file(self, db, tmp_path):
-        path = tmp_path / "metadata.dxl"
-        path.write_text(to_string(serialize_metadata(db)), encoding="utf-8")
-        provider = FileProvider(path)
-        assert set(provider.table_names()) == {"t1", "t2"}
-        accessor = MDAccessor(MDCache(), provider)
-        assert accessor.table("t1").name == "t1"
-        assert accessor.stats("t1").row_count == db.stats("t1").row_count
-
-    def test_accessor_is_catalog_compatible(self, db, tmp_path):
-        """An MDAccessor over a file provider can back a full optimization
-        (the 'replay with the backend offline' architecture, Figure 9)."""
-        from repro.config import OptimizerConfig
-        from repro.optimizer import Orca
-
-        path = tmp_path / "metadata.dxl"
-        path.write_text(to_string(serialize_metadata(db)), encoding="utf-8")
-        accessor = MDAccessor(MDCache(), FileProvider(path))
-        orca = Orca(accessor, config=OptimizerConfig(segments=8))
-        result = orca.optimize(
-            "SELECT t1.a FROM t1, t2 WHERE t1.a = t2.b ORDER BY t1.a"
+    @pytest.fixture(scope="class")
+    def orcas(self, tpcds_db):
+        offline_db = parse_metadata(
+            parse_document(to_string(serialize_metadata(tpcds_db)))
         )
-        assert result.plan.op.name == "GatherMerge"
-        assert "t1" in accessor.accessed and "t2" in accessor.accessed
+        config = OptimizerConfig(segments=8)
+        return Orca(tpcds_db, config=config), Orca(offline_db, config=config)
+
+    @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.id)
+    def test_offline_plan_equals_live(self, query, orcas):
+        live, offline = (orca.optimize(query.sql) for orca in orcas)
+        assert offline.explain() == live.explain()
+        assert offline.plan.cost.hex() == live.plan.cost.hex()

@@ -14,7 +14,6 @@ from repro.optimizer import Orca
 from repro.telemetry import MetricsRegistry, parse_prometheus
 from repro.telemetry.registry import MAX_LABEL_LENGTH, MAX_LABEL_VALUES
 from repro.trace import NULL_TRACER, Tracer
-from repro.verify.ampere import AMPEReDump, capture_dump, replay_dump
 
 
 SQL = "SELECT t1.a FROM t1, t2 WHERE t1.a = t2.b AND t1.b > 40 ORDER BY t1.a"
@@ -175,22 +174,6 @@ class TestPrometheusExport:
         assert math.isnan(parsed["m_c"][0][1])
 
 
-class TestJsonRoundTrip:
-    def test_snapshot_round_trips_losslessly(self):
-        m = MetricsRegistry()
-        m.inc("queries_total", 7, plan_source="orca")
-        m.set_gauge("active_sessions", 3, pool="p0")
-        m.observe("opt_seconds", 0.04)
-        m.observe("opt_seconds", 1.5)
-        clone = MetricsRegistry.from_json(m.to_json())
-        assert clone.snapshot() == m.snapshot()
-        assert clone.to_prometheus() == m.to_prometheus()
-
-    def test_empty_registry_round_trips(self):
-        m = MetricsRegistry()
-        assert MetricsRegistry.from_json(m.to_json()).snapshot() == m.snapshot()
-
-
 class TestNullRegistry:
     """There is no disabled registry class: a front without a registry
     (``NULL_TRACER``, or any ``Tracer()``) drops the metric verbs."""
@@ -230,7 +213,7 @@ class TestOptimizerInstrumentation:
         instrumented = Orca(
             small_db,
             config=OptimizerConfig(segments=8),
-            metrics=MetricsRegistry(),
+            tracer=Tracer.front(registry=MetricsRegistry()),
         )
         a = plain.optimize(SQL)
         b = instrumented.optimize(SQL)
@@ -242,7 +225,11 @@ class TestOptimizerInstrumentation:
 
     def test_search_counters_match_search_stats(self, small_db):
         m = MetricsRegistry()
-        orca = Orca(small_db, config=OptimizerConfig(segments=8), metrics=m)
+        orca = Orca(
+            small_db,
+            config=OptimizerConfig(segments=8),
+            tracer=Tracer.front(registry=m),
+        )
         result = orca.optimize(SQL)
         stats = result.search_stats
         assert m.counter("scheduler_jobs_total").total() == stats.jobs_executed
@@ -258,7 +245,7 @@ class TestOptimizerInstrumentation:
         orca = Orca(
             small_db,
             config=OptimizerConfig(segments=8, enable_plan_cache=True),
-            metrics=m,
+            tracer=Tracer.front(registry=m),
         )
         orca.optimize(SQL)
         orca.optimize(SQL)
@@ -286,31 +273,3 @@ class TestOptimizerInstrumentation:
             for s in (a, b)
         )
         assert registry.value("queries_total", plan_source="orca") == 3
-
-
-class TestAmpereTelemetry:
-    def test_snapshot_round_trips_through_dump(self, small_db, tmp_path):
-        m = MetricsRegistry()
-        orca = Orca(small_db, config=OptimizerConfig(segments=8), metrics=m)
-        orca.optimize(SQL)
-        dump = capture_dump(small_db, SQL, metrics=m)
-        assert dump.metrics_json is not None
-
-        path = tmp_path / "dump.dxl"
-        dump.save(path)
-        loaded = AMPEReDump.load(path)
-        assert loaded.metrics_json == dump.metrics_json
-        restored = MetricsRegistry.from_json(loaded.metrics_json)
-        assert restored.snapshot() == m.snapshot()
-
-    def test_disabled_metrics_not_embedded(self, small_db):
-        dump = capture_dump(small_db, SQL, metrics=None)
-        assert dump.metrics_json is None
-
-    def test_replay_records_into_a_registry(self, small_db):
-        dump = capture_dump(small_db, SQL)
-        replay_metrics = MetricsRegistry()
-        result = replay_dump(dump, metrics=replay_metrics)
-        assert result.plan is not None
-        assert replay_metrics.counter("scheduler_jobs_total").total() == \
-            result.search_stats.jobs_executed

@@ -25,6 +25,7 @@ from repro.verify.taqo import (
     sample_plans,
     SampledPlan,
 )
+from repro.workloads import QUERIES
 
 from tests.conftest import make_small_db, rows_equal
 
@@ -122,6 +123,28 @@ class TestAMPERe:
         )
         replayed = replay_dump(dump)
         assert plans_match(dump, replayed)
+
+
+class TestAMPEReCorpus:
+    """Every corpus query's dump, written out and loaded back, replays
+    offline to the plan it captured."""
+
+    @pytest.fixture(scope="class")
+    def live_orca(self, tpcds_db):
+        return Orca(tpcds_db, config=OptimizerConfig(segments=8))
+
+    @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.id)
+    def test_dump_replays_to_captured_plan(
+        self, query, tpcds_db, live_orca, tmp_path
+    ):
+        result = live_orca.optimize(query.sql)
+        dump = capture_dump(
+            tpcds_db, query.sql, live_orca.config, expected_plan=result.plan
+        )
+        path = tmp_path / "dump.dxl"
+        path.write_text(dump.to_string(), encoding="utf-8")
+        loaded = AMPEReDump.load(path)
+        assert plans_match(loaded, replay_dump(loaded))
 
 
 class TestTAQO:
