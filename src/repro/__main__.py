@@ -54,95 +54,109 @@ def exit_code_for(exc: ReproError) -> int:
     return 2
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scale", type=float, default=0.1,
-        help="TPC-DS scale factor (default 0.1)",
-    )
-    parser.add_argument(
-        "--segments", type=int, default=8,
+#: Every shared flag, declared once.  A subcommand takes only the flags
+#: it reads (see ``build_parser``), so argparse refuses the rest.
+_FLAGS: dict[str, dict] = {
+    "--scale": dict(
+        type=float, default=0.1, help="TPC-DS scale factor (default 0.1)",
+    ),
+    "--segments": dict(
+        type=int, default=8,
         help="number of simulated segments (default 8)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=42, help="data generator seed"
-    )
-    parser.add_argument(
-        "--planner", action="store_true",
+    ),
+    "--seed": dict(type=int, default=42, help="data generator seed"),
+    "--planner": dict(
+        action="store_true",
         help="use the legacy Planner instead of Orca",
-    )
-    parser.add_argument(
-        "--disable", action="append", default=[],
-        metavar="RULE_OR_FEATURE",
+    ),
+    "--disable": dict(
+        action="append", default=[], metavar="RULE_OR_FEATURE",
         help="disable a transformation rule by name, or one of: "
              "decorrelation, cte_sharing, partition_elimination, "
              "join_reordering (repeatable)",
-    )
-    parser.add_argument(
-        "--trace", action="store_true",
+    ),
+    "--trace": dict(
+        action="store_true",
         help="collect a structured optimizer trace and print its "
              "per-stage summary (counts + timings)",
-    )
-    parser.add_argument(
-        "--trace-json", metavar="PATH", default=None,
+    ),
+    "--trace-json": dict(
+        metavar="PATH", default=None,
         help="write the full trace as JSON to PATH (implies --trace)",
-    )
-    parser.add_argument(
-        "--plan-cache", action="store_true",
+    ),
+    "--plan-cache": dict(
+        action="store_true",
         help="enable the parameterized plan cache (repeated query shapes "
              "skip the search and re-bind literals)",
-    )
-    parser.add_argument(
-        "--plan-cache-stats", action="store_true",
+    ),
+    "--plan-cache-stats": dict(
+        action="store_true",
         help="print plan-cache hit/miss/eviction counters (implies "
              "--plan-cache)",
-    )
-    parser.add_argument(
-        "--feedback", action="store_true",
+    ),
+    "--feedback": dict(
+        action="store_true",
         help="enable feedback-driven re-optimization: executed plans' "
              "actual cardinalities are fed back into statistics "
              "derivation for later optimizations of matching shapes",
-    )
-    parser.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
+    ),
+    "--deadline-ms": dict(
+        type=float, default=None, metavar="MS",
         help="per-query wall-clock search deadline; on expiry the best "
              "plan so far is used, else the session falls back to the "
              "legacy Planner",
-    )
-    parser.add_argument(
-        "--job-limit", type=int, default=None, metavar="N",
+    ),
+    "--job-limit": dict(
+        type=int, default=None, metavar="N",
         help="deterministic per-query deadline: max job steps across "
              "all search stages",
-    )
-    parser.add_argument(
-        "--memory-quota-mb", type=float, default=None, metavar="MB",
+    ),
+    "--memory-quota-mb": dict(
+        type=float, default=None, metavar="MB",
         help="per-query optimizer memory quota; crossing it falls back "
              "to the legacy Planner",
-    )
-    parser.add_argument(
-        "--no-fallback", action="store_true",
+    ),
+    "--no-fallback": dict(
+        action="store_true",
         help="surface raw optimizer errors (timeout, quota, internal) "
              "with distinct exit codes instead of falling back to the "
              "legacy Planner",
-    )
-    parser.add_argument(
-        "--slow-query-ms", type=float, default=None, metavar="MS",
+    ),
+    "--slow-query-ms": dict(
+        type=float, default=None, metavar="MS",
         help="emit a structured JSON slow-query log record (stderr) for "
              "any query slower than MS milliseconds end to end",
-    )
-    parser.add_argument(
-        "--engine", choices=["row", "fused"], default="fused",
+    ),
+    "--engine": dict(
+        choices=["row", "fused"], default="fused",
         help="execution engine: 'fused' (default) compiles breaker-free "
              "operator chains into generated pipeline functions, 'row' "
              "compiles one operator per stage (fusion off); both produce "
              "identical rows and metrics",
-    )
-    parser.add_argument(
-        "--parallelism", type=int, default=0, metavar="N",
+    ),
+    "--parallelism": dict(
+        type=int, default=0, metavar="N",
         help="morsel-driven parallelism for the fused engine: dispatch "
              "per-segment streaming morsels across N forked worker "
              "processes (results are float-identical to serial; 0/1 = "
              "serial path)",
-    )
+    ),
+}
+
+#: The flag groups subcommands share: what ``build_populated_db`` reads,
+#: what ``_config`` reads, and what ``_tracer`` / ``_emit_trace`` read.
+_DATABASE = ("--scale", "--seed")
+_CONFIG = (
+    "--segments", "--disable", "--plan-cache", "--feedback",
+    "--deadline-ms", "--job-limit", "--memory-quota-mb", "--engine",
+    "--parallelism",
+)
+_TRACE = ("--trace", "--trace-json")
+
+
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _config(args) -> OptimizerConfig:
@@ -155,22 +169,21 @@ def _config(args) -> OptimizerConfig:
         "plan_cache": "enable_plan_cache",
         "cardinality_feedback": "enable_cardinality_feedback",
     }
-    kwargs = {"segments": args.segments}
-    if getattr(args, "engine", None):
-        kwargs["execution_mode"] = ExecutionMode.coerce(args.engine)
-    if getattr(args, "parallelism", 0):
+    kwargs = {
+        "segments": args.segments,
+        "execution_mode": ExecutionMode.coerce(args.engine),
+    }
+    if args.parallelism:
         kwargs["parallelism"] = args.parallelism
-    if getattr(args, "plan_cache", False) or getattr(
-        args, "plan_cache_stats", False
-    ):
+    if args.plan_cache or getattr(args, "plan_cache_stats", False):
         kwargs["enable_plan_cache"] = True
-    if getattr(args, "feedback", False):
+    if args.feedback:
         kwargs["enable_cardinality_feedback"] = True
-    if getattr(args, "deadline_ms", None) is not None:
+    if args.deadline_ms is not None:
         kwargs["search_deadline_ms"] = args.deadline_ms
-    if getattr(args, "job_limit", None) is not None:
+    if args.job_limit is not None:
         kwargs["search_job_limit"] = args.job_limit
-    if getattr(args, "memory_quota_mb", None) is not None:
+    if args.memory_quota_mb is not None:
         kwargs["memory_quota_bytes"] = int(args.memory_quota_mb * 1024 * 1024)
     rules = []
     for name in args.disable:
@@ -186,7 +199,7 @@ def _config(args) -> OptimizerConfig:
 
 def _tracer(args):
     """A real Tracer when --trace (or --trace-json) was given, else None."""
-    if getattr(args, "trace", False) or getattr(args, "trace_json", None):
+    if args.trace or args.trace_json:
         from repro.trace import Tracer
 
         return Tracer()
@@ -201,14 +214,14 @@ def _emit_trace(args, tracer) -> None:
         print("(no trace events: the legacy Planner path is not instrumented)")
     else:
         print(tracer.summary())
-    if getattr(args, "trace_json", None):
+    if args.trace_json:
         with open(args.trace_json, "w", encoding="utf-8") as f:
             f.write(tracer.to_json(indent=2))
         print(f"\ntrace JSON written to {args.trace_json}")
 
 
 def _emit_cache_stats(args, orca) -> None:
-    if not getattr(args, "plan_cache_stats", False):
+    if not args.plan_cache_stats:
         return
     if orca is None or orca.plan_cache is None:
         print("\nplan cache: disabled (the legacy Planner has no cache)")
@@ -218,7 +231,7 @@ def _emit_cache_stats(args, orca) -> None:
 
 def _slow_log(args):
     """A SlowQueryLog when --slow-query-ms was given, else None."""
-    if getattr(args, "slow_query_ms", None) is not None:
+    if args.slow_query_ms is not None:
         from repro.obs import SlowQueryLog
 
         return SlowQueryLog(args.slow_query_ms)
@@ -253,8 +266,7 @@ def _optimize(args, db, sql, tracer=None, *, execute=False, analyze=False):
                 pool.shutdown()
         return result, execution
     session = connect(
-        db, config=config, tracer=tracer,
-        fallback=not getattr(args, "no_fallback", False),
+        db, config=config, tracer=tracer, fallback=not args.no_fallback,
         slow_log=_slow_log(args),
     )
     with session:
@@ -284,7 +296,7 @@ def cmd_explain(args) -> int:
     tracer = _tracer(args)
     # EXPLAIN ANALYZE executes the plan and annotates every node with the
     # actual rows / work / network bytes next to the estimates.
-    analyze = getattr(args, "analyze", False)
+    analyze = args.analyze
     result, out = _optimize(
         args, db, args.sql, tracer, execute=analyze, analyze=analyze
     )
@@ -355,7 +367,7 @@ def cmd_stats(args) -> int:
     session = connect(
         db,
         config=_config(args),
-        fallback=not getattr(args, "no_fallback", False),
+        fallback=not args.no_fallback,
         telemetry=MetricsRegistry(),
         stats_store=QueryStatsStore(),
         slow_log=_slow_log(args),
@@ -427,6 +439,7 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         policy=args.policy,
         config=config,
+        fallback=not args.no_fallback,
         fault_specs=fault_specs,
         fault_seed=args.chaos_seed,
         fault_rate=args.chaos_rate,
@@ -570,7 +583,7 @@ def cmd_trace(args) -> int:
 
         fleet = fleet_connect(
             db, workers=args.fleet, config=config, tracer=tracer,
-            name="trace",
+            fallback=not args.no_fallback, name="trace",
         )
         try:
             if args.execute:
@@ -581,8 +594,7 @@ def cmd_trace(args) -> int:
             fleet.close()
     else:
         session = connect(
-            db, config=config, tracer=tracer,
-            fallback=not getattr(args, "no_fallback", False),
+            db, config=config, tracer=tracer, fallback=not args.no_fallback,
         )
         if args.execute:
             session.execute(args.sql)
@@ -675,18 +687,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute the plan and annotate every node with actual "
              "rows / work / network bytes (EXPLAIN ANALYZE)",
     )
-    _add_common(p)
+    _add_flags(
+        p, *_DATABASE, *_CONFIG, *_TRACE, "--planner", "--plan-cache-stats",
+        "--no-fallback", "--slow-query-ms",
+    )
     p.set_defaults(fn=cmd_explain)
 
     p = sub.add_parser("memo", help="print the Memo after optimization")
     p.add_argument("sql")
-    _add_common(p)
+    _add_flags(p, *_DATABASE, *_CONFIG, *_TRACE, "--plan-cache-stats")
     p.set_defaults(fn=cmd_memo)
 
     p = sub.add_parser("run", help="optimize, execute and print rows")
     p.add_argument("sql")
     p.add_argument("--max-rows", type=int, default=25)
-    _add_common(p)
+    _add_flags(
+        p, *_DATABASE, *_CONFIG, *_TRACE, "--planner", "--plan-cache-stats",
+        "--no-fallback", "--slow-query-ms",
+    )
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser(
@@ -721,7 +739,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--json-out", metavar="PATH", default=None,
         help="write the telemetry JSON snapshot to PATH",
     )
-    _add_common(p)
+    _add_flags(
+        p, *_DATABASE, *_CONFIG, "--no-fallback", "--slow-query-ms"
+    )
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser(
@@ -788,7 +808,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for worker flight-recorder crash dumps (workers "
              "flush their recent-query ring there on kill/wedge/fault)",
     )
-    _add_common(p)
+    _add_flags(
+        p, *_DATABASE, *_CONFIG, "--no-fallback", "--slow-query-ms"
+    )
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(
@@ -813,18 +835,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="also execute the plan so the trace includes executor "
              "(and fused compile) spans",
     )
-    _add_common(p)
+    _add_flags(p, *_DATABASE, *_CONFIG, "--no-fallback")
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("dump-metadata", help="export catalog metadata to DXL")
     p.add_argument("path")
-    _add_common(p)
+    _add_flags(p, *_DATABASE)
     p.set_defaults(fn=cmd_dump_metadata)
 
     p = sub.add_parser("capture", help="capture an AMPERe dump for a query")
     p.add_argument("path")
     p.add_argument("sql")
-    _add_common(p)
+    _add_flags(p, *_DATABASE, *_CONFIG, *_TRACE)
     p.set_defaults(fn=cmd_capture)
 
     p = sub.add_parser("replay", help="replay an AMPERe dump offline")

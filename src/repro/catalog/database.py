@@ -128,12 +128,6 @@ class Database:
         self._bump(stored, rows_changed=True)
         return count
 
-    def truncate(self, name: str) -> None:
-        stored = self._stored(name)
-        stored.partitions = [[] for _ in range(stored.table.num_partitions())]
-        stored.stats = None
-        self._bump(stored, rows_changed=True)
-
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------

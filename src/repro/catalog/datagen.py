@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from datetime import date, timedelta
 from typing import Any, Callable, Optional, Sequence
 
 from repro.catalog.database import Database
@@ -41,7 +40,6 @@ class ColumnSpec:
     - ``kind='zipf_int'``: integers in [lo, hi] with zipf-like skew ``s``
     - ``kind='uniform_float'``: floats uniform in [lo, hi]
     - ``kind='choice'``: categorical draw from ``values`` (optional weights)
-    - ``kind='date_range'``: dates uniform between lo and hi (dates)
     - ``kind='fk'``: uniform draw from the generated keys of ``ref`` column
     - ``kind='expr'``: computed from the partial row via ``fn``
     """
@@ -79,10 +77,6 @@ class ColumnSpec:
             "choice", values=tuple(values),
             weights=tuple(weights) if weights else None, null_frac=null_frac,
         )
-
-    @staticmethod
-    def date_range(lo: date, hi: date) -> "ColumnSpec":
-        return ColumnSpec("date_range", lo=lo, hi=hi)
 
     @staticmethod
     def fk(table: str, column: str, null_frac: float = 0.0) -> "ColumnSpec":
@@ -157,9 +151,6 @@ class ReverseStatsGenerator:
             if spec.weights:
                 return self._rng.choices(spec.values, weights=spec.weights)[0]
             return self._rng.choice(spec.values)
-        if spec.kind == "date_range":
-            span = (spec.hi - spec.lo).days
-            return spec.lo + timedelta(days=self._rng.randint(0, max(span, 0)))
         if spec.kind == "fk":
             domain = self._domains.get(spec.ref or ("", ""))
             if not domain:

@@ -54,19 +54,6 @@ class RangePartition:
     lo: Any
     hi: Any
 
-    def contains(self, value: Any) -> bool:
-        if value is None:
-            return False
-        v = axis_value(value)
-        return axis_value(self.lo) <= v < axis_value(self.hi)
-
-    def overlaps(self, lo: Any, hi: Any) -> bool:
-        """True if [lo, hi) (None = unbounded) intersects this partition."""
-        p_lo, p_hi = axis_value(self.lo), axis_value(self.hi)
-        q_lo = axis_value(lo) if lo is not None else float("-inf")
-        q_hi = axis_value(hi) if hi is not None else float("inf")
-        return q_lo < p_hi and p_lo < q_hi
-
 
 @dataclass(frozen=True)
 class PartitionScheme:
@@ -96,13 +83,6 @@ class PartitionScheme:
             if lo <= v < hi:
                 return i
         return None
-
-    def select(self, lo: Any, hi: Any) -> list[int]:
-        """Indices of partitions intersecting the range [lo, hi)."""
-        return [
-            i for i, part in enumerate(self.partitions)
-            if part.overlaps(lo, hi)
-        ]
 
 
 @dataclass

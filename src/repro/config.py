@@ -125,8 +125,6 @@ class OptimizerConfig:
     enable_cardinality_feedback: bool = False
     #: Arbitrary named trace flags, serialized into AMPERe dumps (Listing 2).
     trace_flags: frozenset[str] = frozenset()
-    #: Random seed for anything stochastic (plan sampling, data generation).
-    seed: int = 42
     #: Per-query wall-clock deadline for the search, in milliseconds.  The
     #: resource governor checks it cooperatively on every job step and
     #: raises :class:`repro.errors.SearchTimeout`; ``None`` disables it.

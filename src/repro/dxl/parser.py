@@ -53,6 +53,39 @@ def _child(elem: ET.Element, tag: str) -> ET.Element:
     return child
 
 
+def _first(elem: ET.Element) -> ET.Element:
+    """``elem``'s first child element; an empty one is a DXLError."""
+    if not len(elem):
+        raise DXLError(f"<{elem.tag}> has no child element")
+    return elem[0]
+
+
+def _operands(elem: ET.Element) -> list[ET.Element]:
+    """The two child elements of a binary scalar, else a DXLError."""
+    kids = list(elem)
+    if len(kids) != 2:
+        raise DXLError(f"<{elem.tag}> has {len(kids)} operands, not 2")
+    return kids
+
+
+def _attr(elem: ET.Element, name: str, convert, default=None):
+    """Attribute ``name`` read through ``convert`` (``int``, an enum);
+    ``default`` stands in for a missing one.  A value ``convert``
+    refuses, or a missing one with no default, is a DXLError."""
+    raw = elem.get(name, default)
+    try:
+        return convert(raw)
+    except (TypeError, ValueError):
+        raise DXLError(
+            f"<{elem.tag}> has no valid {name} attribute: {raw!r}"
+        ) from None
+
+
+def _ids(raw: str) -> tuple[int, ...]:
+    """A comma-separated id list (``""`` is empty)."""
+    return tuple(int(x) for x in raw.split(",") if x != "")
+
+
 # ----------------------------------------------------------------------
 # Values
 # ----------------------------------------------------------------------
@@ -64,15 +97,12 @@ def decode_value(elem: ET.Element):
     raw = elem.get("Value", "")
     if kind == "bool":
         return raw == "true"
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "date":
-        return date.fromisoformat(raw)
     if kind == "text":
         return raw
-    raise DXLError(f"unknown value type {kind!r}")
+    convert = {"int": int, "float": float, "date": date.fromisoformat}.get(kind)
+    if convert is None:
+        raise DXLError(f"unknown value type {kind!r}")
+    return _attr(elem, "Value", convert, "")
 
 
 def _dtype(name: Optional[str]) -> DataType:
@@ -86,7 +116,7 @@ def _dtype(name: Optional[str]) -> DataType:
 
 def _parse_colref(elem: ET.Element, factory: ColumnFactory) -> ColRef:
     ref = ColRef(
-        int(elem.get("ColId", "0")),
+        _attr(elem, "ColId", int, "0"),
         elem.get("Name", "col"),
         _dtype(elem.get("TypeName")),
     )
@@ -138,7 +168,7 @@ def parse_metadata(elem: ET.Element) -> Database:
         table = Table(
             name,
             columns,
-            distribution=DistributionPolicy(rel.get("DistributionPolicy")),
+            distribution=_attr(rel, "DistributionPolicy", DistributionPolicy),
             distribution_columns=dist_cols,
             indexes=indexes,
             partitioning=partitioning,
@@ -146,7 +176,7 @@ def parse_metadata(elem: ET.Element) -> Database:
         db.create_table(table)
     for rel_stats in elem.findall("RelStats"):
         stats_by_table[rel_stats.get("Name")] = TableStats(
-            row_count=float(rel_stats.get("Rows", "0"))
+            row_count=_attr(rel_stats, "Rows", float, "0")
         )
     for col_stats in elem.findall("ColStats"):
         table_name = col_stats.get("Relation")
@@ -155,23 +185,20 @@ def parse_metadata(elem: ET.Element) -> Database:
         hist_elem = col_stats.find("Histogram")
         if hist_elem is not None:
             buckets = tuple(
-                Bucket(
-                    float(b.get("Lo")),
-                    float(b.get("Hi")),
-                    float(b.get("Rows")),
-                    float(b.get("NDV")),
-                )
+                Bucket(*(
+                    _attr(b, name, float) for name in ("Lo", "Hi", "Rows", "NDV")
+                ))
                 for b in hist_elem.findall("Bucket")
             )
             histogram = Histogram(
                 buckets=buckets,
-                null_rows=float(hist_elem.get("NullRows", "0")),
+                null_rows=_attr(hist_elem, "NullRows", float, "0"),
             )
         stats.columns[col_stats.get("Column")] = ColumnStats(
-            ndv=float(col_stats.get("NDV", "0")),
-            null_frac=float(col_stats.get("NullFrac", "0")),
+            ndv=_attr(col_stats, "NDV", float, "0"),
+            null_frac=_attr(col_stats, "NullFrac", float, "0"),
             histogram=histogram,
-            width=int(col_stats.get("Width", "8")),
+            width=_attr(col_stats, "Width", int, "8"),
         )
     for name, stats in stats_by_table.items():
         if db.has_table(name):
@@ -190,7 +217,7 @@ def parse_scalar(elem: ET.Element, factory: ColumnFactory):
     if tag == "Const":
         return Literal(decode_value(elem), _dtype(elem.get("TypeName")))
     if tag == "Comparison":
-        kids = list(elem)
+        kids = _operands(elem)
         return Comparison(
             elem.get("Operator"),
             parse_scalar(kids[0], factory),
@@ -201,7 +228,7 @@ def parse_scalar(elem: ET.Element, factory: ColumnFactory):
             elem.get("Kind"), [parse_scalar(c, factory) for c in elem]
         )
     if tag == "Arith":
-        kids = list(elem)
+        kids = _operands(elem)
         return Arith(
             elem.get("Operator"),
             parse_scalar(kids[0], factory),
@@ -209,24 +236,23 @@ def parse_scalar(elem: ET.Element, factory: ColumnFactory):
         )
     if tag == "IsNull":
         return IsNull(
-            parse_scalar(list(elem)[0], factory),
+            parse_scalar(_first(elem), factory),
             elem.get("Negated") == "true",
         )
     if tag == "InList":
-        kids = list(elem)
-        arg = parse_scalar(kids[0], factory)
+        arg = parse_scalar(_first(elem), factory)
         values = [decode_value(v) for v in elem.findall("Value")]
         return InList(arg, values, elem.get("Negated") == "true")
     if tag == "Like":
         return LikeExpr(
-            parse_scalar(list(elem)[0], factory),
+            parse_scalar(_first(elem), factory),
             elem.get("Pattern", ""),
             elem.get("Negated") == "true",
         )
     if tag == "Case":
         whens = []
         for when in elem.findall("When"):
-            kids = list(when)
+            kids = _operands(when)
             whens.append(
                 (parse_scalar(kids[0], factory), parse_scalar(kids[1], factory))
             )
@@ -276,6 +302,14 @@ def _logical_children(elem: ET.Element, db, factory) -> list[Expression]:
     ]
 
 
+def _logical_child(elem: ET.Element) -> ET.Element:
+    """``elem``'s first logical-operator child, else a DXLError."""
+    for child in elem:
+        if child.tag in _LOGICAL_TAGS:
+            return child
+    raise DXLError(f"<{elem.tag}> has no logical operator")
+
+
 def parse_logical(
     elem: ET.Element, db: Database, factory: ColumnFactory
 ) -> Expression:
@@ -289,25 +323,24 @@ def parse_logical(
         ]
         partitions = None
         if desc.get("Partitions") is not None:
-            raw = desc.get("Partitions")
-            partitions = tuple(int(x) for x in raw.split(",") if x != "")
+            partitions = _attr(desc, "Partitions", _ids)
         return Expression(
             lg.LogicalGet(table, columns, desc.get("Alias"), partitions)
         )
     if tag == "LogicalSelect":
-        pred = parse_scalar(list(_child(elem, "Predicate"))[0], factory)
+        pred = parse_scalar(_first(_child(elem, "Predicate")), factory)
         children = _logical_children(elem, db, factory)
         return Expression(lg.LogicalSelect(pred), children)
     if tag == "LogicalProject":
         projections = []
         for proj in elem.findall("ProjElem"):
             ref = _parse_colref(proj, factory)
-            scalar = parse_scalar(list(proj)[0], factory)
+            scalar = parse_scalar(_first(proj), factory)
             projections.append((scalar, ref))
         children = _logical_children(elem, db, factory)
         return Expression(lg.LogicalProject(projections), children)
     if tag == "LogicalJoin":
-        kind = lg.JoinKind(elem.get("JoinType"))
+        kind = _attr(elem, "JoinType", lg.JoinKind)
         cond_elem = elem.find("JoinCondition")
         condition = (
             parse_scalar(list(cond_elem)[0], factory)
@@ -317,13 +350,12 @@ def parse_logical(
         children = _logical_children(elem, db, factory)
         return Expression(lg.LogicalJoin(kind, condition), children)
     if tag == "LogicalApply":
-        kind = lg.ApplyKind(elem.get("Kind"))
-        raw = elem.get("OuterRefs", "")
-        outer_refs = frozenset(int(x) for x in raw.split(",") if x != "")
+        kind = _attr(elem, "Kind", lg.ApplyKind)
+        outer_refs = frozenset(_attr(elem, "OuterRefs", _ids, ""))
         children = _logical_children(elem, db, factory)
         return Expression(lg.LogicalApply(kind, outer_refs), children)
     if tag == "LogicalGbAgg":
-        stage = lg.AggStage(elem.get("Stage", "global"))
+        stage = _attr(elem, "Stage", lg.AggStage, "global")
         groups = [
             _parse_colref(c, factory)
             for c in _child(elem, "GroupingColumns").findall("Ident")
@@ -331,7 +363,7 @@ def parse_logical(
         aggs = []
         for agg_elem in elem.findall("AggElem"):
             ref = _parse_colref(agg_elem, factory)
-            func = parse_scalar(list(agg_elem)[0], factory)
+            func = parse_scalar(_first(agg_elem), factory)
             aggs.append((func, ref))
         children = _logical_children(elem, db, factory)
         return Expression(lg.LogicalGbAgg(groups, aggs, stage), children)
@@ -345,8 +377,8 @@ def parse_logical(
         return Expression(
             lg.LogicalLimit(
                 sort_keys,
-                int(count) if count is not None else None,
-                int(elem.get("Offset", "0")),
+                _attr(elem, "Count", int) if count is not None else None,
+                _attr(elem, "Offset", int, "0"),
             ),
             children,
         )
@@ -365,14 +397,14 @@ def parse_logical(
         funcs = []
         for win in elem.findall("WindowElem"):
             ref = _parse_colref(win, factory)
-            func = parse_scalar(list(win)[0], factory)
+            func = parse_scalar(_first(win), factory)
             funcs.append((func, ref))
         children = _logical_children(elem, db, factory)
         return Expression(lg.LogicalWindow(funcs), children)
     if tag == "LogicalCTEAnchor":
         children = _logical_children(elem, db, factory)
         return Expression(
-            lg.LogicalCTEAnchor(int(elem.get("CTEId"))), children
+            lg.LogicalCTEAnchor(_attr(elem, "CTEId", int)), children
         )
     if tag == "LogicalCTEConsumer":
         output = [
@@ -384,7 +416,7 @@ def parse_logical(
             for c in _child(elem, "ProducerColumns").findall("Ident")
         ]
         return Expression(
-            lg.LogicalCTEConsumer(int(elem.get("CTEId")), output, producer)
+            lg.LogicalCTEConsumer(_attr(elem, "CTEId", int), output, producer)
         )
     raise DXLError(f"unknown logical element {tag!r}")
 
@@ -410,10 +442,7 @@ def parse_query(root: ET.Element, db: Database, factory: ColumnFactory):
             _parse_colref(c, factory)
             for c in _child(producer, "OutputColumns").findall("Ident")
         ]
-        tree_elem = next(c for c in producer if c.tag in _LOGICAL_TAGS)
-        cte_producers.append(
-            (int(producer.get("CTEId")), parse_logical(tree_elem, db, factory), cols)
-        )
-    tree_elem = next(c for c in query if c.tag in _LOGICAL_TAGS)
-    tree = parse_logical(tree_elem, db, factory)
+        tree = parse_logical(_logical_child(producer), db, factory)
+        cte_producers.append((_attr(producer, "CTEId", int), tree, cols))
+    tree = parse_logical(_logical_child(query), db, factory)
     return tree, output, required_sort, cte_producers

@@ -153,19 +153,14 @@ class MemoryQuotaExceeded(OptimizerError):
 
 
 class InjectedFault(OptimizerError):
-    """A fault deliberately injected by :mod:`repro.service.faults`.
-
-    ``transient`` hints whether a retry could succeed (the injector's
-    schedule stops firing after a configured number of hits).
-    """
+    """A fault deliberately injected by :mod:`repro.service.faults`."""
 
     code = "FAULT"
 
-    def __init__(self, site: str, hit: int, transient: bool = True):
+    def __init__(self, site: str, hit: int):
         super().__init__(f"injected fault at site '{site}' (hit #{hit})")
         self.site = site
         self.hit = hit
-        self.transient = transient
 
 
 class FallbackError(OptimizerError):

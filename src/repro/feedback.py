@@ -464,13 +464,3 @@ class FeedbackStore:
             f"ingests, {s['lookup_hits']} correction hits, "
             f"{s['evictions']} evictions"
         )
-
-    def reset(self) -> None:
-        with self._lock:
-            self._entries.clear()
-        self.generation = 0
-        self.version = 0
-        self.ingests = 0
-        self.lookup_hits = 0
-        self.lookup_misses = 0
-        self.evictions = 0

@@ -143,13 +143,10 @@ class Fleet:
         policy="round-robin",
         config: Optional[OptimizerConfig] = None,
         fallback: bool = True,
-        max_retries: int = 0,
         fault_specs: tuple = (),
-        per_worker_faults: Optional[dict] = None,
         fault_seed: Optional[int] = None,
         fault_rate: float = 0.0,
         request_timeout_seconds: float = 60.0,
-        telemetry: Optional[MetricsRegistry] = None,
         name: str = "fleet",
         tracer=None,
         flight_dir: Optional[str] = None,
@@ -170,11 +167,9 @@ class Fleet:
         self.name = name
         self.num_workers = workers
         self.policy: RoutingPolicy = make_policy(policy)
-        self.per_worker_faults = dict(per_worker_faults or {})
         self.request_timeout_seconds = request_timeout_seconds
-        self.telemetry = (
-            telemetry if telemetry is not None else MetricsRegistry()
-        )
+        #: The fleet's scrape target.
+        self.telemetry = MetricsRegistry()
         #: The orchestrator's instrumentation front: ``tracer`` writing
         #: ``telemetry`` too.  When ``tracer`` has a trace buffer, every
         #: routed request runs under a ``fleet:<kind>`` span, trace
@@ -200,7 +195,6 @@ class Fleet:
             catalog=catalog,
             config=config,
             fallback=fallback,
-            max_retries=max_retries,
             fault_specs=tuple(fault_specs),
             fault_seed=fault_seed,
             fault_rate=fault_rate,
@@ -241,9 +235,7 @@ class Fleet:
     # Worker lifecycle
     # ------------------------------------------------------------------
     def _spec_for(self, worker: _Worker) -> WorkerSpec:
-        explicit = self._spec.fault_specs + tuple(
-            self.per_worker_faults.get(worker.worker_id, ())
-        )
+        explicit = self._spec.fault_specs
         if worker.incarnation > 0:
             # Never re-arm process-level faults: the restarted worker
             # must come back healthy (seeded-rate faults *are* re-armed,

@@ -30,7 +30,7 @@ from repro.errors import ReproError
 from repro.gpos.process import Last, error_reply, serve
 from repro.obs.flight import FlightRecorder
 from repro.obs.slowlog import SlowQueryLog
-from repro.service.faults import FaultInjector, FaultSpec, KILLED_EXIT_CODE
+from repro.service.faults import FaultInjector, KILLED_EXIT_CODE
 from repro.service.session import Session
 from repro.telemetry.stats_store import QueryStatsStore
 
@@ -45,7 +45,6 @@ class WorkerSpec:
     catalog_bumps: tuple = ()
     config: OptimizerConfig = field(default_factory=OptimizerConfig)
     fallback: bool = True
-    max_retries: int = 0
     #: Explicit fault schedule for this incarnation ('()' = none).
     fault_specs: tuple = ()
     #: Seeded random fault injection (CRC32 schedule; see service.faults).
@@ -74,10 +73,7 @@ def build_session(worker_id: int, spec: WorkerSpec) -> Session:
         if seed is not None:
             seed = seed + 1009 * spec.incarnation + worker_id
         faults = FaultInjector(
-            [FaultSpec(**s) if isinstance(s, dict) else s
-             for s in spec.fault_specs],
-            seed=seed,
-            rate=spec.fault_rate,
+            spec.fault_specs, seed=seed, rate=spec.fault_rate
         )
     feedback_store = None
     if spec.config.enable_cardinality_feedback and spec.feedback_board is not None:
@@ -100,7 +96,6 @@ def build_session(worker_id: int, spec: WorkerSpec) -> Session:
         spec.catalog,
         config=spec.config,
         fallback=spec.fallback,
-        max_retries=spec.max_retries,
         name=f"worker-{worker_id}",
         faults=faults,
         feedback_store=feedback_store,

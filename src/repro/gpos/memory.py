@@ -50,12 +50,6 @@ class MemoryTracker:
     def total(self) -> int:
         return sum(self._pools.values())
 
-    def pools(self) -> dict[str, int]:
-        return dict(self._pools)
-
-    def reset(self) -> None:
-        self._pools.clear()
-
 
 #: type -> names of every ``__slots__`` entry along its MRO.
 _SLOT_NAMES: dict[type, tuple[str, ...]] = {}

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.interning import KeyCached, intern_key
-from repro.ops.scalar import ColRef
 
 
 @dataclass(frozen=True)
@@ -29,21 +27,6 @@ class OrderSpec(KeyCached):
     """
 
     keys: tuple[SortKey, ...] = ()
-
-    @staticmethod
-    def of(cols: Sequence) -> "OrderSpec":
-        """Build from ColRefs, (ColRef, asc) pairs, or SortKeys."""
-        keys: list[SortKey] = []
-        for item in cols:
-            if isinstance(item, SortKey):
-                keys.append(item)
-            elif isinstance(item, ColRef):
-                keys.append(SortKey(item.id))
-            else:
-                col, asc = item
-                col_id = col if isinstance(col, int) else col.id
-                keys.append(SortKey(col_id, asc))
-        return OrderSpec(tuple(keys))
 
     def is_empty(self) -> bool:
         return not self.keys

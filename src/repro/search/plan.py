@@ -60,9 +60,6 @@ class PlanNode:
         state.pop("_unfused_cache", None)
         return state
 
-    def operators(self) -> list[str]:
-        return [node.op.name for node in self.walk()]
-
     def explain(self, indent: int = 0) -> str:
         """Pretty tree with cost/row annotations, like EXPLAIN output."""
         pad = "  " * indent

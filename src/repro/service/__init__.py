@@ -2,9 +2,8 @@
 
 What GPOS (Section 4.2) buys Orca inside a host DBMS — memory quotas,
 exception handling, clean aborts — plus what production deployments add
-around it: graceful fallback to the legacy Planner, retry of transient
-faults, and a deterministic fault-injection harness to prove all of it
-under test.
+around it: graceful fallback to the legacy Planner, and a deterministic
+fault-injection harness to prove it under test.
 
 Entry points: :func:`repro.connect` / :class:`Session` for one governed
 session (sessions share a :class:`repro.telemetry.MetricsRegistry`, a
@@ -19,7 +18,6 @@ from repro.service.faults import (
     FaultInjector,
     FaultSpec,
     FiredFault,
-    one_fault_per_site,
 )
 from repro.service.session import Session, SessionMetrics, connect
 
@@ -32,5 +30,4 @@ __all__ = [
     "FiredFault",
     "FAULT_SITES",
     "FAULT_KINDS",
-    "one_fault_per_site",
 ]

@@ -13,7 +13,7 @@ Two scheduling modes, combinable:
 
 - **explicit specs**: :class:`FaultSpec` fires at the Nth hit of a site
   (1-based), for ``times`` consecutive hits (``times=0`` = every hit from
-  ``at`` onward, i.e. a permanent fault that also defeats retries);
+  ``at`` onward, i.e. a permanent fault);
 - **seeded random**: with ``seed``/``rate`` set, each hit of each site
   fires an error with probability ``rate``, decided by a CRC32 of
   ``(seed, site, hit)`` — stable across processes and Python versions
@@ -72,13 +72,10 @@ class FaultSpec:
     #: Fire starting at the Nth hit of ``site`` (1-based).
     at: int = 1
     #: Number of consecutive hits that fire; 0 means every hit from
-    #: ``at`` onward (a permanent fault — retries keep hitting it).
+    #: ``at`` onward (a permanent fault).
     times: int = 1
     delay_seconds: float = 0.0
     alloc_bytes: int = 64 << 20
-    #: Reported on the raised InjectedFault; a session retries transient
-    #: faults (the schedule stops firing, so the retry succeeds).
-    transient: bool = True
 
     def __post_init__(self):
         if self.site not in FAULT_SITES:
@@ -111,10 +108,9 @@ class FiredFault:
 class FaultInjector:
     """Trips planned faults as instrumented sites report their hits.
 
-    Hit counters persist across queries and retries by design: a
-    ``times=1`` spec fires on exactly one hit of the whole session, so a
-    retry sails past it — that is what the retry-with-backoff path tests.
-    Call :meth:`reset` for a fresh schedule (e.g. per matrix cell).
+    Hit counters persist across queries by design: a ``times=1`` spec
+    fires on exactly one hit of the whole session, so the next query
+    sails past it.
     """
 
     def __init__(
@@ -138,10 +134,6 @@ class FaultInjector:
         self.governor = None
         self.hits: dict[str, int] = {site: 0 for site in FAULT_SITES}
         self.fired: list[FiredFault] = []
-
-    def reset(self) -> None:
-        self.hits = {site: 0 for site in FAULT_SITES}
-        self.fired = []
 
     # ------------------------------------------------------------------
     def _random_fires(self, site: str, hit: int) -> bool:
@@ -181,20 +173,4 @@ class FaultInjector:
         elif spec.kind == "wedge":
             time.sleep(spec.delay_seconds or WEDGE_SECONDS)
         else:
-            raise InjectedFault(site, hit, transient=spec.transient)
-
-
-def one_fault_per_site(
-    kind: str = "error", *, permanent: bool = True, **spec_kwargs: Any
-) -> list[FaultInjector]:
-    """One injector per instrumented site (the resilience matrix rows)."""
-    times = 0 if permanent else 1
-    return [
-        FaultInjector([
-            FaultSpec(
-                site=site, kind=kind, times=times,
-                transient=not permanent, **spec_kwargs,
-            )
-        ])
-        for site in FAULT_SITES
-    ]
+            raise InjectedFault(site, hit)

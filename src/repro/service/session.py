@@ -9,8 +9,7 @@ the Wild"): *every* query gets a plan, bounded in time and memory.  A
    ``memory_quota_bytes`` limits;
 2. lets the engine degrade to the best-plan-so-far on a deadline
    (``plan_source == "orca_partial"``);
-3. retries transiently-injected faults; and
-4. on any remaining optimizer error, transparently falls back to the
+3. on any other optimizer error, transparently falls back to the
    legacy Planner (``plan_source == "planner_fallback"``), raising
    :class:`repro.errors.FallbackError` only when the Planner fails too.
 
@@ -59,7 +58,6 @@ class SessionMetrics:
     #: plan_source -> count ("orca", "orca_partial", "planner_fallback",
     #: "cache").
     plan_sources: dict[str, int] = field(default_factory=dict)
-    retries: int = 0
     fallbacks: int = 0
     timeouts: int = 0
     quota_trips: int = 0
@@ -76,7 +74,6 @@ class SessionMetrics:
         return {
             "queries": self.queries,
             "plan_sources": dict(self.plan_sources),
-            "retries": self.retries,
             "fallbacks": self.fallbacks,
             "timeouts": self.timeouts,
             "quota_trips": self.quota_trips,
@@ -100,7 +97,6 @@ class Session:
         tracer: Optional[Tracer] = None,
         faults=None,
         fallback: bool = True,
-        max_retries: int = 0,
         name: str = "session",
         telemetry=None,
         stats_store: Optional[QueryStatsStore] = None,
@@ -111,7 +107,6 @@ class Session:
         self.catalog = catalog
         self.config = config or OptimizerConfig()
         self.fallback = fallback
-        self.max_retries = max(int(max_retries), 0)
         self.name = name
         self.metrics = SessionMetrics()
         #: Fleet-wide metrics registry (repro.telemetry.MetricsRegistry),
@@ -245,49 +240,40 @@ class Session:
         sql_or_stmt: Union[str, SelectStmt],
         key: Optional[tuple[str, str]],
     ) -> OptimizationResult:
-        attempt = 0
-        while True:
-            try:
-                result = self._orca.optimize(sql_or_stmt)
-            except ParseError as exc:
-                # The Planner shares the SQL frontend: fallback cannot
-                # produce a plan for a query that does not parse/bind.
-                self.metrics.errors += 1
-                self.tracer.inc(families.SESSION_ERRORS, code=exc.code)
-                raise
-            except ReproError as exc:
-                if (
-                    attempt < self.max_retries
-                    and getattr(exc, "transient", False)
-                ):
-                    attempt += 1
-                    self.metrics.retries += 1
-                    self.tracer.record("retry", attempt=attempt, code=exc.code)
-                    continue
-                if isinstance(exc, SearchTimeout):
-                    self.metrics.timeouts += 1
-                    self.tracer.inc(families.GOVERNOR_TRIPS, kind="deadline")
-                elif isinstance(exc, MemoryQuotaExceeded):
-                    self.metrics.quota_trips += 1
-                    self.tracer.inc(
-                        families.GOVERNOR_TRIPS, kind="memory_quota"
-                    )
-                if not self.fallback:
-                    self.metrics.errors += 1
-                    self.tracer.inc(families.SESSION_ERRORS, code=exc.code)
-                    raise
-                result = self._fall_back(sql_or_stmt, exc)
-            if result.plan_source == "orca_partial":
+        try:
+            result = self._orca.optimize(sql_or_stmt)
+        except ParseError as exc:
+            # The Planner shares the SQL frontend: fallback cannot
+            # produce a plan for a query that does not parse/bind.
+            self._count_error(exc.code)
+            raise
+        except ReproError as exc:
+            if isinstance(exc, SearchTimeout):
                 self.metrics.timeouts += 1
-            self.metrics.record(result)
-            self.tracer.inc(families.QUERIES, plan_source=result.plan_source)
-            self.tracer.observe(
-                families.OPTIMIZATION_SECONDS, result.opt_time_seconds
-            )
-            if self.stats_store is not None:
-                self.stats_store.record_optimization(key, result)
-            self.last_result = result
-            return result
+                self.tracer.inc(families.GOVERNOR_TRIPS, kind="deadline")
+            elif isinstance(exc, MemoryQuotaExceeded):
+                self.metrics.quota_trips += 1
+                self.tracer.inc(families.GOVERNOR_TRIPS, kind="memory_quota")
+            if not self.fallback:
+                self._count_error(exc.code)
+                raise
+            result = self._fall_back(sql_or_stmt, exc)
+        if result.plan_source == "orca_partial":
+            self.metrics.timeouts += 1
+        self.metrics.record(result)
+        self.tracer.inc(families.QUERIES, plan_source=result.plan_source)
+        self.tracer.observe(
+            families.OPTIMIZATION_SECONDS, result.opt_time_seconds
+        )
+        if self.stats_store is not None:
+            self.stats_store.record_optimization(key, result)
+        self.last_result = result
+        return result
+
+    def _count_error(self, code: str) -> None:
+        """One error surfaced to the caller, in both counters."""
+        self.metrics.errors += 1
+        self.tracer.inc(families.SESSION_ERRORS, code=code)
 
     def explain(
         self, sql_or_stmt: Union[str, SelectStmt], analyze: bool = False
@@ -409,8 +395,9 @@ class Session:
                 sql_or_stmt
             )
         except Exception as fallback_exc:
-            self.metrics.errors += 1
-            raise FallbackError(original, fallback_exc) from fallback_exc
+            error = FallbackError(original, fallback_exc)
+            self._count_error(error.code)
+            raise error from fallback_exc
         return OptimizationResult(
             plan=planned.plan,
             output_cols=planned.output_cols,

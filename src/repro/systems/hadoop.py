@@ -37,12 +37,6 @@ class RunOutcome:
     rows: Optional[list] = None
     detail: str = ""
 
-    def optimized(self) -> bool:
-        return self.status != "unsupported"
-
-    def executed(self) -> bool:
-        return self.status == "ok"
-
 
 class SimulatedEngine:
     """One engine instance over a shared database."""

@@ -4,8 +4,9 @@ A number reaches a :class:`~repro.telemetry.MetricsRegistry` through the
 instrumentation front (:class:`repro.trace.Tracer`) in one of three ways:
 
 - an **event** the program records anyway is counted by
-  :data:`EVENT_METRICS` (``tracer.record("retry", code=...)`` is also
-  ``session_retries_total{code}``): no call site pairs the two by hand;
+  :data:`EVENT_METRICS` (``tracer.record("fallback", reason=...)`` is
+  also ``session_fallbacks_total{reason}``): no call site pairs the two
+  by hand;
 - a **snapshot** that exists when a search or an execution ends is
   folded by a ``fold_*`` function, post hoc, so the instrumented loop
   runs the same instructions with or without a registry;
@@ -67,7 +68,6 @@ EVENT_METRICS: dict[str, tuple] = {
         _row(_PLAN_CACHE, ("reason", "stale_catalog"), event="stale_evict"),
         _row(_PLAN_CACHE, ("reason", "feedback"), event="feedback_invalidate"),
     ),
-    "retry": (_row("session_retries_total", code="$code"),),
     "fallback": (_row("session_fallbacks_total", reason="$reason"),),
     "fleet_restart": (
         _row("fleet_restarts_total", worker="$worker", reason="$reason"),

@@ -213,10 +213,6 @@ class QueryStatsStore:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def snapshot(self) -> list[dict[str, Any]]:
         return [stats.as_dict() for stats in self.entries()]
 

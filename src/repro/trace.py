@@ -67,10 +67,9 @@ EVENT_KINDS = frozenset({
     "plan_cache_evict",
     "plan_cache_shared_hit",
     # Governed sessions (repro.service): a deadline absorbed with a
-    # best-so-far plan, a retried transient fault, a Planner fallback,
-    # and a deterministically injected fault.
+    # best-so-far plan, a Planner fallback, and a deterministically
+    # injected fault.
     "governor_timeout",
-    "retry",
     "fallback",
     "fault_injected",
     # Fused pipeline compiler (repro.engine.fused): plan segmentation
@@ -350,25 +349,6 @@ class Tracer:
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Tracer":
-        """Rebuild a tracer (aggregates + events) from a JSON dump."""
-        payload = json.loads(text)
-        tracer = cls(trace_id=payload.get("trace_id"))
-        tracer.counters = dict(payload.get("counters", {}))
-        for name, agg in payload.get("stages", {}).items():
-            tracer.stage_counts[name] = agg["count"]
-            tracer.stage_times[name] = agg["seconds"]
-        for kind, agg in payload.get("job_kinds", {}).items():
-            tracer.job_kind_counts[kind] = agg["count"]
-            tracer.job_kind_times[kind] = agg["seconds"]
-        tracer.events = [
-            TraceEvent(e["kind"], e["t"], e.get("data", {}))
-            for e in payload.get("events", [])
-        ]
-        tracer.spans = [Span.from_dict(s) for s in payload.get("spans", [])]
-        return tracer
 
     # ------------------------------------------------------------------
     def summary(self) -> str:

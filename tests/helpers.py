@@ -6,13 +6,16 @@ move that only the tests need, kept here rather than on the objects.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro import interning
 from repro.catalog import Database
+from repro.fleet.orchestrator import _PROCESS_FAULT_KINDS, Fleet
 from repro.gpos.process import NoReply
 from repro.props.required import RequiredProps
 from repro.props.distribution import AnyDist
+from repro.search.plan import PlanNode
 from repro.trace import TraceEvent, Tracer
 
 
@@ -20,6 +23,19 @@ def drop_table(db: Database, name: str) -> None:
     """Remove a table; like any catalog change it moves ``db.changes``."""
     del db._tables[name]
     db.changes += 1
+
+
+def truncate(db: Database, name: str) -> None:
+    """Delete every row of a table; a row change like ``insert``."""
+    stored = db._stored(name)
+    stored.partitions = [[] for _ in range(stored.table.num_partitions())]
+    stored.stats = None
+    db._bump(stored, rows_changed=True)
+
+
+def plan_operators(plan: PlanNode) -> list[str]:
+    """The operator names of a plan tree, preorder."""
+    return [node.op.name for node in plan.walk()]
 
 
 def clear_intern_table() -> None:
@@ -68,6 +84,25 @@ def check_span_consistency(tracer: Tracer) -> list[str]:
         if d > 0:
             problems.append(f"unclosed stage_start: {stage}")
     return problems
+
+
+class FaultedFleet(Fleet):
+    """A fleet whose worker ``w`` also arms ``worker_faults[w]``, so a
+    test can fault one worker and watch the others.  Like the fleet's
+    own specs, kill and wedge faults are not re-armed on a restart."""
+
+    def __init__(self, catalog, *, worker_faults: dict, **options):
+        self.worker_faults = worker_faults
+        super().__init__(catalog, **options)
+
+    def _spec_for(self, worker):
+        spec = super()._spec_for(worker)
+        extra = tuple(self.worker_faults.get(worker.worker_id, ()))
+        if worker.incarnation > 0:
+            extra = tuple(
+                s for s in extra if s.kind not in _PROCESS_FAULT_KINDS
+            )
+        return replace(spec, fault_specs=spec.fault_specs + extra)
 
 
 def wedge_worker(fleet, worker_id: int, seconds: float = 3600.0) -> None:

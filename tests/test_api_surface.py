@@ -7,8 +7,10 @@ accidental export or signature change fails CI instead of shipping.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -54,14 +56,14 @@ EXPECTED_ALL = frozenset({
 EXPECTED_SIGNATURES = {
     "connect": ("catalog", "config", "**options"),
     "Session": (
-        "catalog", "config", "tracer", "faults", "fallback", "max_retries",
+        "catalog", "config", "tracer", "faults", "fallback",
         "name", "telemetry", "stats_store", "feedback_store", "slow_log",
         "flight_recorder",
     ),
     "Fleet": (
-        "catalog", "workers", "policy", "config", "fallback", "max_retries",
-        "fault_specs", "per_worker_faults", "fault_seed", "fault_rate",
-        "request_timeout_seconds", "telemetry", "name", "tracer",
+        "catalog", "workers", "policy", "config", "fallback",
+        "fault_specs", "fault_seed", "fault_rate",
+        "request_timeout_seconds", "name", "tracer",
         "flight_dir", "slow_query_ms", "**config_kwargs",
     ),
     "connect_fleet": ("catalog", "**kwargs"),
@@ -87,9 +89,35 @@ EXPECTED_CONFIG_FIELDS = (
     "enable_join_reordering", "enable_cost_bound_pruning",
     "execution_mode", "parallelism",
     "enable_plan_cache", "enable_cardinality_feedback",
-    "trace_flags", "seed", "search_deadline_ms", "search_job_limit",
+    "trace_flags", "search_deadline_ms", "search_job_limit",
     "memory_quota_bytes",
 )
+
+#: Methods defined under ``src/repro`` that nothing outside ``tests/``
+#: references.  Both wait on ROADMAP item 3 (the morsel pool); any other
+#: method with no reference is deleted or moved to ``tests/helpers.py``.
+REFERENCED_ONLY_BY_TESTS = frozenset({
+    "Session.morsel_stats",
+    "MorselPool._procs",
+})
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _defined_methods():
+    """``Class.method`` for every method under ``src/repro``, dunders
+    aside."""
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                name = getattr(item, "name", "")
+                if isinstance(item, ast.FunctionDef) and not (
+                    name.startswith("__") and name.endswith("__")
+                ):
+                    yield f"{node.name}.{name}"
 
 
 class TestAllSnapshot:
@@ -107,8 +135,7 @@ class TestAllSnapshot:
         """``repro.__version__`` is the single source: pyproject.toml
         must point at it and carry no version of its own."""
         tomllib = pytest.importorskip("tomllib")
-        root = Path(__file__).resolve().parent.parent
-        with open(root / "pyproject.toml", "rb") as fh:
+        with open(ROOT / "pyproject.toml", "rb") as fh:
             meta = tomllib.load(fh)
         assert "version" not in meta["project"]
         assert meta["project"]["dynamic"] == ["version"]
@@ -150,10 +177,29 @@ class TestOptionSnapshot:
     def test_door_keywords_and_config_fields_mix(self, small_db):
         session = repro.connect(
             small_db, name="mixed", fallback=False, segments=2,
-            config=repro.OptimizerConfig(segments=4, seed=7),
+            config=repro.OptimizerConfig(segments=4, search_job_limit=7),
         )
         assert (session.name, session.fallback) == ("mixed", False)
-        assert (session.config.segments, session.config.seed) == (2, 7)
+        assert (
+            session.config.segments, session.config.search_job_limit
+        ) == (2, 7)
+
+
+class TestDefinitionCensus:
+    def test_every_method_is_referenced_outside_the_tests(self):
+        """A method is reached as ``.name`` from the program, the
+        benchmarks or the examples, or it is on the allowlist above."""
+        text = "\n".join(
+            path.read_text(encoding="utf-8")
+            for top in ("src", "benchmarks", "examples")
+            for path in sorted((ROOT / top).rglob("*.py"))
+        )
+        referenced = set(re.findall(r"\.(\w+)", text))
+        unreferenced = {
+            method for method in _defined_methods()
+            if method.split(".")[1] not in referenced
+        }
+        assert unreferenced == REFERENCED_ONLY_BY_TESTS
 
 
 class TestKeywordOnlyConstructors:

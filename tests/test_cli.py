@@ -2,17 +2,95 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 
 
 SQL = ("SELECT d.d_year, count(*) AS n FROM date_dim d "
        "GROUP BY d.d_year ORDER BY d.d_year")
 ARGS = ["--scale", "0.05", "--segments", "4"]
+
+_DATABASE = ("--scale", "--seed")
+_CONFIG = (
+    "--segments", "--disable", "--plan-cache", "--feedback",
+    "--deadline-ms", "--job-limit", "--memory-quota-mb", "--engine",
+    "--parallelism",
+)
+_TRACE = ("--trace", "--trace-json")
+
+#: Every subcommand's flags, frozen like the door keywords in
+#: test_api_surface.py: a flag is accepted only where it is read, so a
+#: flag comes to a subcommand by editing this snapshot in the change
+#: that reads it there.
+EXPECTED_FLAGS = {
+    "explain": ("--analyze", *_DATABASE, *_CONFIG, *_TRACE, "--planner",
+                "--plan-cache-stats", "--no-fallback", "--slow-query-ms"),
+    "memo": (*_DATABASE, *_CONFIG, *_TRACE, "--plan-cache-stats"),
+    "run": ("--max-rows", *_DATABASE, *_CONFIG, *_TRACE, "--planner",
+            "--plan-cache-stats", "--no-fallback", "--slow-query-ms"),
+    "stats": ("--queries", "--top", "--execute", "--q-error",
+              "--prometheus-out", "--json-out", *_DATABASE, *_CONFIG,
+              "--no-fallback", "--slow-query-ms"),
+    "serve": ("--workers", "--policy", "--queries", "--passes", "--execute",
+              "--chaos-rate", "--chaos-seed", "--kill-every", "--wedge-site",
+              "--request-timeout", "--report", "--flight-dir", *_DATABASE,
+              *_CONFIG, "--no-fallback", "--slow-query-ms"),
+    "trace": ("--out", "--fleet", "--execute", *_DATABASE, *_CONFIG,
+              "--no-fallback"),
+    "dump-metadata": _DATABASE,
+    "capture": (*_DATABASE, *_CONFIG, *_TRACE),
+    "replay": (),
+    "support": (),
+}
+
+
+def _subcommands() -> dict:
+    parser = build_parser()
+    (sub,) = [
+        a for a in parser._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    return sub.choices
+
+
+class TestFlagSnapshot:
+    @pytest.mark.parametrize("command", sorted(EXPECTED_FLAGS))
+    def test_subcommand_flags_match_snapshot(self, command):
+        flags = tuple(
+            flag
+            for action in _subcommands()[command]._actions
+            for flag in action.option_strings
+            if flag not in ("-h", "--help")
+        )
+        assert flags == EXPECTED_FLAGS[command]
+
+    def test_every_subcommand_is_snapshotted(self):
+        assert set(_subcommands()) == set(EXPECTED_FLAGS)
+
+    @pytest.mark.parametrize("argv", [
+        ["memo", SQL, "--planner"],
+        ["stats", "--planner"],
+        ["stats", "--trace"],
+        ["serve", "--trace-json", "t.json"],
+        ["trace", SQL, "--planner"],
+        ["capture", "d.dxl", SQL, "--no-fallback"],
+        ["dump-metadata", "m.dxl", "--segments", "4"],
+    ], ids=lambda argv: argv[0] + "".join(
+        a for a in argv if a.startswith("--")
+    ))
+    def test_a_flag_the_subcommand_ignores_is_refused(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)  # nothing lands in the checkout
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestCLI:
@@ -130,7 +208,7 @@ class TestCLI:
 
     def test_dump_metadata(self, tmp_path, capsys):
         path = tmp_path / "meta.dxl"
-        assert main(["dump-metadata", str(path)] + ARGS) == 0
+        assert main(["dump-metadata", str(path), "--scale", "0.05"]) == 0
         assert path.exists()
         assert "Relation" in path.read_text(encoding="utf-8")
 
@@ -162,6 +240,22 @@ class TestCLI:
         assert main(["replay", str(path)]) == 2
         err = capsys.readouterr().err
         assert err == "error [DXL]: <Relation> has no <Columns> element\n"
+
+    def test_replay_of_an_empty_predicate_is_a_dxl_error(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "dump.dxl"
+        sql = "SELECT d_year FROM date_dim WHERE d_year > 1999"
+        assert main(["capture", str(path), sql] + ARGS) == 0
+        root = ET.parse(path).getroot()
+        predicate = root.find(".//Predicate")
+        for child in list(predicate):
+            predicate.remove(child)
+        ET.ElementTree(root).write(path, encoding="utf-8")
+        capsys.readouterr()
+        assert main(["replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error [DXL]: <Predicate> has no child element\n"
 
     def test_sql_error_is_reported(self, capsys):
         # Parse/bind errors map to the dedicated ParseError exit code.
@@ -245,6 +339,29 @@ class TestServeCLI:
         queries = dict(re.findall(r"^worker (\d): pid=\d+ queries=(\d+)", out, re.M))
         assert set(queries) == {"0", "1"}
         assert sum(map(int, queries.values())) > 0
+
+    def test_serve_no_fallback_surfaces_the_workers_errors(self, capsys):
+        """``--no-fallback`` reaches the workers' sessions: every search
+        over the job limit is an error, not a Planner plan, so the pass
+        is not fully served and serve exits 1."""
+        rc = main([
+            "serve", "--workers", "2", "--queries", "2", "--passes", "1",
+            "--job-limit", "3", "--no-fallback",
+        ] + ARGS)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.count("error [SEARCH_TIMEOUT]") == 2
+        assert "pass 1/1: 0 served, 2 errors" in captured.out
+
+    def test_trace_fleet_no_fallback_exits_with_the_timeout_code(
+        self, tmp_path, capsys
+    ):
+        rc = main([
+            "trace", SQL, "--fleet", "1", "--job-limit", "3",
+            "--no-fallback", "--out", str(tmp_path / "t.json"),
+        ] + ARGS)
+        assert rc == 5
+        assert capsys.readouterr().err.startswith("error [SEARCH_TIMEOUT]")
 
     def test_serve_refuses_parallelism_with_the_typed_error_code(self, capsys):
         from repro.__main__ import exit_code_for

@@ -9,6 +9,7 @@ import pytest
 
 from repro.config import OptimizerConfig
 from repro.dxl.parser import parse_document, parse_metadata, parse_query
+from repro.errors import DXLError
 from repro.dxl.serializer import (
     serialize_metadata,
     serialize_plan,
@@ -149,6 +150,52 @@ class TestQueryDXL:
         assert [type(n.op).__name__ for n in tree.walk()] == [
             type(n.op).__name__ for n in q.tree.walk()
         ]
+
+
+def _empty(elem):
+    for child in list(elem):
+        elem.remove(child)
+
+
+#: (what is broken, path of the element, how, the DXLError's message).
+MALFORMED = [
+    ("empty-predicate", ".//Predicate", _empty,
+     "<Predicate> has no child element"),
+    ("empty-projelem", ".//ProjElem", _empty,
+     "<ProjElem> has no child element"),
+    ("one-operand-arith", ".//Arith", lambda e: e.remove(e[1]),
+     "<Arith> has 1 operands, not 2"),
+    ("bad-jointype", ".//LogicalJoin", lambda e: e.set("JoinType", "sideways"),
+     "<LogicalJoin> has no valid JoinType attribute: 'sideways'"),
+    ("bad-count", ".//LogicalLimit", lambda e: e.set("Count", "three"),
+     "<LogicalLimit> has no valid Count attribute: 'three'"),
+    ("bad-colid", ".//Ident", lambda e: e.set("ColId", "x"),
+     "<Ident> has no valid ColId attribute: 'x'"),
+    ("bad-const", ".//Const", lambda e: e.set("Value", "five"),
+     "<Const> has no valid Value attribute: 'five'"),
+    ("no-operator", "Query", lambda e: e.remove(e.find("LogicalLimit")),
+     "<Query> has no logical operator"),
+]
+
+
+@pytest.mark.parametrize(
+    "path, mutate, message", [case[1:] for case in MALFORMED],
+    ids=[case[0] for case in MALFORMED],
+)
+def test_malformed_query_is_a_dxl_error(db, path, mutate, message):
+    """What the parser indexes into or converts is checked first: a
+    broken element is a DXLError naming it, never a raw exception."""
+    q = Translator(db).translate_sql(
+        "SELECT t1.a, t1.b + 1 AS b1 FROM t1 JOIN t2 ON t1.a = t2.a "
+        "WHERE t1.b > 5 ORDER BY t1.a LIMIT 3"
+    )
+    root = ET.fromstring(to_string(
+        serialize_query(q.tree, q.output_cols, q.required_sort)
+    ))
+    mutate(root.find(path))
+    with pytest.raises(DXLError) as refused:
+        parse_query(root, db, ColumnFactory())
+    assert str(refused.value) == message
 
 
 class TestMetadataDXL:

@@ -17,6 +17,7 @@ from repro.planner import LegacyPlanner
 from repro.verify.qerror import plan_qerror
 
 from tests.conftest import make_partitioned_db, make_small_db, rows_equal
+from tests.helpers import plan_operators
 from tests.test_sqlite_oracle import load_oracle
 
 
@@ -366,7 +367,7 @@ class TestWindowAggregatesAgainstSqlite:
             "FROM w ORDER BY k"
         )
         out, result = run(db, sql, segments=4, execution_mode=mode)
-        assert "Window" in result.plan.operators()
+        assert "Window" in plan_operators(result.plan)
         sqlite_over = f"{over} NULLS LAST" if "ORDER BY" in over else over
         expected = oracle.expected(sql.replace(over, sqlite_over))
         assert load_oracle().compare(out.rows, expected) == ""
@@ -437,7 +438,7 @@ class TestAggregateCallsAgainstSqlite:
     def test_aggregate_read_by_a_window_only(self, window_db, sql, mode):
         db, oracle = window_db
         out, result = run(db, sql, segments=4, execution_mode=mode)
-        assert "Window" in result.plan.operators()
+        assert "Window" in plan_operators(result.plan)
         expected = oracle.expected(sql)
         assert expected.source == "sqlite"
         assert load_oracle().compare(out.rows, expected) == ""

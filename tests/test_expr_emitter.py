@@ -58,6 +58,7 @@ from repro.ops.scalar import (
 from repro.optimizer import Orca
 
 from tests.conftest import make_small_db
+from tests.helpers import plan_operators
 from tests.test_sqlite_oracle import load_oracle
 
 # ----------------------------------------------------------------------
@@ -498,7 +499,7 @@ def test_no_python_call_per_row_in_generated_code(fact_rows):
     orca = Orca(db, config=OptimizerConfig(segments=4))
     for name, (sql, operator) in PER_ROW_CASES.items():
         result = orca.optimize(sql)
-        assert operator in result.plan.operators(), name
+        assert operator in plan_operators(result.plan), name
         executor = Executor(
             Cluster(db, segments=4), execution_mode=ExecutionMode.FUSED
         )

@@ -157,20 +157,18 @@ class TestStoreIngest:
         assert store.entry(REL_B) is not None
         assert store.entry(REL_C) is not None
 
-    def test_stats_summary_and_reset(self):
+    def test_stats_and_summary(self):
         store = FeedbackStore()
+        assert store.stats() == {
+            "entries": 0, "generation": 0, "version": 0, "ingests": 0,
+            "lookup_hits": 0, "lookup_misses": 0, "evictions": 0,
+        }
         plan, analysis = _fake_execution([(REL_A, "Scan", 1, 10)])
         store.ingest(plan, analysis)
         store.correction(REL_A)
         stats = store.stats()
         assert stats["entries"] == 1 and stats["ingests"] == 1
         assert "feedback store: 1 shapes" in store.summary()
-        store.reset()
-        assert len(store) == 0
-        assert store.stats() == {
-            "entries": 0, "generation": 0, "version": 0, "ingests": 0,
-            "lookup_hits": 0, "lookup_misses": 0, "evictions": 0,
-        }
 
 
 class TestConfidence:

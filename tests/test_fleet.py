@@ -43,7 +43,7 @@ from repro.service.faults import FAULT_SITES, FaultSpec, KILLED_EXIT_CODE
 from repro.workloads import QUERIES
 
 from tests.conftest import make_small_db, rows_equal
-from tests.helpers import wedge_worker
+from tests.helpers import FaultedFleet, wedge_worker
 
 Q1 = "SELECT a, b FROM t1 WHERE b = 42 ORDER BY a, b LIMIT 10"
 Q2 = "SELECT count(*) AS n FROM t1 JOIN t2 ON t1.a = t2.a WHERE t2.b < 100"
@@ -55,9 +55,11 @@ def fleet_db():
     return make_small_db(t1_rows=2000, t2_rows=300)
 
 
-def make_fleet(db, **kwargs) -> Fleet:
+def make_fleet(db, worker_faults=None, **kwargs) -> Fleet:
     kwargs.setdefault("workers", 2)
     kwargs.setdefault("request_timeout_seconds", 60.0)
+    if worker_faults:
+        return FaultedFleet(db, worker_faults=worker_faults, **kwargs)
     return repro.connect_fleet(db, **kwargs)
 
 
@@ -217,7 +219,7 @@ class TestChaosMatrix:
         spec = FaultSpec(site=site, kind=kind, delay_seconds=30.0)
         with make_fleet(
             fleet_db, workers=2,
-            per_worker_faults={0: (spec,)},
+            worker_faults={0: (spec,)},
             request_timeout_seconds=2.0,
         ) as fleet:
             for _ in range(4):
@@ -232,7 +234,7 @@ class TestChaosMatrix:
     def test_killed_worker_exits_with_the_injected_code(self, fleet_db):
         spec = FaultSpec(site="costing", kind="kill")
         fleet = make_fleet(
-            fleet_db, workers=1, per_worker_faults={0: (spec,)},
+            fleet_db, workers=1, fault_specs=(spec,),
         )
         victim = fleet._workers[0].process
         try:
@@ -482,7 +484,7 @@ class TestConcurrentClients:
 
     def test_kill_leaves_the_other_workers_request_alone(self, fleet_db):
         with make_fleet(
-            fleet_db, per_worker_faults={1: (slow_once(1.0),)},
+            fleet_db, worker_faults={1: (slow_once(1.0),)},
         ) as fleet, ThreadPoolExecutor(max_workers=1) as clients:
             assert fleet.optimize(Q3).worker == 0
             in_flight = clients.submit(fleet.optimize, Q3)
@@ -540,7 +542,7 @@ class TestConcurrentClients:
     def test_routing_goes_around_a_busy_worker(self, fleet_db):
         with make_fleet(
             fleet_db,
-            per_worker_faults={0: (slow_once(1.0),)},
+            worker_faults={0: (slow_once(1.0),)},
         ) as fleet, ThreadPoolExecutor(max_workers=1) as clients:
             held = clients.submit(fleet.optimize, Q3)
             wait_until(lambda: fleet._views()[0].in_flight == 1)
@@ -600,7 +602,7 @@ class TestConcurrentClients:
     ):
         monkeypatch.setattr(orchestrator, "HEARTBEAT_TIMEOUT_SECONDS", 0.2)
         with make_fleet(
-            fleet_db, per_worker_faults={0: (slow_once(0.6),)},
+            fleet_db, worker_faults={0: (slow_once(0.6),)},
         ) as fleet, ThreadPoolExecutor(max_workers=1) as clients:
             held = clients.submit(fleet.optimize, Q3)
             wait_until(lambda: fleet._workers[0].lock.locked())
@@ -668,7 +670,7 @@ class TestDifferentialAgainstSession:
         session = repro.connect(tpcds_db)
         spec = FaultSpec(site="extraction", kind="kill")
         with make_fleet(
-            tpcds_db, workers=2, per_worker_faults={1: (spec,)},
+            tpcds_db, workers=2, worker_faults={1: (spec,)},
         ) as fleet:
             for query in QUERIES[:6]:
                 expected = session.optimize(query.sql).plan.explain()

@@ -50,6 +50,7 @@ from repro.trace import Tracer
 from repro.workloads import QUERIES, build_populated_db
 
 from tests.conftest import make_partitioned_db, make_small_db
+from tests.helpers import truncate
 from tests.test_sqlite_oracle import load_oracle
 
 
@@ -480,7 +481,7 @@ def test_scan_cache_follows_dml(make_db, table, new_row):
     entries = len(shared.scan_cache)
     db.insert(table, [new_row])
     assert counts() == ([(before + 1,)],) * 3
-    db.truncate(table)
+    truncate(db, table)
     assert counts() == ([(0,)],) * 3
     db.insert(table, [new_row, new_row])
     assert counts() == ([(2,)],) * 3

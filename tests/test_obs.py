@@ -141,9 +141,9 @@ class TestTracerSpans:
         tracer = Tracer()
         with tracer.span("s"):
             pass
-        restored = Tracer.from_json(tracer.to_json())
-        assert restored.trace_id == tracer.trace_id
-        assert [s.name for s in restored.spans] == ["s"]
+        payload = json.loads(tracer.to_json())
+        assert payload["trace_id"] == tracer.trace_id
+        assert [s["name"] for s in payload["spans"]] == ["s"]
 
     def test_null_tracer_span_api(self):
         tracer = NULL_TRACER

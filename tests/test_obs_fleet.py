@@ -32,7 +32,7 @@ from repro.service.faults import FaultSpec
 from repro.trace import Tracer
 
 from tests.conftest import make_small_db
-from tests.helpers import events_of
+from tests.helpers import FaultedFleet, events_of
 
 Q1 = "SELECT a, b FROM t1 WHERE b = 42 ORDER BY a, b LIMIT 10"
 Q2 = "SELECT count(*) AS n FROM t1 JOIN t2 ON t1.a = t2.a WHERE t2.b < 100"
@@ -243,7 +243,7 @@ class TestFleetFlightDumps:
         spec = FaultSpec(site="extraction", kind="kill")
         with make_fleet(
             fleet_db, workers=1, flight_dir=str(tmp_path),
-            per_worker_faults={0: (spec,)},
+            fault_specs=(spec,),
             request_timeout_seconds=5.0,
         ) as fleet:
             result = fleet.optimize(Q2)  # served by the respawned worker
@@ -265,9 +265,9 @@ class TestFleetFlightDumps:
 
     def test_wedge_fault_dumps_before_hanging(self, fleet_db, tmp_path):
         spec = FaultSpec(site="costing", kind="wedge", delay_seconds=30.0)
-        with make_fleet(
+        with FaultedFleet(
             fleet_db, workers=2, flight_dir=str(tmp_path),
-            per_worker_faults={0: (spec,)},
+            worker_faults={0: (spec,)},
             request_timeout_seconds=2.0,
         ) as fleet:
             for _ in range(3):

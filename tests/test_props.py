@@ -96,14 +96,6 @@ class TestOrderSpec:
         assert ANY_ORDER.satisfies(ANY_ORDER)
         assert not ANY_ORDER.satisfies(OrderSpec((SortKey(1),)))
 
-    def test_of_builder(self):
-        from repro.catalog.types import INT
-        from repro.ops.scalar import ColRef
-
-        a = ColRef(5, "a", INT)
-        spec = OrderSpec.of([a, (a, False), SortKey(9)])
-        assert spec.keys == (SortKey(5, True), SortKey(5, False), SortKey(9, True))
-
     def test_remapped(self):
         spec = OrderSpec((SortKey(1), SortKey(2, False)))
         out = spec.remapped({1: 7})

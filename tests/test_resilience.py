@@ -34,7 +34,7 @@ class TestFaultMatrix:
         self, tpcds_db, site
     ):
         injector = FaultInjector(
-            [FaultSpec(site=site, times=0, transient=False)]
+            [FaultSpec(site=site, times=0)]
         )
         session = repro.connect(
             tpcds_db, segments=4, faults=injector, name=f"fault-{site}"
@@ -69,7 +69,7 @@ class TestFaultMatrix:
         compute the same answer the unfaulted Orca plan computes."""
         query = next(q for q in QUERIES if q.id == "star_brand")
         injector = FaultInjector(
-            [FaultSpec(site=site, times=0, transient=False)]
+            [FaultSpec(site=site, times=0)]
         )
         faulted = repro.connect(tpcds_db, segments=4, faults=injector)
         clean = repro.connect(tpcds_db, segments=4)
@@ -91,7 +91,7 @@ class TestFaultKinds:
         injector = FaultInjector([
             FaultSpec(
                 site="costing", kind="alloc", times=0,
-                alloc_bytes=1 << 30, transient=False,
+                alloc_bytes=1 << 30,
             )
         ])
         session = repro.connect(
@@ -107,7 +107,7 @@ class TestFaultKinds:
         injector = FaultInjector([
             FaultSpec(
                 site="xform_apply", kind="delay", times=0,
-                delay_seconds=0.05, transient=False,
+                delay_seconds=0.05,
             )
         ])
         session = repro.connect(
@@ -119,7 +119,7 @@ class TestFaultKinds:
 
     def test_no_fallback_surfaces_injected_fault(self, tpcds_db):
         injector = FaultInjector(
-            [FaultSpec(site="costing", times=0, transient=False)]
+            [FaultSpec(site="costing", times=0)]
         )
         session = repro.connect(
             tpcds_db, segments=4, faults=injector, fallback=False
@@ -131,9 +131,12 @@ class TestFaultKinds:
         from repro.planner import LegacyPlanner
 
         injector = FaultInjector(
-            [FaultSpec(site="costing", times=0, transient=False)]
+            [FaultSpec(site="costing", times=0)]
         )
-        session = repro.connect(tpcds_db, segments=4, faults=injector)
+        registry = repro.MetricsRegistry()
+        session = repro.connect(
+            tpcds_db, segments=4, faults=injector, telemetry=registry
+        )
         monkeypatch.setattr(
             LegacyPlanner, "optimize",
             lambda self, stmt: (_ for _ in ()).throw(RuntimeError("boom")),
@@ -141,34 +144,25 @@ class TestFaultKinds:
         with pytest.raises(FallbackError) as exc_info:
             session.optimize(QUERIES[0].sql)
         assert isinstance(exc_info.value.original, InjectedFault)
+        # The surfaced error is counted once, in both counters.
+        assert session.metrics.errors == 1
+        assert registry.value("session_errors_total", code="FALLBACK") == 1
 
 
-class TestRetries:
-    def test_transient_fault_retried_to_success(self, tpcds_db):
-        injector = FaultInjector(
-            [FaultSpec(site="costing", at=1, times=1, transient=True)]
+class TestOneHitFault:
+    def test_falls_back_once_and_the_next_query_sails_past(self, tpcds_db):
+        """A session never re-runs a search: a fault that fires on one
+        hit sends that query to the Planner, and the schedule's hit
+        counter has moved past it for the next one."""
+        injector = FaultInjector([FaultSpec(site="costing", at=1, times=1)])
+        session = repro.connect(tpcds_db, segments=4, faults=injector)
+        first = session.optimize(QUERIES[0].sql)
+        assert (first.plan_source, first.fallback_reason) == (
+            "planner_fallback", "FAULT"
         )
-        session = repro.connect(
-            tpcds_db, segments=4, faults=injector, max_retries=2
-        )
-        result = session.optimize(QUERIES[0].sql)
-        assert result.plan_source == "orca"
-        assert session.metrics.retries == 1
-        assert session.metrics.fallbacks == 0
-
-    def test_permanent_fault_defeats_retries(self, tpcds_db):
-        injector = FaultInjector(
-            [FaultSpec(site="costing", times=0, transient=True)]
-        )
-        session = repro.connect(
-            tpcds_db, segments=4, faults=injector, max_retries=2
-        )
-        result = session.optimize(QUERIES[0].sql)
-        # Retried max_retries times, kept hitting the permanent fault,
-        # then fell back.
-        assert result.plan_source == "planner_fallback"
-        assert session.metrics.retries == 2
+        assert session.optimize(QUERIES[0].sql).plan_source == "orca"
         assert session.metrics.fallbacks == 1
+        assert len(injector.fired) == 1
 
 
 def fired(injector) -> tuple:
@@ -202,9 +196,7 @@ class TestDeterminism:
             injector = FaultInjector(
                 [FaultSpec(site="stats_derive", at=3, times=2)]
             )
-            session = repro.connect(
-                tpcds_db, segments=4, faults=injector, max_retries=1
-            )
+            session = repro.connect(tpcds_db, segments=4, faults=injector)
             session.optimize(QUERIES[0].sql)
             return fired(injector)
 

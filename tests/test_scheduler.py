@@ -211,7 +211,7 @@ class TestMemoryTracker:
         tracker.charge("memo", 50)
         tracker.charge("stats", 10)
         assert tracker.total() == 160
-        assert tracker.pools() == {"memo": 150, "stats": 10}
+        assert tracker._pools == {"memo": 150, "stats": 10}
 
     def test_charge_object(self):
         tracker = MemoryTracker()
@@ -258,9 +258,3 @@ class TestMemoryTracker:
         assert deep_sizeof(holder) - deep_sizeof(holder, {id(shared)}) == (
             deep_sizeof(shared)
         )
-
-    def test_reset(self):
-        tracker = MemoryTracker()
-        tracker.charge("x", 5)
-        tracker.reset()
-        assert tracker.total() == 0

@@ -217,18 +217,16 @@ class TestThreadedSessions:
 
         assert run_threads(optimize_twice) == [("miss", "cache", True)] * THREADS
 
-    def test_a_transient_fault_retries_only_its_own_session(self, tpcds_db):
+    def test_a_fault_falls_back_only_its_own_session(self, tpcds_db):
         def optimize(slot: int):
             faults = None
             if slot == 0:
                 faults = FaultInjector(
-                    [FaultSpec(site="costing", at=1, times=1, transient=True)]
+                    [FaultSpec(site="costing", at=1, times=1)]
                 )
-            own = repro.connect(
-                tpcds_db, segments=4, faults=faults, max_retries=2
-            )
-            return own.optimize(SQL).plan_source, own.metrics.retries
+            own = repro.connect(tpcds_db, segments=4, faults=faults)
+            return own.optimize(SQL).plan_source, own.metrics.fallbacks
 
-        assert run_threads(optimize) == [("orca", 1)] + [("orca", 0)] * (
-            THREADS - 1
-        )
+        assert run_threads(optimize) == [("planner_fallback", 1)] + [
+            ("orca", 0)
+        ] * (THREADS - 1)

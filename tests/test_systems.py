@@ -100,8 +100,8 @@ class TestExecution:
         assert len(outputs) == 2
         assert rows_equal(outputs[0], outputs[1])
 
-    def test_outcome_accessors(self, engines):
+    def test_outcome_status(self, engines):
         ok = engines["HAWQ"].run(queries_by_id()["scalar_totals"])
-        assert ok.optimized() and ok.executed()
+        assert ok.status == "ok"
         bad = engines["Impala"].run(queries_by_id()["class_ratio_window"])
-        assert not bad.optimized() and not bad.executed()
+        assert bad.status == "unsupported"

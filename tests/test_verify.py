@@ -28,6 +28,7 @@ from repro.verify.taqo import (
 from repro.workloads import QUERIES
 
 from tests.conftest import make_small_db, rows_equal
+from tests.helpers import plan_operators
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +158,7 @@ class TestTAQO:
         samples = sample_plans(result.memo, req, 10)
         assert len(samples) >= 5
         fingerprints = {
-            tuple(s.plan.operators()) for s in samples
+            tuple(plan_operators(s.plan)) for s in samples
         }
         assert len(fingerprints) == len(samples)
 
