@@ -7,7 +7,7 @@ from datetime import date
 from typing import Optional, Sequence
 
 from repro.catalog.database import Database
-from repro.catalog.schema import DistributionPolicy, Table
+from repro.catalog.schema import DistributionPolicy
 from repro.catalog.statistics import TableStats
 from repro.errors import DXLError
 from repro.ops import logical as lg

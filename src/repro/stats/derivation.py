@@ -15,7 +15,6 @@ import math
 from typing import Callable, Optional
 
 from repro.catalog.statistics import ColumnStats
-from repro.catalog.schema import Table
 from repro.config import OptimizerConfig
 from repro.errors import OptimizerError
 from repro.gpos.memory import STATS_BYTES, STATS_COLUMN_BYTES

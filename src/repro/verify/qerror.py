@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
 #: Default positive clamp for zero/empty cardinalities.  One row: the
 #: smallest cardinality an executed node can be "off by a factor" from.
