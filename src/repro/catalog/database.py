@@ -9,6 +9,7 @@ cache can invalidate stale entries (Section 4.1, Mdid versioning).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.catalog.schema import Table
@@ -157,7 +158,7 @@ class Database:
             rows = self.scan(tname)
             cols: dict[str, ColumnStats] = {}
             for i, col in enumerate(stored.table.columns):
-                values = [row[i] for row in rows]
+                values = list(map(itemgetter(i), rows))
                 cols[col.name] = ColumnStats.from_values(
                     values, width=col.dtype.width, num_buckets=num_buckets
                 )

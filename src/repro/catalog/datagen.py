@@ -15,12 +15,35 @@ Two flavors live here:
   system (e.g. out of an AMPERe dump), synthesize rows whose re-ANALYZEd
   statistics approximate it, so customer plan regressions reproduce
   without customer data.
+
+Draw order.  One ``random.Random(seed)`` feeds every table, so a seed
+names one database.  :meth:`ReverseStatsGenerator.populate` draws row by
+row and, within a row, column by column in schema order.  Each value
+first makes one ``random()`` call for its NULL test when its spec has a
+``null_frac``, then its kind's calls:
+
+- ``serial`` and ``expr``: none (an ``expr`` reads the row's earlier
+  columns);
+- ``uniform_int``: ``randint(lo, hi)``;
+- ``zipf_int``: ``random()``;
+- ``uniform_float``: ``uniform(lo, hi)``, rounded to two places;
+- ``choice``: ``choice(values)``, or ``choices(values, cum_weights)``
+  with weights;
+- ``fk``: ``choice(domain)``, where the domain is the referenced
+  column's non-NULL values in generation order.
+
+Tables are drawn in the order the caller populates them.  Any change to
+these calls or their order changes every row after it;
+``tests/test_datagen_pin.py`` pins the result.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 from repro.catalog.database import Database
@@ -113,55 +136,74 @@ class ReverseStatsGenerator:
                 f"no ColumnSpec for columns {missing} of {table_name}"
             )
         col_names = table.column_names()
-        zipf_samplers = {
-            name: self._make_zipf(spec)
-            for name, spec in specs.items() if spec.kind == "zipf_int"
-        }
-        rows = []
-        for i in range(row_count):
-            row_dict: dict[str, Any] = {}
-            for name in col_names:
-                spec = specs[name]
-                row_dict[name] = self._draw(spec, i, row_dict, zipf_samplers.get(name))
-            rows.append(tuple(row_dict[name] for name in col_names))
-        for name in col_names:
+        # The partial row an ``expr`` column reads; filled in column order.
+        row: dict[str, Any] = {}
+        drawers = [self._drawer(specs[name], row) for name in col_names]
+        if any(specs[name].kind == "expr" for name in col_names):
+            named = list(zip(col_names, drawers))
+            rows = []
+            for _ in range(row_count):
+                row.clear()
+                for name, draw in named:
+                    row[name] = draw()
+                rows.append(tuple(row.values()))
+        else:
+            rows = [tuple([draw() for draw in drawers]) for _ in range(row_count)]
+        for pos, name in enumerate(col_names):
             self._domains[(table_name, name)] = [
-                r[table.column_index(name)] for r in rows
-                if r[table.column_index(name)] is not None
+                r[pos] for r in rows if r[pos] is not None
             ]
         return self.db.insert(table_name, rows)
 
     # ------------------------------------------------------------------
-    def _draw(
-        self, spec: ColumnSpec, i: int, row: dict,
-        zipf: Optional[Callable[[], int]],
-    ) -> Any:
-        if spec.null_frac and self._rng.random() < spec.null_frac:
-            return None
-        if spec.kind == "serial":
-            return i + 1
-        if spec.kind == "uniform_int":
-            return self._rng.randint(spec.lo, spec.hi)
-        if spec.kind == "zipf_int":
-            assert zipf is not None
-            return zipf()
-        if spec.kind == "uniform_float":
-            return round(self._rng.uniform(spec.lo, spec.hi), 2)
-        if spec.kind == "choice":
-            if spec.weights:
-                return self._rng.choices(spec.values, weights=spec.weights)[0]
-            return self._rng.choice(spec.values)
-        if spec.kind == "fk":
+    def _drawer(self, spec: ColumnSpec, row: dict) -> Callable[[], Any]:
+        """The one function that draws ``spec``'s values, chosen once per
+        table: each call makes the RNG calls of one value, in the order
+        the module docstring fixes."""
+        rng = self._rng
+        kind = spec.kind
+        if kind == "serial":
+            draw = itertools.count(1).__next__
+        elif kind == "uniform_int":
+            draw = partial(rng.randint, spec.lo, spec.hi)
+        elif kind == "zipf_int":
+            draw = self._make_zipf(spec)
+        elif kind == "uniform_float":
+            uniform, lo, hi = rng.uniform, spec.lo, spec.hi
+
+            def draw():
+                return round(uniform(lo, hi), 2)
+        elif kind == "choice" and spec.weights:
+            choices, values = rng.choices, spec.values
+            cum_weights = list(itertools.accumulate(spec.weights))
+
+            def draw():
+                return choices(values, cum_weights=cum_weights)[0]
+        elif kind == "choice":
+            draw = partial(rng.choice, spec.values)
+        elif kind == "fk":
             domain = self._domains.get(spec.ref or ("", ""))
-            if not domain:
-                raise CatalogError(
-                    f"FK target {spec.ref} has no generated domain yet"
-                )
-            return self._rng.choice(domain)
-        if spec.kind == "expr":
+            if domain:
+                draw = partial(rng.choice, domain)
+            else:
+                draw = _refuse(f"FK target {spec.ref} has no generated domain yet")
+        elif kind == "expr":
             assert spec.fn is not None
-            return spec.fn(row)
-        raise CatalogError(f"unknown ColumnSpec kind {spec.kind}")
+            draw = partial(spec.fn, row)
+        else:
+            draw = _refuse(f"unknown ColumnSpec kind {spec.kind}")
+        if not spec.null_frac:
+            return draw
+        value, null_frac, rand = draw, spec.null_frac, rng.random
+        if kind == "serial":
+            # The row number advances past a NULL too.
+            def draw():
+                v = value()
+                return None if rand() < null_frac else v
+        else:
+            def draw():
+                return None if rand() < null_frac else value()
+        return draw
 
     def _make_zipf(self, spec: ColumnSpec) -> Callable[[], int]:
         """Precompute a zipf-like sampler over [lo, hi]."""
@@ -173,21 +215,20 @@ class ReverseStatsGenerator:
         for w in weights:
             acc += w / total
             cum.append(acc)
-        lo = spec.lo
+        lo, last, rand = spec.lo, len(cum) - 1, self._rng.random
 
         def sample() -> int:
-            u = self._rng.random()
-            # Binary search over the cumulative weights.
-            a, b = 0, len(cum) - 1
-            while a < b:
-                mid = (a + b) // 2
-                if cum[mid] < u:
-                    a = mid + 1
-                else:
-                    b = mid
-            return lo + a
+            return lo + min(bisect_left(cum, rand()), last)
 
         return sample
+
+
+def _refuse(message: str) -> Callable[[], Any]:
+    """A drawer for a spec that cannot draw: it fails on the first value,
+    so a table of zero rows still populates."""
+    def draw():
+        raise CatalogError(message)
+    return draw
 
 
 # ----------------------------------------------------------------------
@@ -287,18 +328,13 @@ def generate_from_stats(
 
         def make_sampler(bucket_samplers=bucket_samplers, cum=cum,
                          null_frac=null_frac):
+            last = len(cum) - 1
+
             def sample():
                 if null_frac and rng.random() < null_frac:
                     return None
-                u = rng.random()
-                lo, hi = 0, len(cum) - 1
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    if cum[mid] < u:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                return bucket_samplers[lo].sample(rng)
+                pick = min(bisect_left(cum, rng.random()), last)
+                return bucket_samplers[pick].sample(rng)
             return sample
 
         samplers.append(make_sampler())

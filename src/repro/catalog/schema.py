@@ -101,6 +101,9 @@ class Table:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise CatalogError(f"duplicate column in table {self.name}")
+        # name -> position; an attribute, not a field, so ``==``,
+        # ``repr``, the pickle and DXL export see only the columns.
+        self._positions = {name: i for i, name in enumerate(names)}
         if self.distribution is DistributionPolicy.HASH:
             if not self.distribution_columns:
                 # Default to the first column, like GPDB's implicit choice.
@@ -121,15 +124,25 @@ class Table:
                     f"index column {index.column} not in table {self.name}"
                 )
 
+    def __getstate__(self):
+        # Derived from the columns: rebuilt on unpickle, never shipped.
+        state = dict(self.__dict__)
+        del state["_positions"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._positions = {c.name: i for i, c in enumerate(self.columns)}
+
     # ------------------------------------------------------------------
     def column_names(self) -> list[str]:
         return [c.name for c in self.columns]
 
     def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise CatalogError(f"no column {name} in table {self.name}")
+        try:
+            return self._positions[name]
+        except KeyError:
+            raise CatalogError(f"no column {name} in table {self.name}") from None
 
     def num_partitions(self) -> int:
         return len(self.partitioning.partitions) if self.partitioning else 1

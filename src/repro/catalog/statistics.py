@@ -23,6 +23,9 @@ from repro.catalog.types import date_to_ordinal
 
 DEFAULT_BUCKETS = 32
 
+#: Value types whose histogram axis is ``float(v)``.
+_NUMBER_TYPES = frozenset({int, float, bool})
+
 #: Fallback selectivities when no histogram is available (System R legacy).
 DEFAULT_EQ_SELECTIVITY = 0.005
 DEFAULT_RANGE_SELECTIVITY = 0.33
@@ -46,6 +49,21 @@ def axis_value(value: Any) -> float:
             acc = acc * 256 + min(ord(ch), 255)
         return float(acc)
     raise TypeError(f"cannot place {value!r} on the histogram axis")
+
+
+def _axis_values(values: list) -> list[float]:
+    """``[axis_value(v) for v in values]``, paying for each value only
+    what the column's value types need."""
+    types = set(map(type, values))
+    if types <= _NUMBER_TYPES:
+        # The axis of a number is ``float(v)``: one C call each.
+        return list(map(float, values))
+    if any(issubclass(t, float) for t in types):
+        # -0.0 == 0.0 but their axes differ, so a float cannot key a memo.
+        return [axis_value(v) for v in values]
+    # Equal strings, dates or ints share one axis: map each distinct once.
+    memo = {v: axis_value(v) for v in set(values)}
+    return list(map(memo.__getitem__, values))
 
 
 @dataclass(frozen=True)
@@ -98,13 +116,18 @@ class Histogram:
         cls, values: Iterable[Any], num_buckets: int = DEFAULT_BUCKETS
     ) -> "Histogram":
         """Build an equi-depth histogram from raw column values."""
-        nulls = 0
-        axis: list[float] = []
-        for v in values:
-            if v is None:
-                nulls += 1
-            else:
-                axis.append(axis_value(v))
+        values = list(values)
+        non_null = [v for v in values if v is not None]
+        return cls._from_axis(
+            _axis_values(non_null), len(values) - len(non_null), num_buckets
+        )
+
+    @classmethod
+    def _from_axis(
+        cls, axis: list[float], nulls: int, num_buckets: int
+    ) -> "Histogram":
+        """The histogram of non-NULL values at ``axis`` (sorted in place)
+        and ``nulls`` NULLs."""
         axis.sort()
         if not axis:
             return cls(buckets=(), null_rows=float(nulls))
@@ -469,10 +492,13 @@ class ColumnStats:
     ) -> "ColumnStats":
         non_null = [v for v in values if v is not None]
         n = len(values)
+        nulls = n - len(non_null)
         return cls(
             ndv=float(len(set(non_null))),
-            null_frac=(n - len(non_null)) / n if n else 0.0,
-            histogram=Histogram.from_values(values, num_buckets),
+            null_frac=nulls / n if n else 0.0,
+            histogram=Histogram._from_axis(
+                _axis_values(non_null), nulls, num_buckets
+            ),
             width=width,
         )
 

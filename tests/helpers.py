@@ -7,10 +7,16 @@ move that only the tests need, kept here rather than on the objects.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
+from typing import Any, Iterable, Optional
 
 from repro import interning
 from repro.catalog import Database
+from repro.catalog.statistics import (
+    DEFAULT_BUCKETS,
+    ColumnStats,
+    Histogram,
+    axis_value,
+)
 from repro.fleet.orchestrator import _PROCESS_FAULT_KINDS, Fleet
 from repro.gpos.process import NoReply
 from repro.props.required import RequiredProps
@@ -115,3 +121,31 @@ def wedge_worker(fleet, worker_id: int, seconds: float = 3600.0) -> None:
         except NoReply:
             fleet._restart(worker, "died")
 
+
+def reference_histogram(
+    values: Iterable[Any], num_buckets: int = DEFAULT_BUCKETS
+) -> Histogram:
+    """``Histogram.from_values`` with one ``axis_value`` call per value:
+    the reference the type-directed axis mapping must equal."""
+    nulls = 0
+    axis: list[float] = []
+    for v in values:
+        if v is None:
+            nulls += 1
+        else:
+            axis.append(axis_value(v))
+    return Histogram._from_axis(axis, nulls, num_buckets)
+
+
+def reference_column_stats(
+    values: list, width: int = 8, num_buckets: int = DEFAULT_BUCKETS
+) -> ColumnStats:
+    """``ColumnStats.from_values`` over :func:`reference_histogram`."""
+    non_null = [v for v in values if v is not None]
+    n = len(values)
+    return ColumnStats(
+        ndv=float(len(set(non_null))),
+        null_frac=(n - len(non_null)) / n if n else 0.0,
+        histogram=reference_histogram(values, num_buckets),
+        width=width,
+    )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import fields
 from datetime import date
 
 import pytest
@@ -87,6 +89,19 @@ class TestTable:
         t = Table("t", [Column("a", INT), Column("b", TEXT)])
         assert t.column_index("b") == 1
         assert [c.dtype.width for c in t.columns] == [INT.width, TEXT.width]
+
+    def test_unknown_column_index_is_a_catalog_error(self):
+        t = Table("t", [Column("a", INT)])
+        with pytest.raises(CatalogError, match="no column zz in table t"):
+            t.column_index("zz")
+
+    def test_column_positions_stay_out_of_eq_repr_and_pickle(self):
+        t = Table("t", [Column("a", INT), Column("b", TEXT)])
+        assert "_positions" not in repr(t)
+        assert "_positions" not in [f.name for f in fields(t)]
+        clone = pickle.loads(pickle.dumps(t))
+        assert b"_positions" not in pickle.dumps(t)
+        assert clone == t and clone.column_index("b") == 1
 
     def test_index_lookup(self):
         t = Table("t", [Column("a", INT)], indexes=[Index("i", "a")])

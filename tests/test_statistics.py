@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.catalog.statistics import Bucket, ColumnStats, Histogram, axis_value
+from tests.helpers import reference_column_stats, reference_histogram
 
 
 class TestAxisValue:
@@ -98,6 +99,61 @@ class TestHistogramConstruction:
         h = Histogram.from_values(values)
         for a, b in zip(h.buckets, h.buckets[1:]):
             assert a.lo <= a.hi <= b.lo <= b.hi
+
+
+_NUMBERS = st.one_of(
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.floats(),
+    st.booleans(),
+    st.sampled_from([0.0, -0.0, 0, False]),
+)
+_SHARED_PREFIX = st.text(max_size=6).map(lambda t: "ITEM0000" + t)
+_COLUMNS = st.one_of(
+    st.lists(st.one_of(st.none(), _NUMBERS)),
+    st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 0, False, None]), _SHARED_PREFIX),
+        min_size=1,
+    ),
+    st.lists(st.one_of(st.none(), st.dates())),
+    st.lists(st.one_of(st.none(), _SHARED_PREFIX)),
+    st.lists(st.one_of(st.none(), _SHARED_PREFIX, st.integers(), st.dates())),
+    st.lists(st.one_of(st.none(), st.text(max_size=10), st.floats())),
+    st.lists(st.none()),
+    st.integers(0, 50).flatmap(
+        lambda k: st.one_of(_NUMBERS, _SHARED_PREFIX, st.dates()).map(
+            lambda v: [v] * k
+        )
+    ),
+)
+
+
+class TestAxisFastPathMatchesReference:
+    """ANALYZE maps a column onto the axis by its value types (``float``
+    for numbers, one ``axis_value`` per distinct string or date); the
+    histogram and column stats must equal those of one ``axis_value``
+    call per value, down to the sign of a zero bound."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=_COLUMNS, num_buckets=st.integers(1, 40))
+    def test_histogram_matches_reference(self, values, num_buckets):
+        assert repr(Histogram.from_values(values, num_buckets)) == repr(
+            reference_histogram(values, num_buckets)
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=_COLUMNS, num_buckets=st.integers(1, 40))
+    def test_column_stats_match_reference(self, values, num_buckets):
+        assert repr(ColumnStats.from_values(values, 8, num_buckets)) == repr(
+            reference_column_stats(values, 8, num_buckets)
+        )
+
+    @pytest.mark.parametrize(
+        "values", [[-0.0, 0.0, 1.5], [0.0, -0.0, "a", "b"]]
+    )
+    def test_signed_zero_bounds_survive(self, values):
+        hist = Histogram.from_values(values, 2)
+        assert repr(hist) == repr(reference_histogram(values, 2))
+        assert "-0.0" in repr(hist)
 
 
 class TestSelectivity:
