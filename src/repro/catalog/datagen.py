@@ -138,17 +138,13 @@ class ReverseStatsGenerator:
         col_names = table.column_names()
         # The partial row an ``expr`` column reads; filled in column order.
         row: dict[str, Any] = {}
-        drawers = [self._drawer(specs[name], row) for name in col_names]
-        if any(specs[name].kind == "expr" for name in col_names):
-            named = list(zip(col_names, drawers))
-            rows = []
-            for _ in range(row_count):
-                row.clear()
-                for name, draw in named:
-                    row[name] = draw()
-                rows.append(tuple(row.values()))
-        else:
-            rows = [tuple([draw() for draw in drawers]) for _ in range(row_count)]
+        named = [(name, self._drawer(specs[name], row)) for name in col_names]
+        rows = []
+        for _ in range(row_count):
+            row.clear()
+            for name, draw in named:
+                row[name] = draw()
+            rows.append(tuple(row.values()))
         for pos, name in enumerate(col_names):
             self._domains[(table_name, name)] = [
                 r[pos] for r in rows if r[pos] is not None

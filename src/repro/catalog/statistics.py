@@ -52,18 +52,12 @@ def axis_value(value: Any) -> float:
 
 
 def _axis_values(values: list) -> list[float]:
-    """``[axis_value(v) for v in values]``, paying for each value only
-    what the column's value types need."""
-    types = set(map(type, values))
-    if types <= _NUMBER_TYPES:
+    """``[axis_value(v) for v in values]``, with one C call per value
+    when every value is a number."""
+    if set(map(type, values)) <= _NUMBER_TYPES:
         # The axis of a number is ``float(v)``: one C call each.
         return list(map(float, values))
-    if any(issubclass(t, float) for t in types):
-        # -0.0 == 0.0 but their axes differ, so a float cannot key a memo.
-        return [axis_value(v) for v in values]
-    # Equal strings, dates or ints share one axis: map each distinct once.
-    memo = {v: axis_value(v) for v in set(values)}
-    return list(map(memo.__getitem__, values))
+    return [axis_value(v) for v in values]
 
 
 @dataclass(frozen=True)
