@@ -13,6 +13,7 @@ import pytest
 from repro.config import OptimizerConfig
 from repro.optimizer import Orca
 from repro.workloads import queries_by_id
+from repro.xforms.registry import JOIN_REORDERING_RULES
 
 from benchmarks.conftest import timed_execution
 
@@ -35,7 +36,7 @@ ABLATIONS = [
     ),
     (
         "join_reordering",
-        {"enable_join_reordering": False},
+        {"disabled_rules": JOIN_REORDERING_RULES},
         ("multi_fact_join", "star_brand", "zip_group"),
     ),
 ]

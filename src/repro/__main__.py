@@ -35,6 +35,7 @@ from repro.optimizer import Orca
 from repro.planner import LegacyPlanner
 from repro.service import connect
 from repro.workloads import build_populated_db
+from repro.xforms.registry import JOIN_REORDERING_RULES
 
 #: Distinct exit codes per error family (first isinstance match wins;
 #: any other ReproError exits 2).  Documented in README "CLI" section.
@@ -73,7 +74,7 @@ _FLAGS: dict[str, dict] = {
         action="append", default=[], metavar="RULE_OR_FEATURE",
         help="disable a transformation rule by name, or one of: "
              "decorrelation, cte_sharing, partition_elimination, "
-             "join_reordering (repeatable)",
+             "cost_bound_pruning, join_reordering (repeatable)",
     ),
     "--trace": dict(
         action="store_true",
@@ -164,10 +165,7 @@ def _config(args) -> OptimizerConfig:
         "decorrelation": "enable_decorrelation",
         "cte_sharing": "enable_cte_sharing",
         "partition_elimination": "enable_partition_elimination",
-        "join_reordering": "enable_join_reordering",
         "cost_bound_pruning": "enable_cost_bound_pruning",
-        "plan_cache": "enable_plan_cache",
-        "cardinality_feedback": "enable_cardinality_feedback",
     }
     kwargs = {
         "segments": args.segments,
@@ -189,12 +187,11 @@ def _config(args) -> OptimizerConfig:
     for name in args.disable:
         if name in feature_flags:
             kwargs[feature_flags[name]] = False
+        elif name == "join_reordering":
+            rules.extend(JOIN_REORDERING_RULES)
         else:
             rules.append(name)
-    config = OptimizerConfig(**kwargs)
-    if rules:
-        config = config.with_disabled(*rules)
-    return config
+    return OptimizerConfig(**kwargs).with_disabled(*rules)
 
 
 def _tracer(args):

@@ -9,6 +9,7 @@ elimination experiments of Section 7.2.2.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -57,31 +58,47 @@ class RangePartition:
 
 @dataclass(frozen=True)
 class PartitionScheme:
-    """Range partitioning of a table by one column."""
+    """Range partitioning of a table by one column.
+
+    The partitions are sorted and disjoint: on the histogram axis every
+    ``lo`` is at most its ``hi``, which is at most the next partition's
+    ``lo`` (gaps and empty ranges are allowed).  A scheme is outside
+    input when it comes from a DXL dump, so construction checks this and
+    raises :class:`CatalogError` otherwise.
+    """
 
     column: str
     partitions: tuple[RangePartition, ...]
-    #: Each partition's ``(axis lo, axis hi)``, computed once here so
-    #: that :meth:`route` places only the routed value on the axis.
-    bounds: tuple[tuple[float, float], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    #: The partitions' axis ``lo`` values, in order, for :meth:`route`'s
+    #: bisection.
+    los: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    #: The partitions' axis ``hi`` values, in order.
+    his: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bounds", tuple(
-            (axis_value(part.lo), axis_value(part.hi))
-            for part in self.partitions
-        ))
+        los = tuple(axis_value(part.lo) for part in self.partitions)
+        his = tuple(axis_value(part.hi) for part in self.partitions)
+        edges = [edge for pair in zip(los, his) for edge in pair]
+        # ``not a <= b`` rather than ``a > b``: a NaN bound fails too.
+        for i in range(len(edges) - 1):
+            if not edges[i] <= edges[i + 1]:
+                part = self.partitions[(i + 1) // 2]
+                raise CatalogError(
+                    f"partitions of {self.column} are not sorted and "
+                    f"disjoint at {part.name} [{part.lo!r}, {part.hi!r})"
+                )
+        object.__setattr__(self, "los", los)
+        object.__setattr__(self, "his", his)
 
     def route(self, value: Any) -> Optional[int]:
-        """Index of the first partition holding ``value`` (None if out of
+        """Index of the partition holding ``value`` (None if out of
         range)."""
         if value is None:
             return None
         v = axis_value(value)
-        for i, (lo, hi) in enumerate(self.bounds):
-            if lo <= v < hi:
-                return i
+        i = bisect_right(self.los, v) - 1
+        if i >= 0 and v < self.his[i]:
+            return i
         return None
 
 

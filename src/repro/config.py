@@ -91,8 +91,6 @@ class OptimizerConfig:
     enable_partition_elimination: bool = True
     #: Enable shared CTE producer/consumer planning for WITH (Section 7.2.2).
     enable_cte_sharing: bool = True
-    #: Enable cost-based join-order exploration (commutativity/associativity).
-    enable_join_reordering: bool = True
     #: Branch-and-bound search pruning (Section 4.1, Fig. 5): candidates
     #: whose partially accumulated cost already reaches the incumbent of
     #: their (group, request) context are abandoned without costing the

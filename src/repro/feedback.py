@@ -31,7 +31,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.interning import intern_key
 from repro.memo.memo import Memo
 from repro.ops.logical import (
     JoinKind,
@@ -176,7 +175,6 @@ def _group_shape(
                 for child in gexpr.child_groups
             ]
             shape = _op_shape(gexpr.op, children)
-        shape = intern_key(shape)
         cache[gid] = shape
         return shape
     finally:

@@ -59,6 +59,7 @@ from repro.search.plan import PlanNode
 from repro.telemetry import families
 from repro.telemetry.registry import MetricsRegistry
 from repro.trace import Tracer
+from repro.xforms.registry import check_rule_names
 
 #: Fault-spec kinds that must not be re-armed on a restarted worker —
 #: re-arming a deterministic ``kill`` at hit 1 would murder every
@@ -156,6 +157,7 @@ class Fleet:
         if workers < 1:
             raise OptimizerError("a fleet needs at least 1 worker")
         config, _ = split_options(config_kwargs, config=config)
+        check_rule_names(config)
         if config.parallelism >= 2:
             raise OptimizerError(
                 f"a fleet cannot run parallelism={config.parallelism}: its "

@@ -23,7 +23,6 @@ from repro.gpos.memory import (
     PLAN_BYTES,
     MemoryTracker,
 )
-from repro.interning import intern_key
 from repro.memo.context import OptimizationContext, PlanInfo, StatsObject
 from repro.ops.expression import Expression, Operator
 from repro.ops.scalar import ColRef
@@ -89,9 +88,7 @@ class GroupExpression:
         cached = self._fingerprint
         if cached is not None and self._fingerprint_gen == memo.merge_generation:
             return cached
-        fp = intern_key(
-            (self.op.key(), tuple(memo.find(g) for g in self.child_groups))
-        )
+        fp = (self.op.key(), tuple(memo.find(g) for g in self.child_groups))
         self._fingerprint = fp
         self._fingerprint_gen = memo.merge_generation
         return fp
@@ -235,7 +232,7 @@ class Memo:
         target_group: Optional[int],
     ) -> tuple[GroupExpression, int]:
         resolved = tuple(self.find(c) for c in child_ids)
-        fingerprint = intern_key((expr.op.key(), resolved))
+        fingerprint = (expr.op.key(), resolved)
         existing = self._dedup.get(fingerprint)
         if existing is not None:
             home = self.find(existing.group_id)

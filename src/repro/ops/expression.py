@@ -9,18 +9,15 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.interning import KeyCached, intern_key
-from repro.ops.scalar import ColRef, ScalarExpr
+from repro.ops.scalar import ColRef, ScalarExpr, ValueObject
 
 
-class Operator(KeyCached):
+class Operator(ValueObject):
     """Base class for logical and physical operators.
 
     Operators are immutable value objects; ``key()`` is the fingerprint
     used (together with child group ids) by the Memo's duplicate
-    detection.  Each subclass's ``key()`` is wrapped at class-creation
-    time so the tuple is built once per instance and interned
-    process-wide with a precomputed hash.
+    detection, a plain tuple built when called.
     """
 
     name = "Operator"
@@ -30,27 +27,6 @@ class Operator(KeyCached):
     #: optimization and are skipped by exploration/implementation jobs.
     is_enforcer = False
     arity: Optional[int] = None
-    #: Lazily populated per-instance interned key (class default = unset).
-    _cached_key = None
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        raw = cls.__dict__.get("key")
-        if raw is not None and not getattr(raw, "_interning_wrapper", False):
-
-            def key(self, _raw=raw):
-                cached = self._cached_key
-                if cached is None:
-                    cached = self._cached_key = intern_key(_raw(self))
-                return cached
-
-            key._interning_wrapper = True
-            key.__doc__ = raw.__doc__
-            cls.key = key
-
-    #: A physical operator's child-request alternatives are derived
-    #: state too (see :class:`repro.ops.physical.PhysicalOp`).
-    _UNPICKLED = ("_cached_key", "_alternatives")
 
     def key(self) -> tuple:
         raise NotImplementedError

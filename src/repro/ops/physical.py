@@ -71,9 +71,9 @@ class PhysicalOp(Operator):
     depend on the request at all, or only on its order.  Those operators
     build the answer once and keep it in ``_alternatives`` (a tuple, or
     for the nested-loops joins a dict keyed by the requested order):
-    derived state that :meth:`Operator.__getstate__` leaves out of the
-    pickle, like the interned key.  Operators whose answer follows the
-    whole request (Filter, Project, Sort, ...) build it per call.
+    derived state that :class:`repro.ops.scalar.ValueObject` leaves out
+    of the pickle.  Operators whose answer follows the whole request
+    (Filter, Project, Sort, ...) build it per call.
     """
 
     is_physical = True

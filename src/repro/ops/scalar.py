@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from repro.catalog.types import BOOL, DataType, FLOAT, INT, TEXT, type_of_literal
-from repro.interning import KeyCached, intern_key
 
 
 @dataclass(frozen=True)
@@ -72,36 +71,29 @@ class ColumnFactory:
         return self.next(ref.name, ref.dtype)
 
 
-class ScalarExpr(KeyCached):
+class ValueObject:
+    """Base of operators and scalar expressions: immutable values whose
+    pickle is their fields.
+
+    Derived state an instance caches on itself, rebuilt on demand, is
+    left out: a scalar's compiled row closures (``_row_cache``, see
+    :mod:`repro.engine.emit`) and a physical operator's child-request
+    ``_alternatives`` (see :class:`repro.ops.physical.PhysicalOp`).  It
+    lives here rather than beside :class:`repro.ops.expression.Operator`
+    because that module imports this one.
+    """
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_row_cache", None)
+        state.pop("_alternatives", None)
+        return state
+
+
+class ScalarExpr(ValueObject):
     """Base class for scalar expression nodes."""
 
     children: tuple["ScalarExpr", ...] = ()
-    #: Lazily populated per-instance interned key (class default = unset).
-    _cached_key = None
-
-    def __init_subclass__(cls, **kwargs):
-        """Wrap each subclass's ``key()`` with caching + interning.
-
-        Expressions are immutable, so the fingerprint can be computed
-        once per instance and interned process-wide; every subclass gets
-        this for free without touching its ``key()`` definition.
-        """
-        super().__init_subclass__(**kwargs)
-        raw = cls.__dict__.get("key")
-        if raw is not None and not getattr(raw, "_interning_wrapper", False):
-
-            def key(self, _raw=raw):
-                cached = self._cached_key
-                if cached is None:
-                    cached = self._cached_key = intern_key(_raw(self))
-                return cached
-
-            key._interning_wrapper = True
-            key.__doc__ = raw.__doc__
-            cls.key = key
-
-    #: Compiled row closures are unpicklable locals: derived state too.
-    _UNPICKLED = ("_row_cache", "_cached_key")
 
     @property
     def dtype(self) -> DataType:

@@ -26,7 +26,6 @@ from repro.cost.model import CostModel
 from repro.gpos.governor import ResourceGovernor
 # Not called here: benchmarks/ledger/layers.py TARGETS binds it (ROADMAP item 1).
 from repro.gpos.memory import deep_sizeof  # noqa: F401
-from repro.interning import intern_stats
 from repro.memo.memo import Memo
 from repro.ops.physical import PhysicalCTEProducer
 from repro.ops.scalar import ColRef, ColumnFactory
@@ -43,6 +42,7 @@ from repro.telemetry.analyze import PlanAnalysis
 from repro.telemetry.families import fold_search
 from repro.trace import NULL_TRACER, Tracer
 from repro.xforms.normalization import preprocess
+from repro.xforms.registry import check_rule_names
 
 #: Where an optimization's plan came from (``OptimizationResult.plan_source``).
 PLAN_SOURCES = ("orca", "orca_partial", "planner_fallback", "cache")
@@ -67,12 +67,9 @@ class SearchStats:
     #: Hot-path memoization accounting (all deterministic counts):
     #: stats derivations answered from the per-group cache, pure property
     #: derivations (delivered props / operator cost floors) answered from
-    #: memo, and key-interning hits/misses observed during this
-    #: optimization.
+    #: memo.
     derivation_cache_hits: int = 0
     property_cache_hits: int = 0
-    intern_hits: int = 0
-    intern_misses: int = 0
     #: Cardinality-feedback accounting (repro.feedback): derivations that
     #: found a confident observed cardinality for their group's shape,
     #: and the subset whose estimate actually changed.  Both zero when
@@ -188,6 +185,7 @@ class Orca:
     ):
         self.catalog = catalog
         self.config = config or OptimizerConfig()
+        check_rule_names(self.config)
         #: The instrumentation front: the caller's tracer with whatever
         #: sinks (flight ring, metrics registry) it already carries.
         self.tracer = tracer or NULL_TRACER
@@ -336,7 +334,6 @@ class Orca:
         cte_plans: dict[int, PlanNode] = {}
         stats = SearchStats()
         timed_out = False
-        intern_before = intern_stats()
 
         def search(tree, req: RequiredProps) -> tuple[PlanNode, Memo]:
             """One tree through normalize, copy-in and the search."""
@@ -411,11 +408,6 @@ class Orca:
 
         stats.num_groups = memo.num_groups()
         stats.num_gexprs = memo.num_gexprs()
-        intern_after = intern_stats()
-        stats.intern_hits = intern_after["hits"] - intern_before["hits"]
-        stats.intern_misses = (
-            intern_after["misses"] - intern_before["misses"]
-        )
         root_stats = memo.root_group().stats
         # Post hoc, from counters the search keeps anyway: it runs the
         # same instruction stream with or without a metrics registry.

@@ -157,9 +157,9 @@ def _rebound(value: Any, subst, memo: dict[int, Any]) -> Any:
     a scalar expression or a tuple/list holding them; anything else is
     returned as is.  Nothing is written: an object is rebuilt only when
     a constant below it changed and is otherwise returned itself, so
-    whatever it has cached (interned key, compiled closures, fused
-    chains) stays with it; a rebuilt object starts without those
-    caches.  ``memo`` (``id(old) -> new``) makes an object reachable
+    whatever it has cached (compiled closures, fused chains, child
+    request alternatives) stays with it; a rebuilt object starts
+    without those caches.  ``memo`` (``id(old) -> new``) makes an object reachable
     along two paths come out as one object again.
     """
     if isinstance(value, (tuple, list)):

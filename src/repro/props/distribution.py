@@ -13,28 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.interning import KeyCached, intern_key
 
-
-class DistributionSpec(KeyCached):
+class DistributionSpec:
     """Base class for distribution specs."""
-
-    def __init_subclass__(cls, **kwargs):
-        # Cache + intern each subclass's key(); specs are immutable and
-        # keyed on every satisfaction check and context lookup.
-        super().__init_subclass__(**kwargs)
-        raw = cls.__dict__.get("key")
-        if raw is not None and not getattr(raw, "_interning_wrapper", False):
-
-            def key(self, _raw=raw):
-                cached = getattr(self, "_cached_key", None)
-                if cached is None:
-                    cached = intern_key(_raw(self))
-                    object.__setattr__(self, "_cached_key", cached)
-                return cached
-
-            key._interning_wrapper = True
-            cls.key = key
 
     def satisfies(self, required: "DistributionSpec") -> bool:
         raise NotImplementedError

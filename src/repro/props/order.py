@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.interning import KeyCached, intern_key
-
 
 @dataclass(frozen=True)
 class SortKey:
@@ -19,7 +17,7 @@ class SortKey:
 
 
 @dataclass(frozen=True)
-class OrderSpec(KeyCached):
+class OrderSpec:
     """A (possibly empty) list of sort keys.
 
     A delivered order satisfies a required order if the requirement is a
@@ -37,13 +35,7 @@ class OrderSpec(KeyCached):
         return self.keys[: len(required.keys)] == required.keys
 
     def key(self) -> tuple:
-        cached = getattr(self, "_cached_key", None)
-        if cached is None:
-            cached = intern_key(
-                tuple((k.col_id, k.ascending) for k in self.keys)
-            )
-            object.__setattr__(self, "_cached_key", cached)
-        return cached
+        return tuple((k.col_id, k.ascending) for k in self.keys)
 
     def remapped(self, mapping: dict[int, int]) -> "OrderSpec":
         return OrderSpec(

@@ -7,21 +7,56 @@ is a :class:`RequiredProps` — a distribution spec plus an order spec.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Hashable
 
-from repro.interning import intern_id
 from repro.props.distribution import ANY_DIST, DistributionSpec
 from repro.props.order import ANY_ORDER, OrderSpec
+
+#: Upper bound on distinct keys holding a dense integer id.
+MAX_INTERNED_IDS = 1 << 14
+
+_ids: dict[tuple, int] = {}
+#: Serializes id assignment; a hit never takes it.
+_ids_lock = threading.Lock()
+
+
+def intern_id(key: tuple) -> Hashable:
+    """Dense integer id of a structural key, assigned in first-seen order.
+
+    Every context, plan and scheduler-goal probe is keyed by a request,
+    so each distinct request maps to a small integer whose hash and
+    equality are C-level.  Equal keys always get equal ids and distinct
+    keys distinct ones.  An id, once handed out, is never reassigned
+    (live objects hold them), so the table is capped rather than
+    evicted: past the cap a new key *is* its own id — a tuple, which
+    never equals an int — and lookups stay correct at tuple-keyed speed.
+    Ids are process-local: they mean nothing in another interpreter.
+
+    Sessions may be called from threads of one process, and reading the
+    table's length and storing under it are separate steps, so a miss
+    assigns under a lock and looks again first: two threads missing at
+    once must neither share an id nor give one key two.
+    """
+    ident = _ids.get(key)
+    if ident is None:
+        with _ids_lock:
+            ident = _ids.get(key)
+            if ident is None:
+                if len(_ids) >= MAX_INTERNED_IDS:
+                    return key
+                ident = _ids[key] = len(_ids)
+    return ident
 
 
 class _Interned:
     """Gives a frozen ``(dist, order)`` dataclass a process-local ``id``.
 
-    The id comes from :func:`repro.interning.intern_id`: equal bundles
-    share it, so the search keys group contexts, per-expression plans,
-    scheduler goals and delivered-property memos by it instead of
-    re-hashing the structural key on every probe.
+    The id comes from :func:`intern_id`: equal bundles share it, so the
+    search keys group contexts, per-expression plans, scheduler goals
+    and delivered-property memos by it instead of re-hashing the
+    structural key on every probe.
     """
 
     def __post_init__(self) -> None:

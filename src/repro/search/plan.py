@@ -23,14 +23,12 @@ class PlanNode:
     writes allowed are derived caches that are rebuilt on demand and
     left out of the pickle: ``_fused_cache`` / ``_unfused_cache`` (the
     compiled chains of each execution mode) on the root, no attribute
-    on any other node, ``_cached_key`` and the child-request
-    ``_alternatives`` on operators, ``_cached_key`` on distribution and
-    order specs, ``_cached_key`` / ``_row_cache`` on scalar
-    expressions.  ``tests/test_plan_immutability.py`` holds
-    every executor, EXPLAIN ANALYZE and the feedback ingest to this
-    (the pickle of a cached tree is byte-equal before and after, and
-    byte-equal to the pickle of the same plan extracted in a fresh
-    process).
+    on any other node, the child-request ``_alternatives`` on
+    operators, ``_row_cache`` on scalar expressions.
+    ``tests/test_plan_immutability.py`` holds every executor, EXPLAIN
+    ANALYZE and the feedback ingest to this (the pickle of a cached
+    tree is byte-equal before and after, and byte-equal to the pickle
+    of the same plan extracted in a fresh process).
     """
 
     op: Operator

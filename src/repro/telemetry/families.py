@@ -91,8 +91,6 @@ def fold_search(front, stats, timed_out: bool) -> None:
     m.inc("search_costed_alternatives_total", stats.costed_alternatives)
     m.inc("search_derivation_cache_hits_total", stats.derivation_cache_hits)
     m.inc("search_property_cache_hits_total", stats.property_cache_hits)
-    m.inc("optimizer_intern_events_total", stats.intern_hits, kind="hit")
-    m.inc("optimizer_intern_events_total", stats.intern_misses, kind="miss")
     m.inc("feedback_lookup_hits_total", stats.feedback_hits)
     m.inc("feedback_corrections_total", stats.corrections_applied)
     m.set_gauge("search_memory_bytes", stats.memory_bytes)

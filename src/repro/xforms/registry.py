@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import OptimizerConfig
+from repro.errors import OptimizerError
 from repro.xforms.exploration import (
     JoinAssociativity,
     JoinCommutativity,
@@ -67,6 +68,35 @@ def rules_by_name() -> dict[str, Rule]:
     return {rule.name: rule for rule in all_rules()}
 
 
+#: The name of every registered rule.
+RULE_NAMES = frozenset(rule.name for rule in all_rules())
+
+#: The rules that explore join orders: disabling both turns cost-based
+#: join reordering off (the CLI's ``--disable join_reordering``).
+JOIN_REORDERING_RULES = frozenset({"JoinCommutativity", "JoinAssociativity"})
+
+
+def check_rule_names(config: OptimizerConfig) -> None:
+    """Refuse a config naming a rule that does not exist.
+
+    A misspelt name in ``disabled_rules`` or a stage's ``rules`` would
+    otherwise plan as if it were not there at all.
+    """
+    named = [("disabled_rules", config.disabled_rules)]
+    named += [
+        (f"stage {stage.name!r}", stage.rules)
+        for stage in config.stages
+        if stage.rules is not None
+    ]
+    for where, names in named:
+        unknown = sorted(set(names) - RULE_NAMES)
+        if unknown:
+            raise OptimizerError(
+                f"unknown rule {', '.join(unknown)} in {where}; known "
+                f"rules: {', '.join(sorted(RULE_NAMES))}"
+            )
+
+
 def default_rule_set(
     config: OptimizerConfig,
     stage_rules: Optional[frozenset[str]] = None,
@@ -78,9 +108,6 @@ def default_rule_set(
         if not config.rule_enabled(rule.name):
             continue
         if stage_rules is not None and rule.name not in stage_rules:
-            continue
-        if rule.name in ("JoinCommutativity", "JoinAssociativity") and \
-                not config.enable_join_reordering:
             continue
         rules.append(rule)
     if tracer is not None and tracer.enabled:

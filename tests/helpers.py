@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Iterable, Optional
 
-from repro import interning
 from repro.catalog import Database
 from repro.catalog.statistics import (
     DEFAULT_BUCKETS,
@@ -42,13 +41,6 @@ def truncate(db: Database, name: str) -> None:
 def plan_operators(plan: PlanNode) -> list[str]:
     """The operator names of a plan tree, preorder."""
     return [node.op.name for node in plan.walk()]
-
-
-def clear_intern_table() -> None:
-    """Drop every interned key and reset the process-wide counters."""
-    interning._table.clear()
-    interning._hits = 0
-    interning._misses = 0
 
 
 def strictness(req: RequiredProps) -> int:

@@ -9,8 +9,8 @@
   alternative counts;
 - ``corpus``: the sha1 over every ``local_cost`` / ``local_cost_floor``
   call of one corpus pass (``cost_calls``, pruning on and off) and the
-  corpus totals at scale 0.1 (``totals_scale_0.1``: search counters,
-  plan-cache outcomes and key-interning hits and misses).
+  corpus totals at scale 0.1 (``totals_scale_0.1``: search counters
+  and plan-cache outcomes).
 
 A test measures its values and hands them to :func:`check`, nested the
 way the file nests them.  Normally ``check`` asserts they equal the

@@ -86,7 +86,7 @@ EXPECTED_SIGNATURES = {
 EXPECTED_CONFIG_FIELDS = (
     "segments", "disabled_rules", "stages", "enable_decorrelation",
     "enable_partition_elimination", "enable_cte_sharing",
-    "enable_join_reordering", "enable_cost_bound_pruning",
+    "enable_cost_bound_pruning",
     "execution_mode", "parallelism",
     "enable_plan_cache", "enable_cardinality_feedback",
     "trace_flags", "search_deadline_ms", "search_job_limit",
@@ -351,7 +351,6 @@ class TestResultShape:
             "kind_counts", "memory_bytes", "job_log",
             "pruned_alternatives", "costed_alternatives",
             "derivation_cache_hits", "property_cache_hits",
-            "intern_hits", "intern_misses",
             "feedback_hits", "corrections_applied",
         }
 

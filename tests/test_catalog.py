@@ -128,10 +128,10 @@ class TestPartitioning:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_route_is_the_first_partition_that_contains(self, data):
-        """``route`` reads the bounds' axis values computed once per
-        scheme; it must pick what a linear ``_contains`` scan picks: the
-        first match in declaration order, over gaps, overlaps, empty
-        and unsorted ranges, NaN, ``None`` and out-of-range values."""
+        """``route`` bisects the bounds' axis values computed once per
+        scheme; it must pick what a linear ``_contains`` scan picks, over
+        gaps, empty ranges, NaN, ``None`` and out-of-range values.  A
+        scheme whose ranges are not sorted and disjoint is refused."""
         kinds = {
             "int": st.integers(-50, 50),
             "float": st.floats(-50, 50) | st.sampled_from(
@@ -141,10 +141,19 @@ class TestPartitioning:
             "str": st.text("abcXY\u00e9", max_size=10),
         }
         bound = kinds[data.draw(st.sampled_from(sorted(kinds)))]
-        ranges = data.draw(st.lists(st.tuples(bound, bound), max_size=8))
-        scheme = PartitionScheme("k", tuple(
+        edges = data.draw(st.lists(bound, max_size=16))
+        if data.draw(st.booleans()):
+            edges.sort(key=axis_value)
+        ranges = list(zip(edges[::2], edges[1::2]))
+        partitions = tuple(
             RangePartition(f"p{i}", lo, hi) for i, (lo, hi) in enumerate(ranges)
-        ))
+        )
+        axis = [axis_value(edge) for pair in ranges for edge in pair]
+        if not all(a <= b for a, b in zip(axis, axis[1:])):
+            with pytest.raises(CatalogError, match="not sorted and disjoint"):
+                PartitionScheme("k", partitions)
+            return
+        scheme = PartitionScheme("k", partitions)
         any_value = st.none() | st.booleans() | st.one_of(*kinds.values())
         for value in data.draw(st.lists(any_value | bound, max_size=12)):
             expected = next(
@@ -153,6 +162,19 @@ class TestPartitioning:
                 None,
             )
             assert scheme.route(value) == expected, (ranges, value)
+
+    @pytest.mark.parametrize("ranges, culprit", [
+        (((0, 10), (5, 20)), "p1"),       # overlapping
+        (((10, 20), (0, 10)), "p1"),      # unsorted
+        (((0, 10), (20, 15)), "p1"),      # lo past hi
+        (((0, float("nan")),), "p0"),     # a bound off the axis
+    ])
+    def test_overlapping_or_unsorted_scheme_is_refused(self, ranges, culprit):
+        partitions = tuple(
+            RangePartition(f"p{i}", lo, hi) for i, (lo, hi) in enumerate(ranges)
+        )
+        with pytest.raises(CatalogError, match=f"disjoint at {culprit} "):
+            PartitionScheme("k", partitions)
 
     def test_partition_overlaps(self):
         """Static partition elimination's overlap test, on axis values

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import _config, build_parser, main
 
 
 SQL = ("SELECT d.d_year, count(*) AS n FROM date_dim d "
@@ -200,6 +200,19 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "HashJoin" not in out
         assert "NLJoin" in out or "MergeJoin" in out
+
+    def test_unknown_rule_exits_2(self, capsys):
+        assert main(["explain", SQL, "--disable", "NoSuchRule"] + ARGS) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [OPTIMIZER]: unknown rule NoSuchRule")
+
+    def test_disable_join_reordering_names_its_two_rules(self):
+        args = build_parser().parse_args(
+            ["explain", SQL, "--disable", "join_reordering"]
+        )
+        assert _config(args).disabled_rules == {
+            "JoinCommutativity", "JoinAssociativity",
+        }
 
     def test_support_counts(self, capsys):
         assert main(["support"]) == 0

@@ -9,7 +9,7 @@ import pytest
 
 from repro.config import OptimizerConfig
 from repro.dxl.parser import parse_document, parse_metadata, parse_query
-from repro.errors import DXLError
+from repro.errors import CatalogError, DXLError
 from repro.dxl.serializer import (
     serialize_metadata,
     serialize_plan,
@@ -227,6 +227,17 @@ class TestMetadataDXL:
         assert fact.partitioning is not None
         assert fact.num_partitions() == 10
         assert fact.partitioning.route(250) == 2
+
+    def test_unsorted_partitions_are_refused(self):
+        """A dump is outside input: its partitions must be sorted and
+        disjoint for ``route`` to bisect them."""
+        doc = serialize_metadata(make_partitioned_db(), ["fact"])
+        scheme = doc.find(".//Partitioning")
+        first = scheme.find("Partition")
+        scheme.remove(first)
+        scheme.append(first)
+        with pytest.raises(CatalogError, match="not sorted and disjoint"):
+            parse_metadata(ET.fromstring(to_string(doc)))
 
     def test_minimal_harvest(self, db):
         doc = serialize_metadata(db, ["t1"])

@@ -94,6 +94,35 @@ class TestConfig:
         config = OptimizerConfig().with_stages(stages)
         assert [s.name for s in config.stages] == ["s1", "s2"]
 
+    def test_unknown_rule_names_are_refused(self, monkeypatch):
+        """A misspelt rule used to plan as if nothing were disabled."""
+        import repro
+        from repro.catalog import Database
+        from repro.fleet import orchestrator
+        from repro.optimizer import Orca
+
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a fleet worker started")
+
+        monkeypatch.setattr(orchestrator, "Supervised", no_worker)
+        stage = OptimizationStage("cheap", rules=frozenset({"Get2TableScan",
+                                                            "NoSuchStageRule"}))
+        doors = [
+            lambda: Orca(Database(), config=OptimizerConfig(
+                disabled_rules=frozenset({"NoSuchRule"}))),
+            lambda: repro.connect(Database(), disabled_rules={"NoSuchRule"}),
+            lambda: repro.connect_fleet(
+                Database(), workers=1, disabled_rules={"NoSuchRule"}
+            ),
+            lambda: Orca(Database(), config=OptimizerConfig(stages=(stage,))),
+        ]
+        for door in doors:
+            with pytest.raises(OptimizerError, match="unknown rule NoSuch"):
+                door()
+        Orca(Database(), config=OptimizerConfig().with_disabled(
+            "InnerJoin2HashJoin", "JoinCommutativity"
+        ))
+
     def test_with_flags(self):
         config = replace(OptimizerConfig(), trace_flags=frozenset({"f1", "f2"}))
         assert config.trace_flags == frozenset({"f1", "f2"})

@@ -58,10 +58,9 @@ Q_JOIN = "SELECT count(*) AS n FROM t1 JOIN t2 ON t1.a = t2.a WHERE t2.b < 100"
 Q_SCAN = "SELECT a FROM t2 WHERE b > 7 ORDER BY a"
 
 #: Families whose values are wall-clock or depend on what else the
-#: process has interned / allocated so far; their series are pinned,
-#: their values are not.
+#: process has allocated so far; their series are pinned, their values
+#: are not.
 UNPINNED_VALUES = frozenset({
-    "repro_optimizer_intern_events_total",
     "repro_search_memory_bytes",
     "repro_optimization_seconds",
     "repro_fleet_request_seconds",

@@ -8,6 +8,7 @@ from repro.config import OptimizerConfig
 from repro.engine import Cluster, Executor
 from repro.optimizer import Orca
 from repro.planner import LegacyPlanner
+from repro.xforms.registry import JOIN_REORDERING_RULES
 
 from tests.conftest import make_partitioned_db, make_small_db, rows_equal
 
@@ -117,7 +118,8 @@ class TestAblations:
             "WHERE t1.a = t2.b AND t2.a < 50"
         )
         t_on, t_off = self.run_both(
-            db, sql, OptimizerConfig(segments=8, enable_join_reordering=False)
+            db, sql,
+            OptimizerConfig(segments=8, disabled_rules=JOIN_REORDERING_RULES),
         )
         assert t_on <= t_off * 1.5  # reordering never makes it much worse
 

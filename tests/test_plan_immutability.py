@@ -187,10 +187,31 @@ with repro.connect(db, segments=8, enable_plan_cache=True) as session:
 """
 
 
+def test_derived_state_stays_out_of_the_pickle():
+    """Operators and scalar expressions share one pickle rule: their
+    fields, without the ``_alternatives`` / ``_row_cache`` they cache on
+    themselves (a compiled closure would not even pickle)."""
+    from repro.catalog.types import INT
+    from repro.ops.physical import PhysicalFilter
+    from repro.ops.scalar import ColRefExpr, ColumnFactory, Comparison, Literal
+    from repro.props.required import ANY_PROPS
+
+    column = ColumnFactory().next("a", INT)
+    predicate = Comparison("=", ColRefExpr(column), Literal(1, INT))
+    op = PhysicalFilter(predicate)
+    op._alternatives = ((ANY_PROPS,),)
+    predicate._row_cache = {(0,): lambda row: row[0] == 1}
+    clone = pickle.loads(pickle.dumps(op))
+    assert clone == op and clone.key() == op.key()
+    assert "_alternatives" not in vars(clone)
+    assert "_row_cache" not in vars(clone.predicate)
+    assert vars(clone.predicate).keys() == vars(predicate).keys() - {"_row_cache"}
+
+
 def test_cached_plans_pickle_as_a_fresh_process_extracts_them():
     """Physical operators keep the child-request alternatives they built
     during the search (``_alternatives``).  The pickle leaves them out,
-    like the interned keys, so a fleet worker adopting a stored plan
+    so a fleet worker adopting a stored plan
     receives byte for byte the plan it would have extracted itself."""
     done = subprocess.run(
         [sys.executable, "-c", FRESH_PROCESS_PICKLES],

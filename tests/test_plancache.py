@@ -189,9 +189,9 @@ def test_rebind_handles_in_lists_and_multiple_params(cache_db):
 
 
 def test_rebound_operator_answers_with_its_own_key(tpcds_db):
-    """A re-bound Filter used to keep the interned key of the plan it
-    was copied from (``Operator`` pickled ``_cached_key`` along), so it
-    compared equal to, and hashed like, a filter on the old literal."""
+    """A re-bound Filter is a copy of the cached plan's operator with a
+    new literal: it must not compare equal to, or hash like, a filter on
+    the old literal (it once did, while operators cached their key)."""
     template = (
         "SELECT i_brand, count(*) AS n FROM item WHERE i_manufact_id = {} "
         "GROUP BY i_brand ORDER BY i_brand"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import interning
+from repro.props import required
 from repro.memo.memo import Group
 from repro.props.distribution import (
     ANY_DIST,
@@ -167,7 +167,7 @@ class TestRequiredProps:
         blob = pickle.dumps(req)
         # The "receiving process": an id table that has seen other
         # requests first, so the sender's number means something else.
-        monkeypatch.setattr(interning, "_ids", {})
+        monkeypatch.setattr(required, "_ids", {})
         shifted = [RequiredProps(HashedDist((n,))) for n in range(req.id + 3)]
         clone = pickle.loads(blob)
         assert clone == req
@@ -183,13 +183,13 @@ class TestRequiredProps:
         assert derived.id == DerivedProps(HashedDist((7, 8))).id
 
     def test_full_id_table_falls_back_to_structural_ids(self, monkeypatch):
-        monkeypatch.setattr(interning, "_ids", {})
-        monkeypatch.setattr(interning, "MAX_INTERNED_IDS", 2)
+        monkeypatch.setattr(required, "_ids", {})
+        monkeypatch.setattr(required, "MAX_INTERNED_IDS", 2)
         first, second = RequiredProps(HashedDist((1,))), RequiredProps(SINGLETON)
         overflow = RequiredProps(HashedDist((2,)))
         again = RequiredProps(HashedDist((2,)))
         other = RequiredProps(HashedDist((3,)))
-        assert len(interning._ids) == 2
+        assert len(required._ids) == 2
         assert isinstance(first.id, int) and isinstance(second.id, int)
         # Past the cap the structural key stands in: still equal for
         # equal requests, distinct otherwise, never equal to an int id.

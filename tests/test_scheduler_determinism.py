@@ -4,8 +4,8 @@ The job scheduler is serial, so for a fixed catalog, statement and
 config the sequence of job steps is fixed.  What may still vary between
 two runs is the process around them: which thread calls the optimizer
 (sessions may be called from threads, and the ledger's fleet clients
-call it from worker threads) and what earlier optimizations left in the process-wide
-intern tables.  Neither may change the plan, the Memo group / group
+call it from worker threads) and what earlier optimizations left in the
+process-wide request-id table.  Neither may change the plan, the Memo group / group
 expression counts or the abandoned alternatives.
 
 Every invariant is checked with cost-bound pruning both enabled (the

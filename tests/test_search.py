@@ -27,6 +27,7 @@ from repro.props.required import RequiredProps
 from repro.search.engine import SearchEngine
 from repro.verify.taqo import count_plans
 from repro.workloads import queries_by_id
+from repro.xforms.registry import JOIN_REORDERING_RULES
 
 from tests.conftest import make_small_db
 
@@ -205,7 +206,9 @@ class TestRuleToggles:
 
     def test_join_reordering_toggle(self, db):
         memo, f, c1, c2 = running_example(db)
-        config = OptimizerConfig(segments=16, enable_join_reordering=False)
+        config = OptimizerConfig(
+            segments=16, disabled_rules=JOIN_REORDERING_RULES
+        )
         engine = engine_for(db, memo, f, config)
         engine.optimize(RequiredProps(SINGLETON))
         joins = [

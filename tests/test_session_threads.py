@@ -2,7 +2,7 @@
 
 Concurrency across processes is ``connect_fleet``'s.  Within one process
 each thread holds its own ``Session``; what those sessions share — the
-interning id table, and any registry, stats store or feedback store they
+request-id table, and any registry, stats store or feedback store they
 were passed — must leave every plan and row what one serial session
 makes, and every session's own counters its own.
 """
@@ -27,17 +27,13 @@ from tests.conftest import rows_equal
 SQL = "SELECT d.d_year, count(*) AS n FROM date_dim d GROUP BY d.d_year"
 THREADS = 4
 
-#: Counted per process, not per query: how many intern lookups hit
-#: depends on what the process interned before.
-PROCESS_COUNTERS = {"repro_optimizer_intern_events_total"}
-
 
 def counter_totals(registry: MetricsRegistry) -> dict[str, float]:
     """Each counter family's sum over its series."""
     return {
         name: sum(series["value"] for series in family["series"])
         for name, family in registry.snapshot()["families"].items()
-        if family["type"] == "counter" and name not in PROCESS_COUNTERS
+        if family["type"] == "counter"
     }
 
 
